@@ -23,6 +23,7 @@ cache content (verified by tests).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,10 @@ class L2Cache:
     """Set-associative LRU cache over global-memory lines.
 
     Lines are keyed by ``(array, group)`` so distinct arrays never
-    alias (each simulated array has its own address space).
+    alias (each simulated array has its own address space).  The set
+    index is a pure function of that key (CRC-32 of the array name plus
+    the group), so a priced program costs the same in every process —
+    Python's salted ``str`` hash would make it vary per run.
     """
 
     capacity_bytes: int = 512 * 1024
@@ -78,7 +82,8 @@ class L2Cache:
     def touch(self, array: str, group: int) -> bool:
         """Access one line; returns ``True`` on hit.  Updates LRU state."""
         key = (array, group)
-        bucket = self._sets[hash(key) % self.num_sets]
+        set_index = (zlib.crc32(array.encode()) + group) % self.num_sets
+        bucket = self._sets[set_index]
         if key in bucket:
             del bucket[key]       # move to MRU position
             bucket[key] = None

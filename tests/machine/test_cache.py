@@ -112,3 +112,43 @@ class TestCachedStages:
         assert hmm.l2_cache is not None and hmm.l2_cache.misses > 0
         hmm.reset_cache()
         assert hmm.l2_cache.misses == 0
+
+
+_PRICE_SCRIPT = """
+from repro.core.scheduled import ScheduledPermutation
+from repro.machine.cache import L2Cache
+from repro.machine.hmm import HMM
+from repro.machine.params import MachineParams
+from repro.permutations.named import random_permutation
+
+params = MachineParams(width=32, latency=100, num_dmms=8,
+                       shared_capacity=None)
+plan = ScheduledPermutation.plan(random_permutation(96 * 96, seed=11),
+                                 width=32)
+cache = L2Cache(capacity_bytes=64 * 1024, miss_stages=4)
+print(plan.simulate(HMM(params, cache)).time)
+"""
+
+
+def test_l2_pricing_independent_of_hash_seed():
+    """The set index must not depend on Python's per-process string
+    hash salt: the same program prices identically under any
+    ``PYTHONHASHSEED``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    times = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _PRICE_SCRIPT], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        times.append(int(out.stdout.strip()))
+    assert times[0] == times[1]
