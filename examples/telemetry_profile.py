@@ -57,12 +57,12 @@ print("\n".join(telemetry.prometheus_text(tracer).splitlines()[:8]))
 (simulate_span,) = tracer.find("scheduled.simulate")
 assert simulate_span.attributes["model_time"] == trace.time
 kernel_total = sum(s.attributes["model_time"]
-                   for s in tracer.find("kernel"))
+                   for s in tracer.find("hmm.kernel"))
 assert kernel_total == trace.time
 print()
 print(f"model-time bridge verified: simulate span carries "
       f"{simulate_span.attributes['model_time']} time units "
-      f"== ProgramTrace.time == sum over {len(tracer.find('kernel'))} "
+      f"== ProgramTrace.time == sum over {len(tracer.find('hmm.kernel'))} "
       "kernel spans")
 
 with tempfile.TemporaryDirectory() as tmp:

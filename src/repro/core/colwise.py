@@ -24,7 +24,6 @@ from repro.core.rowwise import RowwiseSchedule
 from repro.core.transpose import TiledTranspose
 from repro.errors import SizeError
 from repro.machine.hmm import HMM
-from repro.machine.memory import TraceRecorder
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
 
@@ -70,18 +69,16 @@ class ColumnwiseSchedule:
             self.transpose.shared_bytes(dtype),
         )
 
-    def apply(
-        self, mat: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
+    def apply(self, mat: np.ndarray) -> np.ndarray:
         """Apply the column-wise permutation to ``mat``."""
         mat = np.asarray(mat)
         if mat.shape != (self.m, self.m):
             raise SizeError(
                 f"matrix must have shape ({self.m}, {self.m}), got {mat.shape}"
             )
-        staged = self.transpose.apply(mat, recorder)
-        permuted = self.rowwise.apply(staged, recorder)
-        return self.transpose.apply(permuted, recorder)
+        staged = self.transpose.apply(mat)
+        permuted = self.rowwise.apply(staged)
+        return self.transpose.apply(permuted)
 
     def simulate(
         self,
@@ -89,11 +86,7 @@ class ColumnwiseSchedule:
         dtype=np.float32,
     ) -> ProgramTrace:
         """Charge the three kernels on an HMM and return the trace."""
-        if machine is None:
-            machine = HMM()
-        elif isinstance(machine, MachineParams):
-            machine = HMM(machine)
-        rec = TraceRecorder(hmm=machine, name="columnwise")
-        self.apply(np.zeros((self.m, self.m), dtype=dtype), recorder=rec)
-        assert rec.trace is not None
-        return rec.trace
+        from repro.exec.simulator import price_ops
+
+        ops = (self.transpose.op, self.rowwise.op, self.transpose.op)
+        return price_ops("columnwise", ops, machine, dtype)

@@ -12,9 +12,9 @@ permutation's distribution ``D_w(P)`` (Lemma 4):
   casual writes thanks to cache-coherency effects; in the base model
   they cost the same.)
 
-Like every executor in :mod:`repro.core`, the data movement goes through
-:mod:`repro.machine.memory` traced arrays, so applying the algorithm and
-simulating its cost share one code path.
+Like every GPU-model engine, the data movement interprets the access
+rounds of :mod:`repro.ir.rounds`, so applying the algorithm and
+simulating its cost read one description of the kernel.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from repro.ir.engine import EngineBase
 from repro.ir.ops import CasualRead, CasualWrite
 from repro.ir.program import KernelProgram
 from repro.ir.registry import register_engine
-from repro.machine.memory import NullRecorder, TraceRecorder, TracedGlobalArray
+from repro.machine.cost_model import element_cells_of
 from repro.machine.params import MachineParams
-from repro.machine.requests import coalesced_addresses
 from repro.permutations.ops import invert
 from repro.util.validation import check_permutation
 
@@ -65,9 +64,6 @@ class ConventionalPermutation(EngineBase):
 
     # -- to be provided by subclasses --------------------------------
 
-    def _run(self, a: np.ndarray, recorder: TraceRecorder) -> np.ndarray:
-        raise NotImplementedError
-
     @classmethod
     def _predict_index(cls, p: np.ndarray) -> np.ndarray:
         """The index array whose distribution prices the casual round."""
@@ -83,7 +79,6 @@ class ConventionalPermutation(EngineBase):
         """Closed-form three-round time (Lemma 4 / Table I)."""
         from repro.core import theory
         from repro.core.distribution import distribution
-        from repro.machine.memory import element_cells_of
 
         params = params or MachineParams()
         p = check_permutation(p)
@@ -98,23 +93,19 @@ class ConventionalPermutation(EngineBase):
 
     # -- public API ---------------------------------------------------
 
-    def apply(
-        self, a: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
-        """Permute ``a``; optionally record access rounds."""
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """Permute ``a`` through the kernel's three access rounds."""
+        from repro.exec.interpreter import run_ops
+
         a = np.asarray(a)
         if a.shape != (self.n,):
             raise ValueError(
                 f"a must have shape ({self.n},), got {a.shape}"
             )
-        rec = recorder if recorder is not None else NullRecorder()
-        rec.begin_kernel(self.kernel_name)
-        out = self._run(a, rec)
-        rec.end_kernel()
-        return out
+        return run_ops(self.lower().ops, a)
 
     # ``simulate``/``apply_batch`` come from EngineBase: the simulator
-    # executor replays the same three rounds this class' ``_run`` emits.
+    # executor prices the same three rounds ``apply`` moves data through.
 
 
 @register_engine("d-designated")
@@ -122,16 +113,6 @@ class DDesignatedPermutation(ConventionalPermutation):
     """Destination-designated baseline: ``b[p[i]] <- a[i]``."""
 
     kernel_name = "d-designated"
-
-    def _run(self, a: np.ndarray, rec: TraceRecorder) -> np.ndarray:
-        ga = TracedGlobalArray(a, "a", rec)
-        gp = TracedGlobalArray(self.p, "p", rec)
-        gb = TracedGlobalArray(np.empty_like(a), "b", rec)
-        idx = coalesced_addresses(self.n)
-        values = ga.gather(idx)       # coalesced read of a
-        dest = gp.gather(idx)         # coalesced read of p
-        gb.scatter(dest, values)      # casual write of b
-        return gb.data
 
     def lower(self) -> KernelProgram:
         return KernelProgram(
@@ -160,16 +141,6 @@ class SDesignatedPermutation(ConventionalPermutation):
     def __init__(self, p: np.ndarray) -> None:
         super().__init__(p)
         self.q = invert(self.p).astype(self.p.dtype)
-
-    def _run(self, a: np.ndarray, rec: TraceRecorder) -> np.ndarray:
-        ga = TracedGlobalArray(a, "a", rec)
-        gq = TracedGlobalArray(self.q, "q", rec)
-        gb = TracedGlobalArray(np.empty_like(a), "b", rec)
-        idx = coalesced_addresses(self.n)
-        src = gq.gather(idx)          # coalesced read of q
-        values = ga.gather(src)       # casual read of a
-        gb.scatter(idx, values)       # coalesced write of b
-        return gb.data
 
     def lower(self) -> KernelProgram:
         return KernelProgram(

@@ -26,7 +26,7 @@ from repro.ir.engine import EngineBase
 from repro.ir.ops import Pad, Slice
 from repro.ir.program import KernelProgram
 from repro.ir.registry import register_engine
-from repro.machine.memory import TraceRecorder
+from repro.ir.rounds import rowwise_shared_bytes
 from repro.machine.params import MachineParams
 from repro.util.validation import check_permutation
 
@@ -92,9 +92,7 @@ class PaddedScheduledPermutation(EngineBase):
         """Extra elements moved, as a fraction: ``N/n - 1``."""
         return self.padded_n / self.n - 1.0 if self.n else 0.0
 
-    def apply(
-        self, a: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
+    def apply(self, a: np.ndarray) -> np.ndarray:
         """Permute ``a`` (length ``n``): ``b[p[i]] = a[i]``.
 
         The padding slots travel as zeros and are sliced away; because
@@ -108,19 +106,8 @@ class PaddedScheduledPermutation(EngineBase):
                             padded_n=self.padded_n):
             padded = np.zeros(self.padded_n, dtype=a.dtype)
             padded[: self.n] = a
-            out = self.inner.apply(padded, recorder)
+            out = self.inner.apply(padded)
             return out[: self.n]
-
-    def simulate(self, machine=None, dtype=np.float32):
-        """Cost of the padded run (the price actually paid on the HMM).
-
-        The ``pad``/``slice`` ops are free in the model, so this equals
-        the inner scheduled plan's 32-round time at ``padded_n``.
-        """
-        from repro.exec.simulator import SimulatorExecutor
-
-        return SimulatorExecutor().simulate(self.lower_optimized(),
-                                            machine, dtype=dtype)
 
     # ------------------------------------------------------------------
     # IR lowering
@@ -177,7 +164,7 @@ class PaddedScheduledPermutation(EngineBase):
     ) -> int | None:
         """Scheduled closed-form time at the padded size ``N``."""
         from repro.core import theory
-        from repro.machine.memory import element_cells_of
+        from repro.machine.cost_model import element_cells_of
 
         params = params or MachineParams()
         n = int(np.asarray(p).shape[0])
@@ -188,7 +175,7 @@ class PaddedScheduledPermutation(EngineBase):
         if big_n == 0:
             return None
         if params.shared_capacity is not None:
-            shared_needed = 2 * math.isqrt(big_n) * np.dtype(dtype).itemsize
+            shared_needed = rowwise_shared_bytes(math.isqrt(big_n), dtype)
             if shared_needed > params.shared_capacity:
                 return None
         k = element_cells_of(dtype)

@@ -41,15 +41,10 @@ from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.verify import verify_edge_coloring
 from repro.errors import SchedulingError, SizeError
+from repro.ir.ops import RowwiseScatter
+from repro.ir.rounds import rowwise_shared_bytes
 from repro.machine.hmm import HMM
-from repro.machine.memory import (
-    NullRecorder,
-    TraceRecorder,
-    TracedGlobalArray,
-    TracedSharedArray,
-)
 from repro.machine.params import MachineParams
-from repro.machine.requests import coalesced_addresses
 from repro.machine.trace import ProgramTrace
 from repro.util.arrays import smallest_index_dtype
 
@@ -210,57 +205,36 @@ class RowwiseSchedule:
         This is the quantity that hits the GTX-680's 48 KB wall for
         ``sqrt(n) = 4096`` doubles (2 * 4096 * 8 B = 64 KB).
         """
-        return 2 * self.m * np.dtype(dtype).itemsize
+        return rowwise_shared_bytes(self.m, dtype)
+
+    @property
+    def op(self) -> RowwiseScatter:
+        """The kernel as an IR op (its rounds come from
+        :mod:`repro.ir.rounds`)."""
+        return RowwiseScatter(
+            label="rowwise", gamma=self.gamma, width=self.width,
+            s=self.s, t=self.t,
+        )
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def apply(
-        self, mat: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
+    def apply(self, mat: np.ndarray) -> np.ndarray:
         """Apply the row-wise permutation to ``mat`` (shape ``(rows, m)``).
 
-        Executes the faithful four-step kernel through traced arrays, so
-        the result is produced by the very ``s``/``t`` schedule that the
+        Moves the data through the kernel's eight access rounds, so the
+        result is produced by the very ``s``/``t`` schedule that the
         simulator charges.
         """
+        from repro.exec.interpreter import run_op
+
         mat = np.asarray(mat)
         if mat.shape != (self.rows, self.m):
             raise SizeError(
                 f"matrix must have shape ({self.rows}, {self.m}), got {mat.shape}"
             )
-        rec = recorder if recorder is not None else NullRecorder()
-        n = mat.size
-        ga = TracedGlobalArray(mat, "a", rec)
-        gs = TracedGlobalArray(self.s, "s", rec)
-        gt = TracedGlobalArray(self.t, "t", rec)
-        gb = TracedGlobalArray(np.empty_like(mat), "b", rec)
-        x = TracedSharedArray(
-            self.rows, self.m, mat.dtype, "x", rec, block_threads=self.m
-        )
-        y = TracedSharedArray(
-            self.rows, self.m, mat.dtype, "y", rec, block_threads=self.m
-        )
-        idx = coalesced_addresses(n)
-        tile = np.broadcast_to(
-            np.arange(self.m, dtype=np.int64), (self.rows, self.m)
-        )
-
-        rec.begin_kernel("rowwise", self.shared_bytes(mat.dtype))
-        values = ga.gather(idx)                       # read a   (coalesced)
-        s_val = gs.gather(idx)                        # read s   (coalesced)
-        x.scatter(
-            s_val.reshape(self.rows, self.m),
-            values.reshape(self.rows, self.m),
-        )                                             # step 1   (conflict-free)
-        t_val = gt.gather(idx)                        # step 2   (coalesced)
-        staged = x.gather(tile)                       # step 3a  (conflict-free)
-        y.scatter(t_val.reshape(self.rows, self.m), staged)  # 3b (conflict-free)
-        result = y.gather(tile)                       # step 4a  (conflict-free)
-        gb.scatter(idx, result.reshape(-1))           # step 4b  (coalesced)
-        rec.end_kernel()
-        return gb.data.reshape(self.rows, self.m)
+        return run_op(self.op, mat.reshape(-1)).reshape(self.rows, self.m)
 
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
         """Apply the same row permutations to a stack of matrices.
@@ -290,11 +264,6 @@ class RowwiseSchedule:
         dtype=np.float32,
     ) -> ProgramTrace:
         """Charge the row-wise kernel on an HMM and return the trace."""
-        if machine is None:
-            machine = HMM()
-        elif isinstance(machine, MachineParams):
-            machine = HMM(machine)
-        rec = TraceRecorder(hmm=machine, name="rowwise")
-        self.apply(np.zeros((self.rows, self.m), dtype=dtype), recorder=rec)
-        assert rec.trace is not None
-        return rec.trace
+        from repro.exec.simulator import price_ops
+
+        return price_ops("rowwise", (self.op,), machine, dtype)

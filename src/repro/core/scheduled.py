@@ -44,8 +44,9 @@ from repro.ir.engine import EngineBase
 from repro.ir.ops import RowwiseScatter, Transpose
 from repro.ir.program import KernelProgram
 from repro.ir.registry import register_engine
+from repro.ir.rounds import rowwise_shared_bytes
+from repro.machine.cost_model import element_cells_of
 from repro.machine.hmm import HMM
-from repro.machine.memory import TraceRecorder, element_cells_of
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
 from repro.util.validation import check_permutation, check_square, isqrt_exact
@@ -143,14 +144,12 @@ class ScheduledPermutation(EngineBase):
     # Execution
     # ------------------------------------------------------------------
 
-    def apply(
-        self, a: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
+    def apply(self, a: np.ndarray) -> np.ndarray:
         """Permute ``a`` (length ``n``): returns ``b`` with
         ``b[p[i]] == a[i]``.
 
-        Runs the five kernels in sequence; with a recorder attached,
-        every one of the 32 access rounds is charged/collected.
+        Runs the five kernels in sequence, moving the data through the
+        same 32 access rounds :meth:`simulate` charges.
         """
         a = np.asarray(a)
         if a.shape != (self.n,):
@@ -158,12 +157,12 @@ class ScheduledPermutation(EngineBase):
         mat = a.reshape(self.m, self.m)
         with telemetry.span("scheduled.apply", n=self.n):
             with telemetry.span("scheduled.step1"):
-                mat = self.step1.apply(mat, recorder)  # row-wise
+                mat = self.step1.apply(mat)  # row-wise
             with telemetry.span("scheduled.step2"):
                 # transpose, row-wise, transpose
-                mat = self.step2.apply(mat, recorder)
+                mat = self.step2.apply(mat)
             with telemetry.span("scheduled.step3"):
-                mat = self.step3.apply(mat, recorder)  # row-wise
+                mat = self.step3.apply(mat)  # row-wise
         return mat.reshape(-1)
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -301,8 +300,7 @@ class ScheduledPermutation(EngineBase):
         if n == 0 or m % w != 0:
             return None
         if params.shared_capacity is not None:
-            shared_needed = 2 * m * np.dtype(dtype).itemsize
-            if shared_needed > params.shared_capacity:
+            if rowwise_shared_bytes(m, dtype) > params.shared_capacity:
                 return None
         k = element_cells_of(dtype)
         return theory.scheduled_time(n, w, params.latency,

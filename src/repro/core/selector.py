@@ -30,8 +30,8 @@ from repro.core.distribution import distribution
 from repro.errors import SizeError
 from repro.ir.program import KernelProgram
 from repro.ir.registry import engine_names, get_engine
+from repro.machine.cost_model import element_cells_of
 from repro.machine.hmm import HMM
-from repro.machine.memory import TraceRecorder, element_cells_of
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
 from repro.permutations.ops import invert
@@ -272,10 +272,8 @@ class AutoPermutation:  # staticcheck: ignore[REP104]
     def p(self) -> np.ndarray:
         return self.engine.p
 
-    def apply(
-        self, a: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
-        return self.engine.apply(a, recorder)
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        return self.engine.apply(a)
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
         return self.engine.apply_batch(batch)

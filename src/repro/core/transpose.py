@@ -22,15 +22,48 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SizeError
+from repro.ir.ops import Transpose
+from repro.ir.rounds import transpose_shared_bytes
 from repro.machine.hmm import HMM
-from repro.machine.memory import (
-    NullRecorder,
-    TraceRecorder,
-    TracedGlobalArray,
-    TracedSharedArray,
-)
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
+
+
+def tile_addresses(
+    m: int, width: int, diagonal: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four per-thread address streams of a tiled transpose.
+
+    One block per ``w x w`` tile; block ``(I, J)`` has ``w²`` threads
+    indexed ``(i, j)``.  Returns ``(read, slot_write, slot_read,
+    write)``: the global read of ``a``, the block-local shared write
+    and read of the tile, and the global write of ``b`` — the streams
+    :mod:`repro.ir.rounds` emits for every ``transpose`` kernel.
+    """
+    w = width
+    mt = m // w                      # tiles per side
+    block = np.arange(mt * mt, dtype=np.int64)
+    tile_row = block // mt               # I
+    tile_col = block % mt                # J
+    thread = np.arange(w * w, dtype=np.int64)
+    i = thread // w
+    j = thread % w
+    # Element (i, j) of tile (I, J) sits at row I*w + i, column J*w + j.
+    offset = (i * m + j)[None, :]
+    read = ((tile_row * w * m + tile_col * w)[:, None] + offset).reshape(-1)
+    write = ((tile_col * w * m + tile_row * w)[:, None] + offset).reshape(-1)
+    if diagonal:
+        slot_write = i * w + (i + j) % w
+        slot_read = j * w + (i + j) % w
+    else:
+        slot_write = i * w + j
+        slot_read = j * w + i
+    return (
+        read,
+        np.tile(slot_write, mt * mt),
+        np.tile(slot_read, mt * mt),
+        write,
+    )
 
 
 class TiledTranspose:
@@ -59,73 +92,31 @@ class TiledTranspose:
         self.m = m
         self.width = width
         self.diagonal = diagonal
-        self._build_addresses()
 
-    def _build_addresses(self) -> None:
-        """Precompute the four per-thread address streams.
-
-        One block per ``w x w`` tile; block ``(I, J)`` has ``w²``
-        threads indexed ``(i, j)``.  Addresses are built once and reused
-        by every :meth:`apply` call.
-        """
-        m, w = self.m, self.width
-        mt = m // w                      # tiles per side
-        num_blocks = mt * mt
-        block = np.arange(num_blocks, dtype=np.int64)
-        tile_row = (block // mt)[:, None]    # I
-        tile_col = (block % mt)[:, None]     # J
-        thread = np.arange(w * w, dtype=np.int64)
-        i = (thread // w)[None, :]
-        j = (thread % w)[None, :]
-
-        self.num_blocks = num_blocks
-        self.block_threads = w * w
-        self.read_addr = ((tile_row * w + i) * m + (tile_col * w + j)).reshape(-1)
-        self.write_addr = ((tile_col * w + i) * m + (tile_row * w + j)).reshape(-1)
-        if self.diagonal:
-            slot_write = i * w + (i + j) % w
-            slot_read = j * w + (i + j) % w
-        else:
-            slot_write = i * w + j
-            slot_read = j * w + i
-        ones = np.ones((num_blocks, 1), dtype=np.int64)
-        self.shared_write_addr = (ones * slot_write)
-        self.shared_read_addr = (ones * slot_read)
+    @property
+    def op(self) -> Transpose:
+        """The kernel as an IR op (its rounds come from
+        :mod:`repro.ir.rounds`)."""
+        return Transpose(
+            label="transpose", m=self.m, width=self.width,
+            diagonal=self.diagonal,
+        )
 
     def shared_bytes(self, dtype) -> int:
         """Shared memory per block: one ``w x w`` tile of ``dtype``."""
-        return self.width * self.width * np.dtype(dtype).itemsize
+        return transpose_shared_bytes(self.width, dtype)
 
-    def apply(
-        self, mat: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
-        """Transpose ``mat`` (shape ``(m, m)``), optionally tracing."""
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        """Transpose ``mat`` (shape ``(m, m)``) through the kernel's
+        four access rounds."""
+        from repro.exec.interpreter import run_op
+
         mat = np.asarray(mat)
         if mat.shape != (self.m, self.m):
             raise SizeError(
                 f"matrix must have shape ({self.m}, {self.m}), got {mat.shape}"
             )
-        rec = recorder if recorder is not None else NullRecorder()
-        ga = TracedGlobalArray(mat, "a", rec)
-        gb = TracedGlobalArray(np.empty_like(mat), "b", rec)
-        tile = TracedSharedArray(
-            self.num_blocks,
-            self.block_threads,
-            mat.dtype,
-            "tile",
-            rec,
-            block_threads=self.block_threads,
-        )
-        rec.begin_kernel("transpose", self.shared_bytes(mat.dtype))
-        values = ga.gather(self.read_addr)
-        tile.scatter(
-            self.shared_write_addr,
-            values.reshape(self.num_blocks, self.block_threads),
-        )
-        staged = tile.gather(self.shared_read_addr)
-        gb.scatter(self.write_addr, staged.reshape(-1))
-        rec.end_kernel()
-        return gb.data.reshape(self.m, self.m)
+        return run_op(self.op, mat.reshape(-1)).reshape(self.m, self.m)
 
     def simulate(
         self,
@@ -133,14 +124,9 @@ class TiledTranspose:
         dtype=np.float32,
     ) -> ProgramTrace:
         """Charge one transpose kernel on an HMM and return the trace."""
-        if machine is None:
-            machine = HMM()
-        elif isinstance(machine, MachineParams):
-            machine = HMM(machine)
-        rec = TraceRecorder(hmm=machine, name="transpose")
-        self.apply(np.zeros((self.m, self.m), dtype=dtype), recorder=rec)
-        assert rec.trace is not None
-        return rec.trace
+        from repro.exec.simulator import price_ops
+
+        return price_ops("transpose", (self.op,), machine, dtype)
 
 
 def diagonal_slot(i: np.ndarray, j: np.ndarray, width: int) -> np.ndarray:

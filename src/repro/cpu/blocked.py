@@ -93,14 +93,11 @@ class BlockedPermutation(EngineBase):
     def m(self) -> int:
         return self.decomposition.m
 
-    def apply(self, a: np.ndarray, recorder=None) -> np.ndarray:
+    def apply(self, a: np.ndarray) -> np.ndarray:
         """Permute ``a``: returns ``b`` with ``b[p[i]] == a[i]``.
 
         Five passes, each either row-local or a blocked transpose.
-        ``recorder`` is accepted for protocol uniformity; CPU passes
-        have no HMM rounds to record.
         """
-        del recorder
         a = np.asarray(a)
         if a.shape != (self.n,):
             raise SizeError(f"a must have shape ({self.n},), got {a.shape}")

@@ -93,15 +93,13 @@ class InplacePermutation(EngineBase):
             ops=(CycleRotate(label="cycle-rotate", p=self.p),),
         )
 
-    def apply(self, a: np.ndarray, recorder=None) -> np.ndarray:
+    def apply(self, a: np.ndarray) -> np.ndarray:
         """Permute ``a`` in place; returns ``a``.
 
         For each cycle ``(c0, c1, ..., ck)`` of ``p``, the value at
         ``c0`` must go to ``p[c0] = c1``, etc. — a vectorised roll of
-        the gathered cycle values.  ``recorder`` is accepted for
-        protocol uniformity.
+        the gathered cycle values.
         """
-        del recorder
         a = np.asarray(a)
         if a.shape != (self.n,):
             raise SizeError(f"a must have shape ({self.n},), got {a.shape}")

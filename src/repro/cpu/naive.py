@@ -82,10 +82,8 @@ class NaivePermutation(EngineBase):
             ops=(CasualWrite(label="cpu-naive", p=self.p),),
         )
 
-    def apply(self, a: np.ndarray, recorder=None) -> np.ndarray:
-        """One random-write pass; ``recorder`` accepted for protocol
-        uniformity."""
-        del recorder
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """One random-write pass."""
         a = np.asarray(a)
         if a.shape != (self.n,):
             raise SizeError(f"a must have shape ({self.n},), got {a.shape}")

@@ -1,13 +1,14 @@
 """Pluggable executors that run any lowered :class:`KernelProgram`.
 
-Five executors, one IR:
+Six executors, one IR:
 
 * :class:`ReferenceExecutor` — pure-numpy semantic ground truth;
 * :class:`BatchExecutor` — vectorized ``(k, n)`` throughput mode,
   giving every engine ``apply_batch``;
-* :class:`SimulatorExecutor` — replays each op's access rounds
-  through the HMM cost model, replacing per-engine ``simulate``
-  plumbing;
+* :class:`RoundInterpreter` — moves the payload through the access
+  rounds of :mod:`repro.ir.rounds`: the GPU-model engines' ``apply``;
+* :class:`SimulatorExecutor` — prices those same rounds on the HMM
+  cost model;
 * :class:`StreamingExecutor` — out-of-core: applies a sharded plan
   tile-by-tile against memory-mapped payload files under a hard
   ``max_resident_bytes`` budget;
@@ -17,6 +18,7 @@ Five executors, one IR:
 """
 
 from repro.exec.batch import BatchExecutor
+from repro.exec.interpreter import RoundInterpreter
 from repro.exec.reference import ReferenceExecutor
 from repro.exec.sealed import SealedExecutor
 from repro.exec.simulator import SimulatorExecutor
@@ -29,6 +31,7 @@ from repro.exec.streaming import (
 __all__ = [
     "BatchExecutor",
     "ReferenceExecutor",
+    "RoundInterpreter",
     "SealedExecutor",
     "SimulatorExecutor",
     "StreamingExecutor",

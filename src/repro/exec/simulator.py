@@ -1,42 +1,27 @@
-"""HMM-simulator executor — replay a program's access rounds.
+"""HMM-simulator executor — price a program's access rounds.
 
-Runs a :class:`KernelProgram` through the traced-memory layer so every
-op's access rounds are charged on the HMM cost model.  For the
-scheduled ops this defers to the existing traced kernels
-(:class:`RowwiseSchedule` / :class:`TiledTranspose`), so the emitted
-rounds — and therefore simulated times — are identical to what the
-engines produced before the IR existed.  Casual and DMM ops emit the
-same round streams their engines' hand-written ``simulate`` /
-``rounds()`` methods used to.
+The rounds come from the one enumerator in :mod:`repro.ir.rounds`, the
+same stream the static certifier proves and the round interpreter
+moves data through; this executor only charges them on
+:meth:`repro.machine.hmm.HMM.run_program`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
 
-from repro.errors import SizeError, ValidationError
-from repro.ir.ops import (
-    CasualRead,
-    CasualWrite,
-    CycleRotate,
-    GatherScatter,
-    KernelOp,
-    Pad,
-    RowwiseScatter,
-    Slice,
-    Transpose,
-)
+from repro.ir.ops import KernelOp
 from repro.ir.program import KernelProgram
-from repro.machine.memory import NullRecorder, TracedGlobalArray, TraceRecorder
-from repro.machine.requests import AccessRound, coalesced_addresses
+from repro.ir.rounds import op_kernels
+from repro.machine.hmm import HMM
 from repro.machine.trace import ProgramTrace
 
 
-def _as_hmm(machine: Any) -> Any:
-    from repro.machine.hmm import HMM
-
+def as_hmm(machine: Any = None) -> HMM:
+    """An :class:`HMM` from ``None``, machine params, or an HMM."""
     if machine is None:
         return HMM()
     if isinstance(machine, HMM):
@@ -44,25 +29,19 @@ def _as_hmm(machine: Any) -> Any:
     return HMM(machine)
 
 
-class SimulatorExecutor:
-    """Execute programs while recording access rounds."""
+def price_ops(
+    name: str,
+    ops: Iterable[KernelOp],
+    machine: Any = None,
+    dtype: Any = np.float32,
+) -> ProgramTrace:
+    """Charge the access rounds of ``ops`` as one program ``name``."""
+    kernels = (k.to_kernel() for k in op_kernels(ops, dtype))
+    return as_hmm(machine).run_program(kernels, name=name)
 
-    def run(
-        self,
-        program: KernelProgram,
-        a: np.ndarray,
-        recorder: TraceRecorder | None = None,
-    ) -> np.ndarray:
-        rec = recorder if recorder is not None else NullRecorder()
-        data = np.asarray(a)
-        if data.shape != (program.n,):
-            raise SizeError(
-                f"a must have shape ({program.n},), got {data.shape}"
-            )
-        program.validate()
-        for op in program.ops:
-            data = self._run_op(op, data, rec)
-        return data
+
+class SimulatorExecutor:
+    """Price programs on the HMM cost model."""
 
     def simulate(
         self,
@@ -70,184 +49,5 @@ class SimulatorExecutor:
         machine: Any = None,
         dtype: Any = np.float32,
     ) -> ProgramTrace:
-        """Price the program on an HMM, returning the recorded trace."""
-        rec = TraceRecorder(hmm=_as_hmm(machine), name=program.engine)
-        self.run(program, np.zeros(program.n, dtype=dtype), rec)
-        trace = rec.trace
-        assert trace is not None
-        return trace
-
-    # ------------------------------------------------------------------
-    # Per-op handlers
-    # ------------------------------------------------------------------
-
-    def _run_op(
-        self, op: KernelOp, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        if isinstance(op, RowwiseScatter):
-            if op.s is not None and op.t is not None and op.width > 0:
-                from repro.core.rowwise import RowwiseSchedule
-
-                sched = RowwiseSchedule(
-                    gamma=op.gamma, s=op.s, t=op.t, width=op.width
-                )
-                mat = data.reshape(op.rows, op.m)
-                return sched.apply(mat, rec).reshape(op.rows * op.m)
-            return self._casual_rowwise(op, data, rec)
-        if isinstance(op, Transpose):
-            if op.tiled:
-                from repro.core.transpose import TiledTranspose
-
-                tr = TiledTranspose(op.m, op.width, diagonal=op.diagonal)
-                mat = data.reshape(op.m, op.m)
-                return tr.apply(mat, rec).reshape(op.m * op.m)
-            return self._direct_transpose(op, data, rec)
-        if isinstance(op, CasualWrite):
-            if op.space == "shared":
-                return self._shared_casual_write(op, data, rec)
-            return self._casual_write(op, data, rec)
-        if isinstance(op, CasualRead):
-            return self._casual_read(op, data, rec)
-        if isinstance(op, GatherScatter):
-            return self._gather_scatter(op, data, rec)
-        if isinstance(op, CycleRotate):
-            return self._cycle_rotate(op, data, rec)
-        if isinstance(op, Pad):
-            out = np.zeros(op.padded_n, dtype=data.dtype)
-            out[: op.n] = data
-            return out
-        if isinstance(op, Slice):
-            return data[: op.n].copy()
-        raise ValidationError(
-            f"simulator executor cannot run op kind {op.kind!r}"
-        )
-
-    def _casual_rowwise(
-        self, op: RowwiseScatter, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Unscheduled row-wise scatter: read a, read gamma, casual
-        write (the CPU engines' 3-round form)."""
-        n = op.rows * op.m
-        ga = TracedGlobalArray(data, "a", rec)
-        gg = TracedGlobalArray(op.gamma.reshape(n), "gamma", rec)
-        gb = TracedGlobalArray(np.empty_like(data), "b", rec)
-        idx = coalesced_addresses(n)
-        rec.begin_kernel(op.label)
-        values = ga.gather(idx)
-        cols = gg.gather(idx)
-        dest = (idx // op.m) * op.m + cols
-        gb.scatter(dest, values)
-        rec.end_kernel()
-        return gb.data
-
-    def _direct_transpose(
-        self, op: Transpose, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Untiled transpose: coalesced read, strided casual write."""
-        n = op.m * op.m
-        ga = TracedGlobalArray(data, "a", rec)
-        gb = TracedGlobalArray(np.empty_like(data), "b", rec)
-        idx = coalesced_addresses(n)
-        rec.begin_kernel(op.label)
-        values = ga.gather(idx)
-        dest = (idx % op.m) * op.m + idx // op.m
-        gb.scatter(dest, values)
-        rec.end_kernel()
-        return gb.data
-
-    def _casual_write(
-        self, op: CasualWrite, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Destination-designated: two coalesced reads + casual write
-        (identical rounds to DDesignatedPermutation)."""
-        ga = TracedGlobalArray(data, "a", rec)
-        gp = TracedGlobalArray(op.p, "p", rec)
-        gb = TracedGlobalArray(np.empty_like(data), "b", rec)
-        idx = coalesced_addresses(data.shape[0])
-        rec.begin_kernel(op.label)
-        values = ga.gather(idx)
-        dest = gp.gather(idx)
-        gb.scatter(dest, values)
-        rec.end_kernel()
-        return gb.data
-
-    def _casual_read(
-        self, op: CasualRead, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Source-designated: coalesced read of q, casual read of a,
-        coalesced write (identical rounds to SDesignatedPermutation)."""
-        gq = TracedGlobalArray(op.q, "q", rec)
-        ga = TracedGlobalArray(data, "a", rec)
-        gb = TracedGlobalArray(np.empty_like(data), "b", rec)
-        idx = coalesced_addresses(data.shape[0])
-        rec.begin_kernel(op.label)
-        src = gq.gather(idx)
-        values = ga.gather(src)
-        gb.scatter(idx, values)
-        rec.end_kernel()
-        return gb.data
-
-    def _shared_casual_write(
-        self, op: CasualWrite, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Single-DMM conventional: the three shared rounds of
-        DMMConventionalPermutation.rounds()."""
-        n = data.shape[0]
-        p64 = op.p.astype(np.int64)
-        rec.begin_kernel(op.label)
-        if rec.active:
-            idx = coalesced_addresses(n)
-            rec.record(
-                AccessRound("shared", "read", idx, "a", block_size=n)
-            )
-            rec.record(
-                AccessRound("shared", "read", idx, "p", block_size=n)
-            )
-            rec.record(
-                AccessRound("shared", "write", p64, "b", block_size=n)
-            )
-        rec.end_kernel()
-        out = np.empty_like(data)
-        out[p64] = data
-        return out
-
-    def _gather_scatter(
-        self, op: GatherScatter, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Single-DMM conflict-free: the four shared rounds of
-        DMMScheduledPermutation.rounds()."""
-        n = data.shape[0]
-        s64 = op.s.astype(np.int64)
-        t64 = op.t.astype(np.int64)
-        rec.begin_kernel(op.label)
-        if rec.active:
-            idx = coalesced_addresses(n)
-            rec.record(
-                AccessRound("shared", "read", idx, "s", block_size=n)
-            )
-            rec.record(
-                AccessRound("shared", "read", idx, "t", block_size=n)
-            )
-            rec.record(
-                AccessRound("shared", "read", s64, "a", block_size=n)
-            )
-            rec.record(
-                AccessRound("shared", "write", t64, "b", block_size=n)
-            )
-        rec.end_kernel()
-        out = np.empty_like(data)
-        out[t64] = data[s64]
-        return out
-
-    def _cycle_rotate(
-        self, op: CycleRotate, data: np.ndarray, rec: TraceRecorder
-    ) -> np.ndarray:
-        """Cycle-following modelled as coalesced read + casual write."""
-        ga = TracedGlobalArray(data, "a", rec)
-        gb = TracedGlobalArray(np.empty_like(data), "b", rec)
-        idx = coalesced_addresses(data.shape[0])
-        rec.begin_kernel(op.label)
-        values = ga.gather(idx)
-        gb.scatter(op.p.astype(np.int64), values)
-        rec.end_kernel()
-        return gb.data
+        """Price the program on an HMM, returning the trace."""
+        return price_ops(program.engine, program.ops, machine, dtype)

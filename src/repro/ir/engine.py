@@ -7,8 +7,8 @@ six-method surface:
     Classmethod constructor: precompute schedules for permutation ``p``.
 ``lower()``
     Lower the planned engine to a :class:`~repro.ir.program.KernelProgram`.
-``apply(a, recorder=None)``
-    Permute one array (optionally recording access rounds).
+``apply(a)``
+    Permute one array.
 ``apply_batch(batch)``
     Permute ``k`` arrays with one pass per kernel (throughput mode).
 ``simulate(machine=None, dtype=...)``
@@ -44,9 +44,7 @@ class Engine(Protocol):
 
     def lower(self) -> KernelProgram: ...
 
-    def apply(
-        self, a: np.ndarray, recorder: Any | None = None
-    ) -> np.ndarray: ...
+    def apply(self, a: np.ndarray) -> np.ndarray: ...
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray: ...
 

@@ -4,8 +4,7 @@ Each op describes one GPU kernel launch (or one CPU pass) over a flat
 array, carrying exactly the arrays a machine needs to run it.  Ops are
 *data*: they neither execute themselves nor know about any particular
 machine.  The executors in :mod:`repro.exec` give them semantics, and
-:func:`repro.staticcheck.access.program_rounds` derives their memory
-access rounds symbolically.
+:mod:`repro.ir.rounds` enumerates their memory access rounds.
 
 Op kinds
 --------

@@ -14,9 +14,10 @@
   traces;
 * :mod:`repro.machine.cache` — an optional L2 cache model in front of
   the global memory (extension; explains the paper's small-``n``
-  regime);
-* :mod:`repro.machine.memory` — access-capturing array wrappers for
-  writing kernels in plain indexing style.
+  regime).
+
+The access rounds a kernel performs are described once, by the
+enumerator in :mod:`repro.ir.rounds`; this package only prices them.
 """
 
 from repro.machine.params import MachineParams
@@ -33,12 +34,6 @@ from repro.machine.pipeline import PipelineSimulator, simulate_access_sequence
 from repro.machine.trace import KernelTrace, ProgramTrace, RoundCost
 from repro.machine.hmm import HMM
 from repro.machine.cache import L2Cache, cached_global_stages
-from repro.machine.memory import (
-    NullRecorder,
-    TracedGlobalArray,
-    TracedSharedArray,
-    TraceRecorder,
-)
 from repro.machine.dmm import DMM
 from repro.machine.metrics import TraceMetrics, analyze, format_metrics
 from repro.machine.umm import UMM
@@ -47,7 +42,6 @@ __all__ = [
     "AccessRound",
     "DMM",
     "HMM",
-    "NullRecorder",
     "UMM",
     "Kernel",
     "KernelTrace",
@@ -57,9 +51,6 @@ __all__ = [
     "ProgramTrace",
     "RoundCost",
     "TraceMetrics",
-    "TraceRecorder",
-    "TracedGlobalArray",
-    "TracedSharedArray",
     "analyze",
     "format_metrics",
     "cached_global_stages",

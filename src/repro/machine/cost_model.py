@@ -27,6 +27,17 @@ from repro.errors import AccessRoundError
 from repro.machine.requests import AccessRound
 
 
+def element_cells_of(dtype) -> int:
+    """Cells (32-bit words) per element of ``dtype``.
+
+    The model's cell is the paper's float/int word; doubles span two
+    cells (their global accesses cost two transactions per group),
+    while sub-word types (the uint16 schedule arrays) still occupy one
+    cell slot each — conservatively charging them full-word bandwidth.
+    """
+    return max(1, np.dtype(dtype).itemsize // 4)
+
+
 def _to_warps(addresses: np.ndarray, width: int) -> np.ndarray:
     """Reshape a flat address stream into ``(num_warps, width)``.
 

@@ -11,7 +11,7 @@ pure apply time, and with the sealed tier that apply is a *single*
 proven flat gather: a handle resolved from a sealed sidecar serves
 ``apply`` without ever rehydrating the v3 plan file (the full program
 is loaded lazily, only if something asks for ``lower()`` /
-``simulate()`` / ``shard()`` / a recorder).
+``simulate()`` / ``shard()``).
 """
 
 from __future__ import annotations
@@ -192,18 +192,11 @@ class CompiledPermutation:
 
     # -- execution ------------------------------------------------------
 
-    def apply(
-        self, a: np.ndarray, recorder: Any | None = None
-    ) -> np.ndarray:
+    def apply(self, a: np.ndarray) -> np.ndarray:
         """Permute one array.
 
         Sealed handles serve this as a single proven flat gather.
-        With a ``recorder`` the call delegates to the planned engine's
-        traced kernels (recorders observe real access rounds, which
-        neither the sealed nor the optimized reference path emits).
         """
-        if recorder is not None:
-            return np.asarray(self.engine.apply(a, recorder))
         if self.sealed is not None:
             from repro.exec.sealed import SealedExecutor
 

@@ -270,8 +270,9 @@ def _check_serving() -> str:
 def _check_staticcheck() -> str:
     import dataclasses
 
-    from repro.machine.requests import AccessRound
-    from repro.staticcheck import certify_plan, detect_races, run_lint
+    from repro.errors import MemoryRaceError
+    from repro.machine.hmm import HMM
+    from repro.staticcheck import certify_plan, run_lint
 
     # A sound plan certifies positively from its arrays alone.
     p = random_permutation(1024, seed=5)
@@ -287,9 +288,14 @@ def _check_staticcheck() -> str:
     bad_cert = certify_plan(bad)
     assert not bad_cert.ok
     assert bad_cert.counterexample.kernel == "step1.rowwise"
-    # The race detector flags a duplicate-address write round.
-    racy = AccessRound("global", "write", np.array([0, 1, 1, 3]), "b")
-    assert len(detect_races([racy])) == 1
+    # Pricing the same corrupted stream trips the race detector on its
+    # duplicate-address shared write.
+    try:
+        bad.simulate(HMM(_MACHINE, detect_races=True))
+    except MemoryRaceError as exc:
+        assert exc.findings[0].kind == "write-write"
+    else:
+        raise AssertionError("corrupted plan priced without a race")
     # And the shipped package passes its own lint rules.
     assert run_lint() == []
     return ("32/32 rounds certified, corruption localised to "

@@ -45,7 +45,6 @@ from repro.errors import (
     ResilienceError,
     SchedulingError,
 )
-from repro.machine.memory import TraceRecorder
 from repro.resilience.reporting import FailureReport
 from repro.util.validation import check_permutation
 
@@ -273,16 +272,14 @@ class ResilientPermutation:
     def degraded(self) -> bool:
         return self.report.degraded
 
-    def apply(
-        self, a: np.ndarray, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
+    def apply(self, a: np.ndarray) -> np.ndarray:
         """Permute ``a``; optionally (default) verify the output.
 
         The self-check compares against the definitionally correct
         scatter ``expected[p] = a`` — one extra O(n) pass, the price of
         the never-wrong guarantee.
         """
-        out = self.engine.apply(a, recorder)
+        out = self.engine.apply(a)
         if self.self_check:
             a = np.asarray(a)
             expected = np.empty_like(a)

@@ -51,7 +51,7 @@ from repro.errors import (
     FaultInjectionError,
     SharedMemoryCapacityError,
 )
-from repro.machine import memory as _memory
+from repro.ir import rounds as _rounds
 
 #: The four supported plan-file fault modes.
 FILE_FAULT_MODES = ("bit-flip", "truncate", "delete-key", "stale-version")
@@ -191,14 +191,14 @@ class FaultPlan:
         _euler._fault_hook = self._hook
         _matching._fault_hook = self._hook
         if self.scatter_collisions:
-            _memory._scatter_fault_hook = self._scatter_hook
+            _rounds._scatter_fault_hook = self._scatter_hook
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
         _euler._fault_hook = None
         _matching._fault_hook = None
-        _memory._scatter_fault_hook = None
+        _rounds._scatter_fault_hook = None
         _active = None
 
     def _hook(self, site: str, graph) -> None:
@@ -224,9 +224,9 @@ class FaultPlan:
     def _scatter_hook(
         self, array: str, addresses: np.ndarray
     ) -> np.ndarray:
-        """Called by :meth:`TracedSharedArray.scatter` with the
-        ``(blocks, threads)`` address matrix; returns what the write
-        actually uses."""
+        """Called by the round enumerator with each shared write
+        round's ``(blocks, threads)`` address matrix; returns what the
+        write actually uses."""
         del array  # all shared arrays are fair game
         self._scatter_count += 1
         if self._scatter_remaining <= 0 or addresses.shape[1] < 2:

@@ -24,13 +24,7 @@ here runs the simulator:
 
 from __future__ import annotations
 
-from repro.staticcheck.access import (
-    StaticRound,
-    plan_rounds,
-    program_rounds,
-    rowwise_rounds,
-    transpose_rounds,
-)
+from repro.ir.rounds import StaticRound, program_rounds
 from repro.staticcheck.certifier import (
     CERTIFICATE_VERSION,
     Certificate,
@@ -41,6 +35,7 @@ from repro.staticcheck.certifier import (
     certify_program,
     certify_rounds,
     global_group_counts,
+    plan_rounds,
     shared_bank_multiplicities,
 )
 from repro.staticcheck.lint import (
@@ -97,9 +92,7 @@ __all__ = [
     "prove_bijection",
     "plan_rounds",
     "program_rounds",
-    "rowwise_rounds",
     "run_lint",
     "shared_bank_multiplicities",
-    "transpose_rounds",
     "validate_translation",
 ]

@@ -4,21 +4,22 @@ The paper's central claim is that every one of the scheduled
 permutation's 32 rounds is *regular*: shared rounds hit ``w`` distinct
 banks per warp (conflict-free on the DMM), global rounds touch a single
 address group per warp (fully coalesced on the UMM).  The simulator
-demonstrates this dynamically; this module *proves* it statically.
+prices those rounds; this module *proves* them regular.
 
-:func:`certify_plan` derives the 32 address streams symbolically
-(:mod:`repro.staticcheck.access`) and analyses each round per warp:
+:func:`certify_plan` reads the 32 address streams from the access-round
+enumerator (:mod:`repro.ir.rounds`, the same stream the simulator
+prices and the round interpreter executes) and analyses each round per
+warp:
 the multiset of banks ``addr mod w`` for shared rounds, the set of
 address groups ``addr div w`` for global rounds.  The result is a
 :class:`Certificate` — per-round verdicts plus, on failure, a
 :class:`Counterexample` naming the kernel, round, block, warp, bank and
 colliding lanes.
 
-The analysis is deliberately implemented independently of
+The counting is deliberately implemented independently of
 :mod:`repro.machine.cost_model` (scatter-add counting here vs. bincount
-there, and addresses derived from plan arrays rather than captured from
-execution), so the differential tests compare two independent
-derivations of the same quantities.
+there), so the differential tests compare two independent derivations
+of the same per-round quantities.
 
 Certificates serialise to JSON and are embedded into plan files by
 :func:`repro.core.io.save_plan`; a certificate binds itself to its plan
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import CertificateError, StaticCheckError
-from repro.staticcheck.access import StaticRound, plan_rounds, program_rounds
+from repro.ir.rounds import StaticRound, program_rounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scheduled import ScheduledPermutation
@@ -453,6 +454,15 @@ def certify_program(program: "KernelProgram") -> Certificate:
     """
     from repro.ir.ops import RowwiseScatter
 
+    for op in program.ops:
+        if not op.regular:
+            raise StaticCheckError(
+                f"op {op.label!r} (kind {op.kind!r}) is not statically "
+                "certifiable: only scheduled row-wise, tiled transpose "
+                "and gather-scatter kernels have conflict-freedom claims "
+                "to prove"
+            )
+
     m = next(
         (op.m for op in program.ops
          if isinstance(op, RowwiseScatter) and op.regular),
@@ -469,6 +479,23 @@ def certify_program(program: "KernelProgram") -> Certificate:
     return certify_rounds(
         program_rounds(program), width=width, n=int(program.n), m=int(m),
     )
+
+
+def plan_rounds(plan: "ScheduledPermutation") -> tuple[StaticRound, ...]:
+    """All 32 rounds of a planned scheduled permutation.
+
+    Lowers the plan and enumerates its program; kernels appear in
+    execution order (``step1.rowwise``, ``step2.transpose-in``,
+    ``step2.rowwise``, ``step2.transpose-out``, ``step3.rowwise``) and
+    round indices run 0..31.
+    """
+    rounds = program_rounds(plan.lower())
+    if len(rounds) != 32:
+        raise StaticCheckError(
+            f"expected 32 static rounds, derived {len(rounds)} — the "
+            "plan's kernel structure does not match the paper's program"
+        )
+    return rounds
 
 
 def certify_plan(plan: "ScheduledPermutation") -> Certificate:

@@ -12,6 +12,7 @@ from repro.core.dmm_permutation import (
     worst_case_bank_permutation,
 )
 from repro.errors import SchedulingError, SizeError
+from repro.ir.rounds import program_rounds
 from repro.machine.dmm import DMM
 from repro.permutations.named import identical, random_permutation
 
@@ -118,13 +119,13 @@ class TestCosts:
         dmm = DMM(8)
         p = random_permutation(128, seed=6)
         plan = DMMScheduledPermutation.plan(p, width=8)
-        for rnd in plan.rounds():
+        for rnd in program_rounds(plan.lower()):
             assert dmm.is_conflict_free(rnd.addresses)
 
     def test_conventional_casual_round_detected(self):
         dmm = DMM(4)
         p = worst_case_bank_permutation(64, 4)
-        rounds = DMMConventionalPermutation(p, 4).rounds()
+        rounds = program_rounds(DMMConventionalPermutation(p, 4).lower())
         assert not dmm.is_conflict_free(rounds[2].addresses)
 
     def test_verify_detects_sabotage(self):

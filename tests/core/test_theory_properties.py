@@ -117,7 +117,7 @@ def test_property_mixed_distribution_monotone(width, warps, k, seed):
 
 
 def test_dtype_map_is_what_simulate_uses():
-    from repro.machine.memory import element_cells_of
+    from repro.machine.cost_model import element_cells_of
 
     for k, dtype in _DTYPES.items():
         assert element_cells_of(dtype) == k

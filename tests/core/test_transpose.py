@@ -9,7 +9,6 @@ from repro.core.transpose import TiledTranspose, diagonal_slot
 from repro.core.theory import transpose_time
 from repro.errors import SizeError
 from repro.machine.hmm import HMM
-from repro.machine.memory import TraceRecorder
 from repro.machine.params import MachineParams
 
 

@@ -14,7 +14,7 @@ from repro.machine.cost_model import (
     round_time,
     shared_warp_stages,
 )
-from repro.machine.memory import TraceRecorder
+from repro.ir.rounds import op_kernels
 from repro.machine.pipeline import simulate_access_sequence
 from repro.permutations.named import random_permutation
 
@@ -22,11 +22,9 @@ WIDTH = 4
 LATENCY = 7
 
 
-def _collect_rounds(run):
-    """Execute ``run(recorder)`` and return the collected kernels."""
-    rec = TraceRecorder(collect_rounds=True)
-    run(rec)
-    return rec.kernels
+def _collect_rounds(ops):
+    """The kernels the access-round enumerator emits for ``ops``."""
+    return [k.to_kernel() for k in op_kernels(ops, np.float32)]
 
 
 def _check_kernels(kernels):
@@ -60,20 +58,14 @@ def _check_kernels(kernels):
 
 def test_conventional_kernel_cross_fidelity():
     p = random_permutation(64, seed=0)
-    kernels = _collect_rounds(
-        lambda rec: DDesignatedPermutation(p).apply(
-            np.zeros(64, dtype=np.float32), rec
-        )
-    )
+    kernels = _collect_rounds(DDesignatedPermutation(p).lower().ops)
     assert len(kernels) == 1
     _check_kernels(kernels)
 
 
 def test_transpose_kernel_cross_fidelity():
     t = TiledTranspose(8, WIDTH)
-    kernels = _collect_rounds(
-        lambda rec: t.apply(np.zeros((8, 8), dtype=np.float32), rec)
-    )
+    kernels = _collect_rounds((t.op,))
     _check_kernels(kernels)
 
 
@@ -81,9 +73,7 @@ def test_rowwise_kernel_cross_fidelity():
     rng = np.random.default_rng(1)
     gamma = np.stack([rng.permutation(8) for _ in range(8)]).astype(np.int64)
     sched = RowwiseSchedule.plan(gamma, WIDTH)
-    kernels = _collect_rounds(
-        lambda rec: sched.apply(np.zeros((8, 8), dtype=np.float32), rec)
-    )
+    kernels = _collect_rounds((sched.op,))
     _check_kernels(kernels)
 
 
@@ -91,9 +81,7 @@ def test_rowwise_kernel_cross_fidelity():
 def test_full_scheduled_program_cross_fidelity():
     p = random_permutation(64, seed=2)
     plan = ScheduledPermutation.plan(p, width=WIDTH)
-    kernels = _collect_rounds(
-        lambda rec: plan.apply(np.zeros(64, dtype=np.float32), rec)
-    )
+    kernels = _collect_rounds(plan.lower().ops)
     assert len(kernels) == 5
     assert sum(k.num_rounds for k in kernels) == 32
     _check_kernels(kernels)

@@ -20,7 +20,7 @@ from repro.machine.cost_model import (
     global_warp_stages,
 )
 from repro.machine.hmm import HMM
-from repro.machine.memory import element_cells_of
+from repro.machine.cost_model import element_cells_of
 from repro.machine.params import MachineParams
 from repro.machine.requests import AccessRound
 

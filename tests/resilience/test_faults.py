@@ -168,7 +168,6 @@ class TestScatterCollisionFaults:
         # so determinism is asserted on the detected findings.)
         from repro.errors import MemoryRaceError
         from repro.machine.hmm import HMM
-        from repro.machine.memory import TraceRecorder
         from repro.machine.params import MachineParams
 
         a = np.arange(N, dtype=np.float64)
@@ -178,10 +177,9 @@ class TestScatterCollisionFaults:
                 MachineParams(width=WIDTH, latency=4, num_dmms=2),
                 detect_races=True,
             )
-            rec = TraceRecorder(hmm=machine, name="det")
             with FaultPlan(seed=3, scatter_collisions=1):
                 with pytest.raises(MemoryRaceError) as err:
-                    plan.apply(a, recorder=rec)
+                    plan.simulate(machine, dtype=a.dtype)
             runs.append(
                 [(f.address, f.block, f.threads)
                  for f in err.value.findings]
@@ -204,20 +202,20 @@ class TestScatterCollisionFaults:
         assert np.array_equal(second, expected_output(p, a))
 
     def test_hook_cleared_after_exit(self, p, plan):
-        from repro.machine import memory
+        from repro.ir import rounds
 
         a = np.arange(N, dtype=np.float64)
         with FaultPlan(seed=3, scatter_collisions=1):
-            assert memory._scatter_fault_hook is not None
+            assert rounds._scatter_fault_hook is not None
             plan.apply(a)
-        assert memory._scatter_fault_hook is None
+        assert rounds._scatter_fault_hook is None
         assert np.array_equal(plan.apply(a), expected_output(p, a))
 
     def test_zero_budget_installs_no_hook(self):
-        from repro.machine import memory
+        from repro.ir import rounds
 
         with FaultPlan(seed=3):
-            assert memory._scatter_fault_hook is None
+            assert rounds._scatter_fault_hook is None
 
 
 class TestActivation:

@@ -1,12 +1,11 @@
 """Differential validation: static certifier vs. dynamic simulator.
 
-The certifier derives every round's stage count from the plan arrays
-alone; the simulator measures the same quantity by executing the five
-kernels through the traced arrays.  The two implementations share no
-counting code (scatter-add vs. bincount, symbolic vs. captured
-addresses), so agreement here means two independent derivations of the
-paper's cost model coincide — on every round of every plan, sound or
-deliberately corrupted.
+The certifier derives every round's stage count with its own
+scatter-add counting; the simulator prices the same access-round
+stream through the HMM's bincount cost model.  The two share no
+counting code, so agreement here means two independent derivations of
+the paper's cost model coincide — on every round of every plan, sound
+or deliberately corrupted.
 
 Simulation uses ``num_dmms=1`` so a shared round's cost equals the
 certifier's all-warp stage sum, and ``float32`` payloads so global
@@ -20,7 +19,6 @@ import pytest
 
 from repro.core.scheduled import ScheduledPermutation
 from repro.machine.hmm import HMM
-from repro.machine.memory import TraceRecorder
 from repro.machine.params import MachineParams
 from repro.permutations.named import (
     bit_reversal,
@@ -41,12 +39,11 @@ SIZES = [2**10, 2**14, 2**18]
 
 
 def simulate_rounds(plan):
-    """Execute the plan and return its 32 measured RoundCosts."""
+    """Price the plan and return its 32 measured RoundCosts."""
     machine = HMM(MachineParams(width=WIDTH, latency=8, num_dmms=1,
                                 shared_capacity=None))
-    rec = TraceRecorder(hmm=machine, name="diff")
-    plan.apply(np.zeros(plan.n, dtype=np.float32), recorder=rec)
-    return [r for kernel in rec.trace.kernels for r in kernel.rounds]
+    trace = plan.simulate(machine, dtype=np.float32)
+    return [r for kernel in trace.kernels for r in kernel.rounds]
 
 
 def assert_agreement(cert, measured):

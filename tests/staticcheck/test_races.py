@@ -6,7 +6,6 @@ import pytest
 from repro.errors import MemoryRaceError
 from repro.machine.dmm import DMM
 from repro.machine.hmm import HMM
-from repro.machine.memory import TraceRecorder
 from repro.machine.params import MachineParams
 from repro.machine.requests import AccessRound
 from repro.machine.umm import UMM
@@ -140,19 +139,17 @@ class TestEmulatorWiring:
         plan = ScheduledPermutation.plan(p, width=4)
         machine = HMM(MachineParams(width=4, latency=4, num_dmms=2),
                       detect_races=True)
-        rec = TraceRecorder(hmm=machine, name="s")
-        plan.apply(np.zeros(256, dtype=np.float32), recorder=rec)
-        assert rec.trace.num_rounds == 32
+        trace = plan.simulate(machine)
+        assert trace.num_rounds == 32
 
     def test_injected_scatter_collision_is_caught(self):
         p = random_permutation(256, seed=8)
         plan = ScheduledPermutation.plan(p, width=4)
         machine = HMM(MachineParams(width=4, latency=4, num_dmms=2),
                       detect_races=True)
-        rec = TraceRecorder(hmm=machine, name="s")
         with pytest.raises(MemoryRaceError) as err:
             with FaultPlan(seed=5, scatter_collisions=1):
-                plan.apply(np.zeros(256, dtype=np.float32), recorder=rec)
+                plan.simulate(machine)
         assert err.value.findings[0].kind == "write-write"
 
     def test_injected_collision_corrupts_payload(self):

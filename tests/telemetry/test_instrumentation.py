@@ -32,7 +32,7 @@ def test_phase_spans_cover_the_pipeline(tmp_path):
         "scheduled.plan.step3", "plan_io.save", "plan_io.load",
         "plan_io.verify", "scheduled.apply", "scheduled.step1",
         "scheduled.step2", "scheduled.step3", "scheduled.simulate",
-        "kernel",
+        "hmm.kernel",
     ):
         assert expected in names, f"missing span {expected!r}"
 
@@ -44,7 +44,7 @@ def test_model_time_attributes_match_trace(tmp_path):
     assert simulate.attributes["model_rounds"] == trace.num_rounds
     # Kernel spans partition the same model time.
     kernel_time = sum(s.attributes["model_time"]
-                     for s in tracer.find("kernel"))
+                     for s in tracer.find("hmm.kernel"))
     assert kernel_time == trace.time
 
 
