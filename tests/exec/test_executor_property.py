@@ -1,15 +1,17 @@
 """Property-based executor differential over random programs.
 
 Reuses the ``tests.ir.strategies`` generator: the reference executor,
-the batch executor, and the symbolic denotation are three independent
-implementations of "what does this program do to data"; on every
-random bijective program they must agree exactly.
+the batch executor, the round interpreter (which moves data through the
+enumerated access rounds) and the symbolic denotation are four
+independent implementations of "what does this program do to data"; on
+every random bijective program they must agree exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 
 from repro.exec.batch import BatchExecutor
+from repro.exec.interpreter import RoundInterpreter
 from repro.exec.reference import ReferenceExecutor
 from repro.staticcheck.semantics import denote_program
 from tests.ir.strategies import kernel_programs
@@ -22,6 +24,7 @@ def test_reference_batch_and_denotation_agree(program):
     rng = np.random.default_rng(0)
     a = rng.random(n).astype(np.float64)
     single = ReferenceExecutor().run(program, a)
+    np.testing.assert_array_equal(RoundInterpreter().run(program, a), single)
 
     batch = rng.random((3, n)).astype(np.float64)
     batch[0] = a
