@@ -46,7 +46,7 @@ from repro import (
 )
 # Importing the executors binds the ``repro.exec`` submodule too
 # (``exec`` is a fine module name, just not a bindable import alias).
-from repro.exec import BatchExecutor, ReferenceExecutor, SimulatorExecutor
+from repro.exec import ReferenceExecutor, SimulatorExecutor
 from repro.core.conventional import (
     DDesignatedPermutation,
     SDesignatedPermutation,
@@ -122,7 +122,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AutoPermutation",
-    "BatchExecutor",
     "CertificateError",
     "ColoringError",
     "ColumnwiseSchedule",

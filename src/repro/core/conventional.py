@@ -12,9 +12,9 @@ permutation's distribution ``D_w(P)`` (Lemma 4):
   casual writes thanks to cache-coherency effects; in the base model
   they cost the same.)
 
-Like every GPU-model engine, the data movement interprets the access
-rounds of :mod:`repro.ir.rounds`, so applying the algorithm and
-simulating its cost read one description of the kernel.
+Each engine lowers to its one kernel; ``apply`` runs the sealed gather
+that kernel's rounds are proven to compute, and ``simulate`` prices the
+rounds :mod:`repro.ir.rounds` enumerates for it.
 """
 
 from __future__ import annotations
@@ -90,22 +90,6 @@ class ConventionalPermutation(EngineBase):
         group = w // k if k <= w and w % k == 0 else 1
         dw = distribution(cls._predict_index(p), w, group)
         return theory.conventional_time(n, w, params.latency, dw, k)
-
-    # -- public API ---------------------------------------------------
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Permute ``a`` through the kernel's three access rounds."""
-        from repro.exec.interpreter import run_ops
-
-        a = np.asarray(a)
-        if a.shape != (self.n,):
-            raise ValueError(
-                f"a must have shape ({self.n},), got {a.shape}"
-            )
-        return run_ops(self.lower().ops, a)
-
-    # ``simulate``/``apply_batch`` come from EngineBase: the simulator
-    # executor prices the same three rounds ``apply`` moves data through.
 
 
 @register_engine("d-designated")

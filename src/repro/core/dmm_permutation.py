@@ -90,15 +90,6 @@ class _SingleDMMEngine(EngineBase):
     n: int
     width: int
 
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Permute ``a`` through the kernel's shared access rounds."""
-        from repro.exec.interpreter import run_ops
-
-        a = np.asarray(a)
-        if a.shape != (self.n,):
-            raise SizeError(f"a must have shape ({self.n},), got {a.shape}")
-        return run_ops(self.lower().ops, a)
-
     def time(self, machine: DMM | None = None) -> int:
         """Total DMM time of the kernel's shared rounds."""
         dmm = machine or DMM(self.width)

@@ -92,23 +92,6 @@ class PaddedScheduledPermutation(EngineBase):
         """Extra elements moved, as a fraction: ``N/n - 1``."""
         return self.padded_n / self.n - 1.0 if self.n else 0.0
 
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Permute ``a`` (length ``n``): ``b[p[i]] = a[i]``.
-
-        The padding slots travel as zeros and are sliced away; because
-        every real destination is below ``n`` and every padding element
-        maps to itself at or above ``n``, the slice is exact.
-        """
-        a = np.asarray(a)
-        if a.shape != (self.n,):
-            raise SizeError(f"a must have shape ({self.n},), got {a.shape}")
-        with telemetry.span("padded.apply", n=self.n,
-                            padded_n=self.padded_n):
-            padded = np.zeros(self.padded_n, dtype=a.dtype)
-            padded[: self.n] = a
-            out = self.inner.apply(padded)
-            return out[: self.n]
-
     # ------------------------------------------------------------------
     # IR lowering
     # ------------------------------------------------------------------

@@ -236,28 +236,6 @@ class RowwiseSchedule:
             )
         return run_op(self.op, mat.reshape(-1)).reshape(self.rows, self.m)
 
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Apply the same row permutations to a stack of matrices.
-
-        ``mats`` has shape ``(batch, rows, m)``; the data movement per
-        matrix is identical to :meth:`apply` (same ``s``/``t``
-        schedule), vectorised over the leading axis.
-        """
-        mats = np.asarray(mats)
-        if mats.ndim != 3 or mats.shape[1:] != (self.rows, self.m):
-            raise SizeError(
-                f"batch must have shape (k, {self.rows}, {self.m}), got "
-                f"{mats.shape}"
-            )
-        row_idx = np.arange(self.rows)[:, None]
-        s = self.s.astype(np.int64)
-        t = self.t.astype(np.int64)
-        x = np.empty_like(mats)
-        x[:, row_idx, s] = mats              # step 1
-        y = np.empty_like(mats)
-        y[:, row_idx, t] = x                 # step 3
-        return y                             # step 4 layout
-
     def simulate(
         self,
         machine: HMM | MachineParams | None = None,

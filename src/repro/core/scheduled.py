@@ -7,11 +7,13 @@
   for each of the three passes (Section VI).  The schedules are plain
   arrays — ``s``/``t`` pairs in 16-bit integers, exactly what the
   paper's CUDA implementation stores in global memory.
-* **apply** (online): five kernels — row-wise, transpose, row-wise,
-  transpose, row-wise — every round coalesced or conflict-free.
-* **simulate**: replay on an :class:`~repro.machine.hmm.HMM`, giving
-  the 32-round trace whose time is ``16(n/w + l - 1)`` plus the
-  (d-fold parallel) shared terms — independent of the permutation.
+* **lower**: five kernels — row-wise, transpose, row-wise, transpose,
+  row-wise — every round coalesced or conflict-free; ``apply`` runs
+  their proven composition as one sealed gather;
+* **simulate**: price those rounds on an
+  :class:`~repro.machine.hmm.HMM`, giving the 32-round trace whose
+  time is ``16(n/w + l - 1)`` plus the (d-fold parallel) shared
+  terms — independent of the permutation.
 
 Example
 -------
@@ -141,42 +143,8 @@ class ScheduledPermutation(EngineBase):
         )
 
     # ------------------------------------------------------------------
-    # Execution
+    # Pricing
     # ------------------------------------------------------------------
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Permute ``a`` (length ``n``): returns ``b`` with
-        ``b[p[i]] == a[i]``.
-
-        Runs the five kernels in sequence, moving the data through the
-        same 32 access rounds :meth:`simulate` charges.
-        """
-        a = np.asarray(a)
-        if a.shape != (self.n,):
-            raise SizeError(f"a must have shape ({self.n},), got {a.shape}")
-        mat = a.reshape(self.m, self.m)
-        with telemetry.span("scheduled.apply", n=self.n):
-            with telemetry.span("scheduled.step1"):
-                mat = self.step1.apply(mat)  # row-wise
-            with telemetry.span("scheduled.step2"):
-                # transpose, row-wise, transpose
-                mat = self.step2.apply(mat)
-            with telemetry.span("scheduled.step3"):
-                mat = self.step3.apply(mat)  # row-wise
-        return mat.reshape(-1)
-
-    def apply_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Permute every row of ``batch`` (shape ``(k, n)``) with one
-        plan — the throughput mode for workloads like batched FFTs.
-
-        Follows the exact per-element data movement of :meth:`apply`
-        (the same schedules drive every pass), vectorised over the
-        leading axis; on the HMM each of the ``k`` payloads costs one
-        :meth:`simulate` time.
-        """
-        from repro.exec.batch import BatchExecutor
-
-        return BatchExecutor().run(self.lower_optimized(), batch)
 
     def simulate(
         self,

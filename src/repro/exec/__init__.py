@@ -1,12 +1,15 @@
 """Pluggable executors that run any lowered :class:`KernelProgram`.
 
-Six executors, one IR:
+Five executors, one IR.  The sealed gather is how ``apply`` moves data
+(only the CPU engines keep hand-written loops); the reference executor
+and the round interpreter are the oracles tests and ``repro report``
+hold it to:
 
-* :class:`ReferenceExecutor` — pure-numpy semantic ground truth;
-* :class:`BatchExecutor` — vectorized ``(k, n)`` throughput mode,
-  giving every engine ``apply_batch``;
+* :class:`ReferenceExecutor` — pure-numpy semantic ground truth, op by
+  op;
 * :class:`RoundInterpreter` — moves the payload through the access
-  rounds of :mod:`repro.ir.rounds`: the GPU-model engines' ``apply``;
+  rounds of :mod:`repro.ir.rounds`, proving per engine that the rounds
+  we charge compute the answer;
 * :class:`SimulatorExecutor` — prices those same rounds on the HMM
   cost model;
 * :class:`StreamingExecutor` — out-of-core: applies a sharded plan
@@ -14,10 +17,10 @@ Six executors, one IR:
   ``max_resident_bytes`` budget;
 * :class:`SealedExecutor` — the terminal tier: applies a
   :class:`~repro.ir.sealed.SealedProgram` as a single proven flat
-  gather (chunked across threads for large payloads).
+  gather, for every engine ``apply``/``apply_batch`` and every
+  compiled handle.
 """
 
-from repro.exec.batch import BatchExecutor
 from repro.exec.interpreter import RoundInterpreter
 from repro.exec.reference import ReferenceExecutor
 from repro.exec.sealed import SealedExecutor
@@ -29,7 +32,6 @@ from repro.exec.streaming import (
 )
 
 __all__ = [
-    "BatchExecutor",
     "ReferenceExecutor",
     "RoundInterpreter",
     "SealedExecutor",

@@ -1,8 +1,11 @@
-"""Round interpreter — the data path of the GPU-model engines.
+"""Round interpreter — the oracle for "the rounds we charge compute
+the answer".
 
 Moves a payload through the access rounds :mod:`repro.ir.rounds`
-enumerates, so the rounds the HMM charges are, by construction, the
-rounds that compute the answer.  Each thread holds one value register:
+enumerates.  Tests run it over every engine's program and hold the
+sealed gather ``apply`` executes to its result, so the rounds the HMM
+charges are proven to compute that gather.  Each thread holds one value
+register:
 
 * a read of a payload array (the kernel input ``a`` or a shared scratch
   array) loads the register;

@@ -4,62 +4,25 @@ Where :class:`~repro.exec.reference.ReferenceExecutor` replays a
 lowered program op by op (one fancy-index pass per kernel),
 :class:`SealedExecutor` applies a :class:`~repro.ir.sealed.
 SealedProgram` as a single ``a[gather]`` — the minimum data movement
-any implementation of a permutation can do.  For large payloads the
-gather is chunked over the *output* range and fanned across worker
-threads: each chunk is an independent ``out[lo:hi] =
-a[gather[lo:hi]]``, so the workers share the read side and never
-overlap on the write side.
+any implementation of a permutation can do.  It is the data path of
+every engine ``apply`` and every compiled handle.
 
 The batch form permutes ``k`` stacked payloads in one two-dimensional
-take (``batch[:, gather]``), matching
-:class:`~repro.exec.batch.BatchExecutor` semantics row for row.
+take (``batch[:, gather]``), row for row the single-payload result.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
-from repro import telemetry
 from repro.errors import SizeError
 from repro.ir.sealed import SealedProgram
 
 __all__ = ["SealedExecutor"]
 
-#: Payload length below which chunked threading is never attempted:
-#: a single numpy gather at this size finishes in well under a
-#: millisecond, so thread fan-out only adds overhead.
-DEFAULT_CHUNK_THRESHOLD = 1 << 22
-
-
-def _default_threads() -> int:
-    return max(1, min(4, (os.cpu_count() or 1) - 1))
-
 
 class SealedExecutor:
-    """Apply sealed programs as one (possibly chunked) flat gather.
-
-    Parameters
-    ----------
-    threads:
-        Worker count for the chunked path (default: up to 4, leaving
-        one core free).  ``1`` disables threading entirely.
-    chunk_threshold:
-        Minimum payload length before the gather is chunked across
-        threads; below it every apply is a single ``np.take``.
-    """
-
-    def __init__(
-        self,
-        threads: int | None = None,
-        chunk_threshold: int = DEFAULT_CHUNK_THRESHOLD,
-    ) -> None:
-        self.threads = (
-            _default_threads() if threads is None else max(1, int(threads))
-        )
-        self.chunk_threshold = int(chunk_threshold)
+    """Apply sealed programs as one flat gather."""
 
     def _check(self, sealed: SealedProgram, n: int) -> None:
         if n != sealed.n:
@@ -72,45 +35,13 @@ class SealedExecutor:
         """Permute one payload: ``out[scatter[i]] = a[i]`` in a single
         gather ``out = a[gather]``."""
         arr = np.asarray(a)
-        self._check(sealed, int(arr.shape[0]))
         if arr.ndim != 1:
             raise SizeError(
                 f"sealed apply expects a 1-D payload, got shape "
                 f"{arr.shape}"
             )
-        gather = sealed.gather
-        if self.threads <= 1 or arr.shape[0] < self.chunk_threshold:
-            return arr.take(gather)
-        return self._run_chunked(arr, gather)
-
-    def _run_chunked(
-        self, arr: np.ndarray, gather: np.ndarray
-    ) -> np.ndarray:
-        """Fan the gather across threads in disjoint output chunks."""
-        n = int(arr.shape[0])
-        out = np.empty_like(arr)
-        workers = min(self.threads, max(1, n // self.chunk_threshold + 1))
-        bounds = np.linspace(0, n, workers + 1).astype(np.int64)
-
-        def fill(lo: int, hi: int) -> None:
-            out[lo:hi] = arr.take(gather[lo:hi])
-
-        with telemetry.span(
-            "exec.sealed.chunked", n=n, workers=workers
-        ):
-            threads = [
-                threading.Thread(
-                    target=fill,
-                    args=(int(bounds[i]), int(bounds[i + 1])),
-                )
-                for i in range(workers - 1)
-            ]
-            for t in threads:
-                t.start()
-            fill(int(bounds[workers - 1]), int(bounds[workers]))
-            for t in threads:
-                t.join()
-        return out
+        self._check(sealed, int(arr.shape[0]))
+        return arr.take(sealed.gather)
 
     def run_batch(
         self, sealed: SealedProgram, batch: np.ndarray

@@ -2,10 +2,11 @@
 
 Every permutation engine in the repo *lowers* to the same intermediate
 representation — a :class:`~repro.ir.program.KernelProgram`, an ordered
-tuple of typed kernel ops each carrying its schedule arrays.  The three
+tuple of typed kernel ops each carrying its schedule arrays.  The
 executors in :mod:`repro.exec` consume any program, which is what gives
-every engine ``apply_batch`` and HMM simulation for free, and what lets
-the static certifier, plan I/O and the CLI treat engines uniformly.
+every engine its sealed ``apply``/``apply_batch`` and HMM simulation
+for free, and what lets the static certifier, plan I/O and the CLI
+treat engines uniformly.
 """
 
 from repro.ir.engine import Engine, EngineBase

@@ -10,17 +10,19 @@ six-method surface:
 ``apply(a)``
     Permute one array.
 ``apply_batch(batch)``
-    Permute ``k`` arrays with one pass per kernel (throughput mode).
+    Permute ``k`` stacked arrays in one pass (throughput mode).
 ``simulate(machine=None, dtype=...)``
     Price the engine on the HMM cost model, returning a trace.
 ``predict(p, params=None, dtype=...)``
     Classmethod: closed-form time prediction, or ``None`` when the
     engine has no comparable HMM closed form (CPU/DMM engines).
 
-:class:`EngineBase` supplies ``apply_batch`` / ``simulate`` /
-``predict`` / ``from_program`` defaults through the executor layer, so
-a concrete engine only has to implement ``plan``, ``apply`` and
-``lower``.
+:class:`EngineBase` supplies everything but ``plan`` and ``lower``.
+Its ``apply``/``apply_batch`` seal the lowered program once (its
+denotation, proved equal to ``p``) and run the sealed gather, so a
+concrete engine only describes its kernels.  The CPU engines keep their
+hand-written ``apply``: those loops are what the CPU backend ablation
+times.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from typing import TYPE_CHECKING, Any, ClassVar, Protocol, cast, runtime_checkab
 
 import numpy as np
 
+from repro import telemetry
 from repro.ir.program import KernelProgram
 
 if TYPE_CHECKING:
+    from repro.ir.sealed import SealedProgram
     from repro.machine.trace import ProgramTrace
 
 
@@ -67,11 +71,9 @@ class EngineBase:
     def lower_optimized(self, pipeline: Any = None) -> KernelProgram:
         """Lower to the IR and run the optimization pass pipeline.
 
-        This is the blessed path from an engine to an executor: the
-        raw ``lower()`` output goes through the (conservative) default
-        pipeline — or an explicit one — so executors always see
-        optimized, cost-annotated programs.  Lint rule REP105 flags
-        executor calls that bypass it.
+        The raw ``lower()`` output goes through the (conservative)
+        default pipeline — or an explicit one — yielding the optimized,
+        cost-annotated program :meth:`simulate` prices.
         """
         if pipeline is None:
             from repro.passes import default_pipeline
@@ -79,12 +81,37 @@ class EngineBase:
             pipeline = default_pipeline()
         return cast(KernelProgram, pipeline.run(self.lower()))
 
-    def apply_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Permute ``k`` stacked arrays via the vectorized batch
-        executor (one numpy pass per kernel op)."""
-        from repro.exec.batch import BatchExecutor
+    def _sealed_program(self) -> SealedProgram:
+        """The lowered program collapsed to its proven flat gather.
 
-        return BatchExecutor().run(self.lower_optimized(), batch)
+        Sealed on first use and memoized on the instance.  Sealing
+        denotes the program and refuses one that does not denote
+        ``p``, so a wrong plan raises here instead of answering wrong.
+        """
+        sealed = cast("SealedProgram | None", vars(self).get("_sealed"))
+        if sealed is None:
+            from repro.passes import seal_program
+
+            with telemetry.span("engine.seal", engine=self.engine_name):
+                sealed = seal_program(
+                    self.lower(), requested=np.asarray(getattr(self, "p"))
+                )
+            vars(self)["_sealed"] = sealed
+        return sealed
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """Permute ``a``: ``b[p[i]] = a[i]`` as one proven gather."""
+        from repro.exec.sealed import SealedExecutor
+
+        with telemetry.span("engine.apply", engine=self.engine_name):
+            return SealedExecutor().run(self._sealed_program(), a)
+
+    def apply_batch(self, batch: np.ndarray) -> np.ndarray:
+        """Permute every row of a ``(k, n)`` batch in one 2-D gather."""
+        from repro.exec.sealed import SealedExecutor
+
+        with telemetry.span("engine.apply", engine=self.engine_name):
+            return SealedExecutor().run_batch(self._sealed_program(), batch)
 
     def simulate(
         self, machine: Any = None, dtype: Any = np.float32

@@ -13,9 +13,9 @@ stream, so none of them can drift from the others:
   rounds of :func:`program_rounds` conflict-free and coalesced;
 * **race detection** — ``HMM(detect_races=True)`` screens the same
   write rounds while pricing;
-* **data movement** — :mod:`repro.exec.interpreter` moves the payload
-  round by round, so the rounds we charge are the rounds that compute
-  the answer.
+* **the data-movement oracle** — :mod:`repro.exec.interpreter` moves
+  a payload round by round; tests hold every engine's sealed ``apply``
+  to its result, so the rounds we charge compute the answer.
 
 Round streams per op kind (``a`` is the kernel's input, ``b`` its
 output):

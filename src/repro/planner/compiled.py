@@ -7,10 +7,10 @@ walking the cache tiers cheapest-first — in-memory LRU, then the
 ``Engine.plan`` — and the handle's ``apply`` / ``apply_batch`` /
 ``simulate`` never re-plan.  On the workload the paper targets (one
 permutation, many payloads) this turns every call after the first into
-pure apply time, and with the sealed tier that apply is a *single*
-proven flat gather: a handle resolved from a sealed sidecar serves
-``apply`` without ever rehydrating the v3 plan file (the full program
-is loaded lazily, only if something asks for ``lower()`` /
+pure apply time, and that apply is always a *single* proven flat
+gather: every handle is sealed, and one resolved from a sealed sidecar
+serves ``apply`` without ever rehydrating the v3 plan file (the full
+program is loaded lazily, only if something asks for ``lower()`` /
 ``simulate()`` / ``shard()``).
 """
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import SemanticValidationError
+from repro.exec.sealed import SealedExecutor
 from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
 from repro.ir.sealed import SealedProgram
@@ -54,10 +55,11 @@ class CompiledPermutation:
     """A planned, optimized, fingerprinted permutation.
 
     Wraps the planned engine together with its pipeline-optimized
-    program and — when the planner sealed it — the proven flat index
-    maps of :class:`~repro.ir.sealed.SealedProgram`; every method here
-    executes the stored artifacts (or delegates to the already-planned
-    engine) — none of them ever re-plans.
+    program and the proven flat index maps of
+    :class:`~repro.ir.sealed.SealedProgram`; ``apply`` and
+    ``apply_batch`` run the sealed gather, the other methods use the
+    stored program (or the already-planned engine) — none of them ever
+    re-plans.
 
     Handles resolved from a sealed disk sidecar are **lazy**: the
     engine and full program stay unloaded (``loader`` rehydrates them
@@ -71,8 +73,8 @@ class CompiledPermutation:
         program: KernelProgram | None,
         fingerprint: str,
         pipeline_signature: str,
+        sealed: SealedProgram,
         semantic_certificate: SemanticCertificate | None = None,
-        sealed: SealedProgram | None = None,
         loader: "Callable[[], _Loaded] | None" = None,
     ) -> None:
         if program is None and loader is None:
@@ -88,9 +90,8 @@ class CompiledPermutation:
         #: optimized this handle's program (``None`` for handles built
         #: outside the planner).
         self.semantic_certificate = semantic_certificate
-        #: The sealed (single proven gather) form, when the planner
-        #: sealed this handle; ``apply``/``apply_batch`` route through
-        #: it.
+        #: The sealed (single proven gather) form that
+        #: ``apply``/``apply_batch`` execute.
         self.sealed = sealed
         self._load_lock = threading.Lock()
         # Proven shardings, memoized per stripe count.
@@ -132,44 +133,35 @@ class CompiledPermutation:
     @property
     def is_loaded(self) -> bool:
         """Whether the engine/program are resident (False only for
-        sealed handles that have served every request so far from the
-        sealed maps)."""
+        handles resolved from a sidecar that nothing has yet asked for
+        their program)."""
         return self._program is not None
 
     # -- cheap accessors (never force rehydration) ---------------------
 
     @property
     def p(self) -> np.ndarray:
-        if self.sealed is not None:
-            return self.sealed.scatter
-        return np.asarray(self.engine.p)
+        return self.sealed.scatter
 
     @property
     def n(self) -> int:
-        if self.sealed is not None:
-            return self.sealed.n
-        return int(self.program.n)
+        return self.sealed.n
 
     @property
     def width(self) -> int:
-        if self.sealed is not None:
-            return self.sealed.width
-        return int(self.program.width)
+        return self.sealed.width
 
     @property
     def engine_name(self) -> str:
-        if self._engine is None and self.sealed is not None:
+        if self._engine is None:
             return self.sealed.engine
-        return str(getattr(type(self.engine), "engine_name", ""))
+        return str(getattr(type(self._engine), "engine_name", ""))
 
     def predicted_rounds(self) -> int | None:
         """The annotate-cost pass's round prediction, from the sealed
-        meta when available (so observing an apply never forces a
-        lazy handle to rehydrate its program)."""
-        if self.sealed is not None:
-            rounds = self.sealed.meta.get("predicted_rounds")
-        else:
-            rounds = (self.program.meta or {}).get("predicted_rounds")
+        meta (so observing an apply never forces a lazy handle to
+        rehydrate its program)."""
+        rounds = self.sealed.meta.get("predicted_rounds")
         if isinstance(rounds, int) and rounds > 0:
             return rounds
         return None
@@ -178,9 +170,7 @@ class CompiledPermutation:
         """Bytes this handle pins in memory (cache accounting): the
         sealed index maps plus the program's schedule arrays, counting
         only what is actually resident."""
-        total = 0
-        if self.sealed is not None:
-            total += self.sealed.nbytes
+        total = self.sealed.nbytes
         program = self._program
         if program is not None:
             for op in program.ops:
@@ -193,30 +183,12 @@ class CompiledPermutation:
     # -- execution ------------------------------------------------------
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Permute one array.
-
-        Sealed handles serve this as a single proven flat gather.
-        """
-        if self.sealed is not None:
-            from repro.exec.sealed import SealedExecutor
-
-            return np.asarray(SealedExecutor().run(self.sealed, a))
-        from repro.exec.reference import ReferenceExecutor
-
-        return np.asarray(ReferenceExecutor().run(self.program, a))
+        """Permute one array as a single proven flat gather."""
+        return SealedExecutor().run(self.sealed, a)
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Permute ``k`` stacked payloads (one 2-D gather when sealed,
-        one pass per kernel op otherwise)."""
-        if self.sealed is not None:
-            from repro.exec.sealed import SealedExecutor
-
-            return np.asarray(
-                SealedExecutor().run_batch(self.sealed, batch)
-            )
-        from repro.exec.batch import BatchExecutor
-
-        return np.asarray(BatchExecutor().run(self.program, batch))
+        """Permute ``k`` stacked payloads in one 2-D gather."""
+        return SealedExecutor().run_batch(self.sealed, batch)
 
     def lower(self) -> KernelProgram:
         """The *optimized* program (the handle's execution substrate)."""
@@ -293,8 +265,7 @@ class CompiledPermutation:
         ]
         if self.semantic_certificate is not None:
             lines.append("  " + self.semantic_certificate.summary())
-        if self.sealed is not None:
-            lines.append("  " + self.sealed.describe())
+        lines.append("  " + self.sealed.describe())
         if self._program is not None:
             lines.append(self._program.describe())
         else:
@@ -452,7 +423,7 @@ class Planner:
                     self.disk.store(fp, plan,
                                     self.pipeline.signature())
             program, cert, proven = self._optimize_validated(plan)
-            sealed = self._seal(plan, program, cert) if proven else None
+            sealed = self._seal(plan, program, cert)
             compiled = CompiledPermutation(
                 engine=plan,
                 program=program,
@@ -463,7 +434,7 @@ class Planner:
             )
             if proven:
                 self.memory.put(fp, compiled)
-                if self.disk is not None and sealed is not None:
+                if self.disk is not None:
                     self._store_sealed(fp, sealed)
             return compiled, tier
 
@@ -471,25 +442,20 @@ class Planner:
         self,
         plan: Any,
         program: KernelProgram,
-        cert: SemanticCertificate | None,
-    ) -> SealedProgram | None:
-        """Collapse a proven optimized program to its sealed form.
+        cert: SemanticCertificate,
+    ) -> SealedProgram:
+        """Collapse a proven program to its sealed form.
 
-        Reuses the just-issued translation-validation certificate, so
-        sealing costs one inversion pass, not a re-denotation.  A seal
-        that fails (it should not, the map is proven) degrades to an
-        unsealed handle, never to an error on the compile path.
+        Reuses the just-issued translation-validation certificate (the
+        optimized program's, or the raw fallback's), so sealing costs
+        one inversion pass, not a re-denotation.
         """
-        try:
-            sealed = seal_program(
-                program,
-                requested=np.asarray(plan.p),
-                certificate=cert,
-                pipeline_signature=self.pipeline.signature(),
-            )
-        except SemanticValidationError:  # pragma: no cover - belt
-            telemetry.count("planner.sealed.refused")
-            return None
+        sealed = seal_program(
+            program,
+            requested=np.asarray(plan.p),
+            certificate=cert,
+            pipeline_signature=self.pipeline.signature(),
+        )
         sealed.certificate = cert
         with self._lock:
             self.sealed_plans += 1
@@ -600,9 +566,11 @@ class Planner:
         compile is *not* failed: the raw (unoptimized) program — which
         must itself denote the requested permutation, or
         :class:`~repro.errors.SemanticValidationError` is raised — is
-        served instead, the ``planner.semantic.rejected`` telemetry
-        counter is bumped, and the returned ``proven`` flag is False so
-        callers refuse to cache (or seal) the handle.
+        returned with its positive fallback certificate, so it is
+        sealed and served like any other; the
+        ``planner.semantic.rejected`` telemetry counter is bumped, and
+        the returned ``proven`` flag is False so callers refuse to
+        cache the handle in memory or store its sidecar.
         """
         raw = plan.lower()
         requested = np.asarray(plan.p)
@@ -687,8 +655,7 @@ class Planner:
                 sealed=fresh,
             ),
         )
-        if fresh is not None:
-            self._store_sealed(fingerprint, fresh)
+        self._store_sealed(fingerprint, fresh)
         return True
 
     def stats(self) -> dict:

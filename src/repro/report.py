@@ -304,8 +304,8 @@ def _check_staticcheck() -> str:
 
 def _check_registry() -> str:
     from repro.exec import (
-        BatchExecutor,
         ReferenceExecutor,
+        RoundInterpreter,
         SimulatorExecutor,
     )
     from repro.ir.registry import engine_names, get_engine
@@ -324,7 +324,10 @@ def _check_registry() -> str:
         assert np.array_equal(
             ReferenceExecutor().run(program, a), expected
         ), name
-        batch = BatchExecutor().run(program, np.stack([a, a]))
+        assert np.array_equal(
+            RoundInterpreter().run(program, a), expected
+        ), name
+        batch = engine.apply_batch(np.stack([a, a]))
         assert np.array_equal(batch[0], expected), name
         assert SimulatorExecutor().simulate(program, _MACHINE).time > 0, name
         reloaded = type(engine).from_program(program, engine.p)
@@ -336,13 +339,14 @@ def _check_registry() -> str:
         assert np.array_equal(
             ReferenceExecutor().run(optimized, a), expected
         ), name
-        opt_batch = BatchExecutor().run(optimized, np.stack([a, a]))
-        assert np.array_equal(opt_batch[0], expected), name
+        assert np.array_equal(
+            RoundInterpreter().run(optimized, a), expected
+        ), name
         if optimized.is_regular and program.is_regular:
             assert certify_program(optimized).ok, name
-    return (f"{len(engine_names())} engines x 3 executors agree on "
-            f"bit-reversal({n}), raw and optimized; all reconstruct "
-            "from their IR")
+    return (f"{len(engine_names())} engines: apply, apply_batch, "
+            f"reference and round interpreter agree on bit-reversal({n}), "
+            "raw and optimized; all reconstruct from their IR")
 
 
 def _check_passes() -> str:

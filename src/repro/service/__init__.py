@@ -244,15 +244,13 @@ class PermutationService:
         ``exec_seconds_per_round`` divides it by the annotate-cost
         pass's ``predicted_rounds``, so a drifting measured-vs-model
         ratio (per engine) flags an executor regression the cost model
-        did not predict.  Sealed handles are observed under
-        ``mode="sealed"`` (the single-gather fast path) and read their
-        predicted rounds from the sealed meta — observation never
-        forces a lazy handle to rehydrate its full program.
+        did not predict.  In-memory applies run the sealed gather and
+        are observed under ``mode="sealed"``; predicted rounds come
+        from the sealed meta, so observation never forces a lazy handle
+        to rehydrate its full program.
         """
         if self.metrics is None:
             return
-        if compiled.sealed is not None and mode in ("single", "batch"):
-            mode = "sealed"
         engine = compiled.engine_name or "unknown"
         self.metrics.histogram(
             "exec_apply_seconds", engine=engine, mode=mode
@@ -271,7 +269,7 @@ class PermutationService:
         t0 = time.perf_counter()
         out = compiled.apply(a)
         self._observe_apply(compiled, time.perf_counter() - t0,
-                            "single")
+                            "sealed")
         with self._lock:
             self.requests += 1
             self.elements_served += int(compiled.n)
@@ -286,7 +284,7 @@ class PermutationService:
         t0 = time.perf_counter()
         out = compiled.apply_batch(batch)
         self._observe_apply(compiled, time.perf_counter() - t0,
-                            "batch")
+                            "sealed")
         k = int(np.asarray(batch).shape[0])
         with self._lock:
             self.requests += k

@@ -1,6 +1,6 @@
 """Project-specific AST lint rules (``python -m repro check``).
 
-Generic linters cannot know this codebase's layering rules; these eight
+Generic linters cannot know this codebase's layering rules; these six
 checks encode them:
 
 ``REP101`` **bank/group arithmetic outside the machine layer** — the
@@ -38,17 +38,6 @@ checks encode them:
     (e.g. :class:`repro.core.selector.AutoPermutation`, which wraps a
     registered engine rather than being one) suppress the rule inline.
 
-``REP105`` **raw lower() result executed without the pass pipeline** —
-    executors must see *optimized* programs.  An executor call whose
-    program argument is a direct ``....lower()`` call (e.g.
-    ``ReferenceExecutor().run(engine.lower(), a)``) bypasses the
-    default :class:`~repro.passes.framework.PassPipeline`; route
-    through ``engine.lower_optimized()`` (or an explicit
-    ``pipeline.run(engine.lower())`` — pipeline receivers are the
-    blessed consumers of raw lowerings and are exempt).  The rule is
-    syntactic: it flags the inline-call pattern, not programs passed
-    through variables.
-
 ``REP106`` **lock acquisition against the declared hierarchy** — in the
     concurrency layers (``repro.service``, ``repro.planner``) a class's
     lock hierarchy *is* its ``__init__`` declaration order: a method
@@ -72,19 +61,8 @@ checks encode them:
     lock (the ``# Caller holds the lock`` helper pattern, proved by
     the call-graph walk rather than taken on comment trust).
 
-``REP108`` **warm-path replay of a full KernelProgram where a sealed
-    handle may exist** — in the serving layers (``repro.planner``,
-    ``repro.service``) a warm apply should route through the sealed
-    tier's single proven gather; an executor ``.run(...)`` call whose
-    program argument is a ``....program`` attribute replays the whole
-    kernel schedule on every request, silently forfeiting the sealed
-    fast path.  Functions that consult a ``sealed`` handle (the
-    dispatch pattern in ``CompiledPermutation.apply``) are exempt —
-    they already route; so are pipeline receivers, mirroring REP105.
-    Sites that are genuinely cold-only suppress inline.
-
 Suppression: a source line containing ``staticcheck: ignore`` silences
-all rules on that line; ``staticcheck: ignore[REP105]`` silences one.
+all rules on that line; ``staticcheck: ignore[REP103]`` silences one.
 """
 
 from __future__ import annotations
@@ -103,10 +81,8 @@ LINT_RULES: dict[str, str] = {
     "REP102": "telemetry not using the guarded span()/count() helpers",
     "REP103": "hard-coded narrow integer dtype (overflow pitfall)",
     "REP104": "engine class not registered with @register_engine",
-    "REP105": "raw lower() result executed without the pass pipeline",
     "REP106": "lock acquisition against the declared lock hierarchy",
     "REP107": "write to lock-shared state outside its lock block",
-    "REP108": "warm-path program replay where a sealed handle may exist",
 }
 
 #: Module prefixes the REP106/REP107 concurrency rules cover: the
@@ -225,17 +201,13 @@ def _narrow_dtype_spelling(node: ast.expr) -> str | None:
 
 
 class _Visitor(ast.NodeVisitor):
-    """Single-pass visitor running all three rules over one module."""
+    """Single-pass visitor running REP101-REP104 over one module."""
 
     def __init__(self, module: str, path: str) -> None:
         self.module = module
         self.path = path
         self.findings: list[LintFinding] = []
         self._compare_depth = 0
-        # Enclosing function stack (innermost last) with a memoized
-        # does-it-mention-``sealed`` flag per function, for REP108.
-        self._function_stack: list[ast.AST] = []
-        self._mentions_sealed: dict[ast.AST, bool] = {}
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(
@@ -309,25 +281,7 @@ class _Visitor(ast.NodeVisitor):
                 "the caller controls collection",
             )
         self._check_rep103(node)
-        self._check_rep105(node)
-        self._check_rep108(node)
         self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function_stack.append(node)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._function_stack.pop()
-
-    def visit_AsyncFunctionDef(
-        self, node: ast.AsyncFunctionDef
-    ) -> None:
-        self._function_stack.append(node)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._function_stack.pop()
 
     def visit_Expr(self, node: ast.Expr) -> None:
         value = node.value
@@ -397,120 +351,6 @@ class _Visitor(ast.NodeVisitor):
                 "with repro.util.arrays.smallest_index_dtype to avoid "
                 "silent overflow when sizes grow",
             )
-
-    # -- REP105 --------------------------------------------------------
-
-    #: Executor entry points whose program argument REP105 inspects.
-    _EXECUTOR_METHODS = frozenset({"run", "simulate"})
-
-    def _check_rep105(self, node: ast.Call) -> None:
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in self._EXECUTOR_METHODS
-        ):
-            return
-        if self._is_pipeline_receiver(func.value):
-            # `pipeline.run(engine.lower())` IS the optimization step.
-            return
-        for arg in node.args:
-            if (
-                isinstance(arg, ast.Call)
-                and isinstance(arg.func, ast.Attribute)
-                and arg.func.attr == "lower"
-            ):
-                self._report(
-                    "REP105", node,
-                    "raw lower() result passed straight to an "
-                    "executor, bypassing the default PassPipeline; "
-                    "use engine.lower_optimized() (or run the "
-                    "program through a pipeline first)",
-                )
-                return
-
-    # -- REP108 --------------------------------------------------------
-
-    #: Module prefixes REP108 covers: the layers that serve warm
-    #: requests and therefore should prefer the sealed tier.
-    _SEALED_LAYERS = ("repro.planner", "repro.service")
-
-    def _enclosing_mentions_sealed(self) -> bool:
-        """Whether any enclosing function's body mentions ``sealed``
-        (an attribute, name or call containing the word) — the
-        dispatch pattern that checks for a sealed handle before
-        replaying the program."""
-        for fn in reversed(self._function_stack):
-            flag = self._mentions_sealed.get(fn)
-            if flag is None:
-                flag = any(
-                    (
-                        isinstance(sub, ast.Attribute)
-                        and "sealed" in sub.attr.lower()
-                    )
-                    or (
-                        isinstance(sub, ast.Name)
-                        and "sealed" in sub.id.lower()
-                    )
-                    for sub in ast.walk(fn)
-                )
-                self._mentions_sealed[fn] = flag
-            if flag:
-                return True
-        return False
-
-    def _check_rep108(self, node: ast.Call) -> None:
-        if not _allowed(self.module, self._SEALED_LAYERS):
-            return
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute) and func.attr == "run"
-        ):
-            return
-        if self._is_pipeline_receiver(func.value):
-            return
-        replayed = next(
-            (
-                arg
-                for arg in node.args
-                if isinstance(arg, ast.Attribute)
-                and arg.attr == "program"
-            ),
-            None,
-        )
-        if replayed is None:
-            return
-        if self._enclosing_mentions_sealed():
-            # The function dispatches on a sealed handle already; the
-            # program replay is its (correct) unsealed fallback.
-            return
-        self._report(
-            "REP108", node,
-            "warm-path executor replay of a full `.program` where a "
-            "sealed handle may exist; dispatch through the sealed "
-            "tier first (CompiledPermutation.apply does), or "
-            "suppress if this site is cold-only",
-        )
-
-    @staticmethod
-    def _is_pipeline_receiver(node: ast.expr) -> bool:
-        """True when the call receiver is pipeline-like by name
-        (``pipeline.run(...)``, ``self.pipeline.run(...)``,
-        ``default_pipeline().run(...)``)."""
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                return False
-        else:
-            return False
-        return "pipeline" in name.lower()
 
 
 # ---------------------------------------------------------------------

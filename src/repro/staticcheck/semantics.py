@@ -378,7 +378,7 @@ def prove_bijection(
             detail=f"index map has {arr.shape[0]} entries, not {n}",
         )
     counts = np.bincount(arr, minlength=n)
-    if arr.size and int(counts.max(initial=0)) <= 1:
+    if int(counts.max(initial=0)) <= 1:
         return None
     # First element (input order) sharing a destination with an
     # earlier one.

@@ -8,10 +8,24 @@ from hypothesis import strategies as st
 from repro.core.rowwise import RowwiseSchedule
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import SizeError
+from repro.exec.sealed import SealedExecutor
+from repro.ir.program import KernelProgram
+from repro.passes import seal_program
 from repro.permutations.named import bit_reversal, random_permutation
 
 
+def _sealed_kernel(sched):
+    """One row-wise kernel as a sealed program over the flat matrix."""
+    return seal_program(KernelProgram(
+        engine="rowwise", n=sched.rows * sched.m, width=sched.width,
+        ops=(sched.op,),
+    ))
+
+
 class TestRowwiseBatch:
+    """A stack of matrices through one row-wise kernel runs as its
+    sealed gather, matrix for matrix the kernel's interpreted apply."""
+
     def test_matches_per_matrix_apply(self):
         rng = np.random.default_rng(0)
         gamma = np.stack([rng.permutation(8) for _ in range(4)]).astype(
@@ -19,7 +33,9 @@ class TestRowwiseBatch:
         )
         sched = RowwiseSchedule.plan(gamma, width=4)
         batch = rng.random((5, 4, 8))
-        out = sched.apply_batch(batch)
+        out = SealedExecutor().run_batch(
+            _sealed_kernel(sched), batch.reshape(5, -1)
+        ).reshape(batch.shape)
         for k in range(5):
             assert np.array_equal(out[k], sched.apply(batch[k]))
 
@@ -27,7 +43,9 @@ class TestRowwiseBatch:
         gamma = np.tile(np.arange(8), (4, 1))
         sched = RowwiseSchedule.plan(gamma, width=4)
         with pytest.raises(SizeError):
-            sched.apply_batch(np.zeros((5, 8, 4)))
+            SealedExecutor().run_batch(
+                _sealed_kernel(sched), np.zeros((5, 8, 4))
+            )
 
 
 class TestScheduledBatch:

@@ -1,8 +1,8 @@
 """Property-based executor differential over random programs.
 
 Reuses the ``tests.ir.strategies`` generator: the reference executor,
-the batch executor, the round interpreter (which moves data through the
-enumerated access rounds) and the symbolic denotation are four
+the round interpreter (which moves data through the enumerated access
+rounds), the sealed gather and the symbolic denotation are four
 independent implementations of "what does this program do to data"; on
 every random bijective program they must agree exactly.
 """
@@ -10,9 +10,10 @@ every random bijective program they must agree exactly.
 import numpy as np
 from hypothesis import given, settings
 
-from repro.exec.batch import BatchExecutor
 from repro.exec.interpreter import RoundInterpreter
 from repro.exec.reference import ReferenceExecutor
+from repro.exec.sealed import SealedExecutor
+from repro.passes import seal_program
 from repro.staticcheck.semantics import denote_program
 from tests.ir.strategies import kernel_programs
 
@@ -28,8 +29,13 @@ def test_reference_batch_and_denotation_agree(program):
 
     batch = rng.random((3, n)).astype(np.float64)
     batch[0] = a
-    stacked = BatchExecutor().run(program, batch)
+    stacked = np.stack(
+        [ReferenceExecutor().run(program, row) for row in batch]
+    )
     np.testing.assert_array_equal(stacked[0], single)
+    np.testing.assert_array_equal(
+        SealedExecutor().run_batch(seal_program(program), batch), stacked
+    )
 
     den = denote_program(program)
     assert den.ok, den.describe()

@@ -1,15 +1,18 @@
 """Executor differential tests.
 
 Every registered engine's lowered program must run identically through
-``engine.apply``, the reference executor and the simulator — one IR,
-three independent semantics.
+``engine.apply`` (the sealed gather), every row of ``apply_batch``, the
+reference executor, the round interpreter over the raw and the
+optimized program, and the simulator — one IR, independent semantics.
+The round interpreter moves data through the very rounds the simulator
+charges, so agreeing with it proves those rounds compute the answer.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import SizeError, ValidationError
-from repro.exec import BatchExecutor, ReferenceExecutor, SimulatorExecutor
+from repro.exec import ReferenceExecutor, RoundInterpreter, SimulatorExecutor
 from repro.ir.ops import KernelOp
 from repro.ir.program import KernelProgram
 from repro.ir.registry import engine_names, get_engine
@@ -38,6 +41,19 @@ class TestPerEngine:
         assert np.array_equal(out, expected)
         # apply agrees (on a copy: cpu-inplace mutates its input).
         assert np.array_equal(engine.apply(a.copy()), expected)
+        # The charged rounds compute it, raw and optimized.
+        interpreter = RoundInterpreter()
+        assert np.array_equal(interpreter.run(engine.lower(), a), expected)
+        assert np.array_equal(
+            interpreter.run(engine.lower_optimized(), a), expected
+        )
+        # So does every row of a batch.
+        batch = np.stack([a, a[::-1].copy(), np.zeros_like(a)])
+        rows = engine.apply_batch(batch.copy())
+        for row, payload in zip(rows, batch):
+            assert np.array_equal(
+                row, ReferenceExecutor().run(engine.lower(), payload)
+            )
 
     def test_simulator_agrees_with_engine_simulate(self, name):
         engine, _p = _planned(name)
@@ -64,7 +80,15 @@ class TestErrors:
     def test_batch_rejects_1d_input(self):
         engine, _p = _planned("scheduled")
         with pytest.raises(SizeError, match="batch"):
-            BatchExecutor().run(engine.lower(), np.zeros(N))
+            engine.apply_batch(np.zeros(N))
+
+    @pytest.mark.parametrize("name", sorted(engine_names()))
+    def test_wrong_length_is_a_size_error(self, name):
+        engine, _p = _planned(name)
+        with pytest.raises(SizeError):
+            engine.apply(np.zeros(N - 1))
+        with pytest.raises(SizeError):
+            engine.apply_batch(np.zeros((2, N - 1)))
 
     def test_unknown_op_kind_rejected(self):
         class MysteryOp(KernelOp):
@@ -76,8 +100,6 @@ class TestErrors:
         )
         with pytest.raises(ValidationError, match="mystery"):
             ReferenceExecutor().run(program, np.zeros(4))
-        with pytest.raises(ValidationError, match="mystery"):
-            BatchExecutor().run(program, np.zeros((2, 4)))
 
 
 class TestSimulatorDetail:
@@ -91,7 +113,5 @@ class TestSimulatorDetail:
 
     def test_empty_batch_supported(self):
         engine, _p = _planned("scheduled")
-        out = BatchExecutor().run(
-            engine.lower(), np.zeros((0, N))
-        )
+        out = engine.apply_batch(np.zeros((0, N)))
         assert out.shape == (0, N)

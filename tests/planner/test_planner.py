@@ -315,11 +315,17 @@ class TestSemanticRejection:
         assert tracer.counters[
             "planner.semantic.rejected.swap-two"] == 1
 
-    def test_unproven_handle_not_cached(self):
+    def test_unproven_handle_not_cached(self, tmp_path):
         p = random_permutation(_N, seed=9)
-        planner = Planner(pipeline=self._broken_pipeline())
+        planner = Planner(cache_dir=tmp_path,
+                          pipeline=self._broken_pipeline())
         first = planner.compile(p, engine="scheduled", width=_WIDTH)
         assert first.fingerprint not in planner.memory
+        # The raw fallback is sealed like any proven program, but its
+        # sidecar is never stored.
+        assert np.array_equal(first.sealed.scatter, p)
+        assert first.sealed.certificate is first.semantic_certificate
+        assert list(tmp_path.glob("*.sealed.npz")) == []
         # Every compile re-resolves (and re-rejects) — no poisoning.
         planner.compile(p, engine="scheduled", width=_WIDTH)
         assert planner.stats()["semantic_rejections"] == 2

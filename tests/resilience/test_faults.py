@@ -19,6 +19,7 @@ from repro.errors import (
     ReproError,
     SharedMemoryCapacityError,
 )
+from repro.exec import RoundInterpreter
 from repro.permutations.named import random_permutation
 from repro.resilience import (
     FILE_FAULT_MODES,
@@ -186,10 +187,13 @@ class TestScatterCollisionFaults:
             )
         assert runs[0] == runs[1]
 
+    # The collision lives in the charged rounds, so the payload tests
+    # move data through them with the round interpreter.
+
     def test_corruption_damages_payload(self, p, plan):
         a = np.arange(N, dtype=np.float64)
         with FaultPlan(seed=3, scatter_collisions=1):
-            corrupted = plan.apply(a)
+            corrupted = RoundInterpreter().run(plan.lower(), a)
         assert not np.array_equal(corrupted, expected_output(p, a))
 
     def test_budget_is_exhausted(self, p, plan):
@@ -197,8 +201,8 @@ class TestScatterCollisionFaults:
         # same activation run clean.
         a = np.arange(N, dtype=np.float64)
         with FaultPlan(seed=3, scatter_collisions=1):
-            plan.apply(a)                       # consumes the budget
-            second = plan.apply(a)
+            RoundInterpreter().run(plan.lower(), a)  # consumes the budget
+            second = RoundInterpreter().run(plan.lower(), a)
         assert np.array_equal(second, expected_output(p, a))
 
     def test_hook_cleared_after_exit(self, p, plan):
@@ -207,9 +211,11 @@ class TestScatterCollisionFaults:
         a = np.arange(N, dtype=np.float64)
         with FaultPlan(seed=3, scatter_collisions=1):
             assert rounds._scatter_fault_hook is not None
-            plan.apply(a)
+            RoundInterpreter().run(plan.lower(), a)
         assert rounds._scatter_fault_hook is None
-        assert np.array_equal(plan.apply(a), expected_output(p, a))
+        assert np.array_equal(
+            RoundInterpreter().run(plan.lower(), a), expected_output(p, a)
+        )
 
     def test_zero_budget_installs_no_hook(self):
         from repro.ir import rounds

@@ -244,50 +244,6 @@ class TestRep104:
         assert findings_of(src, "repro.core.selector") == []
 
 
-class TestRep105:
-    def test_raw_lower_into_run_flagged(self):
-        src = (
-            "def f(executor, engine, a):\n"
-            "    return executor.run(engine.lower(), a)\n"
-        )
-        findings = findings_of(src, "repro.apps.sorting")
-        assert [f.rule for f in findings] == ["REP105"]
-        assert "lower_optimized" in findings[0].message
-
-    def test_raw_lower_into_simulate_flagged(self):
-        src = (
-            "def f(sim, engine, machine):\n"
-            "    return sim.simulate(engine.lower(), machine)\n"
-        )
-        findings = findings_of(src, "repro.apps.sorting")
-        assert [f.rule for f in findings] == ["REP105"]
-
-    def test_pipeline_receiver_exempt(self):
-        src = (
-            "def f(pipeline, engine):\n"
-            "    return pipeline.run(engine.lower())\n"
-        )
-        assert findings_of(src, "repro.apps.sorting") == []
-
-    def test_variable_program_not_flagged(self):
-        # The rule is syntactic: it flags only a lower() call inline in
-        # the executing call's arguments.
-        src = (
-            "def f(executor, engine, a):\n"
-            "    program = engine.lower()\n"
-            "    return executor.run(program, a)\n"
-        )
-        assert findings_of(src, "repro.apps.sorting") == []
-
-    def test_inline_suppression(self):
-        src = (
-            "def f(executor, engine, a):\n"
-            "    return executor.run(engine.lower(), a)"
-            "  # staticcheck: ignore[REP105]\n"
-        )
-        assert findings_of(src, "repro.apps.sorting") == []
-
-
 _LOCKED_CLASS = """
 import threading
 
@@ -466,61 +422,9 @@ class TestRep107:
         assert findings_of(src, "repro.service.server") == []
 
 
-class TestRep108:
-    SRC = (
-        "def apply(self, compiled, a):\n"
-        "    return self.executor.run(compiled.program, a)\n"
-    )
-
-    def test_warm_replay_in_planner_flagged(self):
-        findings = findings_of(self.SRC, "repro.planner.compiled")
-        assert [f.rule for f in findings] == ["REP108"]
-        assert "sealed" in findings[0].message
-
-    def test_warm_replay_in_service_flagged(self):
-        findings = findings_of(self.SRC, "repro.service.server")
-        assert [f.rule for f in findings] == ["REP108"]
-
-    def test_other_layers_exempt(self):
-        assert findings_of(self.SRC, "repro.exec.reference") == []
-        assert findings_of(self.SRC, "repro.cli") == []
-
-    def test_sealed_aware_function_exempt(self):
-        src = (
-            "def apply(self, compiled, a):\n"
-            "    if compiled.sealed is not None:\n"
-            "        return SealedExecutor().run(compiled.sealed, a)\n"
-            "    return self.executor.run(compiled.program, a)\n"
-        )
-        assert findings_of(src, "repro.planner.compiled") == []
-
-    def test_pipeline_receiver_exempt(self):
-        src = (
-            "def lower(self, plan):\n"
-            "    return self.pipeline.run(plan.program)\n"
-        )
-        assert findings_of(src, "repro.planner.compiled") == []
-
-    def test_non_program_argument_exempt(self):
-        src = (
-            "def apply(self, sealed, a):\n"
-            "    return self.executor.run(sealed.maps, a)\n"
-        )
-        assert findings_of(src, "repro.planner.compiled") == []
-
-    def test_inline_suppression(self):
-        src = (
-            "def apply(self, compiled, a):\n"
-            "    return self.executor.run(compiled.program, a)"
-            "  # staticcheck: ignore[REP108]\n"
-        )
-        assert findings_of(src, "repro.planner.compiled") == []
-
-
 class TestCatalogue:
     def test_rules_documented(self):
         assert set(LINT_RULES) == {
-            "REP101", "REP102", "REP103", "REP104", "REP105",
-            "REP106", "REP107", "REP108",
+            "REP101", "REP102", "REP103", "REP104", "REP106", "REP107",
         }
         assert all(LINT_RULES.values())

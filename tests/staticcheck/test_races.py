@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryRaceError
+from repro.exec import RoundInterpreter
 from repro.machine.dmm import DMM
 from repro.machine.hmm import HMM
 from repro.machine.params import MachineParams
@@ -159,7 +160,7 @@ class TestEmulatorWiring:
         expected = np.empty_like(a)
         expected[p] = a
         with FaultPlan(seed=5, scatter_collisions=1):
-            corrupted = plan.apply(a)
+            corrupted = RoundInterpreter().run(plan.lower(), a)
         assert not np.array_equal(corrupted, expected)
         # And the damage is strictly scoped to the activation.
-        assert np.array_equal(plan.apply(a), expected)
+        assert np.array_equal(RoundInterpreter().run(plan.lower(), a), expected)

@@ -130,6 +130,9 @@ class TestDenotation:
         den = denote_program(program)
         assert not den.ok
 
+    def test_empty_map_is_a_bijection(self):
+        assert prove_bijection(np.empty(0, dtype=np.int64), 0) is None
+
     def test_prove_bijection_counterexample_names_duplicate(self):
         failure = prove_bijection(
             np.array([0, 1, 1, 3], dtype=np.int64), 4

@@ -30,11 +30,14 @@ def test_phase_spans_cover_the_pipeline(tmp_path):
         "scheduled.plan", "plan.decompose", "plan.decompose.coloring",
         "coloring.euler", "scheduled.plan.step1", "scheduled.plan.step2",
         "scheduled.plan.step3", "plan_io.save", "plan_io.load",
-        "plan_io.verify", "scheduled.apply", "scheduled.step1",
-        "scheduled.step2", "scheduled.step3", "scheduled.simulate",
-        "hmm.kernel",
+        "plan_io.verify", "engine.apply", "engine.seal",
+        "scheduled.simulate", "hmm.kernel",
     ):
         assert expected in names, f"missing span {expected!r}"
+    # The first apply seals the plan inside its own span.
+    (apply_span,) = tracer.find("engine.apply")
+    (seal,) = tracer.find("engine.seal")
+    assert seal.parent_id == apply_span.span_id
 
 
 def test_model_time_attributes_match_trace(tmp_path):

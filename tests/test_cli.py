@@ -91,7 +91,7 @@ class TestProfile:
         out = _run(capsys, "profile", "bit-reversal", "--n", "1024",
                    "--width", "8")
         for phase in ("scheduled.plan", "plan_io.save", "plan_io.load",
-                      "scheduled.apply", "scheduled.simulate"):
+                      "engine.apply", "scheduled.simulate"):
             assert phase in out
         assert "coloring.euler" in out        # colouring visible in tree
         assert "counters:" in out
@@ -111,8 +111,7 @@ class TestProfile:
         validate_chrome_trace(obj)
         names = {e["name"] for e in obj["traceEvents"]}
         for expected in ("scheduled.plan", "plan.decompose.coloring",
-                         "scheduled.step1", "scheduled.step2",
-                         "scheduled.step3", "plan_io.save",
+                         "engine.apply", "engine.seal", "plan_io.save",
                          "plan_io.load"):
             assert expected in names
 
