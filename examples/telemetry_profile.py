@@ -2,8 +2,8 @@
 
 Runs the full pipeline — plan, save/load, apply, simulate — under an
 active tracer, then shows every view the telemetry layer offers: the
-span tree, the counters, the Prometheus exposition, and the exported
-artefacts (Chrome trace JSON + JSONL event log) that
+span tree, the span counts, a planner registry's Prometheus exposition,
+and the exported artefacts (Chrome trace JSON + JSONL event log) that
 ``python -m repro profile`` writes.
 
 The key consistency property is asserted, not just printed: the
@@ -20,6 +20,7 @@ import numpy as np
 
 import repro
 from repro import telemetry
+from repro.planner import Planner
 
 N, WIDTH = 4096, 32
 
@@ -45,13 +46,21 @@ print("== span tree (wall clock) ==")
 print(telemetry.render_span_tree(tracer))
 
 print()
-print("== counters ==")
-for name in sorted(tracer.counters):
-    print(f"  {name} = {tracer.counters[name]:g}")
+print("== span counts ==")
+for name, count in telemetry.span_counts(tracer).items():
+    print(f"  {name} = {count}")
 
+# Counts live in a MetricsRegistry, not on the tracer: a planner's
+# registry holds its cache and plan counters.
+planner = Planner()
+planner.compile(p, width=WIDTH)
+planner.compile(p, width=WIDTH)
 print()
-print("== Prometheus exposition (excerpt) ==")
-print("\n".join(telemetry.prometheus_text(tracer).splitlines()[:8]))
+print("== planner registry, Prometheus exposition (excerpt) ==")
+text = planner.metrics.prometheus_text()
+telemetry.validate_prometheus_text(text)
+print("\n".join(line for line in text.splitlines()
+                if "memory_hits" in line or "cold_plans" in line))
 
 # Model time bridged onto spans equals the simulated trace totals.
 (simulate_span,) = tracer.find("scheduled.simulate")

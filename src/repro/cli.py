@@ -38,7 +38,7 @@ Commands
 Every command returns its report as a string from a ``cmd_*`` function
 (unit-testable) and ``main`` prints it.  ``cost``, ``demo`` and
 ``resilience-demo`` additionally accept ``--telemetry``, which runs the
-command under an active tracer and appends the counters and span tree
+command under an active tracer and appends the span counts and span tree
 it emitted; ``cost``, ``plan`` and ``profile`` accept ``--cache-dir``,
 which resolves plans through the persistent disk cache of
 :class:`repro.planner.Planner` instead of re-planning.
@@ -732,10 +732,10 @@ def cmd_profile(args) -> str:
         "span tree (wall clock):",
         _indent(telemetry.render_span_tree(tracer)),
         "",
-        "counters:",
+        "span counts:",
     ]
-    for name in sorted(tracer.counters):
-        parts.append(f"   {name} = {tracer.counters[name]:g}")
+    for name, count in telemetry.span_counts(tracer).items():
+        parts.append(f"   {name} = {count}")
     parts.append("")
     parts.append("model: " + format_metrics(metrics))
     if args.trace_out:
@@ -1276,7 +1276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument(
         "--events-out",
-        help="stream span and counter events to a JSONL file",
+        help="stream span events to a JSONL file",
     )
     prof.add_argument(
         "--engine", choices=engines, default="scheduled",
@@ -1426,7 +1426,7 @@ def _add_telemetry_flag(sub) -> None:
     sub.add_argument(
         "--telemetry",
         action="store_true",
-        help="run under an active tracer; append emitted counters and "
+        help="run under an active tracer; append span counts and "
              "the span tree to the output",
     )
 
@@ -1434,12 +1434,10 @@ def _add_telemetry_flag(sub) -> None:
 def _telemetry_summary(tracer) -> str:
     from repro import telemetry
 
-    lines = [
-        f"telemetry: {len(tracer.spans)} span(s), "
-        f"{len(tracer.counters)} counter(s)"
-    ]
-    for name in sorted(tracer.counters):
-        lines.append(f"   counter {name} = {tracer.counters[name]:g}")
+    counts = telemetry.span_counts(tracer)
+    lines = [f"telemetry: {len(tracer.spans)} span(s)"]
+    for name, count in counts.items():
+        lines.append(f"   span {name} = {count}")
     tree = telemetry.render_span_tree(tracer)
     if tree:
         lines.append("   spans:")

@@ -225,8 +225,6 @@ def euler_split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
             colors,
             base=0,
         )
-        telemetry.count("coloring.euler.calls")
-        telemetry.count("coloring.edges_colored", graph.num_edges)
         return colors
 
 

@@ -161,12 +161,9 @@ def _extract_matchings(
         colors[order[next_slot[bucket]]] = color
         next_slot[bucket] += 1
         remaining[bucket] -= 1
-        telemetry.count("coloring.matchings_extracted")
 
     if np.any(colors < 0):  # pragma: no cover - guarded by regularity
         raise ColoringError("some edges were never coloured")
-    telemetry.count("coloring.matching.calls")
-    telemetry.count("coloring.edges_colored", graph.num_edges)
     return colors
 
 

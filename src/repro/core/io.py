@@ -377,7 +377,6 @@ def save_plan(path, plan, certify: bool = True,
         sp.set(file_bytes=Path(path).stat().st_size,
                certified="certificate" in extra,
                semantically_certified="semantic_certificate" in extra)
-        telemetry.count("plan_io.saved")
 
 
 def _pack_v2(plan: ScheduledPermutation) -> dict:
@@ -548,13 +547,7 @@ def load_plan(path):
         except OSError:
             size = -1
         sp.set(file_bytes=size)
-        try:
-            plan = _load_plan_inner(path, sp)
-        except Exception:
-            telemetry.count("plan_io.rejected")
-            raise
-        telemetry.count("plan_io.loaded")
-        return plan
+        return _load_plan_inner(path, sp)
 
 
 def _load_plan_inner(path, sp):
@@ -913,7 +906,6 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
             **arrays,
         )
         sp.set(file_bytes=Path(path).stat().st_size)
-        telemetry.count("plan_io.sealed_saved")
 
 
 def load_sealed(path, expected_plan_sha: str | None = None):
@@ -935,18 +927,12 @@ def load_sealed(path, expected_plan_sha: str | None = None):
             with np.load(Path(path)) as data:
                 arrays = {k: np.asarray(data[k]) for k in data.files}
         except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            telemetry.count("plan_io.sealed_rejected")
             raise PlanCorruptionError(
                 f"{path}: sealed artifact is unreadable (truncated or "
                 f"not a save_sealed archive): {exc}"
             ) from exc
-        try:
-            sealed = _decode_sealed(path, arrays, expected_plan_sha)
-        except Exception:
-            telemetry.count("plan_io.sealed_rejected")
-            raise
+        sealed = _decode_sealed(path, arrays, expected_plan_sha)
         sp.set(n=sealed.n, engine=sealed.engine)
-        telemetry.count("plan_io.sealed_loaded")
         return sealed
 
 

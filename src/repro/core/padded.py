@@ -71,7 +71,6 @@ class PaddedScheduledPermutation(EngineBase):
                                               backend=backend)
             plan = cls(n=n, inner=inner)
             sp.set(overhead=plan.overhead)
-            telemetry.count("plans.padded")
         return plan
 
     @property

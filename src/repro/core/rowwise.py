@@ -131,7 +131,6 @@ class RowwiseSchedule:
             colors = edge_coloring(graph, backend=backend)
             verify_edge_coloring(graph, colors,
                                  expect_colors=max(m // width, 1))
-            telemetry.count("coloring.rows_colored", rows)
 
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]

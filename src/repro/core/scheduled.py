@@ -103,7 +103,6 @@ class ScheduledPermutation(EngineBase):
             with telemetry.span("scheduled.plan.step3"):
                 step3 = RowwiseSchedule.plan(decomposition.gamma3, width,
                                              backend)
-            telemetry.count("plans.scheduled")
         return cls(
             p=p,
             width=width,

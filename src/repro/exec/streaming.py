@@ -267,8 +267,6 @@ class StreamingJob:
                     self.stats.tiles_loaded += 1
                     self.stats.bytes_read += payload_bytes + idx.nbytes
                     self.stats.bytes_written += payload_bytes
-                telemetry.count("stream.tiles")
-                telemetry.count("stream.bytes", payload_bytes)
                 if self._metrics is not None:
                     self._metrics.histogram(
                         "stream_tile_bytes", phase=phase
@@ -360,10 +358,6 @@ class StreamingJob:
             if isinstance(self._out, np.memmap):
                 self._out.flush()
             self.stats.seconds = time.perf_counter() - self._started
-            telemetry.gauge(
-                "stream.peak_resident_bytes",
-                self.stats.peak_resident_total_bytes,
-            )
             self._cleanup()
         return self.stats
 

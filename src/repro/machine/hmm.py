@@ -136,8 +136,6 @@ class HMM:
             for rnd in kernel.rounds:
                 trace.rounds.append(self.run_round(rnd))
             sp.set(model_time=trace.time, model_rounds=trace.num_rounds)
-            telemetry.count("hmm.rounds", trace.num_rounds)
-            telemetry.count("hmm.time_units", trace.time)
         return trace
 
     def run_program(
@@ -214,7 +212,6 @@ class HMM:
             )
             total = local + exchange
             sp.set(model_time=total, exchange=exchange)
-            telemetry.count("hmm.time_units", total)
         return {
             "d": sharded.d,
             "stripe": sharded.stripe,

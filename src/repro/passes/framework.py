@@ -192,7 +192,6 @@ class PassPipeline:
                 rounds_before=program.num_rounds,
                 rounds_after=current.num_rounds,
             )
-        telemetry.count("passes.programs_optimized")
         return current, changes
 
     def _apply_one(
@@ -202,8 +201,9 @@ class PassPipeline:
         changes: list[PassChange],
         checker: "SemanticChecker | None" = None,
     ) -> KernelProgram:
-        with telemetry.span("passes." + p.name):
+        with telemetry.span("passes." + p.name) as sp:
             after = p.run(current)
+            sp.set(applied=after is not current)
         if after is current:
             return current
         if not after.ops:
@@ -224,7 +224,6 @@ class PassPipeline:
                 rounds_after=after.num_rounds,
             )
         )
-        telemetry.count("passes.applied." + p.name)
         return after
 
 
@@ -233,9 +232,9 @@ class ValidatedPass:
 
     Wraps an inner pass and refuses any rewrite whose denoted index
     map differs from the input's: the unproven rewrite is simply not
-    applied (the input program is returned unchanged) and a
-    ``passes.semantic.refused.<name>`` telemetry counter records the
-    refusal.  This is how ``aggressive_pipeline`` makes
+    applied (the input program is returned unchanged) and the
+    enclosing ``passes.validated(<name>)`` span is tagged
+    ``refused=True``.  This is how ``aggressive_pipeline`` makes
     ``drop-identities`` provably safe without giving up on it — a bad
     drop degrades to a no-op instead of a wrong answer.
 
@@ -260,7 +259,7 @@ class ValidatedPass:
         before_den = denote_program(program)
         if not before_den.ok:
             # Nothing provable to preserve; keep the input untouched.
-            telemetry.count("passes.semantic.refused." + self.inner.name)
+            telemetry.current_span().set(refused=True)
             return program
         if after.ops:
             after_den = denote_program(after)
@@ -277,6 +276,6 @@ class ValidatedPass:
                 )
             )
         if not preserved:
-            telemetry.count("passes.semantic.refused." + self.inner.name)
+            telemetry.current_span().set(refused=True)
             return program
         return after

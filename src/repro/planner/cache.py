@@ -26,11 +26,13 @@ directory itself is bounded by ``max_bytes`` with LRU eviction (plan
 and sidecar evicted together); foreign files are ignored, never
 deleted or accounted.
 
-Every cache event is double-booked: plain integer counters on the
-cache object (inspectable without any tracer) and guarded telemetry
-counters (``planner.cache.hit.memory``, ``planner.cache.miss.disk``,
-``planner.cache.eviction``, ``planner.sealed.hit.disk``, ...) when a
-tracer is active.
+Every cache event is a counter in the stack's
+:class:`~repro.telemetry.MetricsRegistry` (the planner passes its own;
+a standalone cache makes a private one), named after its ``stats()``
+key: ``memory_hits`` is ``planner_memory_hits_total``,
+``sealed_corrupt`` is ``planner_sealed_corrupt_total``.  Resident bytes
+are the ``planner_memory_bytes`` / ``planner_disk_bytes`` gauges.
+``stats()`` is a view over those instruments.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro import telemetry
 from repro.errors import ValidationError
+from repro.telemetry import Counter, MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.ir.sealed import SealedProgram
@@ -52,6 +54,13 @@ if TYPE_CHECKING:
 #: Disk-cache entries are content-addressed SHA-256 hex fingerprints;
 #: anything else in the directory is foreign and left alone.
 _FINGERPRINT_RE = re.compile(r"\A[0-9a-f]{64}\Z")
+
+
+def planner_counters(
+    metrics: MetricsRegistry, keys: tuple[str, ...]
+) -> dict[str, Counter]:
+    """One ``planner_<key>_total`` counter handle per ``stats()`` key."""
+    return {key: metrics.counter(f"planner_{key}_total") for key in keys}
 
 
 def _entry_bytes(compiled: "CompiledPermutation") -> int:
@@ -72,13 +81,18 @@ class LRUPlanCache:
     larger than ``max_bytes`` occupies the cache alone rather than
     being refused).
 
-    Thread-safe: lookups, insertions and the hit/miss/eviction
-    counters are guarded by one lock, so concurrent server workers
-    never lose an increment or corrupt the recency order.
+    Thread-safe: lookups, insertions and the byte accounting are
+    guarded by one lock, so concurrent server workers never corrupt the
+    recency order.  Hits, misses, evictions and invalidations count
+    into ``metrics``.
     """
 
     def __init__(
-        self, capacity: int = 64, max_bytes: int | None = None
+        self,
+        capacity: int = 64,
+        max_bytes: int | None = None,
+        *,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValidationError(
@@ -95,11 +109,17 @@ class LRUPlanCache:
         )
         self._nbytes: dict[str, int] = {}
         self._lock = threading.Lock()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._counts = planner_counters(self.metrics, (
+            "memory_hits", "memory_misses", "memory_evictions",
+            "memory_invalidations",
+        ))
+        self._bytes = self.metrics.gauge("planner_memory_bytes")
+
+    @property
+    def bytes(self) -> int:
+        """Resident bytes (the ``planner_memory_bytes`` gauge)."""
+        return self._bytes.value
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,14 +131,10 @@ class LRUPlanCache:
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
-                self.misses += 1
+                self._counts["memory_misses"].inc()
             else:
                 self._entries.move_to_end(fingerprint)
-                self.hits += 1
-        if entry is None:
-            telemetry.count("planner.cache.miss.memory")
-            return None
-        telemetry.count("planner.cache.hit.memory")
+                self._counts["memory_hits"].inc()
         return entry
 
     def _over_budget(self) -> bool:
@@ -127,7 +143,7 @@ class LRUPlanCache:
             return True
         return (
             self.max_bytes is not None
-            and self.bytes > self.max_bytes
+            and self._bytes.value > self.max_bytes
             and len(self._entries) > 1
         )
 
@@ -135,21 +151,15 @@ class LRUPlanCache:
         self, fingerprint: str, compiled: CompiledPermutation
     ) -> None:
         size = _entry_bytes(compiled)
-        evicted = 0
         with self._lock:
-            if fingerprint in self._entries:
-                self.bytes -= self._nbytes.get(fingerprint, 0)
+            self._bytes.inc(size - self._nbytes.get(fingerprint, 0))
             self._entries[fingerprint] = compiled
             self._nbytes[fingerprint] = size
-            self.bytes += size
             self._entries.move_to_end(fingerprint)
             while self._over_budget():
                 victim, _ = self._entries.popitem(last=False)
-                self.bytes -= self._nbytes.pop(victim, 0)
-                self.evictions += 1
-                evicted += 1
-        for _ in range(evicted):
-            telemetry.count("planner.cache.eviction")
+                self._bytes.inc(-self._nbytes.pop(victim, 0))
+                self._counts["memory_evictions"].inc()
 
     def get_if_present(
         self, fingerprint: str
@@ -161,9 +171,7 @@ class LRUPlanCache:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
-                self.hits += 1
-        if entry is not None:
-            telemetry.count("planner.cache.hit.memory")
+                self._counts["memory_hits"].inc()
         return entry
 
     def invalidate(self, fingerprint: str) -> bool:
@@ -172,24 +180,20 @@ class LRUPlanCache:
         with self._lock:
             present = self._entries.pop(fingerprint, None) is not None
             if present:
-                self.bytes -= self._nbytes.pop(fingerprint, 0)
-                self.invalidations += 1
-        if present:
-            telemetry.count("planner.cache.invalidation")
+                self._bytes.inc(-self._nbytes.pop(fingerprint, 0))
+                self._counts["memory_invalidations"].inc()
         return present
 
     def stats(self) -> dict:
         with self._lock:
-            return {
-                "memory_hits": self.hits,
-                "memory_misses": self.misses,
-                "memory_evictions": self.evictions,
-                "memory_invalidations": self.invalidations,
-                "memory_entries": len(self._entries),
-                "memory_capacity": self.capacity,
-                "memory_bytes": self.bytes,
-                "memory_max_bytes": self.max_bytes,
-            }
+            out = {key: c.value for key, c in self._counts.items()}
+            out.update(
+                memory_entries=len(self._entries),
+                memory_capacity=self.capacity,
+                memory_bytes=self._bytes.value,
+                memory_max_bytes=self.max_bytes,
+            )
+            return out
 
 
 class DiskPlanCache:
@@ -209,14 +213,18 @@ class DiskPlanCache:
     :func:`repro.core.io.save_sealed`) carry the plan's proven flat
     gather, bound to the plan file's payload checksum.  A sidecar that
     fails any proof on load is deleted and counted
-    (``planner.sealed.corrupt``); the caller heals by re-sealing from
-    the v3 plan.  ``max_bytes`` bounds the summed size of accounted
+    (``planner_sealed_corrupt_total``); the caller heals by re-sealing
+    from the v3 plan.  ``max_bytes`` bounds the summed size of accounted
     entries with LRU eviction — plan and sidecar leave together.
     Foreign files in the directory are ignored, never deleted.
     """
 
     def __init__(
-        self, directory: str | Path, max_bytes: int | None = None
+        self,
+        directory: str | Path,
+        max_bytes: int | None = None,
+        *,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValidationError(
@@ -227,22 +235,19 @@ class DiskPlanCache:
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._sizes: OrderedDict[str, int] = OrderedDict()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.stores = 0
-        self.evictions = 0
-        self.sealed_hits = 0
-        self.sealed_misses = 0
-        self.sealed_corrupt = 0
-        self.sealed_stores = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._counts = planner_counters(self.metrics, (
+            "disk_hits", "disk_misses", "disk_corrupt", "disk_stores",
+            "disk_evictions", "sealed_hits", "sealed_misses",
+            "sealed_corrupt", "sealed_stores",
+        ))
+        self._bytes = self.metrics.gauge("planner_disk_bytes")
         self._scan()
 
-    def _count(self, field: str, name: str) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
-        telemetry.count(name)
+    @property
+    def bytes(self) -> int:
+        """Accounted file bytes (the ``planner_disk_bytes`` gauge)."""
+        return self._bytes.value
 
     def path_for(self, fingerprint: str) -> Path:
         return self.directory / f"{fingerprint}.npz"
@@ -290,10 +295,9 @@ class DiskPlanCache:
     def _account_locked(self, fingerprint: str) -> None:
         # Caller holds the lock.
         size = self._entry_size(fingerprint)
-        self.bytes -= self._sizes.pop(fingerprint, 0)
+        self._bytes.inc(size - self._sizes.pop(fingerprint, 0))
         if size > 0:
             self._sizes[fingerprint] = size
-            self.bytes += size
 
     def _touch(self, fingerprint: str) -> None:
         with self._lock:
@@ -312,17 +316,16 @@ class DiskPlanCache:
             self._account_locked(fingerprint)
             while (
                 self.max_bytes is not None
-                and self.bytes > self.max_bytes
+                and self._bytes.value > self.max_bytes
                 and len(self._sizes) > 1
             ):
                 victim, size = self._sizes.popitem(last=False)
-                self.bytes -= size
-                self.evictions += 1
+                self._bytes.inc(-size)
+                self._counts["disk_evictions"].inc()
                 victims.append(victim)
         for victim in victims:
             self.path_for(victim).unlink(missing_ok=True)
             self.sealed_path_for(victim).unlink(missing_ok=True)
-            telemetry.count("planner.cache.eviction.disk")
 
     # -- v3 plan files -------------------------------------------------
 
@@ -333,7 +336,7 @@ class DiskPlanCache:
 
         path = self.path_for(fingerprint)
         if not path.exists():
-            self._count("misses", "planner.cache.miss.disk")
+            self._counts["disk_misses"].inc()
             return None
         try:
             plan = load_plan(path)
@@ -349,11 +352,11 @@ class DiskPlanCache:
             path.unlink(missing_ok=True)
             self.sealed_path_for(fingerprint).unlink(missing_ok=True)
             self._account(fingerprint)
-            self._count("corrupt", "planner.cache.corrupt")
-            self._count("misses", "planner.cache.miss.disk")
+            self._counts["disk_corrupt"].inc()
+            self._counts["disk_misses"].inc()
             return None
         self._touch(fingerprint)
-        self._count("hits", "planner.cache.hit.disk")
+        self._counts["disk_hits"].inc()
         return plan
 
     def store(
@@ -391,7 +394,7 @@ class DiskPlanCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self._count("stores", "planner.cache.store.disk")
+        self._counts["disk_stores"].inc()
         self._account(fingerprint)
         return path
 
@@ -411,7 +414,7 @@ class DiskPlanCache:
 
         path = self.sealed_path_for(fingerprint)
         if not path.exists():
-            self._count("sealed_misses", "planner.sealed.miss.disk")
+            self._counts["sealed_misses"].inc()
             return None
         expected = None
         plan_path = self.path_for(fingerprint)
@@ -425,11 +428,11 @@ class DiskPlanCache:
         except PlanIntegrityError:
             path.unlink(missing_ok=True)
             self._account(fingerprint)
-            self._count("sealed_corrupt", "planner.sealed.corrupt")
-            self._count("sealed_misses", "planner.sealed.miss.disk")
+            self._counts["sealed_corrupt"].inc()
+            self._counts["sealed_misses"].inc()
             return None
         self._touch(fingerprint)
-        self._count("sealed_hits", "planner.sealed.hit.disk")
+        self._counts["sealed_hits"].inc()
         return sealed
 
     def store_sealed(
@@ -448,24 +451,17 @@ class DiskPlanCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self._count("sealed_stores", "planner.sealed.store.disk")
+        self._counts["sealed_stores"].inc()
         self._account(fingerprint)
         return path
 
     def stats(self) -> dict:
         with self._lock:
-            return {
-                "disk_hits": self.hits,
-                "disk_misses": self.misses,
-                "disk_corrupt": self.corrupt,
-                "disk_stores": self.stores,
-                "disk_evictions": self.evictions,
-                "disk_bytes": self.bytes,
-                "disk_max_bytes": self.max_bytes,
-                "disk_entries": len(self._sizes),
-                "sealed_hits": self.sealed_hits,
-                "sealed_misses": self.sealed_misses,
-                "sealed_corrupt": self.sealed_corrupt,
-                "sealed_stores": self.sealed_stores,
-                "disk_directory": str(self.directory),
-            }
+            out = {key: c.value for key, c in self._counts.items()}
+            out.update(
+                disk_bytes=self._bytes.value,
+                disk_max_bytes=self.max_bytes,
+                disk_entries=len(self._sizes),
+                disk_directory=str(self.directory),
+            )
+            return out

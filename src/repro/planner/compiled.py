@@ -31,7 +31,11 @@ from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
 from repro.ir.sealed import SealedProgram
 from repro.passes import PassPipeline, default_pipeline, seal_program
-from repro.planner.cache import DiskPlanCache, LRUPlanCache
+from repro.planner.cache import (
+    DiskPlanCache,
+    LRUPlanCache,
+    planner_counters,
+)
 from repro.planner.fingerprint import (
     permutation_digest,
     plan_fingerprint,
@@ -41,6 +45,7 @@ from repro.staticcheck.semantics import (
     SemanticCertificate,
     validate_translation,
 )
+from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.exec.streaming import StreamingStats
@@ -107,7 +112,6 @@ class CompiledPermutation:
             if self._program is not None:
                 return
             assert self._loader is not None
-            telemetry.count("planner.sealed.rehydrated")
             engine, program, cert = self._loader()
             self._engine = engine
             if self.semantic_certificate is None:
@@ -298,6 +302,11 @@ class Planner:
     disk_max_bytes:
         Optional bound on the disk tier's total file bytes (plans plus
         sealed sidecars); LRU-evicted past it.
+
+    The planner creates the stack's one
+    :class:`~repro.telemetry.MetricsRegistry` (:attr:`metrics`) and
+    hands it to both cache tiers; a service or server built on this
+    planner counts into it too.  :meth:`stats` is a view over it.
     """
 
     def __init__(
@@ -310,25 +319,26 @@ class Planner:
         disk_max_bytes: int | None = None,
     ) -> None:
         self.pipeline = pipeline or default_pipeline()
-        self.memory = LRUPlanCache(
-            cache_size, max_bytes=cache_max_bytes
-        )
-        self.disk = (
-            DiskPlanCache(cache_dir, max_bytes=disk_max_bytes)
-            if cache_dir is not None
-            else None
-        )
-        self.backend = backend
-        self.plans = 0
-        self.shard_plans = 0
-        self.sealed_plans = 0
-        self.semantic_rejections = 0
-        #: Optional :class:`~repro.telemetry.MetricsRegistry`; when set
+        #: The stack's registry.  Besides the cache and plan counters,
         #: every compile records ``planner_compile_seconds`` labeled by
         #: the cache tier that answered (``memory``/``sealed``/
         #: ``disk``/``cold``) and the engine, so the latency cliff
         #: between tiers is measurable per request, not just countable.
-        self.metrics = None
+        self.metrics = MetricsRegistry()
+        self.memory = LRUPlanCache(
+            cache_size, max_bytes=cache_max_bytes, metrics=self.metrics
+        )
+        self.disk = (
+            DiskPlanCache(cache_dir, max_bytes=disk_max_bytes,
+                          metrics=self.metrics)
+            if cache_dir is not None
+            else None
+        )
+        self.backend = backend
+        self._counts = planner_counters(self.metrics, (
+            "cold_plans", "shard_plans", "sealed_plans",
+            "semantic_rejections",
+        ))
         self._lock = threading.Lock()
         # One lock per in-flight fingerprint: concurrent compiles of
         # the same permutation collapse to a single cold plan, the
@@ -374,10 +384,9 @@ class Planner:
             compiled, tier = self._resolve(fp, p, engine, width,
                                            backend)
             sp.set(tier=tier)
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "planner_compile_seconds", tier=tier, engine=engine
-            ).observe(time.perf_counter() - t0)
+        self.metrics.histogram(
+            "planner_compile_seconds", tier=tier, engine=engine
+        ).observe(time.perf_counter() - t0)
         return compiled
 
     def _resolve(
@@ -415,9 +424,7 @@ class Planner:
                         p, width=width,
                         backend=backend or self.backend,
                     )
-                with self._lock:
-                    self.plans += 1
-                telemetry.count("planner.planned")
+                self._counts["cold_plans"].inc()
                 tier = "cold"
                 if self.disk is not None:
                     self.disk.store(fp, plan,
@@ -457,9 +464,7 @@ class Planner:
             pipeline_signature=self.pipeline.signature(),
         )
         sealed.certificate = cert
-        with self._lock:
-            self.sealed_plans += 1
-        telemetry.count("planner.sealed.planned")
+        self._counts["sealed_plans"].inc()
         return sealed
 
     def _store_sealed(
@@ -484,7 +489,7 @@ class Planner:
         except OSError:
             # A failed sidecar persist must not fail the compile; the
             # sealed form still serves from memory.
-            telemetry.count("planner.sealed.store_failed")
+            telemetry.current_span().set(sealed_store_failed=True)
 
     def _from_sealed(
         self, fp: str, sealed: SealedProgram, backend: str | None
@@ -510,9 +515,7 @@ class Planner:
                         width=sealed.width,
                         backend=backend or self.backend,
                     )
-                with self._lock:
-                    self.plans += 1
-                telemetry.count("planner.planned")
+                self._counts["cold_plans"].inc()
                 if self.disk is not None:
                     self.disk.store(fp, plan,
                                     self.pipeline.signature())
@@ -551,9 +554,7 @@ class Planner:
         fresh = d not in compiled._shards
         sharded = compiled.shard(d)
         if fresh:
-            with self._lock:
-                self.shard_plans += 1
-            telemetry.count("planner.sharded")
+            self._counts["shard_plans"].inc()
         return compiled, sharded
 
     def _optimize_validated(
@@ -567,10 +568,11 @@ class Planner:
         must itself denote the requested permutation, or
         :class:`~repro.errors.SemanticValidationError` is raised — is
         returned with its positive fallback certificate, so it is
-        sealed and served like any other; the
-        ``planner.semantic.rejected`` telemetry counter is bumped, and
-        the returned ``proven`` flag is False so callers refuse to
-        cache the handle in memory or store its sidecar.
+        sealed and served like any other; ``semantic_rejections`` is
+        counted, the enclosing span is tagged with the blamed pass
+        (``semantic_rejected``), and the returned ``proven`` flag is
+        False so callers refuse to cache the handle in memory or store
+        its sidecar.
         """
         raw = plan.lower()
         requested = np.asarray(plan.p)
@@ -585,11 +587,9 @@ class Planner:
                 return optimized, cert, True
         except SemanticValidationError as exc:
             cert = exc.certificate
-        telemetry.count("planner.semantic.rejected")
-        with self._lock:
-            self.semantic_rejections += 1
+        self._counts["semantic_rejections"].inc()
         blame = getattr(cert, "blame", None) or "<pipeline>"
-        telemetry.count("planner.semantic.rejected." + blame)
+        telemetry.current_span().set(semantic_rejected=blame)
         # Fall back to the raw program — still proved against the
         # requested permutation, because an unproven optimization must
         # degrade to slower, never to wrong.
@@ -659,13 +659,9 @@ class Planner:
         return True
 
     def stats(self) -> dict:
-        """Merged hit/miss/eviction counters across all tiers."""
-        merged = {
-            "cold_plans": self.plans,
-            "shard_plans": self.shard_plans,
-            "sealed_plans": self.sealed_plans,
-            "semantic_rejections": self.semantic_rejections,
-        }
+        """Merged hit/miss/eviction counters across all tiers, read
+        from :attr:`metrics`."""
+        merged = {key: c.value for key, c in self._counts.items()}
         merged.update(self.memory.stats())
         if self.disk is not None:
             merged.update(self.disk.stats())

@@ -589,8 +589,9 @@ def run_report() -> tuple[str, bool]:
                 lines.append(f"  FAIL  {label}: {failure!r}")
     slow_label, slow_ms = max(timings, key=lambda item: item[1])
     total_ms = sum(ms for _label, ms in timings)
-    counters = ", ".join(
-        f"{name}={value:g}" for name, value in sorted(tracer.counters.items())
+    counts = ", ".join(
+        f"{name}={count}"
+        for name, count in telemetry.span_counts(tracer).items()
     )
     lines.append("")
     lines.append(
@@ -599,7 +600,7 @@ def run_report() -> tuple[str, bool]:
     )
     lines.append(
         f"telemetry: {len(tracer.spans)} spans; "
-        f"counters: {counters or 'none'}"
+        f"span counts: {counts or 'none'}"
     )
     lines.append("")
     lines.append(

@@ -129,13 +129,12 @@ class ResilientPermutation:
         self.report = FailureReport(chain=tuple(chain))
         # A private tracer records every attempt/backoff span so the
         # FailureReport embeds the telemetry even when no process-wide
-        # tracer is active; the same spans/counters are mirrored to the
-        # global tracer (prefixed ``resilience.``) when one is.
+        # tracer is active; the same spans are mirrored to the global
+        # tracer (prefixed ``resilience.``) when one is.
         self._tracer = telemetry.Tracer()
         if _preload_failure is not None:
             self.report.record("load", "plan-file", 1, _preload_failure,
                                retried=False)
-            self._count("plan_file_rejected")
         self.engine = None
         self.choice: str | None = None
         self._plan_chain(backend, chain, max_attempts, backoff_base)
@@ -184,18 +183,12 @@ class ResilientPermutation:
     # Planning with retry + fallback
     # ------------------------------------------------------------------
 
-    def _count(self, name: str, n: float = 1) -> None:
-        """Count on the private tracer and mirror to the global one."""
-        self._tracer.count(f"resilience.{name}", n)
-        telemetry.count(f"resilience.{name}", n)
-
     def _plan_chain(self, backend, chain, max_attempts, backoff_base):
         try:
             for name in chain:
                 if self._plan_engine(name, backend, max_attempts,
                                      backoff_base):
                     return
-            self._count("chain_exhausted")
             raise FallbackExhaustedError(
                 f"all engines failed for n = {len(self.p)} "
                 f"(chain {' -> '.join(chain)}); see report:\n"
@@ -203,10 +196,9 @@ class ResilientPermutation:
                 report=self.report,
             )
         finally:
-            # Embed the telemetry of the whole planning run (spans for
-            # every attempt and backoff, plus counters) in the report.
+            # Embed the spans of every attempt and backoff of the whole
+            # planning run in the report.
             self.report.spans = list(self._tracer.spans)
-            self.report.counters = dict(self._tracer.counters)
 
     def _plan_engine(self, name, backend, max_attempts,
                      backoff_base) -> bool:
@@ -221,17 +213,14 @@ class ResilientPermutation:
             if outcome == "ok":
                 return True
             if outcome == "persistent-fault":
-                self._count("fallbacks")
                 return False
             # Transient: back off (its own span) and try again.
             if attempt < max_attempts:
-                self._count("retries")
                 delay = backoff_delay(attempt, backoff_base)
                 with self._tracer.span("backoff", seconds=delay), \
                         telemetry.span("resilience.backoff",
                                        seconds=delay):
                     self._sleep(delay)
-        self._count("fallbacks")
         return False
 
     def _attempt(self, name, backend, attempt, max_attempts) -> str:
@@ -251,14 +240,12 @@ class ResilientPermutation:
         except TRANSIENT_ERRORS as exc:
             retried = attempt < max_attempts
             self.report.record("plan", name, attempt, exc, retried)
-            self._count("faults_absorbed")
             return "transient-fault"
         except ReproError as exc:
             # Persistent: infeasible size, capacity wall, ... — no
             # amount of retrying will change the answer.
             self.report.record("plan", name, attempt, exc,
                                retried=False)
-            self._count("faults_absorbed")
             return "persistent-fault"
         self.choice = name
         self.report.engine_used = name

@@ -67,7 +67,7 @@ class FailureReport:
     planning run: ``spans`` is the finished
     :class:`~repro.telemetry.tracer.Span` tree of every engine attempt
     and backoff (wall-clock, with ``outcome`` attributes) and
-    ``counters`` the matching totals (``resilience.retries``,
+    :attr:`counters` the matching totals (``resilience.retries``,
     ``resilience.fallbacks``, ...) — so a degraded run shows not just
     *what* failed but *where the time went* while absorbing it.
     """
@@ -76,7 +76,27 @@ class FailureReport:
     engine_used: str | None = None
     chain: tuple[str, ...] = ()
     spans: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The run's non-zero totals, computed from the records:
+        ``faults_absorbed`` (planning failures), ``retries`` (of which
+        retried the same engine), ``fallbacks`` (engines abandoned),
+        ``plan_file_rejected`` and ``chain_exhausted`` — each prefixed
+        ``resilience.``."""
+        plan = [r for r in self.records if r.stage == "plan"]
+        retries = sum(r.retried for r in plan)
+        totals = {
+            "chain_exhausted": int(self.engine_used is None
+                                   and bool(plan)),
+            "fallbacks": len(plan) - retries,
+            "faults_absorbed": len(plan),
+            "plan_file_rejected": sum(r.stage == "load"
+                                      for r in self.records),
+            "retries": retries,
+        }
+        return {f"resilience.{name}": value
+                for name, value in totals.items() if value}
 
     def record(
         self,
@@ -134,8 +154,9 @@ class FailureReport:
                     f"  - {span.name:<20} {span.duration_ms:8.3f} ms"
                     f"{('  ' + detail) if detail else ''}"
                 )
-        if self.counters:
+        counters = self.counters
+        if counters:
             lines.append("counters:")
-            for name in sorted(self.counters):
-                lines.append(f"  - {name} = {self.counters[name]:g}")
+            for name in sorted(counters):
+                lines.append(f"  - {name} = {counters[name]}")
         return "\n".join(lines)

@@ -5,11 +5,11 @@ fault-tolerant concurrent serving core.
 compile-once/apply-many stack: you *register* named permutations,
 optionally *warm* the cache up front, then *serve* single or batched
 applies; every request after the first for a given name is pure apply
-time.  Hit/miss/eviction counters flow through both the planner's
-plain integers and the telemetry subsystem, so an operator can watch
-cache behaviour with an active tracer or via
-:meth:`PermutationService.stats`.  The service is thread-safe: its
-counters and registry are lock-guarded, so many callers can share one
+time.  Request and cache counters live in the planner's
+:class:`~repro.telemetry.MetricsRegistry`, which the service shares, so
+:meth:`PermutationService.stats` and a server's ``/metrics`` read the
+same numbers.  The service is thread-safe: its registrations are
+lock-guarded and its counters are atomic, so many callers can share one
 instance.
 
 :class:`PermutationServer` (:mod:`repro.service.server`) wraps a
@@ -88,6 +88,13 @@ class PermutationService:
     cache_size / cache_dir / backend:
         Forwarded to the owned :class:`~repro.planner.Planner` (unless
         an explicit ``planner`` is supplied, which takes precedence).
+
+    The service counts into its planner's registry (:attr:`metrics`):
+    ``service_requests_total``, ``service_elements_served_total`` and
+    ``service_reregistrations_total``, and per apply the
+    ``exec_apply_seconds`` histogram and the measured-vs-model
+    ``exec_seconds_per_round`` gauge (wall time divided by the
+    annotate-cost pass's ``predicted_rounds``), per engine.
     """
 
     def __init__(
@@ -97,7 +104,6 @@ class PermutationService:
         cache_dir: str | Path | None = None,
         backend: str = "auto",
         planner: Planner | None = None,
-        metrics: Any | None = None,
         cache_max_bytes: int | None = None,
         disk_max_bytes: int | None = None,
     ) -> None:
@@ -107,22 +113,16 @@ class PermutationService:
             backend=backend, cache_max_bytes=cache_max_bytes,
             disk_max_bytes=disk_max_bytes,
         )
-        #: Optional :class:`~repro.telemetry.MetricsRegistry` shared
-        #: with the owned planner; when set, every apply records
-        #: ``exec_apply_seconds`` and the measured-vs-model
-        #: ``exec_seconds_per_round`` gauge (wall time divided by the
-        #: annotate-cost pass's ``predicted_rounds``), per engine.
-        self.metrics = metrics
-        if metrics is not None and self.planner.metrics is None:
-            self.planner.metrics = metrics
+        self.metrics = self.planner.metrics
+        self._requests = self.metrics.counter("service_requests_total")
+        self._elements = self.metrics.counter(
+            "service_elements_served_total"
+        )
+        self._reregistrations = self.metrics.counter(
+            "service_reregistrations_total"
+        )
         self._registry: dict[str, _Registration] = {}
-        # Guards the registry and the plain-int request counters:
-        # concurrent server workers increment them on every call, and
-        # unlocked ``x += 1`` loses updates.
         self._lock = threading.Lock()
-        self.requests = 0
-        self.elements_served = 0
-        self.reregistrations = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -149,7 +149,7 @@ class PermutationService:
         race on registration safely.  Replacing a name with a
         *different* permutation or engine silently would repoint every
         live caller — that requires ``overwrite=True`` and is counted
-        as ``service.reregistered``; without it the call raises
+        in ``reregistrations``; without it the call raises
         :class:`~repro.errors.ValidationError`.
         """
         if not name:
@@ -158,7 +158,6 @@ class PermutationService:
         chosen = engine or _default_engine(int(arr.shape[0]),
                                            self.width)
         digest = permutation_digest(arr)
-        reregistered = False
         with self._lock:
             existing = self._registry.get(name)
             if existing is not None and (
@@ -172,14 +171,10 @@ class PermutationService:
                         f"{existing.digest[:12]}...); pass "
                         "overwrite=True to replace it"
                     )
-                reregistered = True
-                self.reregistrations += 1
+                self._reregistrations.inc()
             self._registry[name] = _Registration(
                 name=name, p=arr, engine=chosen, digest=digest
             )
-        telemetry.count("service.registered")
-        if reregistered:
-            telemetry.count("service.reregistered")
         return self.planner.fingerprint(
             arr, engine=chosen, width=self.width, digest=digest
         )
@@ -249,8 +244,6 @@ class PermutationService:
         from the sealed meta, so observation never forces a lazy handle
         to rehydrate its full program.
         """
-        if self.metrics is None:
-            return
         engine = compiled.engine_name or "unknown"
         self.metrics.histogram(
             "exec_apply_seconds", engine=engine, mode=mode
@@ -270,10 +263,8 @@ class PermutationService:
         out = compiled.apply(a)
         self._observe_apply(compiled, time.perf_counter() - t0,
                             "sealed")
-        with self._lock:
-            self.requests += 1
-            self.elements_served += int(compiled.n)
-        telemetry.count("service.requests")
+        self._requests.inc()
+        self._elements.inc(int(compiled.n))
         return out
 
     def apply_batch(
@@ -286,10 +277,8 @@ class PermutationService:
         self._observe_apply(compiled, time.perf_counter() - t0,
                             "sealed")
         k = int(np.asarray(batch).shape[0])
-        with self._lock:
-            self.requests += k
-            self.elements_served += k * int(compiled.n)
-        telemetry.count("service.requests", k)
+        self._requests.inc(k)
+        self._elements.inc(k * int(compiled.n))
         return out
 
     def apply_stream(
@@ -327,10 +316,8 @@ class PermutationService:
                 peak_resident=stats.peak_resident_total_bytes,
             )
         self._observe_apply(compiled, elapsed, "stream")
-        with self._lock:
-            self.requests += 1
-            self.elements_served += int(compiled.n)
-        telemetry.count("service.requests")
+        self._requests.inc()
+        self._elements.inc(int(compiled.n))
         return stats
 
     # ------------------------------------------------------------------
@@ -340,12 +327,13 @@ class PermutationService:
     def stats(self) -> dict:
         """Service counters merged with the planner's cache stats."""
         with self._lock:
-            merged = {
-                "registered": len(self._registry),
-                "requests": self.requests,
-                "elements_served": self.elements_served,
-                "reregistrations": self.reregistrations,
-            }
+            registered = len(self._registry)
+        merged = {
+            "registered": registered,
+            "requests": self._requests.value,
+            "elements_served": self._elements.value,
+            "reregistrations": self._reregistrations.value,
+        }
         merged.update(self.planner.stats())
         return merged
 

@@ -15,9 +15,11 @@ or one planning engine — with the classic three-state machine:
 The breaker is thread-safe, uses an injectable monotonic clock so
 tests can drive the timeout deterministically, and keeps a bounded
 transition history so operators (and the chaos tests) can observe the
-``closed -> open -> half-open -> closed`` walk after the fact.  Every
-transition is mirrored to telemetry: a ``service.breaker.<name>.open``
-style counter and a ``service.breaker.<name>.state`` gauge
+``closed -> open -> half-open -> closed`` walk after the fact.  Its
+counts live in a :class:`~repro.telemetry.MetricsRegistry` (the
+server's, or a private one), labeled ``breaker=<name>``:
+``breaker_transitions_total`` (also labeled by the new ``state``),
+``breaker_rejections_total``, and the ``breaker_state`` gauge
 (0 = closed, 1 = half-open, 2 = open).
 """
 
@@ -27,8 +29,8 @@ import threading
 import time
 from collections.abc import Callable
 
-from repro import telemetry
 from repro.errors import ValidationError
+from repro.telemetry import MetricsRegistry
 
 __all__ = ["CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"]
 
@@ -59,6 +61,8 @@ class CircuitBreaker:
         Successful probes required to close again.
     clock:
         Monotonic seconds; injectable for deterministic tests.
+    metrics:
+        The registry to count into (a private one when omitted).
     """
 
     def __init__(
@@ -68,6 +72,8 @@ class CircuitBreaker:
         reset_timeout: float = 0.5,
         half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
+        *,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValidationError(
@@ -93,7 +99,17 @@ class CircuitBreaker:
         self._probe_successes = 0
         self._opened_at: float | None = None
         self._transitions: list[tuple[float, str, str]] = []
-        self.rejections = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._rejections = self.metrics.counter(
+            "breaker_rejections_total", breaker=name
+        )
+        self._state_gauge = self.metrics.gauge("breaker_state",
+                                               breaker=name)
+
+    @property
+    def rejections(self) -> int:
+        """Calls refused while open or out of half-open probes."""
+        return self._rejections.value
 
     # ------------------------------------------------------------------
     # State machine
@@ -105,11 +121,11 @@ class CircuitBreaker:
         self._state = new_state
         self._transitions.append((self._clock(), old, new_state))
         del self._transitions[:-_HISTORY_LIMIT]
-        telemetry.count(f"service.breaker.{self.name}.{new_state}")
-        telemetry.gauge(
-            f"service.breaker.{self.name}.state",
-            _STATE_GAUGE[new_state],
-        )
+        self.metrics.counter(
+            "breaker_transitions_total", breaker=self.name,
+            state=new_state,
+        ).inc()
+        self._state_gauge.set(_STATE_GAUGE[new_state])
 
     def allow(self) -> bool:
         """May a call proceed right now?
@@ -127,10 +143,7 @@ class CircuitBreaker:
                     self._clock() - self._opened_at
                     < self.reset_timeout
                 ):
-                    self.rejections += 1
-                    telemetry.count(
-                        f"service.breaker.{self.name}.rejected"
-                    )
+                    self._rejections.inc()
                     return False
                 self._transition(HALF_OPEN)
                 self._probes_in_flight = 0
@@ -139,8 +152,7 @@ class CircuitBreaker:
             if self._probes_in_flight < self.half_open_probes:
                 self._probes_in_flight += 1
                 return True
-            self.rejections += 1
-            telemetry.count(f"service.breaker.{self.name}.rejected")
+            self._rejections.inc()
             return False
 
     def record_success(self) -> None:
@@ -211,7 +223,7 @@ class CircuitBreaker:
                 "consecutive_failures": self._consecutive_failures,
                 "failure_threshold": self.failure_threshold,
                 "reset_timeout": self.reset_timeout,
-                "rejections": self.rejections,
+                "rejections": self._rejections.value,
                 "transitions": len(self._transitions),
             }
 

@@ -13,10 +13,11 @@ checks encode them:
     model is implemented) and in the figure renderers; divisibility
     *checks* (``x % width != 0`` and friends) are exempt everywhere.
 
-``REP102`` **unguarded telemetry** — library code must emit telemetry
-    through the module-level ``telemetry.span()/count()/gauge()``
-    helpers (no-ops when no tracer is active), never by instantiating
-    :class:`repro.telemetry.Tracer` itself or importing the tracer
+``REP102`` **unguarded telemetry** — library code must record spans
+    through the module-level ``telemetry.span()`` helpers (no-ops when
+    no tracer is active) and counts through the package-level
+    :class:`repro.telemetry.MetricsRegistry`, never by instantiating
+    :class:`repro.telemetry.Tracer` itself or importing the telemetry
     internals.  Entry points that legitimately *own* a tracer (the CLI,
     the report runner, the resilience engine) are allowlisted.  Also
     flags a ``span(...)`` call used as a bare statement: the span is
@@ -78,7 +79,7 @@ from repro.errors import StaticCheckError
 #: Rule catalogue: name -> one-line description (docs and ``--rule``).
 LINT_RULES: dict[str, str] = {
     "REP101": "bank/group index arithmetic outside the machine layer",
-    "REP102": "telemetry not using the guarded span()/count() helpers",
+    "REP102": "telemetry not using the guarded span() helpers",
     "REP103": "hard-coded narrow integer dtype (overflow pitfall)",
     "REP104": "engine class not registered with @register_engine",
     "REP106": "lock acquisition against the declared lock hierarchy",
@@ -257,8 +258,8 @@ class _Visitor(ast.NodeVisitor):
             self._report(
                 "REP102", node,
                 f"import of telemetry internals ({node.module}); use "
-                "the guarded repro.telemetry.span()/count()/gauge() "
-                "helpers",
+                "the guarded repro.telemetry.span() helpers and the "
+                "package-level MetricsRegistry",
             )
         self.generic_visit(node)
 
@@ -277,8 +278,8 @@ class _Visitor(ast.NodeVisitor):
             self._report(
                 "REP102", node,
                 "library code must not own a Tracer; emit through the "
-                "guarded telemetry.span()/count()/gauge() helpers so "
-                "the caller controls collection",
+                "guarded telemetry.span() helpers so the caller "
+                "controls collection",
             )
         self._check_rep103(node)
         self.generic_visit(node)

@@ -4,15 +4,17 @@ The observability layer of the reproduction, in four tiers:
 
 * **tracer** (:class:`Tracer`) — nestable wall-clock spans with
   thread-local nesting, cross-thread hand-off (:func:`begin_span` /
-  :func:`end_span` / :func:`request_scope`), monotonic counters and
-  gauges, pluggable sinks (in-memory, JSONL) and exporters (Chrome
-  ``trace_event`` JSON, Prometheus text);
+  :func:`end_span` / :func:`request_scope`), pluggable sinks
+  (in-memory, JSONL) and exporters (Chrome ``trace_event`` JSON, the
+  rendered span tree, :func:`span_counts`).  A tracer holds spans
+  only;
 * **request context** (:class:`RequestContext`) — the identity one
   serving request carries across threads; while bound, module-level
   :func:`span` tags every span with the ``request_id``;
-* **metrics** (:class:`MetricsRegistry`) — labeled counters, gauges
-  and log-bucketed mergeable :class:`Histogram` instruments for
-  cross-request distributions (p50/p99/p999), exposable over HTTP
+* **metrics** (:class:`MetricsRegistry`) — the one store of every
+  count and gauge: labeled counters, gauges and log-bucketed mergeable
+  :class:`Histogram` instruments for cross-request distributions
+  (p50/p99/p999), always on, exposable over HTTP
   (:class:`MetricsHTTPServer`) and renderable as a terminal dashboard
   (:func:`render_dashboard`, ``repro top``);
 * **SLO + flight recorder** (:class:`SLOMonitor`,
@@ -22,21 +24,19 @@ The observability layer of the reproduction, in four tiers:
 
 See ``docs/observability.md``.
 
-Instrumented library code calls the *module-level* :func:`span`,
-:func:`count` and :func:`gauge`, which dispatch to the process-wide
-active tracer.  By default there is **no** active tracer and each call
-reduces to one guarded attribute check returning a shared no-op span —
-the hot path stays effectively uninstrumented until someone opts in:
+Instrumented library code calls the *module-level* :func:`span`, which
+dispatches to the process-wide active tracer.  By default there is
+**no** active tracer and each call reduces to one guarded attribute
+check returning a shared no-op span — the hot path stays effectively
+uninstrumented until someone opts in:
 
 >>> from repro import telemetry
 >>> tracer = telemetry.Tracer()
 >>> with telemetry.use_tracer(tracer):
 ...     with telemetry.span("phase", n=64) as sp:
-...         telemetry.count("things.done")
->>> [s.name for s in tracer.spans]
-['phase']
->>> tracer.counters
-{'things.done': 1}
+...         sp.set(rows=8)
+>>> [(s.name, s.attributes) for s in tracer.spans]
+[('phase', {'n': 64, 'rows': 8})]
 
 ``python -m repro profile <perm>`` wires this up end to end and writes
 the exportable artefacts; ``python -m repro serve-demo --concurrent``
@@ -57,8 +57,8 @@ from repro.telemetry.dashboard import histogram_series, render_dashboard
 from repro.telemetry.export import (
     chrome_trace,
     parse_prometheus_text,
-    prometheus_text,
     render_span_tree,
+    span_counts,
     validate_chrome_trace,
     validate_prometheus_text,
     validate_span_tree,
@@ -126,6 +126,19 @@ def span(name: str, **attributes):
     return tracer.span(name, **attributes)
 
 
+def current_span():
+    """The calling thread's innermost open span on the active tracer.
+
+    Returns :data:`NULL_SPAN` when telemetry is off or no span is open,
+    so a site can always ``current_span().set(...)`` to tag the span it
+    runs inside with what it just learned.
+    """
+    tracer = _ACTIVE
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.current() or NULL_SPAN
+
+
 def begin_span(name: str, parent=None, **attributes):
     """Start a *detached* span on the active tracer.
 
@@ -178,20 +191,6 @@ def request_scope(ctx: RequestContext | None):
             yield ctx
 
 
-def count(name: str, n: float = 1) -> None:
-    """Increment a counter on the active tracer (no-op when inactive)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.count(name, n)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a gauge on the active tracer (no-op when inactive)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.gauge(name, value)
-
-
 __all__ = [
     "Counter",
     "FlightRecorder",
@@ -211,14 +210,12 @@ __all__ = [
     "Tracer",
     "begin_span",
     "chrome_trace",
-    "count",
     "current_context",
+    "current_span",
     "end_span",
-    "gauge",
     "get_tracer",
     "histogram_series",
     "parse_prometheus_text",
-    "prometheus_text",
     "quantile_from_buckets",
     "read_jsonl",
     "render_dashboard",
@@ -227,6 +224,7 @@ __all__ = [
     "set_context",
     "set_tracer",
     "span",
+    "span_counts",
     "span_event",
     "use_context",
     "use_tracer",

@@ -21,7 +21,16 @@ Design points:
   histogram per time slice and merging on read;
 * **labels** — ``registry.counter("server_requests_total",
   tenant="a", outcome="ok")`` returns a per-label-set child
-  instrument, cached so the hot path is one dict lookup;
+  instrument, cached so the hot path is one lock-free dict lookup
+  (hot call sites go further and keep the returned handle);
+* **one store** — the registry is the only place the library keeps a
+  count or gauge: the planner, caches, service, server, breakers and
+  flight recorder of one stack all count into the planner's registry,
+  and their ``stats()`` are views over it;
+* **names checked up front** — a metric or label name outside the
+  Prometheus grammar, or a negative counter increment, raises
+  :class:`ValueError` instead of producing exposition the
+  :func:`~repro.telemetry.validate_prometheus_text` parser rejects;
 * **thread-safe** — every instrument guards its state with a lock;
   serving workers record concurrently;
 * **Prometheus text exposition** — :meth:`MetricsRegistry.prometheus_text`
@@ -33,6 +42,7 @@ Design points:
 from __future__ import annotations
 
 import math
+import re
 import threading
 
 __all__ = [
@@ -182,35 +192,48 @@ class Histogram:
 
 
 class Counter:
-    """Monotonically increasing total."""
+    """Monotonically increasing total (an ``int`` while every
+    increment is one, so event counts read back exactly)."""
 
     __slots__ = ("_lock", "value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.value = 0.0
+        self.value: float = 0
 
-    def inc(self, n: float = 1.0) -> float:
+    def inc(self, n: float = 1) -> float:
+        if n < 0:
+            raise ValueError(f"counter increment must be >= 0, got {n}")
         with self._lock:
             self.value += n
             return self.value
 
 
 class Gauge:
-    """Last-write-wins measurement."""
+    """Last-write-wins measurement; :meth:`inc` moves it by a signed
+    delta (resident bytes grow and shrink)."""
 
     __slots__ = ("_lock", "value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.value = 0.0
+        self.value: float = 0
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
 
+    def inc(self, delta: float) -> float:
+        with self._lock:
+            self.value += delta
+            return self.value
+
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+#: The exposition grammar (Prometheus text format 0.0.4).
+_METRIC_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
+_LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -238,20 +261,35 @@ class MetricsRegistry:
 
     The same ``(name, labels)`` pair always resolves to the same
     instrument object, so hot paths can either look up per call (one
-    dict hit) or cache the returned handle.
+    dict hit) or cache the returned handle.  Names (with the prefix)
+    and label names must fit the Prometheus grammar; anything else
+    raises :class:`ValueError` when first registered.
     """
 
     def __init__(self, prefix: str = "repro_") -> None:
         self.prefix = prefix
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
+        # (kind, name, labels in call order) -> instrument: the
+        # lock-free fast path for repeat lookups.
+        self._handles: dict[tuple, object] = {}
 
     def _instrument(self, kind: str, name: str,
                     labels: dict[str, str]):
+        fast = (kind, name, tuple(labels.items()))
+        child = self._handles.get(fast)
+        if child is not None:
+            return child
         key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
             if family is None:
+                if not _METRIC_NAME_RE.match(self.prefix + name):
+                    raise ValueError(
+                        f"metric name {self.prefix + name!r} is "
+                        "outside the Prometheus grammar "
+                        "[a-zA-Z_:][a-zA-Z0-9_:]*"
+                    )
                 family = self._families[name] = _Family(name, kind)
             elif family.kind != kind:
                 raise ValueError(
@@ -260,7 +298,16 @@ class MetricsRegistry:
                 )
             child = family.children.get(key)
             if child is None:
+                for label, _value in key:
+                    if (not _LABEL_NAME_RE.match(label)
+                            or label.startswith("__")):
+                        raise ValueError(
+                            f"label name {label!r} of metric {name!r} "
+                            "is outside the Prometheus grammar "
+                            "[a-zA-Z_][a-zA-Z0-9_]* (or reserved)"
+                        )
                 child = family.children[key] = _KINDS[kind]()
+            self._handles[fast] = child
             return child
 
     def counter(self, name: str, **labels) -> Counter:

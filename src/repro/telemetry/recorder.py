@@ -26,6 +26,7 @@ import time
 from collections import deque
 from pathlib import Path
 
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sinks import _jsonable
 
 __all__ = ["FlightRecorder"]
@@ -46,6 +47,10 @@ class FlightRecorder:
         Minimum seconds between two dumps for the *same* reason.
     clock:
         Monotonic seconds; injectable for deterministic tests.
+    metrics:
+        The registry its ``recorder_events_total`` /
+        ``recorder_dumps_total`` counters live in (a private one when
+        omitted).
     """
 
     def __init__(
@@ -54,6 +59,8 @@ class FlightRecorder:
         dump_dir: str | Path | None = None,
         min_dump_interval_s: float = 1.0,
         clock=time.monotonic,
+        *,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -66,14 +73,23 @@ class FlightRecorder:
         self._providers: dict[str, object] = {}
         self._last_dump: dict[str, float] = {}
         self._seq = 0
-        #: Total events ever recorded (ring may have evicted some).
-        self.recorded = 0
-        #: Bundles produced (rate-limited dumps do not count).
-        self.dumps = 0
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._recorded = self.metrics.counter("recorder_events_total")
+        self._dumps = self.metrics.counter("recorder_dumps_total")
         #: The most recent bundle, for in-process inspection.
         self.last_bundle: dict | None = None
         #: Paths of bundles written to ``dump_dir``.
         self.dump_paths: list[Path] = []
+
+    @property
+    def recorded(self) -> int:
+        """Total events ever recorded (the ring may have evicted some)."""
+        return self._recorded.value
+
+    @property
+    def dumps(self) -> int:
+        """Bundles produced (rate-limited dumps do not count)."""
+        return self._dumps.value
 
     # ------------------------------------------------------------------
 
@@ -84,7 +100,7 @@ class FlightRecorder:
             event[key] = _jsonable(value)
         with self._lock:
             self._events.append(event)
-            self.recorded += 1
+        self._recorded.inc()
 
     def add_provider(self, name: str, fn) -> None:
         """Register a zero-arg callable snapshotted into every dump."""
@@ -147,8 +163,8 @@ class FlightRecorder:
                 )
             except OSError:
                 path = None   # a sick disk must not fail the caller
+        self._dumps.inc()
         with self._lock:
-            self.dumps += 1
             self.last_bundle = bundle
             if path is not None:
                 self.dump_paths.append(path)

@@ -151,7 +151,7 @@ class TestHammer:
                 fut.result(timeout=60.0),
                 _expected(p, np.arange(_N) + i),
             )
-        assert server.service.planner.plans == 1   # single-flight
+        assert server.service.planner.stats()["cold_plans"] == 1   # single-flight
         server.close()
 
 

@@ -1,4 +1,5 @@
-"""The pipeline emits the spans and counters the profile relies on."""
+"""The pipeline emits the spans and span attributes the profile
+relies on."""
 
 import numpy as np
 
@@ -53,12 +54,13 @@ def test_model_time_attributes_match_trace(tmp_path):
 
 def test_counters_cover_planning_and_io(tmp_path):
     tracer, _trace = _run_pipeline(tmp_path)
-    counters = tracer.counters
-    assert counters["plans.scheduled"] == 1
-    assert counters["plan_io.saved"] == 1
-    assert counters["plan_io.loaded"] == 1
-    assert counters["coloring.euler.calls"] >= 1
-    assert counters["coloring.edges_colored"] >= 256
+    counts = telemetry.span_counts(tracer)
+    assert counts["scheduled.plan"] == 1
+    assert counts["plan_io.save"] == 1
+    assert counts["plan_io.load"] == 1
+    assert counts["coloring.euler"] >= 1
+    edges = sum(s.attributes["edges"] for s in tracer.find("coloring.euler"))
+    assert edges >= 256
 
 
 def test_rejected_load_is_counted(tmp_path):
@@ -72,7 +74,9 @@ def test_rejected_load_is_counted(tmp_path):
     with telemetry.use_tracer(tracer):
         with pytest.raises(PlanIntegrityError):
             load_plan(path)
-    assert tracer.counters["plan_io.rejected"] == 1
+    rejected = [s for s in tracer.find("plan_io.load")
+                if "error" in s.attributes]
+    assert len(rejected) == 1
     (load_span,) = tracer.find("plan_io.load")
     assert "error" in load_span.attributes
 
@@ -92,5 +96,5 @@ def test_hmm_run_kernel_bridges_model_time():
         trace = hmm.run_kernel(kernel)
     (span,) = tracer.find("hmm.kernel")
     assert span.attributes["model_time"] == trace.time
-    assert tracer.counters["hmm.rounds"] == trace.num_rounds
-    assert tracer.counters["hmm.time_units"] == trace.time
+    assert span.attributes["model_rounds"] == trace.num_rounds
+    assert span.attributes["model_time"] == trace.time

@@ -141,6 +141,79 @@ def test_counter_and_gauge():
     assert g.value == 3.0
 
 
+def test_counter_rejects_negative_increment():
+    c = Counter()
+    c.inc(2)
+    with pytest.raises(ValueError, match=">= 0"):
+        c.inc(-5)
+    assert c.value == 2
+    assert isinstance(c.value, int)   # whole-number counts stay exact
+
+
+def test_counter_thread_safe_inc():
+    """Every count the stack keeps is a shared Counter: concurrent
+    increments must never lose an update."""
+    import sys
+
+    c = Counter()
+    n_threads, per_thread = 8, 5000
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda: [c.inc() for _ in range(per_thread)]
+            )
+            for _ in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert c.value == n_threads * per_thread
+
+
+def test_gauge_moves_both_ways():
+    g = Gauge()
+    assert g.inc(10) == 10
+    assert g.inc(-4) == 6
+
+
+@pytest.mark.parametrize("name", ["a.b", "a-b", "a b", "räte"])
+def test_registry_rejects_metric_names_outside_grammar(name):
+    reg = telemetry.MetricsRegistry()
+    with pytest.raises(ValueError, match="Prometheus grammar"):
+        reg.counter(name)
+    assert reg.prometheus_text() == ""
+
+
+def test_registry_checks_the_prefixed_name():
+    with pytest.raises(ValueError, match="Prometheus grammar"):
+        telemetry.MetricsRegistry(prefix="").counter("1x")
+    telemetry.MetricsRegistry().counter("1x")   # repro_1x is valid
+
+
+@pytest.mark.parametrize("label", ["a.b", "1x", "a-b", "__reserved"])
+def test_registry_rejects_label_names_outside_grammar(label):
+    reg = telemetry.MetricsRegistry()
+    with pytest.raises(ValueError, match="label name"):
+        reg.counter("events_total", **{label: "v"})
+
+
+def test_every_accepted_name_renders_valid_exposition():
+    reg = telemetry.MetricsRegistry()
+    reg.counter("ok_total", tenant="a.b-c", outcome="x y").inc()
+    reg.gauge("ns:depth").set(1)
+    families = telemetry.validate_prometheus_text(reg.prometheus_text())
+    assert families["repro_ok_total"]["samples"] == [
+        ({"outcome": "x y", "tenant": "a.b-c"}, 1.0)
+    ]
+    assert families["repro_ns:depth"]["type"] == "gauge"
+
+
 def test_prometheus_text_round_trip():
     reg = telemetry.MetricsRegistry()
     reg.counter("requests_total", outcome="ok").inc(5)

@@ -1,4 +1,5 @@
-"""The fallback chain emits spans/counters and embeds them in reports."""
+"""The fallback chain emits spans, embeds them in reports, and the
+report's counters are computed from its records."""
 
 import numpy as np
 
@@ -73,8 +74,16 @@ class TestGlobalMirroring:
                  if s.name.startswith("resilience.")]
         assert names.count("resilience.plan.scheduled") == 2
         assert names.count("resilience.backoff") == 1
-        assert tracer.counters["resilience.retries"] == 1
-        assert tracer.counters["resilience.faults_absorbed"] == 1
+        # Retries and absorbed faults, read from the mirrored spans.
+        retries = len(tracer.find("resilience.backoff"))
+        faults = sum(s.attributes["outcome"] != "ok"
+                     for s in tracer.find("resilience.plan.scheduled"))
+        assert retries == 1
+        assert faults == 1
+        assert resilient.report.counters == {
+            "resilience.retries": retries,
+            "resilience.faults_absorbed": faults,
+        }
         # The report's private copy is independent of the global tracer.
         assert len(resilient.report.spans) == 3
 

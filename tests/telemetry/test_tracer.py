@@ -1,4 +1,4 @@
-"""Tests for the telemetry core: spans, counters, gauges, activation."""
+"""Tests for the telemetry core: spans, nesting, activation."""
 
 import pytest
 
@@ -103,23 +103,6 @@ class TestSpanNesting:
         assert tracer.find("absent") == []
 
 
-class TestCountersAndGauges:
-    def test_counter_aggregates(self):
-        tracer = Tracer(clock=FakeClock())
-        assert tracer.count("hits") == 1
-        assert tracer.count("hits", 4) == 5
-        assert tracer.counters == {"hits": 5}
-        deltas = [(n, d, t) for _ts, n, d, t in tracer.counter_events]
-        assert deltas == [("hits", 1, 1), ("hits", 4, 5)]
-
-    def test_gauge_last_write_wins(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.gauge("bytes", 10)
-        tracer.gauge("bytes", 7)
-        assert tracer.gauges == {"bytes": 7}
-        assert len(tracer.gauge_events) == 2
-
-
 class TestActivation:
     def test_inactive_module_span_is_null(self):
         assert telemetry.get_tracer() is None
@@ -127,19 +110,19 @@ class TestActivation:
         assert sp is NULL_SPAN
         with sp as entered:
             assert entered is NULL_SPAN
-        # Inactive counters/gauges are silent no-ops.
-        telemetry.count("nothing")
-        telemetry.gauge("nothing", 1.0)
+        # Tagging the current span is a silent no-op when inactive.
+        assert telemetry.current_span() is NULL_SPAN
+        telemetry.current_span().set(nothing=1)
 
     def test_use_tracer_scopes_activation(self):
         tracer = Tracer(clock=FakeClock())
         with telemetry.use_tracer(tracer):
             assert telemetry.get_tracer() is tracer
             with telemetry.span("scoped"):
-                telemetry.count("inside")
+                telemetry.current_span().set(inside=1)
         assert telemetry.get_tracer() is None
         assert [s.name for s in tracer.spans] == ["scoped"]
-        assert tracer.counters == {"inside": 1}
+        assert tracer.spans[0].attributes == {"inside": 1}
 
     def test_use_tracer_restores_previous(self):
         outer, inner = Tracer(), Tracer()

@@ -94,8 +94,8 @@ class TestProfile:
                       "engine.apply", "scheduled.simulate"):
             assert phase in out
         assert "coloring.euler" in out        # colouring visible in tree
-        assert "counters:" in out
-        assert "plans.scheduled = 1" in out
+        assert "span counts:" in out
+        assert "scheduled.plan = 1" in out
         assert "model: time" in out           # TraceMetrics footer
 
     def test_trace_out_is_valid_chrome_trace(self, capsys, tmp_path):
@@ -123,7 +123,7 @@ class TestProfile:
                    "--width", "8", "--events-out", str(path))
         assert "wrote JSONL event log" in out
         events = read_jsonl(path)
-        assert {"span", "counter"} <= {e["type"] for e in events}
+        assert {e["type"] for e in events} == {"span"}
 
     def test_model_time_column_matches_simulate(self, capsys):
         out = _run(capsys, "profile", "bit-reversal", "--n", "1024",
@@ -143,7 +143,7 @@ class TestTelemetryFlag:
         out = _run(capsys, "cost", "--n", "256", "--width", "4",
                    "--latency", "5", "--telemetry")
         assert "telemetry:" in out
-        assert "counter plans.scheduled = 1" in out
+        assert "span scheduled.plan = 1" in out
         assert "scheduled.plan" in out
 
     def test_demo_without_flag_has_no_summary(self, capsys):
@@ -153,7 +153,7 @@ class TestTelemetryFlag:
     def test_resilience_demo_shows_fallback_spans(self, capsys):
         out = _run(capsys, "resilience-demo", "--n", "256",
                    "--width", "4", "--telemetry")
-        assert "counter resilience.retries = 1" in out
+        assert "span resilience.backoff = 1" in out
         assert "resilience.plan.scheduled" in out
         assert "resilience.backoff" in out
         assert "outcome=persistent-fault" in out

@@ -24,8 +24,8 @@ def test_report_footer_has_slowest_check_and_counters():
     assert "slowest check:" in text
     assert "ms total)" in text
     assert "telemetry:" in text
-    assert "plans.scheduled=" in text
-    assert "resilience.faults_absorbed=" in text
+    assert "scheduled.plan=" in text
+    assert "resilience.plan.scheduled[outcome=transient-fault]=" in text
 
 
 def test_report_covers_every_artefact_class():
