@@ -23,6 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
+from repro.telemetry import MetricsRegistry
 
 __all__ = ["TenantQuota", "TenantState", "UNLIMITED_QUOTA"]
 
@@ -56,12 +57,20 @@ UNLIMITED_QUOTA = TenantQuota()
 
 
 class TenantState:
-    """Live accounting for one tenant (guarded by the server lock)."""
+    """Live accounting for one tenant (guarded by the server lock).
+
+    Rate-limit decisions count into ``metrics`` (the server's registry,
+    or a private one) as ``tenant_admitted_total{tenant=}`` and
+    ``tenant_rate_limited_total{tenant=}``.
+    """
 
     def __init__(
         self,
         quota: TenantQuota,
         clock: Callable[[], float] = time.monotonic,
+        *,
+        tenant: str = "default",
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.quota = quota
         self._clock = clock
@@ -69,8 +78,12 @@ class TenantState:
         self.last_refill = clock()
         self.inflight = 0
         self.plans: set[str] = set()
-        self.admitted = 0
-        self.rejected = 0
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._admitted = metrics.counter("tenant_admitted_total",
+                                         tenant=tenant)
+        self._rate_limited = metrics.counter(
+            "tenant_rate_limited_total", tenant=tenant
+        )
 
     def _refill(self) -> None:
         assert self.quota.rps is not None
@@ -89,14 +102,14 @@ class TenantState:
         succeed.
         """
         if self.quota.rps is None:
-            self.admitted += 1
+            self._admitted.inc()
             return 0.0
         self._refill()
         if self.tokens >= 1.0:
             self.tokens -= 1.0
-            self.admitted += 1
+            self._admitted.inc()
             return 0.0
-        self.rejected += 1
+        self._rate_limited.inc()
         return (1.0 - self.tokens) / self.quota.rps
 
     def inflight_available(self) -> bool:
@@ -116,8 +129,8 @@ class TenantState:
         return {
             "inflight": self.inflight,
             "resident_plans": len(self.plans),
-            "admitted": self.admitted,
-            "rejected": self.rejected,
+            "admitted": self._admitted.value,
+            "rejected": self._rate_limited.value,
             "rps": self.quota.rps,
             "max_inflight": self.quota.max_inflight,
             "max_plans": self.quota.max_plans,
