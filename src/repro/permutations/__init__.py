@@ -9,7 +9,9 @@ This subpackage provides the workload side of the reproduction:
 * :mod:`repro.permutations.ops` — permutation algebra (inverse,
   composition, cycle structure, parity),
 * :mod:`repro.permutations.matrix_view` — index <-> (row, column)
-  helpers for the matrix view used by the scheduled algorithm.
+  helpers for the matrix view used by the scheduled algorithm,
+* :mod:`repro.permutations.affine` — detection of permutations that
+  are affine maps over GF(2).
 
 All permutations follow the paper's *destination-designated* convention:
 ``p[i]`` is the destination of element ``i``, i.e. ``b[p[i]] = a[i]``.
@@ -44,6 +46,7 @@ from repro.permutations.ops import (
     parity,
     random_derangement,
 )
+from repro.permutations.affine import AffineMap, detect_affine
 from repro.permutations.matrix_view import (
     from_row_col,
     to_row_col,
@@ -57,6 +60,7 @@ from repro.permutations.networks import (
 )
 
 __all__ = [
+    "AffineMap",
     "PAPER_PERMUTATIONS",
     "all_to_all_blocks",
     "apply_permutation",
@@ -66,6 +70,7 @@ __all__ = [
     "compose",
     "cycle_lengths",
     "cycles",
+    "detect_affine",
     "from_row_col",
     "gray_code",
     "hypercube_step",

@@ -12,7 +12,11 @@ from repro.errors import (
 from repro.exec.reference import ReferenceExecutor
 from repro.exec.sealed import SealedExecutor
 from repro.ir.registry import get_engine
-from repro.ir.sealed import SealedProgram, invert_permutation
+from repro.ir.sealed import (
+    TILED_MIN_N,
+    SealedProgram,
+    invert_permutation,
+)
 from repro.passes import default_pipeline, seal_program
 from repro.permutations.named import bit_reversal, random_permutation
 
@@ -59,7 +63,70 @@ class TestSealedProgram:
 
     def test_nbytes_counts_both_maps(self):
         sealed = SealedProgram("x", 8, np.arange(64, dtype=np.int64))
+        assert sealed.layout is None
         assert sealed.nbytes == 2 * 64 * 8
+        # A tiled program also keeps its gather in visit order.
+        tiled = SealedProgram("x", 8, bit_reversal(TILED_MIN_N))
+        assert tiled.layout is not None
+        assert tiled.nbytes == 3 * TILED_MIN_N * 8
+
+
+class TestTiledLayoutProof:
+    @pytest.fixture
+    def tiled(self):
+        sealed = SealedProgram("x", 32, bit_reversal(TILED_MIN_N))
+        assert sealed.layout is not None
+        sealed.verify()
+        return sealed
+
+    def test_layout_is_gather_in_visit_order(self, tiled):
+        order = tiled.layout.visit(np.arange(tiled.n)).ravel()
+        assert np.array_equal(np.sort(order), np.arange(tiled.n))
+        assert np.array_equal(tiled.layout.gather, tiled.gather[order])
+
+    def test_non_bijective_order_refuted(self, tiled):
+        tiled.layout.axes = (1, 1, 2)
+        with pytest.raises(ValidationError, match="not a bijection"):
+            tiled.verify()
+
+    def test_wrong_size_order_refuted(self, tiled):
+        tiled.layout.dims = tiled.layout.dims[:-1] + (8,)
+        with pytest.raises(ValidationError, match="not a bijection"):
+            tiled.verify()
+
+    def test_permuted_order_refuted(self, tiled):
+        # Still a bijection, but no longer the order the tiled gather
+        # was stored in.
+        tiled.layout.axes = tuple(sorted(tiled.layout.axes))
+        with pytest.raises(ValidationError, match="visit order"):
+            tiled.verify()
+
+    def test_tampered_tiled_gather_refuted(self, tiled):
+        tiled.layout.gather = tiled.layout.gather.copy()
+        tiled.layout.gather[[7, 8]] = tiled.layout.gather[[8, 7]]
+        with pytest.raises(ValidationError, match="visit order"):
+            tiled.verify()
+
+    def test_sidecar_round_trip_re_derives_layout(self, tmp_path):
+        from repro.core.io import load_sealed, save_sealed
+
+        n = 1 << 20
+        sealed = SealedProgram("scheduled", 32, bit_reversal(n))
+        assert sealed.layout is not None
+        plain = SealedProgram("scheduled", 32, random_permutation(n, 0))
+        assert plain.layout is None
+        save_sealed(tmp_path / "tiled.sealed.npz", sealed)
+        save_sealed(tmp_path / "plain.sealed.npz", plain)
+        # The sidecar stores the same arrays whether or not the
+        # program is tiled: the layout is never persisted.
+        with np.load(tmp_path / "tiled.sealed.npz") as tiled_file, \
+                np.load(tmp_path / "plain.sealed.npz") as plain_file:
+            assert sorted(tiled_file.files) == sorted(plain_file.files)
+        back = load_sealed(tmp_path / "tiled.sealed.npz")
+        assert back.layout is not None
+        assert back.layout.dims == sealed.layout.dims
+        assert back.layout.axes == sealed.layout.axes
+        assert np.array_equal(back.layout.gather, sealed.layout.gather)
 
 
 class TestSealProgram:
