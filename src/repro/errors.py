@@ -261,14 +261,6 @@ class QuotaExceededError(ServiceOverloadError):
 class DeadlineExceededError(ServingError):
     """A request's deadline expired before a result was produced.
 
-    Deadlines are enforced at admission, at dequeue, and between retry
-    attempts, so an expired request never occupies a worker.
-    """
-
-
-class CircuitOpenError(ServingError):
-    """Every engine in the degradation ladder had an open breaker.
-
-    The server failed fast instead of queueing work against backends
-    known to be failing; retry after the breaker's reset timeout.
+    Deadlines are enforced at admission and at dequeue, so an expired
+    request never occupies a worker.
     """

@@ -12,7 +12,8 @@ amortization layer:
   cache integrity is plan-file integrity.
 * :class:`Planner` — ``compile(p)`` walks memory → disk → cold plan
   and returns a :class:`CompiledPermutation` whose ``apply`` /
-  ``apply_batch`` never re-plan.
+  ``apply_batch`` never re-plan; ``sealed(p, digest)`` is the serving
+  path, one gather built from ``p`` itself and never planned.
 
 Typical use::
 

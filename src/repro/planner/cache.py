@@ -1,16 +1,19 @@
 """The plan-cache tiers: in-memory LRU, on-disk v3 files, sealed
 sidecars.
 
-All tiers are keyed by the content-addressed
-:func:`~repro.planner.fingerprint.plan_fingerprint`, so a hit is
-definitionally the right plan — there is no staleness to reason
-about, only presence.
+Every key is content-addressed — a
+:func:`~repro.planner.fingerprint.plan_fingerprint` or a
+:func:`~repro.planner.fingerprint.permutation_digest` — so a hit is
+definitionally the right entry: there is no staleness to reason about,
+only presence.
 
-The memory tier holds live :class:`CompiledPermutation` handles —
-bounded two ways: by entry count (``capacity``) and, since the sealed
-tier landed, by **resident bytes** (``max_bytes``), so a handful of
-``n = 2^26`` sealed handles cannot pin unbounded memory while a crowd
-of tiny plans still fills the count bound.
+The memory tier holds live :class:`CompiledPermutation` handles, keyed
+by fingerprint, and the :class:`SealedProgram` every served request
+runs, keyed by the permutation digest alone.  It is bounded two ways:
+by entry count (``capacity``) and by **resident bytes**
+(``max_bytes``), so a handful of ``n = 2^26`` entries cannot pin
+unbounded memory while a crowd of tiny ones still fills the count
+bound.
 
 The disk tier stores plans in the ordinary v3 format of
 :mod:`repro.core.io` — certificates and checksums included — which
@@ -48,8 +51,14 @@ from repro.errors import ValidationError
 from repro.telemetry import Counter, MetricsRegistry
 
 if TYPE_CHECKING:
+    from typing import TypeAlias
+
     from repro.ir.sealed import SealedProgram
     from repro.planner.compiled import CompiledPermutation
+
+    #: What the memory tier holds: compiled handles by fingerprint,
+    #: sealed programs by permutation digest.
+    _Entry: TypeAlias = CompiledPermutation | SealedProgram
 
 #: Disk-cache entries are content-addressed SHA-256 hex fingerprints;
 #: anything else in the directory is foreign and left alone.
@@ -63,19 +72,21 @@ def planner_counters(
     return {key: metrics.counter(f"planner_{key}_total") for key in keys}
 
 
-def _entry_bytes(compiled: "CompiledPermutation") -> int:
-    """Resident bytes a handle pins in the memory tier."""
-    sizer = getattr(compiled, "resident_bytes", None)
+def _entry_bytes(entry: object) -> int:
+    """Resident bytes an entry pins in the memory tier: a compiled
+    handle's ``resident_bytes()``, a sealed program's ``nbytes``."""
+    sizer = getattr(entry, "resident_bytes", None)
     if callable(sizer):
         return int(sizer())
-    return 0
+    return int(getattr(entry, "nbytes", 0))
 
 
 class LRUPlanCache:
-    """Bounded in-memory cache of compiled permutations.
+    """Bounded in-memory cache of compiled permutations and sealed
+    programs.
 
     Bounded by entry count (``capacity``) and, optionally, by the
-    resident bytes of the held handles' programs and sealed indices
+    resident bytes of the held programs and sealed indices
     (``max_bytes``) — whichever bound is exceeded evicts in LRU order,
     though the most recent entry is always admitted (a single handle
     larger than ``max_bytes`` occupies the cache alone rather than
@@ -104,9 +115,7 @@ class LRUPlanCache:
             )
         self.capacity = capacity
         self.max_bytes = max_bytes
-        self._entries: OrderedDict[str, CompiledPermutation] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._nbytes: dict[str, int] = {}
         self._lock = threading.Lock()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -127,7 +136,7 @@ class LRUPlanCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._entries
 
-    def get(self, fingerprint: str) -> CompiledPermutation | None:
+    def get(self, fingerprint: str) -> _Entry | None:
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
@@ -147,13 +156,11 @@ class LRUPlanCache:
             and len(self._entries) > 1
         )
 
-    def put(
-        self, fingerprint: str, compiled: CompiledPermutation
-    ) -> None:
-        size = _entry_bytes(compiled)
+    def put(self, fingerprint: str, entry: _Entry) -> None:
+        size = _entry_bytes(entry)
         with self._lock:
             self._bytes.inc(size - self._nbytes.get(fingerprint, 0))
-            self._entries[fingerprint] = compiled
+            self._entries[fingerprint] = entry
             self._nbytes[fingerprint] = size
             self._entries.move_to_end(fingerprint)
             while self._over_budget():
@@ -161,9 +168,7 @@ class LRUPlanCache:
                 self._bytes.inc(-self._nbytes.pop(victim, 0))
                 self._counts["memory_evictions"].inc()
 
-    def get_if_present(
-        self, fingerprint: str
-    ) -> CompiledPermutation | None:
+    def get_if_present(self, fingerprint: str) -> _Entry | None:
         """Like :meth:`get`, but absence is not counted as a miss —
         the accessor the planner's single-flight recheck uses so a
         cold compile does not book two misses."""

@@ -11,7 +11,8 @@ pure apply time, and that apply is always a *single* proven flat
 gather: every handle is sealed, and one resolved from a sealed sidecar
 serves ``apply`` without ever rehydrating the v3 plan file (the full
 program is loaded lazily, only if something asks for ``lower()`` /
-``simulate()`` / ``shard()``).
+``simulate()`` / ``shard()``).  ``Planner.sealed(p, digest)`` skips the
+program altogether: it is how the serving layer answers requests.
 """
 
 from __future__ import annotations
@@ -359,6 +360,29 @@ class Planner:
             digest, engine, width, self.pipeline.signature()
         )
 
+    def sealed(self, p: np.ndarray, digest: str) -> SealedProgram:
+        """The proven gather that answers every request for ``p``.
+
+        Every engine computes exactly ``b[p[i]] = a[i]``, so the gather
+        is ``p⁻¹`` whatever program would be compiled.  The memory tier
+        keys it by the permutation ``digest`` alone: registrations of
+        one ``p`` under any engine share one entry.  A miss builds
+        ``SealedProgram(scatter=p)`` and re-proves it with
+        :meth:`~repro.ir.sealed.SealedProgram.verify` (range,
+        bijection, mutual inversion; O(n)) — no colouring, lowering,
+        pass pipeline or disk.
+        """
+        with telemetry.span("planner.sealed", digest=digest[:12]) as sp:
+            hit = self.memory.get(digest)
+            if isinstance(hit, SealedProgram):
+                sp.set(tier="memory")
+                return hit
+            sealed = SealedProgram("permutation", 0, p)
+            sealed.verify()
+            self.memory.put(digest, sealed)
+            sp.set(tier="built")
+        return sealed
+
     def compile(
         self,
         p: np.ndarray,
@@ -398,15 +422,15 @@ class Planner:
         backend: str | None,
     ) -> tuple[CompiledPermutation, str]:
         """Walk the tiers for ``fp``; returns (handle, answering tier)."""
-        compiled = self.memory.get(fp)
-        if compiled is not None:
-            return compiled, "memory"
+        hit = self.memory.get(fp)
+        if isinstance(hit, CompiledPermutation):
+            return hit, "memory"
         with self._flight(fp):
             # Another thread may have finished this exact compile
             # while we waited; its result is now a memory hit.
-            compiled = self.memory.get_if_present(fp)
-            if compiled is not None:
-                return compiled, "memory"
+            hit = self.memory.get_if_present(fp)
+            if isinstance(hit, CompiledPermutation):
+                return hit, "memory"
             if self.disk is not None:
                 sealed = self.disk.load_sealed(fp)
                 if sealed is not None:
@@ -612,51 +636,6 @@ class Planner:
             return self._inflight.setdefault(
                 fingerprint, threading.Lock()
             )
-
-    def warm_from_disk(self, fingerprint: str) -> bool:
-        """Promote one disk entry into the memory tier; True on hit.
-
-        Prefers the sealed sidecar (no v3 rehydration); falls back to
-        the full plan, sealing it on the way in so the sidecar exists
-        next time.
-        """
-        if self.disk is None:
-            return False
-        sealed = self.disk.load_sealed(fingerprint)
-        if (
-            sealed is not None
-            and sealed.meta.get("pipeline")
-            == self.pipeline.signature()
-        ):
-            # The sidecar's proof is bound to the pipeline that issued
-            # it; a foreign-pipeline fingerprint falls through to the
-            # full plan, where this planner must re-prove it.
-            self.memory.put(
-                fingerprint,
-                self._from_sealed(fingerprint, sealed, None),
-            )
-            return True
-        plan = self.disk.load(fingerprint)
-        if plan is None:
-            return False
-        program, cert, proven = self._optimize_validated(plan)
-        if not proven:
-            # An unproven optimization must not be pinned in memory.
-            return False
-        fresh = self._seal(plan, program, cert)
-        self.memory.put(
-            fingerprint,
-            CompiledPermutation(
-                engine=plan,
-                program=program,
-                fingerprint=fingerprint,
-                pipeline_signature=self.pipeline.signature(),
-                semantic_certificate=cert,
-                sealed=fresh,
-            ),
-        )
-        self._store_sealed(fingerprint, fresh)
-        return True
 
     def stats(self) -> dict:
         """Merged hit/miss/eviction counters across all tiers, read

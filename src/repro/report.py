@@ -221,8 +221,9 @@ def _check_serving() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         server = PermutationServer(
             width=_WIDTH, cache_dir=Path(tmp), workers=2,
-            backoff_base=0.0,
         )
+        service = server.service
+        planner = service.planner
         try:
             fp = server.register("perm", p, engine="padded")
             server.warm()
@@ -241,30 +242,28 @@ def _check_serving() -> str:
                 raise AssertionError("re-registration not refused")
             except ValidationError:
                 pass
-            # A corrupted disk entry plus a transient colouring fault
-            # heal end to end: detect, re-plan, retry — same answer.
-            # The sealed sidecar carries its own proof and would serve
-            # despite the poisoned plan; corrupt it too so the resolve
-            # falls through to the plan tier and must re-plan.
-            FaultPlan(seed=7).corrupt_plan_file(
-                server.service.planner.disk.path_for(fp), "bit-flip"
+            # Compile the program, then corrupt its plan and sidecar,
+            # evict the served gather and arm a colouring fault: the
+            # request is answered from p and reaches none of them.
+            service.compiled("default/perm")
+            for path in (planner.disk.path_for(fp),
+                         planner.disk.sealed_path_for(fp)):
+                FaultPlan(seed=7).corrupt_plan_file(path, "bit-flip")
+            planner.memory.invalidate(
+                service._registration("default/perm").digest
             )
-            FaultPlan(seed=7).corrupt_plan_file(
-                server.service.planner.disk.sealed_path_for(fp),
-                "bit-flip",
-            )
-            server.service.planner.memory.invalidate(fp)
+            before = server.stats()
             with FaultPlan(seed=7, transient_coloring_failures=1):
                 out = server.submit("perm", a).result(timeout=30.0)
             assert np.array_equal(out, expected)
             stats = server.stats()
-            assert stats["server.faults_absorbed"] >= 1
-            assert stats["disk_corrupt"] >= 1
+            assert stats["cold_plans"] == before["cold_plans"]
+            assert stats["disk_corrupt"] == stats["sealed_corrupt"] == 0
             health = server.health()["status"]
         finally:
             server.close()
-    return ("9 served (8 concurrent), corrupt plan healed, transient "
-            f"fault absorbed, health {health}")
+    return ("9 served (8 concurrent), served phase ran 0 cold plans "
+            f"past a corrupt cache and a colouring fault, health {health}")
 
 
 def _check_staticcheck() -> str:

@@ -1,33 +1,35 @@
 """The serving layer: a registry-of-permutations front door plus a
-fault-tolerant concurrent serving core.
+concurrent serving core.
 
-:class:`PermutationService` is the user-facing face of the
-compile-once/apply-many stack: you *register* named permutations,
-optionally *warm* the cache up front, then *serve* single or batched
-applies; every request after the first for a given name is pure apply
-time.  Request and cache counters live in the planner's
-:class:`~repro.telemetry.MetricsRegistry`, which the service shares, so
-:meth:`PermutationService.stats` and a server's ``/metrics`` read the
-same numbers.  The service is thread-safe: its registrations are
-lock-guarded and its counters are atomic, so many callers can share one
-instance.
+:class:`PermutationService` is the user-facing face of the stack: you
+*register* named permutations, optionally *warm* them up front, then
+*serve* single, batched or out-of-core applies.  Every engine computes
+exactly ``b[p[i]] = a[i]``, so a request is answered from the
+registration's own ``p``: :meth:`~repro.planner.Planner.sealed` turns
+it into one proven gather (``p⁻¹``, verified in O(n)) held in the
+planner's memory tier, and no request colours, lowers, runs the pass
+pipeline or touches the disk.  :meth:`PermutationService.compiled`
+still returns the registered engine's compiled program — the paper's
+artifact — for callers that ask for it.  Request and cache counters
+live in the planner's :class:`~repro.telemetry.MetricsRegistry`, which
+the service shares, so :meth:`PermutationService.stats` and a server's
+``/metrics`` read the same numbers.  The service is thread-safe: its
+registrations are lock-guarded and its counters are atomic, so many
+callers can share one instance.
 
 :class:`PermutationServer` (:mod:`repro.service.server`) wraps a
 service in a real server core for heavy mixed traffic: a bounded
 request queue with admission control and priority load shedding,
-per-request deadlines, budget-aware retries that degrade through the
-engine ladder, per-tenant quotas, request coalescing, and circuit
-breakers around the disk-cache tier and each engine.  See
+per-request deadlines, per-tenant quotas and request coalescing.  See
 ``docs/serving.md``.
 
 ::
 
     from repro.service import PermutationService
 
-    svc = PermutationService(width=32, cache_dir="plans/")
+    svc = PermutationService(width=32)
     svc.register("shuffle", p)
-    svc.warm()                       # plan everything up front
-    out = svc.apply("shuffle", a)    # cache hit: no planning
+    out = svc.apply("shuffle", a)    # one proven gather, no planning
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ import math
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import telemetry
+from repro.core.theory import TABLE1_ROUNDS, total_rounds
 from repro.errors import ValidationError
+from repro.exec.sealed import SealedExecutor
+from repro.ir.registry import get_engine
+from repro.ir.sealed import SealedProgram
 from repro.planner import (
     CompiledPermutation,
     Planner,
@@ -49,8 +55,11 @@ from repro.planner import (
 )
 from repro.util.validation import check_permutation
 
+if TYPE_CHECKING:
+    from repro.exec.streaming import StreamingStats
+    from repro.shard import ShardedProgram
+
 __all__ = [
-    "CircuitBreaker",
     "PermutationServer",
     "PermutationService",
     "ServeResult",
@@ -66,8 +75,22 @@ def _default_engine(n: int, width: int) -> str:
     return "padded"
 
 
+def _engine_rounds(engine: str) -> int | None:
+    """Memory-access rounds of the engine's algorithm (Table I).
+
+    The count does not depend on the permutation: 32 for scheduled, 3
+    for d-/s-designated.  Padded runs the scheduled algorithm on the
+    padded size.  ``None`` for engines Table I does not price.
+    """
+    algorithm = "scheduled" if engine == "padded" else engine
+    if algorithm not in TABLE1_ROUNDS:
+        return None
+    return total_rounds(algorithm)
+
+
 class _Registration:
-    """One registered permutation: array, digest, engine choice."""
+    """One registered permutation: array, digest, engine choice and
+    the engine's round count."""
 
     def __init__(
         self, name: str, p: np.ndarray, engine: str, digest: str
@@ -76,6 +99,7 @@ class _Registration:
         self.p = p
         self.engine = engine
         self.digest = digest
+        self.rounds = _engine_rounds(engine)
 
 
 class PermutationService:
@@ -84,7 +108,7 @@ class PermutationService:
     Parameters
     ----------
     width:
-        Warp width every registration is planned for.
+        Warp width :meth:`compiled` plans every registration for.
     cache_size / cache_dir / backend:
         Forwarded to the owned :class:`~repro.planner.Planner` (unless
         an explicit ``planner`` is supplied, which takes precedence).
@@ -94,7 +118,7 @@ class PermutationService:
     ``service_reregistrations_total``, and per apply the
     ``exec_apply_seconds`` histogram and the measured-vs-model
     ``exec_seconds_per_round`` gauge (wall time divided by the
-    annotate-cost pass's ``predicted_rounds``), per engine.
+    registered engine's Table I round count), per engine.
     """
 
     def __init__(
@@ -138,11 +162,11 @@ class PermutationService:
         """Register permutation ``p`` under ``name``.
 
         The permutation is validated and digested exactly once; the
-        digest is reused by every later compile (including engine
-        hops).  ``engine`` defaults to ``scheduled`` when ``n`` is a
-        width-aligned perfect square and ``padded`` otherwise.
-        Returns the plan fingerprint the registration will be cached
-        under.
+        digest keys the sealed entry every request runs and is reused
+        by :meth:`compiled`.  ``engine`` defaults to ``scheduled`` when
+        ``n`` is a width-aligned perfect square and ``padded``
+        otherwise; an unknown engine name is refused here.  Returns the
+        plan fingerprint :meth:`compiled` caches the program under.
 
         Re-registering the *same* permutation (digest and engine both
         unchanged) is an idempotent no-op, so concurrent clients can
@@ -157,6 +181,7 @@ class PermutationService:
         arr = check_permutation(p)
         chosen = engine or _default_engine(int(arr.shape[0]),
                                            self.width)
+        get_engine(chosen)
         digest = permutation_digest(arr)
         with self._lock:
             existing = self._registry.get(name)
@@ -203,83 +228,77 @@ class PermutationService:
     # Compilation / serving
     # ------------------------------------------------------------------
 
-    def compiled(
-        self, name: str, engine: str | None = None
-    ) -> CompiledPermutation:
-        """The compiled handle for ``name`` (planning at most once).
-
-        ``engine`` overrides the registered engine choice — the hook
-        the serving core's degradation ladder uses to hop engines
-        while reusing the registration's digest.
-        """
+    def compiled(self, name: str) -> CompiledPermutation:
+        """The registered engine's compiled program for ``name``
+        (planning at most once).  No request path calls this."""
         reg = self._registration(name)
         return self.planner.compile(
-            reg.p,
-            engine=engine or reg.engine,
-            width=self.width,
+            reg.p, engine=reg.engine, width=self.width,
             digest=reg.digest,
         )
 
     def warm(self, names: list[str] | None = None) -> int:
-        """Compile the named registrations (all, by default) so later
-        applies are guaranteed cache hits.  Returns how many were
-        warmed."""
+        """Build and verify the sealed entries of the named
+        registrations (all, by default) so later applies are memory
+        hits.  Returns how many were warmed."""
         targets = names if names is not None else self.names()
         with telemetry.span("service.warm", count=len(targets)):
             for name in targets:
-                self.compiled(name)
+                self._sealed(name)
         return len(targets)
 
+    def _sealed(self, name: str) -> tuple[_Registration, SealedProgram]:
+        reg = self._registration(name)
+        return reg, self.planner.sealed(reg.p, reg.digest)
+
     def _observe_apply(
-        self, compiled: CompiledPermutation, elapsed: float, mode: str
+        self, reg: _Registration, elapsed: float, mode: str
     ) -> None:
         """Record executor metrics for one finished apply pass.
 
         ``exec_apply_seconds`` is the wall-time distribution;
-        ``exec_seconds_per_round`` divides it by the annotate-cost
-        pass's ``predicted_rounds``, so a drifting measured-vs-model
-        ratio (per engine) flags an executor regression the cost model
-        did not predict.  In-memory applies run the sealed gather and
-        are observed under ``mode="sealed"``; predicted rounds come
-        from the sealed meta, so observation never forces a lazy handle
-        to rehydrate its full program.
+        ``exec_seconds_per_round`` divides it by the registered
+        engine's round count, so a drifting measured-vs-model ratio
+        (per engine) flags an executor regression the cost model did
+        not predict.
         """
-        engine = compiled.engine_name or "unknown"
         self.metrics.histogram(
-            "exec_apply_seconds", engine=engine, mode=mode
+            "exec_apply_seconds", engine=reg.engine, mode=mode
         ).observe(elapsed)
-        rounds = compiled.predicted_rounds()
-        if rounds is not None:
+        if reg.rounds is not None:
             self.metrics.gauge(
-                "exec_seconds_per_round", engine=engine, mode=mode
-            ).set(elapsed / rounds)
+                "exec_seconds_per_round", engine=reg.engine, mode=mode
+            ).set(elapsed / reg.rounds)
 
-    def apply(
-        self, name: str, a: np.ndarray, engine: str | None = None
-    ) -> np.ndarray:
+    def apply(self, name: str, a: np.ndarray) -> np.ndarray:
         """Serve one payload through the named permutation."""
-        compiled = self.compiled(name, engine=engine)
+        reg, sealed = self._sealed(name)
         t0 = time.perf_counter()
-        out = compiled.apply(a)
-        self._observe_apply(compiled, time.perf_counter() - t0,
-                            "sealed")
+        out = SealedExecutor().run(sealed, a)
+        self._observe_apply(reg, time.perf_counter() - t0, "sealed")
         self._requests.inc()
-        self._elements.inc(int(compiled.n))
+        self._elements.inc(sealed.n)
         return out
 
-    def apply_batch(
-        self, name: str, batch: np.ndarray, engine: str | None = None
-    ) -> np.ndarray:
+    def apply_batch(self, name: str, batch: np.ndarray) -> np.ndarray:
         """Serve ``k`` stacked payloads through the named permutation."""
-        compiled = self.compiled(name, engine=engine)
+        reg, sealed = self._sealed(name)
         t0 = time.perf_counter()
-        out = compiled.apply_batch(batch)
-        self._observe_apply(compiled, time.perf_counter() - t0,
-                            "sealed")
+        out = SealedExecutor().run_batch(sealed, batch)
+        self._observe_apply(reg, time.perf_counter() - t0, "sealed")
         k = int(np.asarray(batch).shape[0])
         self._requests.inc(k)
-        self._elements.inc(k * int(compiled.n))
+        self._elements.inc(k * sealed.n)
         return out
+
+    def _sharded(self, name: str, d: int) -> ShardedProgram:
+        """The proven ``d``-stripe sharding of the registration's
+        sealed gather (sharding factors the denoted map, which is
+        ``p``)."""
+        from repro.shard import shard_program
+
+        _reg, sealed = self._sealed(name)
+        return shard_program(sealed.as_program(), d)
 
     def apply_stream(
         self,
@@ -287,10 +306,9 @@ class PermutationService:
         path_in: str | Path,
         path_out: str | Path,
         d: int = 8,
-        engine: str | None = None,
         max_resident_bytes: int | None = None,
         tmp_dir: str | Path | None = None,
-    ) -> Any:
+    ) -> StreamingStats:
         """Serve an on-disk payload out-of-core.
 
         Streams the ``.npy`` payload at ``path_in`` through the named
@@ -298,16 +316,22 @@ class PermutationService:
         resident-bytes budget, writing the result to ``path_out``.
         Returns the :class:`~repro.exec.StreamingStats`.
         """
-        compiled = self.compiled(name, engine=engine)
+        from repro.exec.streaming import (
+            DEFAULT_RESIDENT_BYTES,
+            StreamingExecutor,
+        )
+
+        reg = self._registration(name)
         with telemetry.span(
             "service.apply_stream", plan=name, d=d
         ) as sp:
             t0 = time.perf_counter()
-            stats = compiled.apply_stream(
-                path_in,
-                path_out,
-                d=d,
-                max_resident_bytes=max_resident_bytes,
+            executor = StreamingExecutor(
+                max_resident_bytes=max_resident_bytes
+                or DEFAULT_RESIDENT_BYTES
+            )
+            stats = executor.run_sharded(
+                self._sharded(name, d), path_in, path_out,
                 tmp_dir=tmp_dir,
             )
             elapsed = time.perf_counter() - t0
@@ -315,9 +339,9 @@ class PermutationService:
                 tiles=stats.tiles_loaded,
                 peak_resident=stats.peak_resident_total_bytes,
             )
-        self._observe_apply(compiled, elapsed, "stream")
+        self._observe_apply(reg, elapsed, "stream")
         self._requests.inc()
-        self._elements.inc(int(compiled.n))
+        self._elements.inc(int(reg.p.shape[0]))
         return stats
 
     # ------------------------------------------------------------------
@@ -338,13 +362,15 @@ class PermutationService:
         return merged
 
     def describe(self) -> str:
+        # One snapshot: a concurrent unregister cannot pull a name out
+        # from under the loop.
+        with self._lock:
+            regs = sorted(self._registry.items())
         lines = [
-            f"PermutationService: {len(self._registry)} registered, "
+            f"PermutationService: {len(regs)} registered, "
             f"width {self.width}"
         ]
-        for name in self.names():
-            with self._lock:
-                reg = self._registry[name]
+        for name, reg in regs:
             lines.append(
                 f"  {name:<16} n={reg.p.shape[0]:<8} "
                 f"engine={reg.engine:<10} digest={reg.digest[:12]}..."
@@ -356,7 +382,6 @@ class PermutationService:
 
 # Imported after PermutationService so repro.service.server can import
 # the class from the (partially initialised) package.
-from repro.service.breaker import CircuitBreaker  # noqa: E402
 from repro.service.quotas import TenantQuota  # noqa: E402
 from repro.service.server import (  # noqa: E402
     PermutationServer,

@@ -1,7 +1,9 @@
-"""Circuit breakers for the serving core.
+"""A standalone circuit breaker.
 
-A :class:`CircuitBreaker` protects one backend — the disk-cache tier
-or one planning engine — with the classic three-state machine:
+No serving path uses one: requests are answered from the registered
+permutation and never plan or touch the disk (``docs/serving.md``).
+A :class:`CircuitBreaker` protects one backend with the classic
+three-state machine:
 
 * **closed** — traffic flows; consecutive failures are counted and
   ``failure_threshold`` of them in a row trip the breaker;
@@ -14,10 +16,10 @@ or one planning engine — with the classic three-state machine:
 
 The breaker is thread-safe, uses an injectable monotonic clock so
 tests can drive the timeout deterministically, and keeps a bounded
-transition history so operators (and the chaos tests) can observe the
+transition history so operators can observe the
 ``closed -> open -> half-open -> closed`` walk after the fact.  Its
 counts live in a :class:`~repro.telemetry.MetricsRegistry` (the
-server's, or a private one), labeled ``breaker=<name>``:
+caller's, or a private one), labeled ``breaker=<name>``:
 ``breaker_transitions_total`` (also labeled by the new ``state``),
 ``breaker_rejections_total``, and the ``breaker_state`` gauge
 (0 = closed, 1 = half-open, 2 = open).

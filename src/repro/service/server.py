@@ -1,4 +1,4 @@
-"""The fault-tolerant concurrent serving core.
+"""The concurrent serving core.
 
 :class:`PermutationServer` turns the synchronous
 :class:`~repro.service.PermutationService` into a server: callers
@@ -12,33 +12,25 @@ concern the bare facade lacks:
   hint) or is rejected the same way.  The server never buffers
   unbounded work.
 * **deadlines** — each request may carry a deadline, enforced at
-  admission, at dequeue, and between retry attempts, so expired work
-  never occupies a worker.
-* **budget-aware retries + degradation** — transient planning faults
-  (flaky colouring) are retried with the resilience layer's
-  deterministic :func:`~repro.resilience.backoff_delay`, each sleep
-  capped by the remaining deadline budget; when an engine keeps
-  failing the request degrades along the familiar ladder
-  ``registered engine -> padded -> d-designated`` instead of failing
-  the caller.
+  admission and at dequeue, so expired work never occupies a worker.
+* **one attempt per group** — a request is answered from the
+  registration's own permutation
+  (:meth:`~repro.planner.Planner.sealed`), so serving never colours,
+  lowers, runs the pass pipeline or touches the disk.  There is no
+  planning fault to retry and no engine to degrade to: every engine
+  would compute the same gather.
 * **per-tenant namespaces and quotas** — registrations live under
   ``tenant/name`` keys; each tenant is metered by a
   :class:`~repro.service.quotas.TenantQuota` (requests/sec token
   bucket, in-flight bulkhead, resident-plan bulkhead).
 * **request coalescing** — concurrent single-payload requests for the
   same registration are drained from the queue together and served by
-  one batched ``apply_batch`` pass over the shared plan.
-* **circuit breakers** — one per engine and one around the disk-cache
-  tier (:class:`_GuardedDiskCache`).  Consecutive failures trip a
-  breaker open; while open the backend is skipped (fail-fast /
-  plan-from-cold) until a half-open probe succeeds.  Breaker state is
-  visible in :meth:`PermutationServer.health` and the ``breaker_*``
-  series.
+  one batched ``apply_batch`` pass over the shared gather.
 
 Everything is observable from one store: every count lives in the
 planner's :class:`~repro.telemetry.MetricsRegistry`, which the server
 shares; :meth:`PermutationServer.stats` and ``/metrics`` are views
-over it, :meth:`PermutationServer.health` adds breaker/queue/tenant
+over it, :meth:`PermutationServer.health` adds queue/tenant/SLO
 snapshots, and an active tracer records each request's span tree.
 See ``docs/serving.md``.
 
@@ -46,8 +38,7 @@ See ``docs/serving.md``.
 
     from repro.service import PermutationServer
 
-    with PermutationServer(width=32, cache_dir="plans/",
-                           workers=4) as server:
+    with PermutationServer(width=32, workers=4) as server:
         server.register("shuffle", p)
         result = server.submit("shuffle", a, deadline_s=0.5)
         out = result.result()        # or .result(timeout=...)
@@ -67,7 +58,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     QuotaExceededError,
     ReproError,
@@ -75,13 +65,7 @@ from repro.errors import (
     ServingError,
     ValidationError,
 )
-from repro.resilience.engine import (
-    DEFAULT_CHAIN,
-    TRANSIENT_ERRORS,
-    backoff_delay,
-)
 from repro.service import PermutationService
-from repro.service.breaker import CLOSED, CircuitBreaker
 from repro.service.quotas import (
     UNLIMITED_QUOTA,
     TenantQuota,
@@ -109,9 +93,10 @@ class ServeResult:
 
     ``result()`` blocks until the request is served, then returns the
     permuted payload or raises the failure.  After completion the
-    handle also carries how the request was served: ``engine`` (which
-    ladder rung answered), ``attempts``, ``coalesced`` (whether it
-    shared a batched apply), and ``wait_s`` / ``service_s`` timings.
+    handle also carries how the request was served: ``engine`` (the
+    registered engine), ``attempts`` (always 1 once served),
+    ``coalesced`` (whether it shared a batched apply), and ``wait_s`` /
+    ``service_s`` timings.
     """
 
     def __init__(self, name: str, tenant: str, priority: int) -> None:
@@ -200,11 +185,11 @@ class _StreamJob:
 
     ``submit_stream`` enqueues ``2 d`` stripe requests (``d`` pre
     stripes, then ``d`` post stripes) that all point here.  The first
-    stripe a worker picks up compiles, shards and prepares the
-    streaming job under the registered engine's circuit breaker;
-    later stripes reuse it.  FIFO order within a priority bucket
-    guarantees every pre stripe is running or done before any worker
-    blocks on a post stripe, so the phase barrier inside
+    stripe a worker picks up shards the registration's sealed gather
+    and prepares the streaming job; later stripes reuse it.  FIFO
+    order within a priority bucket guarantees every pre stripe is
+    running or done before any worker blocks on a post stripe, so the
+    phase barrier inside
     :class:`~repro.exec.StreamingJob` cannot deadlock.  The caller's
     future resolves with the :class:`~repro.exec.StreamingStats` when
     the last stripe finishes, or fails once on the first error, shed,
@@ -236,7 +221,7 @@ class _StreamJob:
         self._prepared: Any = None
 
     def ensure_prepared(self, server: "PermutationServer") -> Any:
-        """Compile + shard + open the streaming job (exactly once)."""
+        """Shard + open the streaming job (exactly once)."""
         with self._lock:
             if self.cancelled:
                 raise ServingError(
@@ -249,34 +234,21 @@ class _StreamJob:
                 StreamingExecutor,
             )
 
-            registered = server.service._registration(self.key).engine
-            breaker = server._engine_breaker(registered)
-            if not breaker.allow():
-                server._count("breaker.engine_skipped")
-                raise CircuitOpenError(
-                    f"breaker for engine {registered!r} is open; "
-                    "retry the stream after its reset timeout"
-                )
-            try:
-                compiled = server.service.compiled(self.key)
-                sharded = compiled.shard(self.d)
-                executor = StreamingExecutor(
-                    max_resident_bytes=self.max_resident_bytes
-                    or DEFAULT_RESIDENT_BYTES,
-                    metrics=server.metrics,
-                )
-                self._prepared = executor.prepare(
-                    sharded,
-                    self.path_in,
-                    self.path_out,
-                    tmp_dir=self.tmp_dir,
-                    concurrency=min(server.workers, self.d),
-                )
-            except ReproError:
-                breaker.record_failure()
-                raise
-            breaker.record_success()
-            self.engine_name = compiled.engine_name
+            self.engine_name = server.service._registration(
+                self.key
+            ).engine
+            executor = StreamingExecutor(
+                max_resident_bytes=self.max_resident_bytes
+                or DEFAULT_RESIDENT_BYTES,
+                metrics=server.metrics,
+            )
+            self._prepared = executor.prepare(
+                server.service._sharded(self.key, self.d),
+                self.path_in,
+                self.path_out,
+                tmp_dir=self.tmp_dir,
+                concurrency=min(server.workers, self.d),
+            )
             return self._prepared
 
     def stripe_finished(self) -> bool:
@@ -303,93 +275,16 @@ class _StreamJob:
         self.fail(ServingError(reason))
 
 
-class _GuardedDiskCache:
-    """A :class:`~repro.planner.DiskPlanCache` behind a breaker.
-
-    Transparent to the planner (everything not intercepted is
-    delegated), but when the disk tier keeps serving corrupt entries
-    or failing writes the breaker opens and the tier is bypassed —
-    loads report a miss, stores are skipped — until a half-open probe
-    succeeds.  A sick cache directory then costs re-planning, never
-    repeated heal-on-every-load work.
-    """
-
-    def __init__(self, inner: Any, breaker: CircuitBreaker) -> None:
-        self._inner = inner
-        self.breaker = breaker
-        self._corrupt = inner.metrics.counter(
-            "planner_disk_corrupt_total"
-        )
-        self._sealed_corrupt = inner.metrics.counter(
-            "planner_sealed_corrupt_total"
-        )
-
-    def load(self, fingerprint: str) -> Any:
-        if not self.breaker.allow():
-            return None
-        corrupt_before = self._corrupt.value
-        plan = self._inner.load(fingerprint)
-        if self._corrupt.value > corrupt_before:
-            self.breaker.record_failure()
-        elif plan is not None:
-            self.breaker.record_success()
-        return plan
-
-    def store(
-        self, fingerprint: str, plan: Any, pipeline_signature: str
-    ) -> Any:
-        path = self._inner.path_for(fingerprint)
-        if not self.breaker.allow():
-            return path
-        try:
-            path = self._inner.store(
-                fingerprint, plan, pipeline_signature
-            )
-        except OSError:
-            # A failed persist must not fail the request being served;
-            # the plan lives on in the memory tier.
-            self.breaker.record_failure()
-            return path
-        self.breaker.record_success()
-        return path
-
-    def load_sealed(self, fingerprint: str) -> Any:
-        if not self.breaker.allow():
-            return None
-        corrupt_before = self._sealed_corrupt.value
-        sealed = self._inner.load_sealed(fingerprint)
-        if self._sealed_corrupt.value > corrupt_before:
-            self.breaker.record_failure()
-        elif sealed is not None:
-            self.breaker.record_success()
-        return sealed
-
-    def store_sealed(self, fingerprint: str, sealed: Any) -> Any:
-        path = self._inner.sealed_path_for(fingerprint)
-        if not self.breaker.allow():
-            return path
-        try:
-            path = self._inner.store_sealed(fingerprint, sealed)
-        except OSError:
-            # Same contract as ``store``: a failed sidecar persist
-            # never fails the request; the sealed form stays resident.
-            self.breaker.record_failure()
-            return path
-        self.breaker.record_success()
-        return path
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(self._inner, attr)
-
-
 class PermutationServer:
-    """Concurrent, fault-tolerant front door over a service.
+    """Concurrent front door over a service.
 
     Parameters
     ----------
     service:
         The :class:`~repro.service.PermutationService` to serve from
-        (one is built from ``width`` / ``cache_dir`` when omitted).
+        (one is built from ``width`` / ``cache_dir`` when omitted;
+        ``cache_dir`` holds only what :meth:`PermutationService.
+        compiled` writes — no request reads it).
     workers:
         Worker threads draining the queue.
     queue_capacity:
@@ -398,12 +293,6 @@ class PermutationServer:
     default_deadline_s:
         Deadline applied to requests that do not carry their own
         (``None``: no deadline).
-    max_attempts / backoff_base:
-        Per-engine retry budget for transient faults and the base of
-        the deterministic backoff schedule.
-    breaker_threshold / breaker_reset_s / half_open_probes:
-        Circuit-breaker tuning, shared by the per-engine and disk
-        breakers.
     coalesce / max_coalesce:
         Batch concurrent same-registration requests into one
         ``apply_batch`` (up to ``max_coalesce`` payloads per pass).
@@ -420,16 +309,16 @@ class PermutationServer:
     recorder / postmortem_dir:
         The :class:`~repro.telemetry.FlightRecorder` capturing recent
         request events (one counting into :attr:`metrics` is created
-        when omitted, dumping bundles to ``postmortem_dir`` if given).  The server dumps on SLO
-        breach, shed bursts, and unexpected (non-repro) errors.
+        when omitted, dumping bundles to ``postmortem_dir`` if given).
+        The server dumps on SLO breach, shed bursts, and unexpected
+        (non-repro) errors.
     metrics_port:
         When not ``None``, :meth:`start` additionally serves
         ``GET /metrics`` (Prometheus text) and ``GET /health`` on
         ``127.0.0.1:<metrics_port>`` (``0`` picks an ephemeral port,
         see ``server.http.port``).
-    clock / sleep:
-        Injectable monotonic clock and sleeper for deterministic
-        tests.
+    clock:
+        Injectable monotonic clock for deterministic tests.
 
     The server records latency histograms and counts into its
     planner's registry (:attr:`metrics`), so one registry exposes the
@@ -445,11 +334,6 @@ class PermutationServer:
         workers: int = 2,
         queue_capacity: int = 64,
         default_deadline_s: float | None = None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.01,
-        breaker_threshold: int = 3,
-        breaker_reset_s: float = 0.25,
-        half_open_probes: int = 1,
         coalesce: bool = True,
         max_coalesce: int = 16,
         quotas: dict[str, TenantQuota] | None = None,
@@ -460,17 +344,12 @@ class PermutationServer:
         postmortem_dir: Any = None,
         metrics_port: int | None = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         if queue_capacity < 1:
             raise ValidationError(
                 f"queue_capacity must be >= 1, got {queue_capacity}"
-            )
-        if max_attempts < 1:
-            raise ValidationError(
-                f"max_attempts must be >= 1, got {max_attempts}"
             )
         if max_coalesce < 1:
             raise ValidationError(
@@ -482,16 +361,10 @@ class PermutationServer:
         self.workers = int(workers)
         self.queue_capacity = int(queue_capacity)
         self.default_deadline_s = default_deadline_s
-        self.max_attempts = int(max_attempts)
-        self.backoff_base = float(backoff_base)
         self.coalesce = bool(coalesce)
         self.max_coalesce = int(max_coalesce)
         self.self_check = bool(self_check)
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_reset_s = float(breaker_reset_s)
-        self._half_open_probes = int(half_open_probes)
         self._clock = clock
-        self._sleep = sleep
         self._quotas = dict(quotas or {})
         self._default_quota = default_quota
         self._tenants: dict[str, TenantState] = {}
@@ -508,8 +381,6 @@ class PermutationServer:
         self._stopping = False
         self._started = False
         self._threads: list[threading.Thread] = []
-        self._engine_breakers: dict[str, CircuitBreaker] = {}
-        self.disk_breaker: CircuitBreaker | None = None
         #: Cross-request observability: labeled instruments, rolling
         #: SLO compliance, and the failure flight recorder.
         planner = self.service.planner
@@ -534,20 +405,6 @@ class PermutationServer:
         # In-flight requests by rid (admitted, not yet resolved) —
         # snapshotted into post-mortem bundles.
         self._inflight_reqs: dict[int, dict] = {}
-        if planner.disk is not None and not isinstance(
-            planner.disk, _GuardedDiskCache
-        ):
-            self.disk_breaker = CircuitBreaker(
-                "disk",
-                failure_threshold=self._breaker_threshold,
-                reset_timeout=self._breaker_reset_s,
-                half_open_probes=self._half_open_probes,
-                clock=clock,
-                metrics=self.metrics,
-            )
-            planner.disk = _GuardedDiskCache(
-                planner.disk, self.disk_breaker
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -666,8 +523,18 @@ class PermutationServer:
             self._tenant(tenant).plans.add(key)
         return fp
 
+    def unregister(self, name: str, tenant: str = "default") -> bool:
+        """Drop a registration and free its slot in the tenant's
+        resident-plan quota; returns whether it existed."""
+        key = self._key(tenant, name)
+        existed = self.service.unregister(key)
+        with self._cond:
+            self._tenant(tenant).plans.discard(key)
+        return existed
+
     def warm(self, tenant: str | None = None) -> int:
-        """Compile every registration (of one tenant, or all)."""
+        """Build the sealed entry of every registration (of one
+        tenant, or all)."""
         names = self.service.names()
         if tenant is not None:
             prefix = f"{tenant}/"
@@ -1219,135 +1086,27 @@ class PermutationServer:
         self._count("served", len(live))
 
     # ------------------------------------------------------------------
-    # Execution: breakers, retries, degradation ladder
+    # Execution
     # ------------------------------------------------------------------
 
-    def _engine_breaker(self, engine: str) -> CircuitBreaker:
-        breaker = self._engine_breakers.get(engine)
-        if breaker is None:
-            with self._stats_lock:
-                breaker = self._engine_breakers.get(engine)
-                if breaker is None:
-                    breaker = CircuitBreaker(
-                        f"engine.{engine}",
-                        failure_threshold=self._breaker_threshold,
-                        reset_timeout=self._breaker_reset_s,
-                        half_open_probes=self._half_open_probes,
-                        clock=self._clock,
-                        metrics=self.metrics,
-                    )
-                    self._engine_breakers[engine] = breaker
-        return breaker
-
-    def _ladder(self, registered: str) -> list[str]:
-        return [registered] + [
-            e for e in DEFAULT_CHAIN if e != registered
-        ]
-
     def _serve(self, group: list[_Request]) -> None:
-        """Serve ``group`` (same registration), resolving every future.
-
-        Walks the engine ladder under the breakers; transient faults
-        retry with deadline-capped backoff, persistent faults hop to
-        the next engine.  The group degrades and succeeds — or fails —
-        together.
-        """
+        """Serve ``group`` (same registration) in one apply pass and
+        resolve every future; a failure fails the whole group."""
         key = group[0].key
-        registered = self.service._registration(key).engine
-        deadline = min(
-            (r.deadline for r in group if r.deadline is not None),
-            default=None,
-        )
-        attempts_total = 0
-        all_open = True
-        for engine in self._ladder(registered):
-            breaker = self._engine_breaker(engine)
-            if not breaker.allow():
-                self._count("breaker.engine_skipped")
-                self.recorder.record(
-                    "breaker_skip", rid=group[0].rid, engine=engine
-                )
-                continue
-            all_open = False
-            for attempt in range(1, self.max_attempts + 1):
-                if deadline is not None and \
-                        self._clock() >= deadline:
-                    self._count("deadline_exceeded", len(group))
-                    raise DeadlineExceededError(
-                        "deadline expired while retrying "
-                        f"(engine {engine!r}, attempt {attempt})"
-                    )
-                if attempts_total == 0:
-                    t_first = self._clock()
-                    for req in group:
-                        self.metrics.histogram(
-                            "server_first_attempt_seconds",
-                            priority=str(req.priority),
-                        ).observe(t_first - req.enqueued)
-                attempts_total += 1
-                try:
-                    with telemetry.span(
-                        "serve.attempt",
-                        engine=engine,
-                        attempt=attempts_total,
-                        riders=[r.rid for r in group[1:]],
-                    ):
-                        out = self._apply_group(key, group, engine)
-                except TRANSIENT_ERRORS:
-                    breaker.record_failure()
-                    self._count("faults_absorbed")
-                    self.recorder.record(
-                        "fault", rid=group[0].rid, engine=engine,
-                        attempt=attempts_total, transient=True,
-                    )
-                    if attempt < self.max_attempts and \
-                            breaker.state == CLOSED:
-                        self._count("retries")
-                        delay = backoff_delay(
-                            attempt, self.backoff_base
-                        )
-                        if deadline is not None:
-                            delay = min(
-                                delay,
-                                max(0.0, deadline - self._clock()),
-                            )
-                        if delay > 0:
-                            self._sleep(delay)
-                        continue
-                    break   # breaker opened or budget spent: next rung
-                except ReproError:
-                    # Persistent (infeasible size, capacity wall):
-                    # retrying cannot help — drop down the ladder.
-                    breaker.record_failure()
-                    self._count("faults_absorbed")
-                    self.recorder.record(
-                        "fault", rid=group[0].rid, engine=engine,
-                        attempt=attempts_total, transient=False,
-                    )
-                    break
-                breaker.record_success()
-                if engine != registered:
-                    self._count("degraded", len(group))
-                self._deliver(group, out, engine, attempts_total)
-                return
-        if all_open:
-            self._count("breaker.all_open")
-            raise CircuitOpenError(
-                "every engine breaker is open; retry after "
-                f"{self._breaker_reset_s} s"
-            )
-        self._count("ladder_exhausted")
-        raise ServingError(
-            f"all engines failed for {key!r} "
-            f"(ladder {' -> '.join(self._ladder(registered))}, "
-            f"{attempts_total} attempts)"
-        )
+        engine = self.service._registration(key).engine
+        with telemetry.span(
+            "serve.attempt",
+            engine=engine,
+            riders=[r.rid for r in group[1:]],
+        ):
+            out = self._apply_group(key, group)
+        self._deliver(group, out, engine)
 
     def _serve_stream(self, group: list[_Request]) -> None:
         """Serve one dequeued stream stripe (groups are singletons).
 
-        The first stripe of a job compiles/shards/prepares under the
-        registered engine's breaker; every stripe then runs its
+        The first stripe of a job shards and prepares it; every stripe
+        then runs its
         assigned ``(phase, k)`` slice of the plan.  The last finisher
         finalizes the job and resolves the caller's future with the
         :class:`~repro.exec.StreamingStats`.  Failures fail the shared
@@ -1387,27 +1146,19 @@ class PermutationServer:
             self._count("stream.completed")
 
     def _apply_group(
-        self, key: str, group: list[_Request], engine: str
-    ) -> np.ndarray | list[np.ndarray]:
-        """One apply pass for the whole group on one engine."""
+        self, key: str, group: list[_Request]
+    ) -> np.ndarray:
+        """One apply pass for the whole group."""
         if len(group) == 1 and not group[0].batch:
-            return self.service.apply(
-                key, group[0].payload, engine=engine
-            )
+            return self.service.apply(key, group[0].payload)
         if len(group) == 1:
-            return self.service.apply_batch(
-                key, group[0].payload, engine=engine
-            )
+            return self.service.apply_batch(key, group[0].payload)
         stacked = np.stack([req.payload for req in group])
         self._count("coalesced", len(group) - 1)
-        return self.service.apply_batch(key, stacked, engine=engine)
+        return self.service.apply_batch(key, stacked)
 
     def _deliver(
-        self,
-        group: list[_Request],
-        out: np.ndarray,
-        engine: str,
-        attempts: int,
+        self, group: list[_Request], out: np.ndarray, engine: str
     ) -> None:
         if self.self_check:
             p = self.service._registration(group[0].key).p
@@ -1429,7 +1180,7 @@ class PermutationServer:
         coalesced = len(group) > 1
         for i, req in enumerate(group):
             req.result.engine = engine
-            req.result.attempts = attempts
+            req.result.attempts = 1
             req.result.coalesced = coalesced
             req.result._resolve(out[i] if coalesced else out)
 
@@ -1449,7 +1200,7 @@ class PermutationServer:
         Two field classes — read them accordingly:
 
         * **monotonic counters** (``server.accepted``,
-          ``server.served``, ``server.shed``, ``server.retries``,
+          ``server.served``, ``server.shed``,
           ``service.requests``-style fields, ...): only ever increase;
           rates are meaningful as deltas between two snapshots.
         * **instantaneous gauges** (``server.queue_depth``,
@@ -1483,20 +1234,13 @@ class PermutationServer:
     def health(self) -> dict:
         """A point-in-time health snapshot.
 
-        ``status`` is ``"ok"`` when every breaker is closed, the queue
+        ``status`` is ``"ok"`` when the server is accepting, the queue
         has headroom, and the SLO is met, else ``"degraded"``.  The
         ``slo`` block carries the rolling-window availability, p99
         latency and error-budget burn rate
         (:meth:`~repro.telemetry.SLOMonitor.status`), and
         ``recorder`` summarises flight-recorder activity.
         """
-        with self._stats_lock:
-            breakers = {
-                name: b.snapshot()
-                for name, b in sorted(self._engine_breakers.items())
-            }
-        if self.disk_breaker is not None:
-            breakers["disk"] = self.disk_breaker.snapshot()
         with self._cond:
             queue = {
                 "depth": self._size,
@@ -1510,15 +1254,13 @@ class PermutationServer:
             }
         slo_status = self.slo_monitor.status()
         degraded = (
-            any(b["state"] != CLOSED for b in breakers.values())
-            or queue["depth"] >= queue["capacity"]
+            queue["depth"] >= queue["capacity"]
             or not queue["accepting"]
             or slo_status["breached"]
         )
         return {
             "status": "degraded" if degraded else "ok",
             "queue": queue,
-            "breakers": breakers,
             "tenants": tenants,
             "slo": slo_status,
             "recorder": {

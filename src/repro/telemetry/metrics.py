@@ -24,8 +24,8 @@ Design points:
   instrument, cached so the hot path is one lock-free dict lookup
   (hot call sites go further and keep the returned handle);
 * **one store** — the registry is the only place the library keeps a
-  count or gauge: the planner, caches, service, server, breakers and
-  flight recorder of one stack all count into the planner's registry,
+  count or gauge: the planner, caches, service, server and flight
+  recorder of one stack all count into the planner's registry,
   and their ``stats()`` are views over it;
 * **names checked up front** — a metric or label name outside the
   Prometheus grammar, or a negative counter increment, raises

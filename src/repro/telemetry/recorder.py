@@ -5,14 +5,14 @@ wrong.
 Latency histograms say *that* the p99 blew up; the flight recorder
 says *what the last two thousand requests were doing when it did*.
 :meth:`FlightRecorder.record` appends one small structured event
-(admission, shed, retry, breaker transition, delivery, failure) to a
+(admission, shed, delivery, failure) to a
 fixed-capacity ring buffer — O(1), lock-guarded, allocation-light —
 so it can stay on permanently, even at load.
 
 On a trigger (SLO breach, shed burst, unexpected error) the serving
 core calls :meth:`FlightRecorder.dump`, which freezes the ring plus
-every registered *snapshot provider* (breaker states, queue depth,
-SLO status, active spans) into a JSON-safe **post-mortem bundle**, and
+every registered *snapshot provider* (health, queue depth, SLO
+status, active requests) into a JSON-safe **post-mortem bundle**, and
 — when a dump directory is configured — writes it to
 ``postmortem-<seq>-<reason>.json``.  Dumps are rate-limited per
 reason so a flapping trigger cannot fill the disk.

@@ -166,16 +166,6 @@ class TestPlanner:
         assert "repro_planner_memory_hits_total 1" in text
         assert "repro_planner_disk_stores_total 1" in text
 
-    def test_warm_from_disk(self, tmp_path):
-        p = bit_reversal(_N)
-        first = Planner(cache_dir=tmp_path)
-        fp = first.compile(p, width=_WIDTH).fingerprint
-        fresh = Planner(cache_dir=tmp_path)
-        assert fresh.warm_from_disk(fp)
-        # Warmed entry serves from memory without touching the array.
-        assert fresh.memory.get(fp) is not None
-        assert not fresh.warm_from_disk("0" * 64)
-
 
 class TestCompiledPermutation:
     def test_handle_contract(self, tmp_path):
@@ -346,17 +336,3 @@ class TestSemanticRejection:
         assert cert.matches_requested is True
         assert planner.stats()["semantic_rejections"] == 0
         assert "semantics certified" in compiled.describe()
-
-    def test_warm_from_disk_refuses_unproven(self, tmp_path):
-        p = random_permutation(_N, seed=9)
-        seed_planner = Planner(cache_dir=tmp_path)
-        fp = seed_planner.fingerprint(p, engine="scheduled",
-                                      width=_WIDTH)
-        seed_planner.compile(p, engine="scheduled", width=_WIDTH)
-
-        broken = Planner(cache_dir=tmp_path,
-                         pipeline=self._broken_pipeline())
-        # Same disk entry, but the broken pipeline cannot prove its
-        # optimization — warming must refuse to pin it in memory.
-        assert not broken.warm_from_disk(fp)
-        assert fp not in broken.memory

@@ -4,8 +4,8 @@ planner's MetricsRegistry, so ``stats()``, ``health()`` and
 
 The chaos run is single-threaded and deterministic: the workers are
 stalled and the test drains the queue itself under a fake clock, so
-coalescing, shedding, retries and disk faults each happen exactly as
-scripted.
+coalescing, shedding, a failed apply and a disk fault each happen
+exactly as scripted.
 """
 
 import numpy as np
@@ -57,13 +57,13 @@ def _chaos_run(tmp_path, fake_clock):
     service = PermutationService(width=_WIDTH, cache_dir=tmp_path)
     server = PermutationServer(
         service, workers=1, queue_capacity=4, max_coalesce=8,
-        backoff_base=0.01, clock=fake_clock, sleep=fake_clock.sleep,
+        clock=fake_clock,
     )
     server._worker = lambda: None
     p = bit_reversal(_N)
     q = random_permutation(_N, seed=5)
     server.register("bitrev", p)
-    fp = server.register("shuffle", q)
+    server.register("shuffle", q)
     server.warm()
     x = np.arange(_N, dtype=np.float32)
 
@@ -90,34 +90,32 @@ def _chaos_run(tmp_path, fake_clock):
     for fut in kept:
         fut.result(timeout=0)
 
-    # Retry: one transient colouring fault, absorbed and retried.
+    # Failure: one apply raises; the request fails once, unretried.
     real_apply = service.apply
-    calls = {"n": 0}
 
-    def flaky(name, a, engine=None):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise ColoringError("injected")
-        return real_apply(name, a, engine=engine)
+    def failing(name, a):
+        raise ColoringError("injected")
 
-    service.apply = flaky
-    retried = server.submit("bitrev", x)
+    service.apply = failing
+    failed = server.submit("bitrev", x)
     _drain(server)
-    retried.result(timeout=0)
-    assert retried.attempts == 2
+    assert isinstance(failed.exception(timeout=0), ColoringError)
     service.apply = real_apply
 
-    # Disk fault: a bit-flipped sealed sidecar is rejected, counted,
-    # and healed from the still-trusted plan file.
-    service.planner.memory.invalidate(fp)
+    # Disk fault: the compiled program's sealed sidecar is bit-flipped,
+    # but no request reads the disk, so nothing is rejected.
+    fp = service.compiled("default/shuffle").fingerprint
+    service.planner.memory.invalidate(
+        service._registration("default/shuffle").digest
+    )
     FaultPlan(seed=0).corrupt_plan_file(
         service.planner.disk.sealed_path_for(fp), "bit-flip"
     )
-    healed = server.submit("shuffle", x)
+    served = server.submit("shuffle", x)
     _drain(server)
     expected = np.empty_like(x)
     expected[q] = x
-    assert np.array_equal(healed.result(timeout=0), expected)
+    assert np.array_equal(served.result(timeout=0), expected)
     return server
 
 
@@ -135,9 +133,9 @@ def test_chaos_counters_match_metrics_series(tmp_path, fake_clock):
     # Two riders in the first burst, three behind the HIGH request.
     assert stats["server.coalesced"] == 5
     assert stats["server.shed"] == 1
-    assert stats["server.retries"] == 1
-    assert stats["server.faults_absorbed"] == 1
-    assert planner_stats["sealed_corrupt"] == 1
+    assert stats["server.failed"] == 1
+    assert planner_stats["cold_plans"] == 1     # the explicit compile
+    assert planner_stats["sealed_corrupt"] == 0
 
     events = {k: v for k, v in stats.items()
               if k.startswith("server.") and k not in _SERVER_GAUGES}
@@ -164,9 +162,6 @@ def test_chaos_counters_match_metrics_series(tmp_path, fake_clock):
         assert _series(families, f"repro_service_{key}_total") == \
             stats[key], key
 
-    for name, snap in health["breakers"].items():
-        assert _series(families, "repro_breaker_rejections_total",
-                       breaker=snap["name"]) == snap["rejections"], name
     for tenant, snap in health["tenants"].items():
         assert _series(families, "repro_tenant_admitted_total",
                        tenant=tenant) == snap["admitted"], tenant
@@ -205,6 +200,6 @@ def test_stack_shares_the_planners_registry(tmp_path):
         assert service.metrics is planner.metrics
         assert server.metrics is planner.metrics
         assert server.recorder.metrics is planner.metrics
-        assert server.disk_breaker.metrics is planner.metrics
+        assert planner.disk.metrics is planner.metrics
     finally:
         server.close()

@@ -1,5 +1,5 @@
 """PermutationServer unit tests: admission control, shedding,
-deadlines, retries, the degradation ladder, coalescing, breakers, and
+deadlines, one-attempt serving, coalescing, tenant plan slots, and
 introspection — all deterministic (fake clock, stubbed workers or
 stubbed service where concurrency would race)."""
 
@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    CircuitOpenError,
     ColoringError,
     DeadlineExceededError,
     QuotaExceededError,
     ServiceOverloadError,
     ServingError,
-    SharedMemoryCapacityError,
     ValidationError,
 )
 from repro.permutations.named import bit_reversal, random_permutation
 from repro.service import PermutationServer, TenantQuota
-from repro.service.breaker import OPEN
 from repro.service.server import HIGH, LOW, NORMAL, ServeResult
 
 _N, _WIDTH = 1024, 32
@@ -39,10 +36,7 @@ def _stall_workers(server):
 
 @pytest.fixture
 def server(fake_clock):
-    srv = PermutationServer(
-        width=_WIDTH, workers=1, backoff_base=0.0,
-        clock=fake_clock, sleep=fake_clock.sleep,
-    )
+    srv = PermutationServer(width=_WIDTH, workers=1, clock=fake_clock)
     srv.register("bitrev", bit_reversal(_N))
     yield srv
     srv.close()
@@ -122,7 +116,7 @@ class TestServing:
     def test_self_check_accepts_correct_output(self, fake_clock):
         srv = PermutationServer(
             width=_WIDTH, workers=1, self_check=True,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         )
         srv.register("r", random_permutation(_N, seed=3))
         try:
@@ -136,7 +130,7 @@ class TestAdmission:
     def test_queue_full_rejects_with_hint(self, fake_clock):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, queue_capacity=2,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("bitrev", bit_reversal(_N))
         a = np.arange(_N)
@@ -150,7 +144,7 @@ class TestAdmission:
     def test_high_priority_sheds_low(self, fake_clock):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, queue_capacity=2,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("bitrev", bit_reversal(_N))
         a = np.arange(_N)
@@ -167,7 +161,7 @@ class TestAdmission:
     def test_equal_priority_never_sheds(self, fake_clock):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, queue_capacity=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("bitrev", bit_reversal(_N))
         a = np.arange(_N)
@@ -184,7 +178,7 @@ class TestAdmission:
     def test_close_without_drain_fails_queued(self, fake_clock):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("bitrev", bit_reversal(_N))
         res = srv.submit("bitrev", np.arange(_N))
@@ -198,7 +192,7 @@ class TestQuotas:
         srv = PermutationServer(
             width=_WIDTH, workers=1,
             quotas={"t": TenantQuota(rps=1.0, burst=1)},
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         )
         srv.register("bitrev", bit_reversal(_N), tenant="t")
         a = np.arange(_N)
@@ -215,7 +209,7 @@ class TestQuotas:
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1,
             quotas={"t": TenantQuota(max_inflight=1)},
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("bitrev", bit_reversal(_N), tenant="t")
         a = np.arange(_N)
@@ -236,10 +230,28 @@ class TestQuotas:
             )
         srv.close()
 
+    def test_unregister_frees_plan_slot(self):
+        srv = PermutationServer(
+            width=_WIDTH, workers=1,
+            quotas={"t": TenantQuota(max_plans=1)},
+        )
+        p = random_permutation(_N, seed=1)
+        srv.register("a", bit_reversal(_N), tenant="t")
+        assert srv.unregister("a", tenant="t")
+        assert not srv.unregister("a", tenant="t")
+        srv.register("b", p, tenant="t")
+        a = np.arange(_N)
+        assert np.array_equal(
+            srv.apply("b", a, tenant="t"), _expected(p, a)
+        )
+        with pytest.raises(ValidationError, match="registered"):
+            srv.submit("a", a, tenant="t")
+        srv.close()
+
     def test_tenants_are_namespaced(self, fake_clock):
         srv = PermutationServer(
             width=_WIDTH, workers=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         )
         p_a = bit_reversal(_N)
         p_b = random_permutation(_N, seed=2)
@@ -259,7 +271,7 @@ class TestDeadlines:
     def test_expired_in_queue_fails_fast(self, fake_clock):
         srv = PermutationServer(
             width=_WIDTH, workers=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         )
         srv.register("bitrev", bit_reversal(_N))
         res = srv.submit("bitrev", np.arange(_N), deadline_s=0.0)
@@ -268,98 +280,26 @@ class TestDeadlines:
         assert srv.stats()["server.deadline_exceeded"] >= 1
         srv.close()
 
-    def test_retry_budget_capped_by_deadline(self, fake_clock):
-        srv = PermutationServer(
-            width=_WIDTH, workers=1, max_attempts=10,
-            backoff_base=0.6, breaker_threshold=100,
-            clock=fake_clock, sleep=fake_clock.sleep,
-        )
+
+class TestOneAttempt:
+    def test_failed_apply_fails_the_request_once(self, fake_clock):
+        srv = PermutationServer(width=_WIDTH, workers=1,
+                                clock=fake_clock)
         srv.register("bitrev", bit_reversal(_N))
-
-        def always_transient(name, a, engine=None):
-            raise ColoringError("injected")
-
-        srv.service.apply = always_transient
-        res = srv.submit("bitrev", np.arange(_N), deadline_s=1.0)
-        with pytest.raises(DeadlineExceededError, match="retrying"):
-            res.result(timeout=30.0)
-        # backoff 0.6 then the 0.4 remainder: the clock never passes
-        # the deadline by more than the capped sleep.
-        assert fake_clock.t == pytest.approx(1.0)
-        srv.close()
-
-
-class TestResilience:
-    def test_transient_fault_retried(self, fake_clock):
-        srv = PermutationServer(
-            width=_WIDTH, workers=1, backoff_base=0.01,
-            clock=fake_clock, sleep=fake_clock.sleep,
-        )
-        srv.register("bitrev", bit_reversal(_N))
-        real_apply = srv.service.apply
         calls = {"n": 0}
 
-        def flaky(name, a, engine=None):
+        def failing(name, a):
             calls["n"] += 1
-            if calls["n"] == 1:
-                raise ColoringError("injected")
-            return real_apply(name, a, engine=engine)
+            raise ColoringError("injected")
 
-        srv.service.apply = flaky
+        srv.service.apply = failing
         res = srv.submit("bitrev", np.arange(_N))
-        res.result(timeout=30.0)
-        assert res.attempts == 2
-        assert res.engine == "scheduled"
+        with pytest.raises(ColoringError, match="injected"):
+            res.result(timeout=30.0)
+        assert calls["n"] == 1
         stats = srv.stats()
-        assert stats["server.retries"] == 1
-        assert stats["server.faults_absorbed"] == 1
-        srv.close()
-
-    def test_persistent_fault_degrades_down_ladder(self, fake_clock):
-        srv = PermutationServer(
-            width=_WIDTH, workers=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
-        )
-        p = bit_reversal(_N)
-        srv.register("bitrev", p)
-        real_apply = srv.service.apply
-
-        def walled(name, a, engine=None):
-            if engine == "scheduled":
-                raise SharedMemoryCapacityError("injected wall")
-            return real_apply(name, a, engine=engine)
-
-        srv.service.apply = walled
-        res = srv.submit("bitrev", np.arange(_N))
-        out = res.result(timeout=30.0)
-        assert np.array_equal(out, _expected(p, np.arange(_N)))
-        assert res.engine == "padded"
-        assert srv.stats()["server.degraded"] == 1
-        srv.close()
-
-    def test_all_engines_failing_opens_breakers(self, fake_clock):
-        srv = PermutationServer(
-            width=_WIDTH, workers=1, breaker_threshold=1,
-            max_attempts=1, breaker_reset_s=60.0,
-            clock=fake_clock, sleep=fake_clock.sleep,
-        )
-        srv.register("bitrev", bit_reversal(_N))
-
-        def doomed(name, a, engine=None):
-            raise SharedMemoryCapacityError("injected")
-
-        srv.service.apply = doomed
-        with pytest.raises(ServingError, match="all engines failed"):
-            srv.submit("bitrev", np.arange(_N)).result(timeout=30.0)
-        for breaker in srv._engine_breakers.values():
-            assert breaker.state == OPEN
-        # Every rung open: the next request fails fast.
-        with pytest.raises(CircuitOpenError):
-            srv.submit("bitrev", np.arange(_N)).result(timeout=30.0)
-        stats = srv.stats()
-        assert stats["server.breaker.all_open"] == 1
-        assert stats["server.breaker.engine_skipped"] >= 3
-        assert srv.health()["status"] == "degraded"
+        assert stats["server.failed"] == 1
+        assert "server.served" not in stats
         srv.close()
 
 
@@ -367,7 +307,7 @@ class TestCoalescing:
     def test_same_registration_requests_coalesce(self, fake_clock):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, max_coalesce=8,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("a", bit_reversal(_N))
         srv.register("b", random_permutation(_N, seed=4))
@@ -386,7 +326,7 @@ class TestCoalescing:
     def test_coalesced_results_are_per_request(self, fake_clock):
         srv = PermutationServer(
             width=_WIDTH, workers=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         )
         p = bit_reversal(_N)
         srv.register("bitrev", p)
@@ -401,7 +341,7 @@ class TestCoalescing:
     def test_coalescing_disabled(self, fake_clock):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, coalesce=False,
-            clock=fake_clock, sleep=fake_clock.sleep,
+            clock=fake_clock,
         ))
         srv.register("a", bit_reversal(_N))
         srv.submit("a", np.arange(_N))
@@ -426,15 +366,6 @@ class TestIntrospection:
         assert health["status"] == "ok"
         assert health["queue"]["capacity"] == 64
         assert health["queue"]["accepting"]
-
-    def test_health_reports_disk_breaker(self, tmp_path, fake_clock):
-        srv = PermutationServer(
-            width=_WIDTH, cache_dir=tmp_path, workers=1,
-            clock=fake_clock, sleep=fake_clock.sleep,
-        )
-        assert srv.disk_breaker is not None
-        assert srv.health()["breakers"]["disk"]["state"] == "closed"
-        srv.close()
 
     def test_context_manager(self):
         with PermutationServer(width=_WIDTH, workers=1) as srv:

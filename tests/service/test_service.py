@@ -1,4 +1,5 @@
-"""PermutationService tests: registration, warming, serving, stats."""
+"""PermutationService tests: registration, warming, serving from the
+registered permutation, stats."""
 
 import threading
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.ir.registry import engine_names
 from repro.service import PermutationService, _default_engine
 from repro.permutations.named import (
     bit_reversal,
@@ -88,6 +90,12 @@ class TestRegistration:
         assert np.array_equal(svc.apply("perm", a),
                               _expected(other, a))
 
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValidationError, match="unknown engine"):
+            PermutationService().register(
+                "p", bit_reversal(64), engine="no-such-engine"
+            )
+
     def test_engine_change_requires_overwrite(self):
         svc = PermutationService(width=_WIDTH)
         p = bit_reversal(_N)
@@ -133,7 +141,9 @@ class TestServing:
         svc.register("a", bit_reversal(_N))
         svc.register("b", random_permutation(_N, seed=2))
         assert svc.warm(["a"]) == 1
-        assert svc.planner.stats()["cold_plans"] == 1
+        stats = svc.planner.stats()
+        assert stats["memory_entries"] == 1     # a's sealed gather
+        assert stats["cold_plans"] == 0
 
     def test_stats_and_describe(self, tmp_path):
         svc = PermutationService(width=_WIDTH, cache_dir=tmp_path)
@@ -146,9 +156,56 @@ class TestServing:
         assert stats["registered"] == 1
         assert stats["requests"] == 3
         assert stats["elements_served"] == 3 * _N
-        assert stats["cold_plans"] == 1
+        assert stats["cold_plans"] == 0
         text = svc.describe()
         assert "bitrev" in text and "scheduled" in text
+
+    def test_describe_reads_one_snapshot(self):
+        svc = PermutationService(width=_WIDTH)
+        svc.register("keep", bit_reversal(64), engine="padded")
+        svc.register("gone", random_permutation(64, seed=0),
+                     engine="padded")
+        names = svc.names
+
+        def names_then_unregister():
+            listed = names()
+            svc.unregister("gone")     # a concurrent unregister
+            return listed
+
+        svc.names = names_then_unregister
+        assert "keep" in svc.describe()
+
+    def test_same_permutation_shares_one_sealed_entry(self):
+        svc = PermutationService(width=_WIDTH)
+        p = bit_reversal(_N)
+        svc.register("a", p, engine="scheduled")
+        svc.register("b", p, engine="d-designated")
+        assert svc.warm() == 2
+        assert svc.planner.stats()["memory_entries"] == 1
+        first = svc.planner.sealed(p, svc._registry["a"].digest)
+        assert svc.planner.sealed(p, svc._registry["b"].digest) is first
+        a = np.arange(_N, dtype=np.float32)
+        assert np.array_equal(svc.apply("a", a), _expected(p, a))
+        assert np.array_equal(svc.apply("b", a), _expected(p, a))
+
+    def test_cache_max_bytes_evicts_sealed_entries(self):
+        entry = 2 * 8 * _N              # int64 scatter + gather
+        svc = PermutationService(width=_WIDTH,
+                                 cache_max_bytes=3 * entry)
+        perms = {f"r{seed}": random_permutation(_N, seed=seed)
+                 for seed in range(5)}
+        for name, p in perms.items():
+            svc.register(name, p)
+        svc.warm()
+        stats = svc.planner.stats()
+        assert stats["memory_entries"] == 3
+        assert stats["memory_bytes"] == 3 * entry
+        assert stats["memory_evictions"] == 2
+        # An evicted entry is rebuilt from p on demand.
+        a = np.arange(_N, dtype=np.float32)
+        assert np.array_equal(svc.apply("r0", a),
+                              _expected(perms["r0"], a))
+        assert svc.planner.stats()["cold_plans"] == 0
 
     def test_concurrent_applies_count_exactly(self, tmp_path):
         svc = PermutationService(width=_WIDTH, cache_dir=tmp_path)
@@ -196,9 +253,32 @@ class TestServing:
         p = bit_reversal(_N)
         first = PermutationService(width=_WIDTH, cache_dir=tmp_path)
         first.register("bitrev", p)
-        first.warm()
+        first.compiled("bitrev")
         second = PermutationService(width=_WIDTH, cache_dir=tmp_path)
         second.register("bitrev", p)
-        second.warm()
+        second.compiled("bitrev")
         assert second.stats()["sealed_hits"] == 1
         assert second.stats()["cold_plans"] == 0
+
+
+#: Engines whose round count Table I gives, independent of ``p``.
+_PRICED = {"scheduled": 32, "padded": 32, "d-designated": 3,
+           "s-designated": 3}
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_round_count_matches_compiled_prediction(engine):
+    svc = PermutationService(width=_WIDTH)
+    svc.register("p", random_permutation(_N, seed=3), engine=engine)
+    rounds = svc._registry["p"].rounds
+    assert rounds == _PRICED.get(engine)
+    if rounds is not None:
+        assert svc.compiled("p").predicted_rounds() == rounds
+
+
+def test_padded_round_count_at_unaligned_size():
+    svc = PermutationService(width=_WIDTH)
+    svc.register("odd", random_permutation(1000, seed=4))
+    assert svc._registry["odd"].engine == "padded"
+    assert svc.compiled("odd").predicted_rounds() == \
+        svc._registry["odd"].rounds == 32

@@ -417,7 +417,7 @@ class TestServeDemo:
         assert "chaos = True" in out
         assert "wrong answers  0" in out
         assert "all outputs correct = True" in out
-        assert "breaker" in out
+        assert "cold plans while serving = 0" in out
 
     def test_chaos_requires_concurrent(self, capsys):
         with pytest.raises(SystemExit):
