@@ -12,8 +12,8 @@ it times
   memory-tier steady state a :class:`~repro.service.PermutationService`
   serves from);
 * **disk**: a fresh process's first request — ``compile`` resolving
-  via the on-disk cache + one apply (no re-planning, but the file is
-  loaded and integrity-checked).
+  via the on-disk sealed sidecar + one apply (no re-planning, but the
+  sidecar is loaded and re-proved).
 
 Artefacts: the usual ``benchmarks/results/cache.txt`` table plus
 ``BENCH_5.json`` at the repo root with the raw timings.  The pinned
@@ -71,7 +71,7 @@ def _measure(family: str, make, n: int, cache_dir: Path) -> dict:
     disk_s = time.perf_counter() - t0
     assert np.array_equal(out, expected)
     stats = fresh.stats()
-    assert stats["disk_hits"] + stats.get("sealed_hits", 0) == 1
+    assert stats["sealed_hits"] == 1
     assert stats["cold_plans"] == 0
 
     return {

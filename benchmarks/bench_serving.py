@@ -7,8 +7,8 @@ families) while a chaos driver injects the resilience layer's fault
 repertoire mid-flight.  The families' programs are compiled into the
 cache directory before serving starts, so there are files to damage:
 
-* **plan-file corruption** — every ``CHAOS_EVERY`` served requests a
-  family's disk-cache entry is damaged in place
+* **sidecar corruption** — every ``CHAOS_EVERY`` served requests a
+  family's disk-cache entry (its sealed sidecar) is damaged in place
   (:meth:`~repro.resilience.FaultPlan.corrupt_plan_file`, cycling all
   four modes) and its sealed gather evicted from the memory tier, so
   the next request takes the miss path;
@@ -111,7 +111,7 @@ class _Chaos(threading.Thread):
             fp = dict(self.fingerprints)[name]
             planner = self.server.service.planner
             try:
-                path = planner.disk.path_for(fp)
+                path = planner.disk.sealed_path_for(fp)
                 if path.exists():
                     fault.corrupt_plan_file(path, mode)
                     self.corruptions += 1

@@ -176,8 +176,8 @@ def cmd_cost(args) -> str:
         stats = planner.stats()
         table += (
             f"\n\nplan cache ({args.cache_dir}): "
-            f"{stats['disk_hits']} disk hit(s), "
-            f"{stats['disk_misses']} miss(es), "
+            f"{stats['sealed_hits']} sealed hit(s), "
+            f"{stats['sealed_misses']} miss(es), "
             f"{stats['cold_plans']} cold plan(s)"
         )
     if getattr(args, "shard_d", None):
@@ -235,7 +235,8 @@ def cmd_plan(args) -> str:
                                    width=args.width)
         plan = compiled.engine
         stats = planner.stats()
-        source = "disk cache" if stats["disk_hits"] else "cold plan"
+        source = ("sealed sidecar" if stats["sealed_hits"]
+                  else "cold plan")
         cache_note = (
             f"\nplan cache ({args.cache_dir}): resolved via {source}"
         )
@@ -313,18 +314,13 @@ def _verify_sealed(path: str) -> str:
     pipe = sealed.meta.get("pipeline", "<unknown>")
     fp = str(sealed.meta.get("fingerprint", ""))
     fp_part = f"; fingerprint {fp[:12]}..." if fp else ""
-    plan_sha = str(sealed.meta.get("plan_sha", ""))
-    bind_part = (
-        f"\nbinding: plan payload {plan_sha[:12]}..." if plan_sha
-        else "\nbinding: none recorded (sealed without a plan file)"
-    )
     return (
         f"sealed OK: engine = {sealed.engine}, n = {sealed.n}, "
         f"width = {sealed.width}, {sealed.nbytes} resident bytes of "
         "index maps; gather and scatter re-proven as mutual inverses "
         "and the denotation digest matches\n"
         f"{cert_line}\n"
-        f"provenance: pipeline {pipe}{fp_part}{bind_part}\n"
+        f"provenance: pipeline {pipe}{fp_part}\n"
         f"file: {file_bytes} bytes on disk, loaded and re-proven in "
         f"{elapsed_ms:.1f} ms"
     )
@@ -756,8 +752,8 @@ def cmd_profile(args) -> str:
         stats = planner.stats()
         parts.append(
             f"plan cache ({args.cache_dir}): "
-            f"{stats['disk_hits']} disk hit(s), "
-            f"{stats['disk_misses']} miss(es), "
+            f"{stats['sealed_hits']} sealed hit(s), "
+            f"{stats['sealed_misses']} miss(es), "
             f"{stats['cold_plans']} cold plan(s)"
         )
     return "\n".join(parts)
@@ -837,7 +833,8 @@ def _serve_demo_concurrent(args, cache_dir: str) -> str:
             cycle += 1
             name = next(rotation)
             try:
-                path = planner.disk.path_for(fingerprints[name])
+                path = planner.disk.sealed_path_for(
+                    fingerprints[name])
                 if path.exists():
                     faults.corrupt_plan_file(path, next(modes))
             except Exception:
@@ -982,7 +979,7 @@ def _serve_demo_concurrent(args, cache_dir: str) -> str:
     parts.append("server stats:")
     for key in sorted(stats):
         if key.startswith("server.") or key in (
-            "disk_corrupt", "memory_invalidations", "cold_plans",
+            "sealed_corrupt", "memory_invalidations", "cold_plans",
         ):
             value = stats[key]
             shown = f"{value:.4g}" if isinstance(value, float) \

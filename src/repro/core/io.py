@@ -87,7 +87,7 @@ FORMAT_VERSION = 3
 
 #: Format tag of sealed sidecar files (``save_sealed``); independent of
 #: :data:`FORMAT_VERSION` because sealed artifacts are derived caches,
-#: not plans — losing one costs a re-seal, never a re-plan.
+#: not plans — losing one costs a re-plan, never a wrong answer.
 SEALED_FORMAT_VERSION = 1
 
 #: Keys that describe the file rather than the plan; excluded from the
@@ -283,6 +283,37 @@ def _certifiable_plan(plan: Any) -> ScheduledPermutation | None:
     return None
 
 
+def certify_schedule(plan: Any, subject: str,
+                     checksum: str | None = None) -> Any | None:
+    """Certify the scheduled core of ``plan`` conflict-free/coalesced.
+
+    Runs :func:`~repro.staticcheck.certifier.certify_plan` on the
+    certifiable plan inside ``plan`` (bound to the payload
+    ``checksum`` when one is given) and attaches the positive
+    certificate to it; returns ``None`` for engines without a
+    certifiable schedule.  A refuted schedule raises
+    :class:`~repro.errors.CertificateError` ("refusing to
+    ``subject``"): a conflicted plan must never be persisted as
+    trusted.
+    """
+    certifiable = _certifiable_plan(plan)
+    if certifiable is None:
+        return None
+    from repro.staticcheck.certifier import certify_plan
+
+    cert = certify_plan(certifiable)
+    if checksum is not None:
+        cert = cert.bound_to(checksum)
+    if not cert.ok:
+        assert cert.counterexample is not None
+        raise CertificateError(
+            f"refusing to {subject}: plan is not conflict-free — "
+            f"{cert.counterexample.describe()}"
+        )
+    certifiable.certificate = cert
+    return cert
+
+
 def save_plan(path, plan, certify: bool = True,
               provenance: dict | None = None) -> None:
     """Serialise a planned engine to ``path`` (.npz, format v3).
@@ -342,20 +373,10 @@ def save_plan(path, plan, certify: bool = True,
             for key in PROVENANCE_KEYS:
                 if key in provenance:
                     extra[key] = np.str_(provenance[key])
-        certifiable = _certifiable_plan(plan)
-        if certify and certifiable is not None:
-            from repro.staticcheck.certifier import certify_plan
-
-            cert = certify_plan(certifiable).bound_to(checksum)
-            if not cert.ok:
-                assert cert.counterexample is not None
-                raise CertificateError(
-                    f"refusing to save {path}: plan is not conflict-"
-                    f"free — {cert.counterexample.describe()}"
-                )
-            certifiable.certificate = cert
-            extra["certificate"] = np.str_(cert.to_json())
         if certify:
+            cert = certify_schedule(plan, f"save {path}", checksum)
+            if cert is not None:
+                extra["certificate"] = np.str_(cert.to_json())
             from repro.staticcheck.semantics import validate_translation
 
             sem = validate_translation(
@@ -798,7 +819,9 @@ def _validate_semantic_certificate(
 # ----------------------------------------------------------------------
 
 #: Metadata keys of sealed sidecar files — excluded from the payload
-#: checksum, like :data:`METADATA_KEYS` for plan files.
+#: checksum, like :data:`METADATA_KEYS` for plan files.  ``plan_sha``
+#: is only ever found in sidecars of older builds, which bound the
+#: sidecar to a plan file written beside it; it is ignored on load.
 SEALED_METADATA_KEYS = (
     "checksum",
     "library_version",
@@ -807,28 +830,6 @@ SEALED_METADATA_KEYS = (
     "fingerprint",
     "pipeline",
 )
-
-
-def read_plan_checksum(path) -> str:
-    """The stored payload checksum of a plan file (metadata read only).
-
-    The cheap identity the sealed sidecar binds to: no arrays are
-    decompressed beyond the checksum string.  Unreadable or
-    checksum-less files raise :class:`PlanCorruptionError`.
-    """
-    try:
-        with np.load(Path(path)) as data:
-            if "checksum" not in data.files:
-                raise PlanCorruptionError(
-                    f"{path}: plan file is incomplete: checksum is not "
-                    "a file in the archive"
-                )
-            return str(np.asarray(data["checksum"]))
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-        raise PlanCorruptionError(
-            f"{path}: plan file is unreadable (truncated or not a "
-            f"save_plan archive): {exc}"
-        ) from exc
 
 
 def _zigzag_encode(deltas: np.ndarray) -> np.ndarray:
@@ -845,7 +846,7 @@ def _zigzag_decode(codes: np.ndarray) -> np.ndarray:
     return half ^ -sign
 
 
-def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
+def save_sealed(path, sealed) -> None:
     """Serialise a :class:`~repro.ir.sealed.SealedProgram` to ``path``.
 
     The gather index is stored **delta-encoded**: zigzagged first
@@ -857,11 +858,10 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
 
     Integrity mirrors plan files: a SHA-256 checksum over the payload
     keys, the denotation digest of the scatter map as a payload key
-    (so a decoded artifact is re-provable), an optional ``plan_sha``
-    binding the sidecar to one plan file's payload checksum, and the
-    semantic certificate carried by the sealed program embedded as
-    metadata.  The artifact is *re-proved on load*; a sealed program
-    that fails its own :meth:`verify` is refused unwritten.
+    (so a decoded artifact is re-provable), and the semantic
+    certificate carried by the sealed program embedded as metadata.
+    The artifact is *re-proved on load*; a sealed program that fails
+    its own :meth:`verify` is refused unwritten.
     """
     from repro import __version__
     from repro.staticcheck.semantics import denotation_digest
@@ -888,9 +888,6 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
             arrays, keys=tuple(sorted(arrays))
         )
         extra: dict = {}
-        bound = plan_sha or sealed.meta.get("plan_sha")
-        if bound:
-            extra["plan_sha"] = np.str_(str(bound))
         for key in ("fingerprint", "pipeline"):
             if sealed.meta.get(key):
                 extra[key] = np.str_(str(sealed.meta[key]))
@@ -908,19 +905,18 @@ def save_sealed(path, sealed, plan_sha: str | None = None) -> None:
         sp.set(file_bytes=Path(path).stat().st_size)
 
 
-def load_sealed(path, expected_plan_sha: str | None = None):
+def load_sealed(path):
     """Rebuild and **re-prove** a sealed artifact saved by
     :func:`save_sealed`.
 
     Verification ladder, cheapest first: payload checksum, delta
     decode, scatter re-derivation, denotation digest comparison
     against the stored ``denotation_sha``, mutual-inverse proof
-    (:meth:`~repro.ir.sealed.SealedProgram.verify`), and — when the
-    caller knows which plan the sidecar must belong to —
-    ``expected_plan_sha`` against the recorded binding.  Any failure
-    raises :class:`~repro.errors.PlanCorruptionError`; a sealed
-    artifact is a derived cache, so the caller heals by re-sealing
-    from the plan, never by trusting the file.
+    (:meth:`~repro.ir.sealed.SealedProgram.verify`), and the embedded
+    semantic certificate against that digest.  Any failure raises
+    :class:`~repro.errors.PlanCorruptionError`; a sealed artifact is a
+    derived cache, so the caller heals by re-planning, never by
+    trusting the file.
     """
     with telemetry.span("plan_io.load_sealed") as sp:
         try:
@@ -931,12 +927,12 @@ def load_sealed(path, expected_plan_sha: str | None = None):
                 f"{path}: sealed artifact is unreadable (truncated or "
                 f"not a save_sealed archive): {exc}"
             ) from exc
-        sealed = _decode_sealed(path, arrays, expected_plan_sha)
+        sealed = _decode_sealed(path, arrays)
         sp.set(n=sealed.n, engine=sealed.engine)
         return sealed
 
 
-def _decode_sealed(path, arrays: dict, expected_plan_sha: str | None):
+def _decode_sealed(path, arrays: dict):
     from repro.ir.sealed import SealedProgram, invert_permutation
     from repro.staticcheck.semantics import (
         SemanticCertificate,
@@ -957,21 +953,13 @@ def _decode_sealed(path, arrays: dict, expected_plan_sha: str | None):
         )
     stored = str(arrays.pop("checksum"))
     sem_arr = arrays.pop("semantic_certificate", None)
-    bound_arr = arrays.pop("plan_sha", None)
+    arrays.pop("plan_sha", None)
     fingerprint_arr = arrays.pop("fingerprint", None)
     pipeline_arr = arrays.pop("pipeline", None)
     arrays.pop("library_version", None)
     actual = plan_checksum(arrays, keys=tuple(sorted(arrays)))
     if actual != stored:
         raise _checksum_mismatch(path, stored, actual)
-    if bound_arr is not None and expected_plan_sha is not None:
-        if str(bound_arr) != expected_plan_sha:
-            raise PlanCorruptionError(
-                f"{path}: sealed artifact is bound to plan payload "
-                f"{str(bound_arr)[:12]}..., not the expected "
-                f"{expected_plan_sha[:12]}... — sidecar and plan do "
-                "not belong together"
-            )
     n = int(arrays["n"])
     deltas = _zigzag_decode(
         _restore_narrowed(arrays, "gather_delta")
@@ -1016,8 +1004,6 @@ def _decode_sealed(path, arrays: dict, expected_plan_sha: str | None):
                 "different denotation than the sealed map"
             )
     meta: dict = {"denotation_sha": str(arrays["denotation_sha"])}
-    if bound_arr is not None:
-        meta["plan_sha"] = str(bound_arr)
     if fingerprint_arr is not None:
         meta["fingerprint"] = str(fingerprint_arr)
     if pipeline_arr is not None:

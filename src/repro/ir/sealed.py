@@ -171,7 +171,7 @@ class SealedProgram:
         ``scatter`` when omitted.
     meta:
         Provenance mapping (fingerprint, pipeline signature,
-        ``denotation_sha``, ``plan_sha``, ``predicted_rounds``, ...).
+        ``denotation_sha``, ``predicted_rounds``, ...).
     certificate:
         Optional :class:`~repro.staticcheck.semantics.
         SemanticCertificate` carried along from the translation

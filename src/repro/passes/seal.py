@@ -39,7 +39,6 @@ def seal_program(
     certificate: Any | None = None,
     fingerprint: str | None = None,
     pipeline_signature: str | None = None,
-    plan_sha: str | None = None,
 ) -> SealedProgram:
     """Collapse ``program`` into its proven :class:`SealedProgram`.
 
@@ -51,10 +50,9 @@ def seal_program(
     proof gates the seal; a program that does not denote a permutation
     raises :class:`~repro.errors.SemanticValidationError`.
 
-    ``fingerprint`` / ``pipeline_signature`` / ``plan_sha`` stamp the
-    provenance meta, alongside the denotation digest and the cost
-    model's ``predicted_rounds`` annotation when the program carries
-    one.
+    ``fingerprint`` / ``pipeline_signature`` stamp the provenance
+    meta, alongside the denotation digest and the cost model's
+    ``predicted_rounds`` annotation when the program carries one.
     """
     scatter: np.ndarray | None = None
     denotation_sha: str | None = None
@@ -96,8 +94,6 @@ def seal_program(
         meta["fingerprint"] = fingerprint
     if pipeline_signature is not None:
         meta["pipeline"] = pipeline_signature
-    if plan_sha is not None:
-        meta["plan_sha"] = plan_sha
     rounds = (program.meta or {}).get("predicted_rounds")
     if isinstance(rounds, int) and rounds > 0:
         meta["predicted_rounds"] = rounds

@@ -8,10 +8,10 @@ amortization layer:
 * :func:`permutation_digest` / :func:`plan_fingerprint` — stable
   content-addressed identities (see :mod:`repro.planner.fingerprint`).
 * :class:`LRUPlanCache` / :class:`DiskPlanCache` — the two cache
-  tiers; the disk tier stores ordinary certified v3 plan files, so
-  cache integrity is plan-file integrity.
-* :class:`Planner` — ``compile(p)`` walks memory → disk → cold plan
-  and returns a :class:`CompiledPermutation` whose ``apply`` /
+  tiers; the disk tier stores one sealed sidecar per fingerprint,
+  re-proved on every load.
+* :class:`Planner` — ``compile(p)`` walks memory → sealed sidecar →
+  cold plan and returns a :class:`CompiledPermutation` whose ``apply`` /
   ``apply_batch`` never re-plan; ``sealed(p, digest)`` is the serving
   path, one gather built from ``p`` itself and never planned.
 

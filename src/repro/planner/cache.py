@@ -1,5 +1,4 @@
-"""The plan-cache tiers: in-memory LRU, on-disk v3 files, sealed
-sidecars.
+"""The plan-cache tiers: in-memory LRU and on-disk sealed sidecars.
 
 Every key is content-addressed — a
 :func:`~repro.planner.fingerprint.plan_fingerprint` or a
@@ -15,19 +14,16 @@ by entry count (``capacity``) and by **resident bytes**
 unbounded memory while a crowd of tiny ones still fills the count
 bound.
 
-The disk tier stores plans in the ordinary v3 format of
-:mod:`repro.core.io` — certificates and checksums included — which
-buys the planner the full integrity ladder for free: a tampered cache
-entry fails ``load_plan`` exactly like any corrupted plan file, is
-*counted and skipped* (treated as a miss, then overwritten by the
-fresh re-plan), and is never served.  Next to each plan the tier keeps
-a **sealed sidecar** (``<fingerprint>.sealed.npz``): the plan's proven
-flat gather, delta-encoded and checksum-bound to the plan's payload
-SHA-256, loadable in milliseconds without rehydrating the v3 file.  A
-corrupt sidecar costs a re-seal from the plan, never a re-plan.  The
-directory itself is bounded by ``max_bytes`` with LRU eviction (plan
-and sidecar evicted together); foreign files are ignored, never
-deleted or accounted.
+The disk tier holds one artifact per fingerprint: the **sealed
+sidecar** ``<fingerprint>.sealed.npz`` of :mod:`repro.core.io` — the
+compiled program's proven flat gather, delta-encoded, checksummed and
+re-proved on every load.  The program itself is never stored: the
+sidecar's scatter map *is* the permutation, so a handle that needs its
+program re-plans from it.  A tampered sidecar fails ``load_sealed``
+exactly like any corrupted artifact, is *counted and deleted* (treated
+as a miss, then overwritten by the fresh re-plan), and is never
+served.  The directory itself is bounded by ``max_bytes`` with LRU
+eviction; foreign files are ignored, never deleted or accounted.
 
 Every cache event is a counter in the stack's
 :class:`~repro.telemetry.MetricsRegistry` (the planner passes its own;
@@ -45,7 +41,9 @@ import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ValidationError
 from repro.telemetry import Counter, MetricsRegistry
@@ -60,9 +58,11 @@ if TYPE_CHECKING:
     #: sealed programs by permutation digest.
     _Entry: TypeAlias = CompiledPermutation | SealedProgram
 
-#: Disk-cache entries are content-addressed SHA-256 hex fingerprints;
-#: anything else in the directory is foreign and left alone.
+#: Disk-cache entries are ``<fingerprint>.sealed.npz`` with a
+#: content-addressed SHA-256 hex fingerprint; anything else in the
+#: directory is foreign and left alone.
 _FINGERPRINT_RE = re.compile(r"\A[0-9a-f]{64}\Z")
+_SUFFIX = ".sealed.npz"
 
 
 def planner_counters(
@@ -202,26 +202,22 @@ class LRUPlanCache:
 
 
 class DiskPlanCache:
-    """On-disk plan cache: one v3 ``.npz`` per fingerprint, plus an
-    optional sealed sidecar, bounded by total bytes.
+    """On-disk cache of sealed sidecars: one ``<fingerprint>.sealed.npz``
+    per entry, bounded by total bytes.
 
-    Entries are ordinary :func:`repro.core.io.save_plan` files named
-    ``<fingerprint>.npz``, stamped with pipeline/fingerprint
-    provenance.  Loading reuses :func:`repro.core.io.load_plan`, so
-    every integrity check (checksum, certificate binding and
-    re-verification against the recomputed program denotation,
-    structural verify) guards the cache; an entry that fails any of
-    them is invalidated on the spot — deleted, counted as corrupt,
-    treated as a miss — and the caller re-plans it.
-
-    Sealed sidecars (``<fingerprint>.sealed.npz``,
-    :func:`repro.core.io.save_sealed`) carry the plan's proven flat
-    gather, bound to the plan file's payload checksum.  A sidecar that
-    fails any proof on load is deleted and counted
-    (``planner_sealed_corrupt_total``); the caller heals by re-sealing
-    from the v3 plan.  ``max_bytes`` bounds the summed size of accounted
-    entries with LRU eviction — plan and sidecar leave together.
-    Foreign files in the directory are ignored, never deleted.
+    Entries are :func:`repro.core.io.save_sealed` files, written
+    atomically.  Loading reuses :func:`repro.core.io.load_sealed`, so
+    every proof (checksum, delta decode, denotation digest,
+    mutual-inverse, embedded certificate) guards the cache, and the
+    loaded sidecar must also answer the request: its scatter map is
+    the requested ``p`` and its engine and width (checksummed payload
+    keys) are the requested ones.  An entry that fails any of this is
+    invalidated on the spot — deleted, counted
+    (``planner_sealed_corrupt_total``), treated as a miss — and the
+    caller re-plans and rewrites it.  ``max_bytes`` bounds the summed
+    size of the entries with LRU eviction.  Foreign files in the
+    directory (including plan files of older builds) are ignored,
+    never deleted or accounted.
     """
 
     def __init__(
@@ -242,7 +238,6 @@ class DiskPlanCache:
         self._sizes: OrderedDict[str, int] = OrderedDict()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._counts = planner_counters(self.metrics, (
-            "disk_hits", "disk_misses", "disk_corrupt", "disk_stores",
             "disk_evictions", "sealed_hits", "sealed_misses",
             "sealed_corrupt", "sealed_stores",
         ))
@@ -254,52 +249,34 @@ class DiskPlanCache:
         """Accounted file bytes (the ``planner_disk_bytes`` gauge)."""
         return self._bytes.value
 
-    def path_for(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.npz"
-
     def sealed_path_for(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.sealed.npz"
+        return self.directory / f"{fingerprint}{_SUFFIX}"
 
     # -- byte accounting / eviction ------------------------------------
 
     def _scan(self) -> None:
-        """Seed the byte accounting from files already on disk,
+        """Seed the byte accounting from entries already on disk,
         oldest-modified first (their LRU order as far as a fresh
         process can know it)."""
         found: dict[str, float] = {}
-        for path in self.directory.glob("*.npz"):
-            name = path.name
-            fp = (
-                name[: -len(".sealed.npz")]
-                if name.endswith(".sealed.npz")
-                else path.stem
-            )
+        for path in self.directory.glob(f"*{_SUFFIX}"):
+            fp = path.name[: -len(_SUFFIX)]
             if not _FINGERPRINT_RE.match(fp):
                 continue
             try:
-                mtime = path.stat().st_mtime
+                found[fp] = path.stat().st_mtime
             except OSError:
                 continue
-            found[fp] = max(found.get(fp, 0.0), mtime)
         with self._lock:
             for fp in sorted(found, key=found.__getitem__):
                 self._account_locked(fp)
 
-    def _entry_size(self, fingerprint: str) -> int:
-        size = 0
-        for path in (
-            self.path_for(fingerprint),
-            self.sealed_path_for(fingerprint),
-        ):
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-        return size
-
     def _account_locked(self, fingerprint: str) -> None:
         # Caller holds the lock.
-        size = self._entry_size(fingerprint)
+        try:
+            size = self.sealed_path_for(fingerprint).stat().st_size
+        except OSError:
+            size = 0
         self._bytes.inc(size - self._sizes.pop(fingerprint, 0))
         if size > 0:
             self._sizes[fingerprint] = size
@@ -329,108 +306,37 @@ class DiskPlanCache:
                 self._counts["disk_evictions"].inc()
                 victims.append(victim)
         for victim in victims:
-            self.path_for(victim).unlink(missing_ok=True)
             self.sealed_path_for(victim).unlink(missing_ok=True)
-
-    # -- v3 plan files -------------------------------------------------
-
-    def load(self, fingerprint: str) -> Any | None:
-        """The cached planned engine, or ``None`` on miss/corruption."""
-        from repro.core.io import load_plan
-        from repro.errors import PlanIntegrityError
-
-        path = self.path_for(fingerprint)
-        if not path.exists():
-            self._counts["disk_misses"].inc()
-            return None
-        try:
-            plan = load_plan(path)
-        except PlanIntegrityError:
-            # Bit rot, tampering, or a certificate that failed
-            # re-verification against the recomputed denotation: never
-            # serve it, never raise through the serving path.  The
-            # entry is invalidated (deleted) so it cannot poison later
-            # loads, counted, and reported as a miss; the caller's
-            # fresh re-plan rewrites it.  The sealed sidecar falls
-            # with its plan: it binds to a checksum that no longer
-            # names anything trustworthy.
-            path.unlink(missing_ok=True)
-            self.sealed_path_for(fingerprint).unlink(missing_ok=True)
-            self._account(fingerprint)
-            self._counts["disk_corrupt"].inc()
-            self._counts["disk_misses"].inc()
-            return None
-        self._touch(fingerprint)
-        self._counts["disk_hits"].inc()
-        return plan
-
-    def store(
-        self,
-        fingerprint: str,
-        plan: Any,
-        pipeline_signature: str,
-    ) -> Path:
-        """Persist ``plan`` under its fingerprint, atomically.
-
-        The plan is written to a temporary sibling and moved into
-        place with :func:`os.replace`, so a concurrent reader (or a
-        writer crash) can observe the old entry or the new one but
-        never a truncated ``.npz`` that the corruption path would have
-        to heal on every later load.
-        """
-        from repro.core.io import save_plan
-
-        path = self.path_for(fingerprint)
-        # The suffix must end in ".npz": np.savez would otherwise
-        # append it and write somewhere else.
-        tmp = path.with_name(
-            f".{fingerprint}.{os.getpid()}.{threading.get_ident()}"
-            ".tmp.npz"
-        )
-        try:
-            save_plan(
-                tmp,
-                plan,
-                provenance={
-                    "pipeline": pipeline_signature,
-                    "fingerprint": fingerprint,
-                },
-            )
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self._counts["disk_stores"].inc()
-        self._account(fingerprint)
-        return path
 
     # -- sealed sidecars -----------------------------------------------
 
-    def load_sealed(self, fingerprint: str) -> "SealedProgram | None":
-        """The entry's sealed sidecar, re-proved, or ``None``.
+    def load_sealed(
+        self, fingerprint: str, p: np.ndarray, engine: str, width: int
+    ) -> "SealedProgram | None":
+        """The entry for a request of ``p`` on ``engine`` at ``width``,
+        re-proved, or ``None``.
 
-        A sidecar that fails any of its proofs (checksum, delta
-        decode, denotation digest, mutual-inverse, plan binding) is
-        deleted and counted corrupt — the *plan* file is untouched, so
-        the caller heals by re-sealing from the still-trusted v3
-        entry.
+        A sidecar that fails any proof on load, or that encodes another
+        permutation, engine or width (one copied over another
+        fingerprint's name), is deleted and counted corrupt; the caller
+        re-plans.  Engines without a warp width seal width 0.
         """
-        from repro.core.io import load_sealed, read_plan_checksum
+        from repro.core.io import load_sealed
         from repro.errors import PlanIntegrityError
 
         path = self.sealed_path_for(fingerprint)
         if not path.exists():
             self._counts["sealed_misses"].inc()
             return None
-        expected = None
-        plan_path = self.path_for(fingerprint)
-        if plan_path.exists():
-            try:
-                expected = read_plan_checksum(plan_path)
-            except PlanIntegrityError:
-                expected = None
         try:
-            sealed = load_sealed(path, expected_plan_sha=expected)
+            sealed: SealedProgram | None = load_sealed(path)
         except PlanIntegrityError:
+            sealed = None
+        if sealed is None or not (
+            sealed.engine == engine
+            and sealed.width in (0, width)
+            and np.array_equal(sealed.scatter, p)
+        ):
             path.unlink(missing_ok=True)
             self._account(fingerprint)
             self._counts["sealed_corrupt"].inc()
@@ -443,10 +349,19 @@ class DiskPlanCache:
     def store_sealed(
         self, fingerprint: str, sealed: "SealedProgram"
     ) -> Path:
-        """Persist a sealed sidecar next to its plan, atomically."""
+        """Persist a sealed sidecar under its fingerprint, atomically.
+
+        The sidecar is written to a temporary sibling and moved into
+        place with :func:`os.replace`, so a concurrent reader (or a
+        writer crash) can observe the old entry or the new one but
+        never a truncated file that the corruption path would have to
+        heal on every later load.
+        """
         from repro.core.io import save_sealed
 
         path = self.sealed_path_for(fingerprint)
+        # The suffix must end in ".npz": np.savez would otherwise
+        # append it and write somewhere else.
         tmp = path.with_name(
             f".{fingerprint}.{os.getpid()}.{threading.get_ident()}"
             ".sealed.tmp.npz"

@@ -3,16 +3,16 @@
 
 ``Planner.compile(p)`` resolves a permutation to a compiled handle by
 walking the cache tiers cheapest-first — in-memory LRU, then the
-**sealed** sidecar on disk, then the full v3 disk entry, then a cold
-``Engine.plan`` — and the handle's ``apply`` / ``apply_batch`` /
-``simulate`` never re-plan.  On the workload the paper targets (one
-permutation, many payloads) this turns every call after the first into
-pure apply time, and that apply is always a *single* proven flat
-gather: every handle is sealed, and one resolved from a sealed sidecar
-serves ``apply`` without ever rehydrating the v3 plan file (the full
-program is loaded lazily, only if something asks for ``lower()`` /
-``simulate()`` / ``shard()``).  ``Planner.sealed(p, digest)`` skips the
-program altogether: it is how the serving layer answers requests.
+**sealed** sidecar on disk, then a cold ``Engine.plan`` — and the
+handle's ``apply`` / ``apply_batch`` never plan.  On the workload the
+paper targets (one permutation, many payloads) this turns every call
+after the first into pure apply time, and that apply is always a
+*single* proven flat gather: every handle is sealed, and one resolved
+from a sealed sidecar serves ``apply`` from the sidecar alone (its
+program is re-planned from the sidecar's scatter map lazily, only if
+something asks for ``lower()`` / ``simulate()`` / ``shard()``).
+``Planner.sealed(p, digest)`` skips the program altogether: it is how
+the serving layer answers requests.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ class CompiledPermutation:
     re-plans.
 
     Handles resolved from a sealed disk sidecar are **lazy**: the
-    engine and full program stay unloaded (``loader`` rehydrates them
-    on first demand), while ``apply`` / ``apply_batch`` / ``p`` /
-    ``n`` are served from the sealed maps alone.
+    engine and full program stay unloaded (``loader`` re-plans them
+    from the sealed scatter map on first demand), while ``apply`` /
+    ``apply_batch`` / ``p`` / ``n`` are served from the sealed maps
+    alone.
     """
 
     def __init__(
@@ -301,8 +302,8 @@ class Planner:
         Optional bound on the memory tier's resident bytes (programs
         plus sealed index maps); LRU-evicted past it.
     disk_max_bytes:
-        Optional bound on the disk tier's total file bytes (plans plus
-        sealed sidecars); LRU-evicted past it.
+        Optional bound on the disk tier's total sidecar bytes;
+        LRU-evicted past it.
 
     The planner creates the stack's one
     :class:`~repro.telemetry.MetricsRegistry` (:attr:`metrics`) and
@@ -323,8 +324,8 @@ class Planner:
         #: The stack's registry.  Besides the cache and plan counters,
         #: every compile records ``planner_compile_seconds`` labeled by
         #: the cache tier that answered (``memory``/``sealed``/
-        #: ``disk``/``cold``) and the engine, so the latency cliff
-        #: between tiers is measurable per request, not just countable.
+        #: ``cold``) and the engine, so the latency cliff between
+        #: tiers is measurable per request, not just countable.
         self.metrics = MetricsRegistry()
         self.memory = LRUPlanCache(
             cache_size, max_bytes=cache_max_bytes, metrics=self.metrics
@@ -393,11 +394,10 @@ class Planner:
     ) -> CompiledPermutation:
         """Resolve ``p`` to a :class:`CompiledPermutation`.
 
-        Tier order: memory LRU, sealed disk sidecar, full v3 disk
-        entry, cold ``Engine.plan``.  A caller that already holds the
-        permutation's digest (e.g. the resilience chain hopping
-        engines) passes it via ``digest`` so the array is never
-        re-hashed.
+        Tier order: memory LRU, sealed disk sidecar, cold
+        ``Engine.plan``.  A caller that already holds the permutation's
+        digest (e.g. the resilience chain hopping engines) passes it
+        via ``digest`` so the array is never re-hashed.
         """
         fp = self.fingerprint(p, engine=engine, width=width,
                               digest=digest)
@@ -432,28 +432,15 @@ class Planner:
             if isinstance(hit, CompiledPermutation):
                 return hit, "memory"
             if self.disk is not None:
-                sealed = self.disk.load_sealed(fp)
+                sealed = self.disk.load_sealed(fp, p, engine, width)
                 if sealed is not None:
-                    compiled = self._from_sealed(fp, sealed, backend)
+                    compiled = self._from_sealed(fp, sealed, engine,
+                                                 width, backend)
                     self.memory.put(fp, compiled)
                     return compiled, "sealed"
-            plan = (
-                self.disk.load(fp) if self.disk is not None else None
+            plan, program, cert, proven = self._cold_plan(
+                p, engine, width, backend
             )
-            if plan is not None:
-                tier = "disk"
-            else:
-                with telemetry.span("planner.plan", engine=engine):
-                    plan = get_engine(engine).plan(
-                        p, width=width,
-                        backend=backend or self.backend,
-                    )
-                self._counts["cold_plans"].inc()
-                tier = "cold"
-                if self.disk is not None:
-                    self.disk.store(fp, plan,
-                                    self.pipeline.signature())
-            program, cert, proven = self._optimize_validated(plan)
             sealed = self._seal(plan, program, cert)
             compiled = CompiledPermutation(
                 engine=plan,
@@ -467,7 +454,34 @@ class Planner:
                 self.memory.put(fp, compiled)
                 if self.disk is not None:
                     self._store_sealed(fp, sealed)
-            return compiled, tier
+            return compiled, "cold"
+
+    def _cold_plan(
+        self,
+        p: np.ndarray,
+        engine: str,
+        width: int,
+        backend: str | None,
+    ) -> tuple[Any, KernelProgram, SemanticCertificate, bool]:
+        """Plan ``p`` from scratch and optimize it under translation
+        validation (:meth:`_optimize_validated`).
+
+        A disk-backed planner persists what it plans, so it also
+        certifies the plan's schedule conflict-free/coalesced
+        (:func:`~repro.core.io.certify_schedule`) and refuses a
+        conflicted one with :class:`~repro.errors.CertificateError`
+        before anything is written.
+        """
+        with telemetry.span("planner.plan", engine=engine):
+            plan = get_engine(engine).plan(
+                p, width=width, backend=backend or self.backend,
+            )
+        self._counts["cold_plans"].inc()
+        if self.disk is not None:
+            from repro.core.io import certify_schedule
+
+            certify_schedule(plan, f"cache {engine!r} plan")
+        return (plan, *self._optimize_validated(plan))
 
     def _seal(
         self,
@@ -494,56 +508,35 @@ class Planner:
     def _store_sealed(
         self, fp: str, sealed: SealedProgram
     ) -> None:
-        """Persist the sealed sidecar, bound to its plan file's
-        payload checksum (read back cheaply from the just-stored v3
-        entry)."""
+        """Persist the sealed sidecar under its fingerprint."""
         assert self.disk is not None
-        from repro.core.io import read_plan_checksum
-        from repro.errors import PlanIntegrityError
-
         sealed.meta["fingerprint"] = fp
-        plan_path = self.disk.path_for(fp)
-        if plan_path.exists():
-            try:
-                sealed.meta["plan_sha"] = read_plan_checksum(plan_path)
-            except PlanIntegrityError:
-                sealed.meta.pop("plan_sha", None)
         try:
             self.disk.store_sealed(fp, sealed)
         except OSError:
-            # A failed sidecar persist must not fail the compile; the
-            # sealed form still serves from memory.
+            # A failed persist must not fail the compile; the sealed
+            # form still serves from memory.
             telemetry.current_span().set(sealed_store_failed=True)
 
     def _from_sealed(
-        self, fp: str, sealed: SealedProgram, backend: str | None
+        self,
+        fp: str,
+        sealed: SealedProgram,
+        engine: str,
+        width: int,
+        backend: str | None,
     ) -> CompiledPermutation:
         """A lazy handle over a sealed sidecar hit.
 
-        Applies are served from the sealed maps immediately; the v3
-        plan is rehydrated (or, if its file has meanwhile vanished,
-        re-planned from the sealed scatter map — which *is* the
-        permutation) only when a caller needs the full program.
+        Applies are served from the sealed maps immediately; the
+        program is re-planned from the sealed scatter map — which *is*
+        the permutation — only when a caller needs it.
         """
 
         def loader() -> _Loaded:
-            plan = (
-                self.disk.load(fp) if self.disk is not None else None
+            plan, program, cert, _proven = self._cold_plan(
+                sealed.scatter, engine, width, backend
             )
-            if plan is None:
-                with telemetry.span(
-                    "planner.plan", engine=sealed.engine
-                ):
-                    plan = get_engine(sealed.engine).plan(
-                        sealed.scatter,
-                        width=sealed.width,
-                        backend=backend or self.backend,
-                    )
-                self._counts["cold_plans"].inc()
-                if self.disk is not None:
-                    self.disk.store(fp, plan,
-                                    self.pipeline.signature())
-            program, cert, _proven = self._optimize_validated(plan)
             return plan, program, cert
 
         return CompiledPermutation(

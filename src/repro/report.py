@@ -242,13 +242,13 @@ def _check_serving() -> str:
                 raise AssertionError("re-registration not refused")
             except ValidationError:
                 pass
-            # Compile the program, then corrupt its plan and sidecar,
-            # evict the served gather and arm a colouring fault: the
-            # request is answered from p and reaches none of them.
+            # Compile the program, then corrupt its sidecar, evict the
+            # served gather and arm a colouring fault: the request is
+            # answered from p and reaches neither.
             service.compiled("default/perm")
-            for path in (planner.disk.path_for(fp),
-                         planner.disk.sealed_path_for(fp)):
-                FaultPlan(seed=7).corrupt_plan_file(path, "bit-flip")
+            FaultPlan(seed=7).corrupt_plan_file(
+                planner.disk.sealed_path_for(fp), "bit-flip"
+            )
             planner.memory.invalidate(
                 service._registration("default/perm").digest
             )
@@ -258,7 +258,7 @@ def _check_serving() -> str:
             assert np.array_equal(out, expected)
             stats = server.stats()
             assert stats["cold_plans"] == before["cold_plans"]
-            assert stats["disk_corrupt"] == stats["sealed_corrupt"] == 0
+            assert stats["sealed_corrupt"] == 0
             health = server.health()["status"]
         finally:
             server.close()
@@ -372,8 +372,8 @@ def _check_passes() -> str:
     again = pipeline.run(optimized)
     assert again.num_rounds == optimized.num_rounds
     assert len(again.ops) == len(optimized.ops)
-    # The planner serves memory hits, disk hits across processes, and
-    # degrades gracefully (re-plan) when the cached file is tampered.
+    # The planner serves memory hits, sealed hits across processes, and
+    # degrades gracefully (re-plan) when the cached sidecar is tampered.
     with tempfile.TemporaryDirectory() as tmp:
         planner = Planner(cache_dir=tmp)
         cold = planner.compile(p, width=_WIDTH)
@@ -383,13 +383,12 @@ def _check_passes() -> str:
         fresh.compile(p, width=_WIDTH)
         assert fresh.stats()["sealed_hits"] == 1
         assert fresh.stats()["cold_plans"] == 0
-        path = planner.disk.path_for(cold.fingerprint)
+        path = planner.disk.sealed_path_for(cold.fingerprint)
         FaultPlan(seed=0).corrupt_plan_file(path, "bit-flip")
-        planner.disk.sealed_path_for(cold.fingerprint).unlink()
         tampered = Planner(cache_dir=tmp)
         out = tampered.compile(p, width=_WIDTH).apply(a)
         assert np.array_equal(out, expected)
-        assert tampered.stats()["disk_corrupt"] == 1
+        assert tampered.stats()["sealed_corrupt"] == 1
         assert tampered.stats()["cold_plans"] == 1
     return ("roundtrip 64 -> 0 rounds, pipeline idempotent; cache: "
             "memory + sealed hits served, tampered entry re-planned")

@@ -244,7 +244,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def corrupt_plan_file(self, path, mode: str) -> InjectedFileFault:
-        """Damage the plan file at ``path`` in place.
+        """Damage the plan file or sealed sidecar at ``path`` in place.
 
         ``mode`` is one of :data:`FILE_FAULT_MODES`.  Deterministic:
         the damage depends only on ``seed``, the number of previous
@@ -292,6 +292,10 @@ class FaultPlan:
             key = candidates[int(rng.integers(len(candidates)))]
             del arrays[key]
             detail = "deleted"
+        elif "sealed_version" in arrays:   # stale-version, sidecar
+            key = "sealed_version"
+            arrays[key] = np.int64(0)
+            detail = "rewound sealed_version to 0"
         else:   # stale-version
             key = "format_version"
             arrays[key] = np.int64(1)

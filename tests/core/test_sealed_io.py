@@ -1,5 +1,5 @@
-"""Sealed sidecar persistence: save/load round trip, checksum and
-binding enforcement, version gating, and narrow delta encoding."""
+"""Sealed sidecar persistence: save/load round trip, checksum
+enforcement, version gating, and narrow delta encoding."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,10 @@ import pytest
 from repro.core.io import (
     load_sealed,
     plan_checksum,
-    read_plan_checksum,
     save_plan,
     save_sealed,
 )
-from repro.errors import (
-    PlanCorruptionError,
-    PlanIntegrityError,
-    PlanVersionError,
-)
+from repro.errors import PlanCorruptionError, PlanVersionError
 from repro.ir.registry import get_engine
 from repro.passes import default_pipeline, seal_program
 from repro.permutations.named import bit_reversal, random_permutation
@@ -105,54 +100,26 @@ class TestRejection:
         with pytest.raises(PlanCorruptionError):
             load_sealed(path)
 
-    def test_binding_mismatch_rejected(self, tmp_path):
+    def test_legacy_plan_sha_key_is_ignored(self, tmp_path):
+        # Sidecars of older builds carry a plan_sha metadata key that
+        # bound them to a plan file; it is outside the checksum, and
+        # loading ignores it.
         path = tmp_path / "x.sealed.npz"
-        save_sealed(path, _sealed(), plan_sha="f" * 64)
-        with pytest.raises(PlanIntegrityError):
-            load_sealed(path, expected_plan_sha="0" * 64)
-
-    def test_unbound_sidecar_tolerates_expected_sha(self, tmp_path):
-        # A sidecar without a recorded binding predates (or outlived)
-        # its plan file; the caller's expectation cannot refute it.
-        path = tmp_path / "x.sealed.npz"
-        save_sealed(path, _sealed())
-        load_sealed(path, expected_plan_sha="0" * 64)
-
-    def test_binding_match_accepted(self, tmp_path):
-        p = bit_reversal(_N)
-        plan = get_engine("scheduled").plan(p, width=_WIDTH)
-        plan_path = tmp_path / "plan.npz"
-        save_plan(plan_path, plan)
-        sha = read_plan_checksum(plan_path)
-        sealed = _sealed(p)
-        sealed.meta["plan_sha"] = sha
-        path = tmp_path / "plan.sealed.npz"
+        sealed = _sealed()
         save_sealed(path, sealed)
-        back = load_sealed(path, expected_plan_sha=sha)
-        assert back.meta["plan_sha"] == sha
+        with np.load(path) as data:
+            arrays = {k: np.asarray(data[k]) for k in data.files}
+        arrays["plan_sha"] = np.str_("f" * 64)
+        np.savez_compressed(path, **arrays)
+        back = load_sealed(path)
+        assert np.array_equal(back.scatter, sealed.scatter)
+        assert "plan_sha" not in back.meta
 
     def test_unreadable_file_rejected(self, tmp_path):
         path = tmp_path / "x.sealed.npz"
         path.write_bytes(b"not a zipfile")
         with pytest.raises(PlanCorruptionError):
             load_sealed(path)
-
-
-class TestReadPlanChecksum:
-    def test_matches_full_load_checksum(self, tmp_path):
-        p = bit_reversal(_N)
-        plan = get_engine("scheduled").plan(p, width=_WIDTH)
-        path = tmp_path / "plan.npz"
-        save_plan(path, plan)
-        cheap = read_plan_checksum(path)
-        with np.load(path) as data:
-            arrays = {k: np.asarray(data[k]) for k in data.files}
-        assert cheap == str(arrays["checksum"])
-        assert len(cheap) == 64
-
-    def test_missing_file_raises_integrity_error(self, tmp_path):
-        with pytest.raises(PlanIntegrityError):
-            read_plan_checksum(tmp_path / "absent.npz")
 
 
 class TestDeltaNarrowing:

@@ -94,20 +94,21 @@ class TestDiskBound:
         return planner
 
     def test_evicts_oldest_entries_over_bound(self, tmp_path):
-        planner = self._fill(tmp_path, 80_000)
+        planner = self._fill(tmp_path, 20_000)
         stats = planner.stats()
-        assert stats["disk_max_bytes"] == 80_000
-        assert stats["disk_bytes"] <= 80_000
+        assert stats["disk_max_bytes"] == 20_000
+        assert stats["disk_bytes"] <= 20_000
         assert stats["disk_evictions"] >= 1
         assert stats["disk_entries"] >= 1
 
     def test_eviction_removes_plan_and_sidecar_together(self, tmp_path):
-        self._fill(tmp_path, 80_000)
-        plans = {p.stem for p in tmp_path.glob("*.npz")
-                 if not p.name.endswith(".sealed.npz")}
-        sidecars = {p.name[: -len(".sealed.npz")]
-                    for p in tmp_path.glob("*.sealed.npz")}
-        assert plans == sidecars
+        # An entry is one sidecar (no plan file beside it), so eviction
+        # leaves exactly the accounted sidecars on disk.
+        planner = self._fill(tmp_path, 20_000)
+        files = list(tmp_path.iterdir())
+        assert all(f.name.endswith(".sealed.npz") for f in files)
+        assert len(files) == planner.stats()["disk_entries"]
+        assert sum(f.stat().st_size for f in files) == planner.disk.bytes
 
     def test_scan_seeds_accounting_across_processes(self, tmp_path):
         self._fill(tmp_path, None, perms=3)
@@ -125,6 +126,30 @@ class TestDiskBound:
         assert fresh.bytes == 0
         assert fresh.stats()["disk_entries"] == 0
 
+    def test_leftover_plan_file_is_foreign(self, tmp_path):
+        # Older builds wrote <fp>.npz beside each sidecar; it is never
+        # read, accounted, evicted or deleted.
+        from repro.core.io import save_plan
+
+        p = random_permutation(_N, seed=0)
+        planner = Planner(cache_dir=tmp_path, disk_max_bytes=1)
+        compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
+        leftover = tmp_path / f"{compiled.fingerprint}.npz"
+        save_plan(leftover, compiled.engine)
+        fresh = Planner(cache_dir=tmp_path, disk_max_bytes=1)
+        sidecar = fresh.disk.sealed_path_for(compiled.fingerprint)
+        assert fresh.disk.bytes == sidecar.stat().st_size
+        # Fill past the bound: the old sidecar is evicted, the
+        # leftover plan file stays.
+        fresh.compile(random_permutation(_N, seed=1), engine="scheduled",
+                      width=_WIDTH)
+        assert fresh.stats()["disk_evictions"] == 1
+        assert not sidecar.exists()
+        assert leftover.exists()
+        assert fresh.disk.bytes == sum(
+            f.stat().st_size for f in tmp_path.glob("*.sealed.npz")
+        )
+
     def test_unbounded_cache_never_evicts(self, tmp_path):
         planner = self._fill(tmp_path, None)
         stats = planner.stats()
@@ -133,12 +158,12 @@ class TestDiskBound:
         assert stats["disk_entries"] == 6
 
     def test_evicted_fingerprint_replans_cleanly(self, tmp_path):
-        planner = self._fill(tmp_path, 80_000)
+        planner = self._fill(tmp_path, 20_000)
         evicted_before = planner.stats()["disk_evictions"]
         # Seed 0 planned first, so its files went first; a fresh
         # planner must fall back to a cold plan without error.
         p = random_permutation(_N, seed=0)
-        fresh = Planner(cache_dir=tmp_path, disk_max_bytes=80_000)
+        fresh = Planner(cache_dir=tmp_path, disk_max_bytes=20_000)
         a = np.random.default_rng(1).random(_N)
         out = fresh.compile(p, engine="scheduled", width=_WIDTH).apply(a)
         expected = np.empty_like(a)

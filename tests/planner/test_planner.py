@@ -58,7 +58,7 @@ class TestPlanner:
         stats = planner.stats()
         assert stats["cold_plans"] == 1
         assert stats["memory_hits"] == 1
-        assert stats["disk_stores"] == 1
+        assert stats["sealed_stores"] == 1
 
     def test_sealed_hit_across_planners(self, tmp_path):
         p = bit_reversal(_N)
@@ -70,71 +70,126 @@ class TestPlanner:
         assert stats["cold_plans"] == 0
         a = np.arange(_N, dtype=np.float32)
         assert np.array_equal(compiled.apply(a), _expected(p, a))
-        # The sealed sidecar answered; the full plan never rehydrated.
+        # The sealed sidecar answered; the program was never planned.
         assert not compiled.is_loaded
 
-    def test_disk_hit_when_sidecar_absent(self, tmp_path):
+    def test_sealed_handle_replans_program_from_scatter(self, tmp_path):
         p = bit_reversal(_N)
-        first = Planner(cache_dir=tmp_path)
-        fp = first.compile(p, width=_WIDTH).fingerprint
-        first.disk.sealed_path_for(fp).unlink()
+        cold = Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
         fresh = Planner(cache_dir=tmp_path)
         compiled = fresh.compile(p, width=_WIDTH)
+        assert compiled.program.num_rounds == cold.program.num_rounds
+        assert np.array_equal(compiled.engine.p, p)
         stats = fresh.stats()
-        assert stats["disk_hits"] == 1
-        assert stats["cold_plans"] == 0
-        a = np.arange(_N, dtype=np.float32)
-        assert np.array_equal(compiled.apply(a), _expected(p, a))
-        # The disk hit re-sealed and backfilled the sidecar.
-        assert fresh.disk.sealed_path_for(fp).exists()
+        assert stats["sealed_hits"] == 1
+        assert stats["cold_plans"] == 1
+        # The re-plan is certified like any disk-backed cold plan.
+        assert compiled.engine.certificate.ok
+        # Re-planning writes nothing: the sidecar is the only file.
+        assert [f.name for f in tmp_path.iterdir()] == [
+            f"{compiled.fingerprint}.sealed.npz"
+        ]
 
     def test_memory_only_planner(self):
         planner = Planner()
         p = bit_reversal(_N)
         planner.compile(p, width=_WIDTH)
         assert planner.compile(p, width=_WIDTH) is not None
-        assert "disk_hits" not in planner.stats()
+        assert "sealed_hits" not in planner.stats()
 
     def test_corrupt_entry_replanned_and_overwritten(self, tmp_path):
         p = bit_reversal(_N)
         first = Planner(cache_dir=tmp_path)
         cold = first.compile(p, width=_WIDTH)
-        path = first.disk.path_for(cold.fingerprint)
+        path = first.disk.sealed_path_for(cold.fingerprint)
         FaultPlan(seed=0).corrupt_plan_file(path, "bit-flip")
-        # Drop the sealed sidecar too, so the corrupt plan itself is
-        # what the fresh planner must survive.
-        first.disk.sealed_path_for(cold.fingerprint).unlink()
         tampered = Planner(cache_dir=tmp_path)
         compiled = tampered.compile(p, width=_WIDTH)
         stats = tampered.stats()
-        assert stats["disk_corrupt"] == 1
+        assert stats["sealed_corrupt"] == 1
         assert stats["cold_plans"] == 1
         a = np.arange(_N, dtype=np.float32)
         assert np.array_equal(compiled.apply(a), _expected(p, a))
-        # The fresh re-plan overwrote the tampered entry in place (and
-        # re-sealed it, so the next planner takes the sealed tier).
+        # The fresh re-plan overwrote the tampered entry in place, so
+        # the next planner takes the sealed tier.
         healed = Planner(cache_dir=tmp_path)
         healed.compile(p, width=_WIDTH)
         assert healed.stats()["sealed_hits"] == 1
 
-    def test_corrupt_sidecar_healed_from_plan(self, tmp_path):
+    @pytest.mark.parametrize("source", [
+        (random_permutation(_N, seed=3), "scheduled"),   # another p
+        (bit_reversal(_N), "padded"),                    # another engine
+    ])
+    def test_sidecar_under_foreign_fingerprint_refused(self, tmp_path,
+                                                       source):
         p = bit_reversal(_N)
         first = Planner(cache_dir=tmp_path)
-        fp = first.compile(p, width=_WIDTH).fingerprint
-        sidecar = first.disk.sealed_path_for(fp)
-        FaultPlan(seed=0).corrupt_plan_file(sidecar, "bit-flip")
+        other = first.compile(source[0], engine=source[1],
+                              width=_WIDTH).fingerprint
+        fp = first.fingerprint(p, width=_WIDTH)
+        # The other entry's (intact, fully proven) sidecar copied over
+        # p's name.
+        first.disk.sealed_path_for(fp).write_bytes(
+            first.disk.sealed_path_for(other).read_bytes()
+        )
         fresh = Planner(cache_dir=tmp_path)
         compiled = fresh.compile(p, width=_WIDTH)
-        stats = fresh.stats()
-        assert stats["sealed_corrupt"] == 1
-        assert stats["disk_hits"] == 1
-        assert stats["cold_plans"] == 0
+        assert compiled.sealed.engine == "scheduled"
         a = np.arange(_N, dtype=np.float32)
         assert np.array_equal(compiled.apply(a), _expected(p, a))
-        # The intact plan re-sealed; the sidecar is whole again.
-        assert sidecar.exists()
-        assert Planner(cache_dir=tmp_path).disk.load_sealed(fp) \
-            is not None
+        stats = fresh.stats()
+        assert stats["sealed_corrupt"] == 1
+        assert stats["sealed_hits"] == 0
+        assert stats["cold_plans"] == 1
+        # The re-plan rewrote p's entry with p's own sidecar.
+        healed = Planner(cache_dir=tmp_path)
+        assert np.array_equal(healed.compile(p, width=_WIDTH).p, p)
+        assert healed.stats()["sealed_hits"] == 1
+
+    def test_failed_sidecar_write_does_not_fail_compile(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.core.io
+
+        def refuse(path, sealed):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(repro.core.io, "save_sealed", refuse)
+        p = bit_reversal(_N)
+        planner = Planner(cache_dir=tmp_path)
+        compiled = planner.compile(p, width=_WIDTH)
+        a = np.arange(_N, dtype=np.float32)
+        assert np.array_equal(compiled.apply(a), _expected(p, a))
+        stats = planner.stats()
+        assert stats["sealed_stores"] == 0
+        assert stats["disk_entries"] == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_conflicted_cold_plan_refused_unwritten(
+        self, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.staticcheck.certifier as certifier
+        from repro.errors import CertificateError
+
+        real = certifier.certify_plan
+        clash = certifier.Counterexample(
+            kernel="step1", round_index=0, space="shared", kind="read",
+            array="a", warp=0, lanes=(0, 1), addresses=(0, 32),
+            block=0, bank=0,
+        )
+
+        def conflicted(plan):
+            return dataclasses.replace(real(plan), counterexample=clash)
+
+        monkeypatch.setattr(certifier, "certify_plan", conflicted)
+        p = bit_reversal(_N)
+        with pytest.raises(CertificateError, match="not conflict-free"):
+            Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
+        assert list(tmp_path.iterdir()) == []
+        # A memory-only planner does not certify (nothing persists).
+        assert Planner().compile(p, width=_WIDTH).n == _N
 
     def test_lru_eviction_bounds_memory(self):
         planner = Planner(cache_size=2)
@@ -159,12 +214,14 @@ class TestPlanner:
         stats = planner.stats()
         assert stats["cold_plans"] == 1
         assert stats["memory_hits"] == 1
-        assert stats["disk_stores"] == 1
+        assert stats["sealed_stores"] == 1
         # The same counts are the registry's series.
         text = planner.metrics.prometheus_text()
         assert "repro_planner_cold_plans_total 1" in text
         assert "repro_planner_memory_hits_total 1" in text
-        assert "repro_planner_disk_stores_total 1" in text
+        assert "repro_planner_sealed_stores_total 1" in text
+        assert "planner_disk_hits_total" not in text
+        assert 'tier="disk"' not in text
 
 
 class TestCompiledPermutation:
@@ -194,39 +251,37 @@ class TestCompiledPermutation:
 class TestDiskPlanCache:
     def test_miss_on_absent(self, tmp_path):
         cache = DiskPlanCache(tmp_path)
-        assert cache.load("0" * 64) is None
-        assert cache.stats()["disk_misses"] == 1
+        p = bit_reversal(_N)
+        assert cache.load_sealed("0" * 64, p, "scheduled", _WIDTH) is None
+        assert cache.stats()["sealed_misses"] == 1
 
     def test_foreign_files_ignored(self, tmp_path):
         (tmp_path / "notes.txt").write_text("not a plan")
         cache = DiskPlanCache(tmp_path)
-        assert cache.load("0" * 64) is None
+        p = bit_reversal(_N)
+        assert cache.load_sealed("0" * 64, p, "scheduled", _WIDTH) is None
         assert (tmp_path / "notes.txt").exists()
 
     def test_store_is_atomic_no_temp_residue(self, tmp_path):
         planner = Planner(cache_dir=tmp_path)
-        planner.compile(bit_reversal(_N), engine="scheduled",
-                        width=_WIDTH)
-        files = sorted(f.name for f in tmp_path.iterdir())
-        # One v3 plan entry plus its sealed sidecar.
-        assert len(files) == 2
-        assert all(f.endswith(".npz") for f in files)
-        assert not any(f.startswith(".") for f in files)  # no temp
+        compiled = planner.compile(bit_reversal(_N), engine="scheduled",
+                                   width=_WIDTH)
+        # One file per entry: the sealed sidecar, and no temp file.
+        files = [f.name for f in tmp_path.iterdir()]
+        assert files == [f"{compiled.fingerprint}.sealed.npz"]
 
     def test_concurrent_stores_never_leave_torn_files(self, tmp_path):
         import threading
 
         cache = DiskPlanCache(tmp_path)
         p = bit_reversal(_N)
-        planner = Planner()
-        compiled = planner.compile(p, engine="scheduled",
-                                   width=_WIDTH)
+        compiled = Planner().compile(p, engine="scheduled",
+                                     width=_WIDTH)
         fp = compiled.fingerprint
-        signature = planner.pipeline.signature()
 
         def writer():
             for _ in range(5):
-                cache.store(fp, compiled.engine, signature)
+                cache.store_sealed(fp, compiled.sealed)
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         for t in threads:
@@ -234,8 +289,8 @@ class TestDiskPlanCache:
         for t in threads:
             t.join()
         # Every interleaving leaves one complete, loadable entry.
-        assert cache.load(fp) is not None
-        assert cache.stats()["disk_corrupt"] == 0
+        assert cache.load_sealed(fp, p, "scheduled", _WIDTH) is not None
+        assert cache.stats()["sealed_corrupt"] == 0
         leftovers = [f for f in tmp_path.iterdir()
                      if f.name.startswith(".")]
         assert leftovers == []
@@ -320,7 +375,7 @@ class TestSemanticRejection:
         # sidecar is never stored.
         assert np.array_equal(first.sealed.scatter, p)
         assert first.sealed.certificate is first.semantic_certificate
-        assert list(tmp_path.glob("*.sealed.npz")) == []
+        assert list(tmp_path.iterdir()) == []
         # Every compile re-resolves (and re-rejects) — no poisoning.
         planner.compile(p, engine="scheduled", width=_WIDTH)
         assert planner.stats()["semantic_rejections"] == 2

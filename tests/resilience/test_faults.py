@@ -8,7 +8,7 @@ import pytest
 
 from repro.coloring import euler, matching
 from repro.coloring.multigraph import RegularBipartiteMultigraph
-from repro.core.io import load_plan, save_plan
+from repro.core.io import load_plan, load_sealed, save_plan, save_sealed
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import (
     ColoringError,
@@ -20,6 +20,7 @@ from repro.errors import (
     SharedMemoryCapacityError,
 )
 from repro.exec import RoundInterpreter
+from repro.ir.sealed import SealedProgram
 from repro.permutations.named import random_permutation
 from repro.resilience import (
     FILE_FAULT_MODES,
@@ -70,6 +71,18 @@ class TestFileFaultMatrix:
         )
         with pytest.raises(expected_error):
             load_plan(path)
+
+    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
+    def test_sealed_sidecar_fault_is_precise(self, p, tmp_path, mode):
+        path = tmp_path / "x.sealed.npz"
+        save_sealed(path, SealedProgram("scheduled", WIDTH, p))
+        FaultPlan(seed=11).corrupt_plan_file(path, mode)
+        expected_error = (
+            PlanVersionError if mode == "stale-version"
+            else PlanCorruptionError
+        )
+        with pytest.raises(expected_error):
+            load_sealed(path)
 
     @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -15,7 +15,7 @@ from repro.permutations.named import (
     random_permutation,
     transpose_permutation,
 )
-from repro.resilience import FaultPlan
+from repro.resilience import FILE_FAULT_MODES, FaultPlan
 from repro.service import PermutationServer
 
 _N, _WIDTH = 1024, 32
@@ -45,7 +45,7 @@ class TestHammer:
             name: server.register(name, p)
             for name, p in FAMILIES.items()
         }
-        # Compile the programs so the cache holds files to corrupt;
+        # Compile the programs so the cache holds sidecars to corrupt;
         # serving must never read them.
         for name in FAMILIES:
             server.service.compiled(f"default/{name}")
@@ -59,27 +59,24 @@ class TestHammer:
         names = sorted(FAMILIES)
         wrong = []
         failed = []
+        corrupted = set()
         lock = threading.Lock()
         stop = threading.Event()
 
         def chaos():
             faults = FaultPlan(seed=3)
-            modes = ("bit-flip", "truncate", "delete-key",
-                     "stale-version")
             cycle = 0
             while not stop.is_set():
                 name = names[cycle % len(names)]
+                mode = FILE_FAULT_MODES[cycle % len(FILE_FAULT_MODES)]
                 try:
-                    path = planner.disk.path_for(fingerprints[name])
-                    if path.exists():
-                        faults.corrupt_plan_file(
-                            path, modes[cycle % len(modes)]
-                        )
                     sidecar = planner.disk.sealed_path_for(
                         fingerprints[name]
                     )
                     if sidecar.exists():
-                        faults.corrupt_plan_file(sidecar, "bit-flip")
+                        faults.corrupt_plan_file(sidecar, mode)
+                        with lock:
+                            corrupted.add(mode)
                 except Exception:
                     pass
                 # Evicting the sealed entry sends the next request down
@@ -137,9 +134,10 @@ class TestHammer:
         # The chaos bit (sealed entries were evicted under armed
         # faults), yet no request planned or read the poisoned cache.
         assert stats["memory_invalidations"] >= 1
+        assert corrupted == set(FILE_FAULT_MODES)
         assert stats["cold_plans"] == before["cold_plans"]
-        assert stats["disk_hits"] == before["disk_hits"]
         assert stats["sealed_hits"] == before["sealed_hits"]
+        assert stats["sealed_corrupt"] == before["sealed_corrupt"]
         assert stats["server.served"] >= total - len(failed)
 
     def test_concurrent_compiles_collapse_to_one_plan(self, tmp_path):

@@ -29,9 +29,8 @@ FAMILIES = {
 
 #: Disk-tier counters: any request that read or wrote the cache would
 #: move one of them.
-_DISK_COUNTERS = ("disk_hits", "disk_misses", "disk_corrupt",
-                  "disk_stores", "sealed_hits", "sealed_misses",
-                  "sealed_corrupt", "sealed_stores")
+_DISK_COUNTERS = ("sealed_hits", "sealed_misses", "sealed_corrupt",
+                  "sealed_stores", "disk_evictions")
 
 
 def _expected(p, a):
@@ -44,15 +43,14 @@ def _expected(p, a):
 
 
 def _poisoned_cache(directory):
-    """A cache directory holding every family's compiled program and
-    sealed sidecar under the fingerprints the server would use, each
-    bit-flipped."""
+    """A cache directory holding every family's sealed sidecar under
+    the fingerprints the server would use, each bit-flipped."""
     planner = Planner(cache_dir=directory)
     for p in FAMILIES.values():
         planner.compile(p, engine="scheduled", width=_WIDTH)
     faults = FaultPlan(seed=2)
     files = sorted(directory.iterdir())
-    assert len(files) == 2 * len(FAMILIES)
+    assert len(files) == len(FAMILIES)
     for path in files:
         faults.corrupt_plan_file(path, "bit-flip")
     return {path.name: path.read_bytes() for path in files}

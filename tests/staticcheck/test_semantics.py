@@ -328,23 +328,24 @@ class TestPersistence:
         re-planned — the error never reaches the caller."""
         import json
 
+        from repro.core.io import load_sealed
         from repro.planner import Planner
 
         p = FAMILIES["random"]
         planner = Planner(cache_dir=tmp_path)
         fp = planner.fingerprint(p, engine="scheduled", width=WIDTH)
         planner.compile(p, engine="scheduled", width=WIDTH)
-        entry = planner.disk.path_for(fp)
+        entry = planner.disk.sealed_path_for(fp)
         assert entry.exists()
+        # The embedded certificate is metadata (outside the payload
+        # checksum): only its re-verification against the decoded
+        # map's digest can catch this.
         with np.load(entry) as data:
             contents = {k: data[k] for k in data.files}
         cert = json.loads(str(contents["semantic_certificate"]))
         cert["denotation_sha"] = "f" * 64
         contents["semantic_certificate"] = np.str_(json.dumps(cert))
         np.savez_compressed(entry, **contents)
-        # Drop the sealed sidecar: it carries its own (valid) proof
-        # and would otherwise shield the poisoned plan entirely.
-        planner.disk.sealed_path_for(fp).unlink()
 
         fresh = Planner(cache_dir=tmp_path)
         compiled = fresh.compile(p, engine="scheduled", width=WIDTH)
@@ -353,9 +354,7 @@ class TestPersistence:
         expected[p] = a
         np.testing.assert_array_equal(compiled.apply(a), expected)
         stats = fresh.stats()
-        assert stats["disk_corrupt"] == 1
+        assert stats["sealed_corrupt"] == 1
         assert stats["cold_plans"] == 1
         # The poisoned entry was replaced by the fresh re-plan.
-        from repro.core.io import load_plan
-
-        assert load_plan(entry).semantic_certificate.ok
+        assert load_sealed(entry).certificate.ok

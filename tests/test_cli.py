@@ -331,8 +331,10 @@ class TestCacheDir:
         assert "1 cold plan(s)" in cold
         warm = _run(capsys, "cost", "--n", "1024", "--width", "8",
                     "--cache-dir", cache)
-        assert "1 disk hit(s)" in warm
-        assert "0 cold plan(s)" in warm
+        assert "1 sealed hit(s)" in warm
+        # Pricing needs the program, which the sealed handle re-plans
+        # from the sidecar's scatter map.
+        assert "1 cold plan(s)" in warm
 
     def test_plan_resolves_via_cache(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
@@ -344,7 +346,13 @@ class TestCacheDir:
         warm = _run(capsys, "plan", "--perm", "bit-reversal",
                     "--n", "256", "--width", "4", "--out", path,
                     "--cache-dir", cache)
-        assert "resolved via disk cache" in warm
+        assert "resolved via sealed sidecar" in warm
+        # The cache holds one sealed sidecar, which verifies on its own.
+        (sidecar,) = (tmp_path / "cache").iterdir()
+        assert sidecar.name.endswith(".sealed.npz")
+        out = _run(capsys, "verify-plan", str(sidecar))
+        assert out.startswith("sealed OK")
+        assert "binding" not in out
 
     def test_profile_reports_cache_stats(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
