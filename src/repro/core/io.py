@@ -1,21 +1,29 @@
 """Plan persistence.
 
 The scheduled algorithm's whole point is that planning happens *once*,
-offline — so plans must be storable.  Format version 3 serialises the
-engine's *lowered kernel program* (:class:`~repro.ir.program.
-KernelProgram`) to a single compressed ``.npz``: the engine name, the
-permutation, and one group of keys per op (``op0.kind``, ``op0.gamma``,
-``op0.s`` ...) holding exactly the schedule arrays the op carries.
-Because every registered engine lowers to the IR, **any** engine's plan
-can be saved and loaded — loading rebuilds the planned engine through
-``Engine.from_program`` without re-running any colouring.
+offline — so plans must be storable.  Two on-disk formats share one
+checked codec in this module:
 
-Because a stored plan is *trusted forever*, the file is self-verifying:
-every file carries a SHA-256 checksum over the canonically packed
-payload arrays plus a library-version stamp.  :func:`load_plan`
-verifies the checksum before the (much more expensive) structural
-verification, and maps every way a file can be bad onto a precise
-exception:
+* **plan files** (:func:`save_plan` / :func:`load_plan`, format version
+  3) serialise an engine's *lowered kernel program*
+  (:class:`~repro.ir.program.KernelProgram`) to a single compressed
+  ``.npz``: the engine name, the permutation, and one group of keys
+  per op (``op0.kind``, ``op0.gamma``, ``op0.s`` ...) holding exactly
+  the schedule arrays the op carries.  Because every registered engine
+  lowers to the IR, **any** engine's plan can be saved and loaded —
+  loading rebuilds the planned engine through ``Engine.from_program``
+  without re-running any colouring;
+* **sealed sidecars** (:func:`save_sealed` / :func:`load_sealed`,
+  sealed version 1) store a proven flat gather, delta-encoded — the
+  planner's disk tier.
+
+Because a stored artifact is *trusted forever*, every file is
+self-verifying: it carries a SHA-256 checksum over its canonically
+packed payload arrays plus a library-version stamp.  Both loaders go
+through one reader, which verifies the format version, the presence of
+every required key and the checksum before any (much more expensive)
+structural verification, and maps every way a file can be bad onto a
+precise exception:
 
 * unreadable / truncated / key-stripped file →
   :class:`~repro.errors.PlanCorruptionError`,
@@ -24,18 +32,19 @@ exception:
 * written by another format version         →
   :class:`~repro.errors.PlanVersionError`.
 
-Files of the previous format (version 2: the fixed thirteen-key layout
-of a scheduled plan) still load — the golden plan in ``tests/data`` is
-one — but new files are always written as version 3.
+Older plan formats (version 1: raw arrays; version 2: the fixed
+thirteen-key scheduled layout) are refused with a message saying how
+to re-create the file; planning is deterministic, so the regenerated
+schedule is identical.
 
 On top of integrity, files embed machine-checked *proofs*:
 
-* files whose engine carries a scheduled plan (the ``scheduled``
+* plan files whose engine carries a scheduled plan (the ``scheduled``
   engine itself, or ``padded`` wrapping one) embed an *optimality
   proof*: by default :func:`save_plan` computes the static
   conflict-freedom certificate of :mod:`repro.staticcheck`, binds it
   to the payload checksum and stores it;
-* **every** v3 file embeds a *correctness proof*: the semantic
+* **every** plan file embeds a *correctness proof*: the semantic
   certificate of :mod:`repro.staticcheck.semantics`, recording that
   the stored program's symbolically-computed denotation is a bijection
   equal to the stored permutation ``p``.
@@ -47,8 +56,8 @@ program and compared against the certificate digest and the stored
 refused as corrupt even if internally self-consistent.  A loaded plan
 is then proven authentic, bank-conflict-free/coalesced (when
 applicable) **and** semantically correct without running an executor.
-Both certificates are optional extra keys, so their presence does not
-change the payload checksum or the format version.
+Both certificates are metadata keys, so their presence does not change
+the payload checksum or the format version.
 
 See ``docs/robustness.md`` for the exact file layout and checksum
 definition, and ``docs/static-analysis.md`` for both certificates.
@@ -58,17 +67,14 @@ from __future__ import annotations
 
 import hashlib
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro import telemetry
-from repro.core.colwise import ColumnwiseSchedule
-from repro.core.rowwise import RowwiseSchedule
 from repro.core.scheduled import ScheduledPermutation
-from repro.core.scheduler import ThreeStepDecomposition
-from repro.core.transpose import TiledTranspose
 from repro.errors import (
     CertificateError,
     PlanCorruptionError,
@@ -79,10 +85,11 @@ from repro.ir.ops import OP_KINDS
 from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
 
-#: Format tag stored in every file; bump on incompatible change.
+#: Format tag stored in every plan file; bump on incompatible change.
 #: Version history: 1 = raw arrays; 2 = adds ``checksum`` (SHA-256 over
 #: the payload) and ``library_version`` stamps; 3 = generic lowered
 #: kernel programs (any registered engine, ``op{i}.*`` key groups).
+#: Only version 3 loads.
 FORMAT_VERSION = 3
 
 #: Format tag of sealed sidecar files (``save_sealed``); independent of
@@ -111,39 +118,30 @@ METADATA_KEYS = (
 PROVENANCE_KEYS = ("pipeline", "fingerprint", "shard_d",
                    "shard_fingerprint")
 
-#: Version-2 payload keys in their canonical (checksum) order; kept for
-#: loading legacy scheduled-plan files.
-PAYLOAD_KEYS = (
-    "format_version",
-    "p",
-    "width",
-    "colors",
-    "gamma1",
-    "delta",
-    "gamma3",
-    "s1",
-    "t1",
-    "s2",
-    "t2",
-    "s3",
-    "t3",
+#: Metadata keys of sealed sidecar files — excluded from the payload
+#: checksum, like :data:`METADATA_KEYS` for plan files.  ``plan_sha``
+#: is only ever found in sidecars of older builds, which bound the
+#: sidecar to a plan file written beside it; it is ignored on load.
+SEALED_METADATA_KEYS = (
+    "checksum",
+    "library_version",
+    "semantic_certificate",
+    "plan_sha",
+    "fingerprint",
+    "pipeline",
 )
 
 
-def plan_checksum(arrays: dict, keys: tuple[str, ...] | None = None) -> str:
-    """SHA-256 hex digest over the payload arrays of a plan file.
+def plan_checksum(arrays: dict) -> str:
+    """SHA-256 hex digest over the payload arrays of a plan or sidecar.
 
-    Each key contributes, in order: its name, the array's dtype string,
-    its shape, and its C-contiguous bytes — so any bit flip, shape
-    change, retyping, or added/removed key changes the digest.  Version
-    3 files hash every non-metadata key in sorted order (the default);
-    version 2 files pass ``keys=PAYLOAD_KEYS`` for the legacy fixed
-    order.
+    Every key outside :data:`METADATA_KEYS` contributes, in sorted
+    order: its name, the array's dtype string, its shape, and its
+    C-contiguous bytes — so any bit flip, shape change, retyping, or
+    added/removed key changes the digest.
     """
-    if keys is None:
-        keys = tuple(sorted(k for k in arrays if k not in METADATA_KEYS))
     digest = hashlib.sha256()
-    for key in keys:
+    for key in sorted(k for k in arrays if k not in METADATA_KEYS):
         arr = np.ascontiguousarray(arrays[key])
         digest.update(key.encode())
         digest.update(str(arr.dtype).encode())
@@ -153,7 +151,161 @@ def plan_checksum(arrays: dict, keys: tuple[str, ...] | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Packing (version 3: generic kernel programs)
+# The archive codec (shared by plan files and sealed sidecars)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Format:
+    """What the shared codec needs to know about one on-disk format."""
+
+    kind: str                   #: names the file in error messages
+    writer: str                 #: the function that writes it
+    version_key: str
+    version: int
+    required: tuple[str, ...]   #: payload keys every file must hold
+    metadata: tuple[str, ...]   #: keys outside the payload checksum
+    remedy: str                 #: what to do about a stale version
+
+
+_PLAN = _Format(
+    kind="plan file",
+    writer="save_plan",
+    version_key="format_version",
+    version=FORMAT_VERSION,
+    required=("engine", "n", "width", "num_ops", "p"),
+    metadata=METADATA_KEYS,
+    remedy=(
+        "Re-create the file from the original permutation with "
+        "save_plan() or `python -m repro plan` — planning is "
+        "deterministic, so the regenerated schedule is identical."
+    ),
+)
+
+_SEALED = _Format(
+    kind="sealed artifact",
+    writer="save_sealed",
+    version_key="sealed_version",
+    version=SEALED_FORMAT_VERSION,
+    required=("engine", "n", "width", "denotation_sha", "gather_delta"),
+    metadata=SEALED_METADATA_KEYS,
+    remedy=(
+        "Delete it: a sidecar is a derived cache, and the planner "
+        "re-plans and rewrites it on the next compile."
+    ),
+)
+
+
+def _write_archive(path, payload: dict, checksum: str,
+                   metadata: dict) -> int:
+    """Write one archive — checksum, library version, the ``metadata``
+    strings, then the payload arrays — and return its size in bytes."""
+    from repro import __version__
+
+    np.savez_compressed(
+        Path(path),
+        checksum=np.str_(checksum),
+        library_version=np.str_(__version__),
+        **{key: np.str_(value) for key, value in metadata.items()},
+        **payload,
+    )
+    return Path(path).stat().st_size
+
+
+def _require(path, fmt: _Format, arrays: dict, keys) -> None:
+    for key in keys:
+        if key not in arrays:
+            raise PlanCorruptionError(
+                f"{path}: {fmt.kind} is incomplete: {key} is not a "
+                "file in the archive"
+            )
+
+
+def _read_archive(path, fmt: _Format, required=()) -> dict:
+    """Open the archive at ``path`` as ``{key: array}``.
+
+    All the ways a file can be unreadable — not a zip at all,
+    truncated mid-archive, a ``required`` key deleted — surface here as
+    :class:`PlanCorruptionError` naming the offending path, instead of
+    leaking raw ``zipfile`` / ``KeyError`` internals.
+    """
+    try:
+        with np.load(Path(path)) as data:
+            arrays = {k: np.asarray(data[k]) for k in data.files}
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
+        raise PlanCorruptionError(
+            f"{path}: {fmt.kind} is unreadable (truncated or not a "
+            f"{fmt.writer} archive): {exc}"
+        ) from exc
+    _require(path, fmt, arrays, required)
+    return arrays
+
+
+def _read_verified(path, fmt: _Format) -> tuple[dict, dict, str]:
+    """Read ``path`` and check it up to its checksum.
+
+    Cheapest first: the format version (so a stale file gets the
+    actionable version message even though its checksum is stale
+    too), every required key, then the payload checksum.  Returns
+    ``(payload arrays, metadata strings, checksum)``.
+    """
+    arrays = _read_archive(path, fmt, (fmt.version_key,))
+    version = int(arrays[fmt.version_key])
+    if version != fmt.version:
+        raise PlanVersionError(
+            f"{path}: {fmt.kind} uses format version {version}; this "
+            f"build reads version {fmt.version} only.  {fmt.remedy}"
+        )
+    _require(path, fmt, arrays, ("checksum",) + fmt.required)
+    meta = {
+        key: str(arrays.pop(key)) for key in fmt.metadata if key in arrays
+    }
+    stored = meta.pop("checksum")
+    actual = plan_checksum(arrays)
+    if actual != stored:
+        raise PlanCorruptionError(
+            f"{path}: {fmt.kind} checksum mismatch (stored "
+            f"{stored[:12]}..., recomputed {actual[:12]}...); the file "
+            "was corrupted or tampered with — re-plan from the "
+            "original permutation"
+        )
+    return arrays, meta, actual
+
+
+def _parse_certificate(path, cert_cls, label: str, text: str,
+                       binding: str, bound_to: str):
+    """Parse and police an embedded certificate of ``cert_cls``.
+
+    The certificate must be well-formed, carry ``bound_to`` in its
+    ``binding`` field (the payload checksum for plan files, the
+    denotation digest for sidecars) and be positive.  Every failure is
+    a :class:`PlanCorruptionError`: a bad certificate means the file
+    was hand-edited or spliced together from two files.
+    """
+    try:
+        cert = cert_cls.from_json(text)
+    except CertificateError as exc:
+        raise PlanCorruptionError(
+            f"{path}: embedded {label} is malformed: {exc}"
+        ) from exc
+    found = getattr(cert, binding)
+    if found != bound_to:
+        raise PlanCorruptionError(
+            f"{path}: embedded {label} is bound to {binding} "
+            f"{str(found)[:12]}..., not this file's {bound_to[:12]}... "
+            "— certificate and payload do not belong together"
+        )
+    if not cert.ok:
+        raise PlanCorruptionError(
+            f"{path}: embedded {label} records a refutation "
+            f"({cert.summary()}); a negative certificate must never "
+            "be persisted"
+        )
+    return cert
+
+
+# ----------------------------------------------------------------------
+# Packing
 # ----------------------------------------------------------------------
 
 
@@ -237,6 +389,7 @@ def _unpack_program(path, arrays: dict) -> KernelProgram:
     ops = []
     for i in range(num_ops):
         prefix = f"op{i}."
+        _require(path, _PLAN, arrays, (prefix + "kind",))
         kind = str(arrays[prefix + "kind"])
         op_cls = OP_KINDS.get(kind)
         if op_cls is None:
@@ -244,6 +397,11 @@ def _unpack_program(path, arrays: dict) -> KernelProgram:
                 f"{path}: plan file contains unknown op kind {kind!r}; "
                 "the file was written by an incompatible library version"
             )
+        _require(path, _PLAN, arrays, [
+            prefix + field
+            for field in ("label", *op_cls._SCALAR_FIELDS,
+                          *op_cls._BOOL_FIELDS, *op_cls._STR_FIELDS)
+        ])
         kwargs: dict = {"label": str(arrays[prefix + "label"])}
         for field in op_cls._ARRAY_FIELDS:
             if prefix + field in arrays:
@@ -360,7 +518,6 @@ def save_plan(path, plan, certify: bool = True,
                 f"unknown provenance key(s) {unknown}; save_plan "
                 f"records only {list(PROVENANCE_KEYS)}"
             )
-    from repro import __version__
 
     program = plan.lower()
     with telemetry.span(
@@ -368,15 +525,15 @@ def save_plan(path, plan, certify: bool = True,
     ) as sp:
         arrays = _pack_program(program, plan.p)
         checksum = plan_checksum(arrays)
-        extra: dict = {}
-        if provenance is not None:
-            for key in PROVENANCE_KEYS:
-                if key in provenance:
-                    extra[key] = np.str_(provenance[key])
+        metadata = {
+            key: provenance[key]
+            for key in PROVENANCE_KEYS
+            if provenance is not None and key in provenance
+        }
         if certify:
             cert = certify_schedule(plan, f"save {path}", checksum)
             if cert is not None:
-                extra["certificate"] = np.str_(cert.to_json())
+                metadata["certificate"] = cert.to_json()
             from repro.staticcheck.semantics import validate_translation
 
             sem = validate_translation(
@@ -387,72 +544,10 @@ def save_plan(path, plan, certify: bool = True,
                     f"refusing to save {path}: program does not denote "
                     f"its own permutation — {sem.summary()}"
                 )
-            extra["semantic_certificate"] = np.str_(sem.to_json())
-        np.savez_compressed(
-            Path(path),
-            checksum=np.str_(checksum),
-            library_version=np.str_(__version__),
-            **extra,
-            **arrays,
-        )
-        sp.set(file_bytes=Path(path).stat().st_size,
-               certified="certificate" in extra,
-               semantically_certified="semantic_certificate" in extra)
-
-
-def _pack_v2(plan: ScheduledPermutation) -> dict:
-    return {
-        "format_version": np.int64(2),
-        "p": plan.p,
-        "width": np.int64(plan.width),
-        "colors": plan.decomposition.colors,
-        "gamma1": plan.decomposition.gamma1,
-        "delta": plan.decomposition.delta,
-        "gamma3": plan.decomposition.gamma3,
-        "s1": plan.step1.s,
-        "t1": plan.step1.t,
-        "s2": plan.step2.rowwise.s,
-        "t2": plan.step2.rowwise.t,
-        "s3": plan.step3.s,
-        "t3": plan.step3.t,
-    }
-
-
-def save_plan_v2(path, plan: ScheduledPermutation,
-                 certify: bool = True) -> None:
-    """Write the legacy version-2 layout (scheduled plans only).
-
-    Kept so the migration tests can manufacture v2 files on demand;
-    new code should use :func:`save_plan`.
-    """
-    if not isinstance(plan, ScheduledPermutation):
-        raise ValidationError(
-            f"expected a ScheduledPermutation, got {type(plan).__name__}"
-        )
-    from repro import __version__
-
-    arrays = _pack_v2(plan)
-    checksum = plan_checksum(arrays, keys=PAYLOAD_KEYS)
-    extra: dict = {}
-    if certify:
-        from repro.staticcheck.certifier import certify_plan
-
-        cert = certify_plan(plan).bound_to(checksum)
-        if not cert.ok:
-            assert cert.counterexample is not None
-            raise CertificateError(
-                f"refusing to save {path}: plan is not conflict-"
-                f"free — {cert.counterexample.describe()}"
-            )
-        plan.certificate = cert
-        extra["certificate"] = np.str_(cert.to_json())
-    np.savez_compressed(
-        Path(path),
-        checksum=np.str_(checksum),
-        library_version=np.str_(__version__),
-        **extra,
-        **arrays,
-    )
+            metadata["semantic_certificate"] = sem.to_json()
+        sp.set(file_bytes=_write_archive(path, arrays, checksum, metadata),
+               certified="certificate" in metadata,
+               semantically_certified="semantic_certificate" in metadata)
 
 
 # ----------------------------------------------------------------------
@@ -460,107 +555,36 @@ def save_plan_v2(path, plan: ScheduledPermutation,
 # ----------------------------------------------------------------------
 
 
-def _read_payload(
-    path,
-) -> tuple[int, dict, str, str | None, str | None]:
-    """Open ``path`` and return ``(format version, payload arrays,
-    stored checksum, conflict-certificate JSON or None, semantic-
-    certificate JSON or None)``.
-
-    All the ways a file can be unreadable — not a zip at all, truncated
-    mid-archive, a metadata key deleted — surface here and are wrapped
-    in :class:`PlanCorruptionError` naming the offending path, instead
-    of leaking raw ``zipfile`` / ``KeyError`` internals.
-    """
-    try:
-        with np.load(Path(path)) as data:
-            arrays = {k: np.asarray(data[k]) for k in data.files}
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-        raise PlanCorruptionError(
-            f"{path}: plan file is unreadable (truncated or not a "
-            f"save_plan archive): {exc}"
-        ) from exc
-    if "format_version" not in arrays:
-        raise PlanCorruptionError(
-            f"{path}: plan file is incomplete: format_version is not "
-            "a file in the archive"
-        )
-    version = int(arrays.pop("format_version"))
-    if version == 1:
-        raise PlanVersionError(
-            f"{path}: plan file uses format version 1, which "
-            "carried no integrity checksum and can no longer "
-            "be trusted or loaded; this build reads versions "
-            f"2-{FORMAT_VERSION}.  Re-create the file from the "
-            "original permutation with save_plan() or "
-            "`python -m repro plan` — planning is "
-            "deterministic, so the regenerated schedule is "
-            "identical."
-        )
-    if version not in (2, FORMAT_VERSION):
-        raise PlanVersionError(
-            f"{path}: unsupported plan format version {version}; "
-            f"this build reads versions 2-{FORMAT_VERSION}"
-        )
-    arrays["format_version"] = np.int64(version)
-    if "checksum" not in arrays:
-        raise PlanCorruptionError(
-            f"{path}: plan file is incomplete: checksum is not a file "
-            "in the archive"
-        )
-    stored = str(arrays.pop("checksum"))
-    cert_arr = arrays.pop("certificate", None)
-    cert_json = str(cert_arr) if cert_arr is not None else None
-    sem_arr = arrays.pop("semantic_certificate", None)
-    sem_json = str(sem_arr) if sem_arr is not None else None
-    arrays.pop("library_version", None)
-    for key in PROVENANCE_KEYS:
-        arrays.pop(key, None)
-    return version, arrays, stored, cert_json, sem_json
-
-
 def read_plan_provenance(path) -> dict:
     """The provenance metadata of a plan file, as ``{key: str}``.
 
     Returns only the :data:`PROVENANCE_KEYS` actually present — an
     empty dict for files written outside the planner (plain
-    :func:`save_plan`, legacy v2 files).  Provenance is advisory
-    metadata; this helper does **not** verify the plan (use
-    :func:`load_plan` for that), but an unreadable file still raises
-    :class:`PlanCorruptionError`.
+    :func:`save_plan`).  Provenance is advisory metadata; this helper
+    does **not** verify the plan (use :func:`load_plan` for that), but
+    an unreadable file still raises :class:`PlanCorruptionError`.
     """
-    try:
-        with np.load(Path(path)) as data:
-            files = set(data.files)
-            return {
-                key: str(np.asarray(data[key]))
-                for key in PROVENANCE_KEYS
-                if key in files
-            }
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-        raise PlanCorruptionError(
-            f"{path}: plan file is unreadable (truncated or not a "
-            f"save_plan archive): {exc}"
-        ) from exc
+    arrays = _read_archive(path, _PLAN)
+    return {
+        key: str(arrays[key]) for key in PROVENANCE_KEYS if key in arrays
+    }
 
 
 def load_plan(path):
     """Rebuild a planned engine saved by :func:`save_plan`.
 
-    Verification happens cheapest-first: format version, then the
-    SHA-256 content checksum, then the embedded certificate (well-
-    formed, bound to this exact payload checksum, positive, and
-    matching the plan's ``n``/``width``), then the full structural
-    verification — ``plan.verify()`` when the engine provides it, a
-    reference-executor differential against the stored permutation
-    otherwise — so a corrupted file fails loudly rather than permuting
-    silently wrong, and fails *early* rather than after an expensive
-    rebuild.  A validated certificate is attached to the returned
-    plan's scheduled core as ``certificate``.
+    Verification happens cheapest-first: format version, required
+    keys, then the SHA-256 content checksum, then the embedded
+    certificate (well-formed, bound to this exact payload checksum,
+    positive, and matching the plan's ``n``/``width``), then the full
+    structural verification — ``plan.verify()`` when the engine
+    provides it, a reference-executor differential against the stored
+    permutation otherwise — so a corrupted file fails loudly rather
+    than permuting silently wrong, and fails *early* rather than after
+    an expensive rebuild.  A validated certificate is attached to the
+    returned plan's scheduled core as ``certificate``.
 
-    The returned object is whichever engine class the file names —
-    version-2 files always hold a
-    :class:`~repro.core.scheduled.ScheduledPermutation`.
+    The returned object is whichever engine class the file names.
     """
     with telemetry.span("plan_io.load") as sp:
         try:
@@ -572,29 +596,15 @@ def load_plan(path):
 
 
 def _load_plan_inner(path, sp):
-    version, arrays, stored, cert_json, sem_json = _read_payload(path)
-    if version == 2:
-        # v2 files predate semantic certificates; any stray
-        # semantic_certificate key is ignored.
-        return _load_plan_v2(path, arrays, stored, cert_json, sp)
-    return _load_plan_v3(path, arrays, stored, cert_json, sem_json, sp)
+    from repro.staticcheck.certifier import Certificate
 
-
-def _checksum_mismatch(path, stored: str, actual: str) -> PlanCorruptionError:
-    return PlanCorruptionError(
-        f"{path}: plan checksum mismatch (stored {stored[:12]}..., "
-        f"recomputed {actual[:12]}...); the file was corrupted or "
-        "tampered with — re-plan from the original permutation"
-    )
-
-
-def _load_plan_v3(path, arrays, stored, cert_json, sem_json, sp):
-    actual = plan_checksum(arrays)
-    if actual != stored:
-        raise _checksum_mismatch(path, stored, actual)
+    arrays, meta, checksum = _read_verified(path, _PLAN)
     certificate = None
-    if cert_json is not None:
-        certificate = _validate_certificate(path, cert_json, actual)
+    if "certificate" in meta:
+        certificate = _parse_certificate(
+            path, Certificate, "certificate", meta["certificate"],
+            "plan_sha", checksum,
+        )
     program = _unpack_program(path, arrays)
     try:
         engine_cls = get_engine(program.engine)
@@ -605,9 +615,9 @@ def _load_plan_v3(path, arrays, stored, cert_json, sem_json, sp):
         ) from exc
     p = _restore_narrowed(arrays, "p")
     semantic = None
-    if sem_json is not None:
+    if "semantic_certificate" in meta:
         semantic = _validate_semantic_certificate(
-            path, sem_json, actual, program, p
+            path, meta["semantic_certificate"], checksum, program, p
         )
     plan = engine_cls.from_program(program, p)
     if semantic is not None:
@@ -656,108 +666,19 @@ def _reference_check(path, plan, program: KernelProgram) -> None:
         )
 
 
-def _load_plan_v2(path, arrays, stored, cert_json, sp):
-    missing = [key for key in PAYLOAD_KEYS if key not in arrays]
-    if missing:
-        raise PlanCorruptionError(
-            f"{path}: plan file is incomplete: {missing[0]} is not a "
-            "file in the archive"
-        )
-    actual = plan_checksum(arrays, keys=PAYLOAD_KEYS)
-    if actual != stored:
-        raise _checksum_mismatch(path, stored, actual)
-    certificate = None
-    if cert_json is not None:
-        certificate = _validate_certificate(path, cert_json, actual)
-    p = arrays["p"]
-    width = int(arrays["width"])
-    decomposition = ThreeStepDecomposition(
-        gamma1=arrays["gamma1"],
-        delta=arrays["delta"],
-        gamma3=arrays["gamma3"],
-        colors=arrays["colors"],
-    )
-    m = decomposition.m
-    step1 = RowwiseSchedule(
-        gamma=decomposition.gamma1, s=arrays["s1"], t=arrays["t1"],
-        width=width,
-    )
-    step2 = ColumnwiseSchedule(
-        rowwise=RowwiseSchedule(
-            gamma=decomposition.delta, s=arrays["s2"], t=arrays["t2"],
-            width=width,
-        ),
-        transpose=TiledTranspose(m, width),
-    )
-    step3 = RowwiseSchedule(
-        gamma=decomposition.gamma3, s=arrays["s3"], t=arrays["t3"],
-        width=width,
-    )
-    plan = ScheduledPermutation(
-        p=p,
-        width=width,
-        decomposition=decomposition,
-        step1=step1,
-        step2=step2,
-        step3=step3,
-        certificate=certificate,
-    )
-    if certificate is not None and (
-        certificate.n != plan.n or certificate.width != width
-    ):
-        raise PlanCorruptionError(
-            f"{path}: embedded certificate was issued for n = "
-            f"{certificate.n}, w = {certificate.width}, but the plan "
-            f"has n = {plan.n}, w = {width}"
-        )
-    with telemetry.span("plan_io.verify", n=plan.n):
-        plan.verify()
-    sp.set(n=plan.n, width=width, engine="scheduled",
-           certified=certificate is not None)
-    return plan
-
-
-def _validate_certificate(path, cert_json: str, checksum: str):
-    """Parse and police an embedded certificate (all failure modes are
-    :class:`PlanCorruptionError` — a bad certificate means the file was
-    hand-edited or spliced together from two files)."""
-    from repro.staticcheck.certifier import Certificate
-
-    try:
-        cert = Certificate.from_json(cert_json)
-    except CertificateError as exc:
-        raise PlanCorruptionError(
-            f"{path}: embedded certificate is malformed: {exc}"
-        ) from exc
-    if cert.plan_sha != checksum:
-        raise PlanCorruptionError(
-            f"{path}: embedded certificate is bound to payload "
-            f"{str(cert.plan_sha)[:12]}..., not this file's "
-            f"{checksum[:12]}... — certificate and payload do not "
-            "belong together"
-        )
-    if not cert.ok:
-        assert cert.counterexample is not None
-        raise PlanCorruptionError(
-            f"{path}: embedded certificate records a conflict "
-            f"({cert.counterexample.describe()}); a negative "
-            "certificate must never be persisted"
-        )
-    return cert
-
-
 def _validate_semantic_certificate(
     path, sem_json: str, checksum: str, program: KernelProgram,
     p: np.ndarray,
 ):
     """Parse and *re-prove* an embedded semantic certificate.
 
-    Beyond the structural checks (well-formed JSON, bound to this
-    payload checksum, positive verdict), the program's denotation is
-    recomputed from the unpacked ops and compared against both the
-    certificate's digest and the stored permutation — so the
-    certificate cannot vouch for a program that no longer denotes its
-    permutation, even if the rest of the file is self-consistent.
+    Beyond the checks of :func:`_parse_certificate` (well-formed,
+    bound to this payload checksum, positive verdict), the program's
+    denotation is recomputed from the unpacked ops and compared
+    against both the certificate's digest and the stored permutation —
+    so the certificate cannot vouch for a program that no longer
+    denotes its permutation, even if the rest of the file is
+    self-consistent.
     """
     from repro.staticcheck.semantics import (
         SemanticCertificate,
@@ -765,25 +686,10 @@ def _validate_semantic_certificate(
         denote_program,
     )
 
-    try:
-        cert = SemanticCertificate.from_json(sem_json)
-    except CertificateError as exc:
-        raise PlanCorruptionError(
-            f"{path}: embedded semantic certificate is malformed: {exc}"
-        ) from exc
-    if cert.plan_sha != checksum:
-        raise PlanCorruptionError(
-            f"{path}: embedded semantic certificate is bound to "
-            f"payload {str(cert.plan_sha)[:12]}..., not this file's "
-            f"{checksum[:12]}... — certificate and payload do not "
-            "belong together"
-        )
-    if not cert.ok:
-        raise PlanCorruptionError(
-            f"{path}: embedded semantic certificate records a "
-            f"refutation ({cert.summary()}); a negative certificate "
-            "must never be persisted"
-        )
+    cert = _parse_certificate(
+        path, SemanticCertificate, "semantic certificate", sem_json,
+        "plan_sha", checksum,
+    )
     denotation = denote_program(program)
     if not denotation.ok:
         assert denotation.failure is not None
@@ -818,19 +724,6 @@ def _validate_semantic_certificate(
 # Sealed artifacts (the third compilation tier)
 # ----------------------------------------------------------------------
 
-#: Metadata keys of sealed sidecar files — excluded from the payload
-#: checksum, like :data:`METADATA_KEYS` for plan files.  ``plan_sha``
-#: is only ever found in sidecars of older builds, which bound the
-#: sidecar to a plan file written beside it; it is ignored on load.
-SEALED_METADATA_KEYS = (
-    "checksum",
-    "library_version",
-    "semantic_certificate",
-    "plan_sha",
-    "fingerprint",
-    "pipeline",
-)
-
 
 def _zigzag_encode(deltas: np.ndarray) -> np.ndarray:
     """Map signed deltas onto small unsigned values (order-preserving
@@ -863,7 +756,6 @@ def save_sealed(path, sealed) -> None:
     The artifact is *re-proved on load*; a sealed program that fails
     its own :meth:`verify` is refused unwritten.
     """
-    from repro import __version__
     from repro.staticcheck.semantics import denotation_digest
 
     sealed.verify()
@@ -884,82 +776,47 @@ def save_sealed(path, sealed) -> None:
         rounds = sealed.meta.get("predicted_rounds")
         if isinstance(rounds, int) and rounds > 0:
             arrays["predicted_rounds"] = np.int64(rounds)
-        checksum = plan_checksum(
-            arrays, keys=tuple(sorted(arrays))
-        )
-        extra: dict = {}
-        for key in ("fingerprint", "pipeline"):
-            if sealed.meta.get(key):
-                extra[key] = np.str_(str(sealed.meta[key]))
+        metadata = {
+            key: str(sealed.meta[key])
+            for key in ("fingerprint", "pipeline")
+            if sealed.meta.get(key)
+        }
         if sealed.certificate is not None:
-            extra["semantic_certificate"] = np.str_(
-                sealed.certificate.to_json()
-            )
-        np.savez_compressed(
-            Path(path),
-            checksum=np.str_(checksum),
-            library_version=np.str_(__version__),
-            **extra,
-            **arrays,
-        )
-        sp.set(file_bytes=Path(path).stat().st_size)
+            metadata["semantic_certificate"] = sealed.certificate.to_json()
+        sp.set(file_bytes=_write_archive(
+            path, arrays, plan_checksum(arrays), metadata
+        ))
 
 
 def load_sealed(path):
     """Rebuild and **re-prove** a sealed artifact saved by
     :func:`save_sealed`.
 
-    Verification ladder, cheapest first: payload checksum, delta
-    decode, scatter re-derivation, denotation digest comparison
-    against the stored ``denotation_sha``, mutual-inverse proof
-    (:meth:`~repro.ir.sealed.SealedProgram.verify`), and the embedded
-    semantic certificate against that digest.  Any failure raises
-    :class:`~repro.errors.PlanCorruptionError`; a sealed artifact is a
+    Verification ladder, cheapest first: sealed version, required
+    keys, payload checksum, delta decode, scatter re-derivation,
+    denotation digest comparison against the stored
+    ``denotation_sha``, the embedded semantic certificate against that
+    digest, and the mutual-inverse proof
+    (:meth:`~repro.ir.sealed.SealedProgram.verify`).  Any failure
+    raises :class:`~repro.errors.PlanCorruptionError` (or
+    :class:`~repro.errors.PlanVersionError`); a sealed artifact is a
     derived cache, so the caller heals by re-planning, never by
     trusting the file.
     """
     with telemetry.span("plan_io.load_sealed") as sp:
-        try:
-            with np.load(Path(path)) as data:
-                arrays = {k: np.asarray(data[k]) for k in data.files}
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            raise PlanCorruptionError(
-                f"{path}: sealed artifact is unreadable (truncated or "
-                f"not a save_sealed archive): {exc}"
-            ) from exc
-        sealed = _decode_sealed(path, arrays)
+        arrays, meta, _checksum = _read_verified(path, _SEALED)
+        sealed = _decode_sealed(path, arrays, meta)
         sp.set(n=sealed.n, engine=sealed.engine)
         return sealed
 
 
-def _decode_sealed(path, arrays: dict):
+def _decode_sealed(path, arrays: dict, meta: dict):
     from repro.ir.sealed import SealedProgram, invert_permutation
     from repro.staticcheck.semantics import (
         SemanticCertificate,
         denotation_digest,
     )
 
-    for key in ("checksum", "sealed_version", "n", "gather_delta"):
-        if key not in arrays:
-            raise PlanCorruptionError(
-                f"{path}: sealed artifact is incomplete: {key} is not "
-                "a file in the archive"
-            )
-    version = int(arrays["sealed_version"])
-    if version != SEALED_FORMAT_VERSION:
-        raise PlanVersionError(
-            f"{path}: unsupported sealed format version {version}; "
-            f"this build reads version {SEALED_FORMAT_VERSION}"
-        )
-    stored = str(arrays.pop("checksum"))
-    sem_arr = arrays.pop("semantic_certificate", None)
-    arrays.pop("plan_sha", None)
-    fingerprint_arr = arrays.pop("fingerprint", None)
-    pipeline_arr = arrays.pop("pipeline", None)
-    arrays.pop("library_version", None)
-    actual = plan_checksum(arrays, keys=tuple(sorted(arrays)))
-    if actual != stored:
-        raise _checksum_mismatch(path, stored, actual)
     n = int(arrays["n"])
     deltas = _zigzag_decode(
         _restore_narrowed(arrays, "gather_delta")
@@ -976,46 +833,32 @@ def _decode_sealed(path, arrays: dict):
             f"0..{n - 1} — the index data is corrupted"
         )
     scatter = invert_permutation(gather)
-    if str(arrays["denotation_sha"]) != denotation_digest(scatter):
+    digest = str(arrays["denotation_sha"])
+    if digest != denotation_digest(scatter):
         raise PlanCorruptionError(
             f"{path}: decoded sealed map digests "
             f"{denotation_digest(scatter)[:12]}..., not the stored "
-            f"{str(arrays['denotation_sha'])[:12]}... — the artifact "
-            "no longer encodes its certified permutation"
+            f"{digest[:12]}... — the artifact no longer encodes its "
+            "certified permutation"
         )
     certificate = None
-    if sem_arr is not None:
-        try:
-            certificate = SemanticCertificate.from_json(str(sem_arr))
-        except CertificateError as exc:
-            raise PlanCorruptionError(
-                f"{path}: embedded semantic certificate is malformed: "
-                f"{exc}"
-            ) from exc
-        if not certificate.ok:
-            raise PlanCorruptionError(
-                f"{path}: embedded semantic certificate records a "
-                "refutation; a negative certificate must never be "
-                "persisted"
-            )
-        if certificate.denotation_sha != str(arrays["denotation_sha"]):
-            raise PlanCorruptionError(
-                f"{path}: embedded semantic certificate digests a "
-                "different denotation than the sealed map"
-            )
-    meta: dict = {"denotation_sha": str(arrays["denotation_sha"])}
-    if fingerprint_arr is not None:
-        meta["fingerprint"] = str(fingerprint_arr)
-    if pipeline_arr is not None:
-        meta["pipeline"] = str(pipeline_arr)
+    if "semantic_certificate" in meta:
+        certificate = _parse_certificate(
+            path, SemanticCertificate, "semantic certificate",
+            meta["semantic_certificate"], "denotation_sha", digest,
+        )
+    sealed_meta: dict = {"denotation_sha": digest}
+    for key in ("fingerprint", "pipeline"):
+        if key in meta:
+            sealed_meta[key] = meta[key]
     if "predicted_rounds" in arrays:
-        meta["predicted_rounds"] = int(arrays["predicted_rounds"])
+        sealed_meta["predicted_rounds"] = int(arrays["predicted_rounds"])
     sealed = SealedProgram(
-        engine=str(arrays.get("engine", "")),
-        width=int(arrays.get("width", 0)),
+        engine=str(arrays["engine"]),
+        width=int(arrays["width"]),
         scatter=scatter,
         gather=gather,
-        meta=meta,
+        meta=sealed_meta,
         certificate=certificate,
     )
     sealed.verify()

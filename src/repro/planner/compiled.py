@@ -10,7 +10,8 @@ after the first into pure apply time, and that apply is always a
 *single* proven flat gather: every handle is sealed, and one resolved
 from a sealed sidecar serves ``apply`` from the sidecar alone (its
 program is re-planned from the sidecar's scatter map lazily, only if
-something asks for ``lower()`` / ``simulate()`` / ``shard()``).
+something asks for ``lower()`` / ``simulate()``; ``shard()`` shards the
+sealed gather and never needs it).
 ``Planner.sealed(p, digest)`` skips the program altogether: it is how
 the serving layer answers requests.
 """
@@ -63,15 +64,15 @@ class CompiledPermutation:
     Wraps the planned engine together with its pipeline-optimized
     program and the proven flat index maps of
     :class:`~repro.ir.sealed.SealedProgram`; ``apply`` and
-    ``apply_batch`` run the sealed gather, the other methods use the
-    stored program (or the already-planned engine) — none of them ever
-    re-plans.
+    ``apply_batch`` run the sealed gather and ``shard`` / ``apply_stream``
+    shard it, the other methods use the stored program (or the
+    already-planned engine) — none of them ever re-plans.
 
     Handles resolved from a sealed disk sidecar are **lazy**: the
     engine and full program stay unloaded (``loader`` re-plans them
     from the sealed scatter map on first demand), while ``apply`` /
-    ``apply_batch`` / ``p`` / ``n`` are served from the sealed maps
-    alone.
+    ``apply_batch`` / ``shard`` / ``p`` / ``n`` are served from the
+    sealed maps alone.
     """
 
     def __init__(
@@ -211,13 +212,14 @@ class CompiledPermutation:
         )
 
     def shard(self, d: int) -> "ShardedProgram":
-        """The proven ``d``-stripe sharding of this handle's program.
+        """The proven ``d``-stripe sharding of this handle's sealed
+        gather.
 
-        Factors the stored optimized program into ``d`` row stripes
-        plus a column exchange, proves the factorisation against the
-        whole program's denotation, and memoizes the result per ``d``
-        (sharding denotes the full program — worth amortizing exactly
-        like planning is).
+        Factors the sealed map (which is ``p``) into ``d`` row stripes
+        plus a column exchange, proves the factorisation against its
+        denotation, and memoizes the result per ``d``.  It never needs
+        the program, so a handle resolved from a sidecar shards
+        without re-planning.
         """
         with self._shard_lock:
             sharded = self._shards.get(d)
@@ -228,7 +230,7 @@ class CompiledPermutation:
         with telemetry.span(
             "planner.shard", d=d, fingerprint=self.fingerprint[:12]
         ):
-            sharded = shard_program(self.program, d)
+            sharded = shard_program(self.sealed.as_program(), d)
         with self._shard_lock:
             return self._shards.setdefault(d, sharded)
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.coloring import euler as _euler
 from repro.coloring import matching as _matching
+from repro.core.io import METADATA_KEYS, SEALED_METADATA_KEYS
 from repro.errors import (
     ColoringError,
     FaultInjectionError,
@@ -56,43 +57,26 @@ from repro.ir import rounds as _rounds
 #: The four supported plan-file fault modes.
 FILE_FAULT_MODES = ("bit-flip", "truncate", "delete-key", "stale-version")
 
-#: Version-2 payload keys eligible for bit flips / deletion
-#: (format_version is excluded so every mode maps to exactly one error
-#: class).  Version-3 files derive their candidates from the generic
-#: ``op{i}.*`` key groups instead — see :func:`_corruptible_keys`.
-_CORRUPTIBLE_KEYS = (
-    "p", "colors", "gamma1", "delta", "gamma3",
-    "s1", "t1", "s2", "t2", "s3", "t3",
-)
-
-#: Keys never corrupted in v3 files: metadata (so every mode maps to
+#: Keys never corrupted in plan files: metadata (so every mode maps to
 #: one error class) plus format_version (that is the stale-version
 #: mode's job).
-_V3_PROTECTED_KEYS = frozenset(
-    ("format_version", "checksum", "library_version", "certificate")
-)
+_PLAN_PROTECTED_KEYS = frozenset(METADATA_KEYS) | {"format_version"}
 
 #: Keys never corrupted in sealed sidecar files: the metadata that
 #: binds the artifact (checksum / provenance) plus sealed_version.
-_SEALED_PROTECTED_KEYS = frozenset(
-    ("sealed_version", "checksum", "library_version",
-     "semantic_certificate", "plan_sha", "fingerprint", "pipeline")
+_SEALED_PROTECTED_KEYS = (
+    frozenset(SEALED_METADATA_KEYS) | {"sealed_version"}
 )
 
 
 def _corruptible_keys(arrays: dict) -> list[str]:
-    """Numeric payload keys eligible for bit flips / deletion.
-
-    Version-2 files use the fixed scheduled-plan key list; version-3
-    files (generic kernel programs) take every non-metadata numeric
-    array with at least one byte of payload, sorted for determinism.
-    """
-    if "sealed_version" in arrays:
-        protected = _SEALED_PROTECTED_KEYS
-    else:
-        protected = _V3_PROTECTED_KEYS
-        if int(arrays.get("format_version", 0)) < 3:
-            return [k for k in _CORRUPTIBLE_KEYS if k in arrays]
+    """Numeric payload keys eligible for bit flips / deletion: every
+    non-metadata numeric array with at least one byte of payload,
+    sorted for determinism."""
+    protected = (
+        _SEALED_PROTECTED_KEYS if "sealed_version" in arrays
+        else _PLAN_PROTECTED_KEYS
+    )
     return sorted(
         k for k, arr in arrays.items()
         if k not in protected

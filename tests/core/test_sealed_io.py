@@ -100,6 +100,26 @@ class TestRejection:
         with pytest.raises(PlanCorruptionError):
             load_sealed(path)
 
+    def test_stripped_and_rechecksummed_key_named(self, tmp_path):
+        # A payload key removed and the checksum recomputed over what
+        # is left: the checksum passes, the required-key check does not.
+        path = tmp_path / "x.sealed.npz"
+        save_sealed(path, _sealed())
+        with np.load(path) as data:
+            arrays = {
+                k: np.asarray(data[k]) for k in data.files
+                if k != "denotation_sha"
+            }
+        from repro.core.io import SEALED_METADATA_KEYS
+
+        arrays["checksum"] = np.str_(plan_checksum({
+            k: v for k, v in arrays.items()
+            if k not in SEALED_METADATA_KEYS
+        }))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(PlanCorruptionError, match="denotation_sha"):
+            load_sealed(path)
+
     def test_legacy_plan_sha_key_is_ignored(self, tmp_path):
         # Sidecars of older builds carry a plan_sha metadata key that
         # bound them to a plan file; it is outside the checksum, and
@@ -147,6 +167,4 @@ class TestDeltaNarrowing:
             k: v for k, v in arrays.items()
             if k not in SEALED_METADATA_KEYS
         }
-        assert plan_checksum(
-            payload, keys=tuple(sorted(payload))
-        ) == str(arrays["checksum"])
+        assert plan_checksum(payload) == str(arrays["checksum"])

@@ -116,6 +116,37 @@ class TestPlanner:
         healed.compile(p, width=_WIDTH)
         assert healed.stats()["sealed_hits"] == 1
 
+    def test_stripped_rechecksummed_sidecar_replanned(self, tmp_path):
+        # A payload key deleted and the checksum recomputed: the load
+        # fails as corruption (not a raw KeyError), so the disk tier
+        # deletes the sidecar, counts it and re-plans.
+        from repro.core.io import SEALED_METADATA_KEYS, plan_checksum
+
+        p = bit_reversal(_N)
+        first = Planner(cache_dir=tmp_path)
+        cold = first.compile(p, width=_WIDTH)
+        path = first.disk.sealed_path_for(cold.fingerprint)
+        with np.load(path) as data:
+            arrays = {
+                k: np.asarray(data[k]) for k in data.files
+                if k != "denotation_sha"
+            }
+        arrays["checksum"] = np.str_(plan_checksum({
+            k: v for k, v in arrays.items()
+            if k not in SEALED_METADATA_KEYS
+        }))
+        np.savez_compressed(path, **arrays)
+        tampered = Planner(cache_dir=tmp_path)
+        compiled = tampered.compile(p, width=_WIDTH)
+        stats = tampered.stats()
+        assert stats["sealed_corrupt"] == 1
+        assert stats["cold_plans"] == 1
+        a = np.arange(_N, dtype=np.float32)
+        assert np.array_equal(compiled.apply(a), _expected(p, a))
+        healed = Planner(cache_dir=tmp_path)
+        healed.compile(p, width=_WIDTH)
+        assert healed.stats()["sealed_hits"] == 1
+
     @pytest.mark.parametrize("source", [
         (random_permutation(_N, seed=3), "scheduled"),   # another p
         (bit_reversal(_N), "padded"),                    # another engine

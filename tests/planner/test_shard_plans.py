@@ -83,6 +83,23 @@ class TestPlannerCompileSharded:
         planner.compile_sharded(p, 8, engine="d-designated", width=WIDTH)
         assert planner.stats()["shard_plans"] == 2
 
+    def test_sidecar_handle_shards_without_replanning(self, tmp_path):
+        p = random_permutation(N, seed=17)
+        Planner(cache_dir=tmp_path).compile(p, width=WIDTH)
+        fresh = Planner(cache_dir=tmp_path)
+        compiled, sharded = fresh.compile_sharded(p, 4, width=WIDTH)
+        assert sharded.proven and sharded.d == 4
+        stats = fresh.stats()
+        assert stats["sealed_hits"] == 1
+        assert stats["cold_plans"] == 0
+        assert not compiled.is_loaded
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        a = _payload(src)
+        compiled.apply_stream(src, dst, d=4, tmp_dir=tmp_path)
+        assert np.array_equal(np.load(dst), _expected(p, a))
+        assert fresh.stats()["cold_plans"] == 0
+        assert not compiled.is_loaded
+
 
 class TestServiceApplyStream:
     def test_service_streams_named_permutation(self, tmp_path):

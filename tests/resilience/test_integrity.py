@@ -1,5 +1,5 @@
-"""Tests for the checksummed plan-file format (format version 3,
-with version-2 migration coverage)."""
+"""Tests for the checksummed plan-file format (format version 3; older
+versions are refused)."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ import repro
 from repro.core.io import (
     FORMAT_VERSION,
     METADATA_KEYS,
-    PAYLOAD_KEYS,
     load_plan,
     plan_checksum,
     save_plan,
-    save_plan_v2,
 )
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import (
@@ -99,48 +97,6 @@ class TestFormat:
         assert np.array_equal(loaded.apply(a), plan.apply(a))
 
 
-class TestVersion2Migration:
-    def test_v2_file_still_loads(self, plan, tmp_path):
-        path = tmp_path / "plan_v2.npz"
-        save_plan_v2(path, plan)
-        with np.load(path) as data:
-            assert int(data["format_version"]) == 2
-            for key in PAYLOAD_KEYS:
-                assert key in data.files
-        loaded = load_plan(path)
-        assert isinstance(loaded, ScheduledPermutation)
-        a = np.random.default_rng(1).random(256)
-        assert np.array_equal(loaded.apply(a), plan.apply(a))
-        assert loaded.certificate is not None and loaded.certificate.ok
-
-    def test_v2_checksum_uses_canonical_key_order(self, plan, tmp_path):
-        path = tmp_path / "plan_v2.npz"
-        save_plan_v2(path, plan)
-        with np.load(path) as data:
-            arrays = {k: np.asarray(data[k]) for k in PAYLOAD_KEYS}
-            stored = str(data["checksum"])
-        assert plan_checksum(arrays, keys=PAYLOAD_KEYS) == stored
-
-    def test_v2_missing_payload_key_names_it(self, plan, tmp_path):
-        path = tmp_path / "plan_v2.npz"
-        save_plan_v2(path, plan)
-        _resave(path, lambda arrays: arrays.pop("gamma1"))
-        with pytest.raises(PlanCorruptionError, match="gamma1"):
-            load_plan(path)
-
-    def test_v2_tampering_detected(self, plan, tmp_path):
-        path = tmp_path / "plan_v2.npz"
-        save_plan_v2(path, plan)
-
-        def flip(arrays):
-            s1 = arrays["s1"].copy()
-            s1[0, 0] ^= 1
-            arrays["s1"] = s1
-        _resave(path, flip)
-        with pytest.raises(PlanCorruptionError, match="checksum"):
-            load_plan(path)
-
-
 class TestRejection:
     def test_checksum_mismatch(self, saved):
         def flip(arrays):
@@ -176,6 +132,27 @@ class TestRejection:
         with pytest.raises(PlanCorruptionError):
             load_plan(path)
 
+    @pytest.mark.parametrize(
+        "key", ["num_ops", "op0.kind", "op1.m", "op1.diagonal"]
+    )
+    def test_stripped_and_rechecksummed_key_named(self, plan, tmp_path,
+                                                  key):
+        """A key removed and the checksum recomputed over what is left
+        passes the checksum (a bare file has no certificate bound to
+        the old one); the required-key check still names it."""
+        saved = tmp_path / "bare.npz"
+        save_plan(saved, plan, certify=False)
+
+        def strip(arrays):
+            del arrays[key]
+            payload = {
+                k: v for k, v in arrays.items() if k not in METADATA_KEYS
+            }
+            arrays["checksum"] = np.str_(plan_checksum(payload))
+        _resave(saved, strip)
+        with pytest.raises(PlanCorruptionError, match=key):
+            load_plan(saved)
+
     def test_error_message_names_the_path(self, saved):
         _resave(saved, lambda arrays: arrays.pop("p"))
         with pytest.raises(PlanCorruptionError) as excinfo:
@@ -195,6 +172,18 @@ class TestVersioning:
         assert "format version 1" in message
         assert "python -m repro plan" in message    # how to re-plan
         assert "save_plan" in message
+
+    def test_version_2_rejected_loudly(self, saved):
+        _resave(
+            saved,
+            lambda arrays: arrays.update(format_version=np.int64(2)),
+        )
+        with pytest.raises(PlanVersionError) as excinfo:
+            load_plan(saved)
+        message = str(excinfo.value)
+        assert "format version 2" in message
+        assert "reads version 3" in message
+        assert "python -m repro plan" in message
 
     def test_future_version_rejected(self, saved):
         _resave(
