@@ -14,8 +14,11 @@ k-edge-colourable*.  The colouring is used twice:
 
 Three interchangeable backends are provided:
 
-* :func:`euler_split_coloring` — recursive Euler splitting, exact for
-  power-of-two degrees (all sizes in the paper), O(E log D);
+* :func:`euler_split_coloring` — Euler splitting, all subgraphs of a
+  level at once with no sort after the first, exact for power-of-two
+  degrees (all sizes in the paper); ``log2 D`` levels of O(E) NumPy
+  work plus O(log L) pointer-doubling steps for the longest split
+  cycle ``L`` (at most O(E log D log E));
 * :func:`matching_coloring` — repeated perfect-matching extraction via
   :func:`scipy.sparse.csgraph.maximum_bipartite_matching` (any degree);
 * :func:`hopcroft_karp_coloring` — dependency-free pure-Python

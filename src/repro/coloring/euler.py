@@ -1,21 +1,26 @@
-"""Edge colouring by recursive Euler splitting.
+"""Edge colouring by level-synchronous Euler splitting.
 
-A regular bipartite multigraph in which every node has even degree can
-be split into two regular sub-multigraphs of half the degree: walk the
-edges of each connected component in closed trails and alternate —
-edges traversed left-to-right go to one half, right-to-left to the
-other.  Every visit through a node consumes one incoming and one
-outgoing edge, so the split is exactly balanced at every node.
+A regular bipartite multigraph in which every node has even degree
+splits into two regular sub-multigraphs of half the degree: pair the
+incident edges of every node into two-edge *copies* of the node; the
+copy graph is 2-regular, its components are even cycles, and taking
+alternate edges of every cycle sends exactly one edge of each copy to
+each half.  Splitting ``log2(D)`` times colours a degree-``D = 2**k``
+multigraph with ``D`` colours — the constructive core of König's
+theorem for the power-of-two sizes the paper uses (``sqrt(n)`` and
+``sqrt(n)/w`` are powers of two throughout Section VIII).
 
-Recursing ``log2(D)`` times colours a degree-``D = 2**k`` multigraph
-with ``D`` colours in ``O(E log D)`` total time — the constructive core
-of König's theorem for the power-of-two sizes the paper uses
-(``sqrt(n)`` and ``sqrt(n)/w`` are powers of two throughout Section
-VIII).
-
-The trail walk is implemented iteratively over flat NumPy-backed CSR
-adjacency arrays; the only Python-level loop is the walk itself, which
-touches each edge exactly once per level.
+All subgraphs of one recursion level are split together, in one pass
+of NumPy scatters and gathers over the whole edge list and with no
+sort after the first.  Each edge carries its colour prefix ``sub`` and
+its ranks ``rl``/``rr`` among the edges of its subgraph at its left and
+right node; the copies of a node are the rank pairs ``(2q, 2q+1)``.
+One stable sort per side ranks the edges once; after a split each copy
+has sent one edge to each half, so ``rank >> 1`` is again a rank in the
+half.  Cost: one stable sort per side, then ``log2(D)`` levels of
+``O(E)`` scatters and gathers plus min-label pointer doubling along
+the cycles, ``O(log L)`` gathers for the longest cycle length ``L``
+(at most ``O(E log D log E)`` in all).
 """
 
 from __future__ import annotations
@@ -44,160 +49,16 @@ def euler_split(graph: RegularBipartiteMultigraph) -> np.ndarray:
         raise ColoringError(
             f"Euler split requires an even degree, got {graph.degree}"
         )
-    return _euler_split_arrays(
-        graph.left, graph.right, graph.num_left, graph.num_right
-    )
-
-
-#: Edge-count threshold above which the vectorised split is used; the
-#: Python trail walk has lower constants on tiny graphs.
-_VECTORIZE_THRESHOLD = 2048
-
-
-def _euler_split_arrays(
-    left: np.ndarray, right: np.ndarray, num_left: int, num_right: int
-) -> np.ndarray:
-    """Euler split over raw edge arrays (dispatcher).
-
-    Two implementations produce (possibly different, both valid)
-    balanced splits: a pure-Python trail walk (reference; lower
-    overhead on small graphs) and a fully vectorised construction
-    (NumPy pointer doubling; ~10x faster on the planner's graph sizes).
-    Property tests check both against the balance invariant.
-    """
-    if left.shape[0] >= _VECTORIZE_THRESHOLD:
-        return _euler_split_vectorized(left, right, num_left, num_right)
-    return _euler_split_walk(left, right, num_left, num_right)
-
-
-def _euler_split_vectorized(
-    left: np.ndarray, right: np.ndarray, num_left: int, num_right: int
-) -> np.ndarray:
-    """Vectorised Euler split by node-splitting + pointer doubling.
-
-    1. Pair the incident edges of every node arbitrarily (consecutive
-       slots of the sorted incidence list).  Each pair is a *copy* of
-       the node with exactly two incident edges, so the derived
-       multigraph is 2-regular and its components are even cycles.
-    2. On a 2-regular bipartite multigraph, define the involutions
-       ``sigma(e)`` / ``pi(e)`` = the other edge at ``e``'s left /
-       right copy.  The permutation ``tau = sigma ∘ pi`` steps two
-       positions along a cycle, so its orbits are exactly the two
-       direction classes of each cycle — the two halves of the split.
-    3. Label orbits with their minimum edge id by pointer doubling
-       (O(E log E), all NumPy) and take, from each partner pair of
-       orbits, the one with the smaller label.
-
-    Every node copy contributes one edge to each half, hence every
-    original node exactly ``degree/2`` — the split is balanced.
-    """
-    num_edges = left.shape[0]
-    # Incidences: entry e is edge e at its left endpoint, entry
-    # e + num_edges is edge e at its right endpoint (offset node ids).
-    endpoints = np.concatenate([left, right + num_left])
-    order = np.argsort(endpoints, kind="stable")
-    # Degrees are even, so node boundaries in ``order`` fall on even
-    # positions and consecutive pairs never straddle nodes.
-    partner = np.empty(2 * num_edges, dtype=np.int64)
-    partner[order[0::2]] = order[1::2]
-    partner[order[1::2]] = order[0::2]
-
-    sigma = partner[:num_edges]                      # other edge at left copy
-    pi = partner[num_edges:] - num_edges             # other edge at right copy
-    tau = sigma[pi]
-
-    # Min-label propagation along tau-orbits by pointer doubling.
-    labels = np.arange(num_edges, dtype=np.int64)
-    hop = tau
-    steps = max(1, int(num_edges).bit_length())
-    for _ in range(steps):
-        labels = np.minimum(labels, labels[hop])
-        hop = hop[hop]
-
-    # Partner orbit of an orbit: where pi sends any of its edges.
-    partner_label = np.empty(num_edges, dtype=np.int64)
-    partner_label[labels] = labels[pi]
-    return labels < partner_label[labels]
-
-
-def _euler_split_walk(
-    left: np.ndarray, right: np.ndarray, num_left: int, num_right: int
-) -> np.ndarray:
-    """Core trail-walking split over raw edge arrays.
-
-    Node ids are unified: left nodes keep their ids, right nodes are
-    offset by ``num_left``.  For each node we build a CSR list of
-    incident edge ids, then repeatedly walk closed trails from every
-    node, marking edge direction as we go.
-    """
-    num_edges = left.shape[0]
-    half = np.zeros(num_edges, dtype=bool)
-    if num_edges == 0:
-        return half
-
-    num_nodes = num_left + num_right
-    endpoints = np.concatenate([left, right + num_left])
-    edge_ids = np.concatenate(
-        [np.arange(num_edges, dtype=np.int64)] * 2
-    )
-    order = np.argsort(endpoints, kind="stable")
-    incident = edge_ids[order]
-    degree = np.bincount(endpoints, minlength=num_nodes)
-    ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(degree, out=ptr[1:])
-
-    cursor = ptr[:-1].copy()        # next incidence slot to try, per node
-    end = ptr[1:]
-    used = np.zeros(num_edges, dtype=bool)
-
-    # Localise for the hot loop.
-    incident_l = incident.tolist()
-    cursor_l = cursor.tolist()
-    end_l = end.tolist()
-    left_l = left.tolist()
-    right_l = (right + num_left).tolist()
-    used_l = used.tolist()
-    half_l = half.tolist()
-
-    for start in range(num_nodes):
-        while True:
-            # Advance the cursor of the start node past used edges.
-            c = cursor_l[start]
-            e = end_l[start]
-            while c < e and used_l[incident_l[c]]:
-                c += 1
-            cursor_l[start] = c
-            if c >= e:
-                break  # start node exhausted
-            node = start
-            # Walk a closed trail; it must return to ``start`` because
-            # every other node keeps even unused degree during the walk.
-            while True:
-                c = cursor_l[node]
-                e = end_l[node]
-                while c < e and used_l[incident_l[c]]:
-                    c += 1
-                cursor_l[node] = c
-                if c >= e:
-                    break  # trail closed (node == start here)
-                edge = incident_l[c]
-                cursor_l[node] = c + 1
-                used_l[edge] = True
-                if node == left_l[edge]:
-                    # Traversed left -> right: first half.
-                    half_l[edge] = True
-                    node = right_l[edge]
-                else:
-                    node = left_l[edge]
-
-    return np.asarray(half_l, dtype=bool)
+    return _split_levels(
+        graph.left, graph.right, graph.num_left, graph.degree, 1
+    ) == 0
 
 
 def euler_split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
     """Colour a power-of-two-degree regular bipartite multigraph.
 
-    Recursively Euler-splits until degree 1 (a perfect matching, one
-    colour).  Colours are integers in ``[0, degree)``; edges in the
+    Euler-splits level by level until degree 1 (a perfect matching,
+    one colour).  Colours are integers in ``[0, degree)``; edges in the
     ``True`` half of a split get the lower colour range.  Raises
     :class:`~repro.errors.ColoringError` when the degree is not a power
     of two (use :func:`repro.coloring.matching_coloring` instead).
@@ -214,43 +75,120 @@ def euler_split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
                 f"{graph.degree}; use the 'matching' backend for general "
                 "degrees"
             )
-        colors = np.zeros(graph.num_edges, dtype=np.int64)
-        _color_recursive(
-            graph.left,
-            graph.right,
-            graph.num_left,
-            graph.num_right,
-            graph.degree,
-            np.arange(graph.num_edges, dtype=np.int64),
-            colors,
-            base=0,
+        levels = graph.degree.bit_length() - 1
+        colors = _split_levels(
+            graph.left, graph.right, graph.num_left, graph.degree, levels
         )
-        return colors
+        return colors.astype(np.int64)
 
 
-def _color_recursive(
+def _split_levels(
     left: np.ndarray,
     right: np.ndarray,
-    num_left: int,
-    num_right: int,
+    num_nodes: int,
     degree: int,
-    edge_ids: np.ndarray,
-    colors: np.ndarray,
-    base: int,
-) -> None:
-    """Assign colours ``base .. base + degree - 1`` to ``edge_ids``."""
-    if degree == 1:
-        colors[edge_ids] = base
-        return
-    half = _euler_split_arrays(left, right, num_left, num_right)
-    for take, offset in ((half, 0), (~half, degree // 2)):
-        _color_recursive(
-            left[take],
-            right[take],
-            num_left,
-            num_right,
-            degree // 2,
-            edge_ids[take],
-            colors,
-            base + offset,
-        )
+    levels: int,
+) -> np.ndarray:
+    """Each edge's colour prefix after ``levels`` Euler splits.
+
+    The graph is ``degree``-regular on ``num_nodes`` nodes per side and
+    ``2**levels`` must divide ``degree``.  Returns ``sub`` in
+    ``[0, 2**levels)``: edges with equal ``sub`` form a
+    ``degree / 2**levels``-regular subgraph, and the first split's
+    ``True`` half holds the lower prefixes.
+    """
+    num_edges = left.shape[0]
+    idx = np.int32 if num_edges < 2**31 else np.int64
+    sub = np.zeros(num_edges, dtype=idx)
+    if num_edges == 0 or levels == 0:
+        return sub
+    ids = np.arange(num_edges, dtype=idx)
+    rl = _ranks(left, num_nodes, degree, ids)
+    rr = _ranks(right, num_nodes, degree, ids)
+    left = left.astype(idx)
+    right = right.astype(idx)
+    # One workspace for all levels: the planner colours 2**20-edge
+    # graphs, and fresh multi-MiB temporaries per level only inflate
+    # the allocator's resident set.
+    slot, key, sigma, pi, gathered = (
+        np.empty(num_edges, dtype=idx) for _ in range(5)
+    )
+    upper = np.empty(num_edges, dtype=bool)
+    d = degree
+    for _ in range(levels):
+        # The 2**k subgraphs are d-regular on num_nodes nodes per side,
+        # so the key (sub*N + node)*d + rank is a permutation of
+        # [0, E); the copies of a node are the key pairs (2q, 2q+1) and
+        # an edge's partner at its copy sits at key ^ 1.
+        for nodes, ranks, partner in ((left, rl, sigma), (right, rr, pi)):
+            np.multiply(sub, num_nodes, out=key)
+            key += nodes
+            key *= d
+            key += ranks
+            np.put(slot, key, ids, mode="wrap")
+            key ^= 1
+            np.take(slot, key, out=partner, mode="wrap")
+        # tau = sigma∘pi steps two edges along a cycle of the copy
+        # graph, so its orbits are the cycles' two alternate edge
+        # classes; pi maps each class onto the other.
+        tau = np.take(sigma, pi, out=slot, mode="wrap")
+        labels = key  # the keys are spent; reuse their buffer
+        np.copyto(labels, ids)
+        _orbit_minima(tau, labels, gathered, sigma)
+        # The class with the larger orbit label takes the upper half.
+        partner_label = np.take(labels, pi, out=gathered, mode="wrap")
+        np.greater(labels, partner_label, out=upper)
+        sub <<= 1
+        sub |= upper
+        rl >>= 1
+        rr >>= 1
+        d //= 2
+    return sub
+
+
+def _ranks(
+    nodes: np.ndarray, num_nodes: int, degree: int, ids: np.ndarray
+) -> np.ndarray:
+    """Rank of every edge among the ``degree`` edges at its node.
+
+    One stable sort: the ``j``-th edge of node ``u`` lands at sorted
+    position ``u*degree + j``.  Node ids below ``2**16`` sort as
+    ``uint16``, which NumPy sorts by radix.
+    """
+    narrow = np.uint16 if num_nodes <= 1 << 16 else ids.dtype
+    order = np.argsort(nodes.astype(narrow), kind="stable")
+    ranks = np.empty_like(ids)
+    ranks[order] = ids % degree
+    return ranks
+
+
+def _orbit_minima(
+    hop: np.ndarray,
+    labels: np.ndarray,
+    gathered: np.ndarray,
+    spare: np.ndarray,
+) -> int:
+    """Overwrite ``labels`` with the minimum label of each ``hop``-orbit.
+
+    Min-label pointer doubling: after step ``t`` an element's label is
+    the minimum over its next ``2**t`` orbit elements.  ``hop`` (a
+    permutation) and ``spare`` are clobbered; ``gathered`` is scratch.
+    Returns the number of doubling steps taken.
+
+    The loop stops at the first step that changes no label, which is
+    exact.  Write ``M(e, k)`` for the minimum over ``e, hop(e), ...,
+    hop^(k-1)(e)``.  A step with ``K = 2**(t-1)`` that changes nothing
+    means ``M(e, 2K) = M(e, K)`` for every ``e``; then by induction
+    ``M(e, (j+1)K) = min(M(e, K), M(hop^K(e), jK)) = min(M(e, K),
+    M(hop^K(e), K)) = M(e, 2K) = M(e, K)`` for every ``j``, so ``M(e,
+    K)`` is already the minimum of the whole orbit.
+    """
+    steps = 0
+    while True:
+        np.take(labels, hop, out=gathered, mode="wrap")
+        steps += 1
+        if not np.less(gathered, labels).any():
+            return steps
+        np.minimum(labels, gathered, out=labels)
+        np.take(hop, hop, out=spare, mode="wrap")
+        hop, spare = spare, hop

@@ -4,8 +4,8 @@ The Euler-split backend needs a power-of-two degree; the matching
 backend pays one Hopcroft–Karp per colour.  The hybrid takes the best
 of both for *any* degree:
 
-* **even** degree: one (vectorised) Euler split, recurse on both
-  halves — no matching needed;
+* **even** degree: one Euler split (a single level of the Euler
+  backend's kernel), recurse on both halves — no matching needed;
 * **odd** degree: extract a single perfect matching (one colour
   class), leaving an even-degree multigraph.
 
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from repro.coloring.euler import _euler_split_arrays
+from repro.coloring.euler import _split_levels
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.errors import ColoringError
 
@@ -94,9 +94,7 @@ def hybrid_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
             keep[matched] = False
             go(left[keep], right[keep], ids[keep], degree - 1, base + 1)
             return
-        half = _euler_split_arrays(
-            left, right, graph.num_left, graph.num_right
-        )
+        half = _split_levels(left, right, graph.num_left, degree, 1) == 0
         go(left[half], right[half], ids[half], degree // 2, base)
         go(
             left[~half], right[~half], ids[~half],

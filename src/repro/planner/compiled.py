@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -284,6 +286,112 @@ class CompiledPermutation:
         return "\n".join(lines)
 
 
+@dataclass
+class _ColdPath:
+    """What a cold plan needs from its :class:`Planner`: the pipeline,
+    the default backend, whether to certify, and the registry.
+
+    It holds no cache tier.  A sidecar handle's lazy loader keeps this
+    alive rather than the planner, whose memory tier holds the handle:
+    that reference cycle kept every dropped planner's sealed maps
+    resident until the cyclic garbage collector ran.
+    """
+
+    pipeline: PassPipeline
+    backend: str
+    certify: bool
+    metrics: MetricsRegistry
+    counts: dict[str, Any]
+
+    @contextmanager
+    def phase(self, phase: str) -> Iterator[None]:
+        """Observe one completed phase of a cold plan into
+        ``planner_cold_phase_seconds{phase}``."""
+        t0 = time.perf_counter()
+        yield
+        self.metrics.histogram(
+            "planner_cold_phase_seconds", phase=phase
+        ).observe(time.perf_counter() - t0)
+
+    def plan(
+        self,
+        p: np.ndarray,
+        engine: str,
+        width: int,
+        backend: str | None,
+    ) -> tuple[Any, KernelProgram, SemanticCertificate, bool]:
+        """Plan ``p`` from scratch and optimize it under translation
+        validation (:meth:`optimize_validated`).
+
+        A disk-backed planner (``certify``) persists what it plans, so
+        it also certifies the plan's schedule conflict-free/coalesced
+        (:func:`~repro.core.io.certify_schedule`) and refuses a
+        conflicted one with :class:`~repro.errors.CertificateError`
+        before anything is written.
+        """
+        with self.phase("plan"), telemetry.span("planner.plan",
+                                                engine=engine):
+            plan = get_engine(engine).plan(
+                p, width=width, backend=backend or self.backend,
+            )
+        self.counts["cold_plans"].inc()
+        if self.certify:
+            from repro.core.io import certify_schedule
+
+            with self.phase("certify"):
+                certify_schedule(plan, f"cache {engine!r} plan")
+        with self.phase("optimize"):
+            optimized = self.optimize_validated(plan)
+        return (plan, *optimized)
+
+    def optimize_validated(
+        self, plan: Any
+    ) -> tuple[KernelProgram, SemanticCertificate, bool]:
+        """Optimize a plan's program under translation validation.
+
+        Runs the pipeline in ``validate=True`` mode and certifies the
+        result against the requested permutation.  On refutation the
+        compile is *not* failed: the raw (unoptimized) program — which
+        must itself denote the requested permutation, or
+        :class:`~repro.errors.SemanticValidationError` is raised — is
+        returned with its positive fallback certificate, so it is
+        sealed and served like any other; ``semantic_rejections`` is
+        counted, the enclosing span is tagged with the blamed pass
+        (``semantic_rejected``), and the returned ``proven`` flag is
+        False so callers refuse to cache the handle in memory or store
+        its sidecar.
+        """
+        raw = plan.lower()
+        requested = np.asarray(plan.p)
+        signature = self.pipeline.signature()
+        try:
+            optimized = self.pipeline.run(raw, validate=True)
+            cert = validate_translation(
+                raw, optimized, requested=requested,
+                pipeline_signature=signature,
+            )
+            if cert.ok:
+                return optimized, cert, True
+        except SemanticValidationError as exc:
+            cert = exc.certificate
+        self.counts["semantic_rejections"].inc()
+        blame = getattr(cert, "blame", None) or "<pipeline>"
+        telemetry.current_span().set(semantic_rejected=blame)
+        # Fall back to the raw program — still proved against the
+        # requested permutation, because an unproven optimization must
+        # degrade to slower, never to wrong.
+        fallback = validate_translation(raw, raw, requested=requested)
+        if not fallback.ok:
+            raise SemanticValidationError(
+                f"lowered program of engine "
+                f"{getattr(type(plan), 'engine_name', '?')!r} does not "
+                f"denote the requested permutation: "
+                f"{fallback.summary()}",
+                certificate=fallback,
+            )
+        return raw, fallback, False
+
+
 class Planner:
     """Compile-once / apply-many front door over the engine registry.
 
@@ -327,7 +435,9 @@ class Planner:
         #: every compile records ``planner_compile_seconds`` labeled by
         #: the cache tier that answered (``memory``/``sealed``/
         #: ``cold``) and the engine, so the latency cliff between
-        #: tiers is measurable per request, not just countable.
+        #: tiers is measurable per request, not just countable.  A cold
+        #: plan also records ``planner_cold_phase_seconds`` per phase
+        #: (``plan``, ``certify``, ``optimize``, ``seal``, ``store``).
         self.metrics = MetricsRegistry()
         self.memory = LRUPlanCache(
             cache_size, max_bytes=cache_max_bytes, metrics=self.metrics
@@ -338,11 +448,13 @@ class Planner:
             if cache_dir is not None
             else None
         )
-        self.backend = backend
         self._counts = planner_counters(self.metrics, (
             "cold_plans", "shard_plans", "sealed_plans",
             "semantic_rejections",
         ))
+        self._cold = _ColdPath(self.pipeline, backend,
+                               cache_dir is not None, self.metrics,
+                               self._counts)
         self._lock = threading.Lock()
         # One lock per in-flight fingerprint: concurrent compiles of
         # the same permutation collapse to a single cold plan, the
@@ -440,10 +552,11 @@ class Planner:
                                                  width, backend)
                     self.memory.put(fp, compiled)
                     return compiled, "sealed"
-            plan, program, cert, proven = self._cold_plan(
+            plan, program, cert, proven = self._cold.plan(
                 p, engine, width, backend
             )
-            sealed = self._seal(plan, program, cert)
+            with self._cold.phase("seal"):
+                sealed = self._seal(plan, program, cert)
             compiled = CompiledPermutation(
                 engine=plan,
                 program=program,
@@ -455,35 +568,9 @@ class Planner:
             if proven:
                 self.memory.put(fp, compiled)
                 if self.disk is not None:
-                    self._store_sealed(fp, sealed)
+                    with self._cold.phase("store"):
+                        self._store_sealed(fp, sealed)
             return compiled, "cold"
-
-    def _cold_plan(
-        self,
-        p: np.ndarray,
-        engine: str,
-        width: int,
-        backend: str | None,
-    ) -> tuple[Any, KernelProgram, SemanticCertificate, bool]:
-        """Plan ``p`` from scratch and optimize it under translation
-        validation (:meth:`_optimize_validated`).
-
-        A disk-backed planner persists what it plans, so it also
-        certifies the plan's schedule conflict-free/coalesced
-        (:func:`~repro.core.io.certify_schedule`) and refuses a
-        conflicted one with :class:`~repro.errors.CertificateError`
-        before anything is written.
-        """
-        with telemetry.span("planner.plan", engine=engine):
-            plan = get_engine(engine).plan(
-                p, width=width, backend=backend or self.backend,
-            )
-        self._counts["cold_plans"].inc()
-        if self.disk is not None:
-            from repro.core.io import certify_schedule
-
-            certify_schedule(plan, f"cache {engine!r} plan")
-        return (plan, *self._optimize_validated(plan))
 
     def _seal(
         self,
@@ -535,8 +622,10 @@ class Planner:
         the permutation — only when a caller needs it.
         """
 
+        cold = self._cold
+
         def loader() -> _Loaded:
-            plan, program, cert, _proven = self._cold_plan(
+            plan, program, cert, _proven = cold.plan(
                 sealed.scatter, engine, width, backend
             )
             return plan, program, cert
@@ -575,53 +664,6 @@ class Planner:
         if fresh:
             self._counts["shard_plans"].inc()
         return compiled, sharded
-
-    def _optimize_validated(
-        self, plan: Any
-    ) -> tuple[KernelProgram, SemanticCertificate, bool]:
-        """Optimize a plan's program under translation validation.
-
-        Runs the pipeline in ``validate=True`` mode and certifies the
-        result against the requested permutation.  On refutation the
-        compile is *not* failed: the raw (unoptimized) program — which
-        must itself denote the requested permutation, or
-        :class:`~repro.errors.SemanticValidationError` is raised — is
-        returned with its positive fallback certificate, so it is
-        sealed and served like any other; ``semantic_rejections`` is
-        counted, the enclosing span is tagged with the blamed pass
-        (``semantic_rejected``), and the returned ``proven`` flag is
-        False so callers refuse to cache the handle in memory or store
-        its sidecar.
-        """
-        raw = plan.lower()
-        requested = np.asarray(plan.p)
-        signature = self.pipeline.signature()
-        try:
-            optimized = self.pipeline.run(raw, validate=True)
-            cert = validate_translation(
-                raw, optimized, requested=requested,
-                pipeline_signature=signature,
-            )
-            if cert.ok:
-                return optimized, cert, True
-        except SemanticValidationError as exc:
-            cert = exc.certificate
-        self._counts["semantic_rejections"].inc()
-        blame = getattr(cert, "blame", None) or "<pipeline>"
-        telemetry.current_span().set(semantic_rejected=blame)
-        # Fall back to the raw program — still proved against the
-        # requested permutation, because an unproven optimization must
-        # degrade to slower, never to wrong.
-        fallback = validate_translation(raw, raw, requested=requested)
-        if not fallback.ok:
-            raise SemanticValidationError(
-                f"lowered program of engine "
-                f"{getattr(type(plan), 'engine_name', '?')!r} does not "
-                f"denote the requested permutation: "
-                f"{fallback.summary()}",
-                certificate=fallback,
-            )
-        return raw, fallback, False
 
     def _flight(self, fingerprint: str) -> threading.Lock:
         """The single-flight lock serialising cold compiles of one

@@ -44,6 +44,16 @@ def test_rejects_too_many_colors():
         verify_edge_coloring(g, colors, expect_colors=2)
 
 
+def test_rejects_colour_equal_to_expect_colors():
+    # Proper, and only two distinct colours: colour 2 alone is out of
+    # range for expect_colors=2.
+    g = _k22()
+    colors = np.array([0, 2, 2, 0])
+    assert is_proper_edge_coloring(g, colors)
+    with pytest.raises(ColoringError, match="expected at most 2"):
+        verify_edge_coloring(g, colors, expect_colors=2)
+
+
 def test_rejects_negative_color():
     g = _k22()
     assert not is_proper_edge_coloring(g, np.array([-1, 0, 0, 1]))

@@ -1,6 +1,9 @@
 """Planner and cache-tier tests: LRU behaviour, disk persistence,
 corruption handling, and the CompiledPermutation contract."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,25 @@ class TestPlanner:
         assert [f.name for f in tmp_path.iterdir()] == [
             f"{compiled.fingerprint}.sealed.npz"
         ]
+
+    def test_dropped_sidecar_planner_freed_without_gc(self, tmp_path):
+        # A sidecar handle's loader must not reach back to its planner:
+        # planner -> memory tier -> handle -> loader -> planner was a
+        # cycle that kept the sealed maps resident until a gc pass.
+        p = bit_reversal(_N)
+        Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
+        gc.collect()
+        gc.disable()
+        try:
+            planner = Planner(cache_dir=tmp_path)
+            compiled = planner.compile(p, width=_WIDTH)
+            assert planner.stats()["sealed_hits"] == 1
+            refs = (weakref.ref(planner), weakref.ref(compiled),
+                    weakref.ref(compiled.sealed))
+            del planner, compiled
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_memory_only_planner(self):
         planner = Planner()
@@ -253,6 +275,36 @@ class TestPlanner:
         assert "repro_planner_sealed_stores_total 1" in text
         assert "planner_disk_hits_total" not in text
         assert 'tier="disk"' not in text
+
+
+    @staticmethod
+    def _phase_counts(planner):
+        rows = planner.metrics.snapshot().get("planner_cold_phase_seconds",
+                                              [])
+        return {r["labels"]["phase"]: r["count"] for r in rows}
+
+    def test_cold_phases_observed_once(self, tmp_path):
+        p = bit_reversal(_N)
+        planner = Planner(cache_dir=tmp_path)
+        planner.compile(p, width=_WIDTH)
+        phases = ("plan", "certify", "optimize", "seal", "store")
+        assert self._phase_counts(planner) == dict.fromkeys(phases, 1)
+        planner.compile(p, width=_WIDTH)            # memory hit
+        assert self._phase_counts(planner) == dict.fromkeys(phases, 1)
+        assert "repro_planner_cold_phase_seconds_count" in (
+            planner.metrics.prometheus_text()
+        )
+        fresh = Planner(cache_dir=tmp_path)
+        fresh.compile(p, width=_WIDTH)              # sidecar hit
+        assert fresh.stats()["sealed_hits"] == 1
+        assert self._phase_counts(fresh) == {}
+
+    def test_memory_only_cold_phases(self):
+        planner = Planner()
+        planner.compile(bit_reversal(_N), width=_WIDTH)
+        assert self._phase_counts(planner) == dict.fromkeys(
+            ("plan", "optimize", "seal"), 1
+        )
 
 
 class TestCompiledPermutation:

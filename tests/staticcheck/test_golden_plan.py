@@ -7,7 +7,10 @@ three things at once: the on-disk format (a format change that can't
 read old files fails here first), the certificate chain (load
 re-validates the embedded proofs), and planning determinism
 (re-planning the same seed must reproduce the stored schedule bit for
-bit).
+bit).  A deliberate change of colouring algorithm changes the colours:
+check that the old file still loads, re-certifies and permutes, then
+rewrite it with ``save_plan(path, ScheduledPermutation.plan(
+random_permutation(256, seed=0), width=4))``.
 
 ``tests/data/golden_sidecar.sealed.npz`` is the sealed sidecar a
 disk-backed ``Planner.compile`` of the same permutation writes (sealed
