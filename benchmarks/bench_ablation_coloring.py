@@ -1,23 +1,18 @@
-"""Ablation A1: König edge-colouring backends.
+"""Ablation A1: König edge colouring.
 
 The schedule quality is identical for every proper colouring — what
-differs is planning speed.  This bench times the three backends on the
+differs is planning speed.  This bench times ``edge_coloring`` on the
 graphs the planner actually builds (the global row multigraph of a
-random permutation and the stacked per-row bank multigraph) and
-verifies all outputs with the common checker.
+random permutation and a full plan) and verifies every output with
+the common checker.  Degrees 24 and 96 have the odd factor 3, so they
+exercise the odd (matching) step as well as the Euler splits.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.coloring import (
-    RegularBipartiteMultigraph,
-    euler_split_coloring,
-    hopcroft_karp_coloring,
-    matching_coloring,
-)
-from repro.coloring.birkhoff import birkhoff_decomposition
+from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.verify import verify_edge_coloring
 from repro.core.scheduled import ScheduledPermutation
 from repro.permutations.named import random_permutation
@@ -30,30 +25,24 @@ def _global_graph(m: int, seed: int) -> RegularBipartiteMultigraph:
     return RegularBipartiteMultigraph.from_edges(i // m, p // m, m, m)
 
 
-from repro.coloring.hybrid import hybrid_coloring
-
-BACKENDS = {
-    "euler": euler_split_coloring,
-    "hybrid": hybrid_coloring,
-    "matching (scipy)": matching_coloring,
-    "hopcroft-karp (pure)": hopcroft_karp_coloring,
-}
+def _path(m: int) -> str:
+    """How ``edge_coloring`` colours degree ``m = 2**a * q``."""
+    a = (m & -m).bit_length() - 1
+    q = m >> a
+    return "euler" if q == 1 else f"euler 2^{a}, odd step q={q}"
 
 
-@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
-@pytest.mark.parametrize("m", [32, 64])
-def test_bench_backend_global_graph(benchmark, backend_name, m):
+@pytest.mark.parametrize("m", [24, 32, 64, 96])
+def test_bench_edge_coloring_global_graph(benchmark, m):
     graph = _global_graph(m, seed=m)
-    colors = benchmark(BACKENDS[backend_name], graph)
+    colors = benchmark(edge_coloring, graph)
     verify_edge_coloring(graph, colors, expect_colors=m)
 
 
-@pytest.mark.parametrize("backend", ["euler", "matching"])
-def test_bench_backend_in_full_plan(benchmark, backend):
-    """End-to-end planning cost under each backend (HK is too slow for
-    the full plan and is covered on the raw graphs above)."""
+def test_bench_backend_in_full_plan(benchmark):
+    """End-to-end planning cost, colouring included."""
     p = random_permutation(64 * 64, seed=3)
-    plan = benchmark(ScheduledPermutation.plan, p, 8, backend)
+    plan = benchmark(ScheduledPermutation.plan, p, 8)
     plan.verify()
 
 
@@ -102,31 +91,25 @@ def test_planning_scaling_report(report, benchmark):
 
 
 def test_coloring_report(report, benchmark):
-    """All backends agree on validity; Birkhoff shows the count-matrix
-    view needs far fewer matchings than colours when multiplicities are
-    large."""
+    """``edge_coloring`` uses exactly ``m`` colours on every degree,
+    power of two or not."""
 
     def collect():
         rows = []
-        for m in (16, 32, 64):
+        for m in (16, 24, 32, 64, 96):
             graph = _global_graph(m, seed=m)
-            for name, backend in BACKENDS.items():
-                colors = backend(graph)
-                verify_edge_coloring(graph, colors, expect_colors=m)
-                rows.append([m, graph.num_edges, name, int(colors.max()) + 1])
-            terms = birkhoff_decomposition(graph.count_matrix())
-            rows.append([
-                m, graph.num_edges, "birkhoff (count matrix)", len(terms)
-            ])
+            colors = edge_coloring(graph)
+            verify_edge_coloring(graph, colors, expect_colors=m)
+            rows.append([m, graph.num_edges, _path(m), int(colors.max()) + 1])
         return rows
 
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)
     report(
         "ablation_coloring",
         format_table(
-            ["m (degree)", "edges", "backend", "colours / terms"],
+            ["m (degree)", "edges", "path", "colours (König)"],
             rows,
-            title="A1 — colouring backends on the global row multigraph "
-                  "(all verified proper; Birkhoff terms <= colours)",
+            title="A1 — König colouring of the global row multigraph "
+                  "(all verified proper with exactly m colours)",
         ),
     )

@@ -1,26 +1,34 @@
-"""Edge colouring by level-synchronous Euler splitting.
+"""König edge colouring by level-synchronous Euler splitting.
 
 A regular bipartite multigraph in which every node has even degree
 splits into two regular sub-multigraphs of half the degree: pair the
 incident edges of every node into two-edge *copies* of the node; the
 copy graph is 2-regular, its components are even cycles, and taking
 alternate edges of every cycle sends exactly one edge of each copy to
-each half.  Splitting ``log2(D)`` times colours a degree-``D = 2**k``
-multigraph with ``D`` colours — the constructive core of König's
-theorem for the power-of-two sizes the paper uses (``sqrt(n)`` and
-``sqrt(n)/w`` are powers of two throughout Section VIII).
+each half.  Splitting ``a`` times cuts a degree-``D = 2**a * q``
+multigraph into ``2**a`` subgraphs of odd degree ``q``.  For the
+power-of-two degrees the paper uses (``sqrt(n)`` and ``sqrt(n)/w``
+throughout Section VIII) ``q = 1`` and the subgraphs are the colour
+classes.
+
+Otherwise the *odd step* stacks the ``2**a`` subgraphs into one
+``q``-regular graph (node ``sub*N + node``), peels one perfect
+matching off it with :func:`scipy.sparse.csgraph.maximum_bipartite_matching`
+(Hall's theorem guarantees one), and colours the ``(q-1)``-regular,
+even-degree remainder the same way.  scipy is imported only when the
+odd step runs.
 
 All subgraphs of one recursion level are split together, in one pass
 of NumPy scatters and gathers over the whole edge list and with no
 sort after the first.  Each edge carries its colour prefix ``sub`` and
 its ranks ``rl``/``rr`` among the edges of its subgraph at its left and
-right node; the copies of a node are the rank pairs ``(2q, 2q+1)``.
+right node; the copies of a node are the rank pairs ``(2j, 2j+1)``.
 One stable sort per side ranks the edges once; after a split each copy
 has sent one edge to each half, so ``rank >> 1`` is again a rank in the
-half.  Cost: one stable sort per side, then ``log2(D)`` levels of
-``O(E)`` scatters and gathers plus min-label pointer doubling along
-the cycles, ``O(log L)`` gathers for the longest cycle length ``L``
-(at most ``O(E log D log E)`` in all).
+half.  Cost: one stable sort per side, then ``a`` levels of ``O(E)``
+scatters and gathers plus min-label pointer doubling along the cycles,
+``O(log L)`` gathers for the longest cycle length ``L`` (at most
+``O(E log D log E)`` in all), plus one matching per odd factor.
 """
 
 from __future__ import annotations
@@ -30,12 +38,11 @@ import numpy as np
 from repro import telemetry
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.errors import ColoringError
-from repro.util.validation import is_power_of_two
 
 #: Fault-injection hook (see :mod:`repro.resilience.faults`).  ``None``
 #: in production — the only cost on the happy path is this None check.
 #: When set (by an active ``FaultPlan``), it is called as
-#: ``_fault_hook("euler", graph)`` before colouring and may raise.
+#: ``_fault_hook(graph)`` before colouring and may raise.
 _fault_hook = None
 
 
@@ -54,32 +61,76 @@ def euler_split(graph: RegularBipartiteMultigraph) -> np.ndarray:
     ) == 0
 
 
-def euler_split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
-    """Colour a power-of-two-degree regular bipartite multigraph.
+def edge_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
+    """Colour a regular bipartite multigraph with ``degree`` colours.
 
-    Euler-splits level by level until degree 1 (a perfect matching,
-    one colour).  Colours are integers in ``[0, degree)``; edges in the
-    ``True`` half of a split get the lower colour range.  Raises
-    :class:`~repro.errors.ColoringError` when the degree is not a power
-    of two (use :func:`repro.coloring.matching_coloring` instead).
+    Returns an ``int64`` array of one colour in ``[0, degree)`` per
+    edge, with no two edges at a node sharing a colour.  For a
+    power-of-two degree, edges in the ``True`` half of the first split
+    get the lower colour range.
     """
     with telemetry.span("coloring.euler", edges=graph.num_edges,
                         degree=graph.degree):
         if _fault_hook is not None:
-            _fault_hook("euler", graph)
-        if graph.num_edges == 0:
-            return np.empty(0, dtype=np.int64)
-        if not is_power_of_two(graph.degree):
-            raise ColoringError(
-                "Euler-split colouring requires a power-of-two degree, got "
-                f"{graph.degree}; use the 'matching' backend for general "
-                "degrees"
-            )
-        levels = graph.degree.bit_length() - 1
-        colors = _split_levels(
-            graph.left, graph.right, graph.num_left, graph.degree, levels
+            _fault_hook(graph)
+        return _color(graph.left, graph.right, graph.num_left, graph.degree)
+
+
+def _color(
+    left: np.ndarray, right: np.ndarray, num_nodes: int, degree: int
+) -> np.ndarray:
+    """König colouring of a ``degree``-regular graph (see module doc)."""
+    if left.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    levels = (degree & -degree).bit_length() - 1
+    sub = _split_levels(left, right, num_nodes, degree, levels).astype(
+        np.int64
+    )
+    odd = degree >> levels
+    if odd == 1:
+        return sub
+    # Odd step: the 2**levels subgraphs, stacked, are one odd-regular
+    # graph; a perfect matching of it is one colour of every subgraph.
+    left = sub * num_nodes + left
+    right = sub * num_nodes + right
+    num_nodes <<= levels
+    matched = _perfect_matching(left, right, num_nodes)
+    rest = ~matched
+    local = np.zeros(left.shape[0], dtype=np.int64)
+    local[rest] = 1 + _color(left[rest], right[rest], num_nodes, odd - 1)
+    sub *= odd
+    sub += local
+    return sub
+
+
+def _perfect_matching(
+    left: np.ndarray, right: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """Mark one edge instance per node of a perfect matching.
+
+    Parallel edges collapse for the matching itself; any instance of a
+    matched pair may carry it.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    num_edges = left.shape[0]
+    # bool payload: duplicate pairs sum by logical or, never overflow.
+    adjacency = csr_matrix(
+        (np.ones(num_edges, dtype=bool), (left, right)),
+        shape=(num_nodes, num_nodes),
+    )
+    match = maximum_bipartite_matching(adjacency, perm_type="column")
+    if np.any(match < 0):
+        raise ColoringError(
+            "no perfect matching found; the multigraph is not regular"
         )
-        return colors.astype(np.int64)
+    candidates = np.flatnonzero(right == match[left])
+    chosen = np.empty(num_nodes, dtype=np.int64)
+    chosen[left[candidates]] = candidates
+    matched = np.zeros(num_edges, dtype=bool)
+    matched[chosen] = True
+    return matched
 
 
 def _split_levels(
@@ -118,7 +169,7 @@ def _split_levels(
     for _ in range(levels):
         # The 2**k subgraphs are d-regular on num_nodes nodes per side,
         # so the key (sub*N + node)*d + rank is a permutation of
-        # [0, E); the copies of a node are the key pairs (2q, 2q+1) and
+        # [0, E); the copies of a node are the key pairs (2j, 2j+1) and
         # an edge's partner at its copy sits at key ^ 1.
         for nodes, ranks, partner in ((left, rl, sigma), (right, rr, pi)):
             np.multiply(sub, num_nodes, out=key)

@@ -4,9 +4,6 @@ Edges are stored as parallel arrays ``left[e] -> right[e]`` (an *edge
 list*), which keeps the identity of each edge instance — essential,
 because the schedulers need a colour per **element**, and distinct
 elements may induce identical ``(left, right)`` pairs (parallel edges).
-
-A count-matrix view (``counts[u, v]`` = edge multiplicity) is derived on
-demand for matching-based algorithms.
 """
 
 from __future__ import annotations
@@ -86,24 +83,6 @@ class RegularBipartiteMultigraph:
             num_right = int(right.max()) + 1 if right.size else 0
         return cls(left, right, num_left, num_right)
 
-    @classmethod
-    def from_count_matrix(cls, counts: np.ndarray) -> "RegularBipartiteMultigraph":
-        """Build from a multiplicity matrix ``counts[u, v]``.
-
-        Edge instances for the same ``(u, v)`` pair are emitted
-        consecutively, so ``edge_buckets`` round-trips.
-        """
-        counts = np.asarray(counts)
-        if counts.ndim != 2:
-            raise SizeError("count matrix must be two-dimensional")
-        if counts.size and counts.min() < 0:
-            raise SizeError("count matrix entries must be non-negative")
-        u, v = np.nonzero(counts)
-        reps = counts[u, v].astype(np.int64)
-        left = np.repeat(u.astype(np.int64), reps)
-        right = np.repeat(v.astype(np.int64), reps)
-        return cls(left, right, counts.shape[0], counts.shape[1])
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -112,35 +91,6 @@ class RegularBipartiteMultigraph:
     def num_edges(self) -> int:
         """Total number of edge instances (with multiplicity)."""
         return int(self.left.shape[0])
-
-    def count_matrix(self) -> np.ndarray:
-        """Dense multiplicity matrix ``counts[u, v]`` (int64)."""
-        counts = np.zeros((self.num_left, self.num_right), dtype=np.int64)
-        np.add.at(counts, (self.left, self.right), 1)
-        return counts
-
-    def edge_buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group edge ids by ``(left, right)`` pair.
-
-        Returns ``(order, starts, keys)`` where ``order`` lists edge ids
-        sorted by pair key ``left * num_right + right``, ``starts`` are
-        CSR offsets into ``order`` for each unique pair, and ``keys``
-        are the unique pair keys.  Matching-based colouring uses this to
-        hand out one edge *instance* per extracted matching edge.
-        """
-        keys_all = self.left * np.int64(max(self.num_right, 1)) + self.right
-        order = np.argsort(keys_all, kind="stable").astype(np.int64)
-        sorted_keys = keys_all[order]
-        if sorted_keys.size:
-            boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-            starts = np.concatenate(
-                [[0], boundaries, [sorted_keys.size]]
-            ).astype(np.int64)
-            keys = sorted_keys[starts[:-1]]
-        else:
-            starts = np.zeros(1, dtype=np.int64)
-            keys = np.empty(0, dtype=np.int64)
-        return order, starts, keys
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

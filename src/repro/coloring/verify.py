@@ -8,7 +8,7 @@ the schedulers rely on (paper Section VI: "no two edges with the same
 colour share a node").
 
 These checks are used both defensively inside the planners and as the
-oracle for property-based tests of all colouring backends.
+oracle for property-based tests of the colouring.
 """
 
 from __future__ import annotations

@@ -41,16 +41,14 @@ class ColumnwiseSchedule:
     transpose: TiledTranspose
 
     @classmethod
-    def plan(
-        cls, delta: np.ndarray, width: int, backend: str = "auto"
-    ) -> "ColumnwiseSchedule":
+    def plan(cls, delta: np.ndarray, width: int) -> "ColumnwiseSchedule":
         delta = np.asarray(delta)
         if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
             raise SizeError(
                 f"delta must be square (column count == row count), got "
                 f"shape {delta.shape}"
             )
-        rowwise = RowwiseSchedule.plan(delta, width, backend=backend)
+        rowwise = RowwiseSchedule.plan(delta, width)
         transpose = TiledTranspose(delta.shape[0], width)
         return cls(rowwise=rowwise, transpose=transpose)
 

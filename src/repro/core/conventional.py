@@ -52,14 +52,14 @@ class ConventionalPermutation(EngineBase):
 
     @classmethod
     def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
+        cls, p: np.ndarray, width: int = 32
     ) -> "ConventionalPermutation":
         """Planning is trivial for the baselines: validate and store.
 
-        ``width`` and ``backend`` are accepted (and ignored) so the
-        baselines share the registry's planning signature.
+        ``width`` is accepted (and ignored) so the baselines share the
+        registry's planning signature.
         """
-        del width, backend
+        del width
         return cls(p)
 
     # -- to be provided by subclasses --------------------------------

@@ -117,10 +117,9 @@ class DMMConventionalPermutation(_SingleDMMEngine):
 
     @classmethod
     def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
+        cls, p: np.ndarray, width: int = 32
     ) -> "DMMConventionalPermutation":
-        """No planning beyond validation; ``backend`` is ignored."""
-        del backend
+        """No planning beyond validation."""
         return cls(p, width=width)
 
     def lower(self) -> KernelProgram:
@@ -160,7 +159,7 @@ class DMMScheduledPermutation(_SingleDMMEngine):
 
     @classmethod
     def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
+        cls, p: np.ndarray, width: int = 32
     ) -> "DMMScheduledPermutation":
         p = check_permutation(p)
         n = int(p.shape[0])
@@ -175,7 +174,7 @@ class DMMScheduledPermutation(_SingleDMMEngine):
         graph = RegularBipartiteMultigraph.from_edges(
             i % width, p % width, width, width
         )
-        colors = edge_coloring(graph, backend=backend)
+        colors = edge_coloring(graph)
         verify_edge_coloring(graph, colors, expect_colors=n // width)
         # Thread (warp r, lane b) handles the element of colour r whose
         # source bank is b: within each warp both the sources and (by

@@ -57,7 +57,7 @@ class PaddedScheduledPermutation(EngineBase):
 
     @classmethod
     def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
+        cls, p: np.ndarray, width: int = 32
     ) -> "PaddedScheduledPermutation":
         """Plan for any permutation length (including non-squares)."""
         p = check_permutation(p)
@@ -67,8 +67,7 @@ class PaddedScheduledPermutation(EngineBase):
             padded = np.concatenate(
                 [p, np.arange(n, big_n, dtype=np.int64)]
             )
-            inner = ScheduledPermutation.plan(padded, width=width,
-                                              backend=backend)
+            inner = ScheduledPermutation.plan(padded, width=width)
             plan = cls(n=n, inner=inner)
             sp.set(overhead=plan.overhead)
         return plan

@@ -101,15 +101,13 @@ class RowwiseSchedule:
     # ------------------------------------------------------------------
 
     @classmethod
-    def plan(
-        cls, gamma: np.ndarray, width: int, backend: str = "auto"
-    ) -> "RowwiseSchedule":
+    def plan(cls, gamma: np.ndarray, width: int) -> "RowwiseSchedule":
         """Build the ``s``/``t`` schedule from the row permutations.
 
         All rows are coloured in a single call: the per-row bank
         multigraphs are disjoint, so stacking them (row ``j``'s banks at
-        node offset ``j*w``) yields one regular multigraph that any
-        backend colours at once.
+        node offset ``j*w``) yields one regular multigraph that one
+        colouring call covers.
         """
         gamma = _check_row_permutations(gamma)
         rows, m = gamma.shape
@@ -126,9 +124,8 @@ class RowwiseSchedule:
         graph = RegularBipartiteMultigraph.from_edges(
             left, right, rows * width, rows * width
         )
-        with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
-                            backend=backend):
-            colors = edge_coloring(graph, backend=backend)
+        with telemetry.span("rowwise.plan.coloring", rows=rows, m=m):
+            colors = edge_coloring(graph)
             verify_edge_coloring(graph, colors,
                                  expect_colors=max(m // width, 1))
 

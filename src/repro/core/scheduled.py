@@ -79,30 +79,23 @@ class ScheduledPermutation(EngineBase):
     # ------------------------------------------------------------------
 
     @classmethod
-    def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
-    ) -> "ScheduledPermutation":
+    def plan(cls, p: np.ndarray, width: int = 32) -> "ScheduledPermutation":
         """Plan the scheduled permutation for ``p``.
 
         ``len(p)`` must be a perfect square whose root is a multiple of
-        ``width``.  ``backend`` picks the König colouring implementation
-        for both the global and the per-row colourings.
+        ``width``.
         """
         p = check_permutation(p)
         n = int(p.shape[0])
         check_square(n, width, "len(p)")
-        with telemetry.span("scheduled.plan", n=n, width=width,
-                            backend=backend):
-            decomposition = decompose(p, backend=backend)
+        with telemetry.span("scheduled.plan", n=n, width=width):
+            decomposition = decompose(p)
             with telemetry.span("scheduled.plan.step1"):
-                step1 = RowwiseSchedule.plan(decomposition.gamma1, width,
-                                             backend)
+                step1 = RowwiseSchedule.plan(decomposition.gamma1, width)
             with telemetry.span("scheduled.plan.step2"):
-                step2 = ColumnwiseSchedule.plan(decomposition.delta, width,
-                                                backend)
+                step2 = ColumnwiseSchedule.plan(decomposition.delta, width)
             with telemetry.span("scheduled.plan.step3"):
-                step3 = RowwiseSchedule.plan(decomposition.gamma3, width,
-                                             backend)
+                step3 = RowwiseSchedule.plan(decomposition.gamma3, width)
         return cls(
             p=p,
             width=width,
@@ -273,7 +266,7 @@ class ScheduledPermutation(EngineBase):
         return theory.scheduled_time(n, w, params.latency,
                                      params.num_dmms, k)
 
-    def inverse(self, backend: str = "auto") -> "ScheduledPermutation":
+    def inverse(self) -> "ScheduledPermutation":
         """Plan the inverse permutation from this plan's decomposition.
 
         If this plan realises ``p`` as ``rowwise(g1) ∘ colwise(delta) ∘
@@ -318,9 +311,9 @@ class ScheduledPermutation(EngineBase):
             p=p_inv,
             width=width,
             decomposition=decomposition,
-            step1=RowwiseSchedule.plan(gamma1_inv, width, backend),
-            step2=ColumnwiseSchedule.plan(delta_inv, width, backend),
-            step3=RowwiseSchedule.plan(gamma3_inv, width, backend),
+            step1=RowwiseSchedule.plan(gamma1_inv, width),
+            step2=ColumnwiseSchedule.plan(delta_inv, width),
+            step3=RowwiseSchedule.plan(gamma3_inv, width),
         )
 
     def certify(self) -> "Certificate":
@@ -353,7 +346,7 @@ class ScheduledPermutation(EngineBase):
 
 
 def scheduled_permute(
-    a: np.ndarray, p: np.ndarray, width: int = 32, backend: str = "auto"
+    a: np.ndarray, p: np.ndarray, width: int = 32
 ) -> np.ndarray:
     """One-shot convenience: plan and apply in one call.
 
@@ -361,4 +354,4 @@ def scheduled_permute(
     intended use — "offline" means ``p`` is known in advance), plan once
     with :meth:`ScheduledPermutation.plan` and reuse it.
     """
-    return ScheduledPermutation.plan(p, width=width, backend=backend).apply(a)
+    return ScheduledPermutation.plan(p, width=width).apply(a)

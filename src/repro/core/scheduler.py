@@ -134,15 +134,9 @@ class ThreeStepDecomposition:
             )
 
 
-def decompose(
-    p: np.ndarray, backend: str = "auto"
-) -> ThreeStepDecomposition:
+def decompose(p: np.ndarray) -> ThreeStepDecomposition:
     """Factor permutation ``p`` (length a perfect square) into the three
-    steps of the scheduled algorithm.
-
-    ``backend`` selects the König colouring implementation (see
-    :func:`repro.coloring.edge_coloring`).
-    """
+    steps of the scheduled algorithm."""
     p = check_permutation(p)
     n = p.shape[0]
     m = isqrt_exact(n, "len(p)")
@@ -151,21 +145,19 @@ def decompose(
         return ThreeStepDecomposition(
             empty, empty, empty, np.empty(0, dtype=np.int64)
         )
-    with telemetry.span("plan.decompose", n=int(n), m=m, backend=backend):
-        return _decompose_inner(p, n, m, backend)
+    with telemetry.span("plan.decompose", n=int(n), m=m):
+        return _decompose_inner(p, n, m)
 
 
-def _decompose_inner(
-    p: np.ndarray, n: int, m: int, backend: str
-) -> ThreeStepDecomposition:
+def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
     i = np.arange(n, dtype=np.int64)
     src_row = i // m
     dst = p
     dst_row, dst_col = dst // m, dst % m
 
     graph = RegularBipartiteMultigraph.from_edges(src_row, dst_row, m, m)
-    with telemetry.span("plan.decompose.coloring", backend=backend):
-        colors = edge_coloring(graph, backend=backend)
+    with telemetry.span("plan.decompose.coloring"):
+        colors = edge_coloring(graph)
         verify_edge_coloring(graph, colors, expect_colors=m)
 
     # gamma1[r, c] = colour of element (r, c): elements are enumerated

@@ -76,12 +76,7 @@ def _scheduled_feasible(n: int, width: int) -> bool:
 ENGINES = ("scheduled", "padded", "d-designated", "s-designated")
 
 
-def build_engine(
-    name: str,
-    p: np.ndarray,
-    width: int = 32,
-    backend: str = "auto",
-):
+def build_engine(name: str, p: np.ndarray, width: int = 32):
     """Construct the named engine for permutation ``p``.
 
     Delegates to the engine registry (:func:`repro.ir.get_engine`), so
@@ -92,7 +87,7 @@ def build_engine(
     input validation.
     """
     cls = get_engine(name)
-    return cls.plan(p, width=width, backend=backend)
+    return cls.plan(p, width=width)
 
 
 def predict_times(
@@ -250,7 +245,6 @@ class AutoPermutation:  # staticcheck: ignore[REP104]
         p: np.ndarray,
         params: MachineParams | None = None,
         dtype=np.float32,
-        backend: str = "auto",
         planner=None,
     ) -> None:
         self.params = params or MachineParams()
@@ -258,12 +252,11 @@ class AutoPermutation:  # staticcheck: ignore[REP104]
         self.choice = self.prediction.best
         if planner is not None:
             self.engine = planner.compile(
-                p, engine=self.choice, width=self.params.width,
-                backend=backend,
+                p, engine=self.choice, width=self.params.width
             )
         else:
             self.engine = build_engine(
-                self.choice, p, width=self.params.width, backend=backend
+                self.choice, p, width=self.params.width
             )
 
     @property

@@ -71,7 +71,6 @@ class BlockedPermutation(EngineBase):
         cls,
         p: np.ndarray,
         block: int | None = None,
-        backend: str = "auto",
         width: int | None = None,
     ) -> "BlockedPermutation":
         """Plan from a destination-designated permutation ``p``.
@@ -83,7 +82,7 @@ class BlockedPermutation(EngineBase):
         del width
         p = check_permutation(p)
         isqrt_exact(p.shape[0], "len(p)")
-        return cls(p=p, decomposition=decompose(p, backend=backend), block=block)
+        return cls(p=p, decomposition=decompose(p), block=block)
 
     @property
     def n(self) -> int:

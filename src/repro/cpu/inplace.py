@@ -74,10 +74,10 @@ class InplacePermutation(EngineBase):
 
     @classmethod
     def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
+        cls, p: np.ndarray, width: int = 32
     ) -> "InplacePermutation":
-        """Precompute the cycles; ``width``/``backend`` are ignored."""
-        del width, backend
+        """Precompute the cycles; ``width`` is ignored."""
+        del width
         return cls(p)
 
     @property

@@ -68,10 +68,10 @@ class NaivePermutation(EngineBase):
 
     @classmethod
     def plan(
-        cls, p: np.ndarray, width: int = 32, backend: str = "auto"
+        cls, p: np.ndarray, width: int = 32
     ) -> "NaivePermutation":
-        """Nothing to precompute; ``width``/``backend`` are ignored."""
-        del width, backend
+        """Nothing to precompute; ``width`` is ignored."""
+        del width
         return cls(p)
 
     def lower(self) -> KernelProgram:

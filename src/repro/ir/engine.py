@@ -3,7 +3,7 @@
 Every permutation engine — GPU-modelled or CPU — presents the same
 six-method surface:
 
-``plan(p, width=..., backend=...)``
+``plan(p, width=...)``
     Classmethod constructor: precompute schedules for permutation ``p``.
 ``lower()``
     Lower the planned engine to a :class:`~repro.ir.program.KernelProgram`.

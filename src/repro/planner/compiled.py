@@ -289,7 +289,7 @@ class CompiledPermutation:
 @dataclass
 class _ColdPath:
     """What a cold plan needs from its :class:`Planner`: the pipeline,
-    the default backend, whether to certify, and the registry.
+    whether to certify, and the registry.
 
     It holds no cache tier.  A sidecar handle's lazy loader keeps this
     alive rather than the planner, whose memory tier holds the handle:
@@ -298,7 +298,6 @@ class _ColdPath:
     """
 
     pipeline: PassPipeline
-    backend: str
     certify: bool
     metrics: MetricsRegistry
     counts: dict[str, Any]
@@ -318,7 +317,6 @@ class _ColdPath:
         p: np.ndarray,
         engine: str,
         width: int,
-        backend: str | None,
     ) -> tuple[Any, KernelProgram, SemanticCertificate, bool]:
         """Plan ``p`` from scratch and optimize it under translation
         validation (:meth:`optimize_validated`).
@@ -331,9 +329,7 @@ class _ColdPath:
         """
         with self.phase("plan"), telemetry.span("planner.plan",
                                                 engine=engine):
-            plan = get_engine(engine).plan(
-                p, width=width, backend=backend or self.backend,
-            )
+            plan = get_engine(engine).plan(p, width=width)
         self.counts["cold_plans"].inc()
         if self.certify:
             from repro.core.io import certify_schedule
@@ -406,8 +402,6 @@ class Planner:
         Pass pipeline to optimize compiled programs with (defaults to
         the process-wide :func:`~repro.passes.default_pipeline`).  The
         pipeline's signature is part of every fingerprint.
-    backend:
-        Default colouring backend forwarded to ``Engine.plan``.
     cache_max_bytes:
         Optional bound on the memory tier's resident bytes (programs
         plus sealed index maps); LRU-evicted past it.
@@ -426,7 +420,6 @@ class Planner:
         cache_size: int = 64,
         cache_dir: str | Path | None = None,
         pipeline: PassPipeline | None = None,
-        backend: str = "auto",
         cache_max_bytes: int | None = None,
         disk_max_bytes: int | None = None,
     ) -> None:
@@ -452,9 +445,8 @@ class Planner:
             "cold_plans", "shard_plans", "sealed_plans",
             "semantic_rejections",
         ))
-        self._cold = _ColdPath(self.pipeline, backend,
-                               cache_dir is not None, self.metrics,
-                               self._counts)
+        self._cold = _ColdPath(self.pipeline, cache_dir is not None,
+                               self.metrics, self._counts)
         self._lock = threading.Lock()
         # One lock per in-flight fingerprint: concurrent compiles of
         # the same permutation collapse to a single cold plan, the
@@ -504,7 +496,6 @@ class Planner:
         engine: str = "scheduled",
         width: int = 32,
         digest: str | None = None,
-        backend: str | None = None,
     ) -> CompiledPermutation:
         """Resolve ``p`` to a :class:`CompiledPermutation`.
 
@@ -519,8 +510,7 @@ class Planner:
         with telemetry.span(
             "planner.compile", engine=engine, fingerprint=fp[:12]
         ) as sp:
-            compiled, tier = self._resolve(fp, p, engine, width,
-                                           backend)
+            compiled, tier = self._resolve(fp, p, engine, width)
             sp.set(tier=tier)
         self.metrics.histogram(
             "planner_compile_seconds", tier=tier, engine=engine
@@ -533,7 +523,6 @@ class Planner:
         p: np.ndarray,
         engine: str,
         width: int,
-        backend: str | None,
     ) -> tuple[CompiledPermutation, str]:
         """Walk the tiers for ``fp``; returns (handle, answering tier)."""
         hit = self.memory.get(fp)
@@ -549,12 +538,10 @@ class Planner:
                 sealed = self.disk.load_sealed(fp, p, engine, width)
                 if sealed is not None:
                     compiled = self._from_sealed(fp, sealed, engine,
-                                                 width, backend)
+                                                 width)
                     self.memory.put(fp, compiled)
                     return compiled, "sealed"
-            plan, program, cert, proven = self._cold.plan(
-                p, engine, width, backend
-            )
+            plan, program, cert, proven = self._cold.plan(p, engine, width)
             with self._cold.phase("seal"):
                 sealed = self._seal(plan, program, cert)
             compiled = CompiledPermutation(
@@ -613,7 +600,6 @@ class Planner:
         sealed: SealedProgram,
         engine: str,
         width: int,
-        backend: str | None,
     ) -> CompiledPermutation:
         """A lazy handle over a sealed sidecar hit.
 
@@ -626,7 +612,7 @@ class Planner:
 
         def loader() -> _Loaded:
             plan, program, cert, _proven = cold.plan(
-                sealed.scatter, engine, width, backend
+                sealed.scatter, engine, width
             )
             return plan, program, cert
 
@@ -647,7 +633,6 @@ class Planner:
         engine: str = "scheduled",
         width: int = 32,
         digest: str | None = None,
-        backend: str | None = None,
     ) -> "tuple[CompiledPermutation, ShardedProgram]":
         """Compile ``p`` and return its proven ``d``-stripe sharding.
 
@@ -656,8 +641,7 @@ class Planner:
         pay nothing after the first.
         """
         compiled = self.compile(
-            p, engine=engine, width=width, digest=digest,
-            backend=backend,
+            p, engine=engine, width=width, digest=digest
         )
         fresh = d not in compiled._shards
         sharded = compiled.shard(d)

@@ -74,8 +74,6 @@ class ResilientPermutation:
         The permutation to realise (``b[p[i]] = a[i]``).
     width:
         Machine width ``w`` for the scheduled engines.
-    backend:
-        Colouring backend forwarded to planning.
     chain:
         Engine names to try, in order (default :data:`DEFAULT_CHAIN`).
     max_attempts:
@@ -101,7 +99,6 @@ class ResilientPermutation:
         self,
         p: np.ndarray,
         width: int = 32,
-        backend: str = "auto",
         chain: tuple[str, ...] = DEFAULT_CHAIN,
         max_attempts: int = 3,
         backoff_base: float = 0.05,
@@ -137,7 +134,7 @@ class ResilientPermutation:
                                retried=False)
         self.engine = None
         self.choice: str | None = None
-        self._plan_chain(backend, chain, max_attempts, backoff_base)
+        self._plan_chain(chain, max_attempts, backoff_base)
 
     @classmethod
     def _from_engine(cls, p, width, engine, choice,
@@ -183,11 +180,10 @@ class ResilientPermutation:
     # Planning with retry + fallback
     # ------------------------------------------------------------------
 
-    def _plan_chain(self, backend, chain, max_attempts, backoff_base):
+    def _plan_chain(self, chain, max_attempts, backoff_base):
         try:
             for name in chain:
-                if self._plan_engine(name, backend, max_attempts,
-                                     backoff_base):
+                if self._plan_engine(name, max_attempts, backoff_base):
                     return
             raise FallbackExhaustedError(
                 f"all engines failed for n = {len(self.p)} "
@@ -200,14 +196,12 @@ class ResilientPermutation:
             # planning run in the report.
             self.report.spans = list(self._tracer.spans)
 
-    def _plan_engine(self, name, backend, max_attempts,
-                     backoff_base) -> bool:
+    def _plan_engine(self, name, max_attempts, backoff_base) -> bool:
         for attempt in range(1, max_attempts + 1):
             with self._tracer.span(f"plan.{name}", attempt=attempt) as sp, \
                     telemetry.span(f"resilience.plan.{name}",
                                    attempt=attempt) as gsp:
-                outcome = self._attempt(name, backend, attempt,
-                                        max_attempts)
+                outcome = self._attempt(name, attempt, max_attempts)
                 sp.set(outcome=outcome)
                 gsp.set(outcome=outcome)
             if outcome == "ok":
@@ -223,7 +217,7 @@ class ResilientPermutation:
                     self._sleep(delay)
         return False
 
-    def _attempt(self, name, backend, attempt, max_attempts) -> str:
+    def _attempt(self, name, attempt, max_attempts) -> str:
         """One planning attempt; returns the outcome label."""
         try:
             if self._planner is not None:
@@ -231,12 +225,10 @@ class ResilientPermutation:
                 # is reused for every engine in the chain.
                 self.engine = self._planner.compile(
                     self.p, engine=name, width=self.width,
-                    digest=self._digest, backend=backend,
+                    digest=self._digest,
                 )
             else:
-                self.engine = build_engine(
-                    name, self.p, width=self.width, backend=backend
-                )
+                self.engine = build_engine(name, self.p, width=self.width)
         except TRANSIENT_ERRORS as exc:
             retried = attempt < max_attempts
             self.report.record("plan", name, attempt, exc, retried)

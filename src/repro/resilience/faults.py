@@ -27,8 +27,8 @@ demand and reproducibly:
   detect_races=True)``) and the certifier's differential tests exist
   to catch.
 
-Production paths pay nothing for this machinery: the colouring modules
-consult a module-level hook that is ``None`` unless a plan is active,
+Production paths pay nothing for this machinery: the colouring
+consults a module-level hook that is ``None`` unless a plan is active,
 and activation is strictly scoped by the context manager.
 
 >>> from repro.resilience import FaultPlan
@@ -45,7 +45,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.coloring import euler as _euler
-from repro.coloring import matching as _matching
 from repro.core.io import METADATA_KEYS, SEALED_METADATA_KEYS
 from repro.errors import (
     ColoringError,
@@ -111,9 +110,6 @@ class FaultPlan:
         :class:`~repro.errors.ColoringError` while the plan is active.
         Counters reset on every activation, so one plan can be reused
         across runs.
-    coloring_sites:
-        Restrict transient failures to the named hook sites
-        (``"euler"``, ``"matching"``); ``None`` hits all of them.
     capacity_threshold:
         When set, any colouring of a multigraph with ``degree >=
         capacity_threshold`` raises
@@ -131,7 +127,6 @@ class FaultPlan:
         self,
         seed: int = 0,
         transient_coloring_failures: int = 0,
-        coloring_sites: tuple[str, ...] | None = None,
         capacity_threshold: int | None = None,
         scatter_collisions: int = 0,
     ) -> None:
@@ -147,9 +142,6 @@ class FaultPlan:
             )
         self.seed = int(seed)
         self.transient_coloring_failures = int(transient_coloring_failures)
-        self.coloring_sites = (
-            tuple(coloring_sites) if coloring_sites is not None else None
-        )
         self.capacity_threshold = capacity_threshold
         self.scatter_collisions = int(scatter_collisions)
         self._remaining = 0
@@ -173,7 +165,6 @@ class FaultPlan:
         self._scatter_remaining = self.scatter_collisions
         self._scatter_count = 0
         _euler._fault_hook = self._hook
-        _matching._fault_hook = self._hook
         if self.scatter_collisions:
             _rounds._scatter_fault_hook = self._scatter_hook
         return self
@@ -181,12 +172,12 @@ class FaultPlan:
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
         _euler._fault_hook = None
-        _matching._fault_hook = None
         _rounds._scatter_fault_hook = None
         _active = None
 
-    def _hook(self, site: str, graph) -> None:
-        """Called by the colouring backends before any real work."""
+    def _hook(self, graph) -> None:
+        """Called by :func:`repro.coloring.edge_coloring` before any
+        real work."""
         if (
             self.capacity_threshold is not None
             and graph.degree >= self.capacity_threshold
@@ -196,13 +187,11 @@ class FaultPlan:
                 f"capacity threshold {self.capacity_threshold} "
                 "(simulated shared-memory wall)"
             )
-        if self._remaining > 0 and (
-            self.coloring_sites is None or site in self.coloring_sites
-        ):
+        if self._remaining > 0:
             self._remaining -= 1
             raise ColoringError(
-                f"[injected] transient colouring fault at site "
-                f"{site!r} ({self._remaining} more to come)"
+                f"[injected] transient colouring fault "
+                f"({self._remaining} more to come)"
             )
 
     def _scatter_hook(

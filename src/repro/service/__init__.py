@@ -109,7 +109,7 @@ class PermutationService:
     ----------
     width:
         Warp width :meth:`compiled` plans every registration for.
-    cache_size / cache_dir / backend:
+    cache_size / cache_dir:
         Forwarded to the owned :class:`~repro.planner.Planner` (unless
         an explicit ``planner`` is supplied, which takes precedence).
 
@@ -126,7 +126,6 @@ class PermutationService:
         width: int = 32,
         cache_size: int = 64,
         cache_dir: str | Path | None = None,
-        backend: str = "auto",
         planner: Planner | None = None,
         cache_max_bytes: int | None = None,
         disk_max_bytes: int | None = None,
@@ -134,7 +133,7 @@ class PermutationService:
         self.width = width
         self.planner = planner or Planner(
             cache_size=cache_size, cache_dir=cache_dir,
-            backend=backend, cache_max_bytes=cache_max_bytes,
+            cache_max_bytes=cache_max_bytes,
             disk_max_bytes=disk_max_bytes,
         )
         self.metrics = self.planner.metrics

@@ -131,8 +131,8 @@ _NARROW_DTYPES = frozenset(
 )
 
 #: Constructors whose ``dtype=`` keyword REP103 inspects (``np.ones``
-#: is deliberately absent: the colouring backends use ``int8`` ones
-#: vectors as sparse-matrix payloads, where overflow is impossible).
+#: is absent: its one use, the colouring's sparse-matrix payload, is
+#: a ``bool`` ones vector, which cannot overflow).
 _DTYPE_CALLS = frozenset(
     {"array", "asarray", "empty", "zeros", "full", "arange"}
 )

@@ -1,22 +1,46 @@
-"""Cross-backend property tests: all colouring backends produce proper
-König colourings on the same graphs, and the dispatcher picks a valid
-one for every degree (Figure 5's existence claim, constructively)."""
+"""Cross-checks against the reference colourings: ``edge_coloring``,
+the textbook recursive Euler construction and the repeated-matching
+oracles all produce proper König colourings on the same graphs
+(Figure 5's existence claim, constructively)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring import (
-    BACKENDS,
-    edge_coloring,
-    euler_split_coloring,
+from repro.coloring import edge_coloring, euler_split
+from repro.coloring.multigraph import RegularBipartiteMultigraph
+from repro.coloring.verify import verify_edge_coloring
+from tests.coloring.hopcroft_karp import (
     hopcroft_karp_coloring,
     matching_coloring,
 )
-from repro.coloring.multigraph import RegularBipartiteMultigraph
-from repro.coloring.verify import verify_edge_coloring
-from repro.errors import ColoringError
+
+
+def _split_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
+    """Textbook Euler construction for a power-of-two degree: split
+    once, recurse on each half as a graph of its own."""
+    if graph.degree <= 1:
+        return np.zeros(graph.num_edges, dtype=np.int64)
+    half = euler_split(graph)
+    colors = np.empty(graph.num_edges, dtype=np.int64)
+    for take, base in ((half, 0), (~half, graph.degree // 2)):
+        sub = RegularBipartiteMultigraph(
+            graph.left[take], graph.right[take],
+            graph.num_left, graph.num_right,
+        )
+        colors[take] = base + _split_coloring(sub)
+    return colors
+
+
+#: ``edge_coloring`` (Euler splits plus the odd step's matchings) and
+#: the three oracles, by name; "euler" needs a power-of-two degree.
+COLOURINGS = {
+    "euler": _split_coloring,
+    "hybrid": edge_coloring,
+    "hopcroft-karp": hopcroft_karp_coloring,
+    "matching": matching_coloring,
+}
 
 
 def _random_regular(nodes: int, degree: int, seed: int):
@@ -28,21 +52,20 @@ def _random_regular(nodes: int, degree: int, seed: int):
     return RegularBipartiteMultigraph(left, right, nodes, nodes)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(COLOURINGS))
 @pytest.mark.parametrize("degree", [1, 2, 4, 8])
 def test_power_of_two_degrees_all_backends(backend, degree):
     g = _random_regular(6, degree, seed=degree)
-    colors = BACKENDS[backend](g)
+    colors = COLOURINGS[backend](g)
     verify_edge_coloring(g, colors, expect_colors=degree)
 
 
 @pytest.mark.parametrize("degree", [3, 5, 6, 7])
 def test_general_degrees_matching_backends(degree):
     g = _random_regular(5, degree, seed=degree)
-    for backend in (matching_coloring, hopcroft_karp_coloring):
-        verify_edge_coloring(g, backend(g), expect_colors=degree)
-    with pytest.raises(ColoringError):
-        euler_split_coloring(g)
+    for backend in ("hybrid", "hopcroft-karp", "matching"):
+        colors = COLOURINGS[backend](g)
+        verify_edge_coloring(g, colors, expect_colors=degree)
 
 
 def test_auto_dispatch():
@@ -50,12 +73,6 @@ def test_auto_dispatch():
     verify_edge_coloring(g_pow2, edge_coloring(g_pow2), expect_colors=4)
     g_odd = _random_regular(4, 3, seed=0)
     verify_edge_coloring(g_odd, edge_coloring(g_odd), expect_colors=3)
-
-
-def test_unknown_backend():
-    g = _random_regular(2, 2, seed=0)
-    with pytest.raises(ColoringError):
-        edge_coloring(g, backend="quantum")
 
 
 def test_figure5_example_shape():
@@ -78,6 +95,6 @@ def test_figure5_example_shape():
 )
 def test_property_euler_and_matching_agree_on_validity(nodes, degree, seed):
     g = _random_regular(nodes, degree, seed)
-    for backend in ("euler", "matching"):
-        colors = edge_coloring(g, backend=backend)
+    for backend in ("euler", "hybrid", "matching"):
+        colors = COLOURINGS[backend](g)
         verify_edge_coloring(g, colors, expect_colors=degree)

@@ -1,11 +1,11 @@
-"""Tests for Euler-split edge colouring."""
+"""Tests for the Euler split and the colouring built on it."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coloring.euler import euler_split, euler_split_coloring
+from repro.coloring.euler import edge_coloring, euler_split
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import verify_edge_coloring
 from repro.errors import ColoringError
@@ -67,23 +67,18 @@ class TestEulerSplit:
 class TestEulerColoring:
     def test_degree_one(self):
         g = _random_regular(5, 1, seed=2)
-        colors = euler_split_coloring(g)
+        colors = edge_coloring(g)
         assert np.all(colors == 0)
 
     def test_proper_and_exact_color_count(self):
         for degree in (1, 2, 4, 8, 16):
             g = _random_regular(7, degree, seed=degree)
-            colors = euler_split_coloring(g)
+            colors = edge_coloring(g)
             verify_edge_coloring(g, colors, expect_colors=degree)
-
-    def test_rejects_non_power_of_two(self):
-        g = _random_regular(4, 6, seed=3)
-        with pytest.raises(ColoringError):
-            euler_split_coloring(g)
 
     def test_color_classes_are_perfect_matchings(self):
         g = _random_regular(8, 4, seed=9)
-        colors = euler_split_coloring(g)
+        colors = edge_coloring(g)
         for c in range(4):
             mask = colors == c
             assert np.array_equal(np.sort(g.left[mask]), np.arange(8))
@@ -96,5 +91,5 @@ class TestEulerColoring:
     )
     def test_property_always_proper(self, nodes, degree, seed):
         g = _random_regular(nodes, degree, seed)
-        colors = euler_split_coloring(g)
+        colors = edge_coloring(g)
         verify_edge_coloring(g, colors, expect_colors=degree)

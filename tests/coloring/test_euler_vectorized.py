@@ -1,8 +1,7 @@
 """Property tests of the level-synchronous Euler split kernel.
 
-One kernel, ``_split_levels``, backs ``euler_split`` (one level),
-``euler_split_coloring`` (``log2 D`` levels) and the even-degree step of
-``hybrid_coloring``.  Any balanced split is valid, so the tests check
+One kernel, ``_split_levels``, backs ``euler_split`` (one level) and
+``edge_coloring`` (every even level of the degree).  Any balanced split is valid, so the tests check
 invariants: every subgraph of every level is regular, every colouring
 verifies, and the early-exit orbit labelling equals the full one.  A
 pure-Python closed-trail walk, the textbook Euler split, is kept here
@@ -14,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring import hybrid_coloring
 from repro.coloring.euler import (
     _orbit_minima,
     _split_levels,
+    edge_coloring,
     euler_split,
-    euler_split_coloring,
 )
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import verify_edge_coloring
@@ -139,7 +137,7 @@ class TestSplitKernel:
     def test_all_parallel_edges(self):
         # One node pair joined by 2**5 parallel edges: every colour once.
         g = RegularBipartiteMultigraph.from_edges([0] * 32, [0] * 32, 1, 1)
-        colors = euler_split_coloring(g)
+        colors = edge_coloring(g)
         assert np.array_equal(np.sort(colors), np.arange(32))
 
     def test_many_degree_two_components(self):
@@ -165,7 +163,7 @@ class TestSplitKernel:
     def test_first_split_is_top_colour_bit(self):
         left, right, n = _random_regular(12, 8, seed=5)
         g = RegularBipartiteMultigraph(left, right, n, n)
-        colors = euler_split_coloring(g)
+        colors = edge_coloring(g)
         assert np.array_equal(colors < 4, euler_split(g))
 
     @settings(deadline=None, max_examples=40)
@@ -188,7 +186,7 @@ class TestColouring:
         nodes = 128 if degree >= 128 else 37
         left, right, n = _random_regular(nodes, degree, seed=log_degree)
         g = RegularBipartiteMultigraph(left, right, n, n)
-        verify_edge_coloring(g, euler_split_coloring(g),
+        verify_edge_coloring(g, edge_coloring(g),
                              expect_colors=degree)
 
     @pytest.mark.parametrize("family", ["bit-reversal", "transpose",
@@ -204,7 +202,7 @@ class TestColouring:
         }[family]()
         i = np.arange(n, dtype=np.int64)
         glob = RegularBipartiteMultigraph.from_edges(i // m, p // m, m, m)
-        verify_edge_coloring(glob, euler_split_coloring(glob),
+        verify_edge_coloring(glob, edge_coloring(glob),
                              expect_colors=m)
         steps = decompose(p)
         offset = (np.arange(m, dtype=np.int64) * width)[:, None]
@@ -214,14 +212,14 @@ class TestColouring:
                 banks, (offset + gamma % width).reshape(-1),
                 m * width, m * width,
             )
-            verify_edge_coloring(rows, euler_split_coloring(rows),
+            verify_edge_coloring(rows, edge_coloring(rows),
                                  expect_colors=m // width)
 
     @pytest.mark.parametrize("degree", [3, 5, 6, 10, 12, 20, 24])
     def test_hybrid_non_power_of_two(self, degree):
         left, right, n = _random_regular(29, degree, seed=degree)
         g = RegularBipartiteMultigraph(left, right, n, n)
-        verify_edge_coloring(g, hybrid_coloring(g), expect_colors=degree)
+        verify_edge_coloring(g, edge_coloring(g), expect_colors=degree)
 
 
 class TestOrbitMinima:
@@ -261,7 +259,7 @@ class TestLargeGraphPath:
     def test_vectorized_path_used_and_coloring_proper(self):
         left, right, n = _random_regular(256, 16, seed=7)
         graph = RegularBipartiteMultigraph(left, right, n, n)
-        colors = euler_split_coloring(graph)
+        colors = edge_coloring(graph)
         verify_edge_coloring(graph, colors, expect_colors=16)
 
     def test_vectorized_equals_walk_on_structure(self):
@@ -284,5 +282,5 @@ class TestLargeGraphPath:
         # 70000 nodes per side: ranks come from the wide stable sort.
         left, right, n = _random_regular(70_000, 4, seed=8)
         graph = RegularBipartiteMultigraph(left, right, n, n)
-        verify_edge_coloring(graph, euler_split_coloring(graph),
+        verify_edge_coloring(graph, edge_coloring(graph),
                              expect_colors=4)

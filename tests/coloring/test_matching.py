@@ -1,18 +1,19 @@
-"""Tests for matching-based edge colouring (scipy + pure Hopcroft-Karp)."""
+"""Tests of the reference colouring by repeated perfect matchings
+(scipy and pure-Python Hopcroft-Karp), the oracle the other colouring
+tests compare :func:`repro.coloring.edge_coloring` against."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring.matching import (
+from repro.coloring.multigraph import RegularBipartiteMultigraph
+from repro.coloring.verify import verify_edge_coloring
+from tests.coloring.hopcroft_karp import (
     hopcroft_karp_coloring,
     hopcroft_karp_matching,
     matching_coloring,
 )
-from repro.coloring.multigraph import RegularBipartiteMultigraph
-from repro.coloring.verify import verify_edge_coloring
-from repro.errors import ColoringError
 from tests.conftest import regular_multigraphs_st
 
 
@@ -62,7 +63,7 @@ class TestMatchingColoring:
         "coloring", [matching_coloring, hopcroft_karp_coloring]
     )
     def test_proper_on_odd_degree(self, coloring):
-        # Degree 3 — the Euler backend cannot handle this.
+        # Degree 3: no Euler split applies.
         rng = np.random.default_rng(0)
         left = np.tile(np.arange(5, dtype=np.int64), 3)
         right = np.concatenate(
@@ -91,8 +92,8 @@ class TestMatchingColoring:
         assert matching_coloring(g).size == 0
 
     def test_rejects_unequal_sides(self):
-        # Regular with zero edges but unequal sides is fine structurally;
-        # matching colouring requires equal sides only when edges exist.
+        # Unequal sides cannot carry a regular graph with edges, so the
+        # smallest colourable case is a perfect matching on equal sides.
         g = RegularBipartiteMultigraph.from_edges([0, 1], [0, 1], 2, 2)
         colors = matching_coloring(g)
         verify_edge_coloring(g, colors, expect_colors=1)

@@ -39,55 +39,6 @@ class TestConstruction:
         assert g.num_edges == 0
 
 
-class TestCountMatrix:
-    def test_values(self):
-        g = RegularBipartiteMultigraph.from_edges(
-            [0, 0, 1, 1], [0, 1, 0, 1], 2, 2
-        )
-        assert np.array_equal(g.count_matrix(), [[1, 1], [1, 1]])
-
-    def test_multiplicity(self):
-        g = RegularBipartiteMultigraph.from_edges(
-            [0, 0, 1, 1], [1, 1, 0, 0], 2, 2
-        )
-        assert np.array_equal(g.count_matrix(), [[0, 2], [2, 0]])
-
-    def test_from_count_matrix_roundtrip(self):
-        counts = np.array([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
-        g = RegularBipartiteMultigraph.from_count_matrix(counts)
-        assert g.degree == 3
-        assert np.array_equal(g.count_matrix(), counts)
-
-    def test_from_count_matrix_rejects_negative(self):
-        with pytest.raises(SizeError):
-            RegularBipartiteMultigraph.from_count_matrix([[-1, 1], [1, -1]])
-
-
-class TestEdgeBuckets:
-    def test_buckets_group_parallel_edges(self):
-        g = RegularBipartiteMultigraph.from_edges(
-            [0, 1, 0, 1], [1, 0, 1, 0], 2, 2
-        )
-        order, starts, keys = g.edge_buckets()
-        assert keys.shape[0] == 2          # two distinct pairs
-        assert np.array_equal(np.diff(starts), [2, 2])
-        # Edges 0 and 2 are (0 -> 1); they share the first bucket.
-        first = set(order[starts[0] : starts[1]].tolist())
-        assert first == {0, 2}
-
-    @given(regular_multigraphs_st())
-    def test_property_buckets_cover_all_edges(self, g):
-        order, starts, keys = g.edge_buckets()
-        assert np.array_equal(np.sort(order), np.arange(g.num_edges))
-        assert starts[-1] == g.num_edges
-        # Multiplicities agree with the count matrix.
-        counts = g.count_matrix()
-        for b in range(keys.shape[0]):
-            u = keys[b] // max(g.num_right, 1)
-            v = keys[b] % max(g.num_right, 1)
-            assert counts[u, v] == starts[b + 1] - starts[b]
-
-
 @given(regular_multigraphs_st())
 def test_property_regularity_detected(g):
     degrees_left = np.bincount(g.left, minlength=g.num_left)

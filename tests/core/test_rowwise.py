@@ -74,8 +74,9 @@ class TestPlanning:
             RowwiseSchedule.plan(gamma, width=4)
 
     def test_matching_backend_works(self):
-        gamma = _random_gamma(3, 16, 5)
-        sched = RowwiseSchedule.plan(gamma, width=4, backend="matching")
+        # Row degree 12 / 4 = 3: the colouring's odd (matching) step.
+        gamma = _random_gamma(3, 12, 5)
+        sched = RowwiseSchedule.plan(gamma, width=4)
         sched.verify_conflict_free()
 
     @settings(deadline=None, max_examples=30)

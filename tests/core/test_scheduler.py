@@ -81,13 +81,13 @@ class TestDecompose:
 
     def test_matching_backend(self):
         p = random_permutation(81, seed=4)   # m = 9: not a power of two
-        d = decompose(p, backend="matching")
+        d = decompose(p)
         d.route(p)
 
     @settings(deadline=None, max_examples=40)
     @given(permutations_st(require_square=True))
     def test_property_decomposition_routes_any_permutation(self, p):
-        d = decompose(p, backend="matching")
+        d = decompose(p)
         d.route(p)
 
     @settings(deadline=None, max_examples=20)
@@ -95,7 +95,7 @@ class TestDecompose:
     def test_property_steps_compose_to_p(self, p):
         """Apply the three steps to actual data and compare with the
         reference scatter."""
-        d = decompose(p, backend="matching")
+        d = decompose(p)
         m = d.m
         mat = np.random.default_rng(0).random((m, m)) if m else np.zeros((0, 0))
         rows = np.arange(m)[:, None]

@@ -52,8 +52,8 @@ class TestBlockedPermutation:
         assert np.array_equal(plan.apply(a), scatter_permute(a, p))
 
     def test_no_width_constraint(self):
-        # m = 9: works on the CPU (uses the matching backend internally
-        # through 'auto' since degree 9 is not a power of two).
+        # m = 9: works on the CPU (degree 9 is not a power of two, so
+        # the colouring takes its odd step).
         p = random_permutation(81, seed=2)
         plan = BlockedPermutation.plan(p)
         a = np.arange(81.0)

@@ -67,7 +67,7 @@ class TestRegistration:
             @register_engine("scheduled")
             class Impostor(EngineBase):
                 @classmethod
-                def plan(cls, p, width=32, backend="auto"):
+                def plan(cls, p, width=32):
                     return cls()
 
                 def apply(self, a, recorder=None):
@@ -81,7 +81,7 @@ class TestRegistration:
         @register_engine("test-noop")
         class Noop(EngineBase):
             @classmethod
-            def plan(cls, p, width=32, backend="auto"):
+            def plan(cls, p, width=32):
                 return cls()
 
             def apply(self, a, recorder=None):

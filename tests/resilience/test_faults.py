@@ -6,9 +6,9 @@ or *recovered* (the fallback output still equals the true permutation)
 import numpy as np
 import pytest
 
-from repro.coloring import euler, matching
-from repro.coloring.multigraph import RegularBipartiteMultigraph
+from repro.coloring import euler
 from repro.core.io import load_plan, load_sealed, save_plan, save_sealed
+from repro.core.padded import PaddedScheduledPermutation
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import (
     ColoringError,
@@ -144,18 +144,13 @@ class TestTransientColoringFaults:
                 with pytest.raises(ColoringError):
                     ScheduledPermutation.plan(p, width=WIDTH)
 
-    def test_site_filter(self):
-        graph = RegularBipartiteMultigraph(
-            left=np.array([0, 0, 1, 1]),
-            right=np.array([0, 1, 0, 1]),
-            num_left=2,
-            num_right=2,
-        )
-        with FaultPlan(transient_coloring_failures=1,
-                       coloring_sites=("matching",)):
-            euler.euler_split_coloring(graph)   # not filtered -> works
-            with pytest.raises(ColoringError):
-                matching.matching_coloring(graph)
+    def test_reaches_odd_degree_colouring(self):
+        # n = 5000 pads to 96**2: degree 96 = 32 * 3 globally and 3 per
+        # row, so every colouring takes the odd step.
+        p = random_permutation(5000, seed=1)
+        with FaultPlan(transient_coloring_failures=1):
+            with pytest.raises(ColoringError, match="injected"):
+                PaddedScheduledPermutation.plan(p, width=32)
 
 
 class TestCapacityFaults:
@@ -164,6 +159,13 @@ class TestCapacityFaults:
         with FaultPlan(capacity_threshold=16):
             with pytest.raises(SharedMemoryCapacityError):
                 ScheduledPermutation.plan(p, width=WIDTH)
+
+    def test_threshold_trips_on_odd_degree(self):
+        # Global degree 96 = 32 * 3 is not a power of two.
+        p = random_permutation(96 * 96, seed=2)
+        with FaultPlan(capacity_threshold=64):
+            with pytest.raises(SharedMemoryCapacityError):
+                ScheduledPermutation.plan(p, width=32)
 
     def test_below_threshold_unaffected(self, p):
         with FaultPlan(capacity_threshold=17):
@@ -241,10 +243,8 @@ class TestActivation:
     def test_hooks_cleared_after_exit(self):
         with FaultPlan(transient_coloring_failures=1):
             assert euler._fault_hook is not None
-            assert matching._fault_hook is not None
             assert active_fault_plan() is not None
         assert euler._fault_hook is None
-        assert matching._fault_hook is None
         assert active_fault_plan() is None
 
     def test_hooks_cleared_on_error(self, p):

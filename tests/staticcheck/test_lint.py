@@ -113,8 +113,8 @@ class TestRep103:
         assert findings_of(src, "repro.apps.sorting") == []
 
     def test_np_ones_deliberately_excluded(self):
-        # The colouring backends build int8 ones-vectors as sparse
-        # payloads; overflow is impossible there.
+        # A ones vector is a sparse-matrix payload (the colouring's is
+        # bool); REP103 leaves np.ones alone.
         src = "import numpy as np\nx = np.ones(4, dtype=np.int8)\n"
         assert findings_of(src, "repro.apps.sorting") == []
 
