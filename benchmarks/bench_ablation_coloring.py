@@ -46,50 +46,6 @@ def test_bench_backend_in_full_plan(benchmark):
     plan.verify()
 
 
-def test_planning_scaling_report(report, benchmark):
-    """Offline planning cost vs n: near-linear (the level-synchronous
-    Euler split is at most O(E log E log D)), and inverse planning — which reuses the
-    global colouring — is cheaper than a fresh plan."""
-    import time
-
-    from repro.analysis.charts import loglog_slope
-    from repro.analysis.tables import format_table
-
-    def sweep():
-        rows = []
-        sizes, times = [], []
-        for m in (64, 128, 256):
-            n = m * m
-            p = random_permutation(n, seed=m)
-            t0 = time.perf_counter()
-            plan = ScheduledPermutation.plan(p, width=32)
-            t_plan = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            plan.inverse()
-            t_inv = time.perf_counter() - t0
-            rows.append([m, n, round(t_plan * 1e3, 1),
-                         round(t_inv * 1e3, 1),
-                         round(t_inv / t_plan, 2)])
-            sizes.append(float(n))
-            times.append(t_plan)
-        slope = loglog_slope(sizes, times)
-        assert slope < 1.6          # near-linear planning
-        # Inverse planning skips the global colouring: cheaper.
-        assert all(r[3] < r[2] for r in rows)
-        return rows, slope
-
-    rows, slope = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(
-        "planning_scaling",
-        format_table(
-            ["sqrt(n)", "n", "plan ms", "inverse ms", "inv/plan"],
-            rows,
-            title=(f"offline planning cost (width 32); growth "
-                   f"O(n^{slope:.2f})"),
-        ),
-    )
-
-
 def test_coloring_report(report, benchmark):
     """``edge_coloring`` uses exactly ``m`` colours on every degree,
     power of two or not."""

@@ -66,6 +66,7 @@ definition, and ``docs/static-analysis.md`` for both certificates.
 from __future__ import annotations
 
 import hashlib
+import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,17 +200,36 @@ _SEALED = _Format(
 def _write_archive(path, payload: dict, checksum: str,
                    metadata: dict) -> int:
     """Write one archive — checksum, library version, the ``metadata``
-    strings, then the payload arrays — and return its size in bytes."""
+    strings, then the payload arrays — and return its size in bytes.
+
+    The layout is ``np.savez_compressed``'s, so ``np.load`` reads it
+    unchanged, and like ``np.savez`` a path without the ``.npz``
+    suffix gains it.  Members are deflated at level 1: on a 2¹⁸
+    scatter map that is about four times faster than zlib's default
+    level 6, and the archive stays within a few percent of the size
+    (larger for a random map, smaller for bit-reversal).
+    """
     from repro import __version__
 
-    np.savez_compressed(
-        Path(path),
-        checksum=np.str_(checksum),
-        library_version=np.str_(__version__),
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    members = {
+        "checksum": np.str_(checksum),
+        "library_version": np.str_(__version__),
         **{key: np.str_(value) for key, value in metadata.items()},
         **payload,
-    )
-    return Path(path).stat().st_size
+    }
+    with zipfile.ZipFile(
+        path, mode="w", compression=zipfile.ZIP_DEFLATED,
+        compresslevel=1, allowZip64=True,
+    ) as archive:
+        for key, value in members.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array(
+                    f, np.asanyarray(value), allow_pickle=False
+                )
+    return os.stat(path).st_size
 
 
 def _require(path, fmt: _Format, arrays: dict, keys) -> None:

@@ -146,8 +146,8 @@ class PassPipeline:
 
         With ``validate=True`` every applied rewrite is translation-
         validated: the pipeline denotes the input program once
-        (:func:`repro.staticcheck.semantics.denote_program`), re-denotes
-        after each applied pass, and raises
+        (:func:`repro.staticcheck.semantics.denote_program`), denotes
+        each applied rewrite once, and raises
         :class:`~repro.errors.SemanticValidationError` — blaming the
         exact pass on the attached certificate — the moment a rewrite
         changes the denoted index map.  No executor runs and no payload
@@ -169,6 +169,28 @@ class PassPipeline:
             from repro.staticcheck.semantics import SemanticChecker
 
             checker = SemanticChecker(program)
+        return self._fixpoint(program, checker)
+
+    def run_checked(self, checker: "SemanticChecker") -> KernelProgram:
+        """Optimize ``checker.program``, translation-validating every
+        applied rewrite with ``checker``.
+
+        The same fixpoint as ``run(validate=True)``, but the caller
+        keeps the checker: its :meth:`~repro.staticcheck.semantics.
+        SemanticChecker.certify` then certifies the result from the
+        denotations the validation already computed, so each program
+        is denoted once.
+        """
+        program = checker.program
+        program.validate()
+        optimized, _changes = self._fixpoint(program, checker)
+        return optimized
+
+    def _fixpoint(
+        self,
+        program: KernelProgram,
+        checker: "SemanticChecker | None",
+    ) -> tuple[KernelProgram, list[PassChange]]:
         changes: list[PassChange] = []
         with telemetry.span(
             "passes.pipeline", engine=program.engine,

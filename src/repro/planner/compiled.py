@@ -47,7 +47,7 @@ from repro.planner.fingerprint import (
 )
 from repro.staticcheck.semantics import (
     SemanticCertificate,
-    validate_translation,
+    SemanticChecker,
 )
 from repro.telemetry import MetricsRegistry
 
@@ -345,8 +345,11 @@ class _ColdPath:
     ) -> tuple[KernelProgram, SemanticCertificate, bool]:
         """Optimize a plan's program under translation validation.
 
-        Runs the pipeline in ``validate=True`` mode and certifies the
-        result against the requested permutation.  On refutation the
+        Runs the pipeline under a :class:`SemanticChecker`
+        (:meth:`~repro.passes.PassPipeline.run_checked`) and certifies
+        the result against the requested permutation from the
+        checker's denotations, so the raw and the optimized program
+        are each denoted once.  On refutation the
         compile is *not* failed: the raw (unoptimized) program — which
         must itself denote the requested permutation, or
         :class:`~repro.errors.SemanticValidationError` is raised — is
@@ -359,12 +362,16 @@ class _ColdPath:
         """
         raw = plan.lower()
         requested = np.asarray(plan.p)
-        signature = self.pipeline.signature()
+        # The checker denotes raw and each accepted rewrite once, and
+        # certifies from those denotations; it lives for this compile
+        # only, so no program outlives it through a memo.
+        checker: SemanticChecker | None = None
         try:
-            optimized = self.pipeline.run(raw, validate=True)
-            cert = validate_translation(
-                raw, optimized, requested=requested,
-                pipeline_signature=signature,
+            checker = SemanticChecker(raw)
+            optimized = self.pipeline.run_checked(checker)
+            cert = checker.certify(
+                optimized, requested=requested,
+                pipeline_signature=self.pipeline.signature(),
             )
             if cert.ok:
                 return optimized, cert, True
@@ -375,8 +382,13 @@ class _ColdPath:
         telemetry.current_span().set(semantic_rejected=blame)
         # Fall back to the raw program — still proved against the
         # requested permutation, because an unproven optimization must
-        # degrade to slower, never to wrong.
-        fallback = validate_translation(raw, raw, requested=requested)
+        # degrade to slower, never to wrong.  A raw program the checker
+        # refused is no bijection; its refusal is the certificate
+        # validate_translation(raw, raw) would issue.
+        fallback = (
+            cert if checker is None
+            else checker.certify(raw, requested=requested)
+        )
         if not fallback.ok:
             raise SemanticValidationError(
                 f"lowered program of engine "

@@ -16,10 +16,13 @@ address groups ``addr div w`` for global rounds.  The result is a
 :class:`Counterexample` naming the kernel, round, block, warp, bank and
 colliding lanes.
 
-The counting is deliberately implemented independently of
-:mod:`repro.machine.cost_model` (scatter-add counting here vs. bincount
-there), so the differential tests compare two independent derivations
-of the same per-round quantities.
+The counting is sort-based with exact early exits: each warp's banks
+(or groups), narrowed to a small unsigned dtype, are sorted; a warp
+with no repeated bank (or whose lanes all share lane 0's group) counts
+1, and only the other warps take the exact count.  It is deliberately
+independent of :mod:`repro.machine.cost_model` (sort and compare
+neighbours here vs. bincount there), so the differential tests compare
+two independent derivations of the same per-round quantities.
 
 Certificates serialise to JSON and are embedded into plan files by
 :func:`repro.core.io.save_plan`; a certificate binds itself to its plan
@@ -64,6 +67,35 @@ def _warp_matrix(addresses: np.ndarray, width: int) -> np.ndarray:
     return addresses.reshape(-1, width)
 
 
+def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values`` (all in ``[0, bound)``) in the smallest of
+    ``uint16``/``uint32`` that holds them, so the sorts below move 2 or
+    4 bytes per lane instead of 8.  Not ``uint8``: NumPy's vectorised
+    quicksort covers 16-bit and wider keys only, and byte rows sort
+    several times slower."""
+    for dtype in (np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max + 1:
+            return values.astype(dtype)
+    return values
+
+
+def _max_run_lengths(rows: np.ndarray) -> np.ndarray:
+    """Per row of a row-sorted matrix, the length of its longest run
+    of equal values: the exact multiplicity of its most repeated
+    value."""
+    num_rows, width = rows.shape
+    # Consecutive lanes of a row keep a run going; a row's first lane
+    # always starts one.
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    flat_starts = np.flatnonzero(starts)
+    lengths = np.diff(flat_starts, append=rows.size)
+    row_firsts = np.searchsorted(
+        flat_starts, np.arange(num_rows, dtype=np.int64) * width
+    )
+    return np.maximum.reduceat(lengths, row_firsts)
+
+
 def shared_bank_multiplicities(
     addresses: np.ndarray, width: int
 ) -> np.ndarray:
@@ -72,17 +104,20 @@ def shared_bank_multiplicities(
     Warp ``g``'s requests occupy ``k`` pipeline stages where ``k`` is
     the largest number of its lanes whose addresses share one bank
     (``addr mod w``).  ``1`` everywhere means conflict-free.
+
+    Each warp's banks are sorted; a warp with no two equal neighbours
+    has no repeated bank and multiplicity 1.  Only the warps with a
+    repeat take the exact count, as their longest run of equal banks.
     """
     warps = _warp_matrix(addresses, width)
-    if warps.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    banks = warps % width
-    counts = np.zeros((warps.shape[0], width), dtype=np.int64)
-    rows = np.repeat(
-        np.arange(warps.shape[0], dtype=np.int64), width
+    result = np.ones(warps.shape[0], dtype=np.int64)
+    banks = np.sort(_narrow(warps % width, width), axis=1)
+    repeats = np.flatnonzero(
+        (banks[:, 1:] == banks[:, :-1]).any(axis=1)
     )
-    np.add.at(counts, (rows, banks.reshape(-1)), 1)
-    return counts.max(axis=1)
+    if repeats.size:
+        result[repeats] = _max_run_lengths(banks[repeats])
+    return result
 
 
 def global_group_counts(addresses: np.ndarray, width: int) -> np.ndarray:
@@ -91,13 +126,24 @@ def global_group_counts(addresses: np.ndarray, width: int) -> np.ndarray:
     Warp ``g``'s requests occupy one stage per distinct group
     ``addr div w`` among its lanes.  ``1`` everywhere means fully
     coalesced.
+
+    A warp whose lanes all share lane 0's group counts 1; only the
+    other warps are sorted and their distinct groups counted.
     """
     warps = _warp_matrix(addresses, width)
-    if warps.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    groups = np.sort(warps // width, axis=1)
-    distinct = np.count_nonzero(np.diff(groups, axis=1), axis=1) + 1
-    return distinct.astype(np.int64)
+    result = np.ones(warps.shape[0], dtype=np.int64)
+    groups = warps // width
+    mixed = np.flatnonzero((groups != groups[:, :1]).any(axis=1))
+    if mixed.size:
+        rows = groups[mixed]
+        low = rows.min()
+        rows = np.sort(
+            _narrow(rows - low, int(rows.max() - low) + 1), axis=1
+        )
+        result[mixed] += np.count_nonzero(
+            rows[:, 1:] != rows[:, :-1], axis=1
+        )
+    return result
 
 
 @dataclass(frozen=True)

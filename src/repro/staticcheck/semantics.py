@@ -607,6 +607,21 @@ def validate_translation(
     """
     raw_den = denote_program(raw)
     opt_den = raw_den if optimized is raw else denote_program(optimized)
+    return _translation_certificate(
+        raw, optimized, raw_den, opt_den, requested, pipeline_signature
+    )
+
+
+def _translation_certificate(
+    raw: "KernelProgram",
+    optimized: "KernelProgram",
+    raw_den: ProgramDenotation,
+    opt_den: ProgramDenotation,
+    requested: np.ndarray | None,
+    pipeline_signature: str | None,
+) -> SemanticCertificate:
+    """The :func:`validate_translation` certificate, issued from the
+    two programs' already computed denotations."""
     cert = SemanticCertificate(
         engine=optimized.engine,
         n=int(optimized.n),
@@ -653,11 +668,21 @@ class SemanticChecker:
     rewritten program and raises
     :class:`~repro.errors.SemanticValidationError` — with the pass
     blamed on the certificate — the moment a rewrite changes the index
-    map.  Used by ``PassPipeline.run(..., validate=True)``.
+    map.  Used by ``PassPipeline.run(..., validate=True)`` and
+    :meth:`~repro.passes.PassPipeline.run_checked`.
+
+    The checker keeps the raw program's denotation and the last
+    accepted rewrite's, so :meth:`certify` issues the final certificate
+    without denoting either program again.  It holds them only as long
+    as it lives: one compile's worth.
     """
 
     def __init__(self, program: "KernelProgram") -> None:
+        self.program = program
         self._base = denote_program(program)
+        self._last: tuple["KernelProgram", ProgramDenotation] = (
+            program, self._base,
+        )
         self._raw_ops = len(program.ops)
         if not self._base.ok:
             cert = SemanticCertificate(
@@ -685,6 +710,7 @@ class SemanticChecker:
             self._base.index_map, den.index_map, "optimized-vs-raw"
         )
         if failure is None:
+            self._last = (rewritten, den)
             return
         cert = SemanticCertificate(
             engine=rewritten.engine,
@@ -700,3 +726,32 @@ class SemanticChecker:
             counterexample=failure,
         )
         raise SemanticValidationError(cert.summary(), certificate=cert)
+
+    def certify(
+        self,
+        optimized: "KernelProgram",
+        requested: np.ndarray | None = None,
+        pipeline_signature: str | None = None,
+    ) -> SemanticCertificate:
+        """``validate_translation(raw, optimized, requested,
+        pipeline_signature)`` from the denotations already in hand.
+
+        ``optimized`` must be the raw program itself or the last
+        rewrite :meth:`check` accepted; anything else was never
+        denoted here and raises
+        :class:`~repro.errors.StaticCheckError`.
+        """
+        last, last_den = self._last
+        if optimized is self.program:
+            opt_den = self._base
+        elif optimized is last:
+            opt_den = last_den
+        else:
+            raise StaticCheckError(
+                "SemanticChecker.certify: the program is neither the "
+                "raw program nor the last rewrite this checker accepted"
+            )
+        return _translation_certificate(
+            self.program, optimized, self._base, opt_den, requested,
+            pipeline_signature,
+        )

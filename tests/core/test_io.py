@@ -1,5 +1,7 @@
 """Tests for schedule persistence (save_plan / load_plan)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,23 @@ class TestRoundtrip:
         assert np.array_equal(loaded.apply(a), plan.apply(a))
         assert np.array_equal(loaded.p, plan.p)
         assert loaded.width == plan.width
+
+    def test_path_without_suffix_gains_npz(self, plan, tmp_path):
+        save_plan(tmp_path / "plan", plan)
+        assert [f.name for f in tmp_path.iterdir()] == ["plan.npz"]
+        assert np.array_equal(load_plan(tmp_path / "plan.npz").p, plan.p)
+
+    def test_archive_is_a_deflated_npz(self, plan, tmp_path):
+        path = tmp_path / "plan.npz"
+        save_plan(path, plan)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert infos
+        for info in infos:
+            assert info.filename.endswith(".npy")
+            assert info.compress_type == zipfile.ZIP_DEFLATED
+        with np.load(path) as data:
+            assert {"checksum", "library_version"} <= set(data.files)
 
     def test_simulate_identical_after_reload(self, plan, tmp_path):
         path = tmp_path / "plan.npz"

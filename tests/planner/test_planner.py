@@ -474,3 +474,71 @@ class TestSemanticRejection:
         assert cert.matches_requested is True
         assert planner.stats()["semantic_rejections"] == 0
         assert "semantics certified" in compiled.describe()
+
+
+def _count_denotations(monkeypatch):
+    """Count every ``denote_program`` call, through each module that
+    holds a reference to it."""
+    import repro.passes.seal
+    import repro.staticcheck.semantics as semantics
+
+    calls = []
+    original = semantics.denote_program
+
+    def counting(program):
+        calls.append(program)
+        return original(program)
+
+    monkeypatch.setattr(semantics, "denote_program", counting)
+    monkeypatch.setattr(repro.passes.seal, "denote_program", counting)
+    return calls
+
+
+class TestOneDenotationPerProgram:
+    """A cold compile denotes each program once: the translation
+    certificate reuses the denotations its per-pass validation made."""
+
+    def test_disk_backed_cold_compile_denotes_raw_and_optimized(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.staticcheck.semantics import validate_translation
+
+        p = random_permutation(_N, seed=9)
+        calls = _count_denotations(monkeypatch)
+        planner = Planner(cache_dir=tmp_path)
+        compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
+        assert planner.stats()["cold_plans"] == 1
+        assert len(list(tmp_path.iterdir())) == 1
+        raw, optimized = calls
+        assert compiled.lower() is optimized
+        assert raw is not optimized and len(raw.ops) == len(optimized.ops)
+        # Same certificate the two-denotation path issues.
+        cert = compiled.semantic_certificate
+        assert cert.ok and cert.matches_requested is True
+        expected = validate_translation(
+            raw, optimized, requested=p,
+            pipeline_signature=cert.pipeline,
+        )
+        assert cert.to_json() == expected.to_json()
+
+    def test_refuted_pass_fallback_reuses_raw_denotation(
+        self, monkeypatch
+    ):
+        from repro.staticcheck.semantics import validate_translation
+
+        p = random_permutation(_N, seed=9)
+        calls = _count_denotations(monkeypatch)
+        planner = Planner(pipeline=TestSemanticRejection._broken_pipeline())
+        compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
+        assert planner.stats()["semantic_rejections"] == 1
+        # Raw once, then each rewrite the pipeline tried, the refuted
+        # one last; the fallback certificate denotes nothing new.
+        raw, refuted = calls[0], calls[-1]
+        assert refuted.ops[-1].label == "swap"
+        assert compiled.lower() is raw
+        assert calls.count(raw) == 1
+        cert = compiled.semantic_certificate
+        assert cert.ok and cert.matches_requested is True
+        assert cert.to_json() == validate_translation(
+            raw, raw, requested=p
+        ).to_json()

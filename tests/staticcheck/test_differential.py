@@ -1,7 +1,8 @@
 """Differential validation: static certifier vs. dynamic simulator.
 
 The certifier derives every round's stage count with its own
-scatter-add counting; the simulator prices the same access-round
+sort-based counting (sort each warp, compare neighbours, count exactly
+only the warps that repeat); the simulator prices the same access-round
 stream through the HMM's bincount cost model.  The two share no
 counting code, so agreement here means two independent derivations of
 the paper's cost model coincide — on every round of every plan, sound

@@ -25,6 +25,7 @@ from repro.errors import (
     CertificateError,
     PlanCorruptionError,
     SemanticValidationError,
+    StaticCheckError,
 )
 from repro.exec.reference import ReferenceExecutor
 from repro.ir.ops import CasualRead, CasualWrite, CycleRotate, Slice
@@ -261,6 +262,34 @@ class TestTranslationValidation:
         )
         with pytest.raises(SemanticValidationError):
             SemanticChecker(program)
+
+    def test_checker_certifies_from_its_denotations(self):
+        p = FAMILIES["random"]
+        raw = get_engine("scheduled").plan(p, width=WIDTH).lower()
+        pipeline = default_pipeline()
+        checker = SemanticChecker(raw)
+        optimized = pipeline.run_checked(checker)
+        assert [op.kind for op in optimized.ops] == \
+            [op.kind for op in pipeline.run(raw, validate=True).ops]
+        for program in (optimized, raw):
+            cert = checker.certify(
+                program, requested=p,
+                pipeline_signature=pipeline.signature(),
+            )
+            assert cert.ok
+            assert cert.to_json() == validate_translation(
+                raw, program, requested=p,
+                pipeline_signature=pipeline.signature(),
+            ).to_json()
+
+    def test_checker_refuses_a_program_it_never_denoted(self):
+        raw = get_engine("scheduled").plan(
+            FAMILIES["random"], width=WIDTH
+        ).lower()
+        checker = SemanticChecker(raw)
+        stranger = dataclasses.replace(raw, meta=None)
+        with pytest.raises(StaticCheckError):
+            checker.certify(stranger)
 
     def test_aggressive_pipeline_signature_names_the_gate(self):
         assert "validated(drop-identities)" in \
