@@ -426,10 +426,7 @@ def _cmd_check_semantics(args) -> str:
 
     from repro.errors import ReproError, SemanticValidationError
     from repro.passes import aggressive_pipeline, default_pipeline
-    from repro.staticcheck.semantics import (
-        denote_program,
-        validate_translation,
-    )
+    from repro.staticcheck.semantics import SemanticChecker, denote_program
 
     target = args.semantics
     pipeline = (
@@ -511,15 +508,12 @@ def _cmd_check_semantics(args) -> str:
             f"planned {target} (n = {args.n}, w = {args.width}) "
             f"with engine {args.engine!r}"
         )
-    raw = plan.lower()
-    denotation = denote_program(raw)
-    parts.append("")
-    parts.append(denotation.describe())
-    parts.append("")
     try:
-        optimized = pipeline.run(raw, validate=True)
-        cert = validate_translation(
-            raw, optimized, requested=np.asarray(plan.p),
+        checker = SemanticChecker(plan.lower())
+        parts += ["", checker.denotation.describe(), ""]
+        optimized = pipeline.run_checked(checker)
+        cert = checker.certify(
+            optimized, requested=np.asarray(plan.p),
             pipeline_signature=pipeline.signature(),
         )
     except SemanticValidationError as exc:

@@ -18,20 +18,46 @@ matching off it with :func:`scipy.sparse.csgraph.maximum_bipartite_matching`
 even-degree remainder the same way.  scipy is imported only when the
 odd step runs.
 
-All subgraphs of one recursion level are split together, in one pass
-of NumPy scatters and gathers over the whole edge list and with no
-sort after the first.  Each edge carries its colour prefix ``sub`` and
-its ranks ``rl``/``rr`` among the edges of its subgraph at its left and
-right node; the copies of a node are the rank pairs ``(2j, 2j+1)``.
-One stable sort per side ranks the edges once; after a split each copy
-has sent one edge to each half, so ``rank >> 1`` is again a rank in the
-half.  Cost: one stable sort per side, then ``a`` levels of ``O(E)``
-scatters and gathers plus min-label pointer doubling along the cycles,
-``O(log L)`` gathers for the longest cycle length ``L`` (at most
-``O(E log D log E)`` in all), plus one matching per odd factor.
+All subgraphs of one recursion level are split together.  Each edge
+carries its colour prefix ``sub`` and its ranks ``rl``/``rr`` among the
+edges of its subgraph at its left and right node; the copies of a node
+are the rank pairs ``(2j, 2j+1)``.  Ranks are taken once, in edge
+order (the rank of ``e`` at node ``u`` is the number of smaller edges
+at ``u``); after a split each copy has sent one edge to each half, so
+``rank >> 1`` is again a rank in the half.  Per level the keys
+``(sub*N + node)*d + rank`` of a side are a permutation of ``[0, E)``,
+so one scatter of the edge ids to their keys and a gather at
+``key ^ 1`` give the partners ``sigma`` (left) and ``pi`` (right).
+``tau = sigma∘pi`` steps two edges along a cycle of the copy graph;
+its orbits are the cycles' alternate edge classes, and ``pi`` maps each
+class ``O`` onto the other.  The class holding the least edge of
+``O ∪ pi(O)`` takes the lower half.
+
+Two kernels compute that split, with identical results.  The compiled
+one (``_split.c``, built on import with the system C compiler into the
+package's ``__pycache__`` and loaded with :mod:`ctypes`) counts the
+ranks in edge order and finds the classes with one sequential walk
+per cycle pair: scanning ``e`` upward, an unvisited ``e`` is the least
+edge of its orbit ``O`` and of ``pi(O)``, because every smaller edge
+has been visited, so the walk marks ``O`` lower and ``pi(O)`` upper.
+It names edges by their left keys, where ``sigma`` is ``k ^ 1``, so a
+walk step is one lookup.  Cost: ``O(E)`` per level, ``O(E log D)`` in
+all.  The NumPy kernel runs when no library can be built or loaded and
+for ``E >= 2**31`` edges: one stable sort per side for the ranks, then
+per level ``O(E)`` scatters and gathers plus min-label pointer
+doubling along the cycles, ``O(log L)`` gathers for the longest cycle
+length ``L`` (at most ``O(E log D log E)`` in all).  Either way, add
+one matching per odd factor.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +70,110 @@ from repro.errors import ColoringError
 #: When set (by an active ``FaultPlan``), it is called as
 #: ``_fault_hook(graph)`` before colouring and may raise.
 _fault_hook = None
+
+_SOURCE = Path(__file__).with_name("_split.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: The compiled kernel numbers edges in 32 bits; larger graphs take the
+#: NumPy split.
+_NATIVE_MAX_EDGES = 2**31
+#: The compiled kernel's nonzero return codes.
+_KERNEL_ERRORS = {
+    1: "the edge count is not num_nodes * degree, or 2**levels does "
+       "not divide the degree",
+    2: "a node id is out of range",
+    3: "the multigraph is not regular",
+    4: "an Euler walk did not close",
+}
+_KERNEL_NO_MEMORY = 5
+
+
+def _library_path(cache_dir: Path) -> Path:
+    """Where the kernel built from today's source and flags lives."""
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update(" ".join(_CFLAGS).encode())
+    return cache_dir / f"_split-{digest.hexdigest()[:16]}.so"
+
+
+def _build(target: Path) -> bool:
+    """Compile ``_split.c`` to ``target``; ``False`` when it cannot.
+
+    The builder appends the SHA-256 of the library to it (the loader
+    ignores bytes past the ELF's own) and writes it to a temporary file
+    beside ``target`` that it renames into place, so a concurrent
+    importer sees either no file or a complete one.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            check=True, capture_output=True, timeout=120,
+        )
+        library = Path(tmp).read_bytes()
+        Path(tmp).write_bytes(library + hashlib.sha256(library).digest())
+        os.chmod(tmp, 0o755)
+        os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return True
+
+
+def _open(path: Path):
+    """The library's ``split_levels``, or ``None`` if it does not load.
+
+    Only a file that ends in the SHA-256 of the bytes before it is
+    handed to the dynamic loader: mapping a truncated library can kill
+    the process with ``SIGBUS`` instead of raising.
+    """
+    try:
+        data = path.read_bytes()
+        if hashlib.sha256(data[:-32]).digest() != data[-32:]:
+            return None
+        kernel = ctypes.CDLL(str(path)).split_levels
+    except (OSError, AttributeError):
+        return None
+    edges = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    kernel.argtypes = [
+        edges, edges, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int32,
+        np.ctypeslib.ndpointer(np.int32, ndim=1,
+                               flags="C_CONTIGUOUS,WRITEABLE"),
+    ]
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _load_kernel(cache_dir: Path):
+    """The compiled split, cached in ``cache_dir``, or ``None``.
+
+    A missing, truncated or foreign library is rebuilt once; without a
+    compiler or a writable ``cache_dir`` there is no compiled kernel.
+    """
+    try:
+        path = _library_path(cache_dir)
+        cache_dir.mkdir(exist_ok=True)
+    except OSError:
+        return None
+    kernel = _open(path)
+    if kernel is None and _build(path):
+        kernel = _open(path)
+    return kernel
+
+
+_KERNEL = _load_kernel(Path(__file__).with_name("__pycache__"))
+#: Whether this process colours with the compiled kernel; decided once,
+#: on import, by whether the library could be built and loaded.
+NATIVE = _KERNEL is not None
+
+
+def _native(num_edges: int) -> bool:
+    return _KERNEL is not None and num_edges < _NATIVE_MAX_EDGES
 
 
 def euler_split(graph: RegularBipartiteMultigraph) -> np.ndarray:
@@ -69,8 +199,9 @@ def edge_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
     power-of-two degree, edges in the ``True`` half of the first split
     get the lower colour range.
     """
+    kernel = "native" if _native(graph.num_edges) else "numpy"
     with telemetry.span("coloring.euler", edges=graph.num_edges,
-                        degree=graph.degree):
+                        degree=graph.degree, kernel=kernel):
         if _fault_hook is not None:
             _fault_hook(graph)
         return _color(graph.left, graph.right, graph.num_left, graph.degree)
@@ -146,8 +277,43 @@ def _split_levels(
     ``2**levels`` must divide ``degree``.  Returns ``sub`` in
     ``[0, 2**levels)``: edges with equal ``sub`` form a
     ``degree / 2**levels``-regular subgraph, and the first split's
-    ``True`` half holds the lower prefixes.
+    ``True`` half holds the lower prefixes.  The compiled kernel runs
+    when it loaded and the edge ids fit 32 bits, the NumPy split
+    otherwise; both return the same array.
     """
+    num_edges = left.shape[0]
+    if not _native(num_edges):
+        return _split_levels_numpy(left, right, num_nodes, degree, levels)
+    if right.shape != left.shape:
+        raise ColoringError("left and right must have one entry per edge")
+    # The kernel's ABI: _native() keeps every edge id below 2**31.
+    sub = np.zeros(num_edges, dtype=np.int32)  # staticcheck: ignore[REP103]
+    if num_edges == 0 or levels == 0:
+        return sub
+    status = _KERNEL(
+        np.ascontiguousarray(left, dtype=np.int64),
+        np.ascontiguousarray(right, dtype=np.int64),
+        num_edges, num_nodes, degree, levels, sub,
+    )
+    if status == _KERNEL_NO_MEMORY:
+        raise MemoryError(f"Euler split of {num_edges} edges")
+    if status:
+        raise ColoringError(
+            "Euler split refused its input: "
+            + _KERNEL_ERRORS.get(status, f"kernel error {status}")
+        )
+    return sub
+
+
+def _split_levels_numpy(
+    left: np.ndarray,
+    right: np.ndarray,
+    num_nodes: int,
+    degree: int,
+    levels: int,
+) -> np.ndarray:
+    """The NumPy form of :func:`_split_levels`, with the same result:
+    stable-sort ranks and min-label orbit doubling."""
     num_edges = left.shape[0]
     idx = np.int32 if num_edges < 2**31 else np.int64
     sub = np.zeros(num_edges, dtype=idx)

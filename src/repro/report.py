@@ -409,7 +409,7 @@ def _check_semantics() -> str:
     from repro.ir.registry import engine_names, get_engine
     from repro.passes import aggressive_pipeline, default_pipeline
     from repro.passes.framework import PassPipeline
-    from repro.staticcheck.semantics import validate_translation
+    from repro.staticcheck.semantics import SemanticChecker
 
     n, width = 256, 16
     families = {
@@ -421,11 +421,15 @@ def _check_semantics() -> str:
     proven = 0
     for engine in sorted(engine_names()):
         for p in families.values():
-            raw = get_engine(engine).plan(p, width=width).lower()
+            # One checker per program: both pipelines certify against
+            # the one denotation of the raw program.
+            checker = SemanticChecker(
+                get_engine(engine).plan(p, width=width).lower()
+            )
             for pipeline in pipelines:
-                optimized = pipeline.run(raw, validate=True)
-                cert = validate_translation(
-                    raw, optimized, requested=p,
+                optimized = pipeline.run_checked(checker)
+                cert = checker.certify(
+                    optimized, requested=p,
                     pipeline_signature=pipeline.signature(),
                 )
                 assert cert.ok, cert.summary()

@@ -702,6 +702,11 @@ class SemanticChecker:
                 certificate=cert,
             )
 
+    @property
+    def denotation(self) -> ProgramDenotation:
+        """The raw program's denotation, made once by the constructor."""
+        return self._base
+
     def check(
         self, pass_name: str, rewritten: "KernelProgram"
     ) -> None:

@@ -1,0 +1,268 @@
+"""The compiled Euler split against its NumPy reference.
+
+``_split_levels`` runs the C kernel (``_split.c``) when it loaded and
+``_split_levels_numpy`` otherwise.  Both must return the same array,
+dtype and all, on every input the colouring makes; the compiled kernel
+must refuse malformed input with a ``ColoringError`` instead of
+crashing; and a broken cached library or a failed build must leave the
+NumPy split in charge, never a dead process.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.coloring import euler
+from repro.coloring.euler import (
+    _split_levels,
+    _split_levels_numpy,
+    edge_coloring,
+)
+from repro.coloring.multigraph import RegularBipartiteMultigraph
+from repro.coloring.verify import verify_edge_coloring
+from repro.errors import ColoringError
+
+native = pytest.mark.skipif(
+    not euler.NATIVE, reason="no compiled kernel: NumPy is the only split"
+)
+
+
+def _regular(nodes, degree, seed, shuffle=True):
+    """A ``degree``-regular multigraph; parallel edges (and, on one
+    node, 2-cycles) come from the random layers."""
+    rng = np.random.default_rng(seed)
+    left = np.tile(np.arange(nodes, dtype=np.int64), degree)
+    right = np.concatenate(
+        [rng.permutation(nodes).astype(np.int64) for _ in range(degree)]
+    )
+    if shuffle:
+        order = rng.permutation(left.shape[0])
+        left, right = left[order], right[order]
+    return left, right
+
+
+def _assert_same(left, right, nodes, degree, levels):
+    got = _split_levels(left, right, nodes, degree, levels)
+    want = _split_levels_numpy(left, right, nodes, degree, levels)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    return got
+
+
+@native
+class TestBitIdentical:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([1, 1, 3, 5]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.data(),
+    )
+    def test_property_equals_numpy(self, nodes, log_degree, odd, seed,
+                                   shuffle, data):
+        degree = odd << log_degree
+        left, right = _regular(nodes, degree, seed, shuffle)
+        levels = data.draw(st.integers(min_value=0, max_value=log_degree))
+        _assert_same(left, right, nodes, degree, levels)
+
+    @pytest.mark.parametrize("log_degree", range(10))
+    def test_power_of_two_degrees(self, log_degree):
+        degree = 1 << log_degree
+        nodes = 8 if degree >= 64 else 37
+        left, right = _regular(nodes, degree, seed=log_degree)
+        _assert_same(left, right, nodes, degree, log_degree)
+
+    def test_parallel_edges_and_two_cycles(self):
+        zeros = np.zeros(64, dtype=np.int64)
+        _assert_same(zeros, zeros, 1, 64, 6)
+        pairs = np.repeat(np.arange(5, dtype=np.int64), 2)
+        _assert_same(pairs, pairs, 5, 2, 1)
+
+    def test_node_ids_wider_than_16_bits(self):
+        left, right = _regular(70_000, 4, seed=8)
+        assert left.max() >= 1 << 16
+        _assert_same(left, right, 70_000, 4, 2)
+
+    @pytest.mark.parametrize("degree", [3, 5, 6, 10, 12, 20, 24])
+    def test_stacked_odd_degree_graphs(self, degree):
+        """Every graph ``_color`` splits, the stacked remainders of the
+        odd step included, gets the NumPy split's prefixes."""
+        left, right = _regular(29, degree, seed=degree)
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return _split_levels(*args)
+
+        graph = RegularBipartiteMultigraph(left, right, 29, 29)
+        with mock.patch.object(euler, "_split_levels", side_effect=record):
+            colors = edge_coloring(graph)
+        verify_edge_coloring(graph, colors, expect_colors=degree)
+        assert len(calls) > 1
+        # With an even factor, the odd step's graphs are stacked ones.
+        assert any(call[2] > 29 for call in calls) == (degree % 2 == 0)
+        for args in calls:
+            _assert_same(*args)
+
+    def test_empty_graph_and_zero_levels(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert _assert_same(empty, empty, 0, 0, 0).shape == (0,)
+        left, right = _regular(6, 4, seed=1)
+        assert not _assert_same(left, right, 6, 4, 0).any()
+
+    def test_any_integer_dtype_and_layout(self):
+        left, right = _regular(16, 8, seed=2)
+        want = _split_levels_numpy(left, right, 16, 8, 3)
+        # Strided int32 columns: the wrapper converts, the kernel never
+        # sees them.
+        pairs = np.stack([left, right], axis=1).astype(np.int32)
+        got = _split_levels(pairs[:, 0], pairs[:, 1], 16, 8, 3)
+        assert np.array_equal(got, want)
+
+
+@native
+class TestRefusesMalformedInput:
+    @pytest.mark.parametrize("left, right, nodes, degree, levels", [
+        ([0, 0, 1, 1], [0, 0, 0, 1], 2, 2, 1),     # right node 0: 3 edges
+        ([0, 0, 1, 2], [0, 1, 0, 1], 2, 2, 1),     # left node 2 >= N
+        ([0, 0, 1, -1], [0, 1, 0, 1], 2, 2, 1),    # negative node id
+        ([0, 0, 1, 1], [0, 1, 0, 1], 3, 2, 1),     # E != N * D
+        ([0, 0, 1, 1], [0, 1, 0, 1], 2, 2, 2),     # 2**levels not dividing D
+    ])
+    def test_raises_coloring_error(self, left, right, nodes, degree,
+                                   levels):
+        left = np.array(left, dtype=np.int64)
+        right = np.array(right, dtype=np.int64)
+        with pytest.raises(ColoringError):
+            _split_levels(left, right, nodes, degree, levels)
+
+    def test_unequal_edge_arrays(self):
+        left = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ColoringError):
+            _split_levels(left, left[:2], 2, 2, 1)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([2, 4, 8]),
+        st.data(),
+    )
+    def test_property_arbitrary_edges_never_crash(self, nodes, degree,
+                                                   data):
+        """Any node ids at all: a ``ColoringError``, or — when the
+        drawn graph happens to be regular — the NumPy split's answer."""
+        ids = st.lists(st.integers(min_value=-2, max_value=nodes + 1),
+                       min_size=nodes * degree, max_size=nodes * degree)
+        left = np.array(data.draw(ids), dtype=np.int64)
+        right = np.array(data.draw(ids), dtype=np.int64)
+        levels = (degree & -degree).bit_length() - 1
+        try:
+            got = _split_levels(left, right, nodes, degree, levels)
+        except ColoringError:
+            return
+        assert np.array_equal(
+            got, _split_levels_numpy(left, right, nodes, degree, levels)
+        )
+
+
+def _works(kernel):
+    left, right = _regular(12, 8, seed=4)
+    sub = np.zeros(left.shape[0], dtype=np.int32)
+    assert kernel(left, right, left.shape[0], 12, 8, 3, sub) == 0
+    return np.array_equal(sub, _split_levels_numpy(left, right, 12, 8, 3))
+
+
+class TestLoader:
+    @native
+    def test_builds_into_an_empty_cache(self, tmp_path):
+        kernel = euler._load_kernel(tmp_path)
+        assert kernel is not None and _works(kernel)
+        assert [p.name for p in tmp_path.iterdir()] == [
+            euler._library_path(tmp_path).name
+        ]
+
+    @native
+    def test_garbage_library_is_rebuilt(self, tmp_path):
+        path = euler._library_path(tmp_path)
+        path.write_bytes(b"\x7fELF not a library" * 100)
+        kernel = euler._load_kernel(tmp_path)
+        assert kernel is not None and _works(kernel)
+        assert not path.read_bytes().startswith(b"\x7fELF not")
+
+    @native
+    def test_truncated_library_is_rebuilt(self, tmp_path):
+        """A cut-off library is never mapped: loading one can end the
+        process with SIGBUS."""
+        good = tmp_path / "good"
+        good.mkdir()
+        assert euler._build(euler._library_path(good))
+        whole = euler._library_path(good).read_bytes()
+        for cut in (len(whole) // 2, len(whole) - 40, len(whole) - 1):
+            # A fresh directory per cut: the dynamic loader caches
+            # handles by path.
+            fresh = tmp_path / f"cut-{cut}"
+            fresh.mkdir()
+            target = euler._library_path(fresh)
+            target.write_bytes(whole[:cut])
+            kernel = euler._load_kernel(fresh)
+            assert kernel is not None and _works(kernel)
+            assert target.stat().st_size == len(whole)
+
+    def test_truncated_library_without_compiler_falls_back(
+        self, tmp_path, monkeypatch
+    ):
+        euler._library_path(tmp_path).write_bytes(b"\x7fELF" + bytes(64))
+        monkeypatch.setattr(euler, "_build", lambda target: False)
+        assert euler._load_kernel(tmp_path) is None
+
+    def test_missing_compiler_fails_the_build_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        assert euler._build(euler._library_path(tmp_path)) is False
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_cache_falls_back(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        assert euler._load_kernel(blocker / "cache") is None
+
+    def test_failed_build_selects_numpy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(euler, "_build", lambda target: False)
+        kernel = euler._load_kernel(tmp_path)
+        assert kernel is None
+        monkeypatch.setattr(euler, "_KERNEL", kernel)
+        left, right = _regular(10, 8, seed=6)
+        with mock.patch.object(
+            euler, "_split_levels_numpy", wraps=_split_levels_numpy
+        ) as numpy_split:
+            got = euler._split_levels(left, right, 10, 8, 3)
+        assert numpy_split.call_count == 1
+        assert np.array_equal(
+            got, _split_levels_numpy(left, right, 10, 8, 3)
+        )
+
+
+class TestTelemetry:
+    def _kernel_attribute(self):
+        left, right = _regular(8, 4, seed=0)
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            edge_coloring(RegularBipartiteMultigraph(left, right, 8, 8))
+        (span,) = tracer.find("coloring.euler")
+        return span.attributes["kernel"]
+
+    def test_span_names_the_kernel(self):
+        assert self._kernel_attribute() == (
+            "native" if euler.NATIVE else "numpy"
+        )
+
+    def test_span_names_numpy_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(euler, "_KERNEL", None)
+        assert self._kernel_attribute() == "numpy"

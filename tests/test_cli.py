@@ -238,6 +238,43 @@ class TestCheck:
             main(["check", str(tmp_path / "nope")])
 
 
+def _count_denotations(monkeypatch):
+    """Every ``denote_program`` call, including the semantic checker's."""
+    import repro.staticcheck.semantics as semantics
+
+    calls = []
+    original = semantics.denote_program
+
+    def counting(program):
+        calls.append(program)
+        return original(program)
+
+    monkeypatch.setattr(semantics, "denote_program", counting)
+    return calls
+
+
+class TestCheckSemantics:
+    """``check --semantics`` denotes each program once: the describe
+    table and the certificate reuse the checker's denotations."""
+
+    def test_plan_file(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "plan.npz")
+        _run(capsys, "plan", "--perm", "random", "--n", "1024",
+             "--width", "8", "--out", path)
+        calls = _count_denotations(monkeypatch)
+        out = _run(capsys, "check", "--semantics", path)
+        assert "denotation of" in out
+        assert "check --semantics OK" in out
+        assert len(calls) == len({id(program) for program in calls})
+
+    def test_named_permutation(self, capsys, monkeypatch):
+        calls = _count_denotations(monkeypatch)
+        out = _run(capsys, "check", "--semantics", "bit-reversal",
+                   "--n", "1024", "--width", "8")
+        assert "check --semantics OK" in out
+        assert len(calls) == len({id(program) for program in calls})
+
+
 class TestResilienceDemo:
     def test_all_faults_detected_and_absorbed(self, capsys):
         out = _run(capsys, "resilience-demo", "--n", "256",
