@@ -53,10 +53,6 @@ one matching per odd factor.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +60,7 @@ import numpy as np
 from repro import telemetry
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.errors import ColoringError
+from repro.util.native import load_kernel
 
 #: Fault-injection hook (see :mod:`repro.resilience.faults`).  ``None``
 #: in production — the only cost on the happy path is this None check.
@@ -72,7 +69,6 @@ from repro.errors import ColoringError
 _fault_hook = None
 
 _SOURCE = Path(__file__).with_name("_split.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
 #: The compiled kernel numbers edges in 32 bits; larger graphs take the
 #: NumPy split.
 _NATIVE_MAX_EDGES = 2**31
@@ -85,88 +81,16 @@ _KERNEL_ERRORS = {
     4: "an Euler walk did not close",
 }
 _KERNEL_NO_MEMORY = 5
+_EDGES = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+#: ``split_levels(left, right, num_edges, num_nodes, degree, levels,
+#: sub)``, returning 0 or one of the codes above.
+_ARGTYPES = (
+    _EDGES, _EDGES, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_int32,
+    np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+)
 
-
-def _library_path(cache_dir: Path) -> Path:
-    """Where the kernel built from today's source and flags lives."""
-    digest = hashlib.sha256(_SOURCE.read_bytes())
-    digest.update(" ".join(_CFLAGS).encode())
-    return cache_dir / f"_split-{digest.hexdigest()[:16]}.so"
-
-
-def _build(target: Path) -> bool:
-    """Compile ``_split.c`` to ``target``; ``False`` when it cannot.
-
-    The builder appends the SHA-256 of the library to it (the loader
-    ignores bytes past the ELF's own) and writes it to a temporary file
-    beside ``target`` that it renames into place, so a concurrent
-    importer sees either no file or a complete one.
-    """
-    try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
-    except OSError:
-        return False
-    os.close(fd)
-    try:
-        subprocess.run(
-            ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
-            check=True, capture_output=True, timeout=120,
-        )
-        library = Path(tmp).read_bytes()
-        Path(tmp).write_bytes(library + hashlib.sha256(library).digest())
-        os.chmod(tmp, 0o755)
-        os.replace(tmp, target)
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return True
-
-
-def _open(path: Path):
-    """The library's ``split_levels``, or ``None`` if it does not load.
-
-    Only a file that ends in the SHA-256 of the bytes before it is
-    handed to the dynamic loader: mapping a truncated library can kill
-    the process with ``SIGBUS`` instead of raising.
-    """
-    try:
-        data = path.read_bytes()
-        if hashlib.sha256(data[:-32]).digest() != data[-32:]:
-            return None
-        kernel = ctypes.CDLL(str(path)).split_levels
-    except (OSError, AttributeError):
-        return None
-    edges = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    kernel.argtypes = [
-        edges, edges, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int32,
-        np.ctypeslib.ndpointer(np.int32, ndim=1,
-                               flags="C_CONTIGUOUS,WRITEABLE"),
-    ]
-    kernel.restype = ctypes.c_int
-    return kernel
-
-
-def _load_kernel(cache_dir: Path):
-    """The compiled split, cached in ``cache_dir``, or ``None``.
-
-    A missing, truncated or foreign library is rebuilt once; without a
-    compiler or a writable ``cache_dir`` there is no compiled kernel.
-    """
-    try:
-        path = _library_path(cache_dir)
-        cache_dir.mkdir(exist_ok=True)
-    except OSError:
-        return None
-    kernel = _open(path)
-    if kernel is None and _build(path):
-        kernel = _open(path)
-    return kernel
-
-
-_KERNEL = _load_kernel(Path(__file__).with_name("__pycache__"))
+_KERNEL = load_kernel(_SOURCE, "split_levels", _ARGTYPES, ctypes.c_int)
 #: Whether this process colours with the compiled kernel; decided once,
 #: on import, by whether the library could be built and loaded.
 NATIVE = _KERNEL is not None

@@ -41,10 +41,21 @@ from repro.permutations.affine import detect_affine
 
 __all__ = ["SealedProgram", "TiledLayout", "tiled_layout"]
 
-#: Smallest ``n`` that gets a tiled layout.  Below it the plain gather
-#: wins: bit-reversal takes 0.58 ms plain and 0.96 ms tiled at 2^18,
-#: but 4.3 ms and 1.7 ms at 2^19, where the int64 index alone fills a
-#: 4 MiB L2.
+#: Smallest ``n`` that gets a tiled layout.  Float32 medians of the
+#: one-pass compiled walk (NumPy's take-then-copy in brackets), 2-vCPU
+#: Xeon with a 4 MiB L2:
+#:
+#:     n     permutation    plain              tiled
+#:     2^16  bit-reversal   0.12 ms (0.14)     0.11 ms (0.76)
+#:     2^18  bit-reversal   0.55 ms (0.85)     0.48 ms (0.99)
+#:     2^18  transpose      0.55 ms (0.78)     0.38 ms (0.89)
+#:     2^19  bit-reversal   2.6 ms (3.2)       1.1 ms (2.1)
+#:     2^20  bit-reversal   7.5 ms (9.1)       2.6 ms (5.4)
+#:
+#: At 2^18 tiling saves at most 0.17 ms, but deriving the layout costs
+#: 0.9 ms and 2 MiB per sealed program (a program is sealed on every
+#: cold request at that size) and slows the NumPy fallback.  From 2^19,
+#: where the int64 index alone fills L2, it wins on both paths.
 TILED_MIN_N = 1 << 19
 #: log2 of the float32 values in one 64-byte cache line.
 LINE_BITS = 4
@@ -52,10 +63,18 @@ LINE_BITS = 4
 #: L1 set.
 ALIAS_BITS = 10
 #: Tile only when this many of the (at most 16) source lines of one
-#: output line share an L1 set.  At 2^20, tiled transpose with 2 x 2
-#: tiles (8 such lines) drops from 12.0 to 6.8 ms when tiled; with
-#: 4 x 4 tiles (4 lines) tiling gains nothing measurable.
-MIN_ALIASED_LINES = 8
+#: output line share an L1 set.  Tiled transpose at 2^20, float32, as
+#: above:
+#:
+#:     tiles  such lines  plain                 tiled
+#:     1x1    16          6.8-7.3 ms (7.5-9.3)  2.5-2.6 ms (3.9-9.1)
+#:     2x2    8           4.2 ms (6.0)          2.3 ms (4.5)
+#:     4x4    4           2.8-3.0 ms (4.8)      2.1-2.5 ms (4.2)
+#:     8x8    2           2.5 ms (4.5)          2.6-2.7 ms (5.2)
+#:     16x16  1           2.2 ms (4.7)          2.5 ms (5.0)
+#:
+#: (Ranges span repeated runs.)
+MIN_ALIASED_LINES = 4
 #: Largest tile, in index bits: 4096 values, 16 KiB of float32.
 MAX_TILE_BITS = 3 * LINE_BITS
 
@@ -67,6 +86,16 @@ def _as_index(name: str, arr: np.ndarray) -> np.ndarray:
             f"sealed {name} must be 1-D, got shape {out.shape}"
         )
     return out
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a read-only view of it: the caller's array keeps its
+    own flags, but nothing writes through the one returned."""
+    if not arr.flags.writeable:
+        return arr
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def invert_permutation(p: np.ndarray) -> np.ndarray:
@@ -109,6 +138,26 @@ class TiledLayout:
         """A contiguous 1-D ``out`` as a view in visit order."""
         return out.reshape(self.dims).transpose(self.axes)
 
+    def walk(self, n: int) -> tuple[list[int], list[int]]:
+        """The visit order as loop bounds and output element strides,
+        outermost first.
+
+        Raises :class:`~repro.errors.ValidationError` unless ``dims``
+        and ``axes`` visit each of ``0..n-1`` exactly once.
+        """
+        dims, axes = self.dims, self.axes
+        if (
+            min(dims, default=0) < 1
+            or math.prod(dims) != n
+            or sorted(axes) != list(range(len(dims)))
+        ):
+            raise ValidationError(
+                f"tiled visit order {dims} by {axes} is not a bijection "
+                f"of 0..{n - 1}"
+            )
+        strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
+        return [dims[a] for a in axes], [strides[a] for a in axes]
+
 
 def tiled_layout(
     scatter: np.ndarray, gather: np.ndarray
@@ -150,7 +199,7 @@ def tiled_layout(
     dims = tuple(1 << length for _, length in runs)
     axes = tuple(sorted(range(len(runs)), key=lambda axis: runs[axis][0]))
     return TiledLayout(
-        dims, axes, gather.reshape(dims).transpose(axes).ravel()
+        dims, axes, _read_only(gather.reshape(dims).transpose(axes).ravel())
     )
 
 
@@ -189,8 +238,10 @@ class SealedProgram:
     ) -> None:
         self.engine = str(engine)
         self.width = int(width)
-        self.scatter = _as_index("scatter", scatter)
-        self.gather = (
+        # Read-only once built (the tiled gather derived below too), so
+        # every apply answers the permutation verify() proved.
+        self.scatter = _read_only(_as_index("scatter", scatter))
+        self.gather = _read_only(
             invert_permutation(self.scatter)
             if gather is None
             else _as_index("gather", gather)
@@ -252,13 +303,7 @@ class SealedProgram:
         layout = self.layout
         if layout is None:
             return
-        if math.prod(layout.dims) != self.n or sorted(layout.axes) != list(
-            range(len(layout.dims))
-        ):
-            raise ValidationError(
-                f"tiled visit order {layout.dims} by {layout.axes} is not "
-                f"a bijection of 0..{self.n - 1}"
-            )
+        layout.walk(self.n)
         if layout.gather.shape != self.gather.shape or not np.array_equal(
             layout.gather.reshape(layout.shape), layout.visit(self.gather)
         ):

@@ -177,7 +177,10 @@ class PermutationService:
         """
         if not name:
             raise ValidationError("registration name must be non-empty")
-        arr = check_permutation(p)
+        # A private, read-only copy: the caller may reuse ``p``, and
+        # every later seal of this name must see the digested map.
+        arr = check_permutation(p).copy()
+        arr.flags.writeable = False
         chosen = engine or _default_engine(int(arr.shape[0]),
                                            self.width)
         get_engine(chosen)

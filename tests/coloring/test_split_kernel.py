@@ -5,9 +5,16 @@
 dtype and all, on every input the colouring makes; the compiled kernel
 must refuse malformed input with a ``ColoringError`` instead of
 crashing; and a broken cached library or a failed build must leave the
-NumPy split in charge, never a dead process.
+NumPy split in charge, never a dead process.  The loader tests run for
+both compiled kernels (this one and the sealed gather's), which share
+one loader.
 """
 
+import ctypes
+import hashlib
+from collections.abc import Callable
+from types import ModuleType
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -25,6 +32,10 @@ from repro.coloring.euler import (
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import verify_edge_coloring
 from repro.errors import ColoringError
+from repro.exec import sealed as sealed_exec
+from repro.exec.sealed import SealedExecutor
+from repro.ir.sealed import SealedProgram
+from repro.util import native as loader
 
 native = pytest.mark.skipif(
     not euler.NATIVE, reason="no compiled kernel: NumPy is the only split"
@@ -171,82 +182,162 @@ class TestRefusesMalformedInput:
         )
 
 
-def _works(kernel):
+def _split_works(kernel):
     left, right = _regular(12, 8, seed=4)
     sub = np.zeros(left.shape[0], dtype=np.int32)
     assert kernel(left, right, left.shape[0], 12, 8, 3, sub) == 0
     return np.array_equal(sub, _split_levels_numpy(left, right, 12, 8, 3))
 
 
+def _gather_works(kernel):
+    index = np.random.default_rng(4).permutation(64)
+    src = np.arange(64.0)[None]
+    out = np.empty_like(src)
+    walk = np.array([64, 1], dtype=np.int64)
+    status = kernel(src.ctypes.data, src.strides[0], out.ctypes.data, 1,
+                    64, index.ctypes.data, 1, walk.ctypes.data, 8)
+    return status == -1 and np.array_equal(out[0], src[0, index])
+
+
+def _split_falls_back(monkeypatch):
+    monkeypatch.setattr(euler, "_KERNEL", None)
+    left, right = _regular(10, 8, seed=6)
+    with mock.patch.object(
+        euler, "_split_levels_numpy", wraps=_split_levels_numpy
+    ) as numpy_split:
+        got = euler._split_levels(left, right, 10, 8, 3)
+    assert numpy_split.call_count == 1
+    assert np.array_equal(got, _split_levels_numpy(left, right, 10, 8, 3))
+
+
+def _gather_falls_back(monkeypatch):
+    monkeypatch.setattr(sealed_exec, "_KERNEL", None)
+    n = sealed_exec.NATIVE_MIN_N
+    p = np.random.default_rng(6).permutation(n)
+    a = np.arange(n, dtype=np.float32)
+    with mock.patch.object(sealed_exec, "_gather_native") as kernel_path:
+        got = SealedExecutor().run(SealedProgram("x", 32, p), a)
+    assert kernel_path.call_count == 0
+    want = np.empty_like(a)
+    want[p] = a
+    assert np.array_equal(got, want)
+
+
+class _Kernel(NamedTuple):
+    module: ModuleType
+    symbol: str
+    restype: type
+    works: Callable
+    falls_back: Callable
+
+    def load(self, cache_dir):
+        return loader.load_kernel(self.module._SOURCE, self.symbol,
+                                  self.module._ARGTYPES, self.restype,
+                                  cache_dir)
+
+    def path(self, cache_dir):
+        return loader.library_path(self.module._SOURCE, cache_dir)
+
+
+_KERNELS = {
+    "split": _Kernel(euler, "split_levels", ctypes.c_int, _split_works,
+                     _split_falls_back),
+    "gather": _Kernel(sealed_exec, "gather_rows", ctypes.c_int64,
+                      _gather_works, _gather_falls_back),
+}
+
+
+@pytest.fixture(params=sorted(_KERNELS))
+def kernel(request):
+    return _KERNELS[request.param]
+
+
+@pytest.fixture
+def compiled(kernel):
+    """The kernel, skipped where this process could not build it."""
+    if not kernel.module.NATIVE:
+        pytest.skip("no compiled kernel: NumPy is the only path")
+    return kernel
+
+
 class TestLoader:
-    @native
-    def test_builds_into_an_empty_cache(self, tmp_path):
-        kernel = euler._load_kernel(tmp_path)
-        assert kernel is not None and _works(kernel)
+    """The shared loader (:mod:`repro.util.native`), for each kernel."""
+
+    def test_builds_into_an_empty_cache(self, compiled, tmp_path):
+        loaded = compiled.load(tmp_path)
+        assert loaded is not None and compiled.works(loaded)
         assert [p.name for p in tmp_path.iterdir()] == [
-            euler._library_path(tmp_path).name
+            compiled.path(tmp_path).name
         ]
 
-    @native
-    def test_garbage_library_is_rebuilt(self, tmp_path):
-        path = euler._library_path(tmp_path)
+    def test_garbage_library_is_rebuilt(self, compiled, tmp_path):
+        path = compiled.path(tmp_path)
         path.write_bytes(b"\x7fELF not a library" * 100)
-        kernel = euler._load_kernel(tmp_path)
-        assert kernel is not None and _works(kernel)
+        loaded = compiled.load(tmp_path)
+        assert loaded is not None and compiled.works(loaded)
         assert not path.read_bytes().startswith(b"\x7fELF not")
 
-    @native
-    def test_truncated_library_is_rebuilt(self, tmp_path):
+    def test_truncated_library_is_rebuilt(self, compiled, tmp_path):
         """A cut-off library is never mapped: loading one can end the
         process with SIGBUS."""
         good = tmp_path / "good"
         good.mkdir()
-        assert euler._build(euler._library_path(good))
-        whole = euler._library_path(good).read_bytes()
+        assert loader.build(compiled.module._SOURCE, compiled.path(good))
+        whole = compiled.path(good).read_bytes()
         for cut in (len(whole) // 2, len(whole) - 40, len(whole) - 1):
             # A fresh directory per cut: the dynamic loader caches
             # handles by path.
             fresh = tmp_path / f"cut-{cut}"
             fresh.mkdir()
-            target = euler._library_path(fresh)
+            target = compiled.path(fresh)
             target.write_bytes(whole[:cut])
-            kernel = euler._load_kernel(fresh)
-            assert kernel is not None and _works(kernel)
+            loaded = compiled.load(fresh)
+            assert loaded is not None and compiled.works(loaded)
             assert target.stat().st_size == len(whole)
 
+    def test_sha256_trailer_is_checked(self, compiled, tmp_path):
+        """A whole library whose trailer does not match its bytes is
+        refused unopened and rebuilt."""
+        good = tmp_path / "good"
+        good.mkdir()
+        assert loader.build(compiled.module._SOURCE, compiled.path(good))
+        whole = compiled.path(good).read_bytes()
+        assert whole[-32:] == hashlib.sha256(whole[:-32]).digest()
+        fresh = tmp_path / "forged"
+        fresh.mkdir()
+        target = compiled.path(fresh)
+        target.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))
+        assert loader.open_kernel(target, compiled.symbol) is None
+        loaded = compiled.load(fresh)
+        assert loaded is not None and compiled.works(loaded)
+        rebuilt = target.read_bytes()
+        assert rebuilt[-32:] == hashlib.sha256(rebuilt[:-32]).digest()
+
     def test_truncated_library_without_compiler_falls_back(
-        self, tmp_path, monkeypatch
+        self, kernel, tmp_path, monkeypatch
     ):
-        euler._library_path(tmp_path).write_bytes(b"\x7fELF" + bytes(64))
-        monkeypatch.setattr(euler, "_build", lambda target: False)
-        assert euler._load_kernel(tmp_path) is None
+        kernel.path(tmp_path).write_bytes(b"\x7fELF" + bytes(64))
+        monkeypatch.setattr(loader, "build", lambda source, target: False)
+        assert kernel.load(tmp_path) is None
 
     def test_missing_compiler_fails_the_build_cleanly(
-        self, tmp_path, monkeypatch
+        self, kernel, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-        assert euler._build(euler._library_path(tmp_path)) is False
+        assert loader.build(kernel.module._SOURCE,
+                            kernel.path(tmp_path)) is False
         assert list(tmp_path.iterdir()) == []
 
-    def test_unwritable_cache_falls_back(self, tmp_path):
+    def test_unwritable_cache_falls_back(self, kernel, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_bytes(b"")
-        assert euler._load_kernel(blocker / "cache") is None
+        assert kernel.load(blocker / "cache") is None
 
-    def test_failed_build_selects_numpy(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(euler, "_build", lambda target: False)
-        kernel = euler._load_kernel(tmp_path)
-        assert kernel is None
-        monkeypatch.setattr(euler, "_KERNEL", kernel)
-        left, right = _regular(10, 8, seed=6)
-        with mock.patch.object(
-            euler, "_split_levels_numpy", wraps=_split_levels_numpy
-        ) as numpy_split:
-            got = euler._split_levels(left, right, 10, 8, 3)
-        assert numpy_split.call_count == 1
-        assert np.array_equal(
-            got, _split_levels_numpy(left, right, 10, 8, 3)
-        )
+    def test_failed_build_selects_numpy(self, kernel, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setattr(loader, "build", lambda source, target: False)
+        assert kernel.load(tmp_path) is None
+        kernel.falls_back(monkeypatch)
 
 
 class TestTelemetry:

@@ -70,9 +70,16 @@ class TestLayoutChoice:
     def test_strided_families_are_tiled(self, name):
         assert SealedProgram("x", 32, _FAMILIES[name](1 << 20)).layout
 
-    def test_tiled_transpose_with_small_tiles_is_tiled(self):
-        p = tiled_transpose(1 << 20, 2)
+    @pytest.mark.parametrize("tile", [2, 4])
+    def test_tiled_transpose_with_small_tiles_is_tiled(self, tile):
+        # 8 and 4 of the 16 source lines of one output line alias.
+        p = tiled_transpose(1 << 20, tile)
         assert SealedProgram("x", 32, p).layout is not None
+
+    def test_tiled_transpose_with_8x8_tiles_stays_plain(self):
+        # Only 2 source lines alias: tiling measured slower.
+        p = tiled_transpose(1 << 20, 8)
+        assert SealedProgram("x", 32, p).layout is None
 
     @pytest.mark.parametrize("make", [
         lambda n: random_permutation(n, seed=0),

@@ -49,6 +49,20 @@ class TestRegistration:
             p, engine="scheduled", width=_WIDTH
         )
 
+    def test_caller_mutating_p_after_register_changes_nothing(self):
+        """The service keeps a private copy: swapping two entries of the
+        caller's array afterwards must not change what the digest
+        answers."""
+        svc = PermutationService(width=_WIDTH)
+        p = random_permutation(_N, seed=11)
+        original = p.copy()
+        svc.register("r", p)
+        p[0], p[1] = p[1], p[0]
+        a = np.arange(_N, dtype=np.float64)
+        np.testing.assert_array_equal(svc.apply("r", a),
+                                      _expected(original, a))
+        assert p.flags.writeable
+
     def test_invalid_permutation_rejected(self):
         svc = PermutationService()
         with pytest.raises(ValidationError):
