@@ -25,11 +25,7 @@ from repro.exec.interpreter import RoundInterpreter
 from repro.exec.reference import ReferenceExecutor
 from repro.exec.sealed import SealedExecutor
 from repro.exec.simulator import SimulatorExecutor
-from repro.exec.streaming import (
-    StreamingExecutor,
-    StreamingJob,
-    StreamingStats,
-)
+from repro.exec.streaming import StreamingExecutor, StreamingStats
 
 __all__ = [
     "ReferenceExecutor",
@@ -37,6 +33,5 @@ __all__ = [
     "SealedExecutor",
     "SimulatorExecutor",
     "StreamingExecutor",
-    "StreamingJob",
     "StreamingStats",
 ]

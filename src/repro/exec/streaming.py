@@ -13,18 +13,18 @@ source):
    exchange with the final stripe-local placement, so each output
    stripe reads only its ``<= d`` contiguous exchange source ranges.
 
-The gather index arrays are spilled to disk at prepare time and
+The gather index arrays are spilled to disk before the first tile and
 memory-mapped back in tiles, so the executor's *allocated* footprint
 per tile is ``tile_elems * (payload_itemsize + index_itemsize)``
 regardless of ``n``.  ``max_resident_bytes`` is a hard budget on those
-allocations: tile sizes are derived from it (halved for headroom,
-divided by the declared stripe concurrency) and the running resident
-count is asserted against it on every tile.  Memory-mapped files are
-backed by the OS page cache and are reclaimable at any time; they are
-deliberately *not* charged against the budget — that is what makes the
-scheme out-of-core.
+allocations: tile sizes are derived from it (halved for headroom) and
+each tile's resident bytes are checked against it.  Stripes run one
+after another, pre phase first.  Memory-mapped files are backed by the
+OS page cache and are reclaimable at any time; they are deliberately
+*not* charged against the budget — that is what makes the scheme
+out-of-core.
 
-Telemetry: every run/stripe gets a span; tiles, streamed bytes and
+Telemetry: every run and stripe gets a span; tiles, streamed bytes and
 exchange volume are counted, and an optional
 :class:`~repro.telemetry.MetricsRegistry` receives ``stream_*``
 histograms for tile bytes, resident bytes and exchange segment bytes.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,12 +49,10 @@ if TYPE_CHECKING:
     from repro.shard import ShardedProgram
     from repro.telemetry import MetricsRegistry
 
-__all__ = ["StreamingExecutor", "StreamingJob", "StreamingStats"]
+__all__ = ["StreamingExecutor", "StreamingStats"]
 
 #: Default hard budget for executor-allocated tile buffers: 256 MB.
 DEFAULT_RESIDENT_BYTES = 256 * 1024 * 1024
-
-_PHASES = ("pre", "post")
 
 
 @dataclass
@@ -100,281 +97,37 @@ class StreamingStats:
         )
 
 
-class StreamingJob:
-    """One prepared streamed application; stripes are the work units.
+#: Spill files a run writes into its temporary directory.
+_SPILL_FILES = ("gather-pre.npy", "gather-post.npy", "mid.npy")
 
-    Created by :meth:`StreamingExecutor.prepare`.  ``run_stripe(phase,
-    k)`` processes stripe ``k`` of phase ``"pre"`` or ``"post"`` and is
-    safe to call from multiple threads for *distinct* stripes — each
-    stripe writes a disjoint range of the target map.  A ``"post"``
-    stripe waits until every ``"pre"`` stripe has finished (the fused
-    exchange reads across stripe boundaries), so schedulers must
-    guarantee the pre stripes are running or done before blocking a
-    thread on a post stripe.  Call :meth:`finalize` once to flush the
-    output and collect the stats; :meth:`abort` releases waiters after
-    a failure.
-    """
 
-    def __init__(
-        self,
-        sharded: ShardedProgram,
-        path_in: str | Path,
-        path_out: str | Path,
-        max_resident_bytes: int,
-        tmp_dir: str | Path | None,
-        concurrency: int,
-        metrics: MetricsRegistry | None,
-    ) -> None:
-        self.sharded = sharded
-        self._metrics = metrics
-        self._started = time.perf_counter()
-        path_in = Path(path_in)
-        path_out = Path(path_out)
-        if path_in.resolve() == path_out.resolve():
-            raise ShardingError(
-                "streaming cannot permute a file onto itself"
-            )
-        self._in: np.ndarray | None = np.load(path_in, mmap_mode="r")
-        n = sharded.n
-        if self._in.shape != (n,):
-            raise SizeError(
-                f"payload {path_in} has shape {self._in.shape}, "
-                f"expected ({n},)"
-            )
-        itemsize = int(self._in.dtype.itemsize)
-        index_dtype = np.uint32 if n <= 2**32 else np.int64
-        index_itemsize = int(np.dtype(index_dtype).itemsize)
-        concurrency = max(1, int(concurrency))
-        # Two live tiles of headroom per concurrent stripe keep the
-        # asserted resident total at ~half the budget.
-        tile_elems = max_resident_bytes // (
-            2 * concurrency * (itemsize + index_itemsize)
-        )
-        tile_elems = min(tile_elems, max(1, sharded.stripe))
-        if tile_elems < 1:
-            raise ResidentBudgetError(
-                f"max_resident_bytes={max_resident_bytes} cannot hold "
-                f"even a one-element tile for dtype {self._in.dtype} at "
-                f"concurrency {concurrency}; raise the budget"
-            )
-        self._tile_elems = int(tile_elems)
-
-        self._owns_tmp = tmp_dir is None
-        self._tmp = Path(
-            tempfile.mkdtemp(prefix="repro-stream-")
-            if tmp_dir is None
-            else tmp_dir
-        )
-        self._tmp.mkdir(parents=True, exist_ok=True)
-
-        # Spill the two fused gather maps, then map them back read-only
-        # so index tiles are budgeted like payload tiles.
-        arange = np.arange(n, dtype=np.int64)
-        pre_inv = np.empty(n, dtype=np.int64)
-        pre_inv[sharded.pre] = arange
-        np.save(
-            self._tmp / "gather-pre.npy", pre_inv.astype(index_dtype)
-        )
-        p = sharded.post[sharded.exchange[sharded.pre]]
-        fused = np.empty(n, dtype=np.int64)
-        fused[p] = sharded.pre
-        np.save(self._tmp / "gather-post.npy", fused.astype(index_dtype))
-        del arange, pre_inv, p, fused
-
-        self._gather: dict[str, np.ndarray] = {
-            phase: np.load(
-                self._tmp / f"gather-{phase}.npy", mmap_mode="r"
-            )
-            for phase in _PHASES
-        }
-        self._mid: np.ndarray | None = np.lib.format.open_memmap(
-            self._tmp / "mid.npy",
-            mode="w+",
-            dtype=self._in.dtype,
-            shape=(n,),
-        )
-        path_out.parent.mkdir(parents=True, exist_ok=True)
-        self._out: np.ndarray | None = np.lib.format.open_memmap(
-            path_out, mode="w+", dtype=self._in.dtype, shape=(n,)
-        )
-
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._done: dict[str, set[int]] = {p: set() for p in _PHASES}
-        self._resident_payload = 0
-        self._resident_total = 0
-        self._failed: str | None = None
-        self._finalized = False
-
-        self.stats = StreamingStats(
-            n=n,
-            d=sharded.d,
-            dtype=str(self._in.dtype),
-            payload_bytes=n * itemsize,
-            max_resident_bytes=max_resident_bytes,
-            tile_elems=self._tile_elems,
-            exchange_segments=len(sharded.segments),
-            exchange_elements=sharded.exchange_elements,
-            exchange_bytes=sharded.exchange_elements * itemsize,
-        )
-        if metrics is not None:
-            seg_hist = metrics.histogram("stream_exchange_segment_bytes")
-            for seg in sharded.segments:
-                if seg.crosses:
-                    seg_hist.observe(seg.length * itemsize)
-
-    # ------------------------------------------------------------- stripes
-
-    def run_stripe(
-        self, phase: str, k: int, timeout: float | None = None
-    ) -> None:
-        """Stream one stripe of one phase through bounded tiles."""
-        if phase not in _PHASES:
-            raise ShardingError(
-                f"phase must be one of {_PHASES}, got {phase!r}"
-            )
-        if not 0 <= k < self.sharded.d:
-            raise ShardingError(
-                f"stripe index {k} out of range for d={self.sharded.d}"
-            )
-        if phase == "post":
-            self._await_pre(timeout)
-        src = self._in if phase == "pre" else self._mid
-        dst = self._mid if phase == "pre" else self._out
-        if src is None or dst is None or phase not in self._gather:
-            raise ShardingError(
-                "streaming job is already finalized or aborted"
-            )
-        gather = self._gather[phase]
-        stripe = self.sharded.stripe
-        lo, hi = k * stripe, (k + 1) * stripe
-        itemsize = int(src.dtype.itemsize)
-        started = time.perf_counter()
-        with telemetry.span("stream.stripe", phase=phase, stripe=k):
-            for t0 in range(lo, hi, self._tile_elems):
-                t1 = min(t0 + self._tile_elems, hi)
-                idx = np.asarray(gather[t0:t1])
-                payload_bytes = (t1 - t0) * itemsize
-                self._acquire(payload_bytes, payload_bytes + idx.nbytes)
-                try:
-                    tile = src[idx]
-                    dst[t0:t1] = tile
-                finally:
-                    self._release(
-                        payload_bytes, payload_bytes + idx.nbytes
-                    )
-                with self._lock:
-                    self.stats.tiles_loaded += 1
-                    self.stats.bytes_read += payload_bytes + idx.nbytes
-                    self.stats.bytes_written += payload_bytes
-                if self._metrics is not None:
-                    self._metrics.histogram(
-                        "stream_tile_bytes", phase=phase
-                    ).observe(payload_bytes)
-                del idx, tile
-        with self._cond:
-            self._done[phase].add(k)
-            self.stats.phase_seconds[phase] = self.stats.phase_seconds.get(
-                phase, 0.0
-            ) + (time.perf_counter() - started)
-            self._cond.notify_all()
-
-    def _await_pre(self, timeout: float | None) -> None:
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._failed is not None
-                or len(self._done["pre"]) == self.sharded.d,
-                timeout=timeout,
-            )
-            if self._failed is not None:
-                raise ShardingError(
-                    f"streaming job aborted: {self._failed}"
-                )
-            if not ok:
-                raise ShardingError(
-                    "timed out waiting for pre-phase stripes"
-                )
-
-    # ------------------------------------------------------------- budget
-
-    def _acquire(self, payload_bytes: int, total_bytes: int) -> None:
-        with self._lock:
-            self._resident_payload += payload_bytes
-            self._resident_total += total_bytes
-            if self._resident_total > self.stats.max_resident_bytes:
-                self._resident_payload -= payload_bytes
-                self._resident_total -= total_bytes
-                raise ResidentBudgetError(
-                    f"tile would put {self._resident_total + total_bytes}"
-                    " resident bytes over the budget of "
-                    f"{self.stats.max_resident_bytes}; lower the "
-                    "stripe concurrency or raise the budget"
-                )
-            self.stats.peak_resident_payload_bytes = max(
-                self.stats.peak_resident_payload_bytes,
-                self._resident_payload,
-            )
-            self.stats.peak_resident_total_bytes = max(
-                self.stats.peak_resident_total_bytes,
-                self._resident_total,
-            )
-            if self._metrics is not None:
-                self._metrics.histogram("stream_resident_bytes").observe(
-                    self._resident_total
-                )
-
-    def _release(self, payload_bytes: int, total_bytes: int) -> None:
-        with self._lock:
-            self._resident_payload -= payload_bytes
-            self._resident_total -= total_bytes
-
-    # ----------------------------------------------------------- lifecycle
-
-    def done(self) -> bool:
-        """True when every stripe of every phase has been streamed."""
-        with self._lock:
-            return all(
-                len(self._done[p]) == self.sharded.d for p in _PHASES
-            )
-
-    def abort(self, reason: str = "aborted") -> None:
-        """Mark the job failed and wake any waiting post stripes."""
-        with self._cond:
-            self._failed = reason
-            self._cond.notify_all()
-        self._cleanup()
-
-    def finalize(self) -> StreamingStats:
-        """Flush the output, drop the spill files, return the stats."""
-        if not self.done():
-            missing = {
-                p: self.sharded.d - len(self._done[p]) for p in _PHASES
-            }
-            raise ShardingError(
-                f"cannot finalize: stripes still pending {missing}"
-            )
-        if not self._finalized:
-            self._finalized = True
-            if isinstance(self._out, np.memmap):
-                self._out.flush()
-            self.stats.seconds = time.perf_counter() - self._started
-            self._cleanup()
-        return self.stats
-
-    def _cleanup(self) -> None:
-        self._gather = {}
-        self._mid = None
-        self._in = None
-        self._out = None
-        if self._owns_tmp:
-            shutil.rmtree(self._tmp, ignore_errors=True)
-        else:
-            for name in ("gather-pre.npy", "gather-post.npy", "mid.npy"):
-                (self._tmp / name).unlink(missing_ok=True)
+def _spill_gathers(
+    sharded: ShardedProgram, tmp: Path, index_dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spill the two fused gather maps and map them back read-only, so
+    index tiles are budgeted like payload tiles."""
+    n = sharded.n
+    arange = np.arange(n, dtype=np.int64)
+    pre_inv = np.empty(n, dtype=np.int64)
+    pre_inv[sharded.pre] = arange
+    np.save(tmp / "gather-pre.npy", pre_inv.astype(index_dtype))
+    p = sharded.post[sharded.exchange[sharded.pre]]
+    fused = np.empty(n, dtype=np.int64)
+    fused[p] = sharded.pre
+    np.save(tmp / "gather-post.npy", fused.astype(index_dtype))
+    return (
+        np.load(tmp / "gather-pre.npy", mmap_mode="r"),
+        np.load(tmp / "gather-post.npy", mmap_mode="r"),
+    )
 
 
 class StreamingExecutor:
-    """Apply sharded plans to on-disk payloads under a byte budget."""
+    """Apply sharded plans to on-disk payloads under a byte budget.
+
+    Holds only its configuration: each :meth:`run_sharded` call owns
+    its maps, spill files and stats, so callers on several threads may
+    share one executor.
+    """
 
     def __init__(
         self,
@@ -388,25 +141,6 @@ class StreamingExecutor:
         self.max_resident_bytes = int(max_resident_bytes)
         self.metrics = metrics
 
-    def prepare(
-        self,
-        sharded: ShardedProgram,
-        path_in: str | Path,
-        path_out: str | Path,
-        tmp_dir: str | Path | None = None,
-        concurrency: int = 1,
-    ) -> StreamingJob:
-        """Open the maps and spill the gather indexes; no payload moves."""
-        return StreamingJob(
-            sharded,
-            path_in,
-            path_out,
-            self.max_resident_bytes,
-            tmp_dir,
-            concurrency,
-            self.metrics,
-        )
-
     def run_sharded(
         self,
         sharded: ShardedProgram,
@@ -414,24 +148,143 @@ class StreamingExecutor:
         path_out: str | Path,
         tmp_dir: str | Path | None = None,
     ) -> StreamingStats:
-        """Stream every stripe of both phases sequentially."""
-        with telemetry.span(
-            "stream.run", n=sharded.n, d=sharded.d
-        ) as sp:
-            job = self.prepare(sharded, path_in, path_out, tmp_dir)
+        """Stream every stripe of the pre phase, then of the post phase.
+
+        A payload of the wrong shape, an input that is also the output
+        and a budget too small for a one-element tile are refused
+        before any file is written.  The spill files are removed
+        whether the run succeeds or fails.
+        """
+        started = time.perf_counter()
+        path_in = Path(path_in)
+        path_out = Path(path_out)
+        if path_in.resolve() == path_out.resolve():
+            raise ShardingError(
+                "streaming cannot permute a file onto itself"
+            )
+        src = np.load(path_in, mmap_mode="r")
+        n = sharded.n
+        if src.shape != (n,):
+            raise SizeError(
+                f"payload {path_in} has shape {src.shape}, "
+                f"expected ({n},)"
+            )
+        itemsize = int(src.dtype.itemsize)
+        index_dtype = np.dtype(np.uint32 if n <= 2**32 else np.int64)
+        # A tile takes at most half the budget: the rest is headroom
+        # for the temporaries NumPy makes around it.
+        tile_elems = min(
+            self.max_resident_bytes // (2 * (itemsize + index_dtype.itemsize)),
+            max(1, sharded.stripe),
+        )
+        if tile_elems < 1:
+            raise ResidentBudgetError(
+                f"max_resident_bytes={self.max_resident_bytes} cannot "
+                f"hold even a one-element tile for dtype {src.dtype}; "
+                "raise the budget"
+            )
+        stats = StreamingStats(
+            n=n,
+            d=sharded.d,
+            dtype=str(src.dtype),
+            payload_bytes=n * itemsize,
+            max_resident_bytes=self.max_resident_bytes,
+            tile_elems=int(tile_elems),
+            exchange_segments=len(sharded.segments),
+            exchange_elements=sharded.exchange_elements,
+            exchange_bytes=sharded.exchange_elements * itemsize,
+        )
+        if self.metrics is not None:
+            seg_hist = self.metrics.histogram(
+                "stream_exchange_segment_bytes"
+            )
+            for seg in sharded.segments:
+                if seg.crosses:
+                    seg_hist.observe(seg.length * itemsize)
+
+        owns_tmp = tmp_dir is None
+        tmp = Path(
+            tempfile.mkdtemp(prefix="repro-stream-")
+            if tmp_dir is None
+            else tmp_dir
+        )
+        with telemetry.span("stream.run", n=n, d=sharded.d) as sp:
             try:
-                for phase in _PHASES:
-                    for k in range(sharded.d):
-                        job.run_stripe(phase, k)
-            except BaseException as exc:
-                job.abort(str(exc))
-                raise
-            stats = job.finalize()
+                tmp.mkdir(parents=True, exist_ok=True)
+                pre, post = _spill_gathers(sharded, tmp, index_dtype)
+                mid = np.lib.format.open_memmap(
+                    tmp / "mid.npy", mode="w+", dtype=src.dtype,
+                    shape=(n,),
+                )
+                path_out.parent.mkdir(parents=True, exist_ok=True)
+                out = np.lib.format.open_memmap(
+                    path_out, mode="w+", dtype=src.dtype, shape=(n,)
+                )
+                self._stream_phase("pre", pre, src, mid, sharded, stats)
+                self._stream_phase("post", post, mid, out, sharded,
+                                   stats)
+                out.flush()
+            finally:
+                if owns_tmp:
+                    shutil.rmtree(tmp, ignore_errors=True)
+                else:
+                    for name in _SPILL_FILES:
+                        (tmp / name).unlink(missing_ok=True)
+            stats.seconds = time.perf_counter() - started
             sp.set(
                 tiles=stats.tiles_loaded,
                 peak_resident=stats.peak_resident_total_bytes,
             )
         return stats
+
+    def _stream_phase(
+        self,
+        phase: str,
+        gather: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        sharded: ShardedProgram,
+        stats: StreamingStats,
+    ) -> None:
+        """``dst[q] = src[gather[q]]``, stripe by stripe, in tiles of
+        ``stats.tile_elems`` whose allocated bytes are checked against
+        the budget one by one."""
+        started = time.perf_counter()
+        itemsize = int(src.dtype.itemsize)
+        stripe = sharded.stripe
+        step = stats.tile_elems
+        for k in range(sharded.d):
+            with telemetry.span("stream.stripe", phase=phase, stripe=k):
+                for t0 in range(k * stripe, (k + 1) * stripe, step):
+                    t1 = min(t0 + step, (k + 1) * stripe)
+                    idx = np.asarray(gather[t0:t1])
+                    payload_bytes = (t1 - t0) * itemsize
+                    resident = payload_bytes + idx.nbytes
+                    if resident > stats.max_resident_bytes:
+                        raise ResidentBudgetError(
+                            f"tile would hold {resident} resident "
+                            "bytes, over the budget of "
+                            f"{stats.max_resident_bytes}; raise the "
+                            "budget"
+                        )
+                    stats.peak_resident_payload_bytes = max(
+                        stats.peak_resident_payload_bytes, payload_bytes
+                    )
+                    stats.peak_resident_total_bytes = max(
+                        stats.peak_resident_total_bytes, resident
+                    )
+                    dst[t0:t1] = src[idx]
+                    stats.tiles_loaded += 1
+                    stats.bytes_read += resident
+                    stats.bytes_written += payload_bytes
+                    if self.metrics is not None:
+                        self.metrics.histogram(
+                            "stream_resident_bytes"
+                        ).observe(resident)
+                        self.metrics.histogram(
+                            "stream_tile_bytes", phase=phase
+                        ).observe(payload_bytes)
+        stats.phase_seconds[phase] = time.perf_counter() - started
 
     def run(
         self,

@@ -113,7 +113,10 @@ class ResilientPermutation:
             )
         if not chain:
             raise ResilienceError("fallback chain must not be empty")
-        self.p = check_permutation(p)
+        # A private, read-only copy: the caller may reuse ``p``, and
+        # every engine and self-check must see the map planned here.
+        self.p = check_permutation(p).copy()
+        self.p.flags.writeable = False
         self.width = width
         self.self_check = self_check
         self._sleep = sleep if sleep is not None else time.sleep

@@ -316,7 +316,8 @@ class PermutationService:
         Streams the ``.npy`` payload at ``path_in`` through the named
         permutation's proven ``d``-stripe sharding under the
         resident-bytes budget, writing the result to ``path_out``.
-        Returns the :class:`~repro.exec.StreamingStats`.
+        Returns the :class:`~repro.exec.StreamingStats`; the run's
+        ``stream_*`` histograms go to the stack's one registry.
         """
         from repro.exec.streaming import (
             DEFAULT_RESIDENT_BYTES,
@@ -330,7 +331,8 @@ class PermutationService:
             t0 = time.perf_counter()
             executor = StreamingExecutor(
                 max_resident_bytes=max_resident_bytes
-                or DEFAULT_RESIDENT_BYTES
+                or DEFAULT_RESIDENT_BYTES,
+                metrics=self.metrics,
             )
             stats = executor.run_sharded(
                 self._sharded(name, d), path_in, path_out,

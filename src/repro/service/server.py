@@ -26,6 +26,9 @@ concern the bare facade lacks:
 * **request coalescing** — concurrent single-payload requests for the
   same registration are drained from the queue together and served by
   one batched ``apply_batch`` pass over the shared gather.
+* **out-of-core streams** — :meth:`PermutationServer.submit_stream`
+  queues one request like any other; a worker serves it with
+  :meth:`PermutationService.apply_stream` and is held until it ends.
 
 Everything is observable from one store: every count lives in the
 planner's :class:`~repro.telemetry.MetricsRegistry`, which the server
@@ -92,11 +95,12 @@ class ServeResult:
     """A future for one submitted request.
 
     ``result()`` blocks until the request is served, then returns the
-    permuted payload or raises the failure.  After completion the
-    handle also carries how the request was served: ``engine`` (the
-    registered engine), ``attempts`` (always 1 once served),
-    ``coalesced`` (whether it shared a batched apply), and ``wait_s`` /
-    ``service_s`` timings.
+    permuted payload (for a stream, its
+    :class:`~repro.exec.StreamingStats`) or raises the failure.  After
+    completion the handle also carries how the request was served:
+    ``engine`` (the registered engine), ``attempts`` (always 1 once
+    served), ``coalesced`` (whether it shared a batched apply), and
+    ``wait_s`` / ``service_s`` timings.
     """
 
     def __init__(self, name: str, tenant: str, priority: int) -> None:
@@ -148,22 +152,21 @@ class _Request:
     ``ctx`` / ``qspan`` carry the request's
     :class:`~repro.telemetry.RequestContext` and detached queue-wait
     span, and stay ``None`` when no tracer is active — the disabled
-    fast path allocates neither.  Out-of-core stream *stripes* are
-    queue entries too: they carry their shared :class:`_StreamJob` in
-    ``stream`` plus their ``phase``/``stripe`` assignment, and an
-    empty payload.
+    fast path allocates neither.  An out-of-core stream carries the
+    keyword arguments of :meth:`PermutationService.apply_stream` in
+    ``stream`` and an empty payload.
     """
 
     __slots__ = ("key", "payload", "batch", "priority", "deadline",
                  "enqueued", "tenant", "result", "rid", "ctx", "qspan",
-                 "stream", "phase", "stripe")
+                 "stream")
 
     def __init__(self, key: str, payload: np.ndarray, batch: bool,
                  priority: int, deadline: float | None,
                  enqueued: float, tenant: str, result: "ServeResult",
                  rid: int = 0, ctx: Any = None,
-                 qspan: Any = None, stream: "Any | None" = None,
-                 phase: str = "", stripe: int = -1) -> None:
+                 qspan: Any = None,
+                 stream: dict[str, Any] | None = None) -> None:
         self.key = key
         self.payload = payload
         self.batch = batch
@@ -176,103 +179,6 @@ class _Request:
         self.ctx = ctx
         self.qspan = qspan
         self.stream = stream
-        self.phase = phase
-        self.stripe = stripe
-
-
-class _StreamJob:
-    """Shared state of one out-of-core stream request.
-
-    ``submit_stream`` enqueues ``2 d`` stripe requests (``d`` pre
-    stripes, then ``d`` post stripes) that all point here.  The first
-    stripe a worker picks up shards the registration's sealed gather
-    and prepares the streaming job; later stripes reuse it.  FIFO
-    order within a priority bucket guarantees every pre stripe is
-    running or done before any worker blocks on a post stripe, so the
-    phase barrier inside
-    :class:`~repro.exec.StreamingJob` cannot deadlock.  The caller's
-    future resolves with the :class:`~repro.exec.StreamingStats` when
-    the last stripe finishes, or fails once on the first error, shed,
-    or server shutdown.
-    """
-
-    def __init__(
-        self,
-        key: str,
-        path_in: Path,
-        path_out: Path,
-        d: int,
-        max_resident_bytes: int | None,
-        tmp_dir: Any,
-        result: "ServeResult",
-    ) -> None:
-        self.key = key
-        self.path_in = path_in
-        self.path_out = path_out
-        self.d = int(d)
-        self.max_resident_bytes = max_resident_bytes
-        self.tmp_dir = tmp_dir
-        self.user_result = result
-        self.total_stripes = 2 * self.d
-        self.engine_name: str | None = None
-        self.cancelled = False
-        self._completed = 0
-        self._lock = threading.Lock()
-        self._prepared: Any = None
-
-    def ensure_prepared(self, server: "PermutationServer") -> Any:
-        """Shard + open the streaming job (exactly once)."""
-        with self._lock:
-            if self.cancelled:
-                raise ServingError(
-                    f"stream for {self.key!r} was cancelled"
-                )
-            if self._prepared is not None:
-                return self._prepared
-            from repro.exec.streaming import (
-                DEFAULT_RESIDENT_BYTES,
-                StreamingExecutor,
-            )
-
-            self.engine_name = server.service._registration(
-                self.key
-            ).engine
-            executor = StreamingExecutor(
-                max_resident_bytes=self.max_resident_bytes
-                or DEFAULT_RESIDENT_BYTES,
-                metrics=server.metrics,
-            )
-            self._prepared = executor.prepare(
-                server.service._sharded(self.key, self.d),
-                self.path_in,
-                self.path_out,
-                tmp_dir=self.tmp_dir,
-                concurrency=min(server.workers, self.d),
-            )
-            return self._prepared
-
-    def stripe_finished(self) -> bool:
-        """Count one finished stripe; True when it was the last."""
-        with self._lock:
-            self._completed += 1
-            return self._completed == self.total_stripes
-
-    def finalize(self) -> Any:
-        return self._prepared.finalize()
-
-    def fail(self, error: BaseException) -> None:
-        """Fail the caller's future once and release any waiters."""
-        with self._lock:
-            if self.cancelled:
-                return
-            self.cancelled = True
-            prepared = self._prepared
-        self.user_result._fail(error)
-        if prepared is not None:
-            prepared.abort(str(error))
-
-    def cancel(self, reason: str) -> None:
-        self.fail(ServingError(reason))
 
 
 class PermutationServer:
@@ -459,13 +365,9 @@ class PermutationServer:
         for req in dropped:
             # Outside the queue lock: finishing a request can trigger
             # a flight-recorder dump whose providers re-take it.
-            if req.stream is not None:
-                req.stream.cancel(
-                    "server closed before the stream was served"
-                )
             if req.qspan is not None:
                 telemetry.end_span(req.qspan, outcome="dropped")
-            self._finish_request(req, "dropped", ok=False)
+            self._finish_request(req, "dropped", "dropped")
         for t in self._threads:
             t.join(timeout=30.0)
         self._threads.clear()
@@ -545,16 +447,21 @@ class PermutationServer:
     # Admission
     # ------------------------------------------------------------------
 
+    def _event(self, name: str) -> telemetry.Counter:
+        """The ``server_events_total`` counter of one event, created on
+        first use.  Caller holds the stats lock."""
+        counter = self._events.get(name)
+        if counter is None:
+            counter = self._events[name] = self.metrics.counter(
+                "server_events_total", event=name
+            )
+        return counter
+
     def _count(self, name: str, n: int = 1) -> None:
         # Under the stats lock, so one ``stats()`` snapshot sees every
         # event counter at the same instant.
         with self._stats_lock:
-            counter = self._events.get(name)
-            if counter is None:
-                counter = self._events[name] = self.metrics.counter(
-                    "server_events_total", event=name
-                )
-            counter.inc(n)
+            self._event(name).inc(n)
 
     def _active_requests(self) -> list[dict]:
         """Flight-recorder snapshot of every in-flight request."""
@@ -566,6 +473,8 @@ class PermutationServer:
         return sorted(rows, key=lambda r: r["rid"])
 
     def _track(self, request: _Request) -> None:
+        """Count ``request`` accepted and enter it in the in-flight
+        table, in one stats-lock section."""
         info = {
             "rid": request.rid,
             "key": request.key,
@@ -579,12 +488,13 @@ class PermutationServer:
             info["span_id"] = span_id
         with self._stats_lock:
             self._inflight_reqs[request.rid] = info
+            self._event("accepted").inc()
 
     def _finish_request(
         self,
         request: _Request,
         outcome: str,
-        ok: bool,
+        event: str,
         engine: str | None = None,
     ) -> None:
         """Observability epilogue for one resolved request.
@@ -593,9 +503,14 @@ class PermutationServer:
         tenant, engine and outcome), feeds the SLO monitor (dumping a
         post-mortem on the breach transition), logs a flight-recorder
         event, ends the request's root span, and drops it from the
-        in-flight table.  Must be called exactly once per admitted
-        request, after its future resolves.
+        in-flight table while counting its ``event`` (``served``,
+        ``failed``, ``shed``, ``deadline_exceeded`` or ``dropped``) in
+        the same stats-lock section, so every ``stats()`` snapshot
+        sees ``accepted == served + failed + shed + deadline_exceeded
+        + dropped + inflight``.  Must be called exactly once per
+        admitted request, after its future resolves.
         """
+        ok = event == "served"
         e2e = self._clock() - request.enqueued
         family = request.key.rsplit("/", 1)[-1]
         self.metrics.histogram(
@@ -616,6 +531,7 @@ class PermutationServer:
             )
         with self._stats_lock:
             self._inflight_reqs.pop(request.rid, None)
+            self._event(event).inc()
         if self.slo_monitor.record(ok, e2e):
             self.recorder.dump(
                 "slo_breach", rid=request.rid, outcome=outcome
@@ -671,12 +587,7 @@ class PermutationServer:
         :class:`~repro.errors.ValidationError` (unknown name, payload
         shape mismatch).
         """
-        if priority not in _PRIORITIES:
-            raise ValidationError(
-                f"priority must be one of {_PRIORITIES}, got {priority}"
-            )
-        key = self._key(tenant, name)
-        reg = self.service._registration(key)
+        reg = self.service._registration(self._key(tenant, name))
         payload = np.asarray(a)
         n = int(reg.p.shape[0])
         if batch:
@@ -689,6 +600,75 @@ class PermutationServer:
             raise ValidationError(
                 f"payload must have shape ({n},), got {payload.shape}"
             )
+        return self._enqueue(name, tenant, priority, deadline_s,
+                             payload, batch)
+
+    def submit_stream(
+        self,
+        name: str,
+        path_in: str | Path,
+        path_out: str | Path,
+        *,
+        d: int = 8,
+        tenant: str = "default",
+        priority: int = NORMAL,
+        deadline_s: float | None = None,
+        max_resident_bytes: int | None = None,
+        tmp_dir: str | Path | None = None,
+    ) -> ServeResult:
+        """Enqueue an out-of-core stream as one request.
+
+        The on-disk ``.npy`` payload at ``path_in`` is permuted into
+        ``path_out`` by :meth:`PermutationService.apply_stream` (the
+        registration's proven ``d``-stripe sharding, under the
+        streaming executor's resident-bytes budget).  Admission,
+        shedding, the deadline and shutdown treat the stream like any
+        other request: it takes one queue slot and one in-flight
+        count, and it never coalesces.  Its deadline is checked at
+        dequeue only, not between stripes, and a running stream holds
+        its worker until it finishes, so with ``workers=1`` even a
+        ``HIGH`` request waits for it.  The server's ``self_check``
+        does not cover streams.
+
+        The returned future resolves with the
+        :class:`~repro.exec.StreamingStats`, or fails with the
+        stream's error.
+        """
+        if d < 1:
+            raise ValidationError(
+                f"shard count d must be >= 1, got {d}"
+            )
+        self.service._registration(self._key(tenant, name))
+        src = Path(path_in)
+        if not src.exists():
+            raise ValidationError(
+                f"input payload {str(src)!r} does not exist"
+            )
+        stream: dict[str, Any] = {
+            "path_in": src, "path_out": Path(path_out), "d": int(d),
+            "max_resident_bytes": max_resident_bytes, "tmp_dir": tmp_dir,
+        }
+        return self._enqueue(name, tenant, priority, deadline_s,
+                             np.empty(0), False, stream)
+
+    def _enqueue(
+        self,
+        name: str,
+        tenant: str,
+        priority: int,
+        deadline_s: float | None,
+        payload: np.ndarray,
+        batch: bool,
+        stream: dict[str, Any] | None = None,
+    ) -> ServeResult:
+        """Admit one validated request: rate and bulkhead quotas, then
+        a queue slot (shedding strictly lower-priority work when the
+        queue is full)."""
+        if priority not in _PRIORITIES:
+            raise ValidationError(
+                f"priority must be one of {_PRIORITIES}, got {priority}"
+            )
+        key = self._key(tenant, name)
         self.start()
         now = self._clock()
         limit = deadline_s if deadline_s is not None \
@@ -714,7 +694,7 @@ class PermutationServer:
         request = _Request(
             key=key, payload=payload, batch=batch, priority=priority,
             deadline=deadline, enqueued=now, tenant=tenant,
-            result=result, rid=rid, ctx=ctx, qspan=qspan,
+            result=result, rid=rid, ctx=ctx, qspan=qspan, stream=stream,
         )
         victim: _Request | None = None
         shed_burst = False
@@ -749,7 +729,6 @@ class PermutationServer:
                         )
                     self._size -= 1
                     self._tenant(victim.tenant).inflight -= 1
-                    self._count("shed")
                     self._recent_sheds.append(self._clock())
                     shed_burst = (
                         len(self._recent_sheds)
@@ -765,7 +744,7 @@ class PermutationServer:
                 self._buckets[priority].append(request)
                 self._size += 1
                 state.inflight += 1
-                self._count("accepted")
+                self._track(request)
                 self._cond.notify()
         except (QuotaExceededError, ServiceOverloadError,
                 ServingError) as exc:
@@ -780,26 +759,17 @@ class PermutationServer:
                     reason=type(exc).__name__,
                 )
             raise
-        self._track(request)
         self.recorder.record(
             "admit", rid=rid, key=key, tenant=tenant,
             priority=priority,
         )
         if victim is not None:
-            if victim.stream is not None:
-                # Shedding one stripe strands the rest of its plan:
-                # fail the whole stream (its queued siblings then
-                # drain as no-ops).
-                victim.stream.cancel(
-                    "a stripe of this stream was shed from the queue "
-                    "by a higher-priority request"
-                )
             if victim.qspan is not None:
                 telemetry.end_span(victim.qspan, outcome="shed")
             self.recorder.record(
                 "shed", rid=victim.rid, by=rid, key=victim.key
             )
-            self._finish_request(victim, "shed", ok=False)
+            self._finish_request(victim, "shed", "shed")
             if shed_burst:
                 self.recorder.dump(
                     "shed_burst",
@@ -807,130 +777,6 @@ class PermutationServer:
                                    - self._recent_sheds[0], 3),
                     sheds=len(self._recent_sheds),
                 )
-        return result
-
-    def submit_stream(
-        self,
-        name: str,
-        path_in: str | Path,
-        path_out: str | Path,
-        *,
-        d: int = 8,
-        tenant: str = "default",
-        priority: int = NORMAL,
-        deadline_s: float | None = None,
-        max_resident_bytes: int | None = None,
-        tmp_dir: str | Path | None = None,
-    ) -> ServeResult:
-        """Enqueue an out-of-core stream as ``2 d`` stripe tasks.
-
-        The on-disk ``.npy`` payload at ``path_in`` is permuted into
-        ``path_out`` through the registration's proven ``d``-stripe
-        sharding, under the streaming executor's resident-bytes
-        budget.  The stream is admitted once (one rate token, one
-        bulkhead check) but occupies ``2 d`` queue slots and in-flight
-        counts: ``d`` pre stripes followed by ``d`` post stripes, all
-        in the same priority bucket, so any number of workers can pull
-        stripes concurrently — FIFO order within the bucket guarantees
-        every pre stripe is running or done before a worker blocks on
-        a post stripe, which makes the phase barrier deadlock-free.
-
-        The returned future resolves with the
-        :class:`~repro.exec.StreamingStats` when the last stripe
-        finishes.  Any stripe failure, shed, or server shutdown fails
-        the whole stream once and aborts the in-flight stripes.
-        """
-        if priority not in _PRIORITIES:
-            raise ValidationError(
-                f"priority must be one of {_PRIORITIES}, got {priority}"
-            )
-        if d < 1:
-            raise ValidationError(
-                f"shard count d must be >= 1, got {d}"
-            )
-        key = self._key(tenant, name)
-        self.service._registration(key)
-        src = Path(path_in)
-        if not src.exists():
-            raise ValidationError(
-                f"input payload {str(src)!r} does not exist"
-            )
-        self.start()
-        now = self._clock()
-        limit = deadline_s if deadline_s is not None \
-            else self.default_deadline_s
-        deadline = now + limit if limit is not None else None
-        result = ServeResult(name=name, tenant=tenant,
-                             priority=priority)
-        job = _StreamJob(
-            key=key, path_in=src, path_out=Path(path_out), d=d,
-            max_resident_bytes=max_resident_bytes, tmp_dir=tmp_dir,
-            result=result,
-        )
-        requests = [
-            _Request(
-                key=key, payload=np.empty(0), batch=False,
-                priority=priority, deadline=deadline, enqueued=now,
-                tenant=tenant,
-                result=ServeResult(name=name, tenant=tenant,
-                                   priority=priority),
-                rid=next(self._rid), stream=job, phase=phase,
-                stripe=k,
-            )
-            for phase in ("pre", "post")
-            for k in range(d)
-        ]
-        try:
-            with self._cond:
-                if self._stopping:
-                    raise ServingError("server is closed")
-                state = self._tenant(tenant)
-                wait = state.try_acquire()
-                if wait > 0:
-                    self._count("rejected.rate")
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} exceeded "
-                        f"{state.quota.rps} requests/sec",
-                        retry_after=wait,
-                    )
-                if not state.inflight_available():
-                    self._count("rejected.bulkhead")
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} is at its in-flight "
-                        f"bulkhead ({state.quota.max_inflight})",
-                        retry_after=self._retry_after(),
-                    )
-                if self._size + len(requests) > self.queue_capacity:
-                    # A stream is all-or-nothing: admitting a partial
-                    # stripe set (or shedding on its behalf) could
-                    # strand the phase barrier, so it simply waits for
-                    # room instead of displacing queued work.
-                    self._count("rejected.queue_full")
-                    raise ServiceOverloadError(
-                        f"queue cannot hold {len(requests)} stripe "
-                        f"tasks ({self.queue_capacity - self._size} "
-                        "slots free)",
-                        retry_after=self._retry_after(),
-                    )
-                self._buckets[priority].extend(requests)
-                self._size += len(requests)
-                state.inflight += len(requests)
-                self._count("accepted")
-                self._count("stream.accepted")
-                self._cond.notify_all()
-        except (QuotaExceededError, ServiceOverloadError,
-                ServingError) as exc:
-            self.recorder.record(
-                "reject", rid=requests[0].rid, key=key, tenant=tenant,
-                reason=type(exc).__name__,
-            )
-            raise
-        for req in requests:
-            self._track(req)
-        self.recorder.record(
-            "admit_stream", rid=requests[0].rid, key=key,
-            tenant=tenant, d=d, stripes=len(requests),
-        )
         return result
 
     def apply(self, name: str, a: np.ndarray, **kwargs) -> np.ndarray:
@@ -983,8 +829,7 @@ class PermutationServer:
         self._size -= 1
         group = [first]
         if not self.coalesce or first.batch or first.stream is not None:
-            # Stream stripes never coalesce: each is one unit of an
-            # ordered plan, not an independent same-shape payload.
+            # A stream never coalesces: its payload is on disk.
             return group
         shape, dtype = first.payload.shape, first.payload.dtype
         for prio in _PRIORITIES:
@@ -1023,17 +868,13 @@ class PermutationServer:
                 priority=str(req.priority),
             ).observe(wait)
             if req.deadline is not None and now >= req.deadline:
-                self._count("deadline_exceeded")
                 error = DeadlineExceededError(
                     f"deadline expired after "
                     f"{wait:.3f} s in the queue"
                 )
                 req.result._fail(error)
-                if req.stream is not None:
-                    # One expired stripe fails the whole stream.
-                    req.stream.fail(error)
                 self._finish_request(
-                    req, "deadline_exceeded", ok=False
+                    req, "deadline_exceeded", "deadline_exceeded"
                 )
             else:
                 req.result.wait_s = wait
@@ -1046,25 +887,20 @@ class PermutationServer:
         # their own root spans and are linked by attribute.
         leader = live[0]
         t0 = self._clock()
-        serve = (
-            self._serve_stream if leader.stream is not None
-            else self._serve
-        )
         try:
             if leader.ctx is not None:
                 with telemetry.request_scope(leader.ctx):
-                    serve(live)
+                    self._serve(live)
             else:
-                serve(live)
+                self._serve(live)
         except Exception as exc:
             # Catch everything: an escaped exception would kill the
             # worker thread and leave every queued future unresolved.
-            self._count("failed")
             engine = leader.result.engine
             for req in live:
                 req.result._fail(exc)
                 self._finish_request(
-                    req, type(exc).__name__, ok=False, engine=engine
+                    req, type(exc).__name__, "failed", engine=engine
                 )
             if not isinstance(exc, ReproError):
                 # Anything outside the library's failure taxonomy is
@@ -1082,8 +918,7 @@ class PermutationServer:
         engine = leader.result.engine
         for req in live:
             req.result.service_s = elapsed
-            self._finish_request(req, "ok", ok=True, engine=engine)
-        self._count("served", len(live))
+            self._finish_request(req, "ok", "served", engine=engine)
 
     # ------------------------------------------------------------------
     # Execution
@@ -1102,53 +937,11 @@ class PermutationServer:
             out = self._apply_group(key, group)
         self._deliver(group, out, engine)
 
-    def _serve_stream(self, group: list[_Request]) -> None:
-        """Serve one dequeued stream stripe (groups are singletons).
-
-        The first stripe of a job shards and prepares it; every stripe
-        then runs its
-        assigned ``(phase, k)`` slice of the plan.  The last finisher
-        finalizes the job and resolves the caller's future with the
-        :class:`~repro.exec.StreamingStats`.  Failures fail the shared
-        future exactly once and abort the job, so sibling stripes
-        (queued or in flight) drain as no-ops.
-        """
-        req = group[0]
-        job = req.stream
-        assert job is not None
-        if job.cancelled:
-            # The job already failed (another stripe, a shed, or
-            # shutdown); drain this stripe so the worker frees up.
-            req.result._resolve(np.empty(0))
-            self._count("stream.stripe_drained")
-            return
-        try:
-            with telemetry.span(
-                "serve.stripe", phase=req.phase, stripe=req.stripe
-            ):
-                prepared = job.ensure_prepared(self)
-                timeout = None
-                if req.deadline is not None:
-                    timeout = max(0.0,
-                                  req.deadline - self._clock())
-                prepared.run_stripe(req.phase, req.stripe,
-                                    timeout=timeout)
-        except Exception as exc:
-            job.fail(exc)
-            raise
-        req.result.engine = job.engine_name
-        req.result._resolve(np.empty(0))
-        if job.stripe_finished():
-            stats = job.finalize()
-            job.user_result.engine = job.engine_name
-            job.user_result.service_s = stats.seconds
-            job.user_result._resolve(stats)
-            self._count("stream.completed")
-
-    def _apply_group(
-        self, key: str, group: list[_Request]
-    ) -> np.ndarray:
-        """One apply pass for the whole group."""
+    def _apply_group(self, key: str, group: list[_Request]) -> Any:
+        """One apply pass for the whole group (a stream is a group of
+        one and answers its :class:`~repro.exec.StreamingStats`)."""
+        if group[0].stream is not None:
+            return self.service.apply_stream(key, **group[0].stream)
         if len(group) == 1 and not group[0].batch:
             return self.service.apply(key, group[0].payload)
         if len(group) == 1:
@@ -1158,9 +951,9 @@ class PermutationServer:
         return self.service.apply_batch(key, stacked)
 
     def _deliver(
-        self, group: list[_Request], out: np.ndarray, engine: str
+        self, group: list[_Request], out: Any, engine: str
     ) -> None:
-        if self.self_check:
+        if self.self_check and group[0].stream is None:
             p = self.service._registration(group[0].key).p
             payloads = (
                 out if len(group) > 1 else [np.asarray(out)]
@@ -1193,9 +986,11 @@ class PermutationServer:
 
         The server-side fields are captured as **one consistent
         snapshot**: the queue state and every ``server.*`` counter are
-        read under a single combined lock section, so within one
-        ``stats()`` dict invariants like ``accepted == served + failed
-        + shed + deadline_exceeded + in-flight`` hold exactly.
+        read under a single combined lock section, and a request is
+        counted ``accepted`` as it enters the in-flight table and
+        counted by its outcome as it leaves it, so within one
+        ``stats()`` dict ``accepted == served + failed + shed +
+        deadline_exceeded + dropped + inflight`` holds exactly.
 
         Two field classes — read them accordingly:
 

@@ -1,5 +1,8 @@
 """Tests for the out-of-core streaming executor."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,10 @@ def _payload(path, n, dtype=np.float64):
     a = (np.arange(n) * 3 + 1).astype(dtype)
     np.save(path, a)
     return a
+
+
+def _failing_phase(phase, *args):
+    raise ShardingError(f"seeded failure in {phase}")
 
 
 @pytest.fixture
@@ -103,65 +110,82 @@ class TestBudget:
 
 
 class TestLifecycle:
-    def test_finalize_before_done_refused(self, paths, tmp_path):
+    def test_stats_timed_per_phase(self, paths):
         src, dst = paths
         p = bit_reversal(N)
         _payload(src, N)
-        job = StreamingExecutor(max_resident_bytes=64 * 1024).prepare(
+        stats = StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
             _sharded(p), src, dst
         )
-        with pytest.raises(ShardingError, match="pending"):
-            job.finalize()
-        for phase in ("pre", "post"):
-            for k in range(4):
-                job.run_stripe(phase, k)
-        stats = job.finalize()
-        assert job.done()
-        assert stats.seconds >= 0.0
-        # Finalize is idempotent.
-        assert job.finalize() is stats
+        assert set(stats.phase_seconds) == {"pre", "post"}
+        assert stats.seconds >= sum(stats.phase_seconds.values()) >= 0.0
 
-    def test_abort_wakes_post_waiters(self, paths):
+    def test_budget_refused_before_any_payload_write(self, paths,
+                                                      tmp_path):
         src, dst = paths
+        spill = tmp_path / "spill"
         p = bit_reversal(N)
         _payload(src, N)
-        job = StreamingExecutor(max_resident_bytes=64 * 1024).prepare(
-            _sharded(p), src, dst
-        )
-        job.abort("seeded failure")
-        with pytest.raises(ShardingError, match="seeded failure"):
-            job.run_stripe("post", 0, timeout=1.0)
+        with pytest.raises(ResidentBudgetError):
+            StreamingExecutor(max_resident_bytes=8).run_sharded(
+                _sharded(p), src, dst, tmp_dir=spill
+            )
+        assert not dst.exists()
+        assert not spill.exists()
 
-    def test_stripe_arguments_validated(self, paths):
+    def test_spill_removed_after_a_failed_run(self, paths, tmp_path,
+                                              monkeypatch):
+        src, dst = paths
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        p = bit_reversal(N)
+        _payload(src, N)
+        executor = StreamingExecutor(max_resident_bytes=64 * 1024)
+        monkeypatch.setattr(executor, "_stream_phase", _failing_phase)
+        with pytest.raises(ShardingError, match="seeded failure in pre"):
+            executor.run_sharded(_sharded(p), src, dst, tmp_dir=spill)
+        assert list(spill.iterdir()) == []
+
+    def test_owned_spill_dir_removed_after_a_failed_run(
+        self, paths, tmp_path, monkeypatch
+    ):
         src, dst = paths
         p = bit_reversal(N)
         _payload(src, N)
-        job = StreamingExecutor(max_resident_bytes=64 * 1024).prepare(
-            _sharded(p), src, dst
-        )
-        with pytest.raises(ShardingError):
-            job.run_stripe("mid", 0)
-        with pytest.raises(ShardingError):
-            job.run_stripe("pre", 4)
-        job.abort("cleanup")
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(**kwargs):
+            made.append(real_mkdtemp(dir=tmp_path, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        executor = StreamingExecutor(max_resident_bytes=64 * 1024)
+        monkeypatch.setattr(executor, "_stream_phase", _failing_phase)
+        with pytest.raises(ShardingError, match="seeded"):
+            executor.run_sharded(_sharded(p), src, dst)
+        assert len(made) == 1
+        assert not Path(made[0]).exists()
 
     def test_same_file_in_and_out_refused(self, paths):
         src, _ = paths
         p = bit_reversal(N)
-        _payload(src, N)
+        a = _payload(src, N)
         with pytest.raises(ShardingError, match="onto itself"):
-            StreamingExecutor(max_resident_bytes=64 * 1024).prepare(
+            StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
                 _sharded(p), src, src
             )
+        assert np.array_equal(np.load(src), a)
 
     def test_wrong_payload_size_refused(self, paths):
         src, dst = paths
         p = bit_reversal(N)
         _payload(src, N // 2)
         with pytest.raises(SizeError):
-            StreamingExecutor(max_resident_bytes=64 * 1024).prepare(
+            StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
                 _sharded(p), src, dst
             )
+        assert not dst.exists()
 
     def test_external_tmp_dir_spill_files_removed(self, paths, tmp_path):
         src, dst = paths

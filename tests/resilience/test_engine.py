@@ -83,6 +83,16 @@ class TestHappyPath:
         a = np.arange(200.0)
         assert np.array_equal(r.apply(a), expected_output(p, a))
 
+    def test_caller_mutating_p_does_not_repoint_the_engine(self):
+        p = random_permutation(1024, seed=3)
+        original = p.copy()
+        r = ResilientPermutation(p)
+        p[0], p[1] = p[1], p[0]
+        a = np.arange(1024.0)
+        assert np.array_equal(r.apply(a), expected_output(original, a))
+        assert np.array_equal(r.p, original)
+        assert not r.p.flags.writeable
+
 
 class TestTransientRetry:
     def test_one_transient_fault_retried_same_engine(self, p):

@@ -203,3 +203,65 @@ def test_stack_shares_the_planners_registry(tmp_path):
         assert planner.disk.metrics is planner.metrics
     finally:
         server.close()
+
+
+def _stream_series(metrics) -> dict:
+    """Sample counts of every histogram series a stream records."""
+    snap = metrics.snapshot()
+    counts = {}
+    for name in ("exec_apply_seconds", "stream_tile_bytes",
+                 "stream_resident_bytes",
+                 "stream_exchange_segment_bytes"):
+        for row in snap.get(name, []):
+            if name == "exec_apply_seconds" and \
+                    row["labels"]["mode"] != "stream":
+                continue
+            labels = tuple(sorted(row["labels"].items()))
+            counts[(name, labels)] = row["count"]
+    return counts
+
+
+def test_server_stream_counts_like_a_direct_service_stream(tmp_path):
+    p = bit_reversal(_N)
+    src = tmp_path / "in.npy"
+    a = np.arange(_N, dtype=np.float64) * 0.5
+    np.save(src, a)
+    expected = np.empty_like(a)
+    expected[p] = a
+    kwargs = dict(d=4, max_resident_bytes=16 * 1024, tmp_dir=tmp_path)
+
+    server = PermutationServer(width=_WIDTH, workers=2)
+    try:
+        server.register("bitrev", p)
+        engine = server.service._registration("default/bitrev").engine
+        before = server.stats()
+        server.apply_stream("bitrev", src, tmp_path / "server.npy",
+                            **kwargs)
+        after = server.stats()
+        served = _stream_series(server.metrics)
+    finally:
+        server.close()
+    assert after["server.accepted"] == after["server.served"] == 1
+    assert after["server.inflight"] == 0
+    assert after["requests"] - before["requests"] == 1
+    assert after["elements_served"] - before["elements_served"] == _N
+    apply_key = ("exec_apply_seconds",
+                 (("engine", engine), ("mode", "stream")))
+    assert served[apply_key] == 1
+    tiles = {labels: count for (name, labels), count in served.items()
+             if name == "stream_tile_bytes"}
+    assert set(tiles) == {(("phase", "pre"),), (("phase", "post"),)}
+    assert all(count > 0 for count in tiles.values())
+
+    service = PermutationService(width=_WIDTH)
+    service.register("default/bitrev", p)
+    before = service.stats()
+    service.apply_stream("default/bitrev", src,
+                         tmp_path / "service.npy", **kwargs)
+    after = service.stats()
+    assert after["requests"] - before["requests"] == 1
+    assert after["elements_served"] - before["elements_served"] == _N
+    assert _stream_series(service.metrics) == served
+
+    for run in ("server", "service"):
+        assert np.array_equal(np.load(tmp_path / f"{run}.npy"), expected)

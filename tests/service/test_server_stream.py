@@ -1,12 +1,14 @@
-"""PermutationServer stream routing tests: stripe fan-out, phase
-ordering, all-or-nothing admission, failure propagation, shedding and
-shutdown interplay — real workers where the data must actually move,
-stalled workers where the queue must be observed synchronously."""
+"""PermutationServer stream tests: a stream is one queue entry served
+by ``PermutationService.apply_stream``, so admission, shedding, the
+deadline at dequeue, failure and shutdown are the ordinary request
+paths — real workers where the data must actually move, stalled
+workers where the queue must be observed synchronously."""
 
 import numpy as np
 import pytest
 
 from repro.errors import (
+    DeadlineExceededError,
     ResidentBudgetError,
     ServiceOverloadError,
     ServingError,
@@ -15,7 +17,7 @@ from repro.errors import (
 from repro.exec.streaming import StreamingStats
 from repro.permutations.named import bit_reversal
 from repro.service import PermutationServer
-from repro.service.server import HIGH, NORMAL
+from repro.service.server import HIGH, LOW
 
 _N, _WIDTH = 4096, 32
 
@@ -73,10 +75,12 @@ class TestStreamCorrectness:
         stats = res.result(timeout=30.0)
         assert stats.peak_resident_total_bytes <= 64 * 1024
         assert res.engine
-        assert res.service_s == stats.seconds
+        assert res.attempts == 1 and not res.coalesced
+        assert res.service_s >= stats.seconds > 0.0
         snap = stream_server.stats()
-        assert snap["server.stream.accepted"] == 1
-        assert snap["server.stream.completed"] == 1
+        assert snap["server.accepted"] == snap["server.served"] == 1
+        assert snap["server.inflight"] == 0
+        assert not [k for k in snap if k.startswith("server.stream.")]
 
     def test_normal_traffic_still_served_alongside_stream(
         self, stream_server, tmp_path
@@ -126,74 +130,69 @@ class TestStreamValidation:
 
 
 class TestStreamAdmission:
-    def test_all_or_nothing_queue_admission(self, tmp_path):
+    def test_stream_takes_one_slot_and_one_inflight(self, tmp_path):
         srv = _stall_workers(PermutationServer(
-            width=_WIDTH, workers=1, queue_capacity=6,
+            width=_WIDTH, workers=1, queue_capacity=1,
         ))
-        try:
-            srv.register("bitrev", bit_reversal(_N))
-            _payload(tmp_path / "in.npy")
-            # 2d = 16 stripe tasks cannot fit a 6-slot queue, even
-            # empty: the stream is rejected as a unit, nothing enqueued.
-            with pytest.raises(ServiceOverloadError, match="stripe"):
-                srv.submit_stream(
-                    "bitrev", tmp_path / "in.npy", tmp_path / "o.npy",
-                    d=8,
-                )
-            assert srv.stats()["server.queue_depth"] == 0
-            # A d=2 stream (4 stripes) fits.
-            res = srv.submit_stream(
-                "bitrev", tmp_path / "in.npy", tmp_path / "o.npy", d=2,
-            )
-            assert not res.done()
-            assert srv.stats()["server.queue_depth"] == 4
-        finally:
-            srv.close()
-
-    def test_stream_counts_against_tenant_inflight(self, tmp_path):
-        srv = _stall_workers(PermutationServer(width=_WIDTH, workers=1))
         try:
             srv.register("bitrev", bit_reversal(_N), tenant="acme")
             _payload(tmp_path / "in.npy")
-            srv.submit_stream(
+            res = srv.submit_stream(
                 "bitrev", tmp_path / "in.npy", tmp_path / "o.npy",
-                d=2, tenant="acme",
+                d=8, tenant="acme",
             )
-            # 2d stripe requests are in flight on the tenant's ledger.
-            assert srv._tenant("acme").inflight == 4
+            assert not res.done()
+            assert srv.stats()["server.queue_depth"] == 1
+            assert srv._tenant("acme").inflight == 1
+            # The one slot is taken: an equal-priority request is
+            # refused, not queued behind the stream.
+            with pytest.raises(ServiceOverloadError, match="full"):
+                srv.submit("bitrev", np.zeros(_N), tenant="acme")
         finally:
-            srv.close()
+            srv.close(drain=False)
 
-    def test_stripes_never_coalesce(self, tmp_path):
+    def test_stream_never_coalesces(self, tmp_path):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, coalesce=True,
         ))
         try:
             srv.register("bitrev", bit_reversal(_N))
             _payload(tmp_path / "in.npy")
+            single = np.zeros(_N)
+            srv.submit("bitrev", single)
             srv.submit_stream(
                 "bitrev", tmp_path / "in.npy", tmp_path / "o.npy", d=2,
             )
+            srv.submit("bitrev", single)
             with srv._cond:
-                group = srv._take_group()
-            assert len(group) == 1
-            assert group[0].stream is not None
-            assert group[0].phase == "pre"
+                singles = srv._take_group()
+                (stream,) = srv._take_group()
+            assert [req.stream for req in singles] == [None, None]
+            assert stream.stream is not None
+            assert srv.stats()["server.queue_depth"] == 0
         finally:
-            srv.close()
+            srv.close(drain=False)
 
-    def test_pre_stripes_enqueued_before_post(self, tmp_path):
-        srv = _stall_workers(PermutationServer(width=_WIDTH, workers=1))
+    def test_high_request_sheds_a_queued_low_stream(self, tmp_path):
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1, queue_capacity=1,
+        ))
         try:
             srv.register("bitrev", bit_reversal(_N))
             _payload(tmp_path / "in.npy")
-            srv.submit_stream(
-                "bitrev", tmp_path / "in.npy", tmp_path / "o.npy", d=4,
+            stream = srv.submit_stream(
+                "bitrev", tmp_path / "in.npy", tmp_path / "o.npy",
+                d=2, priority=LOW,
             )
-            phases = [req.phase for req in srv._buckets[NORMAL]]
-            assert phases == ["pre"] * 4 + ["post"] * 4
+            srv.submit("bitrev", np.zeros(_N), priority=HIGH)
+            with pytest.raises(ServiceOverloadError, match="shed"):
+                stream.result(timeout=0)
+            snap = srv.stats()
+            assert snap["server.shed"] == 1
+            assert snap["server.queue_depth"] == 1
+            assert not (tmp_path / "o.npy").exists()
         finally:
-            srv.close()
+            srv.close(drain=False)
 
 
 class TestStreamFailure:
@@ -223,3 +222,25 @@ class TestStreamFailure:
         srv.close(drain=False)
         with pytest.raises(ServingError, match="closed"):
             res.result(timeout=5.0)
+
+    def test_expired_stream_fails_at_dequeue(self, tmp_path, fake_clock):
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1, clock=fake_clock,
+        ))
+        try:
+            srv.register("bitrev", bit_reversal(_N))
+            _payload(tmp_path / "in.npy")
+            res = srv.submit_stream(
+                "bitrev", tmp_path / "in.npy", tmp_path / "o.npy",
+                d=2, deadline_s=0.5,
+            )
+            fake_clock.advance(1.0)
+            with srv._cond:
+                group = srv._take_group()
+            srv._dispatch(group)
+            with pytest.raises(DeadlineExceededError):
+                res.result(timeout=0)
+            assert srv.stats()["server.deadline_exceeded"] == 1
+            assert not (tmp_path / "o.npy").exists()
+        finally:
+            srv.close(drain=False)
