@@ -39,7 +39,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
-from repro.coloring.verify import verify_edge_coloring
 from repro.errors import SchedulingError, SizeError
 from repro.ir.ops import RowwiseScatter
 from repro.ir.rounds import rowwise_shared_bytes
@@ -108,6 +107,13 @@ class RowwiseSchedule:
         multigraphs are disjoint, so stacking them (row ``j``'s banks at
         node offset ``j*w``) yields one regular multigraph that one
         colouring call covers.
+
+        The colouring is not re-verified here.  An improper colour at a
+        source bank makes ``s`` repeat a slot, so ``t[s] != gamma``
+        and the program's denotation refuses it; one at a destination
+        bank puts two lanes of a warp in one bank, and the static
+        certifier refuses it (``docs/theory.md`` §8;
+        :meth:`verify` is the direct check).
         """
         gamma = _check_row_permutations(gamma)
         rows, m = gamma.shape
@@ -126,13 +132,13 @@ class RowwiseSchedule:
         )
         with telemetry.span("rowwise.plan.coloring", rows=rows, m=m):
             colors = edge_coloring(graph)
-            verify_edge_coloring(graph, colors,
-                                 expect_colors=max(m // width, 1))
 
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]
-        # alpha is a permutation per row; invert it vectorised.
-        alpha_inv = np.empty_like(alpha)
+        # alpha is a permutation per row; invert it vectorised.  Zeroed,
+        # so a slot an improper colouring leaves unhit still indexes
+        # gamma and the broken schedule reaches the proofs.
+        alpha_inv = np.zeros_like(alpha)
         row_idx = np.arange(rows)[:, None]
         alpha_inv[row_idx, alpha] = cols[None, :]
         t = np.take_along_axis(gamma, alpha_inv, axis=1)

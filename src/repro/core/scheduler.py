@@ -72,8 +72,10 @@ class ThreeStepDecomposition:
         """Check the decomposition routes every element of ``p`` home.
 
         Symbolically replays the three steps on indices and raises
-        :class:`~repro.errors.SchedulingError` on any mismatch — used
-        defensively after planning and directly by tests.
+        :class:`~repro.errors.SchedulingError` on any mismatch — a test
+        oracle and part of :meth:`ScheduledPermutation.verify`; a cold
+        compile proves the same fact once, by denoting the lowered
+        program (``docs/theory.md`` §8).
         """
         m = self.m
         n = m * m
@@ -158,14 +160,17 @@ def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
     graph = RegularBipartiteMultigraph.from_edges(src_row, dst_row, m, m)
     with telemetry.span("plan.decompose.coloring"):
         colors = edge_coloring(graph)
-        verify_edge_coloring(graph, colors, expect_colors=m)
 
     # gamma1[r, c] = colour of element (r, c): elements are enumerated
     # row-major, so this is just a reshape.
     gamma1 = colors.reshape(m, m)
 
     # delta[k, r] = destination row of the element with colour k in
-    # source row r.  Each (colour, source row) pair occurs exactly once.
+    # source row r.  Each (colour, source row) pair occurs exactly once
+    # when the colouring is proper; the colouring is not re-verified
+    # here: an improper one leaves a row of gamma1 or delta that is no
+    # permutation, which RowwiseSchedule.plan refuses (docs/theory.md
+    # §8).
     delta = np.empty((m, m), dtype=np.int64)
     delta[colors, src_row] = dst_row
 
@@ -175,8 +180,6 @@ def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
     gamma3 = np.empty((m, m), dtype=np.int64)
     gamma3[dst_row, colors] = dst_col
 
-    decomposition = ThreeStepDecomposition(
+    return ThreeStepDecomposition(
         gamma1=gamma1, delta=delta, gamma3=gamma3, colors=colors
     )
-    decomposition.route(p)   # defensive: planning must be exact
-    return decomposition

@@ -294,16 +294,23 @@ def op_kernels(
             yield kernel
 
 
-def program_rounds(
+def iter_program_rounds(
     program: KernelProgram, dtype: Any = np.float32
-) -> tuple[StaticRound, ...]:
+) -> Iterator[StaticRound]:
     """Every access round of a lowered kernel program, in order.
 
     Each op contributes its rounds under its own label (e.g.
-    ``step1.rowwise``); ``pad``/``slice`` contribute none.
+    ``step1.rowwise``); ``pad``/``slice`` contribute none.  Built one
+    op at a time (see :func:`op_kernels`): a consumer that analyses
+    each round and drops it holds one kernel's address arrays, not
+    the program's.
     """
-    return tuple(
-        rnd
-        for kernel in op_kernels(program.ops, dtype)
-        for rnd in kernel.rounds
-    )
+    for kernel in op_kernels(program.ops, dtype):
+        yield from kernel.rounds
+
+
+def program_rounds(
+    program: KernelProgram, dtype: Any = np.float32
+) -> tuple[StaticRound, ...]:
+    """:func:`iter_program_rounds`, all at once."""
+    return tuple(iter_program_rounds(program, dtype))

@@ -288,8 +288,8 @@ class CompiledPermutation:
 
 @dataclass
 class _ColdPath:
-    """What a cold plan needs from its :class:`Planner`: the pipeline,
-    whether to certify, and the registry.
+    """What a cold plan needs from its :class:`Planner`: the pipeline
+    and the registry.
 
     It holds no cache tier.  A sidecar handle's lazy loader keeps this
     alive rather than the planner, whose memory tier holds the handle:
@@ -298,7 +298,6 @@ class _ColdPath:
     """
 
     pipeline: PassPipeline
-    certify: bool
     metrics: MetricsRegistry
     counts: dict[str, Any]
 
@@ -318,24 +317,29 @@ class _ColdPath:
         engine: str,
         width: int,
     ) -> tuple[Any, KernelProgram, SemanticCertificate, bool]:
-        """Plan ``p`` from scratch and optimize it under translation
-        validation (:meth:`optimize_validated`).
+        """Plan ``p`` from scratch and prove the plan with two proofs,
+        on every planner (``docs/theory.md`` §8).
 
-        A disk-backed planner (``certify``) persists what it plans, so
-        it also certifies the plan's schedule conflict-free/coalesced
-        (:func:`~repro.core.io.certify_schedule`) and refuses a
-        conflicted one with :class:`~repro.errors.CertificateError`
-        before anything is written.
+        1. The 32-round certificate: the plan's schedule is
+           conflict-free/coalesced
+           (:func:`~repro.core.io.certify_schedule`), or
+           :class:`~repro.errors.CertificateError` is raised.
+        2. One denotation of the raw program, a bijection equal to
+           ``p``, from which the pipeline is translation-validated
+           (:meth:`optimize_validated`).
+
+        Planning itself re-checks neither the colourings nor the
+        routing; a plan either proof refuses raises before the planner
+        caches or writes anything.
         """
+        from repro.core.io import certify_schedule
+
         with self.phase("plan"), telemetry.span("planner.plan",
                                                 engine=engine):
             plan = get_engine(engine).plan(p, width=width)
         self.counts["cold_plans"].inc()
-        if self.certify:
-            from repro.core.io import certify_schedule
-
-            with self.phase("certify"):
-                certify_schedule(plan, f"cache {engine!r} plan")
+        with self.phase("certify"):
+            certify_schedule(plan, f"compile {engine!r} plan")
         with self.phase("optimize"):
             optimized = self.optimize_validated(plan)
         return (plan, *optimized)
@@ -348,8 +352,10 @@ class _ColdPath:
         Runs the pipeline under a :class:`SemanticChecker`
         (:meth:`~repro.passes.PassPipeline.run_checked`) and certifies
         the result against the requested permutation from the
-        checker's denotations, so the raw and the optimized program
-        are each denoted once.  On refutation the
+        checker's denotations.  The raw program is denoted once; the
+        default pipeline's only applied rewrite (``annotate-cost``)
+        keeps its ops and reuses that denotation, and any rewrite that
+        changes the ops is denoted once more.  On refutation the
         compile is *not* failed: the raw (unoptimized) program — which
         must itself denote the requested permutation, or
         :class:`~repro.errors.SemanticValidationError` is raised — is
@@ -421,6 +427,11 @@ class Planner:
         Optional bound on the disk tier's total sidecar bytes;
         LRU-evicted past it.
 
+    Every cold compile, with or without ``cache_dir``, proves the plan
+    twice before it is cached or written: the 32-round
+    conflict-free/coalesced certificate, and one denotation of the raw
+    program equal to ``p`` (see :meth:`_ColdPath.plan`).
+
     The planner creates the stack's one
     :class:`~repro.telemetry.MetricsRegistry` (:attr:`metrics`) and
     hands it to both cache tiers; a service or server built on this
@@ -457,8 +468,7 @@ class Planner:
             "cold_plans", "shard_plans", "sealed_plans",
             "semantic_rejections",
         ))
-        self._cold = _ColdPath(self.pipeline, cache_dir is not None,
-                               self.metrics, self._counts)
+        self._cold = _ColdPath(self.pipeline, self.metrics, self._counts)
         self._lock = threading.Lock()
         # One lock per in-flight fingerprint: concurrent compiles of
         # the same permutation collapse to a single cold plan, the

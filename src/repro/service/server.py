@@ -55,7 +55,7 @@ import time
 from collections import deque
 from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import Any, Generic, TypeVar
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from repro.errors import (
     ServingError,
     ValidationError,
 )
+from repro.exec.streaming import StreamingStats
 from repro.service import PermutationService
 from repro.service.quotas import (
     UNLIMITED_QUOTA,
@@ -90,13 +91,17 @@ _PRIORITIES = (HIGH, NORMAL, LOW)
 #: Fallback retry-after hint when the server has no latency sample yet.
 _DEFAULT_LATENCY_S = 0.005
 
+#: What a :class:`ServeResult` resolves with.
+T = TypeVar("T")
 
-class ServeResult:
-    """A future for one submitted request.
+
+class ServeResult(Generic[T]):
+    """A future for one submitted request, typed by its value.
 
     ``result()`` blocks until the request is served, then returns the
-    permuted payload (for a stream, its
-    :class:`~repro.exec.StreamingStats`) or raises the failure.  After
+    permuted payload (``ServeResult[np.ndarray]``; for a stream, its
+    :class:`~repro.exec.StreamingStats`,
+    ``ServeResult[StreamingStats]``) or raises the failure.  After
     completion the handle also carries how the request was served:
     ``engine`` (the registered engine), ``attempts`` (always 1 once
     served), ``coalesced`` (whether it shared a batched apply), and
@@ -113,13 +118,13 @@ class ServeResult:
         self.wait_s = 0.0
         self.service_s = 0.0
         self._event = threading.Event()
-        self._value: np.ndarray | None = None
+        self._value: T | None = None
         self._error: BaseException | None = None
 
     def done(self) -> bool:
         return self._event.is_set()
 
-    def result(self, timeout: float | None = None) -> np.ndarray:
+    def result(self, timeout: float | None = None) -> T:
         if not self._event.wait(timeout):
             raise DeadlineExceededError(
                 f"request {self.name!r} not finished within "
@@ -136,7 +141,7 @@ class ServeResult:
         self._event.wait(timeout)
         return self._error
 
-    def _resolve(self, value: np.ndarray) -> None:
+    def _resolve(self, value: T) -> None:
         self._value = value
         self._event.set()
 
@@ -163,7 +168,8 @@ class _Request:
 
     def __init__(self, key: str, payload: np.ndarray, batch: bool,
                  priority: int, deadline: float | None,
-                 enqueued: float, tenant: str, result: "ServeResult",
+                 enqueued: float, tenant: str,
+                 result: "ServeResult[Any]",
                  rid: int = 0, ctx: Any = None,
                  qspan: Any = None,
                  stream: dict[str, Any] | None = None) -> None:
@@ -501,7 +507,9 @@ class PermutationServer:
 
         Records the end-to-end latency histogram (labeled by family,
         tenant, engine and outcome), feeds the SLO monitor (dumping a
-        post-mortem on the breach transition), logs a flight-recorder
+        post-mortem on the breach transition) — both for in-memory
+        requests only; an out-of-core stream is timed by
+        ``exec_apply_seconds{mode="stream"}`` — logs a flight-recorder
         event, ends the request's root span, and drops it from the
         in-flight table while counting its ``event`` (``served``,
         ``failed``, ``shed``, ``deadline_exceeded`` or ``dropped``) in
@@ -512,14 +520,15 @@ class PermutationServer:
         """
         ok = event == "served"
         e2e = self._clock() - request.enqueued
-        family = request.key.rsplit("/", 1)[-1]
-        self.metrics.histogram(
-            "server_e2e_seconds",
-            family=family,
-            tenant=request.tenant,
-            engine=engine or "none",
-            outcome=outcome,
-        ).observe(e2e)
+        in_memory = request.stream is None
+        if in_memory:
+            self.metrics.histogram(
+                "server_e2e_seconds",
+                family=request.key.rsplit("/", 1)[-1],
+                tenant=request.tenant,
+                engine=engine or "none",
+                outcome=outcome,
+            ).observe(e2e)
         self.recorder.record(
             "finish", rid=request.rid, outcome=outcome,
             engine=engine, e2e_s=round(e2e, 6),
@@ -532,7 +541,7 @@ class PermutationServer:
         with self._stats_lock:
             self._inflight_reqs.pop(request.rid, None)
             self._event(event).inc()
-        if self.slo_monitor.record(ok, e2e):
+        if in_memory and self.slo_monitor.record(ok, e2e):
             self.recorder.dump(
                 "slo_breach", rid=request.rid, outcome=outcome
             )
@@ -577,7 +586,7 @@ class PermutationServer:
         priority: int = NORMAL,
         deadline_s: float | None = None,
         batch: bool = False,
-    ) -> ServeResult:
+    ) -> ServeResult[np.ndarray]:
         """Enqueue one request; returns a :class:`ServeResult` future.
 
         Raises synchronously when the request cannot be admitted:
@@ -615,7 +624,7 @@ class PermutationServer:
         deadline_s: float | None = None,
         max_resident_bytes: int | None = None,
         tmp_dir: str | Path | None = None,
-    ) -> ServeResult:
+    ) -> ServeResult[StreamingStats]:
         """Enqueue an out-of-core stream as one request.
 
         The on-disk ``.npy`` payload at ``path_in`` is permuted into
@@ -628,7 +637,10 @@ class PermutationServer:
         dequeue only, not between stripes, and a running stream holds
         its worker until it finishes, so with ``workers=1`` even a
         ``HIGH`` request waits for it.  The server's ``self_check``
-        does not cover streams.
+        does not cover streams, and neither ``server_e2e_seconds`` nor
+        the SLO monitor sees them: a stream's run time scales with its
+        file, not with serving health, so it is timed by
+        ``exec_apply_seconds{mode="stream"}`` alone.
 
         The returned future resolves with the
         :class:`~repro.exec.StreamingStats`, or fails with the
@@ -660,7 +672,7 @@ class PermutationServer:
         payload: np.ndarray,
         batch: bool,
         stream: dict[str, Any] | None = None,
-    ) -> ServeResult:
+    ) -> ServeResult[Any]:
         """Admit one validated request: rate and bulkhead quotas, then
         a queue slot (shedding strictly lower-priority work when the
         queue is full)."""
@@ -674,7 +686,9 @@ class PermutationServer:
         limit = deadline_s if deadline_s is not None \
             else self.default_deadline_s
         deadline = now + limit if limit is not None else None
-        result = ServeResult(name=name, tenant=tenant, priority=priority)
+        result: ServeResult[Any] = ServeResult(
+            name=name, tenant=tenant, priority=priority
+        )
         rid = next(self._rid)
         ctx = qspan = None
         if telemetry.get_tracer() is not None:
@@ -792,7 +806,7 @@ class PermutationServer:
     def apply_stream(
         self, name: str, path_in: str | Path, path_out: str | Path,
         **kwargs: Any,
-    ) -> Any:
+    ) -> StreamingStats:
         """Synchronous convenience: ``submit_stream(...).result()``."""
         return self.submit_stream(name, path_in, path_out,
                                   **kwargs).result()

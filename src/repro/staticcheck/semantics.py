@@ -197,6 +197,43 @@ def _first_out_of_range(
     )
 
 
+def _schedule_failure(
+    op: RowwiseScatter, gamma: np.ndarray, dest: np.ndarray, index: int
+) -> SemanticCounterexample | None:
+    """Refute a scheduled row-wise op whose ``s``/``t`` kernel does not
+    route its ``gamma``, or return ``None``.
+
+    The kernel moves the element at column ``c`` to slot ``s[c]``
+    (step 1) and from there to ``t[s[c]]`` (step 3); the denotation
+    follows ``gamma``.  Proving ``t[r, s[r, c]] == gamma[r, c]`` makes
+    the two one map, so a slot that ``s`` repeats (an improper colour
+    at a source bank) cannot hide behind a bijective ``gamma``.
+    """
+    s = np.asarray(op.s)
+    t = np.asarray(op.t)
+    m = gamma.shape[1]
+    if s.size and (int(s.min()) < 0 or int(s.max()) >= m):
+        bad = np.flatnonzero((s < 0) | (s >= m))
+    else:
+        bad = np.flatnonzero(np.take_along_axis(t, s, axis=1) != gamma)
+    if bad.size == 0:
+        return None
+    pos = int(bad[0])
+    row, col = divmod(pos, m)
+    hits = np.flatnonzero(dest == pos)
+    return SemanticCounterexample(
+        stage="denotation",
+        index=int(hits[0]) if hits.size else 0,
+        expected=row * m + int(gamma[row, col]),
+        got=-1,
+        detail=(
+            f"op[{index}] rowwise-scatter schedule does not route "
+            f"gamma at row {row}, column {col}: s = "
+            f"{int(s.flat[pos])}, gamma = {int(gamma[row, col])}"
+        ),
+    )
+
+
 def _denote_op(
     op: KernelOp, dest: np.ndarray, size: int, index: int
 ) -> tuple[np.ndarray, int, SemanticCounterexample | None]:
@@ -218,6 +255,10 @@ def _denote_op(
                 got=rows * m,
                 detail=f"op[{index}] rowwise-scatter shape mismatch",
             )
+        if op.scheduled:
+            failure = _schedule_failure(op, gamma, dest, index)
+            if failure is not None:
+                return dest, size, failure
         r, c = dest // m, dest % m
         return r * m + gamma[r, c], size, None
     if isinstance(op, Transpose):
@@ -665,7 +706,7 @@ class SemanticChecker:
     """Per-pass translation validator for the pipeline's fixpoint loop.
 
     Denotes the input program once, then :meth:`check` denotes each
-    rewritten program and raises
+    rewrite that changes the ops and raises
     :class:`~repro.errors.SemanticValidationError` — with the pass
     blamed on the certificate — the moment a rewrite changes the index
     map.  Used by ``PassPipeline.run(..., validate=True)`` and
@@ -710,6 +751,20 @@ class SemanticChecker:
     def check(
         self, pass_name: str, rewritten: "KernelProgram"
     ) -> None:
+        """Accept ``rewritten`` if it denotes what the raw program does.
+
+        A rewrite that keeps the last accepted program's ops (the same
+        objects, element-wise; ``annotate-cost`` only writes ``meta``)
+        has that program's denotation and is not denoted again.
+        """
+        last, last_den = self._last
+        if (
+            rewritten.n == last.n
+            and len(rewritten.ops) == len(last.ops)
+            and all(a is b for a, b in zip(rewritten.ops, last.ops))
+        ):
+            self._last = (rewritten, last_den)
+            return
         den = denote_program(rewritten)
         failure = den.failure or _first_divergence(
             self._base.index_map, den.index_map, "optimized-vs-raw"

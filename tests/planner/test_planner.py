@@ -241,8 +241,11 @@ class TestPlanner:
         with pytest.raises(CertificateError, match="not conflict-free"):
             Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
         assert list(tmp_path.iterdir()) == []
-        # A memory-only planner does not certify (nothing persists).
-        assert Planner().compile(p, width=_WIDTH).n == _N
+        # A memory-only planner certifies too, and caches nothing.
+        memory = Planner()
+        with pytest.raises(CertificateError, match="not conflict-free"):
+            memory.compile(p, width=_WIDTH)
+        assert memory.stats()["memory_entries"] == 0
 
     def test_lru_eviction_bounds_memory(self):
         planner = Planner(cache_size=2)
@@ -303,7 +306,7 @@ class TestPlanner:
         planner = Planner()
         planner.compile(bit_reversal(_N), width=_WIDTH)
         assert self._phase_counts(planner) == dict.fromkeys(
-            ("plan", "optimize", "seal"), 1
+            ("plan", "certify", "optimize", "seal"), 1
         )
 
 
@@ -495,10 +498,11 @@ def _count_denotations(monkeypatch):
 
 
 class TestOneDenotationPerProgram:
-    """A cold compile denotes each program once: the translation
-    certificate reuses the denotations its per-pass validation made."""
+    """A cold compile denotes the raw program once: a rewrite that keeps
+    its ops reuses that denotation, and the translation certificate
+    reuses the denotations its per-pass validation made."""
 
-    def test_disk_backed_cold_compile_denotes_raw_and_optimized(
+    def test_disk_backed_cold_compile_denotes_once(
         self, tmp_path, monkeypatch
     ):
         from repro.staticcheck.semantics import validate_translation
@@ -509,9 +513,13 @@ class TestOneDenotationPerProgram:
         compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
         assert planner.stats()["cold_plans"] == 1
         assert len(list(tmp_path.iterdir())) == 1
-        raw, optimized = calls
-        assert compiled.lower() is optimized
-        assert raw is not optimized and len(raw.ops) == len(optimized.ops)
+        (raw,) = calls
+        optimized = compiled.lower()
+        # annotate-cost wrote meta only: same op objects, no new
+        # denotation.
+        assert raw is not optimized and optimized.meta
+        assert all(a is b for a, b in zip(raw.ops, optimized.ops))
+        assert len(raw.ops) == len(optimized.ops)
         # Same certificate the two-denotation path issues.
         cert = compiled.semantic_certificate
         assert cert.ok and cert.matches_requested is True

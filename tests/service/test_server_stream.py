@@ -4,9 +4,12 @@ deadline at dequeue, failure and shutdown are the ordinary request
 paths — real workers where the data must actually move, stalled
 workers where the queue must be observed synchronously."""
 
+import typing
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import (
     DeadlineExceededError,
     ResidentBudgetError,
@@ -17,7 +20,7 @@ from repro.errors import (
 from repro.exec.streaming import StreamingStats
 from repro.permutations.named import bit_reversal
 from repro.service import PermutationServer
-from repro.service.server import HIGH, LOW
+from repro.service.server import HIGH, LOW, ServeResult
 
 _N, _WIDTH = 4096, 32
 
@@ -244,3 +247,57 @@ class TestStreamFailure:
             assert not (tmp_path / "o.npy").exists()
         finally:
             srv.close(drain=False)
+
+
+class TestStreamObservability:
+    def test_slow_stream_neither_breaches_the_slo_nor_dumps(
+        self, tmp_path, fake_clock
+    ):
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1, clock=fake_clock,
+            slo=telemetry.SLO(latency_p99_s=0.25, min_samples=5),
+        ))
+        try:
+            p = bit_reversal(_N)
+            srv.register("bitrev", p)
+            a = np.arange(_N, dtype=np.float32)
+            src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+            _payload(src)
+            singles = [srv.submit("bitrev", a) for _ in range(10)]
+            stream = srv.submit_stream("bitrev", src, dst, d=2)
+            for _ in range(2):
+                with srv._cond:
+                    group = srv._take_group()
+                srv._dispatch(group)
+                # The stream runs 1 s, four times the p99 target.
+                fake_clock.advance(1.0)
+            for res in singles:
+                assert np.array_equal(res.result(timeout=0),
+                                      _expected(p, a))
+            assert isinstance(stream.result(timeout=0), StreamingStats)
+            assert srv.health()["slo"]["breached"] is False
+            assert srv.recorder.dumps == 0
+            rows = srv.metrics.snapshot()
+            e2e = sum(r["count"] for r in rows["server_e2e_seconds"])
+            assert e2e == len(singles)
+            (streamed,) = [r for r in rows["exec_apply_seconds"]
+                           if r["labels"]["mode"] == "stream"]
+            assert streamed["count"] == 1
+            assert srv.stats()["server.served"] == len(singles) + 1
+        finally:
+            srv.close(drain=False)
+
+
+def test_futures_are_typed_by_their_value():
+    hints = typing.get_type_hints
+    assert hints(PermutationServer.submit)["return"] == \
+        ServeResult[np.ndarray]
+    assert hints(PermutationServer.submit_stream)["return"] == \
+        ServeResult[StreamingStats]
+    assert hints(PermutationServer.apply_stream)["return"] is \
+        StreamingStats
+    assert hints(PermutationServer.apply)["return"] is np.ndarray
+    value = typing.get_args(ServeResult[StreamingStats])[0]
+    assert value is StreamingStats
+    assert hints(ServeResult.result)["return"] == \
+        ServeResult.__parameters__[0]

@@ -291,6 +291,53 @@ class TestTranslationValidation:
         with pytest.raises(StaticCheckError):
             checker.certify(stranger)
 
+    def test_checker_reuses_the_denotation_of_a_meta_only_rewrite(
+        self, monkeypatch
+    ):
+        import repro.staticcheck.semantics as semantics
+
+        p = FAMILIES["random"]
+        raw = get_engine("scheduled").plan(p, width=WIDTH).lower()
+        calls = []
+        real = semantics.denote_program
+
+        def counting(program):
+            calls.append(program)
+            return real(program)
+
+        monkeypatch.setattr(semantics, "denote_program", counting)
+        checker = SemanticChecker(raw)
+        annotated = dataclasses.replace(raw, meta={"note": 1})
+        checker.check("annotate", annotated)
+        assert calls == [raw]
+        assert checker.certify(annotated, requested=p).ok
+        # Equal content in new op objects is a different program to the
+        # checker: it is denoted.
+        copied = dataclasses.replace(
+            annotated,
+            ops=tuple(dataclasses.replace(op) for op in raw.ops),
+        )
+        checker.check("copy", copied)
+        assert calls == [raw, copied]
+        assert checker.certify(copied, requested=p).ok
+
+    @pytest.mark.parametrize("corrupt", ["repeat", "out-of-range"])
+    def test_schedule_that_does_not_route_gamma_is_refuted(self, corrupt):
+        # gamma alone still denotes p; only the s/t kernel is broken.
+        raw = get_engine("scheduled").plan(
+            FAMILIES["random"], width=WIDTH
+        ).lower()
+        first = raw.ops[0]
+        bad_s = first.s.copy()
+        bad_s[0, 1] = bad_s[0, 0] if corrupt == "repeat" else first.m
+        broken = dataclasses.replace(
+            raw, ops=(dataclasses.replace(first, s=bad_s), *raw.ops[1:])
+        )
+        den = denote_program(broken)
+        assert not den.ok
+        assert den.failure.stage == "denotation"
+        assert "does not route gamma" in den.failure.detail
+
     def test_aggressive_pipeline_signature_names_the_gate(self):
         assert "validated(drop-identities)" in \
             aggressive_pipeline().signature()
