@@ -2,13 +2,14 @@
 
 The tentpole demonstration for the shard layer: a 512 MiB float64
 payload (n = 2^26) is permuted *from disk to disk* through the proven
-three-phase row-stripe factorization
-(:func:`repro.shard.shard_program`), with the streaming executor's
-resident-payload budget capped at **one eighth of the payload** —
-64 MiB, comfortably under the 256 MB headline cap.  The run is checked
-bit-for-bit against the definitional scatter (computed chunked, so the
-reference itself never holds more than a tile), and compared against
-the ordinary in-core ``apply`` on throughput and peak resident bytes.
+three-phase row-stripe factorization (:func:`repro.shard.shard_program`,
+memoized by :meth:`repro.planner.Planner.sharded`), with the streaming
+executor's resident-payload budget capped at **one eighth of the
+payload** — 64 MiB, comfortably under the 256 MB headline cap.  The run
+is checked bit-for-bit against the definitional scatter (computed
+chunked, so the reference itself never holds more than a tile), and
+compared against the ordinary in-core ``apply`` on throughput and peak
+resident bytes.
 
 The second half prices the same permutation on the sharded HMM model
 for d in {1, 2, 4, 8}: per-DMM local rounds on stripes of ``n/d`` plus
@@ -34,10 +35,11 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.selector import predict_sharded
+from repro.exec.streaming import StreamingExecutor
 from repro.machine.hmm import HMM
 from repro.machine.params import MachineParams
 from repro.permutations.named import bit_reversal
-from repro.planner import Planner
+from repro.planner import Planner, permutation_digest, shard_fingerprint
 
 WIDTH = 32
 LOGN = int(os.environ.get("REPRO_OOC_LOGN", "26"))
@@ -93,8 +95,10 @@ def run_outofcore(n: int = N, stream_d: int = STREAM_D) -> dict:
     p = bit_reversal(n)
     payload_bytes = n * np.dtype(DTYPE).itemsize
     budget = payload_bytes // 8
+    digest = permutation_digest(p)
     planner = Planner()
-    compiled = planner.compile(p, engine="d-designated", width=WIDTH)
+    compiled = planner.compile(p, engine="d-designated", width=WIDTH,
+                               digest=digest)
 
     with tempfile.TemporaryDirectory() as tmp:
         tdir = Path(tmp)
@@ -106,9 +110,9 @@ def run_outofcore(n: int = N, stream_d: int = STREAM_D) -> dict:
 
         # --- out-of-core streamed apply (proves the sharding first) --
         t0 = time.perf_counter()
-        stats = compiled.apply_stream(
-            src, streamed, d=stream_d, max_resident_bytes=budget,
-            tmp_dir=tdir,
+        sharded = planner.sharded(p, digest, stream_d)
+        stats = StreamingExecutor(max_resident_bytes=budget).run_sharded(
+            sharded, src, streamed, tmp_dir=tdir
         )
         stream_s = time.perf_counter() - t0
         correct = _files_equal(streamed, expected, n)
@@ -123,7 +127,6 @@ def run_outofcore(n: int = N, stream_d: int = STREAM_D) -> dict:
         )
         del a, out
 
-    sharded = compiled.shard(stream_d)
     machine = HMM(MachineParams(width=WIDTH))
     model_run = machine.run_sharded(
         sharded, element_cells=np.dtype(DTYPE).itemsize // 4
@@ -143,7 +146,7 @@ def run_outofcore(n: int = N, stream_d: int = STREAM_D) -> dict:
         "d": stream_d,
         "engine": compiled.engine_name,
         "shard_proven": sharded.proven,
-        "shard_fingerprint": compiled.shard_fingerprint(stream_d),
+        "shard_fingerprint": shard_fingerprint(digest, stream_d),
         "exchange_elements": int(sharded.exchange_elements),
         "correct": bool(correct),
         "incore_correct": incore_correct,

@@ -45,7 +45,6 @@ from repro import telemetry
 from repro.errors import ResidentBudgetError, ShardingError, SizeError
 
 if TYPE_CHECKING:
-    from repro.ir.program import KernelProgram
     from repro.shard import ShardedProgram
     from repro.telemetry import MetricsRegistry
 
@@ -285,18 +284,3 @@ class StreamingExecutor:
                             "stream_tile_bytes", phase=phase
                         ).observe(payload_bytes)
         stats.phase_seconds[phase] = time.perf_counter() - started
-
-    def run(
-        self,
-        program: KernelProgram,
-        path_in: str | Path,
-        path_out: str | Path,
-        d: int = 8,
-        tmp_dir: str | Path | None = None,
-        validate: bool = True,
-    ) -> StreamingStats:
-        """Shard ``program`` into ``d`` stripes, prove it, stream it."""
-        from repro.shard import shard_program
-
-        sharded = shard_program(program, d, validate=validate)
-        return self.run_sharded(sharded, path_in, path_out, tmp_dir)

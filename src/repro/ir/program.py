@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SizeError, ValidationError
 from repro.ir.ops import KernelOp
 
@@ -56,6 +58,17 @@ class KernelProgram:
     def num_rounds(self) -> int:
         """Total memory access rounds across all kernels."""
         return sum(op.num_rounds for op in self.ops)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every schedule array the ops hold (cache
+        accounting)."""
+        return sum(
+            int(np.asarray(value).nbytes)
+            for op in self.ops
+            for value in (getattr(op, f) for f in op._ARRAY_FIELDS)
+            if value is not None
+        )
 
     @property
     def is_regular(self) -> bool:

@@ -13,7 +13,9 @@ amortization layer:
 * :class:`Planner` — ``compile(p)`` walks memory → sealed sidecar →
   cold plan and returns a :class:`CompiledPermutation` whose ``apply`` /
   ``apply_batch`` never re-plan; ``sealed(p, digest)`` is the serving
-  path, one gather built from ``p`` itself and never planned.  Every
+  path, one gather built from ``p`` itself and never planned, and
+  ``sharded(p, digest, d)`` memoizes that gather's proven ``d``-stripe
+  factorisation for out-of-core streams.  Every
   cold plan, on every planner, is proved twice: its 32 rounds are
   certified conflict-free/coalesced, and its raw program is denoted
   once and must equal ``p``.

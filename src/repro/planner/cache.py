@@ -7,12 +7,13 @@ definitionally the right entry: there is no staleness to reason about,
 only presence.
 
 The memory tier holds live :class:`CompiledPermutation` handles, keyed
-by fingerprint, and the :class:`SealedProgram` every served request
-runs, keyed by the permutation digest alone.  It is bounded two ways:
-by entry count (``capacity``) and by **resident bytes**
-(``max_bytes``), so a handful of ``n = 2^26`` entries cannot pin
-unbounded memory while a crowd of tiny ones still fills the count
-bound.
+by fingerprint, the :class:`SealedProgram` every served request runs,
+keyed by the permutation digest alone, and the :class:`ShardedProgram`
+every stream runs, keyed by :func:`shard_fingerprint` of that digest.
+It is bounded two ways: by entry count (``capacity``) and by
+**resident bytes** (``max_bytes``), so a handful of ``n = 2^26``
+entries cannot pin unbounded memory while a crowd of tiny ones still
+fills the count bound.
 
 The disk tier holds one artifact per fingerprint: the **sealed
 sidecar** ``<fingerprint>.sealed.npz`` of :mod:`repro.core.io` — the
@@ -53,10 +54,12 @@ if TYPE_CHECKING:
 
     from repro.ir.sealed import SealedProgram
     from repro.planner.compiled import CompiledPermutation
+    from repro.shard import ShardedProgram
 
     #: What the memory tier holds: compiled handles by fingerprint,
-    #: sealed programs by permutation digest.
-    _Entry: TypeAlias = CompiledPermutation | SealedProgram
+    #: sealed programs by permutation digest, shardings by shard
+    #: fingerprint.
+    _Entry: TypeAlias = CompiledPermutation | SealedProgram | ShardedProgram
 
 #: Disk-cache entries are ``<fingerprint>.sealed.npz`` with a
 #: content-addressed SHA-256 hex fingerprint; anything else in the
@@ -74,7 +77,8 @@ def planner_counters(
 
 def _entry_bytes(entry: object) -> int:
     """Resident bytes an entry pins in the memory tier: a compiled
-    handle's ``resident_bytes()``, a sealed program's ``nbytes``."""
+    handle's ``resident_bytes()``, a sealed or sharded program's
+    ``nbytes``."""
     sizer = getattr(entry, "resident_bytes", None)
     if callable(sizer):
         return int(sizer())

@@ -10,10 +10,11 @@ after the first into pure apply time, and that apply is always a
 *single* proven flat gather: every handle is sealed, and one resolved
 from a sealed sidecar serves ``apply`` from the sidecar alone (its
 program is re-planned from the sidecar's scatter map lazily, only if
-something asks for ``lower()`` / ``simulate()``; ``shard()`` shards the
-sealed gather and never needs it).
+something asks for ``lower()`` / ``simulate()``).
 ``Planner.sealed(p, digest)`` skips the program altogether: it is how
-the serving layer answers requests.
+the serving layer answers requests.  ``Planner.sharded(p, digest, d)``
+factors that gather into ``d`` stripes for out-of-core streams, once
+per ``(p, d)`` while the memory tier holds it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -45,15 +46,12 @@ from repro.planner.fingerprint import (
     plan_fingerprint,
     shard_fingerprint,
 )
+from repro.shard import ShardedProgram, shard_program
 from repro.staticcheck.semantics import (
     SemanticCertificate,
     SemanticChecker,
 )
 from repro.telemetry import MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.exec.streaming import StreamingStats
-    from repro.shard import ShardedProgram
 
 #: What a lazy handle's loader returns: the planned engine, its
 #: optimized program, and the translation-validation certificate.
@@ -66,15 +64,15 @@ class CompiledPermutation:
     Wraps the planned engine together with its pipeline-optimized
     program and the proven flat index maps of
     :class:`~repro.ir.sealed.SealedProgram`; ``apply`` and
-    ``apply_batch`` run the sealed gather and ``shard`` / ``apply_stream``
-    shard it, the other methods use the stored program (or the
-    already-planned engine) — none of them ever re-plans.
+    ``apply_batch`` run the sealed gather, the other methods use the
+    stored program (or the already-planned engine) — none of them ever
+    re-plans.
 
     Handles resolved from a sealed disk sidecar are **lazy**: the
     engine and full program stay unloaded (``loader`` re-plans them
     from the sealed scatter map on first demand), while ``apply`` /
-    ``apply_batch`` / ``shard`` / ``p`` / ``n`` are served from the
-    sealed maps alone.
+    ``apply_batch`` / ``p`` / ``n`` are served from the sealed maps
+    alone.
     """
 
     def __init__(
@@ -104,9 +102,6 @@ class CompiledPermutation:
         #: ``apply``/``apply_batch`` execute.
         self.sealed = sealed
         self._load_lock = threading.Lock()
-        # Proven shardings, memoized per stripe count.
-        self._shards: dict[int, ShardedProgram] = {}
-        self._shard_lock = threading.Lock()
 
     # -- lazy rehydration ----------------------------------------------
 
@@ -179,15 +174,10 @@ class CompiledPermutation:
         """Bytes this handle pins in memory (cache accounting): the
         sealed index maps plus the program's schedule arrays, counting
         only what is actually resident."""
-        total = self.sealed.nbytes
         program = self._program
-        if program is not None:
-            for op in program.ops:
-                for field in op._ARRAY_FIELDS:
-                    value = getattr(op, field)
-                    if value is not None:
-                        total += int(np.asarray(value).nbytes)
-        return total
+        return self.sealed.nbytes + (
+            program.nbytes if program is not None else 0
+        )
 
     # -- execution ------------------------------------------------------
 
@@ -211,60 +201,6 @@ class CompiledPermutation:
 
         return SimulatorExecutor().simulate(
             self.program, machine, dtype=dtype
-        )
-
-    def shard(self, d: int) -> "ShardedProgram":
-        """The proven ``d``-stripe sharding of this handle's sealed
-        gather.
-
-        Factors the sealed map (which is ``p``) into ``d`` row stripes
-        plus a column exchange, proves the factorisation against its
-        denotation, and memoizes the result per ``d``.  It never needs
-        the program, so a handle resolved from a sidecar shards
-        without re-planning.
-        """
-        with self._shard_lock:
-            sharded = self._shards.get(d)
-        if sharded is not None:
-            return sharded
-        from repro.shard import shard_program
-
-        with telemetry.span(
-            "planner.shard", d=d, fingerprint=self.fingerprint[:12]
-        ):
-            sharded = shard_program(self.sealed.as_program(), d)
-        with self._shard_lock:
-            return self._shards.setdefault(d, sharded)
-
-    def shard_fingerprint(self, d: int) -> str:
-        """Content-addressed identity of the ``d``-stripe shard plan."""
-        return shard_fingerprint(self.fingerprint, d)
-
-    def apply_stream(
-        self,
-        path_in: str | Path,
-        path_out: str | Path,
-        d: int = 8,
-        max_resident_bytes: int | None = None,
-        tmp_dir: str | Path | None = None,
-    ) -> "StreamingStats":
-        """Permute an on-disk payload out-of-core.
-
-        Reads the ``.npy`` payload at ``path_in``, streams it through
-        the proven ``d``-stripe sharding under the resident-bytes
-        budget, and writes the permuted payload to ``path_out``.
-        """
-        from repro.exec.streaming import (
-            DEFAULT_RESIDENT_BYTES,
-            StreamingExecutor,
-        )
-
-        executor = StreamingExecutor(
-            max_resident_bytes=max_resident_bytes
-            or DEFAULT_RESIDENT_BYTES
-        )
-        return executor.run_sharded(
-            self.shard(d), path_in, path_out, tmp_dir=tmp_dir
         )
 
     def describe(self) -> str:
@@ -421,8 +357,8 @@ class Planner:
         the process-wide :func:`~repro.passes.default_pipeline`).  The
         pipeline's signature is part of every fingerprint.
     cache_max_bytes:
-        Optional bound on the memory tier's resident bytes (programs
-        plus sealed index maps); LRU-evicted past it.
+        Optional bound on the memory tier's resident bytes (programs,
+        sealed index maps and shardings); LRU-evicted past it.
     disk_max_bytes:
         Optional bound on the disk tier's total sidecar bytes;
         LRU-evicted past it.
@@ -511,6 +447,39 @@ class Planner:
             self.memory.put(digest, sealed)
             sp.set(tier="built")
         return sealed
+
+    def sharded(self, p: np.ndarray, digest: str, d: int) -> ShardedProgram:
+        """The proven ``d``-stripe sharding that streams ``p``.
+
+        The sharding counterpart of :meth:`sealed`: the memory tier
+        keys it by ``shard_fingerprint(digest, d)``, so every stream of
+        one ``p`` at one ``d`` shares one entry.  A miss factors the
+        sealed gather with :func:`~repro.shard.shard_program`, which
+        proves the factorisation against its denotation (raising
+        :class:`~repro.errors.ShardingError` when ``d`` does not divide
+        ``n``), and counts ``shard_plans``.  Concurrent misses of one
+        key build it once.
+        """
+        key = shard_fingerprint(digest, d)
+        with telemetry.span(
+            "planner.shard", digest=digest[:12], d=d
+        ) as sp:
+            hit = self.memory.get(key)
+            if isinstance(hit, ShardedProgram):
+                sp.set(tier="memory")
+                return hit
+            with self._flight(key):
+                hit = self.memory.get_if_present(key)
+                if isinstance(hit, ShardedProgram):
+                    sp.set(tier="memory")
+                    return hit
+                sharded = shard_program(
+                    self.sealed(p, digest).as_program(), d
+                )
+                self._counts["shard_plans"].inc()
+                self.memory.put(key, sharded)
+            sp.set(tier="built")
+        return sharded
 
     def compile(
         self,
@@ -647,29 +616,6 @@ class Planner:
             sealed=sealed,
             loader=loader,
         )
-
-    def compile_sharded(
-        self,
-        p: np.ndarray,
-        d: int,
-        engine: str = "scheduled",
-        width: int = 32,
-        digest: str | None = None,
-    ) -> "tuple[CompiledPermutation, ShardedProgram]":
-        """Compile ``p`` and return its proven ``d``-stripe sharding.
-
-        The handle comes from the usual cache tiers; the sharding is
-        memoized on the handle, so repeated calls with the same ``d``
-        pay nothing after the first.
-        """
-        compiled = self.compile(
-            p, engine=engine, width=width, digest=digest
-        )
-        fresh = d not in compiled._shards
-        sharded = compiled.shard(d)
-        if fresh:
-            self._counts["shard_plans"].inc()
-        return compiled, sharded
 
     def _flight(self, fingerprint: str) -> threading.Lock:
         """The single-flight lock serialising cold compiles of one

@@ -60,11 +60,13 @@ def plan_fingerprint(
 
 
 def shard_fingerprint(fingerprint: str, d: int) -> str:
-    """SHA-256 hex digest naming one ``d``-stripe sharding of a plan.
+    """SHA-256 hex digest naming one ``d``-stripe sharding.
 
-    Scopes a :func:`plan_fingerprint` by the shard count, so the same
-    compiled plan sharded at different ``d`` gets distinct identities
-    (the stripe boundaries — and hence the exchange — differ).
+    Scopes a content address — a :func:`plan_fingerprint` (plan-file
+    provenance) or a :func:`permutation_digest` (the planner's memory
+    tier) — by the shard count, so one map sharded at different ``d``
+    gets distinct identities (the stripe boundaries — and hence the
+    exchange — differ).
     """
     if d < 1:
         raise ValidationError(f"shard count d must be >= 1, got {d}")

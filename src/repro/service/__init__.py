@@ -57,7 +57,6 @@ from repro.util.validation import check_permutation
 
 if TYPE_CHECKING:
     from repro.exec.streaming import StreamingStats
-    from repro.shard import ShardedProgram
 
 __all__ = [
     "PermutationServer",
@@ -293,15 +292,6 @@ class PermutationService:
         self._elements.inc(k * sealed.n)
         return out
 
-    def _sharded(self, name: str, d: int) -> ShardedProgram:
-        """The proven ``d``-stripe sharding of the registration's
-        sealed gather (sharding factors the denoted map, which is
-        ``p``)."""
-        from repro.shard import shard_program
-
-        _reg, sealed = self._sealed(name)
-        return shard_program(sealed.as_program(), d)
-
     def apply_stream(
         self,
         name: str,
@@ -314,7 +304,9 @@ class PermutationService:
         """Serve an on-disk payload out-of-core.
 
         Streams the ``.npy`` payload at ``path_in`` through the named
-        permutation's proven ``d``-stripe sharding under the
+        permutation's proven ``d``-stripe sharding
+        (:meth:`~repro.planner.Planner.sharded`, built once per
+        ``(p, d)`` while the memory tier holds it) under the
         resident-bytes budget, writing the result to ``path_out``.
         Returns the :class:`~repro.exec.StreamingStats`; the run's
         ``stream_*`` histograms go to the stack's one registry.
@@ -335,8 +327,8 @@ class PermutationService:
                 metrics=self.metrics,
             )
             stats = executor.run_sharded(
-                self._sharded(name, d), path_in, path_out,
-                tmp_dir=tmp_dir,
+                self.planner.sharded(reg.p, reg.digest, d),
+                path_in, path_out, tmp_dir=tmp_dir,
             )
             elapsed = time.perf_counter() - t0
             sp.set(

@@ -637,20 +637,24 @@ class PermutationServer:
         dequeue only, not between stripes, and a running stream holds
         its worker until it finishes, so with ``workers=1`` even a
         ``HIGH`` request waits for it.  The server's ``self_check``
-        does not cover streams, and neither ``server_e2e_seconds`` nor
-        the SLO monitor sees them: a stream's run time scales with its
-        file, not with serving health, so it is timed by
+        does not cover streams, and neither ``server_e2e_seconds``,
+        the SLO monitor nor the latency EMA behind ``retry_after``
+        sees them: a stream's run time scales with its file, not with
+        serving health, so it is timed by
         ``exec_apply_seconds{mode="stream"}`` alone.
 
         The returned future resolves with the
         :class:`~repro.exec.StreamingStats`, or fails with the
-        stream's error.
+        stream's error.  A ``d`` that does not divide the
+        registration's ``n`` is refused here, before it takes a slot.
         """
-        if d < 1:
+        reg = self.service._registration(self._key(tenant, name))
+        n = int(reg.p.shape[0])
+        if d < 1 or n % d:
             raise ValidationError(
-                f"shard count d must be >= 1, got {d}"
+                f"shard count d must be >= 1 and divide n = {n}, "
+                f"got {d}"
             )
-        self.service._registration(self._key(tenant, name))
         src = Path(path_in)
         if not src.exists():
             raise ValidationError(
@@ -925,10 +929,13 @@ class PermutationServer:
                 )
             return
         elapsed = self._clock() - t0
-        with self._stats_lock:
-            self._latency_ema = (
-                0.9 * self._latency_ema + 0.1 * elapsed
-            )
+        if leader.stream is None:
+            # A stream's run time scales with its file, not with
+            # serving health: it must not stretch retry_after hints.
+            with self._stats_lock:
+                self._latency_ema = (
+                    0.9 * self._latency_ema + 0.1 * elapsed
+                )
         engine = leader.result.engine
         for req in live:
             req.result.service_s = elapsed

@@ -67,7 +67,7 @@ class ShardedProgram:
     equals the base program's denoted index map; ``pre`` and ``post``
     are block-diagonal over the stripes, so each stripe's share is an
     independent sub-program.  ``certificate`` carries the denotation
-    proof when the factorisation was built with validation.
+    proof :func:`shard_program` attached.
     """
 
     base: KernelProgram
@@ -95,6 +95,16 @@ class ShardedProgram:
     def exchange_elements(self) -> int:
         """Elements that actually cross a stripe boundary."""
         return sum(seg.length for seg in self.segments if seg.crosses)
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of every array the factorisation pins: the
+        three phase maps and the base program's index maps (cache
+        accounting)."""
+        return (
+            self.pre.nbytes + self.exchange.nbytes + self.post.nbytes
+            + self.base.nbytes
+        )
 
     @property
     def proven(self) -> bool:
@@ -229,18 +239,16 @@ class ShardedProgram:
         return "\n".join(lines)
 
 
-def shard_program(
-    program: KernelProgram, d: int, *, validate: bool = True
-) -> ShardedProgram:
+def shard_program(program: KernelProgram, d: int) -> ShardedProgram:
     """Factor ``program`` into ``d`` row stripes plus a column exchange.
 
     Denotes the program symbolically, groups each stripe's elements by
     destination stripe (phase *pre*), derives the contiguous exchange
-    blocks, and places arrivals at final offsets (phase *post*).  With
-    ``validate`` (the default) the reassembled three-op program is
-    proved equal to the whole program's denotation; a failed proof
-    raises :class:`~repro.errors.ShardRefutedError` carrying the
-    refuting certificate.
+    blocks, and places arrivals at final offsets (phase *post*).  The
+    reassembled three-op program is then proved equal to the whole
+    program's denotation; a failed proof raises
+    :class:`~repro.errors.ShardRefutedError` carrying the refuting
+    certificate.
     """
     if d < 1:
         raise ShardingError(f"shard count d must be >= 1, got {d}")
@@ -249,6 +257,8 @@ def shard_program(
             "only size-preserving programs can be sharded; "
             f"{program.engine!r} maps n={program.n} to out_n={program.out_n}"
         )
+    if program.n % d != 0:
+        raise ShardingError(f"shard count d={d} must divide n={program.n}")
     den = denote_program(program)
     if not den.ok:
         detail = den.failure.detail if den.failure is not None else "unknown"
@@ -258,8 +268,6 @@ def shard_program(
         )
     p = np.asarray(den.index_map, dtype=np.int64)
     n = int(p.shape[0])
-    if n % d != 0:
-        raise ShardingError(f"shard count d={d} must divide n={n}")
     s = n // d
 
     dest_stripe = p // s
@@ -311,13 +319,12 @@ def shard_program(
         post=post,
         segments=tuple(segments),
     )
-    if validate:
-        cert = sharded.verify()
-        if not cert.ok:
-            raise ShardRefutedError(
-                f"sharding refuted for engine {program.engine!r} at d={d}: "
-                f"{cert.summary()}",
-                certificate=cert,
-            )
-        sharded.certificate = cert
+    cert = sharded.verify()
+    if not cert.ok:
+        raise ShardRefutedError(
+            f"sharding refuted for engine {program.engine!r} at d={d}: "
+            f"{cert.summary()}",
+            certificate=cert,
+        )
+    sharded.certificate = cert
     return sharded

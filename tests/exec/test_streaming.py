@@ -65,15 +65,14 @@ class TestCorrectness:
         assert out.dtype == np.dtype(dtype)
         assert np.array_equal(out, expected)
 
-    def test_run_shards_proves_and_streams(self, paths):
+    def test_random_permutation_streams_across_stripes(self, paths):
         src, dst = paths
         p = random_permutation(N, seed=2)
         a = _payload(src, N)
         expected = np.empty_like(a)
         expected[p] = a
-        program = get_engine("d-designated").plan(p, width=WIDTH).lower()
-        stats = StreamingExecutor(max_resident_bytes=64 * 1024).run(
-            program, src, dst, d=4
+        stats = StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
+            _sharded(p), src, dst
         )
         assert np.array_equal(np.load(dst), expected)
         assert stats.exchange_elements > 0

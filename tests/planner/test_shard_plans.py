@@ -1,11 +1,16 @@
-"""Planner-level sharding: handles, fingerprints, out-of-core apply."""
+"""Planner-level sharding: ``Planner.sharded`` is the one memoized home
+of a proven ``d``-stripe sharding, and every stream goes through it."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import ShardingError
+from repro.exec.streaming import StreamingExecutor
 from repro.permutations.named import bit_reversal, random_permutation
-from repro.planner import Planner
+from repro.planner import Planner, permutation_digest
 from repro.planner.fingerprint import shard_fingerprint
 from repro.service import PermutationService
 
@@ -24,81 +29,122 @@ def _expected(p, a):
     return out
 
 
-class TestCompiledShard:
-    def test_shard_is_proven_and_memoized(self):
-        compiled = Planner().compile(
-            bit_reversal(N), engine="d-designated", width=WIDTH
-        )
-        sharded = compiled.shard(4)
-        assert sharded.proven
-        assert compiled.shard(4) is sharded
-        assert compiled.shard(2) is not sharded
+def _sharded(planner, p, d):
+    return planner.sharded(p, permutation_digest(p), d)
 
-    def test_shard_fingerprint_distinct_per_d(self):
-        compiled = Planner().compile(
-            bit_reversal(N), engine="d-designated", width=WIDTH
-        )
-        fp4 = compiled.shard_fingerprint(4)
-        fp8 = compiled.shard_fingerprint(8)
-        assert fp4 != fp8
-        assert fp4 != compiled.fingerprint
-        assert fp4 == shard_fingerprint(compiled.fingerprint, 4)
+
+class TestPlannerSharded:
+    def test_proven_and_memoized(self):
+        planner = Planner()
+        p = bit_reversal(N)
+        sharded = _sharded(planner, p, 4)
+        assert sharded.proven and sharded.d == 4
+        assert _sharded(planner, p, 4) is sharded
+
+    def test_distinct_per_d(self):
+        planner = Planner()
+        p = bit_reversal(N)
+        digest = permutation_digest(p)
+        four, eight = _sharded(planner, p, 4), _sharded(planner, p, 8)
+        assert four is not eight and eight.d == 8
+        fp4, fp8 = shard_fingerprint(digest, 4), shard_fingerprint(digest, 8)
+        assert fp4 != fp8 and digest not in (fp4, fp8)
+        assert planner.memory.get(fp4) is four
+        assert planner.memory.get(fp8) is eight
 
     def test_indivisible_d_refused(self):
-        compiled = Planner().compile(
-            bit_reversal(N), engine="d-designated", width=WIDTH
-        )
+        planner = Planner()
         with pytest.raises(ShardingError):
-            compiled.shard(3)
+            _sharded(planner, bit_reversal(N), 3)
+        assert planner.stats()["shard_plans"] == 0
 
-    def test_apply_stream_round_trip(self, tmp_path):
+    def test_stream_round_trip(self, tmp_path):
         p = random_permutation(N, seed=13)
-        compiled = Planner().compile(
-            p, engine="d-designated", width=WIDTH
-        )
         src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
         a = _payload(src)
-        stats = compiled.apply_stream(
-            src, dst, d=4, max_resident_bytes=64 * 1024,
-            tmp_dir=tmp_path,
+        stats = StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
+            _sharded(Planner(), p, 4), src, dst, tmp_dir=tmp_path
         )
         assert np.array_equal(np.load(dst), _expected(p, a))
         assert stats.peak_resident_total_bytes <= 64 * 1024
 
-
-class TestPlannerCompileSharded:
     def test_counts_fresh_shards_only(self):
         planner = Planner()
         p = bit_reversal(N)
-        compiled, sharded = planner.compile_sharded(
-            p, 4, engine="d-designated", width=WIDTH
-        )
-        assert sharded.proven and sharded.d == 4
+        _sharded(planner, p, 4)
         assert planner.stats()["shard_plans"] == 1
-        again, sharded2 = planner.compile_sharded(
-            p, 4, engine="d-designated", width=WIDTH
-        )
-        assert again is compiled and sharded2 is sharded
+        _sharded(planner, p, 4)
         assert planner.stats()["shard_plans"] == 1
-        planner.compile_sharded(p, 8, engine="d-designated", width=WIDTH)
+        _sharded(planner, p, 8)
         assert planner.stats()["shard_plans"] == 2
 
-    def test_sidecar_handle_shards_without_replanning(self, tmp_path):
+    def test_concurrent_misses_build_once(self):
+        planner = Planner()
+        p = random_permutation(N, seed=3)
+        digest = permutation_digest(p)
+        start = threading.Barrier(8)
+        results = []
+
+        def stream_shard():
+            start.wait(timeout=10)
+            results.append(planner.sharded(p, digest, 4))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=stream_shard)
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r is results[0] for r in results)
+        assert planner.stats()["shard_plans"] == 1
+
+    def test_needs_no_sidecar_or_compile(self, tmp_path):
+        planner = Planner(cache_dir=tmp_path / "cache")
         p = random_permutation(N, seed=17)
-        Planner(cache_dir=tmp_path).compile(p, width=WIDTH)
-        fresh = Planner(cache_dir=tmp_path)
-        compiled, sharded = fresh.compile_sharded(p, 4, width=WIDTH)
-        assert sharded.proven and sharded.d == 4
-        stats = fresh.stats()
-        assert stats["sealed_hits"] == 1
+        assert _sharded(planner, p, 4).proven
+        stats = planner.stats()
         assert stats["cold_plans"] == 0
-        assert not compiled.is_loaded
-        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
-        a = _payload(src)
-        compiled.apply_stream(src, dst, d=4, tmp_dir=tmp_path)
-        assert np.array_equal(np.load(dst), _expected(p, a))
-        assert fresh.stats()["cold_plans"] == 0
-        assert not compiled.is_loaded
+        assert stats["sealed_hits"] == 0
+        assert not list((tmp_path / "cache").glob("*"))
+
+    def test_nbytes_counts_every_pinned_array(self):
+        planner = Planner()
+        p = bit_reversal(N)
+        digest = permutation_digest(p)
+        sharded = planner.sharded(p, digest, 4)
+        (gather,) = sharded.base.ops
+        assert sharded.nbytes == (
+            sharded.pre.nbytes + sharded.exchange.nbytes
+            + sharded.post.nbytes + gather.p.nbytes
+        )
+        assert planner.memory.bytes == (
+            sharded.nbytes + planner.sealed(p, digest).nbytes
+        )
+
+    def test_small_byte_budget_evicts_a_shard(self):
+        p, q = random_permutation(N, seed=1), random_permutation(N, seed=2)
+        probe = Planner()
+        _sharded(probe, p, 4)
+        one = probe.memory.bytes
+        # Room for one permutation's gather and sharding, not two.
+        planner = Planner(cache_max_bytes=one + one // 2)
+        first = _sharded(planner, p, 4)
+        key = shard_fingerprint(permutation_digest(p), 4)
+        assert key in planner.memory
+        _sharded(planner, q, 4)
+        assert key not in planner.memory
+        assert planner.stats()["memory_evictions"] >= 1
+        assert planner.memory.bytes <= one + one // 2
+        again = _sharded(planner, p, 4)
+        assert again is not first and again.proven
+        assert planner.stats()["shard_plans"] == 3
 
 
 class TestServiceApplyStream:
@@ -116,3 +162,31 @@ class TestServiceApplyStream:
         assert np.array_equal(np.load(dst), _expected(p, a))
         assert stats.d == 4
         assert service.stats()["requests"] == before + 1
+
+    def test_one_sharding_per_d(self, tmp_path):
+        service = PermutationService(width=WIDTH)
+        p = random_permutation(N, seed=5)
+        service.register("r", p)
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        a = _payload(src)
+        built = service.metrics.counter("planner_shard_plans_total")
+        for _ in range(2):
+            service.apply_stream("r", src, dst, d=4, tmp_dir=tmp_path)
+            assert np.array_equal(np.load(dst), _expected(p, a))
+        assert built.value == 1
+        service.apply_stream("r", src, dst, d=8, tmp_dir=tmp_path)
+        assert np.array_equal(np.load(dst), _expected(p, a))
+        assert built.value == 2
+
+    def test_overwrite_never_streams_the_old_sharding(self, tmp_path):
+        service = PermutationService(width=WIDTH)
+        old, new = random_permutation(N, seed=7), random_permutation(N, seed=8)
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        a = _payload(src)
+        service.register("r", old)
+        service.apply_stream("r", src, dst, d=4, tmp_dir=tmp_path)
+        assert np.array_equal(np.load(dst), _expected(old, a))
+        service.register("r", new, overwrite=True)
+        service.apply_stream("r", src, dst, d=4, tmp_dir=tmp_path)
+        assert np.array_equal(np.load(dst), _expected(new, a))
+        assert service.stats()["shard_plans"] == 2

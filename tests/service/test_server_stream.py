@@ -123,6 +123,19 @@ class TestStreamValidation:
                 "bitrev", tmp_path / "in.npy", tmp_path / "o.npy", d=0
             )
 
+    def test_d_not_dividing_n_refused_before_queueing(
+        self, stream_server, tmp_path
+    ):
+        _payload(tmp_path / "in.npy")
+        with pytest.raises(ValidationError, match="divide"):
+            stream_server.submit_stream(
+                "bitrev", tmp_path / "in.npy", tmp_path / "o.npy", d=3
+            )
+        snap = stream_server.stats()
+        assert snap.get("server.accepted", 0) == 0
+        assert snap.get("server.failed", 0) == 0
+        assert snap["server.queue_depth"] == 0
+
     def test_bad_priority(self, stream_server, tmp_path):
         _payload(tmp_path / "in.npy")
         with pytest.raises(ValidationError):
@@ -284,6 +297,47 @@ class TestStreamObservability:
                            if r["labels"]["mode"] == "stream"]
             assert streamed["count"] == 1
             assert srv.stats()["server.served"] == len(singles) + 1
+        finally:
+            srv.close(drain=False)
+
+    def test_slow_stream_leaves_retry_after_unchanged(
+        self, tmp_path, fake_clock
+    ):
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1, clock=fake_clock, coalesce=False,
+        ))
+        service = srv.service
+        apply, apply_stream = service.apply, service.apply_stream
+
+        def timed(call, seconds):
+            def run(*args, **kwargs):
+                out = call(*args, **kwargs)
+                fake_clock.advance(seconds)
+                return out
+            return run
+
+        service.apply = timed(apply, 0.01)
+        service.apply_stream = timed(apply_stream, 0.7)
+        try:
+            srv.register("bitrev", bit_reversal(_N))
+            src = tmp_path / "in.npy"
+            _payload(src)
+            a = np.arange(_N, dtype=np.float32)
+            for _ in range(5):
+                srv.submit("bitrev", a)
+                with srv._cond:
+                    group = srv._take_group()
+                srv._dispatch(group)
+            before = srv._retry_after()
+            stream = srv.submit_stream("bitrev", src,
+                                       tmp_path / "o.npy", d=2)
+            with srv._cond:
+                group = srv._take_group()
+            srv._dispatch(group)
+            assert isinstance(stream.result(timeout=0), StreamingStats)
+            assert stream.service_s == pytest.approx(0.7)
+            assert srv._retry_after() == before
+            assert srv.stats()["server.served"] == 6
         finally:
             srv.close(drain=False)
 

@@ -100,12 +100,19 @@ class TestRefusal:
         err = ShardRefutedError("refused", certificate=cert)
         assert err.certificate is cert
 
-    def test_invalid_d_rejected(self):
+    def test_invalid_d_rejected(self, monkeypatch):
         program = _program("d-designated", bit_reversal(N))
         with pytest.raises(ShardingError):
             shard_program(program, 0)
-        with pytest.raises(ShardingError):
-            shard_program(program, 3)   # does not divide 1024... 3∤1024
+
+        def no_denotation(_program):
+            raise AssertionError("an indivisible d must not be denoted")
+
+        # 3 does not divide n: refused before the O(n) denotation.
+        monkeypatch.setattr("repro.shard.program.denote_program",
+                            no_denotation)
+        with pytest.raises(ShardingError, match="divide"):
+            shard_program(program, 3)
 
     def test_odd_n_indivisible(self):
         p = random_permutation(30, seed=1)
