@@ -247,7 +247,7 @@ def cmd_plan(args) -> str:
     if getattr(args, "shard_d", None):
         # Prove the d-stripe sharding before stamping it: a plan file
         # only ever advertises a shard count its program was actually
-        # factorized and translation-validated at.
+        # sharded and proved at.
         from repro.errors import ShardingError
         from repro.planner import shard_fingerprint
         from repro.shard import shard_program

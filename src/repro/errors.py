@@ -169,18 +169,19 @@ class ShardingError(ReproError):
 
 
 class ShardRefutedError(ShardingError):
-    """A sharded decomposition failed its denotation proof.
+    """A sharding does not compute its permutation.
 
-    Raised by :func:`repro.shard.shard_program` when the reassembled
-    stripe/exchange/stripe program does not denote the same index map
-    as the whole program.  Carries the refuting
-    :class:`~repro.staticcheck.semantics.SemanticCertificate` as
-    ``certificate`` so callers can inspect the counterexample.
+    Raised by :func:`repro.shard.prove_sharding` (which
+    :func:`repro.shard.shard_program` runs on every build) when a
+    gather map has the wrong shape or reads outside ``[0, n)``, or
+    when streaming the two gathers would not deliver ``out[p[i]] =
+    a[i]``.  ``position`` is the first wrong output position (``None``
+    for a shape mismatch).
     """
 
-    def __init__(self, message: str, certificate=None) -> None:
+    def __init__(self, message: str, position: int | None = None) -> None:
         super().__init__(message)
-        self.certificate = certificate
+        self.position = position
 
 
 class ResidentBudgetError(ShardingError):

@@ -2,27 +2,27 @@
 
 Applies a :class:`~repro.shard.ShardedProgram` to a payload that lives
 on disk, never materialising more than a bounded number of bytes of
-payload in process memory.  The factorisation's three scatters are
-fused into **two gather passes** (gathers, unlike scatters, can be
-evaluated in arbitrarily small output chunks against a memory-mapped
-source):
+payload in process memory.  The sharding holds the two **gather
+passes** a stream runs (gathers, unlike scatters, can be evaluated in
+arbitrarily small output chunks against a memory-mapped source):
 
-1. *pre*  — ``mid[q] = in[pre⁻¹[q]]`` groups every stripe's elements
-   by destination stripe (stripe-local reads);
-2. *post* — ``out[q] = mid[(pre ∘ p⁻¹)[q]]`` fuses the column
+1. *pre*  — ``mid[q] = in[gather_pre[q]]`` groups every stripe's
+   elements by destination stripe (stripe-local reads);
+2. *post* — ``out[q] = mid[gather_post[q]]`` fuses the column
    exchange with the final stripe-local placement, so each output
    stripe reads only its ``<= d`` contiguous exchange source ranges.
 
-The gather index arrays are spilled to disk before the first tile and
-memory-mapped back in tiles, so the executor's *allocated* footprint
-per tile is ``tile_elems * (payload_itemsize + index_itemsize)``
-regardless of ``n``.  ``max_resident_bytes`` is a hard budget on those
-allocations: tile sizes are derived from it (halved for headroom) and
-each tile's resident bytes are checked against it.  Stripes run one
-after another, pre phase first.  Memory-mapped files are backed by the
-OS page cache and are reclaimable at any time; they are deliberately
-*not* charged against the budget — that is what makes the scheme
-out-of-core.
+Both maps were proved when the sharding was built and stay in memory
+with it (the planner's memory tier accounts for them); the run spills
+only the payload's intermediate ``mid.npy``.  The executor's
+*allocated* footprint per tile is ``tile_elems * (payload_itemsize +
+index_itemsize)`` regardless of ``n``.  ``max_resident_bytes`` is a
+hard budget on those allocations: tile sizes are derived from it
+(halved for headroom) and each tile's resident bytes are checked
+against it.  Stripes run one after another, pre phase first.
+Memory-mapped files are backed by the OS page cache and are
+reclaimable at any time; they are deliberately *not* charged against
+the budget — that is what makes the scheme out-of-core.
 
 Telemetry: every run and stripe gets a span; tiles, streamed bytes and
 exchange volume are counted, and an optional
@@ -96,35 +96,15 @@ class StreamingStats:
         )
 
 
-#: Spill files a run writes into its temporary directory.
-_SPILL_FILES = ("gather-pre.npy", "gather-post.npy", "mid.npy")
-
-
-def _spill_gathers(
-    sharded: ShardedProgram, tmp: Path, index_dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spill the two fused gather maps and map them back read-only, so
-    index tiles are budgeted like payload tiles."""
-    n = sharded.n
-    arange = np.arange(n, dtype=np.int64)
-    pre_inv = np.empty(n, dtype=np.int64)
-    pre_inv[sharded.pre] = arange
-    np.save(tmp / "gather-pre.npy", pre_inv.astype(index_dtype))
-    p = sharded.post[sharded.exchange[sharded.pre]]
-    fused = np.empty(n, dtype=np.int64)
-    fused[p] = sharded.pre
-    np.save(tmp / "gather-post.npy", fused.astype(index_dtype))
-    return (
-        np.load(tmp / "gather-pre.npy", mmap_mode="r"),
-        np.load(tmp / "gather-post.npy", mmap_mode="r"),
-    )
+#: The one spill file a run writes into its temporary directory.
+_MID = "mid.npy"
 
 
 class StreamingExecutor:
     """Apply sharded plans to on-disk payloads under a byte budget.
 
     Holds only its configuration: each :meth:`run_sharded` call owns
-    its maps, spill files and stats, so callers on several threads may
+    its spill file and stats, so callers on several threads may
     share one executor.
     """
 
@@ -151,7 +131,7 @@ class StreamingExecutor:
 
         A payload of the wrong shape, an input that is also the output
         and a budget too small for a one-element tile are refused
-        before any file is written.  The spill files are removed
+        before any file is written.  The spill file is removed
         whether the run succeeds or fails.
         """
         started = time.perf_counter()
@@ -169,11 +149,11 @@ class StreamingExecutor:
                 f"expected ({n},)"
             )
         itemsize = int(src.dtype.itemsize)
-        index_dtype = np.dtype(np.uint32 if n <= 2**32 else np.int64)
+        index_itemsize = int(sharded.gather_post.dtype.itemsize)
         # A tile takes at most half the budget: the rest is headroom
         # for the temporaries NumPy makes around it.
         tile_elems = min(
-            self.max_resident_bytes // (2 * (itemsize + index_dtype.itemsize)),
+            self.max_resident_bytes // (2 * (itemsize + index_itemsize)),
             max(1, sharded.stripe),
         )
         if tile_elems < 1:
@@ -210,25 +190,24 @@ class StreamingExecutor:
         with telemetry.span("stream.run", n=n, d=sharded.d) as sp:
             try:
                 tmp.mkdir(parents=True, exist_ok=True)
-                pre, post = _spill_gathers(sharded, tmp, index_dtype)
                 mid = np.lib.format.open_memmap(
-                    tmp / "mid.npy", mode="w+", dtype=src.dtype,
+                    tmp / _MID, mode="w+", dtype=src.dtype,
                     shape=(n,),
                 )
                 path_out.parent.mkdir(parents=True, exist_ok=True)
                 out = np.lib.format.open_memmap(
                     path_out, mode="w+", dtype=src.dtype, shape=(n,)
                 )
-                self._stream_phase("pre", pre, src, mid, sharded, stats)
-                self._stream_phase("post", post, mid, out, sharded,
-                                   stats)
+                self._stream_phase("pre", sharded.gather_pre, src, mid,
+                                   sharded, stats)
+                self._stream_phase("post", sharded.gather_post, mid, out,
+                                   sharded, stats)
                 out.flush()
             finally:
                 if owns_tmp:
                     shutil.rmtree(tmp, ignore_errors=True)
                 else:
-                    for name in _SPILL_FILES:
-                        (tmp / name).unlink(missing_ok=True)
+                    (tmp / _MID).unlink(missing_ok=True)
             stats.seconds = time.perf_counter() - started
             sp.set(
                 tiles=stats.tiles_loaded,
@@ -256,7 +235,7 @@ class StreamingExecutor:
             with telemetry.span("stream.stripe", phase=phase, stripe=k):
                 for t0 in range(k * stripe, (k + 1) * stripe, step):
                     t1 = min(t0 + step, (k + 1) * stripe)
-                    idx = np.asarray(gather[t0:t1])
+                    idx = gather[t0:t1]
                     payload_bytes = (t1 - t0) * itemsize
                     resident = payload_bytes + idx.nbytes
                     if resident > stats.max_resident_bytes:

@@ -15,7 +15,7 @@ amortization layer:
   ``apply_batch`` never re-plan; ``sealed(p, digest)`` is the serving
   path, one gather built from ``p`` itself and never planned, and
   ``sharded(p, digest, d)`` memoizes that gather's proven ``d``-stripe
-  factorisation for out-of-core streams.  Every
+  sharding for out-of-core streams.  Every
   cold plan, on every planner, is proved twice: its 32 rounds are
   certified conflict-free/coalesced, and its raw program is denoted
   once and must equal ``p``.

@@ -453,9 +453,10 @@ class Planner:
 
         The sharding counterpart of :meth:`sealed`: the memory tier
         keys it by ``shard_fingerprint(digest, d)``, so every stream of
-        one ``p`` at one ``d`` shares one entry.  A miss factors the
-        sealed gather with :func:`~repro.shard.shard_program`, which
-        proves the factorisation against its denotation (raising
+        one ``p`` at one ``d`` shares one entry, whose two gather maps
+        (``nbytes``) count against ``cache_max_bytes``.  A miss shards
+        the sealed gather with :func:`~repro.shard.shard_program`, which
+        proves both maps against its denotation (raising
         :class:`~repro.errors.ShardingError` when ``d`` does not divide
         ``n``), and counts ``shard_plans``.  Concurrent misses of one
         key build it once.

@@ -485,29 +485,26 @@ def _check_optimality() -> str:
 
 
 def _check_outofcore() -> str:
-    """Out-of-core sharding: bit-reversal n = 2^16 factors into d = 4
-    row stripes plus a proven column exchange, streams disk-to-disk
-    under a resident budget of payload/8 bit-for-bit, and a seeded
-    broken shuffle is refused with a counterexample."""
+    """Out-of-core sharding: bit-reversal n = 2^16 shards into d = 4
+    row stripes whose two gathers are proven against p, streams
+    disk-to-disk under a resident budget of payload/8 bit-for-bit, and
+    a tampered gather is refused at its first wrong output position."""
     import tempfile
+    from dataclasses import replace
     from pathlib import Path
 
+    from repro.errors import ShardRefutedError
     from repro.exec.streaming import StreamingExecutor
     from repro.ir.registry import get_engine
-    from repro.shard import shard_program
-    from repro.staticcheck.semantics import denote_program
+    from repro.shard import prove_sharding, shard_program
 
     n, d = 1 << 16, 4
     p = bit_reversal(n)
     program = get_engine("d-designated").plan(p, width=_WIDTH).lower()
     sharded = shard_program(program, d)
-
-    # Denotation equality, proven by the attached certificate and
-    # re-checked directly against the reassembled three-op program.
-    assert sharded.proven
+    # shard_program proved the maps; the streamed map is p^-1 exactly.
     assert np.array_equal(
-        denote_program(sharded.as_program()).index_map,
-        denote_program(program).index_map,
+        sharded.gather_pre[sharded.gather_post], np.argsort(p)
     )
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -526,18 +523,23 @@ def _check_outofcore() -> str:
         )
         assert stats.peak_resident_total_bytes <= budget
 
-    # A tampered exchange must be refuted with a counterexample.
-    broken_exchange = sharded.exchange.copy()
-    broken_exchange[[0, 1]] = broken_exchange[[1, 0]]
-    cert = sharded.with_exchange(broken_exchange).verify()
-    assert not cert.ok and cert.counterexample is not None
+    # A tampered gather must be refused at a wrong output position.
+    broken = sharded.gather_post.copy()
+    broken[[0, 1]] = broken[[1, 0]]
+    try:
+        prove_sharding(replace(sharded, gather_post=broken), p)
+    except ShardRefutedError as exc:
+        refused_at = exc.position
+    else:
+        raise AssertionError("a tampered gather was not refused")
+    assert refused_at == 0
 
     mib = 1024 * 1024
     return (
         f"n=2^16 d={d} proven & streamed bit-for-bit, peak resident "
         f"{stats.peak_resident_total_bytes / mib:.2f} MiB <= "
-        f"{budget / mib:.3g} MiB budget; broken shuffle refuted at "
-        f"element {cert.counterexample.index}"
+        f"{budget / mib:.3g} MiB budget; tampered gather refuted at "
+        f"output {refused_at}"
     )
 
 

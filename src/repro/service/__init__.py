@@ -115,9 +115,10 @@ class PermutationService:
     The service counts into its planner's registry (:attr:`metrics`):
     ``service_requests_total``, ``service_elements_served_total`` and
     ``service_reregistrations_total``, and per apply the
-    ``exec_apply_seconds`` histogram and the measured-vs-model
-    ``exec_seconds_per_round`` gauge (wall time divided by the
-    registered engine's Table I round count), per engine.
+    ``exec_apply_seconds`` histogram and, for in-memory applies, the
+    measured-vs-model ``exec_seconds_per_round`` gauge (wall time
+    divided by the registered engine's Table I round count), per
+    engine.
     """
 
     def __init__(
@@ -252,10 +253,8 @@ class PermutationService:
         reg = self._registration(name)
         return reg, self.planner.sealed(reg.p, reg.digest)
 
-    def _observe_apply(
-        self, reg: _Registration, elapsed: float, mode: str
-    ) -> None:
-        """Record executor metrics for one finished apply pass.
+    def _observe_apply(self, reg: _Registration, elapsed: float) -> None:
+        """Record executor metrics for one finished sealed apply.
 
         ``exec_apply_seconds`` is the wall-time distribution;
         ``exec_seconds_per_round`` divides it by the registered
@@ -264,11 +263,11 @@ class PermutationService:
         not predict.
         """
         self.metrics.histogram(
-            "exec_apply_seconds", engine=reg.engine, mode=mode
+            "exec_apply_seconds", engine=reg.engine, mode="sealed"
         ).observe(elapsed)
         if reg.rounds is not None:
             self.metrics.gauge(
-                "exec_seconds_per_round", engine=reg.engine, mode=mode
+                "exec_seconds_per_round", engine=reg.engine, mode="sealed"
             ).set(elapsed / reg.rounds)
 
     def apply(self, name: str, a: np.ndarray) -> np.ndarray:
@@ -276,7 +275,7 @@ class PermutationService:
         reg, sealed = self._sealed(name)
         t0 = time.perf_counter()
         out = SealedExecutor().run(sealed, a)
-        self._observe_apply(reg, time.perf_counter() - t0, "sealed")
+        self._observe_apply(reg, time.perf_counter() - t0)
         self._requests.inc()
         self._elements.inc(sealed.n)
         return out
@@ -286,7 +285,7 @@ class PermutationService:
         reg, sealed = self._sealed(name)
         t0 = time.perf_counter()
         out = SealedExecutor().run_batch(sealed, batch)
-        self._observe_apply(reg, time.perf_counter() - t0, "sealed")
+        self._observe_apply(reg, time.perf_counter() - t0)
         k = int(np.asarray(batch).shape[0])
         self._requests.inc(k)
         self._elements.inc(k * sealed.n)
@@ -308,8 +307,10 @@ class PermutationService:
         (:meth:`~repro.planner.Planner.sharded`, built once per
         ``(p, d)`` while the memory tier holds it) under the
         resident-bytes budget, writing the result to ``path_out``.
-        Returns the :class:`~repro.exec.StreamingStats`; the run's
-        ``stream_*`` histograms go to the stack's one registry.
+        ``max_resident_bytes=None`` means the executor's 256 MiB
+        default; any other value, ``0`` included, is the budget as
+        given.  Returns the :class:`~repro.exec.StreamingStats`; the
+        run's ``stream_*`` histograms go to the stack's one registry.
         """
         from repro.exec.streaming import (
             DEFAULT_RESIDENT_BYTES,
@@ -322,8 +323,9 @@ class PermutationService:
         ) as sp:
             t0 = time.perf_counter()
             executor = StreamingExecutor(
-                max_resident_bytes=max_resident_bytes
-                or DEFAULT_RESIDENT_BYTES,
+                max_resident_bytes=DEFAULT_RESIDENT_BYTES
+                if max_resident_bytes is None
+                else max_resident_bytes,
                 metrics=self.metrics,
             )
             stats = executor.run_sharded(
@@ -335,7 +337,11 @@ class PermutationService:
                 tiles=stats.tiles_loaded,
                 peak_resident=stats.peak_resident_total_bytes,
             )
-        self._observe_apply(reg, elapsed, "stream")
+        # A stream runs its sharding's two gather passes, not the
+        # engine's rounds: it has a wall time but no per-round ratio.
+        self.metrics.histogram(
+            "exec_apply_seconds", engine=reg.engine, mode="stream"
+        ).observe(elapsed)
         self._requests.inc()
         self._elements.inc(int(reg.p.shape[0]))
         return stats

@@ -1,42 +1,36 @@
-"""Sharded permutation programs: row stripes + one column exchange.
+"""Sharded permutations: row stripes + one column exchange.
 
 The paper's scheduled algorithm decomposes an arbitrary permutation of
 a :math:`\\sqrt{n}\\times\\sqrt{n}` matrix into row-local steps around
 one global column shuffle.  This package applies the same idea one
-level up, across *DMMs* instead of warps: any size-preserving
-:class:`~repro.ir.program.KernelProgram` is partitioned into ``d``
-**row stripes** of ``n/d`` contiguous elements, and its denoted
-permutation is factored into
+level up, across *DMMs* instead of warps: the permutation ``p`` a
+size-preserving :class:`~repro.ir.program.KernelProgram` denotes is
+split over ``d`` **row stripes** of ``n/d`` contiguous elements into
 
-1. ``d`` independent *stripe-local* pre-permutations (each stripe
-   groups its elements by destination stripe),
-2. one explicit **column-exchange** shuffle whose traffic is purely
-   contiguous block transfers between stripes, and
-3. ``d`` independent stripe-local post-permutations (each stripe
-   places its arrivals at their final offsets).
+1. ``gather_pre`` — a stripe-local gather that groups each stripe's
+   elements by destination stripe, and
+2. ``gather_post`` — one gather that performs the column exchange and
+   the final placement at once: each output stripe reads only the
+   ``<= d`` contiguous :class:`ExchangeSegment` ranges that end in it.
 
-Because each factor is itself a permutation program, the decomposition
-is *proved* — not assumed — semantics-preserving: the reassembled
-three-op program is denoted by :mod:`repro.staticcheck.semantics` and
-compared element-wise against the whole program's denotation.  A
-broken shuffle is refused with a counterexample
+These two maps are all a :class:`ShardedProgram` holds, and exactly
+what the out-of-core :class:`~repro.exec.StreamingExecutor` runs.
+:func:`shard_program` proves them with :func:`prove_sharding` on every
+build — ``gather_pre[gather_post] == p⁻¹``, element by element — and
+refuses a wrong sharding with the first wrong output position
 (:class:`~repro.errors.ShardRefutedError`).
-
-The stripe structure is exactly what the out-of-core
-:class:`~repro.exec.StreamingExecutor` needs: stripes are processed
-one at a time inside a resident-bytes budget, and the exchange step
-degenerates to ``d**2`` contiguous block copies that need no index
-arrays at all.
 """
 
 from repro.shard.program import (
     ExchangeSegment,
     ShardedProgram,
+    prove_sharding,
     shard_program,
 )
 
 __all__ = [
     "ExchangeSegment",
     "ShardedProgram",
+    "prove_sharding",
     "shard_program",
 ]

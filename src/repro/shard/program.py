@@ -1,41 +1,39 @@
-"""Factor a kernel program's permutation into stripes + one exchange.
+"""Factor a kernel program's permutation into two stripe-aware gathers.
 
-The factorisation computed here is the three-phase out-of-core scheme:
+The out-of-core scheme moves data in two passes around one column
+exchange:
 
 * **pre** — each of the ``d`` row stripes is permuted locally so its
   elements are grouped (stably) by destination stripe;
 * **exchange** — the groups move between stripes as ``<= d**2``
   contiguous block transfers (the explicit column-exchange shuffle);
-* **post** — each stripe permutes its arrivals to their final offsets.
+* **post** — each stripe places its arrivals at their final offsets.
 
-All three factors are permutations, so the reassembled program is an
-ordinary three-op :class:`~repro.ir.program.KernelProgram` that the
-symbolic denotation machinery can compare against the whole program.
-``shard_program`` refuses — with a counterexample — any decomposition
-whose denotation differs from the original.
+A :class:`ShardedProgram` stores exactly the two gathers a stream runs:
+``gather_pre`` (the pre phase) and ``gather_post`` (the exchange and
+the final placement fused into one map).  :func:`prove_sharding` checks
+their composition against the program's denoted permutation element
+by element; :func:`shard_program` runs it on every build and refuses a
+wrong sharding with the first wrong output position.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ShardRefutedError, ShardingError
-from repro.ir.ops import CasualWrite
 from repro.ir.program import KernelProgram
-from repro.staticcheck.semantics import (
-    SemanticCertificate,
-    denote_program,
-    validate_translation,
-)
+from repro.staticcheck.semantics import denote_program
 
-if TYPE_CHECKING:
-    from repro.machine.params import MachineParams
-
-__all__ = ["ExchangeSegment", "ShardedProgram", "shard_program"]
+__all__ = [
+    "ExchangeSegment",
+    "ShardedProgram",
+    "prove_sharding",
+    "shard_program",
+]
 
 
 class ExchangeSegment(NamedTuple):
@@ -58,38 +56,29 @@ class ExchangeSegment(NamedTuple):
         return self.src_stripe != self.dst_stripe
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ShardedProgram:
-    """A ``d``-stripe factorisation of one kernel program.
+    """A ``d``-stripe sharding: the two gathers a stream runs.
 
-    ``pre``, ``exchange`` and ``post`` are destination-designated
-    permutation arrays (``out[arr[i]] = a[i]``) whose composition
-    equals the base program's denoted index map; ``pre`` and ``post``
-    are block-diagonal over the stripes, so each stripe's share is an
-    independent sub-program.  ``certificate`` carries the denotation
-    proof :func:`shard_program` attached.
+    ``mid[q] = in[gather_pre[q]]`` groups every stripe's elements by
+    destination stripe without leaving the stripe;
+    ``out[q] = mid[gather_post[q]]`` performs the column exchange and
+    the final placement at once, each output stripe reading only the
+    ``segments`` that end in it.  Built by :func:`shard_program`, which
+    proves ``gather_pre[gather_post] == p⁻¹`` before returning; both
+    maps are read-only.
     """
 
-    base: KernelProgram
     d: int
     stripe: int
-    pre: np.ndarray
-    exchange: np.ndarray
-    post: np.ndarray
+    gather_pre: np.ndarray
+    gather_post: np.ndarray
     segments: tuple[ExchangeSegment, ...]
-    certificate: SemanticCertificate | None = None
-
-    # ---------------------------------------------------------------- views
 
     @property
     def n(self) -> int:
         """Total number of elements (``d * stripe``)."""
         return self.d * self.stripe
-
-    @property
-    def engine(self) -> str:
-        """Registry name of the engine the base program came from."""
-        return self.base.engine
 
     @property
     def exchange_elements(self) -> int:
@@ -98,157 +87,71 @@ class ShardedProgram:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of every array the factorisation pins: the
-        three phase maps and the base program's index maps (cache
-        accounting)."""
-        return (
-            self.pre.nbytes + self.exchange.nbytes + self.post.nbytes
-            + self.base.nbytes
-        )
-
-    @property
-    def proven(self) -> bool:
-        """True when a passing denotation certificate is attached."""
-        return self.certificate is not None and self.certificate.ok
-
-    def as_program(self) -> KernelProgram:
-        """Reassemble the factorisation as one three-op program."""
-        ops = (
-            CasualWrite(label=f"shard.pre[d={self.d}]", p=self.pre),
-            CasualWrite(label=f"shard.exchange[d={self.d}]", p=self.exchange),
-            CasualWrite(label=f"shard.post[d={self.d}]", p=self.post),
-        )
-        return KernelProgram(
-            engine=f"sharded[{self.d}]:{self.base.engine}",
-            n=self.n,
-            width=self.base.width,
-            ops=ops,
-            meta={
-                "shard_d": self.d,
-                "stripe": self.stripe,
-                "exchange_elements": self.exchange_elements,
-            },
-        )
-
-    def stripe_programs(self, phase: str = "pre") -> tuple[KernelProgram, ...]:
-        """The ``d`` independent stripe-local sub-programs of a phase."""
-        arr = self._phase_array(phase)
-        programs = []
-        for k in range(self.d):
-            lo = k * self.stripe
-            local = arr[lo : lo + self.stripe] - lo
-            programs.append(
-                KernelProgram(
-                    engine=f"{self.base.engine}@stripe{k}.{phase}",
-                    n=self.stripe,
-                    width=self.base.width,
-                    ops=(
-                        CasualWrite(label=f"stripe{k}.{phase}", p=local),
-                    ),
-                )
-            )
-        return tuple(programs)
-
-    def local_gather(self, phase: str, k: int) -> np.ndarray:
-        """Gather index for stripe ``k``: ``out[t] = x[g[t]]``.
-
-        The inverse of the stripe's local scatter — the form a
-        streaming executor wants, because a gather can be evaluated in
-        arbitrarily small output chunks against a memory-mapped input.
-        """
-        arr = self._phase_array(phase)
-        if not 0 <= k < self.d:
-            raise ShardingError(f"stripe index {k} out of range for d={self.d}")
-        lo = k * self.stripe
-        local = arr[lo : lo + self.stripe] - lo
-        gather = np.empty(self.stripe, dtype=np.int64)
-        gather[local] = np.arange(self.stripe, dtype=np.int64)
-        return gather
-
-    def _phase_array(self, phase: str) -> np.ndarray:
-        if phase == "pre":
-            return self.pre
-        if phase == "post":
-            return self.post
-        raise ShardingError(
-            f"phase must be 'pre' or 'post', got {phase!r}"
-        )
-
-    # ------------------------------------------------------------- evidence
-
-    def verify(self) -> SemanticCertificate:
-        """Re-prove ``denote(reassembled) == denote(whole)`` from scratch."""
-        return validate_translation(self.base, self.as_program())
-
-    def with_exchange(self, exchange: np.ndarray) -> "ShardedProgram":
-        """Copy with a replacement shuffle and *no* certificate.
-
-        Exists so tests (and the self-check report) can seed a broken
-        exchange and watch :meth:`verify` refuse it.
-        """
-        return ShardedProgram(
-            base=self.base,
-            d=self.d,
-            stripe=self.stripe,
-            pre=self.pre,
-            exchange=np.asarray(exchange, dtype=np.int64),
-            post=self.post,
-            segments=self.segments,
-            certificate=None,
-        )
-
-    def digest(self) -> str:
-        """Content digest over the factorisation arrays."""
-        h = hashlib.sha256()
-        h.update(b"shard-v1")
-        h.update(str(self.d).encode("ascii"))
-        h.update(str(self.n).encode("ascii"))
-        for arr in (self.pre, self.exchange, self.post):
-            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-        return h.hexdigest()
-
-    # ---------------------------------------------------------------- model
-
-    def model_time(
-        self, params: "MachineParams", element_cells: int = 1
-    ) -> dict[str, int]:
-        """Multi-DMM model time for streaming this factorisation.
-
-        See :func:`repro.core.theory.sharded_time` for the cost terms.
-        """
-        from repro.core import theory
-
-        return theory.sharded_time_breakdown(
-            self.n,
-            params.width,
-            params.latency,
-            d=self.d,
-            exchange_elements=self.exchange_elements,
-            element_cells=element_cells,
-        )
+        """Resident bytes of the two gather maps (cache accounting)."""
+        return self.gather_pre.nbytes + self.gather_post.nbytes
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""
-        lines = [
-            f"ShardedProgram(engine={self.base.engine!r}, n={self.n}, "
-            f"d={self.d}, stripe={self.stripe})",
-            f"  exchange: {len(self.segments)} segments, "
-            f"{self.exchange_elements} crossing elements",
-            f"  proven: {self.proven}",
-        ]
-        return "\n".join(lines)
+        return "\n".join(
+            [
+                f"ShardedProgram(n={self.n}, d={self.d}, "
+                f"stripe={self.stripe})",
+                f"  exchange: {len(self.segments)} segments, "
+                f"{self.exchange_elements} crossing elements",
+            ]
+        )
+
+
+def prove_sharding(sharded: ShardedProgram, p: np.ndarray) -> None:
+    """Prove that streaming ``sharded`` computes ``out[p[i]] = a[i]``.
+
+    Both maps must have ``n`` entries inside ``[0, n)``, and every
+    output position ``q`` must read the element destined for it:
+    ``p[gather_pre[gather_post[q]]] == q``.  That is the streamed
+    result map compared with ``p⁻¹`` exactly, so a passing proof also
+    makes both maps permutations.  Raises
+    :class:`~repro.errors.ShardRefutedError` naming the first wrong
+    output position otherwise.
+    """
+    n = sharded.n
+    p = np.asarray(p)
+    if p.shape != (n,):
+        raise ShardRefutedError(
+            f"sharding covers n={n} but the permutation has "
+            f"shape {p.shape}"
+        )
+    for name, gather in (
+        ("gather_pre", sharded.gather_pre),
+        ("gather_post", sharded.gather_post),
+    ):
+        if gather.shape != (n,):
+            raise ShardRefutedError(
+                f"{name} has shape {gather.shape}, expected ({n},)"
+            )
+        if n and (int(gather.min()) < 0 or int(gather.max()) >= n):
+            q = int(np.flatnonzero((gather < 0) | (gather >= n))[0])
+            raise ShardRefutedError(
+                f"{name}[{q}] = {int(gather[q])} lies outside [0, {n})",
+                position=q,
+            )
+    wrong = p[sharded.gather_pre[sharded.gather_post]] != np.arange(n)
+    if wrong.any():
+        q = int(np.flatnonzero(wrong)[0])
+        raise ShardRefutedError(
+            f"sharding refuted at d={sharded.d}: output position {q} "
+            "would not receive the element the permutation sends there",
+            position=q,
+        )
 
 
 def shard_program(program: KernelProgram, d: int) -> ShardedProgram:
-    """Factor ``program`` into ``d`` row stripes plus a column exchange.
+    """Shard ``program`` into ``d`` row stripes around a column exchange.
 
-    Denotes the program symbolically, groups each stripe's elements by
-    destination stripe (phase *pre*), derives the contiguous exchange
-    blocks, and places arrivals at final offsets (phase *post*).  The
-    reassembled three-op program is then proved equal to the whole
-    program's denotation; a failed proof raises
-    :class:`~repro.errors.ShardRefutedError` carrying the refuting
-    certificate.
+    Denotes the program once to get its permutation ``p``, groups each
+    stripe's elements stably by destination stripe (``gather_pre``),
+    lists the contiguous exchange blocks, and fuses the exchange with
+    the final placement (``gather_post``).  The result is proved by
+    :func:`prove_sharding` before it is returned.
     """
     if d < 1:
         raise ShardingError(f"shard count d must be >= 1, got {d}")
@@ -269,18 +172,20 @@ def shard_program(program: KernelProgram, d: int) -> ShardedProgram:
     p = np.asarray(den.index_map, dtype=np.int64)
     n = int(p.shape[0])
     s = n // d
+    dtype = np.dtype(np.uint32 if n <= 2**32 else np.int64)
 
-    dest_stripe = p // s
-    pre = np.empty(n, dtype=np.int64)
-    counts = np.empty((d, d), dtype=np.int64)
-    for k in range(d):
-        lo = k * s
-        block = dest_stripe[lo : lo + s]
-        # Stable grouping keeps within-group arrival order deterministic,
-        # which the post phase relies on.
-        order = np.argsort(block, kind="stable")
-        pre[lo + order] = lo + np.arange(s, dtype=np.int64)
-        counts[k] = np.bincount(block, minlength=d)
+    # Key stripe·d + destination stripe: a stable sort keeps every
+    # stripe in place, groups it by destination and keeps the arrival
+    # order within a group deterministic.
+    key = (np.repeat(np.arange(0, d * d, d), s) + p // s).astype(
+        np.min_scalar_type(d * d - 1)
+    )
+    gather_pre = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=d * d).reshape(d, d)
+    # The element at mid position m must reach p[gather_pre[m]].
+    gather_post = np.empty(n, dtype=dtype)
+    gather_post[p[gather_pre]] = np.arange(n, dtype=dtype)
+    gather_pre = gather_pre.astype(dtype)
 
     # Block starts: source blocks are laid out j-major inside each
     # stripe, destination blocks k-major inside each stripe.
@@ -290,41 +195,22 @@ def shard_program(program: KernelProgram, d: int) -> ShardedProgram:
     dst_start = np.zeros((d, d), dtype=np.int64)
     dst_start[1:, :] = np.cumsum(counts, axis=0)[:-1, :]
     dst_start += (np.arange(d, dtype=np.int64) * s)[None, :]
+    segments = tuple(
+        ExchangeSegment(k, j, int(src_start[k, j]), int(dst_start[k, j]),
+                        int(counts[k, j]))
+        for k in range(d)
+        for j in range(d)
+        if counts[k, j]
+    )
 
-    exchange = np.empty(n, dtype=np.int64)
-    segments = []
-    for k in range(d):
-        for j in range(d):
-            length = int(counts[k, j])
-            if length == 0:
-                continue
-            src = int(src_start[k, j])
-            dst = int(dst_start[k, j])
-            exchange[src : src + length] = np.arange(
-                dst, dst + length, dtype=np.int64
-            )
-            segments.append(ExchangeSegment(k, j, src, dst, length))
-
-    # Element i sits at exchange[pre[i]] after the shuffle and must
-    # reach p[i]; both live in stripe p[i] // s, so post is stripe-local.
-    post = np.empty(n, dtype=np.int64)
-    post[exchange[pre]] = p
-
+    gather_pre.setflags(write=False)
+    gather_post.setflags(write=False)
     sharded = ShardedProgram(
-        base=program,
         d=d,
         stripe=s,
-        pre=pre,
-        exchange=exchange,
-        post=post,
-        segments=tuple(segments),
+        gather_pre=gather_pre,
+        gather_post=gather_post,
+        segments=segments,
     )
-    cert = sharded.verify()
-    if not cert.ok:
-        raise ShardRefutedError(
-            f"sharding refuted for engine {program.engine!r} at d={d}: "
-            f"{cert.summary()}",
-            certificate=cert,
-        )
-    sharded.certificate = cert
+    prove_sharding(sharded, p)
     return sharded

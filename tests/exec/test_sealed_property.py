@@ -6,8 +6,8 @@ Three independent oracles must agree on every input: the
 program, and the symbolic :func:`denote_program` index map.  Coverage
 axes: random fuzz programs (the ``tests.ir.strategies`` generator),
 every registered engine x the three paper families, payload dtypes,
-batch mode, and the PR-9 stripe factorisation (sealing a sharded
-program's reassembled form)."""
+batch mode, and the out-of-core stripe sharding (its two gathers
+compose to the sealed gather)."""
 
 import numpy as np
 import pytest
@@ -85,21 +85,22 @@ def test_every_engine_family_seals_exactly(engine, family):
 
 
 @pytest.mark.parametrize("d", (2, 4))
-def test_sealing_sharded_reassembly_matches_base(d):
-    """Sealing the PR-9 stripe factorisation's reassembled program
-    yields exactly the base program's sealed map — the three-phase
-    factorisation and the flat gather are the same permutation."""
+def test_sharded_gathers_match_the_sealed_gather(d):
+    """The stripe sharding's two gathers compose to exactly the base
+    program's sealed gather — the sharded stream and the flat gather
+    are the same permutation."""
     n = 4096
     p = random_permutation(n, seed=9)
     plan = get_engine("scheduled").plan(p, width=_WIDTH)
     program = default_pipeline().run(plan.lower())
     sharded = shard_program(program, d)
     sealed_base = seal_program(program)
-    sealed_shard = seal_program(sharded.as_program())
-    assert np.array_equal(sealed_base.scatter, sealed_shard.scatter)
+    assert np.array_equal(
+        sharded.gather_pre[sharded.gather_post], sealed_base.gather
+    )
 
     a = np.random.default_rng(2).random(n)
     np.testing.assert_array_equal(
-        SealedExecutor().run(sealed_shard, a),
+        a[sharded.gather_pre][sharded.gather_post],
         ReferenceExecutor().run(program, a),
     )

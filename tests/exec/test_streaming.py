@@ -186,7 +186,7 @@ class TestLifecycle:
             )
         assert not dst.exists()
 
-    def test_external_tmp_dir_spill_files_removed(self, paths, tmp_path):
+    def test_external_tmp_dir_spill_file_removed(self, paths, tmp_path):
         src, dst = paths
         spill = tmp_path / "spill"
         spill.mkdir()
@@ -195,8 +195,64 @@ class TestLifecycle:
         StreamingExecutor(max_resident_bytes=64 * 1024).run_sharded(
             _sharded(p), src, dst, tmp_dir=spill
         )
-        assert not list(spill.glob("gather-*.npy"))
-        assert not (spill / "mid.npy").exists()
+        assert list(spill.iterdir()) == []
+
+    def test_only_the_payload_is_spilled(self, paths, tmp_path,
+                                         monkeypatch):
+        """The gathers stay in memory with the sharding: while each
+        phase runs, the spill directory holds ``mid.npy`` alone."""
+        src, dst = paths
+        spill = tmp_path / "spill"
+        p = random_permutation(N, seed=6)
+        a = _payload(src, N)
+        executor = StreamingExecutor(max_resident_bytes=64 * 1024)
+        real_phase = executor._stream_phase
+        seen = {}
+
+        def listing_phase(phase, *args):
+            seen[phase] = sorted(f.name for f in spill.iterdir())
+            return real_phase(phase, *args)
+
+        monkeypatch.setattr(executor, "_stream_phase", listing_phase)
+        executor.run_sharded(_sharded(p), src, dst, tmp_dir=spill)
+        assert seen == {"pre": ["mid.npy"], "post": ["mid.npy"]}
+        expected = np.empty_like(a)
+        expected[p] = a
+        assert np.array_equal(np.load(dst), expected)
+
+
+class TestStatsParity:
+    """The two-gather sharding streams exactly the tiles, bytes and
+    resident peaks the spilled-gather executor reported for the same
+    p, d, dtype and budget (figures recorded from that executor)."""
+
+    @pytest.mark.parametrize(
+        "family, d, dtype, budget, expected",
+        [
+            ("bit-reversal", 4, "float64", 8 * 1024,
+             (341, 32, 98304, 65536, 2728, 4092)),
+            ("random", 8, "float32", 64 * 1024,
+             (512, 16, 65536, 32768, 2048, 4096)),
+            ("random", 2, "int32", 3000,
+             (187, 44, 65536, 32768, 748, 1496)),
+            ("bit-reversal", 1, "float64", 1 << 20,
+             (4096, 2, 98304, 65536, 32768, 49152)),
+        ],
+    )
+    def test_stats_unchanged(self, paths, family, d, dtype, budget,
+                             expected):
+        src, dst = paths
+        p = (bit_reversal(N) if family == "bit-reversal"
+             else random_permutation(N, seed=21))
+        np.save(src, np.arange(N).astype(dtype))
+        stats = StreamingExecutor(max_resident_bytes=budget).run_sharded(
+            _sharded(p, d), src, dst
+        )
+        assert (
+            stats.tile_elems, stats.tiles_loaded, stats.bytes_read,
+            stats.bytes_written, stats.peak_resident_payload_bytes,
+            stats.peak_resident_total_bytes,
+        ) == expected
 
 
 class TestTelemetry:

@@ -9,10 +9,10 @@ composition laws end to end through the machinery that guards them:
   raw concatenation denotes, for any pair of same-size fuzz programs
   (the pipeline may fuse or cancel across the seam; it must never
   change the function).
-* ``shard_program`` factorizes any regular program into
-  pre/exchange/post whose composition denotes the original — the
-  certificate the shard layer attaches is checked here against fuzz
-  programs rather than the curated engine lowerings.
+* ``shard_program`` shards any regular program into two gathers
+  whose composition reproduces the original's denotation — the proof
+  the shard layer runs is checked here against fuzz programs rather
+  than the curated engine lowerings.
 """
 
 from __future__ import annotations
@@ -71,8 +71,13 @@ def test_shard_of_fuzz_program_preserves_denotation(seed, n, num_ops, d):
     program = build_program(seed=seed, n=n, num_ops=num_ops,
                             padded=False)
     sharded = shard_program(program, d)
-    assert sharded.proven
-    assert np.array_equal(
-        denote_program(sharded.as_program()).index_map,
-        denote_program(program).index_map,
-    )
+    index_map = denote_program(program).index_map
+    # Streaming reads out[q] = a[gather_pre[gather_post[q]]]: every
+    # output position must receive the element the program sends there.
+    read = sharded.gather_pre[sharded.gather_post]
+    assert np.array_equal(index_map[read], np.arange(n))
+    a = np.arange(n, dtype=np.float64) + 0.5
+    expected = np.empty_like(a)
+    expected[index_map] = a
+    assert np.array_equal(a[sharded.gather_pre][sharded.gather_post],
+                          expected)

@@ -3,11 +3,12 @@ of a proven ``d``-stripe sharding, and every stream goes through it."""
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ShardingError
+from repro.errors import ResidentBudgetError, ShardingError
 from repro.exec.streaming import StreamingExecutor
 from repro.permutations.named import bit_reversal, random_permutation
 from repro.planner import Planner, permutation_digest
@@ -38,7 +39,10 @@ class TestPlannerSharded:
         planner = Planner()
         p = bit_reversal(N)
         sharded = _sharded(planner, p, 4)
-        assert sharded.proven and sharded.d == 4
+        assert sharded.d == 4
+        assert np.array_equal(
+            sharded.gather_pre[sharded.gather_post], np.argsort(p)
+        )
         assert _sharded(planner, p, 4) is sharded
 
     def test_distinct_per_d(self):
@@ -108,22 +112,20 @@ class TestPlannerSharded:
     def test_needs_no_sidecar_or_compile(self, tmp_path):
         planner = Planner(cache_dir=tmp_path / "cache")
         p = random_permutation(N, seed=17)
-        assert _sharded(planner, p, 4).proven
+        assert _sharded(planner, p, 4).d == 4
         stats = planner.stats()
         assert stats["cold_plans"] == 0
         assert stats["sealed_hits"] == 0
         assert not list((tmp_path / "cache").glob("*"))
 
-    def test_nbytes_counts_every_pinned_array(self):
+    def test_nbytes_counts_the_two_gathers(self):
         planner = Planner()
         p = bit_reversal(N)
         digest = permutation_digest(p)
         sharded = planner.sharded(p, digest, 4)
-        (gather,) = sharded.base.ops
         assert sharded.nbytes == (
-            sharded.pre.nbytes + sharded.exchange.nbytes
-            + sharded.post.nbytes + gather.p.nbytes
-        )
+            sharded.gather_pre.nbytes + sharded.gather_post.nbytes
+        ) == 2 * 4 * N
         assert planner.memory.bytes == (
             sharded.nbytes + planner.sealed(p, digest).nbytes
         )
@@ -131,19 +133,22 @@ class TestPlannerSharded:
     def test_small_byte_budget_evicts_a_shard(self):
         p, q = random_permutation(N, seed=1), random_permutation(N, seed=2)
         probe = Planner()
-        _sharded(probe, p, 4)
+        shard_bytes = _sharded(probe, p, 4).nbytes
         one = probe.memory.bytes
-        # Room for one permutation's gather and sharding, not two.
-        planner = Planner(cache_max_bytes=one + one // 2)
+        # Room for one permutation's gather and sharding plus half a
+        # sharding: q's entries push p's sharding out.
+        budget = one + shard_bytes // 2
+        planner = Planner(cache_max_bytes=budget)
         first = _sharded(planner, p, 4)
         key = shard_fingerprint(permutation_digest(p), 4)
         assert key in planner.memory
         _sharded(planner, q, 4)
         assert key not in planner.memory
         assert planner.stats()["memory_evictions"] >= 1
-        assert planner.memory.bytes <= one + one // 2
+        assert planner.memory.bytes <= budget
         again = _sharded(planner, p, 4)
-        assert again is not first and again.proven
+        assert again is not first
+        assert np.array_equal(again.gather_post, first.gather_post)
         assert planner.stats()["shard_plans"] == 3
 
 
@@ -190,3 +195,61 @@ class TestServiceApplyStream:
         service.apply_stream("r", src, dst, d=4, tmp_dir=tmp_path)
         assert np.array_equal(np.load(dst), _expected(new, a))
         assert service.stats()["shard_plans"] == 2
+
+    def test_warm_stream_spills_only_the_payload(self, tmp_path,
+                                                 monkeypatch):
+        """A warm stream reuses the built sharding and writes nothing
+        into ``tmp_dir`` but ``mid.npy``."""
+        service = PermutationService(width=WIDTH)
+        p = random_permutation(N, seed=19)
+        service.register("r", p)
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        spill = tmp_path / "spill"
+        a = _payload(src)
+        service.apply_stream("r", src, dst, d=4, tmp_dir=spill)
+        built = service.metrics.counter("planner_shard_plans_total")
+        before = built.value
+        written = []
+        real_save, real_memmap = np.save, np.lib.format.open_memmap
+
+        def save(file, *args, **kwargs):
+            written.append(Path(file))
+            return real_save(file, *args, **kwargs)
+
+        def open_memmap(filename, mode="r+", *args, **kwargs):
+            if mode.startswith("w"):
+                written.append(Path(filename))
+            return real_memmap(filename, mode, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", save)
+        monkeypatch.setattr(np.lib.format, "open_memmap", open_memmap)
+        service.apply_stream("r", src, dst, d=4, tmp_dir=spill)
+        monkeypatch.undo()
+        assert [f.name for f in written if f.parent == spill] == ["mid.npy"]
+        assert built.value == before
+        assert np.array_equal(np.load(dst), _expected(p, a))
+
+    def test_zero_budget_is_refused_not_replaced(self, tmp_path):
+        service = PermutationService(width=WIDTH)
+        service.register("bitrev", bit_reversal(N))
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        _payload(src)
+        with pytest.raises(ResidentBudgetError):
+            service.apply_stream("bitrev", src, dst, d=4,
+                                 max_resident_bytes=0)
+        assert not dst.exists()
+
+    def test_stream_sets_no_per_round_gauge(self, tmp_path):
+        """A stream runs two gather passes, not the engine's rounds:
+        it records its wall time but no seconds-per-round ratio."""
+        service = PermutationService(width=WIDTH)
+        service.register("bitrev", bit_reversal(N), engine="scheduled")
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        _payload(src)
+        service.apply_stream("bitrev", src, dst, d=4, tmp_dir=tmp_path)
+        snap = service.metrics.snapshot()
+        modes = {row["labels"]["mode"]
+                 for row in snap["exec_apply_seconds"]}
+        assert modes == {"stream"}
+        assert not [row for row in snap.get("exec_seconds_per_round", [])
+                    if row["labels"].get("mode") == "stream"]

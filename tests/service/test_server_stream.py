@@ -228,6 +228,17 @@ class TestStreamFailure:
         out = stream_server.submit("bitrev", a32).result(timeout=30.0)
         assert np.array_equal(out, _expected(bit_reversal(_N), a32))
 
+    def test_zero_budget_is_refused_not_replaced(
+        self, stream_server, tmp_path
+    ):
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        _payload(src)
+        with pytest.raises(ResidentBudgetError):
+            stream_server.apply_stream(
+                "bitrev", src, dst, d=2, max_resident_bytes=0
+            )
+        assert not dst.exists()
+
     def test_close_cancels_queued_stream(self, tmp_path):
         srv = _stall_workers(PermutationServer(width=_WIDTH, workers=1))
         srv.register("bitrev", bit_reversal(_N))

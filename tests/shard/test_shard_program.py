@@ -1,10 +1,14 @@
 """Tests for the row-stripe sharding layer (:mod:`repro.shard`).
 
-The acceptance bar: the three-phase factorization is *proven*
-semantics-preserving (via :mod:`repro.staticcheck.semantics`) for
-every registered engine on several permutation families, and a
-tampered exchange is *refused* with a concrete counterexample.
+The acceptance bar: for every registered engine on several permutation
+families, the two stored gathers compose to exactly the inverse of the
+program's denoted permutation; ``gather_pre`` never leaves its stripe;
+``gather_post`` reads each output stripe only from the exchange
+segments that end in it; and a tampered map is refused by the same
+proof :func:`shard_program` runs, at the first wrong output position.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +20,12 @@ from repro.permutations.named import (
     random_permutation,
     transpose_permutation,
 )
-from repro.shard import ExchangeSegment, ShardedProgram, shard_program
+from repro.shard import (
+    ExchangeSegment,
+    ShardedProgram,
+    prove_sharding,
+    shard_program,
+)
 from repro.staticcheck.semantics import denote_program
 
 WIDTH = 32
@@ -32,73 +41,157 @@ def _program(engine: str, p: np.ndarray):
     return get_engine(engine).plan(p, width=WIDTH).lower()
 
 
+def _streamed(sharded: ShardedProgram, a: np.ndarray) -> np.ndarray:
+    """The two gather passes a stream runs, in memory."""
+    return a[sharded.gather_pre][sharded.gather_post]
+
+
 class TestProvenAcrossEnginesAndFamilies:
     @pytest.mark.parametrize("engine", sorted(engine_names()))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_sharding_proven_for_engine_and_family(self, engine, family):
+    def test_two_gathers_compose_to_the_inverse(self, engine, family):
         p = FAMILIES[family](N)
         program = _program(engine, p)
         sharded = shard_program(program, 4)
         assert isinstance(sharded, ShardedProgram)
-        assert sharded.proven
-        assert sharded.certificate is not None
-        assert sharded.certificate.ok
         assert sharded.d == 4 and sharded.n == program.n
-
-    @pytest.mark.parametrize("d", (1, 2, 4, 8))
-    def test_composition_equals_destination_map(self, d):
-        p = bit_reversal(N)
-        program = _program("d-designated", p)
-        sharded = shard_program(program, d)
-        # post ∘ exchange ∘ pre == p, as scatter maps.
-        composed = sharded.post[sharded.exchange[sharded.pre]]
         assert np.array_equal(
-            composed, denote_program(program).index_map
+            sharded.gather_pre[sharded.gather_post], np.argsort(p)
         )
 
-    def test_pre_and_post_are_stripe_local(self):
-        p = random_permutation(N, seed=3)
-        sharded = shard_program(_program("s-designated", p), 8)
-        s = sharded.stripe
-        for phase in (sharded.pre, sharded.post):
-            assert np.array_equal(
-                np.arange(N) // s, phase // s
-            ), "phase moved an element across its stripe"
+    @pytest.mark.parametrize("d", (1, 2, 4, 8))
+    def test_streamed_payload_equals_denoted_scatter(self, d):
+        p = random_permutation(N, seed=4)
+        program = _program("d-designated", p)
+        sharded = shard_program(program, d)
+        a = np.arange(N, dtype=np.float64) * 3.0 - 1.0
+        expected = np.empty_like(a)
+        expected[denote_program(program).index_map] = a
+        assert np.array_equal(_streamed(sharded, a), expected)
 
-    def test_exchange_segments_are_contiguous_blocks(self):
-        p = random_permutation(N, seed=9)
+    def test_maps_are_read_only_uint32(self):
+        sharded = shard_program(_program("d-designated", bit_reversal(N)), 4)
+        for gather in (sharded.gather_pre, sharded.gather_post):
+            assert gather.dtype == np.uint32
+            assert not gather.flags.writeable
+            with pytest.raises(ValueError):
+                gather[0] = 0
+
+    def test_deterministic(self):
+        program = _program("scheduled", transpose_permutation(N))
+        a, b = shard_program(program, 4), shard_program(program, 4)
+        assert np.array_equal(a.gather_pre, b.gather_pre)
+        assert np.array_equal(a.gather_post, b.gather_post)
+        assert a.segments == b.segments
+
+
+class TestStripeStructure:
+    @pytest.mark.parametrize("d", (2, 4, 8))
+    def test_gather_pre_is_stripe_local(self, d):
+        p = random_permutation(N, seed=3)
+        sharded = shard_program(_program("s-designated", p), d)
+        s = sharded.stripe
+        assert np.array_equal(
+            np.arange(N) // s, sharded.gather_pre // s
+        ), "gather_pre read an element from another stripe"
+
+    def test_gather_pre_groups_each_stripe_by_destination(self):
+        p = random_permutation(N, seed=5)
         sharded = shard_program(_program("d-designated", p), 4)
-        covered = np.zeros(N, dtype=bool)
+        s = sharded.stripe
+        dest = p[sharded.gather_pre] // s
+        for k in range(sharded.d):
+            block = dest[k * s:(k + 1) * s]
+            assert np.all(np.diff(block) >= 0)
+
+    @pytest.mark.parametrize("d", (2, 4, 8))
+    def test_gather_post_reads_only_segments_ending_in_its_stripe(self, d):
+        p = random_permutation(N, seed=9)
+        sharded = shard_program(_program("d-designated", p), d)
+        s = sharded.stripe
+        for j in range(d):
+            allowed = np.zeros(N, dtype=bool)
+            for seg in sharded.segments:
+                if seg.dst_stripe == j:
+                    allowed[seg.src_start:seg.src_start + seg.length] = True
+            reads = sharded.gather_post[j * s:(j + 1) * s]
+            assert allowed[reads].all(), (
+                f"output stripe {j} reads outside its exchange segments"
+            )
+            # ... and reads every element those segments carry.
+            assert int(allowed.sum()) == s
+
+    def test_segments_tile_mid_exactly_once(self):
+        p = random_permutation(N, seed=11)
+        sharded = shard_program(_program("d-designated", p), 4)
+        s = sharded.stripe
+        covered = np.zeros(N, dtype=np.int64)
         for seg in sharded.segments:
             assert isinstance(seg, ExchangeSegment)
             assert seg.length > 0
-            src = np.arange(seg.src_start, seg.src_start + seg.length)
-            dst = np.arange(seg.dst_start, seg.dst_start + seg.length)
-            assert np.array_equal(sharded.exchange[src], dst)
-            covered[src] = True
-        assert covered.all()
-        crossing = sum(
-            seg.length for seg in sharded.segments if seg.crosses
-        )
-        assert crossing == sharded.exchange_elements
+            assert seg.src_start // s == seg.src_stripe
+            assert (seg.src_start + seg.length - 1) // s == seg.src_stripe
+            assert seg.dst_start // s == seg.dst_stripe
+            covered[seg.src_start:seg.src_start + seg.length] += 1
+        assert np.all(covered == 1)
+        crossing = int(np.count_nonzero(np.arange(N) // s != p // s))
+        assert sharded.exchange_elements == crossing
 
 
 class TestRefusal:
-    def test_broken_shuffle_refused_with_counterexample(self):
-        p = bit_reversal(N)
-        sharded = shard_program(_program("d-designated", p), 4)
-        broken_exchange = sharded.exchange.copy()
-        broken_exchange[[0, 1]] = broken_exchange[[1, 0]]
-        broken = sharded.with_exchange(broken_exchange)
-        assert broken.certificate is None and not broken.proven
-        cert = broken.verify()
-        assert not cert.ok
-        assert cert.counterexample is not None
-        assert cert.counterexample.stage == "optimized-vs-raw"
-        # The refusal error carries the refuting certificate for
-        # callers that escalate (planner, report self-check).
-        err = ShardRefutedError("refused", certificate=cert)
-        assert err.certificate is cert
+    @pytest.fixture
+    def built(self):
+        p = random_permutation(N, seed=13)
+        return p, shard_program(_program("d-designated", p), 4)
+
+    def test_swapped_gather_post_refused_at_first_output(self, built):
+        p, sharded = built
+        broken = sharded.gather_post.copy()
+        broken[[5, 700]] = broken[[700, 5]]
+        with pytest.raises(ShardRefutedError) as excinfo:
+            prove_sharding(replace(sharded, gather_post=broken), p)
+        assert excinfo.value.position == 5
+
+    def test_swapped_gather_pre_refused_at_first_output(self, built):
+        p, sharded = built
+        broken = sharded.gather_pre.copy()
+        broken[[10, 20]] = broken[[20, 10]]
+        with pytest.raises(ShardRefutedError) as excinfo:
+            prove_sharding(replace(sharded, gather_pre=broken), p)
+        # The two outputs that read mid positions 10 and 20 go wrong.
+        readers = np.flatnonzero(np.isin(sharded.gather_post, (10, 20)))
+        assert excinfo.value.position == int(readers.min())
+
+    @pytest.mark.parametrize("name", ("gather_pre", "gather_post"))
+    def test_out_of_range_read_refused(self, built, name):
+        p, sharded = built
+        broken = getattr(sharded, name).copy()
+        broken[17] = N
+        with pytest.raises(ShardRefutedError, match="outside") as excinfo:
+            prove_sharding(replace(sharded, **{name: broken}), p)
+        assert excinfo.value.position == 17
+
+    def test_wrong_length_refused(self, built):
+        p, sharded = built
+        with pytest.raises(ShardRefutedError, match="shape"):
+            prove_sharding(
+                replace(sharded, gather_post=sharded.gather_post[:-1]), p
+            )
+        with pytest.raises(ShardRefutedError, match="shape"):
+            prove_sharding(sharded, p[:-1])
+
+    def test_shard_program_runs_the_proof(self, monkeypatch):
+        program = _program("d-designated", bit_reversal(N))
+        calls = []
+
+        def refuse(sharded, p):
+            calls.append(sharded)
+            raise ShardRefutedError("seeded refusal", position=0)
+
+        monkeypatch.setattr("repro.shard.program.prove_sharding", refuse)
+        with pytest.raises(ShardRefutedError, match="seeded"):
+            shard_program(program, 4)
+        assert len(calls) == 1 and calls[0].d == 4
 
     def test_invalid_d_rejected(self, monkeypatch):
         program = _program("d-designated", bit_reversal(N))
@@ -119,57 +212,21 @@ class TestRefusal:
         program = get_engine("cpu-naive").plan(p, width=WIDTH).lower()
         with pytest.raises(ShardingError):
             shard_program(program, 4)
-        assert shard_program(program, 2).proven
+        sharded = shard_program(program, 2)
+        assert np.array_equal(
+            sharded.gather_pre[sharded.gather_post], np.argsort(p)
+        )
 
 
 class TestShardedProgramApi:
-    def test_as_program_metadata_and_digest_stability(self):
-        p = transpose_permutation(N)
-        program = _program("scheduled", p)
-        a = shard_program(program, 4)
-        b = shard_program(program, 4)
-        assert a.digest() == b.digest()
-        assert a.digest() != shard_program(program, 2).digest()
-        composite = a.as_program()
-        assert composite.engine.startswith("sharded[4]:")
-        assert composite.meta is not None
-        assert composite.meta["shard_d"] == 4
-        assert (composite.meta["exchange_elements"]
-                == a.exchange_elements)
-
-    def test_stripe_programs_and_local_gather(self):
-        p = random_permutation(N, seed=11)
-        sharded = shard_program(_program("d-designated", p), 4)
-        for phase in ("pre", "post"):
-            stripes = sharded.stripe_programs(phase)
-            assert len(stripes) == 4
-            scatter = (sharded.pre if phase == "pre"
-                       else sharded.post)
-            for k, prog in enumerate(stripes):
-                assert prog.n == sharded.stripe
-                lo = k * sharded.stripe
-                gather = sharded.local_gather(phase, k)
-                local = scatter[lo:lo + sharded.stripe] - lo
-                # gather is the inverse of the local scatter.
-                assert np.array_equal(
-                    local[gather], np.arange(sharded.stripe)
-                )
-
-    def test_model_time_decreases_with_d(self):
-        from repro.machine.params import MachineParams
-
-        p = bit_reversal(N)
-        program = _program("d-designated", p)
-        params = MachineParams(width=WIDTH)
-        totals = [
-            shard_program(program, d).model_time(params)["total"]
-            for d in (1, 2, 4)
-        ]
-        assert all(t > 0 for t in totals)
+    def test_nbytes_counts_the_two_maps(self):
+        sharded = shard_program(_program("d-designated", bit_reversal(N)), 4)
+        assert sharded.nbytes == 2 * 4 * N
 
     def test_describe_mentions_shape(self):
         sharded = shard_program(
             _program("d-designated", bit_reversal(N)), 2
         )
         text = sharded.describe()
-        assert "d = 2" in text or "d=2" in text
+        assert "d=2" in text
+        assert "segments" in text
