@@ -13,8 +13,8 @@ program is re-planned from the sidecar's scatter map lazily, only if
 something asks for ``lower()`` / ``simulate()``).
 ``Planner.sealed(p, digest)`` skips the program altogether: it is how
 the serving layer answers requests.  ``Planner.sharded(p, digest, d)``
-factors that gather into ``d`` stripes for out-of-core streams, once
-per ``(p, d)`` while the memory tier holds it.
+factors ``p`` into ``d`` stripes for out-of-core streams, once per
+``(p, d)`` while the memory tier holds it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.planner.fingerprint import (
     plan_fingerprint,
     shard_fingerprint,
 )
-from repro.shard import ShardedProgram, shard_program
+from repro.shard import ShardedProgram, shard_permutation
 from repro.staticcheck.semantics import (
     SemanticCertificate,
     SemanticChecker,
@@ -455,11 +455,11 @@ class Planner:
         keys it by ``shard_fingerprint(digest, d)``, so every stream of
         one ``p`` at one ``d`` shares one entry, whose two gather maps
         (``nbytes``) count against ``cache_max_bytes``.  A miss shards
-        the sealed gather with :func:`~repro.shard.shard_program`, which
-        proves both maps against its denotation (raising
+        ``p`` itself with :func:`~repro.shard.shard_permutation`, which
+        checks ``p`` once and proves both maps against it (raising
         :class:`~repro.errors.ShardingError` when ``d`` does not divide
-        ``n``), and counts ``shard_plans``.  Concurrent misses of one
-        key build it once.
+        ``n``), and counts ``shard_plans``; no sealed entry is built or
+        kept for it.  Concurrent misses of one key build it once.
         """
         key = shard_fingerprint(digest, d)
         with telemetry.span(
@@ -474,9 +474,7 @@ class Planner:
                 if isinstance(hit, ShardedProgram):
                     sp.set(tier="memory")
                     return hit
-                sharded = shard_program(
-                    self.sealed(p, digest).as_program(), d
-                )
+                sharded = shard_permutation(p, d)
                 self._counts["shard_plans"].inc()
                 self.memory.put(key, sharded)
             sp.set(tier="built")

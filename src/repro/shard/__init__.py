@@ -15,16 +15,18 @@ split over ``d`` **row stripes** of ``n/d`` contiguous elements into
 
 These two maps are all a :class:`ShardedProgram` holds, and exactly
 what the out-of-core :class:`~repro.exec.StreamingExecutor` runs.
-:func:`shard_program` proves them with :func:`prove_sharding` on every
-build — ``gather_pre[gather_post] == p⁻¹``, element by element — and
-refuses a wrong sharding with the first wrong output position
-(:class:`~repro.errors.ShardRefutedError`).
+:func:`shard_permutation` builds them from ``p`` (the planner's path)
+and :func:`shard_program` from a program's denotation; both prove them
+with :func:`prove_sharding` on every build — ``gather_pre[gather_post]
+== p⁻¹``, element by element — and refuse a wrong sharding with the
+first wrong output position (:class:`~repro.errors.ShardRefutedError`).
 """
 
 from repro.shard.program import (
     ExchangeSegment,
     ShardedProgram,
     prove_sharding,
+    shard_permutation,
     shard_program,
 )
 
@@ -32,5 +34,6 @@ __all__ = [
     "ExchangeSegment",
     "ShardedProgram",
     "prove_sharding",
+    "shard_permutation",
     "shard_program",
 ]

@@ -12,9 +12,10 @@ exchange:
 A :class:`ShardedProgram` stores exactly the two gathers a stream runs:
 ``gather_pre`` (the pre phase) and ``gather_post`` (the exchange and
 the final placement fused into one map).  :func:`prove_sharding` checks
-their composition against the program's denoted permutation element
-by element; :func:`shard_program` runs it on every build and refuses a
-wrong sharding with the first wrong output position.
+their composition against the permutation element by element;
+:func:`shard_permutation` (from ``p``) and :func:`shard_program` (from
+a program's denotation) run it on every build and refuse a wrong
+sharding with the first wrong output position.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import numpy as np
 from repro.errors import ShardRefutedError, ShardingError
 from repro.ir.program import KernelProgram
 from repro.staticcheck.semantics import denote_program
+from repro.util.validation import check_permutation
 
 __all__ = [
     "ExchangeSegment",
     "ShardedProgram",
     "prove_sharding",
+    "shard_permutation",
     "shard_program",
 ]
 
@@ -144,24 +147,26 @@ def prove_sharding(sharded: ShardedProgram, p: np.ndarray) -> None:
         )
 
 
+def _check_stripes(n: int, d: int) -> None:
+    if d < 1:
+        raise ShardingError(f"shard count d must be >= 1, got {d}")
+    if n % d != 0:
+        raise ShardingError(f"shard count d={d} must divide n={n}")
+
+
 def shard_program(program: KernelProgram, d: int) -> ShardedProgram:
     """Shard ``program`` into ``d`` row stripes around a column exchange.
 
-    Denotes the program once to get its permutation ``p``, groups each
-    stripe's elements stably by destination stripe (``gather_pre``),
-    lists the contiguous exchange blocks, and fuses the exchange with
-    the final placement (``gather_post``).  The result is proved by
-    :func:`prove_sharding` before it is returned.
+    Denotes the program once to get its permutation ``p`` (which
+    proves ``p`` a bijection) and shards that as
+    :func:`shard_permutation` does.
     """
-    if d < 1:
-        raise ShardingError(f"shard count d must be >= 1, got {d}")
     if program.out_n != program.n:
         raise ShardingError(
             "only size-preserving programs can be sharded; "
             f"{program.engine!r} maps n={program.n} to out_n={program.out_n}"
         )
-    if program.n % d != 0:
-        raise ShardingError(f"shard count d={d} must divide n={program.n}")
+    _check_stripes(program.n, d)
     den = denote_program(program)
     if not den.ok:
         detail = den.failure.detail if den.failure is not None else "unknown"
@@ -169,7 +174,27 @@ def shard_program(program: KernelProgram, d: int) -> ShardedProgram:
             f"cannot shard {program.engine!r}: program does not denote "
             f"a total map ({detail})"
         )
-    p = np.asarray(den.index_map, dtype=np.int64)
+    return _shard(np.asarray(den.index_map, dtype=np.int64), d)
+
+
+def shard_permutation(p: np.ndarray, d: int) -> ShardedProgram:
+    """Shard the permutation ``p`` into ``d`` row stripes.
+
+    Checks once that ``p`` is a permutation of ``0..n-1``
+    (:class:`~repro.errors.NotAPermutationError` otherwise), groups
+    each stripe's elements stably by destination stripe
+    (``gather_pre``), lists the contiguous exchange blocks, and fuses
+    the exchange with the final placement (``gather_post``).  The
+    result is proved by :func:`prove_sharding` before it is returned.
+    """
+    p = check_permutation(p)
+    _check_stripes(int(p.shape[0]), d)
+    return _shard(p, d)
+
+
+def _shard(p: np.ndarray, d: int) -> ShardedProgram:
+    """The proved sharding of ``p``, an ``int64`` permutation whose
+    length ``d`` divides."""
     n = int(p.shape[0])
     s = n // d
     dtype = np.dtype(np.uint32 if n <= 2**32 else np.int64)

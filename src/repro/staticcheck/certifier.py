@@ -16,13 +16,18 @@ address groups ``addr div w`` for global rounds.  The result is a
 :class:`Counterexample` naming the kernel, round, block, warp, bank and
 colliding lanes.
 
-The counting is sort-based with exact early exits: each warp's banks
-(or groups), narrowed to a small unsigned dtype, are sorted; a warp
-with no repeated bank (or whose lanes all share lane 0's group) counts
-1, and only the other warps take the exact count.  It is deliberately
-independent of :mod:`repro.machine.cost_model` (sort and compare
-neighbours here vs. bincount there), so the differential tests compare
-two independent derivations of the same per-round quantities.
+The counting screens every warp in O(lanes) and counts exactly only
+the warps the screen flags.  A shared warp of ``w <= 64`` lanes is
+conflict-free iff the OR of ``1 << bank`` over its lanes has all ``w``
+bits set (``w`` lanes, ``w`` banks: pigeonhole); a global warp of a
+power-of-two ``w`` touches one group iff ``OR ^ AND`` of its addresses
+is below ``w`` (``docs/theory.md`` §9).  Flagged warps, and every
+warp of a width the screen does not cover, are sorted and counted
+exactly, so a verdict's ``stages`` and ``max_per_warp`` are exact
+either way.  The module is deliberately independent of
+:mod:`repro.machine.cost_model` (masks and sorts here vs. bincount
+there), so the differential tests compare two independent derivations
+of the same per-round quantities.
 
 Certificates serialise to JSON and are embedded into plan files by
 :func:`repro.core.io.save_plan`; a certificate binds itself to its plan
@@ -68,16 +73,17 @@ def _warp_matrix(addresses: np.ndarray, width: int) -> np.ndarray:
     return addresses.reshape(-1, width)
 
 
-def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
-    """``values`` (all in ``[0, bound)``) in the smallest of
-    ``uint16``/``uint32`` that holds them, so the sorts below move 2 or
-    4 bytes per lane instead of 8.  Not ``uint8``: NumPy's vectorised
-    quicksort covers 16-bit and wider keys only, and byte rows sort
-    several times slower."""
+def _sorted_rows(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values`` (all in ``[0, bound)``) sorted along each row, in the
+    smallest of ``uint16``/``uint32`` that holds them, so the sort moves
+    2 or 4 bytes per lane instead of 8.  Not ``uint8``: NumPy's
+    vectorised quicksort covers 16-bit and wider keys only, and byte
+    rows sort several times slower."""
     for dtype in (np.uint16, np.uint32):
         if bound <= np.iinfo(dtype).max + 1:
-            return values.astype(dtype)
-    return values
+            values = values.astype(dtype)
+            break
+    return np.sort(values, axis=1)
 
 
 def _max_run_lengths(rows: np.ndarray) -> np.ndarray:
@@ -97,6 +103,25 @@ def _max_run_lengths(rows: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(lengths, row_firsts)
 
 
+def _is_power_of_two(width: int) -> bool:
+    return width & (width - 1) == 0
+
+
+def _bank_masks(warps: np.ndarray, width: int) -> np.ndarray:
+    """Per warp (``width <= 64``), the OR of ``1 << bank`` over its
+    lanes: bit ``k`` is set iff some lane hits bank ``k``."""
+    dtype = np.uint32 if width <= 32 else np.uint64
+    if _is_power_of_two(width):
+        # The cast keeps an address's low bits (two's complement), so
+        # ``& (w - 1)`` is still ``addr mod w`` for negative addresses
+        # and for addresses of 2**32 and above.
+        banks = warps.astype(dtype) & (width - 1)
+    else:
+        banks = (warps % width).astype(dtype)
+    masks: np.ndarray = np.bitwise_or.reduce(1 << banks, axis=1)
+    return masks
+
+
 def shared_bank_multiplicities(
     addresses: np.ndarray, width: int
 ) -> np.ndarray:
@@ -106,18 +131,23 @@ def shared_bank_multiplicities(
     the largest number of its lanes whose addresses share one bank
     (``addr mod w``).  ``1`` everywhere means conflict-free.
 
-    Each warp's banks are sorted; a warp with no two equal neighbours
-    has no repeated bank and multiplicity 1.  Only the warps with a
-    repeat take the exact count, as their longest run of equal banks.
+    For ``w <= 64`` a warp whose bank mask (:func:`_bank_masks`) has
+    all ``w`` bits set hits ``w`` distinct banks and has multiplicity
+    1.  Only the other warps (every warp when ``w > 64``) have their
+    banks sorted and take the exact count, their longest run of equal
+    banks.
     """
     warps = _warp_matrix(addresses, width)
     result = np.ones(warps.shape[0], dtype=np.int64)
-    banks = np.sort(_narrow(warps % width, width), axis=1)
-    repeats = np.flatnonzero(
-        (banks[:, 1:] == banks[:, :-1]).any(axis=1)
-    )
-    if repeats.size:
-        result[repeats] = _max_run_lengths(banks[repeats])
+    suspect: np.ndarray
+    if width <= 64:
+        full = (1 << width) - 1
+        suspect = np.flatnonzero(_bank_masks(warps, width) != full)
+    else:
+        suspect = np.arange(warps.shape[0])
+    if suspect.size:
+        banks = _sorted_rows(warps[suspect] % width, width)
+        result[suspect] = _max_run_lengths(banks)
     return result
 
 
@@ -128,19 +158,26 @@ def global_group_counts(addresses: np.ndarray, width: int) -> np.ndarray:
     ``addr div w`` among its lanes.  ``1`` everywhere means fully
     coalesced.
 
-    A warp whose lanes all share lane 0's group counts 1; only the
-    other warps are sorted and their distinct groups counted.
+    For a power-of-two ``w`` a warp's lanes share one group iff the
+    OR and the AND of its addresses agree above the low ``log2 w``
+    bits, i.e. ``OR ^ AND`` (read unsigned) is below ``w``; for other
+    widths, iff every lane's group equals lane 0's.  Such a warp counts
+    1; only the other warps are sorted and their distinct groups
+    counted.
     """
     warps = _warp_matrix(addresses, width)
     result = np.ones(warps.shape[0], dtype=np.int64)
-    groups = warps // width
-    mixed = np.flatnonzero((groups != groups[:, :1]).any(axis=1))
+    if _is_power_of_two(width):
+        spread = np.bitwise_or.reduce(warps, axis=1) ^ \
+            np.bitwise_and.reduce(warps, axis=1)
+        mixed = np.flatnonzero(spread.view(np.uint64) >= width)
+    else:
+        groups = warps // width
+        mixed = np.flatnonzero((groups != groups[:, :1]).any(axis=1))
     if mixed.size:
-        rows = groups[mixed]
+        rows = warps[mixed] // width
         low = rows.min()
-        rows = np.sort(
-            _narrow(rows - low, int(rows.max() - low) + 1), axis=1
-        )
+        rows = _sorted_rows(rows - low, int(rows.max() - low) + 1)
         result[mixed] += np.count_nonzero(
             rows[:, 1:] != rows[:, :-1], axis=1
         )

@@ -126,17 +126,19 @@ class TestPlannerSharded:
         assert sharded.nbytes == (
             sharded.gather_pre.nbytes + sharded.gather_post.nbytes
         ) == 2 * 4 * N
-        assert planner.memory.bytes == (
-            sharded.nbytes + planner.sealed(p, digest).nbytes
-        )
+        # Sharding builds from p: no sealed entry is pinned beside it.
+        assert planner.memory.bytes == sharded.nbytes
+        assert digest not in planner.memory
+        sealed_bytes = planner.sealed(p, digest).nbytes
+        assert planner.memory.bytes == sharded.nbytes + sealed_bytes
 
     def test_small_byte_budget_evicts_a_shard(self):
         p, q = random_permutation(N, seed=1), random_permutation(N, seed=2)
         probe = Planner()
         shard_bytes = _sharded(probe, p, 4).nbytes
         one = probe.memory.bytes
-        # Room for one permutation's gather and sharding plus half a
-        # sharding: q's entries push p's sharding out.
+        # Room for one permutation's sharding (the only entry a stream
+        # builds) plus half a sharding: q's sharding pushes p's out.
         budget = one + shard_bytes // 2
         planner = Planner(cache_max_bytes=budget)
         first = _sharded(planner, p, 4)
@@ -228,6 +230,21 @@ class TestServiceApplyStream:
         assert [f.name for f in written if f.parent == spill] == ["mid.npy"]
         assert built.value == before
         assert np.array_equal(np.load(dst), _expected(p, a))
+
+    def test_stream_only_registration_pins_only_the_sharding(
+            self, tmp_path):
+        service = PermutationService(width=WIDTH)
+        p = random_permutation(N, seed=23)
+        service.register("r", p)
+        src, dst = tmp_path / "in.npy", tmp_path / "out.npy"
+        a = _payload(src)
+        service.apply_stream("r", src, dst, d=4, tmp_dir=tmp_path)
+        assert np.array_equal(np.load(dst), _expected(p, a))
+        digest = permutation_digest(p)
+        sharded = service.planner.sharded(p, digest, 4)
+        assert service.planner.memory.bytes == sharded.nbytes == 2 * 4 * N
+        assert len(service.planner.memory) == 1
+        assert digest not in service.planner.memory
 
     def test_zero_budget_is_refused_not_replaced(self, tmp_path):
         service = PermutationService(width=WIDTH)

@@ -13,7 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.errors import ShardingError, ShardRefutedError
+from repro.errors import (
+    NotAPermutationError,
+    ShardingError,
+    ShardRefutedError,
+)
 from repro.ir.registry import engine_names, get_engine
 from repro.permutations.named import (
     bit_reversal,
@@ -24,6 +28,7 @@ from repro.shard import (
     ExchangeSegment,
     ShardedProgram,
     prove_sharding,
+    shard_permutation,
     shard_program,
 )
 from repro.staticcheck.semantics import denote_program
@@ -136,6 +141,51 @@ class TestStripeStructure:
         assert np.all(covered == 1)
         crossing = int(np.count_nonzero(np.arange(N) // s != p // s))
         assert sharded.exchange_elements == crossing
+
+
+class TestShardPermutation:
+    """The planner's path: shard ``p`` itself, checked once, with no
+    program and no denotation."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_equals_the_program_sharding(self, family):
+        p = FAMILIES[family](N)
+        direct = shard_permutation(p, 4)
+        via = shard_program(_program("d-designated", p), 4)
+        assert np.array_equal(direct.gather_pre, via.gather_pre)
+        assert np.array_equal(direct.gather_post, via.gather_post)
+        assert direct.segments == via.segments
+        assert not direct.gather_pre.flags.writeable
+
+    def test_checks_p_once_and_denotes_nothing(self, monkeypatch):
+        from repro.shard import program as module
+
+        checked = []
+        real_check = module.check_permutation
+
+        def check(p):
+            checked.append(p)
+            return real_check(p)
+
+        def no_denotation(_program):
+            raise AssertionError("sharding p must not denote a program")
+
+        monkeypatch.setattr(module, "check_permutation", check)
+        monkeypatch.setattr(module, "denote_program", no_denotation)
+        shard_permutation(bit_reversal(N), 4)
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("case", ("repeat", "range"))
+    def test_non_permutation_refused(self, case):
+        p = np.arange(N, dtype=np.int64)
+        p[1] = 0 if case == "repeat" else N
+        with pytest.raises(NotAPermutationError):
+            shard_permutation(p, 4)
+
+    def test_invalid_d_refused(self):
+        for d in (0, 3):
+            with pytest.raises(ShardingError):
+                shard_permutation(bit_reversal(N), d)
 
 
 class TestRefusal:
