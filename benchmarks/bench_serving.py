@@ -157,13 +157,12 @@ def _client(server, perms, records, lock, per_client, seed, hists):
         )
         t0 = time.perf_counter()
         rec = {"family": name, "ok": False, "wrong": False,
-               "error": None, "coalesced": False}
+               "error": None}
         try:
             res = server.submit(name, payload, batch=batch,
                                 deadline_s=DEADLINE_S)
             out = res.result(timeout=60.0)
             rec["ok"] = True
-            rec["coalesced"] = res.coalesced
             expected = np.empty_like(payload)
             if batch:
                 expected[:, p] = payload
@@ -269,10 +268,6 @@ def run_chaos_load(
             "mean_ms": h.mean * 1e3,
             "max_ms": h.max * 1e3,
             "throughput_rps": h.count / elapsed,
-            "coalesced": sum(
-                r["coalesced"] for r in records
-                if r["family"] == name
-            ),
         }
     # Server-observed end-to-end latency, for comparison with the
     # client-observed quantiles above.
@@ -322,8 +317,7 @@ def test_serving_chaos_report(report):
          f["requests"],
          f"{f['p50_ms']:.2f}",
          f"{f['p99_ms']:.2f}",
-         f"{f['throughput_rps']:.0f}",
-         f["coalesced"]]
+         f"{f['throughput_rps']:.0f}"]
         for name, f in payload["families"].items()
     ]
     rows.append([
@@ -331,11 +325,9 @@ def test_serving_chaos_report(report):
         payload["requests"],
         "-", "-",
         f"{payload['throughput_rps']:.0f}",
-        "-",
     ])
     text = format_table(
-        ["family", "requests", "p50 ms", "p99 ms", "rps",
-         "coalesced"],
+        ["family", "requests", "p50 ms", "p99 ms", "rps"],
         rows,
         title=(
             "serving under chaos: "

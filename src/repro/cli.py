@@ -1305,7 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--concurrent", action="store_true",
         help="serve through the concurrent PermutationServer core "
-             "(queue, deadlines, coalescing) with threaded clients",
+             "(queue, deadlines, quotas) with threaded clients",
     )
     serve.add_argument(
         "--chaos", action="store_true",

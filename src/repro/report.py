@@ -227,7 +227,7 @@ def _check_serving() -> str:
         try:
             fp = server.register("perm", p, engine="padded")
             server.warm()
-            # Concurrent traffic (these coalesce) is answered exactly.
+            # Concurrent traffic is answered exactly, one apply each.
             futures = [server.submit("perm", a) for _ in range(8)]
             assert all(
                 np.array_equal(f.result(timeout=30.0), expected)

@@ -20,8 +20,8 @@ callers can share one instance.
 :class:`PermutationServer` (:mod:`repro.service.server`) wraps a
 service in a real server core for heavy mixed traffic: a bounded
 request queue with admission control and priority load shedding,
-per-request deadlines, per-tenant quotas and request coalescing.  See
-``docs/serving.md``.
+per-request deadlines and per-tenant quotas; each worker serves one
+request per apply.  See ``docs/serving.md``.
 
 ::
 

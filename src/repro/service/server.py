@@ -13,8 +13,8 @@ concern the bare facade lacks:
   unbounded work.
 * **deadlines** — each request may carry a deadline, enforced at
   admission and at dequeue, so expired work never occupies a worker.
-* **one attempt per group** — a request is answered from the
-  registration's own permutation
+* **one apply per request** — a worker dequeues one request and
+  answers it from the registration's own permutation
   (:meth:`~repro.planner.Planner.sealed`), so serving never colours,
   lowers, runs the pass pipeline or touches the disk.  There is no
   planning fault to retry and no engine to degrade to: every engine
@@ -23,9 +23,6 @@ concern the bare facade lacks:
   ``tenant/name`` keys; each tenant is metered by a
   :class:`~repro.service.quotas.TenantQuota` (requests/sec token
   bucket, in-flight bulkhead, resident-plan bulkhead).
-* **request coalescing** — concurrent single-payload requests for the
-  same registration are drained from the queue together and served by
-  one batched ``apply_batch`` pass over the shared gather.
 * **out-of-core streams** — :meth:`PermutationServer.submit_stream`
   queues one request like any other; a worker serves it with
   :meth:`PermutationService.apply_stream` and is held until it ends.
@@ -103,9 +100,11 @@ class ServeResult(Generic[T]):
     :class:`~repro.exec.StreamingStats`,
     ``ServeResult[StreamingStats]``) or raises the failure.  After
     completion the handle also carries how the request was served:
-    ``engine`` (the registered engine), ``attempts`` (always 1 once
-    served), ``coalesced`` (whether it shared a batched apply), and
-    ``wait_s`` / ``service_s`` timings.
+    ``engine`` (the registered engine) and ``wait_s`` / ``service_s``
+    timings.  ``attempts`` (1 once served) and ``coalesced`` (always
+    ``False``: every request is served by its own apply) stay only
+    because existing readers, such as the benchmark harness, still
+    read them.
     """
 
     def __init__(self, name: str, tenant: str, priority: int) -> None:
@@ -205,9 +204,6 @@ class PermutationServer:
     default_deadline_s:
         Deadline applied to requests that do not carry their own
         (``None``: no deadline).
-    coalesce / max_coalesce:
-        Batch concurrent same-registration requests into one
-        ``apply_batch`` (up to ``max_coalesce`` payloads per pass).
     quotas:
         ``{tenant: TenantQuota}``; tenants not listed get
         ``default_quota`` (unlimited unless specified).
@@ -246,8 +242,6 @@ class PermutationServer:
         workers: int = 2,
         queue_capacity: int = 64,
         default_deadline_s: float | None = None,
-        coalesce: bool = True,
-        max_coalesce: int = 16,
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota = UNLIMITED_QUOTA,
         self_check: bool = False,
@@ -263,18 +257,12 @@ class PermutationServer:
             raise ValidationError(
                 f"queue_capacity must be >= 1, got {queue_capacity}"
             )
-        if max_coalesce < 1:
-            raise ValidationError(
-                f"max_coalesce must be >= 1, got {max_coalesce}"
-            )
         self.service = service or PermutationService(
             width=width, cache_dir=cache_dir
         )
         self.workers = int(workers)
         self.queue_capacity = int(queue_capacity)
         self.default_deadline_s = default_deadline_s
-        self.coalesce = bool(coalesce)
-        self.max_coalesce = int(max_coalesce)
         self.self_check = bool(self_check)
         self._clock = clock
         self._quotas = dict(quotas or {})
@@ -633,10 +621,10 @@ class PermutationServer:
         streaming executor's resident-bytes budget).  Admission,
         shedding, the deadline and shutdown treat the stream like any
         other request: it takes one queue slot and one in-flight
-        count, and it never coalesces.  Its deadline is checked at
-        dequeue only, not between stripes, and a running stream holds
-        its worker until it finishes, so with ``workers=1`` even a
-        ``HIGH`` request waits for it.  The server's ``self_check``
+        count.  Its deadline is checked at dequeue only, not between
+        stripes, and a running stream holds its worker until it
+        finishes, so with ``workers=1`` even a ``HIGH`` request waits
+        for it.  The server's ``self_check``
         does not cover streams, and neither ``server_e2e_seconds``,
         the SLO monitor nor the latency EMA behind ``retry_after``
         sees them: a stream's run time scales with its file, not with
@@ -820,183 +808,113 @@ class PermutationServer:
     # ------------------------------------------------------------------
 
     def _worker(self) -> None:
-        while True:
-            with self._cond:
-                while self._size == 0 and not self._stopping:
-                    self._cond.wait()
-                if self._size == 0 and self._stopping:
-                    return
-                group = self._take_group()
-            try:
-                self._dispatch(group)
-            finally:
-                with self._cond:
-                    for req in group:
-                        self._tenant(req.tenant).inflight -= 1
+        while self._step():
+            pass
 
-    def _take_group(self) -> list[_Request]:
-        """Pop the most important request and (when coalescing) every
-        compatible same-registration single request behind it.  Caller
-        holds the lock."""
-        first: _Request | None = None
-        for prio in _PRIORITIES:
-            if self._buckets[prio]:
-                first = self._buckets[prio].popleft()
-                break
-        assert first is not None
-        self._size -= 1
-        group = [first]
-        if not self.coalesce or first.batch or first.stream is not None:
-            # A stream never coalesces: its payload is on disk.
-            return group
-        shape, dtype = first.payload.shape, first.payload.dtype
-        for prio in _PRIORITIES:
-            bucket = self._buckets[prio]
-            keep: deque[_Request] = deque()
-            while bucket and len(group) < self.max_coalesce:
-                req = bucket.popleft()
-                if (
-                    not req.batch
-                    and req.stream is None
-                    and req.key == first.key
-                    and req.payload.shape == shape
-                    and req.payload.dtype == dtype
-                ):
-                    group.append(req)
-                    self._size -= 1
-                else:
-                    keep.append(req)
-            keep.extend(bucket)
-            bucket.clear()
-            bucket.extend(keep)
-            if len(group) >= self.max_coalesce:
-                break
-        return group
-
-    def _dispatch(self, group: list[_Request]) -> None:
-        """Serve one dequeued group end to end."""
-        now = self._clock()
-        live: list[_Request] = []
-        for req in group:
-            wait = now - req.enqueued
-            if req.qspan is not None:
-                telemetry.end_span(req.qspan, wait_s=wait)
-            self.metrics.histogram(
-                "server_queue_wait_seconds",
-                priority=str(req.priority),
-            ).observe(wait)
-            if req.deadline is not None and now >= req.deadline:
-                error = DeadlineExceededError(
-                    f"deadline expired after "
-                    f"{wait:.3f} s in the queue"
-                )
-                req.result._fail(error)
-                self._finish_request(
-                    req, "deadline_exceeded", "deadline_exceeded"
-                )
-            else:
-                req.result.wait_s = wait
-                live.append(req)
-        if not live:
-            return
-        # Adopt the group leader's request context on this worker
-        # thread: spans opened while serving nest under its root, so
-        # the whole serve renders as one connected tree.  Riders keep
-        # their own root spans and are linked by attribute.
-        leader = live[0]
-        t0 = self._clock()
+    def _step(self) -> bool:
+        """One worker step: wait for work, pop the most important
+        request, serve it and release its in-flight slot.  Returns
+        ``False`` once the server is stopping and the queue is empty."""
+        with self._cond:
+            while self._size == 0 and not self._stopping:
+                self._cond.wait()
+            if self._size == 0:
+                return False
+            req = next(self._buckets[prio] for prio in _PRIORITIES
+                       if self._buckets[prio]).popleft()
+            self._size -= 1
         try:
-            if leader.ctx is not None:
-                with telemetry.request_scope(leader.ctx):
-                    self._serve(live)
+            self._dispatch(req)
+        finally:
+            with self._cond:
+                self._tenant(req.tenant).inflight -= 1
+        return True
+
+    def _dispatch(self, req: _Request) -> None:
+        """Serve one dequeued request end to end: the deadline check,
+        one apply, then resolve its future."""
+        now = self._clock()
+        wait = now - req.enqueued
+        if req.qspan is not None:
+            telemetry.end_span(req.qspan, wait_s=wait)
+        self.metrics.histogram(
+            "server_queue_wait_seconds", priority=str(req.priority),
+        ).observe(wait)
+        if req.deadline is not None and now >= req.deadline:
+            req.result._fail(DeadlineExceededError(
+                f"deadline expired after {wait:.3f} s in the queue"
+            ))
+            self._finish_request(
+                req, "deadline_exceeded", "deadline_exceeded"
+            )
+            return
+        req.result.wait_s = wait
+        t0 = self._clock()
+        # Adopt the request's context on this worker thread: spans
+        # opened while serving nest under its root, so the serve
+        # renders as one connected tree.
+        try:
+            if req.ctx is not None:
+                with telemetry.request_scope(req.ctx):
+                    engine, out = self._serve(req)
             else:
-                self._serve(live)
+                engine, out = self._serve(req)
         except Exception as exc:
             # Catch everything: an escaped exception would kill the
             # worker thread and leave every queued future unresolved.
-            engine = leader.result.engine
-            for req in live:
-                req.result._fail(exc)
-                self._finish_request(
-                    req, type(exc).__name__, "failed", engine=engine
-                )
+            req.result._fail(exc)
+            self._finish_request(req, type(exc).__name__, "failed")
             if not isinstance(exc, ReproError):
                 # Anything outside the library's failure taxonomy is
                 # a bug, not an operational condition: freeze the ring.
                 self.recorder.dump(
-                    "unexpected_error", rid=leader.rid,
+                    "unexpected_error", rid=req.rid,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             return
         elapsed = self._clock() - t0
-        if leader.stream is None:
+        if req.stream is None:
             # A stream's run time scales with its file, not with
             # serving health: it must not stretch retry_after hints.
             with self._stats_lock:
                 self._latency_ema = (
                     0.9 * self._latency_ema + 0.1 * elapsed
                 )
-        engine = leader.result.engine
-        for req in live:
-            req.result.service_s = elapsed
-            self._finish_request(req, "ok", "served", engine=engine)
+        req.result.engine = engine
+        req.result.attempts = 1
+        req.result.service_s = elapsed
+        req.result._resolve(out)
+        self._finish_request(req, "ok", "served", engine=engine)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def _serve(self, group: list[_Request]) -> None:
-        """Serve ``group`` (same registration) in one apply pass and
-        resolve every future; a failure fails the whole group."""
-        key = group[0].key
-        engine = self.service._registration(key).engine
-        with telemetry.span(
-            "serve.attempt",
-            engine=engine,
-            riders=[r.rid for r in group[1:]],
-        ):
-            out = self._apply_group(key, group)
-        self._deliver(group, out, engine)
-
-    def _apply_group(self, key: str, group: list[_Request]) -> Any:
-        """One apply pass for the whole group (a stream is a group of
-        one and answers its :class:`~repro.exec.StreamingStats`)."""
-        if group[0].stream is not None:
-            return self.service.apply_stream(key, **group[0].stream)
-        if len(group) == 1 and not group[0].batch:
-            return self.service.apply(key, group[0].payload)
-        if len(group) == 1:
-            return self.service.apply_batch(key, group[0].payload)
-        stacked = np.stack([req.payload for req in group])
-        self._count("coalesced", len(group) - 1)
-        return self.service.apply_batch(key, stacked)
-
-    def _deliver(
-        self, group: list[_Request], out: Any, engine: str
-    ) -> None:
-        if self.self_check and group[0].stream is None:
-            p = self.service._registration(group[0].key).p
-            payloads = (
-                out if len(group) > 1 else [np.asarray(out)]
-            )
-            for req, row in zip(group, payloads):
-                expected = np.empty_like(np.asarray(req.payload))
-                if req.batch:
-                    expected[:, p] = req.payload
-                else:
-                    expected[p] = req.payload
-                if not np.array_equal(row, expected):
-                    self._count("self_check_failed")
-                    raise ServingError(
-                        f"engine {engine!r} produced a wrong answer "
-                        "(caught by the server self-check)"
-                    )
-        coalesced = len(group) > 1
-        for i, req in enumerate(group):
-            req.result.engine = engine
-            req.result.attempts = 1
-            req.result.coalesced = coalesced
-            req.result._resolve(out[i] if coalesced else out)
+    def _serve(self, req: _Request) -> tuple[str, Any]:
+        """One apply for ``req`` (a stream answers its
+        :class:`~repro.exec.StreamingStats`), checked against the
+        definitional scatter when ``self_check`` is on; returns the
+        registered engine and the output."""
+        reg = self.service._registration(req.key)
+        with telemetry.span("serve.attempt", engine=reg.engine):
+            if req.stream is not None:
+                return reg.engine, self.service.apply_stream(
+                    req.key, **req.stream
+                )
+            if req.batch:
+                out = self.service.apply_batch(req.key, req.payload)
+            else:
+                out = self.service.apply(req.key, req.payload)
+        if self.self_check:
+            expected = np.empty_like(req.payload)
+            expected[..., reg.p] = req.payload
+            if not np.array_equal(out, expected):
+                self._count("self_check_failed")
+                raise ServingError(
+                    f"engine {reg.engine!r} produced a wrong answer "
+                    "(caught by the server self-check)"
+                )
+        return reg.engine, out
 
     # ------------------------------------------------------------------
     # Introspection

@@ -170,7 +170,7 @@ class TestObservableFailures:
     def test_queue_full_rejections_observable(self):
         release = threading.Event()
         server = PermutationServer(
-            width=_WIDTH, workers=1, queue_capacity=2, coalesce=False,
+            width=_WIDTH, workers=1, queue_capacity=2,
         )
         p = bit_reversal(_N)
         server.register("bitrev", p)

@@ -4,8 +4,8 @@ planner's MetricsRegistry, so ``stats()``, ``health()`` and
 
 The chaos run is single-threaded and deterministic: the workers are
 stalled and the test drains the queue itself under a fake clock, so
-coalescing, shedding, a failed apply and a disk fault each happen
-exactly as scripted.
+shedding, a failed apply and a disk fault each happen exactly as
+scripted.
 """
 
 import numpy as np
@@ -32,19 +32,10 @@ _PLANNER_NON_COUNTERS = {
 
 
 def _drain(server) -> None:
-    """Serve every queued request on the calling thread, exactly as a
-    worker would (the test's workers are stalled)."""
-    while True:
-        with server._cond:
-            if server._size == 0:
-                return
-            group = server._take_group()
-        try:
-            server._dispatch(group)
-        finally:
-            with server._cond:
-                for req in group:
-                    server._tenant(req.tenant).inflight -= 1
+    """Serve every queued request on the calling thread with the
+    worker's own step (the test's workers are stalled)."""
+    while server._size:
+        server._step()
 
 
 def _series(families: dict, name: str, **labels) -> float:
@@ -56,8 +47,7 @@ def _series(families: dict, name: str, **labels) -> float:
 def _chaos_run(tmp_path, fake_clock):
     service = PermutationService(width=_WIDTH, cache_dir=tmp_path)
     server = PermutationServer(
-        service, workers=1, queue_capacity=4, max_coalesce=8,
-        clock=fake_clock,
+        service, workers=1, queue_capacity=4, clock=fake_clock,
     )
     server._worker = lambda: None
     p = bit_reversal(_N)
@@ -67,14 +57,13 @@ def _chaos_run(tmp_path, fake_clock):
     server.warm()
     x = np.arange(_N, dtype=np.float32)
 
-    # Coalescing: three same-registration requests, one batched pass.
+    # Three same-registration requests, one apply each.
     futures = [server.submit("bitrev", x + i) for i in range(3)]
     _drain(server)
     for i, fut in enumerate(futures):
         expected = np.empty_like(x)
         expected[p] = x + i
         assert np.array_equal(fut.result(timeout=0), expected)
-        assert fut.coalesced
 
     # Shed: a full queue of low-priority work displaced by HIGH.
     victim = server.submit("shuffle", x, priority=LOW)
@@ -130,8 +119,6 @@ def test_chaos_counters_match_metrics_series(tmp_path, fake_clock):
         server.close()
 
     # The run exercised every path it was scripted to.
-    # Two riders in the first burst, three behind the HIGH request.
-    assert stats["server.coalesced"] == 5
     assert stats["server.shed"] == 1
     assert stats["server.failed"] == 1
     assert planner_stats["cold_plans"] == 1     # the explicit compile

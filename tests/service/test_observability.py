@@ -67,8 +67,7 @@ def test_one_request_renders_as_one_connected_tree(perm):
 def test_concurrent_requests_stay_untangled(perm):
     tracer = telemetry.Tracer()
     with telemetry.use_tracer(tracer):
-        with PermutationServer(width=8, workers=4,
-                               coalesce=False) as server:
+        with PermutationServer(width=8, workers=4) as server:
             server.register("p", perm)
             server.warm()
             futures = [
@@ -84,6 +83,30 @@ def test_concurrent_requests_stay_untangled(perm):
     rids = [r.attributes["request_id"] for r in roots]
     assert len(set(rids)) == 24
     assert all(r.attributes["outcome"] == "ok" for r in roots)
+
+
+def test_every_served_request_has_its_own_attempt(perm):
+    """Same-registration requests queued together are still served one
+    per step, so every ``ok`` root has its own ``serve.attempt``."""
+    tracer = telemetry.Tracer()
+    with telemetry.use_tracer(tracer):
+        server = PermutationServer(width=8, workers=1)
+        server._worker = lambda: None
+        server.register("p", perm)
+        futures = [server.submit("p", _payload(i)) for i in range(6)]
+        while server._size:
+            server._step()
+        for f in futures:
+            f.result(timeout=0)
+        server.close()
+
+    roots = [s for s in tracer.spans if s.name == "serve.request"]
+    assert len(roots) == 6
+    assert all(r.attributes["outcome"] == "ok" for r in roots)
+    attempts = [s for s in tracer.spans if s.name == "serve.attempt"]
+    assert sorted(a.parent_id for a in attempts) == \
+        sorted(r.span_id for r in roots)
+    telemetry.validate_span_tree(telemetry.chrome_trace(tracer))
 
 
 def test_no_tracer_never_allocates_contexts(perm):

@@ -1,7 +1,7 @@
 """PermutationServer unit tests: admission control, shedding,
-deadlines, one-attempt serving, coalescing, tenant plan slots, and
-introspection — all deterministic (fake clock, stubbed workers or
-stubbed service where concurrency would race)."""
+deadlines, one-attempt serving, one request per dispatch, tenant plan
+slots, and introspection — all deterministic (fake clock, stubbed
+workers or stubbed service where concurrency would race)."""
 
 import numpy as np
 import pytest
@@ -303,24 +303,37 @@ class TestOneAttempt:
         srv.close()
 
 
-class TestCoalescing:
-    def test_same_registration_requests_coalesce(self, fake_clock):
+class TestOneRequestPerDispatch:
+    def test_each_queued_single_takes_its_own_step(self, fake_clock):
         srv = _stall_workers(PermutationServer(
-            width=_WIDTH, workers=1, max_coalesce=8,
-            clock=fake_clock,
+            width=_WIDTH, workers=1, clock=fake_clock,
         ))
-        srv.register("a", bit_reversal(_N))
-        srv.register("b", random_permutation(_N, seed=4))
-        x = np.arange(_N)
-        for _ in range(3):
-            srv.submit("a", x)
-        srv.submit("b", x)
-        srv.submit("a", np.arange(_N, dtype=np.float32))  # dtype differs
-        with srv._cond:
-            group = srv._take_group()
-        assert len(group) == 3
-        assert all(req.key == "default/a" for req in group)
-        assert srv._size == 2
+        service = srv.service
+        apply = service.apply
+
+        def timed(name, a):
+            out = apply(name, a)
+            fake_clock.advance(0.01 * (1 + int(a[0])))
+            return out
+
+        service.apply = timed
+        p = bit_reversal(_N)
+        srv.register("bitrev", p)
+        payloads = [np.arange(_N) + i for i in range(3)]
+        futures = [srv.submit("bitrev", a) for a in payloads]
+        for step, (a, fut) in enumerate(zip(payloads, futures)):
+            before = srv.stats()["requests"]
+            assert srv._step()
+            assert srv.stats()["requests"] == before + 1
+            assert srv._size == len(futures) - step - 1
+            assert fut.done()
+            assert all(not f.done() for f in futures[step + 1:])
+            assert np.array_equal(fut.result(timeout=0),
+                                  _expected(p, a))
+            assert fut.service_s == pytest.approx(0.01 * (1 + step))
+            assert fut.attempts == 1 and not fut.coalesced
+        assert srv.stats()["server.served"] == 3
+        assert srv._tenant("default").inflight == 0
         srv.close(drain=False)
 
     def test_coalesced_results_are_per_request(self, fake_clock):
@@ -337,19 +350,6 @@ class TestCoalescing:
                 fut.result(timeout=30.0), _expected(p, a)
             )
         srv.close()
-
-    def test_coalescing_disabled(self, fake_clock):
-        srv = _stall_workers(PermutationServer(
-            width=_WIDTH, workers=1, coalesce=False,
-            clock=fake_clock,
-        ))
-        srv.register("a", bit_reversal(_N))
-        srv.submit("a", np.arange(_N))
-        srv.submit("a", np.arange(_N))
-        with srv._cond:
-            group = srv._take_group()
-        assert len(group) == 1
-        srv.close(drain=False)
 
 
 class TestIntrospection:

@@ -2,12 +2,12 @@
 
 A hypothesis state machine drives a ``PermutationServer`` whose workers
 are stalled and whose clock is fake: every rule is one admission, one
-clock step, one worker step (``_take_group`` + ``_dispatch``, exactly
-as ``_worker`` runs them) or ``close(drain=False)``.  A sequential
-reference model replays the same operations on plain lists — priority
-buckets, shedding, coalescing, deadlines at dequeue — and after every
-rule the server must agree with it on every future, every counter and
-every tenant's in-flight ledger.
+clock step, one worker step (``_step``, the method ``_worker`` loops
+on) or ``close(drain=False)``.  A sequential reference model replays
+the same operations on plain lists — priority buckets, shedding,
+deadlines at dequeue — and after every rule the server must agree with
+it on every future, every counter and every tenant's in-flight
+ledger.
 """
 
 import shutil
@@ -33,7 +33,7 @@ from repro.service.server import HIGH, LOW, NORMAL
 from tests.service.conftest import FakeClock
 
 N, WIDTH, D = 256, 16, 2
-CAPACITY, MAX_COALESCE = 4, 3
+CAPACITY = 4
 #: (tenant, name) -> permutation; tenant "b" has an in-flight bulkhead.
 PERMS = {
     ("a", "bitrev"): bit_reversal(N),
@@ -83,7 +83,7 @@ class ServerMachine(RuleBasedStateMachine):
         self.clock = FakeClock()
         self.server = PermutationServer(
             width=WIDTH, workers=1, queue_capacity=CAPACITY,
-            max_coalesce=MAX_COALESCE, clock=self.clock,
+            clock=self.clock,
             quotas={"b": TenantQuota(max_inflight=B_MAX_INFLIGHT)},
         )
         self.server._worker = lambda: None
@@ -171,26 +171,10 @@ class ServerMachine(RuleBasedStateMachine):
         if victim is not None:
             self._settle(victim, "shed")
 
-    def _take_group(self):
-        """The model of ``PermutationServer._take_group``."""
-        first = next(self.buckets[p].pop(0)
-                     for p in (HIGH, NORMAL, LOW) if self.buckets[p])
-        group = [first]
-        if first.kind != "single":
-            return group
-        for prio in (HIGH, NORMAL, LOW):
-            keep = []
-            for entry in self.buckets[prio]:
-                if (len(group) < MAX_COALESCE and entry.kind == "single"
-                        and entry.key == first.key
-                        and entry.payload.dtype == first.payload.dtype):
-                    group.append(entry)
-                else:
-                    keep.append(entry)
-            self.buckets[prio] = keep
-            if len(group) >= MAX_COALESCE:
-                break
-        return group
+    def _pop(self):
+        """The model of the pop in ``PermutationServer._step``."""
+        return next(self.buckets[p].pop(0)
+                    for p in (HIGH, NORMAL, LOW) if self.buckets[p])
 
     # ------------------------------------------------------------ rules
 
@@ -252,29 +236,13 @@ class ServerMachine(RuleBasedStateMachine):
     def step_worker(self):
         if not self._queued():
             return
-        expected = self._take_group()
-        server = self.server
-        with server._cond:
-            group = server._take_group()
-        try:
-            server._dispatch(group)
-        finally:
-            with server._cond:
-                for req in group:
-                    server._tenant(req.tenant).inflight -= 1
-        assert [req.result for req in group] == \
-            [e.future for e in expected]
-        now = self.clock()
-        live = []
-        for entry in expected:
-            if entry.deadline is not None and now >= entry.deadline:
-                self._settle(entry, "deadline_exceeded")
-            else:
-                live.append(entry)
-        for entry in live:
+        entry = self._pop()
+        assert self.server._step()
+        assert entry.future.done()
+        if entry.deadline is not None and self.clock() >= entry.deadline:
+            self._settle(entry, "deadline_exceeded")
+        else:
             self._settle(entry, "failed" if entry.fails else "ok")
-        if len(live) > 1:
-            self._count("coalesced", len(live) - 1)
 
     @rule()
     def close_without_drain(self):

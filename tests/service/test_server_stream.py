@@ -167,28 +167,6 @@ class TestStreamAdmission:
         finally:
             srv.close(drain=False)
 
-    def test_stream_never_coalesces(self, tmp_path):
-        srv = _stall_workers(PermutationServer(
-            width=_WIDTH, workers=1, coalesce=True,
-        ))
-        try:
-            srv.register("bitrev", bit_reversal(_N))
-            _payload(tmp_path / "in.npy")
-            single = np.zeros(_N)
-            srv.submit("bitrev", single)
-            srv.submit_stream(
-                "bitrev", tmp_path / "in.npy", tmp_path / "o.npy", d=2,
-            )
-            srv.submit("bitrev", single)
-            with srv._cond:
-                singles = srv._take_group()
-                (stream,) = srv._take_group()
-            assert [req.stream for req in singles] == [None, None]
-            assert stream.stream is not None
-            assert srv.stats()["server.queue_depth"] == 0
-        finally:
-            srv.close(drain=False)
-
     def test_high_request_sheds_a_queued_low_stream(self, tmp_path):
         srv = _stall_workers(PermutationServer(
             width=_WIDTH, workers=1, queue_capacity=1,
@@ -262,9 +240,7 @@ class TestStreamFailure:
                 d=2, deadline_s=0.5,
             )
             fake_clock.advance(1.0)
-            with srv._cond:
-                group = srv._take_group()
-            srv._dispatch(group)
+            assert srv._step()
             with pytest.raises(DeadlineExceededError):
                 res.result(timeout=0)
             assert srv.stats()["server.deadline_exceeded"] == 1
@@ -289,12 +265,12 @@ class TestStreamObservability:
             _payload(src)
             singles = [srv.submit("bitrev", a) for _ in range(10)]
             stream = srv.submit_stream("bitrev", src, dst, d=2)
-            for _ in range(2):
-                with srv._cond:
-                    group = srv._take_group()
-                srv._dispatch(group)
-                # The stream runs 1 s, four times the p99 target.
-                fake_clock.advance(1.0)
+            for _ in singles:
+                assert srv._step()
+            # The stream ends 1 s after admission, four times the p99
+            # target.
+            fake_clock.advance(1.0)
+            assert srv._step()
             for res in singles:
                 assert np.array_equal(res.result(timeout=0),
                                       _expected(p, a))
@@ -315,7 +291,7 @@ class TestStreamObservability:
         self, tmp_path, fake_clock
     ):
         srv = _stall_workers(PermutationServer(
-            width=_WIDTH, workers=1, clock=fake_clock, coalesce=False,
+            width=_WIDTH, workers=1, clock=fake_clock,
         ))
         service = srv.service
         apply, apply_stream = service.apply, service.apply_stream
@@ -336,15 +312,11 @@ class TestStreamObservability:
             a = np.arange(_N, dtype=np.float32)
             for _ in range(5):
                 srv.submit("bitrev", a)
-                with srv._cond:
-                    group = srv._take_group()
-                srv._dispatch(group)
+                assert srv._step()
             before = srv._retry_after()
             stream = srv.submit_stream("bitrev", src,
                                        tmp_path / "o.npy", d=2)
-            with srv._cond:
-                group = srv._take_group()
-            srv._dispatch(group)
+            assert srv._step()
             assert isinstance(stream.result(timeout=0), StreamingStats)
             assert stream.service_s == pytest.approx(0.7)
             assert srv._retry_after() == before
