@@ -336,6 +336,71 @@ class TestOneRequestPerDispatch:
         assert srv._tenant("default").inflight == 0
         srv.close(drain=False)
 
+    def test_timings_are_set_before_the_future_resolves(self, fake_clock):
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1, clock=fake_clock,
+        ))
+        service = srv.service
+        apply = service.apply
+
+        def timed(name, a):
+            out = apply(name, a)
+            fake_clock.advance(0.25)
+            return out
+
+        service.apply = timed
+        srv.register("bitrev", bit_reversal(_N))
+        fut = srv.submit("bitrev", np.arange(_N))
+        fake_clock.advance(0.5)
+        seen = {}
+        resolve = fut._resolve
+
+        def recording(value):
+            # What a client woken by the resolve would read.
+            seen.update(service_s=fut.service_s, wait_s=fut.wait_s,
+                        engine=fut.engine, attempts=fut.attempts)
+            resolve(value)
+
+        fut._resolve = recording
+        assert srv._step()
+        assert fut.done()
+        assert seen == {"service_s": pytest.approx(0.25),
+                        "wait_s": pytest.approx(0.5),
+                        "engine": fut.engine, "attempts": 1}
+        assert fut.engine is not None
+        srv.close(drain=False)
+
+    def test_failed_apply_fails_only_its_own_request(self, fake_clock):
+        srv = _stall_workers(PermutationServer(
+            width=_WIDTH, workers=1, clock=fake_clock,
+        ))
+        service = srv.service
+        apply = service.apply
+
+        def failing_on_one(name, a):
+            if int(a[0]) == 1:
+                raise ColoringError("injected")
+            return apply(name, a)
+
+        service.apply = failing_on_one
+        p = bit_reversal(_N)
+        srv.register("bitrev", p)
+        payloads = [np.arange(_N) + i for i in range(3)]
+        futures = [srv.submit("bitrev", a) for a in payloads]
+        for _ in futures:
+            assert srv._step()
+        with pytest.raises(ColoringError, match="injected"):
+            futures[1].result(timeout=0)
+        for i in (0, 2):
+            assert np.array_equal(futures[i].result(timeout=0),
+                                  _expected(p, payloads[i]))
+            assert futures[i].attempts == 1
+        stats = srv.stats()
+        assert stats["server.served"] == 2
+        assert stats["server.failed"] == 1
+        assert srv._tenant("default").inflight == 0
+        srv.close(drain=False)
+
     def test_coalesced_results_are_per_request(self, fake_clock):
         srv = PermutationServer(
             width=_WIDTH, workers=1,
