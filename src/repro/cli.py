@@ -8,10 +8,10 @@ Commands
                 inverse, raw vs pipeline-optimized)
 ``plan``        plan a permutation with any registered engine
                 (``--engine``, default ``scheduled``) and save it
-                (.npz, stamped with pipeline/fingerprint provenance)
+                (.npz, stamped with fingerprint provenance)
 ``verify-plan`` reload a saved plan and re-verify it (exit 1 + one-line
                 diagnostic on a corrupt/stale/unreadable file); prints
-                the pass-pipeline + fingerprint provenance when stamped
+                the fingerprint provenance when stamped
 ``check``       run the project's static lint rules (REP101..REP107)
                 over the package or given paths; exit 1 on findings.
                 ``--semantics <perm-or-plan.npz>`` instead denotes a
@@ -218,13 +218,11 @@ def _roundtrip_rows(plan, machine, dtype) -> list[list[object]]:
 
 def cmd_plan(args) -> str:
     from repro.ir.registry import get_engine
-    from repro.passes import default_pipeline
     from repro.planner import permutation_digest, plan_fingerprint
 
     p = named_permutation(args.perm, args.n, seed=args.seed)
-    signature = default_pipeline().signature()
     fingerprint = plan_fingerprint(
-        permutation_digest(p), args.engine, args.width, signature
+        permutation_digest(p), args.engine, args.width
     )
     cache_note = ""
     if getattr(args, "cache_dir", None):
@@ -242,7 +240,7 @@ def cmd_plan(args) -> str:
         )
     else:
         plan = get_engine(args.engine).plan(p, width=args.width)
-    provenance = {"pipeline": signature, "fingerprint": fingerprint}
+    provenance = {"fingerprint": fingerprint}
     shard_note = ""
     if getattr(args, "shard_d", None):
         # Prove the d-stripe sharding before stamping it: a plan file
@@ -286,6 +284,21 @@ def cmd_plan(args) -> str:
     )
 
 
+def _provenance_line(meta: dict) -> str:
+    """The ``provenance:`` line of ``verify-plan``: the fingerprint a
+    planner stamped, and the pass-pipeline signature files written by
+    older builds still carry."""
+    parts = []
+    if meta.get("fingerprint"):
+        parts.append(f"fingerprint {str(meta['fingerprint'])[:12]}...")
+    if meta.get("pipeline"):
+        parts.append(f"pipeline {meta['pipeline']}")
+    if not parts:
+        return ("provenance: none recorded (file predates the planner "
+                "or was saved outside it)")
+    return "provenance: " + "; ".join(parts)
+
+
 def _verify_sealed(path: str) -> str:
     """``verify-plan`` on a ``*.sealed.npz`` sidecar: reload (which
     re-proves checksum, range, mutual inverses, denotation digest and
@@ -311,16 +324,13 @@ def _verify_sealed(path: str) -> str:
         f"certificate: {cert.summary()}" if cert is not None
         else "certificate: none embedded"
     )
-    pipe = sealed.meta.get("pipeline", "<unknown>")
-    fp = str(sealed.meta.get("fingerprint", ""))
-    fp_part = f"; fingerprint {fp[:12]}..." if fp else ""
     return (
         f"sealed OK: engine = {sealed.engine}, n = {sealed.n}, "
         f"width = {sealed.width}, {sealed.nbytes} resident bytes of "
         "index maps; gather and scatter re-proven as mutual inverses "
         "and the denotation digest matches\n"
         f"{cert_line}\n"
-        f"provenance: pipeline {pipe}{fp_part}\n"
+        f"{_provenance_line(sealed.meta)}\n"
         f"file: {file_bytes} bytes on disk, loaded and re-proven in "
         f"{elapsed_ms:.1f} ms"
     )
@@ -367,16 +377,7 @@ def cmd_verify_plan(args) -> str:
     from repro.core.io import read_plan_provenance
 
     provenance = read_plan_provenance(args.path)
-    if "pipeline" in provenance or "fingerprint" in provenance:
-        pipe = provenance.get("pipeline", "<unknown>")
-        fp = provenance.get("fingerprint", "")
-        fp_part = f"; fingerprint {fp[:12]}..." if fp else ""
-        prov_line = f"provenance: pipeline {pipe}{fp_part}"
-    else:
-        prov_line = (
-            "provenance: none recorded (file predates the planner or "
-            "was saved outside it)"
-        )
+    prov_line = _provenance_line(provenance)
     if "shard_d" in provenance:
         shard_fp = provenance.get("shard_fingerprint", "")
         fp_part = f"; shard fingerprint {shard_fp[:12]}..." \
@@ -426,7 +427,10 @@ def _cmd_check_semantics(args) -> str:
 
     from repro.errors import ReproError, SemanticValidationError
     from repro.passes import aggressive_pipeline, default_pipeline
-    from repro.staticcheck.semantics import SemanticChecker, denote_program
+    from repro.staticcheck.semantics import (
+        denote_program,
+        validate_translation,
+    )
 
     target = args.semantics
     pipeline = (
@@ -508,12 +512,12 @@ def _cmd_check_semantics(args) -> str:
             f"planned {target} (n = {args.n}, w = {args.width}) "
             f"with engine {args.engine!r}"
         )
+    raw = plan.lower()
+    parts += ["", denote_program(raw).describe(), ""]
     try:
-        checker = SemanticChecker(plan.lower())
-        parts += ["", checker.denotation.describe(), ""]
-        optimized = pipeline.run_checked(checker)
-        cert = checker.certify(
-            optimized, requested=np.asarray(plan.p),
+        optimized = pipeline.run(raw, validate=True)
+        cert = validate_translation(
+            raw, optimized, requested=np.asarray(plan.p),
             pipeline_signature=pipeline.signature(),
         )
     except SemanticValidationError as exc:

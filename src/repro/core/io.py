@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,11 +112,11 @@ METADATA_KEYS = (
     "shard_fingerprint",
 )
 
-#: Optional provenance metadata the planner stamps on cached plans:
-#: the pass-pipeline signature the plan was optimized under, the
-#: content-addressed fingerprint it is cached by, and — when the plan
-#: was sharded for out-of-core streaming — the shard count and the
-#: ``d``-scoped shard fingerprint.
+#: Optional provenance metadata ``repro plan`` stamps on plan files:
+#: the content-addressed fingerprint and — when the plan was sharded
+#: for out-of-core streaming — the shard count and the ``d``-scoped
+#: shard fingerprint.  ``pipeline`` (the pass-pipeline signature) is
+#: only written by older builds; readers still return it.
 PROVENANCE_KEYS = ("pipeline", "fingerprint", "shard_d",
                    "shard_fingerprint")
 
@@ -208,6 +209,11 @@ def _write_archive(path, payload: dict, checksum: str,
     scatter map that is about four times faster than zlib's default
     level 6, and the archive stays within a few percent of the size
     (larger for a random map, smaller for bit-reversal).
+
+    The write is atomic: the archive goes to a hidden temporary
+    sibling that :func:`os.replace` moves into place, so a reader (or
+    a crash mid-write) sees the old file or the new one, never a
+    truncated one, and the sibling is removed if the write fails.
     """
     from repro import __version__
 
@@ -220,15 +226,25 @@ def _write_archive(path, payload: dict, checksum: str,
         **{key: np.str_(value) for key, value in metadata.items()},
         **payload,
     }
-    with zipfile.ZipFile(
-        path, mode="w", compression=zipfile.ZIP_DEFLATED,
-        compresslevel=1, allowZip64=True,
-    ) as archive:
-        for key, value in members.items():
-            with archive.open(key + ".npy", "w", force_zip64=True) as f:
-                np.lib.format.write_array(
-                    f, np.asanyarray(value), allow_pickle=False
-                )
+    directory, name = os.path.split(path)
+    tmp = os.path.join(
+        directory,
+        f".{name}.{os.getpid()}.{threading.get_ident()}.tmp",
+    )
+    try:
+        with zipfile.ZipFile(
+            tmp, mode="w", compression=zipfile.ZIP_DEFLATED,
+            compresslevel=1, allowZip64=True,
+        ) as archive:
+            for key, value in members.items():
+                with archive.open(key + ".npy", "w",
+                                  force_zip64=True) as f:
+                    np.lib.format.write_array(
+                        f, np.asanyarray(value), allow_pickle=False
+                    )
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return os.stat(path).st_size
 
 
@@ -519,10 +535,10 @@ def save_plan(path, plan, certify: bool = True,
     ``certify=False`` to write a bare (still checksummed) file.
 
     ``provenance`` optionally records the planner's compile context —
-    :data:`PROVENANCE_KEYS` only (the pass-pipeline signature and the
-    content-addressed fingerprint).  Provenance keys are metadata:
-    they do not enter the payload checksum, so stamped and unstamped
-    files holding the same plan share a digest.
+    :data:`PROVENANCE_KEYS` only (e.g. the content-addressed
+    fingerprint).  Provenance keys are metadata: they do not enter the
+    payload checksum, so stamped and unstamped files holding the same
+    plan share a digest.
     """
     engine_name = getattr(type(plan), "engine_name", "")
     if not engine_name:
@@ -796,11 +812,10 @@ def save_sealed(path, sealed) -> None:
         rounds = sealed.meta.get("predicted_rounds")
         if isinstance(rounds, int) and rounds > 0:
             arrays["predicted_rounds"] = np.int64(rounds)
-        metadata = {
-            key: str(sealed.meta[key])
-            for key in ("fingerprint", "pipeline")
-            if sealed.meta.get(key)
-        }
+        metadata = (
+            {"fingerprint": str(sealed.meta["fingerprint"])}
+            if sealed.meta.get("fingerprint") else {}
+        )
         if sealed.certificate is not None:
             metadata["semantic_certificate"] = sealed.certificate.to_json()
         sp.set(file_bytes=_write_archive(

@@ -95,13 +95,15 @@ class PaddedScheduledPermutation(EngineBase):
     # ------------------------------------------------------------------
 
     def lower(self) -> KernelProgram:
-        """Wrap the inner five-kernel program in ``pad``/``slice``."""
-        inner = self.inner.lower()
-        ops = (
-            Pad(label="pad", n=self.n, padded_n=self.padded_n),
-            *inner.ops,
-            Slice(label="slice", n=self.n),
-        )
+        """Wrap the inner five-kernel program in ``pad``/``slice`` (the
+        bare five kernels when ``n`` needs no padding)."""
+        ops = self.inner.lower().ops
+        if self.padded_n != self.n:
+            ops = (
+                Pad(label="pad", n=self.n, padded_n=self.padded_n),
+                *ops,
+                Slice(label="slice", n=self.n),
+            )
         return KernelProgram(
             engine="padded", n=self.n, width=self.inner.width, ops=ops
         )
@@ -110,31 +112,27 @@ class PaddedScheduledPermutation(EngineBase):
     def from_program(
         cls, program: KernelProgram, p: np.ndarray
     ) -> "PaddedScheduledPermutation":
-        """Rebuild from a ``pad + five kernels + slice`` program; the
-        padded permutation tail is the identity by construction."""
+        """Rebuild from a ``pad + five kernels + slice`` program, or the
+        bare five kernels of an unpadded ``n``; the padded permutation
+        tail is the identity by construction."""
         ops = program.ops
-        if (
-            len(ops) < 3
-            or not isinstance(ops[0], Pad)
-            or not isinstance(ops[-1], Slice)
-        ):
-            raise ValidationError(
-                "not a padded program: "
-                f"{[op.kind for op in ops]}"
-            )
-        pad = ops[0]
+        n = padded_n = program.n
+        if ops and isinstance(ops[0], Pad):
+            if len(ops) < 3 or not isinstance(ops[-1], Slice):
+                raise ValidationError(
+                    "not a padded program: "
+                    f"{[op.kind for op in ops]}"
+                )
+            n, padded_n, ops = ops[0].n, ops[0].padded_n, ops[1:-1]
         inner_program = KernelProgram(
-            engine="scheduled",
-            n=pad.padded_n,
-            width=program.width,
-            ops=ops[1:-1],
+            engine="scheduled", n=padded_n, width=program.width, ops=ops
         )
         padded_p = np.concatenate([
             np.asarray(p, dtype=np.int64),
-            np.arange(pad.n, pad.padded_n, dtype=np.int64),
+            np.arange(n, padded_n, dtype=np.int64),
         ])
         inner = ScheduledPermutation.from_program(inner_program, padded_p)
-        return cls(n=pad.n, inner=inner)
+        return cls(n=n, inner=inner)
 
     @classmethod
     def predict(

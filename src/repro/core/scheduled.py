@@ -148,7 +148,7 @@ class ScheduledPermutation(EngineBase):
 
         with telemetry.span("scheduled.simulate", n=self.n) as sp:
             trace = SimulatorExecutor().simulate(
-                self.lower_optimized(), machine, dtype=dtype
+                self.lower(), machine, dtype=dtype
             )
             sp.set(model_time=trace.time, model_rounds=trace.num_rounds)
         return trace

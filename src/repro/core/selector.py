@@ -206,27 +206,6 @@ def predict_all(
     }
 
 
-def rank_programs(
-    engines: list, pipeline=None
-) -> list[tuple[int, KernelProgram]]:
-    """Rank planned engines by their *optimized* programs' predicted
-    stage counts (cheapest first).
-
-    Each engine is lowered through the pass pipeline, so cancelled or
-    fused ops lower an engine's rank — the selector compares what the
-    executors would actually run, not the raw lowering.  Returns
-    ``(predicted_stages, optimized_program)`` pairs sorted ascending.
-    """
-    ranked: list[tuple[int, KernelProgram]] = []
-    for engine in engines:
-        program = engine.lower_optimized(pipeline)
-        meta = program.meta or {}
-        stages = int(meta.get("predicted_stages", program.num_rounds))  # type: ignore[call-overload]
-        ranked.append((stages, program))
-    ranked.sort(key=lambda pair: pair[0])
-    return ranked
-
-
 class AutoPermutation:  # staticcheck: ignore[REP104]
     """Plan whichever engine the model predicts fastest.
 

@@ -68,19 +68,6 @@ class EngineBase:
             f"{type(self).__name__} does not lower to the IR"
         )
 
-    def lower_optimized(self, pipeline: Any = None) -> KernelProgram:
-        """Lower to the IR and run the optimization pass pipeline.
-
-        The raw ``lower()`` output goes through the (conservative)
-        default pipeline — or an explicit one — yielding the optimized,
-        cost-annotated program :meth:`simulate` prices.
-        """
-        if pipeline is None:
-            from repro.passes import default_pipeline
-
-            pipeline = default_pipeline()
-        return cast(KernelProgram, pipeline.run(self.lower()))
-
     def _sealed_program(self) -> SealedProgram:
         """The lowered program collapsed to its proven flat gather.
 
@@ -120,7 +107,7 @@ class EngineBase:
         from repro.exec.simulator import SimulatorExecutor
 
         return SimulatorExecutor().simulate(
-            self.lower_optimized(), machine, dtype=dtype
+            self.lower(), machine, dtype=dtype
         )
 
     @classmethod

@@ -34,9 +34,9 @@ class KernelProgram:
     ops:
         The kernel launches, in execution order.
     meta:
-        Optional analysis annotations (e.g. the pass pipeline's
-        predicted cost).  Advisory only: executors ignore it and plan
-        format v3 does not persist it.
+        Optional annotations (e.g. a sealed program's provenance).
+        Advisory only: executors ignore it and plan format v3 does not
+        persist it.
     """
 
     engine: str

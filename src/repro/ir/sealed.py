@@ -4,16 +4,16 @@ A lowered :class:`~repro.ir.program.KernelProgram` denotes a single
 permutation — the composition of all its ops — and once that index map
 has been materialized and proved bijective there is nothing left to
 optimize: applying the program *is* one gather.  A
-:class:`SealedProgram` is that terminal form, the third compilation
-tier after raw and pipeline-optimized programs:
+:class:`SealedProgram` is that terminal form, what every compile
+collapses its lowered program to:
 
 * ``scatter`` — the denoted index map ``p`` in the repo-wide
   destination-designated convention, ``out[scatter[i]] = a[i]``;
 * ``gather`` — its inverse, so ``out = a[gather]`` in one fancy-index
   pass (the form :class:`~repro.exec.sealed.SealedExecutor` executes);
-* ``meta`` — provenance: the plan fingerprint, the pass-pipeline
-  signature, the denotation digest the semantic certificate recorded,
-  and the cost model's predicted rounds for the program it collapsed;
+* ``meta`` — provenance: the plan fingerprint, the denotation digest
+  the semantic certificate recorded, and the access-round count of the
+  program it collapsed (``predicted_rounds``);
 * ``layout`` — for large GF(2)-affine maps whose plain gather thrashes
   the cache, a :class:`TiledLayout` that visits the outputs tile by
   tile (``None`` otherwise).  It is derived from ``scatter`` on
@@ -219,8 +219,8 @@ class SealedProgram:
         Optional inverse (``out = a[gather]``); derived from
         ``scatter`` when omitted.
     meta:
-        Provenance mapping (fingerprint, pipeline signature,
-        ``denotation_sha``, ``predicted_rounds``, ...).
+        Provenance mapping (fingerprint, ``denotation_sha``,
+        ``predicted_rounds``, ...).
     certificate:
         Optional :class:`~repro.staticcheck.semantics.
         SemanticCertificate` carried along from the translation

@@ -4,16 +4,17 @@ Public surface::
 
     from repro.passes import default_pipeline
 
-    optimized = default_pipeline().run(engine.lower())
+    optimized = default_pipeline().run(engine.lower(), validate=True)
 
+The rewrites are a stand-alone demonstration of translation
+validation: no compile runs them (the planner seals what ``lower()``
+emits, proved equal to ``p``).  ``repro cost --roundtrip``, ``repro
+check --semantics`` and the ``report`` semantics claim do.
 ``default_pipeline()`` returns the process-wide conservative pipeline
-every engine's ``lower_optimized()`` routes through (see the module
-docstring of :mod:`repro.passes.optimizations` for what it does and
-does not remove); ``aggressive_pipeline()`` additionally drops
-standalone identity ops.  Both are cheap to construct, but the default
-is cached because its :meth:`~repro.passes.framework.PassPipeline.signature`
-participates in plan fingerprints and must be one stable object per
-process.
+(see the module docstring of :mod:`repro.passes.optimizations` for
+what it does and does not remove); ``aggressive_pipeline()``
+additionally drops standalone identity ops.  :func:`seal_program`, the
+terminal stage, collapses a proven program into its flat gather.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.passes.framework import (
     is_identity_guard,
 )
 from repro.passes.optimizations import (
-    AnnotateCost,
     CancelAdjacentTransposes,
     DropIdentityOps,
     FuseCasualChains,
@@ -39,7 +39,6 @@ from repro.passes.seal import seal_program
 
 __all__ = [
     "PIPELINE_VERSION",
-    "AnnotateCost",
     "CancelAdjacentTransposes",
     "DropIdentityOps",
     "FuseCasualChains",
@@ -60,8 +59,7 @@ _DEFAULT: PassPipeline | None = None
 
 
 def default_pipeline() -> PassPipeline:
-    """The conservative pipeline all engines route ``lower()``
-    through (cached: one instance per process)."""
+    """The conservative pipeline (cached: one instance per process)."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = PassPipeline(
@@ -70,7 +68,6 @@ def default_pipeline() -> PassPipeline:
                 FuseRowwiseSteps(),
                 FuseCasualChains(),
                 CancelAdjacentTransposes(),
-                AnnotateCost(),
             ),
             name="default",
         )
@@ -95,7 +92,6 @@ def aggressive_pipeline() -> PassPipeline:
             FuseCasualChains(),
             ValidatedPass(DropIdentityOps()),
             CancelAdjacentTransposes(),
-            AnnotateCost(),
         ),
         name="aggressive",
     )

@@ -18,9 +18,8 @@ replaced by the canonical identity guard — a single zero-round
 ``slice`` op — because an empty op list is not a valid program.
 
 The pipeline's :meth:`~PassPipeline.signature` names the pipeline, its
-version and its pass list; the planner folds it into plan fingerprints
-so a pipeline change invalidates cached plans, and ``save_plan``
-records it as provenance metadata in plan files.
+version and its pass list; a translation-validation certificate
+records it as the pipeline it proved.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from repro.ir.program import KernelProgram
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.staticcheck.semantics import SemanticChecker
 
-#: Version of the pass-pipeline *semantics*; bump whenever a pass
-#: changes behaviour so content-addressed plan caches are invalidated.
+#: Version of the pass-pipeline *semantics*, part of the signature;
+#: bump whenever a pass changes behaviour.
 PIPELINE_VERSION = "1"
 
 
@@ -92,8 +91,7 @@ class PassPipeline:
     Parameters
     ----------
     passes:
-        The passes, in application order.  A cost-annotation pass (one
-        that only writes ``program.meta``) is conventionally last.
+        The passes, in application order.
     name:
         Pipeline name, part of :meth:`signature`.
     version:
@@ -112,20 +110,14 @@ class PassPipeline:
             from repro.errors import ValidationError
 
             raise ValidationError(
-                "a PassPipeline needs at least one pass (its signature "
-                "keys plan caches, and an empty pass list is almost "
-                "certainly a construction bug)"
+                "a PassPipeline needs at least one pass (an empty pass "
+                "list is almost certainly a construction bug)"
             )
         self.name = name
         self.version = version
 
     def signature(self) -> str:
-        """Stable identity of this pipeline: name, version, pass list.
-
-        Folded into plan fingerprints and stored as plan-file
-        provenance, so two plans optimized by different pipelines never
-        share a cache entry.
-        """
+        """Stable identity of this pipeline: name, version, pass list."""
         names = ",".join(p.name for p in self.passes)
         return f"{self.name}@v{self.version}({names})"
 
@@ -170,21 +162,6 @@ class PassPipeline:
 
             checker = SemanticChecker(program)
         return self._fixpoint(program, checker)
-
-    def run_checked(self, checker: "SemanticChecker") -> KernelProgram:
-        """Optimize ``checker.program``, translation-validating every
-        applied rewrite with ``checker``.
-
-        The same fixpoint as ``run(validate=True)``, but the caller
-        keeps the checker: its :meth:`~repro.staticcheck.semantics.
-        SemanticChecker.certify` then certifies the result from the
-        denotations the validation already computed, so each program
-        is denoted once.
-        """
-        program = checker.program
-        program.validate()
-        optimized, _changes = self._fixpoint(program, checker)
-        return optimized
 
     def _fixpoint(
         self,
@@ -261,8 +238,7 @@ class ValidatedPass:
     drop degrades to a no-op instead of a wrong answer.
 
     The wrapper's name (``validated(<inner>)``) is part of the
-    pipeline signature, so gating a pass invalidates content-addressed
-    plan caches exactly like changing the pass itself would.
+    pipeline signature, so a certificate says which passes were gated.
     """
 
     def __init__(self, inner: Pass) -> None:

@@ -337,71 +337,3 @@ class DropIdentityOps:
                 )
             )
         return False
-
-
-class AnnotateCost:
-    """Annotate the program with its predicted cost (meta only).
-
-    Writes ``program.meta`` with the round total, a per-op breakdown,
-    and ``predicted_stages`` — the number of width-wide memory stages
-    the HMM needs (``rounds x n/width``; for width-0 CPU programs each
-    round is ``n`` sequential stages).  The selector ranks *optimized*
-    programs by this annotation, so cancelled ops lower an engine's
-    rank cost.  Never changes ``ops``.
-
-    Regular width-``w`` programs additionally get ``sharded_times``:
-    the out-of-core three-phase model total for each shard count ``d``
-    in ``(1, 2, 4, 8)`` dividing ``n``, priced with the worst-case
-    inter-DMM exchange (every element crosses a stripe).  This makes
-    the planner's engine choice shard-aware without planning: any
-    consumer comparing optimized programs can also read off how each
-    would scale when striped across DMMs.
-    """
-
-    name = "annotate-cost"
-
-    #: Default latency used for the shard-scaling annotation; matches
-    #: :class:`~repro.machine.params.MachineParams` so the numbers are
-    #: comparable with ``predict`` output out of the box.
-    latency = 100
-
-    #: Shard counts priced in the ``sharded_times`` annotation.
-    shard_counts = (1, 2, 4, 8)
-
-    def run(self, program: KernelProgram) -> KernelProgram:
-        n = program.n
-        width = program.width
-        rounds = program.num_rounds
-        if width > 0:
-            stages = rounds * -(-n // width)
-        else:
-            stages = rounds * n
-        meta: dict[str, object] = {
-            "predicted_rounds": int(rounds),
-            "predicted_stages": int(stages),
-            "num_ops": len(program.ops),
-            "regular": bool(program.is_regular),
-            "rounds_by_op": tuple(
-                (op.kind, op.label, int(op.num_rounds))
-                for op in program.ops
-            ),
-        }
-        sharded = self._sharded_times(n, width)
-        if sharded:
-            meta["sharded_times"] = sharded
-        if program.meta == meta:
-            return program
-        return replace(program, meta=meta)
-
-    def _sharded_times(
-        self, n: int, width: int
-    ) -> tuple[tuple[int, int], ...]:
-        from repro.core.theory import sharded_time
-
-        if width <= 0 or n <= 0 or n % width != 0:
-            return ()
-        return tuple(
-            (d, int(sharded_time(n, width, self.latency, d)))
-            for d in self.shard_counts
-            if n % d == 0
-        )

@@ -1,12 +1,12 @@
 """The ``seal`` pass stage: materialize a program's proven denotation.
 
-Sealing is the terminal pass: it runs *after* the optimizing pipeline
-and collapses whatever program came out of it into a
+Sealing is the terminal stage: it collapses a program — as lowered,
+or as a rewrite pipeline left it — into a
 :class:`~repro.ir.sealed.SealedProgram` — the flat index map the
 program denotes, plus its inverse, with provenance.  Unlike the
 rewriting passes it does not return a :class:`KernelProgram`; it
 returns the sealed form, so it lives beside the pipeline rather than
-inside it (the pipeline signature still names what was sealed).
+inside it.
 
 Correctness is inherited, not asserted: the index map is either the
 symbolic denotation of :func:`repro.staticcheck.semantics.
@@ -38,21 +38,19 @@ def seal_program(
     requested: np.ndarray | None = None,
     certificate: Any | None = None,
     fingerprint: str | None = None,
-    pipeline_signature: str | None = None,
 ) -> SealedProgram:
     """Collapse ``program`` into its proven :class:`SealedProgram`.
 
     With a positive ``certificate`` whose ``requested_sha`` digests
     ``requested``, the certificate's proof is reused and ``requested``
     becomes the scatter map directly — no re-denotation (the planner's
-    hot path: it just validated the translation).  Otherwise the
-    program is denoted symbolically and the denotation's bijectivity
-    proof gates the seal; a program that does not denote a permutation
-    raises :class:`~repro.errors.SemanticValidationError`.
+    path: it has just proved the program denotes ``requested``).
+    Otherwise the program is denoted symbolically and the denotation's
+    bijectivity proof gates the seal; a program that does not denote a
+    permutation raises :class:`~repro.errors.SemanticValidationError`.
 
-    ``fingerprint`` / ``pipeline_signature`` stamp the provenance
-    meta, alongside the denotation digest and the cost model's
-    ``predicted_rounds`` annotation when the program carries one.
+    The meta records the denotation digest, the program's access-round
+    count (``predicted_rounds``) and, when given, the ``fingerprint``.
     """
     scatter: np.ndarray | None = None
     denotation_sha: str | None = None
@@ -89,14 +87,12 @@ def seal_program(
             f"sealed index map length {scatter.shape[0]} does not "
             f"match the program's input size {program.n}"
         )
-    meta: dict[str, Any] = {"denotation_sha": denotation_sha}
+    meta: dict[str, Any] = {
+        "denotation_sha": denotation_sha,
+        "predicted_rounds": int(program.num_rounds),
+    }
     if fingerprint is not None:
         meta["fingerprint"] = fingerprint
-    if pipeline_signature is not None:
-        meta["pipeline"] = pipeline_signature
-    rounds = (program.meta or {}).get("predicted_rounds")
-    if isinstance(rounds, int) and rounds > 0:
-        meta["predicted_rounds"] = rounds
     return SealedProgram(
         engine=program.engine,
         width=program.width,

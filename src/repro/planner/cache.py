@@ -37,7 +37,6 @@ are the ``planner_memory_bytes`` / ``planner_disk_bytes`` gauges.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from collections import OrderedDict
@@ -353,28 +352,17 @@ class DiskPlanCache:
     def store_sealed(
         self, fingerprint: str, sealed: "SealedProgram"
     ) -> Path:
-        """Persist a sealed sidecar under its fingerprint, atomically.
+        """Persist a sealed sidecar under its fingerprint.
 
-        The sidecar is written to a temporary sibling and moved into
-        place with :func:`os.replace`, so a concurrent reader (or a
-        writer crash) can observe the old entry or the new one but
-        never a truncated file that the corruption path would have to
-        heal on every later load.
+        :func:`~repro.core.io.save_sealed` writes atomically, so a
+        concurrent reader (or a writer crash) can observe the old entry
+        or the new one but never a truncated file that the corruption
+        path would have to heal on every later load.
         """
         from repro.core.io import save_sealed
 
         path = self.sealed_path_for(fingerprint)
-        # The suffix must end in ".npz": np.savez would otherwise
-        # append it and write somewhere else.
-        tmp = path.with_name(
-            f".{fingerprint}.{os.getpid()}.{threading.get_ident()}"
-            ".sealed.tmp.npz"
-        )
-        try:
-            save_sealed(tmp, sealed)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        save_sealed(path, sealed)
         self._counts["sealed_stores"].inc()
         self._account(fingerprint)
         return path

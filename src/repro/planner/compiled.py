@@ -35,7 +35,7 @@ from repro.exec.sealed import SealedExecutor
 from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
 from repro.ir.sealed import SealedProgram
-from repro.passes import PassPipeline, default_pipeline, seal_program
+from repro.passes import seal_program
 from repro.planner.cache import (
     DiskPlanCache,
     LRUPlanCache,
@@ -49,20 +49,20 @@ from repro.planner.fingerprint import (
 from repro.shard import ShardedProgram, shard_permutation
 from repro.staticcheck.semantics import (
     SemanticCertificate,
-    SemanticChecker,
+    validate_translation,
 )
 from repro.telemetry import MetricsRegistry
 
 #: What a lazy handle's loader returns: the planned engine, its
-#: optimized program, and the translation-validation certificate.
+#: program, and the certificate proving it denotes ``p``.
 _Loaded = tuple[Any, KernelProgram, "SemanticCertificate | None"]
 
 
 class CompiledPermutation:
-    """A planned, optimized, fingerprinted permutation.
+    """A planned, proven, fingerprinted permutation.
 
-    Wraps the planned engine together with its pipeline-optimized
-    program and the proven flat index maps of
+    Wraps the planned engine together with its lowered program and the
+    proven flat index maps of
     :class:`~repro.ir.sealed.SealedProgram`; ``apply`` and
     ``apply_batch`` run the sealed gather, the other methods use the
     stored program (or the already-planned engine) — none of them ever
@@ -80,7 +80,6 @@ class CompiledPermutation:
         engine: Any,
         program: KernelProgram | None,
         fingerprint: str,
-        pipeline_signature: str,
         sealed: SealedProgram,
         semantic_certificate: SemanticCertificate | None = None,
         loader: "Callable[[], _Loaded] | None" = None,
@@ -93,9 +92,8 @@ class CompiledPermutation:
         self._program = program
         self._loader = loader
         self.fingerprint = fingerprint
-        self.pipeline_signature = pipeline_signature
-        #: The translation-validation proof issued when the planner
-        #: optimized this handle's program (``None`` for handles built
+        #: The proof, issued when the planner compiled this handle,
+        #: that its program denotes ``p`` (``None`` for handles built
         #: outside the planner).
         self.semantic_certificate = semantic_certificate
         #: The sealed (single proven gather) form that
@@ -129,7 +127,7 @@ class CompiledPermutation:
 
     @property
     def program(self) -> KernelProgram:
-        """The optimized program (rehydrated on first demand)."""
+        """The lowered program (rehydrated on first demand)."""
         self._ensure_loaded()
         assert self._program is not None
         return self._program
@@ -162,9 +160,9 @@ class CompiledPermutation:
         return str(getattr(type(self._engine), "engine_name", ""))
 
     def predicted_rounds(self) -> int | None:
-        """The annotate-cost pass's round prediction, from the sealed
-        meta (so observing an apply never forces a lazy handle to
-        rehydrate its program)."""
+        """The program's access-round count, stamped into the sealed
+        meta at sealing (so observing an apply never forces a lazy
+        handle to rehydrate its program)."""
         rounds = self.sealed.meta.get("predicted_rounds")
         if isinstance(rounds, int) and rounds > 0:
             return rounds
@@ -190,13 +188,13 @@ class CompiledPermutation:
         return SealedExecutor().run_batch(self.sealed, batch)
 
     def lower(self) -> KernelProgram:
-        """The *optimized* program (the handle's execution substrate)."""
+        """The lowered program (the handle's execution substrate)."""
         return self.program
 
     def simulate(
         self, machine: Any = None, dtype: Any = np.float32
     ) -> Any:
-        """Price the optimized program on the HMM cost model."""
+        """Price the program on the HMM cost model."""
         from repro.exec.simulator import SimulatorExecutor
 
         return SimulatorExecutor().simulate(
@@ -207,7 +205,6 @@ class CompiledPermutation:
         lines = [
             f"compiled {self.engine_name!r}: fingerprint "
             f"{self.fingerprint[:12]}...",
-            f"  pipeline {self.pipeline_signature}",
         ]
         if self.semantic_certificate is not None:
             lines.append("  " + self.semantic_certificate.summary())
@@ -224,8 +221,8 @@ class CompiledPermutation:
 
 @dataclass
 class _ColdPath:
-    """What a cold plan needs from its :class:`Planner`: the pipeline
-    and the registry.
+    """What a cold plan needs from its :class:`Planner`: the registry
+    and its counters.
 
     It holds no cache tier.  A sidecar handle's lazy loader keeps this
     alive rather than the planner, whose memory tier holds the handle:
@@ -233,7 +230,6 @@ class _ColdPath:
     resident until the cyclic garbage collector ran.
     """
 
-    pipeline: PassPipeline
     metrics: MetricsRegistry
     counts: dict[str, Any]
 
@@ -252,7 +248,7 @@ class _ColdPath:
         p: np.ndarray,
         engine: str,
         width: int,
-    ) -> tuple[Any, KernelProgram, SemanticCertificate, bool]:
+    ) -> tuple[Any, KernelProgram, SemanticCertificate]:
         """Plan ``p`` from scratch and prove the plan with two proofs,
         on every planner (``docs/theory.md`` §8).
 
@@ -260,9 +256,10 @@ class _ColdPath:
            conflict-free/coalesced
            (:func:`~repro.core.io.certify_schedule`), or
            :class:`~repro.errors.CertificateError` is raised.
-        2. One denotation of the raw program, a bijection equal to
-           ``p``, from which the pipeline is translation-validated
-           (:meth:`optimize_validated`).
+        2. One denotation of the lowered program, a bijection equal to
+           ``p``: ``validate_translation(raw, raw, requested=p)``, the
+           proof ``save_plan`` embeds.  A program that does not denote
+           ``p`` raises :class:`~repro.errors.SemanticValidationError`.
 
         Planning itself re-checks neither the colourings nor the
         routing; a plan either proof refuses raises before the planner
@@ -276,70 +273,18 @@ class _ColdPath:
         self.counts["cold_plans"].inc()
         with self.phase("certify"):
             certify_schedule(plan, f"compile {engine!r} plan")
-        with self.phase("optimize"):
-            optimized = self.optimize_validated(plan)
-        return (plan, *optimized)
-
-    def optimize_validated(
-        self, plan: Any
-    ) -> tuple[KernelProgram, SemanticCertificate, bool]:
-        """Optimize a plan's program under translation validation.
-
-        Runs the pipeline under a :class:`SemanticChecker`
-        (:meth:`~repro.passes.PassPipeline.run_checked`) and certifies
-        the result against the requested permutation from the
-        checker's denotations.  The raw program is denoted once; the
-        default pipeline's only applied rewrite (``annotate-cost``)
-        keeps its ops and reuses that denotation, and any rewrite that
-        changes the ops is denoted once more.  On refutation the
-        compile is *not* failed: the raw (unoptimized) program — which
-        must itself denote the requested permutation, or
-        :class:`~repro.errors.SemanticValidationError` is raised — is
-        returned with its positive fallback certificate, so it is
-        sealed and served like any other; ``semantic_rejections`` is
-        counted, the enclosing span is tagged with the blamed pass
-        (``semantic_rejected``), and the returned ``proven`` flag is
-        False so callers refuse to cache the handle in memory or store
-        its sidecar.
-        """
-        raw = plan.lower()
-        requested = np.asarray(plan.p)
-        # The checker denotes raw and each accepted rewrite once, and
-        # certifies from those denotations; it lives for this compile
-        # only, so no program outlives it through a memo.
-        checker: SemanticChecker | None = None
-        try:
-            checker = SemanticChecker(raw)
-            optimized = self.pipeline.run_checked(checker)
-            cert = checker.certify(
-                optimized, requested=requested,
-                pipeline_signature=self.pipeline.signature(),
+        with self.phase("denote"):
+            program = plan.lower()
+            cert = validate_translation(
+                program, program, requested=np.asarray(plan.p)
             )
-            if cert.ok:
-                return optimized, cert, True
-        except SemanticValidationError as exc:
-            cert = exc.certificate
-        self.counts["semantic_rejections"].inc()
-        blame = getattr(cert, "blame", None) or "<pipeline>"
-        telemetry.current_span().set(semantic_rejected=blame)
-        # Fall back to the raw program — still proved against the
-        # requested permutation, because an unproven optimization must
-        # degrade to slower, never to wrong.  A raw program the checker
-        # refused is no bijection; its refusal is the certificate
-        # validate_translation(raw, raw) would issue.
-        fallback = (
-            cert if checker is None
-            else checker.certify(raw, requested=requested)
-        )
-        if not fallback.ok:
+        if not cert.ok:
             raise SemanticValidationError(
-                f"lowered program of engine "
-                f"{getattr(type(plan), 'engine_name', '?')!r} does not "
-                f"denote the requested permutation: "
-                f"{fallback.summary()}",
-                certificate=fallback,
+                f"lowered program of engine {engine!r} does not "
+                f"denote the requested permutation: {cert.summary()}",
+                certificate=cert,
             )
-        return raw, fallback, False
+        return plan, program, cert
 
 
 class Planner:
@@ -352,10 +297,6 @@ class Planner:
     cache_dir:
         Optional directory for the persistent disk tier (created on
         demand); ``None`` disables it.
-    pipeline:
-        Pass pipeline to optimize compiled programs with (defaults to
-        the process-wide :func:`~repro.passes.default_pipeline`).  The
-        pipeline's signature is part of every fingerprint.
     cache_max_bytes:
         Optional bound on the memory tier's resident bytes (programs,
         sealed index maps and shardings); LRU-evicted past it.
@@ -378,18 +319,16 @@ class Planner:
         self,
         cache_size: int = 64,
         cache_dir: str | Path | None = None,
-        pipeline: PassPipeline | None = None,
         cache_max_bytes: int | None = None,
         disk_max_bytes: int | None = None,
     ) -> None:
-        self.pipeline = pipeline or default_pipeline()
         #: The stack's registry.  Besides the cache and plan counters,
         #: every compile records ``planner_compile_seconds`` labeled by
         #: the cache tier that answered (``memory``/``sealed``/
         #: ``cold``) and the engine, so the latency cliff between
         #: tiers is measurable per request, not just countable.  A cold
         #: plan also records ``planner_cold_phase_seconds`` per phase
-        #: (``plan``, ``certify``, ``optimize``, ``seal``, ``store``).
+        #: (``plan``, ``certify``, ``denote``, ``seal``, ``store``).
         self.metrics = MetricsRegistry()
         self.memory = LRUPlanCache(
             cache_size, max_bytes=cache_max_bytes, metrics=self.metrics
@@ -402,9 +341,8 @@ class Planner:
         )
         self._counts = planner_counters(self.metrics, (
             "cold_plans", "shard_plans", "sealed_plans",
-            "semantic_rejections",
         ))
-        self._cold = _ColdPath(self.pipeline, self.metrics, self._counts)
+        self._cold = _ColdPath(self.metrics, self._counts)
         self._lock = threading.Lock()
         # One lock per in-flight fingerprint: concurrent compiles of
         # the same permutation collapse to a single cold plan, the
@@ -421,9 +359,7 @@ class Planner:
         """The content-addressed cache key ``compile`` would use."""
         if digest is None:
             digest = permutation_digest(p)
-        return plan_fingerprint(
-            digest, engine, width, self.pipeline.signature()
-        )
+        return plan_fingerprint(digest, engine, width)
 
     def sealed(self, p: np.ndarray, digest: str) -> SealedProgram:
         """The proven gather that answers every request for ``p``.
@@ -434,8 +370,8 @@ class Planner:
         one ``p`` under any engine share one entry.  A miss builds
         ``SealedProgram(scatter=p)`` and re-proves it with
         :meth:`~repro.ir.sealed.SealedProgram.verify` (range,
-        bijection, mutual inversion; O(n)) — no colouring, lowering,
-        pass pipeline or disk.
+        bijection, mutual inversion; O(n)) — no colouring, lowering
+        or disk.
         """
         with telemetry.span("planner.sealed", digest=digest[:12]) as sp:
             hit = self.memory.get(digest)
@@ -531,22 +467,20 @@ class Planner:
                                                  width)
                     self.memory.put(fp, compiled)
                     return compiled, "sealed"
-            plan, program, cert, proven = self._cold.plan(p, engine, width)
+            plan, program, cert = self._cold.plan(p, engine, width)
             with self._cold.phase("seal"):
                 sealed = self._seal(plan, program, cert)
             compiled = CompiledPermutation(
                 engine=plan,
                 program=program,
                 fingerprint=fp,
-                pipeline_signature=self.pipeline.signature(),
                 semantic_certificate=cert,
                 sealed=sealed,
             )
-            if proven:
-                self.memory.put(fp, compiled)
-                if self.disk is not None:
-                    with self._cold.phase("store"):
-                        self._store_sealed(fp, sealed)
+            self.memory.put(fp, compiled)
+            if self.disk is not None:
+                with self._cold.phase("store"):
+                    self._store_sealed(fp, sealed)
             return compiled, "cold"
 
     def _seal(
@@ -557,15 +491,11 @@ class Planner:
     ) -> SealedProgram:
         """Collapse a proven program to its sealed form.
 
-        Reuses the just-issued translation-validation certificate (the
-        optimized program's, or the raw fallback's), so sealing costs
-        one inversion pass, not a re-denotation.
+        Reuses the just-issued certificate, so sealing costs one
+        inversion pass, not a re-denotation.
         """
         sealed = seal_program(
-            program,
-            requested=np.asarray(plan.p),
-            certificate=cert,
-            pipeline_signature=self.pipeline.signature(),
+            program, requested=np.asarray(plan.p), certificate=cert
         )
         sealed.certificate = cert
         self._counts["sealed_plans"].inc()
@@ -601,16 +531,12 @@ class Planner:
         cold = self._cold
 
         def loader() -> _Loaded:
-            plan, program, cert, _proven = cold.plan(
-                sealed.scatter, engine, width
-            )
-            return plan, program, cert
+            return cold.plan(sealed.scatter, engine, width)
 
         return CompiledPermutation(
             engine=None,
             program=None,
             fingerprint=fp,
-            pipeline_signature=self.pipeline.signature(),
             semantic_certificate=sealed.certificate,
             sealed=sealed,
             loader=loader,
@@ -635,7 +561,7 @@ class Planner:
         return merged
 
     def describe(self) -> str:
-        lines = [f"planner: pipeline {self.pipeline.signature()}"]
+        lines = ["planner:"]
         for key, value in sorted(self.stats().items()):
             lines.append(f"  {key:<18} {value}")
         return "\n".join(lines)

@@ -3,8 +3,8 @@
 Planning is expensive (the König colouring is the whole offline
 phase); applying is cheap.  To amortize planning across calls the
 planner needs a *name* for "this exact permutation, planned by this
-engine at this width, optimized by this pipeline" that is stable
-across processes and machines.  Two SHA-256 digests provide it:
+engine at this width" that is stable across processes and machines.
+Two SHA-256 digests provide it:
 
 ``permutation_digest(p)``
     Identity of the permutation itself: length plus the canonical
@@ -12,12 +12,11 @@ across processes and machines.  Two SHA-256 digests provide it:
     registration and reused for every engine hop (the resilience
     chain's fallback does not re-hash).
 
-``plan_fingerprint(digest, engine, width, pipeline)``
+``plan_fingerprint(digest, engine, width)``
     Identity of a *compiled* plan: the permutation digest scoped by
-    engine name, planning width, and the pass-pipeline signature
-    (which embeds :data:`~repro.passes.framework.PIPELINE_VERSION`).
-    Changing any ingredient — including bumping a pass — yields a new
-    fingerprint, so stale cache entries are never served, merely
+    engine name and planning width.  Changing any ingredient — or the
+    ``plan-v2`` tag, when what a compile produces changes — yields a
+    new fingerprint, so stale cache entries are never served, merely
     orphaned.
 """
 
@@ -44,16 +43,13 @@ def permutation_digest(p: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def plan_fingerprint(
-    digest: str, engine: str, width: int, pipeline: str
-) -> str:
+def plan_fingerprint(digest: str, engine: str, width: int) -> str:
     """SHA-256 hex digest naming one compiled plan.
 
-    ``digest`` is a :func:`permutation_digest`; ``pipeline`` is a
-    :meth:`~repro.passes.framework.PassPipeline.signature` string.
+    ``digest`` is a :func:`permutation_digest`.
     """
     h = hashlib.sha256()
-    for part in ("plan-v1", digest, engine, str(int(width)), pipeline):
+    for part in ("plan-v2", digest, engine, str(int(width))):
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()

@@ -642,27 +642,12 @@ def validate_translation(
     denotation is additionally proved bijective, and — when the
     requested permutation is supplied — equal to it.  Never raises on
     refutation; inspect ``certificate.ok`` (policy lives with the
-    caller: the pipeline raises, the planner refuses to cache, the
-    plan writer refuses to persist).  Pass the same program twice to
+    caller: the pipeline and the planner raise, the plan writer
+    refuses to persist).  Pass the same program twice to
     certify a single program against a requested permutation.
     """
     raw_den = denote_program(raw)
     opt_den = raw_den if optimized is raw else denote_program(optimized)
-    return _translation_certificate(
-        raw, optimized, raw_den, opt_den, requested, pipeline_signature
-    )
-
-
-def _translation_certificate(
-    raw: "KernelProgram",
-    optimized: "KernelProgram",
-    raw_den: ProgramDenotation,
-    opt_den: ProgramDenotation,
-    requested: np.ndarray | None,
-    pipeline_signature: str | None,
-) -> SemanticCertificate:
-    """The :func:`validate_translation` certificate, issued from the
-    two programs' already computed denotations."""
     cert = SemanticCertificate(
         engine=optimized.engine,
         n=int(optimized.n),
@@ -706,24 +691,14 @@ class SemanticChecker:
     """Per-pass translation validator for the pipeline's fixpoint loop.
 
     Denotes the input program once, then :meth:`check` denotes each
-    rewrite that changes the ops and raises
-    :class:`~repro.errors.SemanticValidationError` — with the pass
-    blamed on the certificate — the moment a rewrite changes the index
-    map.  Used by ``PassPipeline.run(..., validate=True)`` and
-    :meth:`~repro.passes.PassPipeline.run_checked`.
-
-    The checker keeps the raw program's denotation and the last
-    accepted rewrite's, so :meth:`certify` issues the final certificate
-    without denoting either program again.  It holds them only as long
-    as it lives: one compile's worth.
+    rewrite and raises :class:`~repro.errors.SemanticValidationError`
+    — with the pass blamed on the certificate — the moment a rewrite
+    changes the index map.  Used by ``PassPipeline.run(...,
+    validate=True)``.
     """
 
     def __init__(self, program: "KernelProgram") -> None:
-        self.program = program
         self._base = denote_program(program)
-        self._last: tuple["KernelProgram", ProgramDenotation] = (
-            program, self._base,
-        )
         self._raw_ops = len(program.ops)
         if not self._base.ok:
             cert = SemanticCertificate(
@@ -743,34 +718,15 @@ class SemanticChecker:
                 certificate=cert,
             )
 
-    @property
-    def denotation(self) -> ProgramDenotation:
-        """The raw program's denotation, made once by the constructor."""
-        return self._base
-
     def check(
         self, pass_name: str, rewritten: "KernelProgram"
     ) -> None:
-        """Accept ``rewritten`` if it denotes what the raw program does.
-
-        A rewrite that keeps the last accepted program's ops (the same
-        objects, element-wise; ``annotate-cost`` only writes ``meta``)
-        has that program's denotation and is not denoted again.
-        """
-        last, last_den = self._last
-        if (
-            rewritten.n == last.n
-            and len(rewritten.ops) == len(last.ops)
-            and all(a is b for a, b in zip(rewritten.ops, last.ops))
-        ):
-            self._last = (rewritten, last_den)
-            return
+        """Accept ``rewritten`` if it denotes what the raw program does."""
         den = denote_program(rewritten)
         failure = den.failure or _first_divergence(
             self._base.index_map, den.index_map, "optimized-vs-raw"
         )
         if failure is None:
-            self._last = (rewritten, den)
             return
         cert = SemanticCertificate(
             engine=rewritten.engine,
@@ -786,32 +742,3 @@ class SemanticChecker:
             counterexample=failure,
         )
         raise SemanticValidationError(cert.summary(), certificate=cert)
-
-    def certify(
-        self,
-        optimized: "KernelProgram",
-        requested: np.ndarray | None = None,
-        pipeline_signature: str | None = None,
-    ) -> SemanticCertificate:
-        """``validate_translation(raw, optimized, requested,
-        pipeline_signature)`` from the denotations already in hand.
-
-        ``optimized`` must be the raw program itself or the last
-        rewrite :meth:`check` accepted; anything else was never
-        denoted here and raises
-        :class:`~repro.errors.StaticCheckError`.
-        """
-        last, last_den = self._last
-        if optimized is self.program:
-            opt_den = self._base
-        elif optimized is last:
-            opt_den = last_den
-        else:
-            raise StaticCheckError(
-                "SemanticChecker.certify: the program is neither the "
-                "raw program nor the last rewrite this checker accepted"
-            )
-        return _translation_certificate(
-            self.program, optimized, self._base, opt_den, requested,
-            pipeline_signature,
-        )

@@ -147,6 +147,35 @@ class TestErrors:
             load_plan(path)
 
 
+class TestAtomicWrite:
+    def test_failed_save_over_a_plan_keeps_the_old_file(
+        self, plan, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "plan.npz"
+        save_plan(path, plan)
+        before = path.read_bytes()
+        real = np.lib.format.write_array
+        written = []
+
+        def fail_after_first_member(*args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array",
+                            fail_after_first_member)
+        other = ScheduledPermutation.plan(
+            random_permutation(256, seed=6), width=4
+        )
+        with pytest.raises(OSError, match="disk full"):
+            save_plan(path, other)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert np.array_equal(load_plan(path).p, plan.p)
+        assert [f.name for f in tmp_path.iterdir()] == ["plan.npz"]
+
+
 def _rewrite(path, mutate):
     with np.load(path) as data:
         contents = {k: data[k] for k in data.files}

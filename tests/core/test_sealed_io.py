@@ -23,10 +23,7 @@ def _sealed(p=None, engine="scheduled"):
         p = bit_reversal(_N)
     plan = get_engine(engine).plan(p, width=_WIDTH)
     program = default_pipeline().run(plan.lower())
-    return seal_program(
-        program, requested=p, fingerprint="a" * 64,
-        pipeline_signature="sig@v1",
-    )
+    return seal_program(program, requested=p, fingerprint="a" * 64)
 
 
 class TestRoundTrip:
@@ -40,7 +37,8 @@ class TestRoundTrip:
         assert back.engine == sealed.engine
         assert back.width == sealed.width
         assert back.meta["fingerprint"] == "a" * 64
-        assert back.meta["pipeline"] == "sig@v1"
+        assert "pipeline" not in back.meta
+        assert back.meta["predicted_rounds"] == 32
         assert (back.meta["denotation_sha"]
                 == sealed.meta["denotation_sha"])
 

@@ -127,48 +127,6 @@ class TestAutoPermutation:
         )
 
 
-class TestRankPrograms:
-    def test_ranks_ascending_by_predicted_stages(self):
-        from repro.core.selector import rank_programs
-        from repro.ir.registry import get_engine
-
-        p = bit_reversal(1024)
-        engines = [get_engine(name).plan(p, width=32)
-                   for name in ("scheduled", "d-designated")]
-        ranked = rank_programs(engines)
-        stages = [s for s, _prog in ranked]
-        assert stages == sorted(stages)
-        for s, program in ranked:
-            assert program.meta is not None
-            assert s == program.meta["predicted_stages"]
-
-    def test_optimization_lowers_rank_cost(self):
-        from repro.core.scheduled import ScheduledPermutation
-        from repro.core.selector import rank_programs
-        from repro.ir.program import concat_programs
-
-        # A self-cancelling roundtrip must rank strictly below the
-        # plain plan once optimized.
-        p = bit_reversal(1024)
-        plan = ScheduledPermutation.plan(p, width=32)
-        roundtrip = concat_programs(plan.lower(),
-                                    plan.inverse().lower())
-
-        class _Program:
-            def __init__(self, program):
-                self._program = program
-
-            def lower_optimized(self, pipeline=None):
-                from repro.passes import default_pipeline
-
-                active = pipeline or default_pipeline()
-                return active.run(self._program)
-
-        ranked = rank_programs([_Program(roundtrip), plan])
-        assert ranked[0][0] == 0           # cancelled roundtrip wins
-        assert ranked[0][1].num_rounds == 0
-
-
 class TestPlannerIntegration:
     def test_auto_compiles_through_cache(self, tmp_path):
         from repro.planner import Planner

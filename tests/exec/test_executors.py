@@ -41,12 +41,9 @@ class TestPerEngine:
         assert np.array_equal(out, expected)
         # apply agrees (on a copy: cpu-inplace mutates its input).
         assert np.array_equal(engine.apply(a.copy()), expected)
-        # The charged rounds compute it, raw and optimized.
+        # The charged rounds compute it.
         interpreter = RoundInterpreter()
         assert np.array_equal(interpreter.run(engine.lower(), a), expected)
-        assert np.array_equal(
-            interpreter.run(engine.lower_optimized(), a), expected
-        )
         # So does every row of a batch.
         batch = np.stack([a, a[::-1].copy(), np.zeros_like(a)])
         rows = engine.apply_batch(batch.copy())

@@ -10,7 +10,6 @@ from repro.ir.ops import Slice
 from repro.ir.program import KernelProgram, concat_programs
 from repro.ir.registry import engine_names, get_engine
 from repro.passes import (
-    AnnotateCost,
     PassPipeline,
     aggressive_pipeline,
     default_pipeline,
@@ -85,8 +84,7 @@ class TestPipelineMechanics:
         sig = default_pipeline().signature()
         assert sig.startswith("default@v")
         for name in ("simplify-pad-slice", "fuse-rowwise",
-                     "fuse-casual", "cancel-transposes",
-                     "annotate-cost"):
+                     "fuse-casual", "cancel-transposes"):
             assert name in sig
 
     def test_aggressive_signature_differs(self):
@@ -104,16 +102,6 @@ class TestPipelineMechanics:
         assert changes, "cancellation must be reported"
         text = default_pipeline().describe()
         assert "default" in text
-
-    def test_annotate_cost_meta(self):
-        p = bit_reversal(_N)
-        program = get_engine("scheduled").plan(p, width=_WIDTH).lower()
-        annotated = AnnotateCost().run(program)
-        meta = annotated.meta
-        assert meta is not None
-        assert meta["predicted_rounds"] == program.num_rounds
-        assert meta["num_ops"] == len(program.ops)
-        assert meta["regular"] is True
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ValidationError):

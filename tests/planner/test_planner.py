@@ -1,13 +1,13 @@
 """Planner and cache-tier tests: LRU behaviour, disk persistence,
 corruption handling, and the CompiledPermutation contract."""
 
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.errors import ValidationError
 from repro.planner import (
     CompiledPermutation,
@@ -290,7 +290,7 @@ class TestPlanner:
         p = bit_reversal(_N)
         planner = Planner(cache_dir=tmp_path)
         planner.compile(p, width=_WIDTH)
-        phases = ("plan", "certify", "optimize", "seal", "store")
+        phases = ("plan", "certify", "denote", "seal", "store")
         assert self._phase_counts(planner) == dict.fromkeys(phases, 1)
         planner.compile(p, width=_WIDTH)            # memory hit
         assert self._phase_counts(planner) == dict.fromkeys(phases, 1)
@@ -306,7 +306,7 @@ class TestPlanner:
         planner = Planner()
         planner.compile(bit_reversal(_N), width=_WIDTH)
         assert self._phase_counts(planner) == dict.fromkeys(
-            ("plan", "certify", "optimize", "seal"), 1
+            ("plan", "certify", "denote", "seal"), 1
         )
 
 
@@ -326,12 +326,14 @@ class TestCompiledPermutation:
         assert compiled.simulate().time >= 0
         assert compiled.fingerprint[:4] in compiled.describe()
 
-    def test_lower_returns_optimized_program(self, tmp_path):
+    def test_lower_returns_the_lowered_program(self, tmp_path):
         p = bit_reversal(_N)
         compiled = Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)
         program = compiled.lower()
-        assert program.meta is not None
-        assert program.meta["predicted_rounds"] == program.num_rounds
+        assert [op.kind for op in program.ops] == [
+            op.kind for op in compiled.engine.lower().ops
+        ]
+        assert compiled.predicted_rounds() == program.num_rounds == 32
 
 
 class TestDiskPlanCache:
@@ -404,69 +406,50 @@ class TestLRUInvalidate:
         assert cache.stats()["memory_misses"] == before
 
 
-class TestSemanticRejection:
-    """An unproven optimization degrades to the raw program — slower,
-    never wrong, never cached."""
+def _swap_after_lowering(monkeypatch, engine_cls):
+    """Make ``engine_cls.lower()`` append a two-element swap: a lowering
+    that no longer denotes the planned permutation."""
+    from repro.ir.ops import CasualWrite
 
-    @staticmethod
-    def _broken_pipeline():
-        import dataclasses
+    real = engine_cls.lower
 
-        from repro.ir.ops import CasualWrite
-        from repro.passes import PassPipeline, default_pipeline
-
-        class Swapper:
-            name = "swap-two"
-
-            def run(self, program):
-                q = np.arange(program.n, dtype=np.int64)
-                q[0], q[1] = q[1], q[0]
-                return dataclasses.replace(
-                    program,
-                    ops=(*program.ops,
-                         CasualWrite(label="swap", p=q)),
-                    meta=None,
-                )
-
-        return PassPipeline(
-            (*default_pipeline().passes, Swapper()), name="broken"
+    def mutant(self):
+        program = real(self)
+        q = np.arange(program.n, dtype=np.int64)
+        q[0], q[1] = q[1], q[0]
+        return dataclasses.replace(
+            program,
+            ops=(*program.ops, CasualWrite(label="swap", p=q)),
         )
 
-    def test_fallback_serves_raw_program_correctly(self):
-        p = random_permutation(_N, seed=9)
-        planner = Planner(pipeline=self._broken_pipeline())
-        tracer = telemetry.Tracer()
-        with telemetry.use_tracer(tracer):
-            compiled = planner.compile(p, engine="scheduled",
-                                       width=_WIDTH)
-        a = np.random.default_rng(1).random(_N).astype(np.float32)
-        np.testing.assert_array_equal(compiled.apply(a),
-                                      _expected(p, a))
-        # The refutation is attached, counted, and blamed.
-        cert = compiled.semantic_certificate
-        assert cert is not None and cert.ok   # the *fallback* proof
-        assert planner.stats()["semantic_rejections"] == 1
-        rejected = [s for s in tracer.find("planner.compile")
-                    if "semantic_rejected" in s.attributes]
-        assert len(rejected) == 1
-        assert rejected[0].attributes["semantic_rejected"] == "swap-two"
+    monkeypatch.setattr(engine_cls, "lower", mutant)
 
-    def test_unproven_handle_not_cached(self, tmp_path):
+
+class TestLoweringMutantRefused:
+    """A lowering that does not denote ``p`` is refused at compile: no
+    handle, no memory entry, no file.  (The engine has no 32-round
+    schedule, so the denotation, not the certifier, refuses it.)"""
+
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_refused_and_nothing_written(self, tmp_path, monkeypatch,
+                                         disk):
+        from repro.errors import SemanticValidationError
+        from repro.ir.registry import get_engine
+
+        _swap_after_lowering(monkeypatch, get_engine("d-designated"))
         p = random_permutation(_N, seed=9)
-        planner = Planner(cache_dir=tmp_path,
-                          pipeline=self._broken_pipeline())
-        first = planner.compile(p, engine="scheduled", width=_WIDTH)
-        assert first.fingerprint not in planner.memory
-        # The raw fallback is sealed like any proven program, but its
-        # sidecar is never stored.
-        assert np.array_equal(first.sealed.scatter, p)
-        assert first.sealed.certificate is first.semantic_certificate
+        planner = Planner(cache_dir=tmp_path if disk else None)
+        with pytest.raises(SemanticValidationError) as info:
+            planner.compile(p, engine="d-designated", width=_WIDTH)
+        cert = info.value.certificate
+        assert cert is not None and not cert.ok
+        assert cert.matches_requested is False
+        assert cert.counterexample is not None
+        assert len(planner.memory) == 0
         assert list(tmp_path.iterdir()) == []
-        # Every compile re-resolves (and re-rejects) — no poisoning.
-        planner.compile(p, engine="scheduled", width=_WIDTH)
-        assert planner.stats()["semantic_rejections"] == 2
+        assert planner.stats()["sealed_plans"] == 0
 
-    def test_healthy_pipeline_is_cached_and_certified(self, tmp_path):
+    def test_healthy_compile_is_cached_and_certified(self, tmp_path):
         p = random_permutation(_N, seed=9)
         planner = Planner(cache_dir=tmp_path)
         compiled = planner.compile(p, engine="scheduled",
@@ -475,7 +458,7 @@ class TestSemanticRejection:
         cert = compiled.semantic_certificate
         assert cert is not None and cert.ok
         assert cert.matches_requested is True
-        assert planner.stats()["semantic_rejections"] == 0
+        assert cert.pipeline is None
         assert "semantics certified" in compiled.describe()
 
 
@@ -498,55 +481,26 @@ def _count_denotations(monkeypatch):
 
 
 class TestOneDenotationPerProgram:
-    """A cold compile denotes the raw program once: a rewrite that keeps
-    its ops reuses that denotation, and the translation certificate
-    reuses the denotations its per-pass validation made."""
+    """A cold compile denotes its lowered program exactly once, and
+    that denotation is the certificate ``save_plan`` would issue."""
 
-    def test_disk_backed_cold_compile_denotes_once(
-        self, tmp_path, monkeypatch
-    ):
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_cold_compile_denotes_once(self, tmp_path, monkeypatch, disk):
         from repro.staticcheck.semantics import validate_translation
 
         p = random_permutation(_N, seed=9)
         calls = _count_denotations(monkeypatch)
-        planner = Planner(cache_dir=tmp_path)
+        planner = Planner(cache_dir=tmp_path if disk else None)
         compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
         assert planner.stats()["cold_plans"] == 1
-        assert len(list(tmp_path.iterdir())) == 1
+        assert len(list(tmp_path.iterdir())) == (1 if disk else 0)
         (raw,) = calls
-        optimized = compiled.lower()
-        # annotate-cost wrote meta only: same op objects, no new
-        # denotation.
-        assert raw is not optimized and optimized.meta
-        assert all(a is b for a, b in zip(raw.ops, optimized.ops))
-        assert len(raw.ops) == len(optimized.ops)
-        # Same certificate the two-denotation path issues.
-        cert = compiled.semantic_certificate
-        assert cert.ok and cert.matches_requested is True
-        expected = validate_translation(
-            raw, optimized, requested=p,
-            pipeline_signature=cert.pipeline,
-        )
-        assert cert.to_json() == expected.to_json()
-
-    def test_refuted_pass_fallback_reuses_raw_denotation(
-        self, monkeypatch
-    ):
-        from repro.staticcheck.semantics import validate_translation
-
-        p = random_permutation(_N, seed=9)
-        calls = _count_denotations(monkeypatch)
-        planner = Planner(pipeline=TestSemanticRejection._broken_pipeline())
-        compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
-        assert planner.stats()["semantic_rejections"] == 1
-        # Raw once, then each rewrite the pipeline tried, the refuted
-        # one last; the fallback certificate denotes nothing new.
-        raw, refuted = calls[0], calls[-1]
-        assert refuted.ops[-1].label == "swap"
         assert compiled.lower() is raw
-        assert calls.count(raw) == 1
         cert = compiled.semantic_certificate
         assert cert.ok and cert.matches_requested is True
+        # A memory hit denotes nothing.
+        planner.compile(p, engine="scheduled", width=_WIDTH)
+        assert len(calls) == 1
         assert cert.to_json() == validate_translation(
             raw, raw, requested=p
         ).to_json()

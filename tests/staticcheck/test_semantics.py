@@ -25,7 +25,6 @@ from repro.errors import (
     CertificateError,
     PlanCorruptionError,
     SemanticValidationError,
-    StaticCheckError,
 )
 from repro.exec.reference import ReferenceExecutor
 from repro.ir.ops import CasualRead, CasualWrite, CycleRotate, Slice
@@ -263,63 +262,25 @@ class TestTranslationValidation:
         with pytest.raises(SemanticValidationError):
             SemanticChecker(program)
 
-    def test_checker_certifies_from_its_denotations(self):
-        p = FAMILIES["random"]
-        raw = get_engine("scheduled").plan(p, width=WIDTH).lower()
-        pipeline = default_pipeline()
-        checker = SemanticChecker(raw)
-        optimized = pipeline.run_checked(checker)
-        assert [op.kind for op in optimized.ops] == \
-            [op.kind for op in pipeline.run(raw, validate=True).ops]
-        for program in (optimized, raw):
-            cert = checker.certify(
-                program, requested=p,
-                pipeline_signature=pipeline.signature(),
-            )
-            assert cert.ok
-            assert cert.to_json() == validate_translation(
-                raw, program, requested=p,
-                pipeline_signature=pipeline.signature(),
-            ).to_json()
-
-    def test_checker_refuses_a_program_it_never_denoted(self):
+    def test_checker_accepts_an_equal_rewrite_and_blames_a_divergent_one(
+        self
+    ):
         raw = get_engine("scheduled").plan(
             FAMILIES["random"], width=WIDTH
         ).lower()
         checker = SemanticChecker(raw)
-        stranger = dataclasses.replace(raw, meta=None)
-        with pytest.raises(StaticCheckError):
-            checker.certify(stranger)
-
-    def test_checker_reuses_the_denotation_of_a_meta_only_rewrite(
-        self, monkeypatch
-    ):
-        import repro.staticcheck.semantics as semantics
-
-        p = FAMILIES["random"]
-        raw = get_engine("scheduled").plan(p, width=WIDTH).lower()
-        calls = []
-        real = semantics.denote_program
-
-        def counting(program):
-            calls.append(program)
-            return real(program)
-
-        monkeypatch.setattr(semantics, "denote_program", counting)
-        checker = SemanticChecker(raw)
-        annotated = dataclasses.replace(raw, meta={"note": 1})
-        checker.check("annotate", annotated)
-        assert calls == [raw]
-        assert checker.certify(annotated, requested=p).ok
-        # Equal content in new op objects is a different program to the
-        # checker: it is denoted.
-        copied = dataclasses.replace(
-            annotated,
-            ops=tuple(dataclasses.replace(op) for op in raw.ops),
+        checker.check("copy", dataclasses.replace(
+            raw, ops=tuple(dataclasses.replace(op) for op in raw.ops),
+        ))
+        q = np.arange(raw.n, dtype=np.int64)
+        q[0], q[1] = q[1], q[0]
+        swapped = dataclasses.replace(
+            raw, ops=(*raw.ops, CasualWrite(label="swap", p=q)),
         )
-        checker.check("copy", copied)
-        assert calls == [raw, copied]
-        assert checker.certify(copied, requested=p).ok
+        with pytest.raises(SemanticValidationError) as info:
+            checker.check("swap-two", swapped)
+        assert info.value.certificate.blame == "swap-two"
+        assert info.value.certificate.matches_raw is False
 
     @pytest.mark.parametrize("corrupt", ["repeat", "out-of-range"])
     def test_schedule_that_does_not_route_gamma_is_refuted(self, corrupt):

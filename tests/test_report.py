@@ -41,22 +41,3 @@ def test_cli_report(capsys):
     assert main(["report"]) == 0
     out = capsys.readouterr().out
     assert "all claims verified" in out
-
-
-def test_semantics_claim_denotes_each_program_once(monkeypatch):
-    """Both pipelines certify against one denotation of the raw
-    program; no program is denoted twice."""
-    import repro.staticcheck.semantics as semantics
-    from repro.report import _check_semantics
-
-    calls = []
-    original = semantics.denote_program
-
-    def counting(program):
-        calls.append(program)
-        return original(program)
-
-    monkeypatch.setattr(semantics, "denote_program", counting)
-    _check_semantics()
-    assert calls
-    assert len(calls) == len({id(program) for program in calls})
