@@ -58,13 +58,14 @@ class RegularBipartiteMultigraph:
             return 0
         left_deg = np.bincount(self.left, minlength=self.num_left)
         right_deg = np.bincount(self.right, minlength=self.num_right)
-        degrees = np.unique(np.concatenate([left_deg, right_deg]))
-        if degrees.size != 1:
+        low = min(int(left_deg.min()), int(right_deg.min()))
+        high = max(int(left_deg.max()), int(right_deg.max()))
+        if low != high:
             raise NotRegularError(
                 "bipartite multigraph is not regular: degrees range "
-                f"from {degrees.min()} to {degrees.max()}"
+                f"from {low} to {high}"
             )
-        return int(degrees[0])
+        return high
 
     # ------------------------------------------------------------------
     # Constructors

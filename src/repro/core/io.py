@@ -775,7 +775,7 @@ def _zigzag_decode(codes: np.ndarray) -> np.ndarray:
     return half ^ -sign
 
 
-def save_sealed(path, sealed) -> None:
+def save_sealed(path, sealed, *, denotation_sha: str | None = None) -> None:
     """Serialise a :class:`~repro.ir.sealed.SealedProgram` to ``path``.
 
     The gather index is stored **delta-encoded**: zigzagged first
@@ -791,10 +791,17 @@ def save_sealed(path, sealed) -> None:
     certificate carried by the sealed program embedded as metadata.
     The artifact is *re-proved on load*; a sealed program that fails
     its own :meth:`verify` is refused unwritten.
+
+    ``denotation_sha`` is the scatter map's digest when the caller
+    already holds it (the planner passes the one its proof computed);
+    without it the map is hashed here.  A wrong one cannot slip
+    through: the loader recomputes it and refuses the file.
     """
     from repro.staticcheck.semantics import denotation_digest
 
     sealed.verify()
+    if denotation_sha is None:
+        denotation_sha = denotation_digest(sealed.scatter)
     with telemetry.span(
         "plan_io.save_sealed", n=sealed.n, engine=sealed.engine
     ) as sp:
@@ -804,9 +811,7 @@ def save_sealed(path, sealed) -> None:
             "engine": np.str_(sealed.engine),
             "n": np.int64(sealed.n),
             "width": np.int64(sealed.width),
-            "denotation_sha": np.str_(
-                denotation_digest(sealed.scatter)
-            ),
+            "denotation_sha": np.str_(denotation_sha),
         }
         _store_narrowed(arrays, "gather_delta", _zigzag_encode(deltas))
         rounds = sealed.meta.get("predicted_rounds")

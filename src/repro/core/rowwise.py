@@ -56,14 +56,24 @@ def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
     if not np.issubdtype(gamma.dtype, np.integer):
         raise SizeError(f"gamma must be integral, got dtype {gamma.dtype}")
     rows, m = gamma.shape
+    gamma = gamma.astype(np.int64, copy=False)
     if m == 0:
-        return gamma.astype(np.int64, copy=False)
-    sorted_rows = np.sort(gamma, axis=1)
-    if not np.array_equal(
-        sorted_rows, np.broadcast_to(np.arange(m, dtype=sorted_rows.dtype), (rows, m))
+        return gamma
+    # In range, and no (row, column) pair twice: m distinct columns per row.
+    if (
+        int(gamma.min()) < 0
+        or int(gamma.max()) >= m
+        or int(np.bincount(_flat_cells(gamma).reshape(-1)).max()) > 1
     ):
         raise SchedulingError("every row of gamma must be a permutation of 0..m-1")
-    return gamma.astype(np.int64, copy=False)
+    return gamma
+
+
+def _flat_cells(cols: np.ndarray) -> np.ndarray:
+    """``r * m + cols[r, c]``: the flat index of each row's column
+    ``cols[r, c]`` in a ``(rows, m)`` matrix."""
+    rows, m = cols.shape
+    return np.arange(0, rows * m, m, dtype=np.int64)[:, None] + cols
 
 
 @dataclass
@@ -135,19 +145,22 @@ class RowwiseSchedule:
 
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]
-        # alpha is a permutation per row; invert it vectorised.  Zeroed,
-        # so a slot an improper colouring leaves unhit still indexes
-        # gamma and the broken schedule reaches the proofs.
-        alpha_inv = np.zeros_like(alpha)
-        row_idx = np.arange(rows)[:, None]
-        alpha_inv[row_idx, alpha] = cols[None, :]
-        t = np.take_along_axis(gamma, alpha_inv, axis=1)
-
+        if alpha.size and int(alpha.max()) >= m:
+            raise SchedulingError(
+                f"bank colouring uses a colour of {m // width} or more"
+            )
+        # t = gamma ∘ alpha⁻¹ row by row, i.e. t[r, alpha[r, c]] =
+        # gamma[r, c]: one flat scatter.  A slot an improper colouring
+        # leaves unhit keeps gamma[r, 0] (alpha⁻¹ read as 0 there), so
+        # the broken schedule still reaches the proofs.
         dtype = smallest_index_dtype(max(m - 1, 0))
+        t = np.empty((rows, m), dtype=dtype)
+        t[:] = gamma[:, :1]
+        t.reshape(-1)[_flat_cells(alpha).reshape(-1)] = gamma.reshape(-1)
         return cls(
             gamma=gamma,
             s=alpha.astype(dtype),
-            t=t.astype(dtype),
+            t=t,
             width=width,
         )
 

@@ -156,7 +156,14 @@ _Access = tuple[str, str, str, np.ndarray, "int | None", int]
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
-    return np.asarray(arr, dtype=np.int64).reshape(-1)
+    """``arr`` as a flat stream: a narrow unsigned index array (the
+    ``uint16`` row-wise schedules) keeps its dtype, since every
+    consumer either indexes with it or widens it itself; anything else
+    becomes ``int64``."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind != "u" or arr.dtype.itemsize > 4:
+        arr = arr.astype(np.int64, copy=False)
+    return arr.reshape(-1)
 
 
 def _cells(arr: np.ndarray) -> int:
@@ -294,23 +301,18 @@ def op_kernels(
             yield kernel
 
 
-def iter_program_rounds(
-    program: KernelProgram, dtype: Any = np.float32
-) -> Iterator[StaticRound]:
-    """Every access round of a lowered kernel program, in order.
-
-    Each op contributes its rounds under its own label (e.g.
-    ``step1.rowwise``); ``pad``/``slice`` contribute none.  Built one
-    op at a time (see :func:`op_kernels`): a consumer that analyses
-    each round and drops it holds one kernel's address arrays, not
-    the program's.
-    """
-    for kernel in op_kernels(program.ops, dtype):
-        yield from kernel.rounds
-
-
 def program_rounds(
     program: KernelProgram, dtype: Any = np.float32
 ) -> tuple[StaticRound, ...]:
-    """:func:`iter_program_rounds`, all at once."""
-    return tuple(iter_program_rounds(program, dtype))
+    """Every access round of a lowered kernel program, in order.
+
+    Each op contributes its rounds under its own label (e.g.
+    ``step1.rowwise``); ``pad``/``slice`` contribute none.  All rounds
+    at once: a consumer that can take one kernel at a time iterates
+    :func:`op_kernels` instead and never holds the program's address
+    arrays together.
+    """
+    return tuple(
+        rnd for kernel in op_kernels(program.ops, dtype)
+        for rnd in kernel.rounds
+    )

@@ -38,6 +38,8 @@ def seal_program(
     requested: np.ndarray | None = None,
     certificate: Any | None = None,
     fingerprint: str | None = None,
+    *,
+    requested_sha: str | None = None,
 ) -> SealedProgram:
     """Collapse ``program`` into its proven :class:`SealedProgram`.
 
@@ -45,9 +47,13 @@ def seal_program(
     ``requested``, the certificate's proof is reused and ``requested``
     becomes the scatter map directly — no re-denotation (the planner's
     path: it has just proved the program denotes ``requested``).
-    Otherwise the program is denoted symbolically and the denotation's
-    bijectivity proof gates the seal; a program that does not denote a
-    permutation raises :class:`~repro.errors.SemanticValidationError`.
+    ``requested_sha`` is that digest when the caller already holds it:
+    the planner passes the one its proof computed over this very array,
+    so the map is hashed once per compile.  Without it the digest is
+    computed here.  Otherwise the program is denoted symbolically and
+    the denotation's bijectivity proof gates the seal; a program that
+    does not denote a permutation raises
+    :class:`~repro.errors.SemanticValidationError`.
 
     The meta records the denotation digest, the program's access-round
     count (``predicted_rounds``) and, when given, the ``fingerprint``.
@@ -58,10 +64,12 @@ def seal_program(
         wanted = np.ascontiguousarray(
             np.asarray(requested, dtype=np.int64)
         )
+        if requested_sha is None:
+            requested_sha = denotation_digest(wanted)
         if (
             getattr(certificate, "ok", False)
             and getattr(certificate, "requested_sha", None)
-            == denotation_digest(wanted)
+            == requested_sha
         ):
             scatter = wanted
             denotation_sha = str(certificate.denotation_sha)

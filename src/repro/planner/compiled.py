@@ -491,11 +491,13 @@ class Planner:
     ) -> SealedProgram:
         """Collapse a proven program to its sealed form.
 
-        Reuses the just-issued certificate, so sealing costs one
-        inversion pass, not a re-denotation.
+        Reuses the just-issued certificate and its digest of
+        ``plan.p``, the array it was proved against, so sealing costs
+        one inversion pass: no re-denotation and no re-hash.
         """
         sealed = seal_program(
-            program, requested=np.asarray(plan.p), certificate=cert
+            program, requested=np.asarray(plan.p), certificate=cert,
+            requested_sha=cert.requested_sha,
         )
         sealed.certificate = cert
         self._counts["sealed_plans"].inc()
@@ -504,11 +506,14 @@ class Planner:
     def _store_sealed(
         self, fp: str, sealed: SealedProgram
     ) -> None:
-        """Persist the sealed sidecar under its fingerprint."""
+        """Persist the sealed sidecar under its fingerprint, with the
+        digest its proof already computed."""
         assert self.disk is not None
         sealed.meta["fingerprint"] = fp
         try:
-            self.disk.store_sealed(fp, sealed)
+            self.disk.store_sealed(
+                fp, sealed, denotation_sha=sealed.meta["denotation_sha"]
+            )
         except OSError:
             # A failed persist must not fail the compile; the sealed
             # form still serves from memory.

@@ -8,13 +8,14 @@ prices those rounds; this module *proves* them regular.
 
 :func:`certify_plan` reads the 32 address streams from the access-round
 enumerator (:mod:`repro.ir.rounds`, the same stream the simulator
-prices and the round interpreter executes) and analyses each round per
-warp:
+prices and the round interpreter executes), one kernel at a time, and
+analyses each distinct address stream of a kernel once, per warp:
 the multiset of banks ``addr mod w`` for shared rounds, the set of
-address groups ``addr div w`` for global rounds.  The result is a
-:class:`Certificate` — per-round verdicts plus, on failure, a
-:class:`Counterexample` naming the kernel, round, block, warp, bank and
-colliding lanes.
+address groups ``addr div w`` for global rounds.  Rounds sharing a
+stream share its per-warp counts but keep their own verdicts.  The
+result is a :class:`Certificate` — per-round verdicts plus, on
+failure, a :class:`Counterexample` naming the kernel, round, block,
+warp, bank and colliding lanes.
 
 The counting screens every warp in O(lanes) and counts exactly only
 the warps the screen flags.  A shared warp of ``w <= 64`` lanes is
@@ -38,14 +39,16 @@ never vouch for a file it was not issued for.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.errors import CertificateError, StaticCheckError
-from repro.ir.rounds import StaticRound, iter_program_rounds, program_rounds
+from repro.ir.rounds import StaticRound, op_kernels, program_rounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scheduled import ScheduledPermutation
@@ -61,8 +64,13 @@ def _warp_matrix(addresses: np.ndarray, width: int) -> np.ndarray:
     Every plan round has a thread count divisible by the width (``n``
     is a multiple of ``w`` and block sizes are multiples of ``w``), so
     unlike the simulator's padding path this is a strict reshape.
+    Integer streams keep their dtype (a ``uint16`` schedule is screened
+    without first widening it); ``uint64`` and non-integer streams
+    become ``int64``.
     """
-    addresses = np.asarray(addresses, dtype=np.int64)
+    addresses = np.asarray(addresses)
+    if addresses.dtype.kind not in "iu" or addresses.dtype == np.uint64:
+        addresses = addresses.astype(np.int64)
     if width < 1:
         raise StaticCheckError(f"width must be >= 1, got {width}")
     if addresses.ndim != 1 or addresses.shape[0] % width != 0:
@@ -165,7 +173,7 @@ def global_group_counts(addresses: np.ndarray, width: int) -> np.ndarray:
     1; only the other warps are sorted and their distinct groups
     counted.
     """
-    warps = _warp_matrix(addresses, width)
+    warps = _warp_matrix(addresses, width).astype(np.int64, copy=False)
     result = np.ones(warps.shape[0], dtype=np.int64)
     if _is_power_of_two(width):
         spread = np.bitwise_or.reduce(warps, axis=1) ^ \
@@ -301,15 +309,18 @@ def _global_counterexample(
     )
 
 
-def analyze_round(
-    rnd: StaticRound, width: int
-) -> tuple[RoundVerdict, Counterexample | None]:
-    """Certify one static round; returns its verdict and, when the
-    round is irregular, the first offending warp as a counterexample."""
+def _per_warp(rnd: StaticRound, width: int) -> np.ndarray:
+    """Per-warp bank multiplicities (shared) or group counts (global)."""
     if rnd.space == "shared":
-        per_warp = shared_bank_multiplicities(rnd.addresses, width)
-    else:
-        per_warp = global_group_counts(rnd.addresses, width)
+        return shared_bank_multiplicities(rnd.addresses, width)
+    return global_group_counts(rnd.addresses, width)
+
+
+def _judge(
+    rnd: StaticRound, width: int, per_warp: np.ndarray
+) -> tuple[RoundVerdict, Counterexample | None]:
+    """The verdict of ``rnd`` from its per-warp counts and, when the
+    round is irregular, its first offending warp."""
     verdict = RoundVerdict(
         kernel=rnd.kernel,
         index=rnd.index,
@@ -325,6 +336,44 @@ def analyze_round(
     if rnd.space == "shared":
         return verdict, _shared_counterexample(rnd, width, per_warp)
     return verdict, _global_counterexample(rnd, width, per_warp)
+
+
+def analyze_round(
+    rnd: StaticRound, width: int
+) -> tuple[RoundVerdict, Counterexample | None]:
+    """Certify one static round; returns its verdict and, when the
+    round is irregular, the first offending warp as a counterexample."""
+    return _judge(rnd, width, _per_warp(rnd, width))
+
+
+def _analyze_kernel(
+    rounds: Iterable[StaticRound], width: int
+) -> Iterator[tuple[RoundVerdict, Counterexample | None]]:
+    """:func:`analyze_round` over one kernel's rounds, analysing each
+    distinct address stream once.
+
+    A row-wise kernel reads ``a``, ``s`` and ``t`` and writes ``b``
+    through one index array, and both its shared reads use one
+    ``tile`` array.  A round whose stream is an earlier round's — the
+    same ``addresses`` object, ``space`` and ``block_size`` — takes
+    that round's per-warp counts, which depend on nothing else; it
+    still gets its own verdict and, if irregular, its own
+    counterexample.  The counts live as long as this generator: one
+    kernel.
+    """
+    seen: list[tuple[StaticRound, np.ndarray]] = []
+    for rnd in rounds:
+        per_warp = next(
+            (counts for prior, counts in seen
+             if prior.addresses is rnd.addresses
+             and prior.space == rnd.space
+             and prior.block_size == rnd.block_size),
+            None,
+        )
+        if per_warp is None:
+            per_warp = _per_warp(rnd, width)
+            seen.append((rnd, per_warp))
+        yield _judge(rnd, width, per_warp)
 
 
 @dataclass(frozen=True)
@@ -504,28 +553,51 @@ class Certificate:
         return cls.from_dict(payload)
 
 
+def _certify_kernels(
+    kernels: Iterable[Iterable[StaticRound]],
+    width: int,
+    n: int,
+    m: int,
+) -> Certificate:
+    """Certify a program kernel by kernel (:func:`_analyze_kernel`),
+    keeping the *first* counterexample — in round order, the executor
+    would hit it first."""
+    verdicts: list[RoundVerdict] = []
+    counter: Counterexample | None = None
+    for rounds in kernels:
+        for verdict, bad in _analyze_kernel(rounds, width):
+            verdicts.append(verdict)
+            if counter is None and bad is not None:
+                counter = bad
+    return Certificate(
+        n=n, m=m, width=width, rounds=tuple(verdicts),
+        counterexample=counter,
+    )
+
+
 def certify_rounds(
     rounds: Iterable[StaticRound],
     width: int,
     n: int,
     m: int,
 ) -> Certificate:
-    """Certify a static round sequence (used by tests and by
-    :func:`certify_plan`).  Keeps the *first* counterexample found —
-    in round order, the executor would hit it first.  ``rounds`` is
-    consumed once, so a lazy sequence is analysed without all its
-    address arrays in memory at once."""
-    verdicts: list[RoundVerdict] = []
-    counter: Counterexample | None = None
-    for rnd in rounds:
-        verdict, bad = analyze_round(rnd, width)
-        verdicts.append(verdict)
-        if counter is None and bad is not None:
-            counter = bad
-    return Certificate(
-        n=n, m=m, width=width, rounds=tuple(verdicts),
-        counterexample=counter,
+    """Certify a static round sequence (used by tests).  Consecutive
+    rounds of one ``kernel`` label form a kernel whose shared streams
+    are analysed once (:func:`_analyze_kernel`); ``rounds`` is consumed
+    once, one kernel at a time."""
+    return _certify_kernels(
+        (group for _, group in groupby(rounds, key=attrgetter("kernel"))),
+        width, n, m,
     )
+
+
+def _program_kernels(
+    program: "KernelProgram",
+) -> Iterator[tuple[StaticRound, ...]]:
+    """The rounds of ``program``, one kernel launch at a time, built
+    lazily (:func:`~repro.ir.rounds.op_kernels`), so the whole
+    program's address arrays never coexist."""
+    return (kernel.rounds for kernel in op_kernels(program.ops))
 
 
 def certify_program(program: "KernelProgram") -> Certificate:
@@ -562,8 +634,8 @@ def certify_program(program: "KernelProgram") -> Certificate:
             f"program {program.engine!r} has no machine width; cannot "
             "partition address streams into warps"
         )
-    return certify_rounds(
-        iter_program_rounds(program), width=width, n=int(program.n),
+    return _certify_kernels(
+        _program_kernels(program), width=width, n=int(program.n),
         m=int(m),
     )
 
@@ -599,10 +671,11 @@ def certify_plan(plan: "ScheduledPermutation") -> Certificate:
     reports).  The rounds of :func:`plan_rounds` are analysed one
     kernel at a time, so every round's address arrays never coexist
     (at n = 2²⁰ that lowers the peak RSS of three memory-path compiles
-    by ~100 MiB).
+    by ~100 MiB), and each kernel's distinct address streams are
+    analysed once: 20 analyses for the 32 rounds.
     """
-    cert = certify_rounds(
-        iter_program_rounds(plan.lower()), width=int(plan.width),
+    cert = _certify_kernels(
+        _program_kernels(plan.lower()), width=int(plan.width),
         n=int(plan.n), m=int(plan.m),
     )
     _expect_32_rounds(cert.num_rounds)

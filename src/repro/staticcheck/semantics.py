@@ -174,17 +174,16 @@ def denotation_digest(index_map: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(arr.shape[0]).encode("ascii"))
     h.update(b":")
-    h.update(arr.tobytes())
+    h.update(arr)
     return h.hexdigest()
 
 
 def _first_out_of_range(
     dest: np.ndarray, size: int, op: KernelOp, index: int
 ) -> SemanticCounterexample | None:
-    bad = np.nonzero((dest < 0) | (dest >= size))[0]
-    if bad.size == 0:
+    if dest.size == 0 or (int(dest.min()) >= 0 and int(dest.max()) < size):
         return None
-    i = int(bad[0])
+    i = int(np.flatnonzero((dest < 0) | (dest >= size))[0])
     return SemanticCounterexample(
         stage="denotation",
         index=i,
@@ -198,7 +197,11 @@ def _first_out_of_range(
 
 
 def _schedule_failure(
-    op: RowwiseScatter, gamma: np.ndarray, dest: np.ndarray, index: int
+    op: RowwiseScatter,
+    gamma: np.ndarray,
+    row_base: np.ndarray,
+    dest: np.ndarray,
+    index: int,
 ) -> SemanticCounterexample | None:
     """Refute a scheduled row-wise op whose ``s``/``t`` kernel does not
     route its ``gamma``, or return ``None``.
@@ -208,6 +211,8 @@ def _schedule_failure(
     follows ``gamma``.  Proving ``t[r, s[r, c]] == gamma[r, c]`` makes
     the two one map, so a slot that ``s`` repeats (an improper colour
     at a source bank) cannot hide behind a bijective ``gamma``.
+    ``row_base[r]`` is ``r * m``: ``t[r, s[r, c]]`` is read as the
+    flat ``t[r * m + s[r, c]]``.
     """
     s = np.asarray(op.s)
     t = np.asarray(op.t)
@@ -215,7 +220,7 @@ def _schedule_failure(
     if s.size and (int(s.min()) < 0 or int(s.max()) >= m):
         bad = np.flatnonzero((s < 0) | (s >= m))
     else:
-        bad = np.flatnonzero(np.take_along_axis(t, s, axis=1) != gamma)
+        bad = np.flatnonzero(t.reshape(-1)[row_base + s] != gamma)
     if bad.size == 0:
         return None
     pos = int(bad[0])
@@ -246,7 +251,8 @@ def _denote_op(
     """
     if isinstance(op, RowwiseScatter):
         # out[r, gamma[r, c]] = mat[r, c]: position r*m + c moves to
-        # r*m + gamma[r, c].
+        # r*m + gamma[r, c].  Since r*m + c is the position itself, one
+        # flat gather through the table r*m + gamma[r, c] moves all.
         gamma = np.asarray(op.gamma, dtype=np.int64)
         rows, m = gamma.shape
         if size != rows * m:
@@ -255,12 +261,12 @@ def _denote_op(
                 got=rows * m,
                 detail=f"op[{index}] rowwise-scatter shape mismatch",
             )
+        row_base = np.arange(0, rows * m, m, dtype=np.int64)[:, None]
         if op.scheduled:
-            failure = _schedule_failure(op, gamma, dest, index)
+            failure = _schedule_failure(op, gamma, row_base, dest, index)
             if failure is not None:
                 return dest, size, failure
-        r, c = dest // m, dest % m
-        return r * m + gamma[r, c], size, None
+        return (row_base + gamma).reshape(-1)[dest], size, None
     if isinstance(op, Transpose):
         # out = mat.reshape(m, m).T: position r*m + c moves to c*m + r.
         m = int(op.m)
@@ -269,7 +275,8 @@ def _denote_op(
                 stage="denotation", index=0, expected=size, got=m * m,
                 detail=f"op[{index}] transpose shape mismatch",
             )
-        return (dest % m) * m + dest // m, size, None
+        r, c = np.divmod(dest, m)
+        return c * m + r, size, None
     if isinstance(op, (CasualWrite, CycleRotate)):
         # out[p[u]] = data[u]: position u moves to p[u].
         p = np.asarray(op.p, dtype=np.int64)
@@ -676,15 +683,19 @@ def validate_translation(
     if requested is None:
         return cert
     wanted = np.asarray(requested, dtype=np.int64)
-    cert = replace(cert, requested_sha=denotation_digest(wanted))
     diverged = _first_divergence(
         wanted, opt_den.index_map, "requested"
     )
     if diverged is not None:
         return replace(
-            cert, matches_requested=False, counterexample=diverged
+            cert, requested_sha=denotation_digest(wanted),
+            matches_requested=False, counterexample=diverged,
         )
-    return replace(cert, matches_requested=True)
+    # Equal maps have equal int64 bytes: the denotation's digest is the
+    # request's.
+    return replace(
+        cert, requested_sha=cert.denotation_sha, matches_requested=True
+    )
 
 
 class SemanticChecker:

@@ -123,8 +123,20 @@ class SLOMonitor:
     # ------------------------------------------------------------------
 
     def _roll(self, now: float) -> None:
-        """Advance to ``now``'s slice and drop expired ones (locked)."""
+        """Advance to ``now``'s slice and drop expired ones (locked).
+
+        After an idle gap of a whole window past the current slice's
+        end, every slice has expired: the window restarts at ``now``'s
+        slice, on the same grid, instead of building (and then
+        dropping) one empty slice per elapsed interval.
+        """
         current = self._slices[-1]
+        elapsed = (now - current.start) // self._slice_s
+        if elapsed > _SLICES:
+            self._slices = [
+                _Slice(current.start + elapsed * self._slice_s)
+            ]
+            return
         while now - current.start >= self._slice_s:
             current = _Slice(current.start + self._slice_s)
             self._slices.append(current)

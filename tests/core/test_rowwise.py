@@ -68,6 +68,29 @@ class TestPlanning:
         with pytest.raises(SchedulingError):
             RowwiseSchedule.plan(gamma, width=4)
 
+    @pytest.mark.parametrize("gamma", [
+        np.array([[0, 1, 2, 8]]),           # out of range
+        np.array([[0, 1, 2, -1]]),
+        np.array([[0, 1, 1, 3]]),           # a repeated column
+    ])
+    def test_rejects_rows_that_are_not_permutations(self, gamma):
+        with pytest.raises(SchedulingError, match="permutation"):
+            RowwiseSchedule.plan(gamma, width=2)
+
+    def test_rejects_a_bank_colour_past_the_degree(self, monkeypatch):
+        import repro.core.rowwise as rowwise
+
+        real = rowwise.edge_coloring
+
+        def too_large(graph):
+            colors = real(graph).copy()
+            colors[-1] = graph.degree       # one colour too many
+            return colors
+
+        monkeypatch.setattr(rowwise, "edge_coloring", too_large)
+        with pytest.raises(SchedulingError, match="bank colouring"):
+            RowwiseSchedule.plan(_random_gamma(3, 16, 6), width=4)
+
     def test_rejects_bad_width(self):
         gamma = _random_gamma(2, 6, 0)
         with pytest.raises(SizeError):

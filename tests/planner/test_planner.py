@@ -204,7 +204,7 @@ class TestPlanner:
     ):
         import repro.core.io
 
-        def refuse(path, sealed):
+        def refuse(path, sealed, **kwargs):
             raise OSError("disk full")
 
         monkeypatch.setattr(repro.core.io, "save_sealed", refuse)
@@ -504,3 +504,49 @@ class TestOneDenotationPerProgram:
         assert cert.to_json() == validate_translation(
             raw, raw, requested=p
         ).to_json()
+
+
+def _count_digests(monkeypatch):
+    """Count every ``denotation_digest`` call, through each module that
+    holds a reference to it (``core.io`` imports it at call time)."""
+    import repro.passes.seal
+    import repro.staticcheck.semantics as semantics
+
+    calls = []
+    original = semantics.denotation_digest
+
+    def counting(index_map):
+        calls.append(index_map)
+        return original(index_map)
+
+    monkeypatch.setattr(semantics, "denotation_digest", counting)
+    monkeypatch.setattr(repro.passes.seal, "denotation_digest", counting)
+    return calls
+
+
+class TestOneDigestPerMap:
+    """A cold compile hashes its n-element map once: the proof's
+    digest serves the seal and the sidecar too."""
+
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_cold_compile_hashes_the_map_once(
+        self, tmp_path, monkeypatch, disk
+    ):
+        from repro.staticcheck.semantics import denotation_digest
+
+        p = random_permutation(_N, seed=9)
+        calls = _count_digests(monkeypatch)
+        planner = Planner(cache_dir=tmp_path if disk else None)
+        compiled = planner.compile(p, engine="scheduled", width=_WIDTH)
+        assert len(calls) == 1
+        cert = compiled.semantic_certificate
+        digest = denotation_digest(p)
+        assert cert.denotation_sha == cert.requested_sha == digest
+        assert compiled.sealed.meta["denotation_sha"] == digest
+        if disk:
+            # The sidecar carries the proof's digest, and the loader's
+            # own re-hash accepts it.
+            fresh = Planner(cache_dir=tmp_path)
+            hit = fresh.compile(p, engine="scheduled", width=_WIDTH)
+            assert fresh.stats()["sealed_hits"] == 1
+            assert np.array_equal(hit.p, p)

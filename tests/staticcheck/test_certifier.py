@@ -269,3 +269,71 @@ class TestCertifyProgram:
         )
         with pytest.raises(StaticCheckError, match="width"):
             certify_program(program)
+
+
+class TestOneAnalysisPerStream:
+    """A kernel's rounds that share an address stream share one
+    analysis: a row-wise kernel's 8 rounds read 4 streams (the index
+    array behind ``a``, ``s``, ``t`` and ``b``, then ``s``, ``tile``
+    and ``t``), a tiled transpose's 4 rounds read 4."""
+
+    N, W = 4096, 8                  # m = 64: 8 warps per row
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return ScheduledPermutation.plan(
+            random_permutation(self.N, seed=5), width=self.W
+        )
+
+    def test_32_rounds_take_20_analyses(self, plan, monkeypatch):
+        from repro.staticcheck import certifier
+
+        calls = {"shared": 0, "global": 0}
+
+        def counting(space, analyse):
+            def wrapped(addresses, width):
+                calls[space] += 1
+                return analyse(addresses, width)
+            return wrapped
+
+        monkeypatch.setattr(
+            certifier, "shared_bank_multiplicities",
+            counting("shared", certifier.shared_bank_multiplicities),
+        )
+        monkeypatch.setattr(
+            certifier, "global_group_counts",
+            counting("global", certifier.global_group_counts),
+        )
+        cert = certify_plan(plan)
+        # 3 row-wise kernels: 3 shared + 1 global streams each;
+        # 2 transposes: 2 shared + 2 global each.
+        assert calls == {"shared": 13, "global": 7}
+        assert cert.ok and cert.num_rounds == 32
+        monkeypatch.undo()
+        # Every round still gets the verdict of its own analysis.
+        assert cert.rounds == tuple(
+            analyze_round(rnd, self.W)[0] for rnd in plan_rounds(plan)
+        )
+
+    @pytest.mark.parametrize("array, round_index", [("s", 26), ("t", 29)])
+    def test_planted_step3_conflict_is_refused_where_it_is(
+        self, plan, array, round_index
+    ):
+        """Step 3's ``s`` and ``t`` each feed one shared write stream;
+        a lane sent to another lane's bank is refused there alone."""
+        block, lane, other = 5, 19, 17  # lanes 3 and 1 of warp 2
+        bad = getattr(plan.step3, array).copy()
+        bad[block, lane] = bad[block, other]
+        cert = certify_plan(dataclasses.replace(
+            plan, step3=dataclasses.replace(plan.step3, **{array: bad})
+        ))
+        assert [r.index for r in cert.rounds if not r.ok] == [round_index]
+        c = cert.counterexample
+        assert (c.kernel, c.round_index, c.space, c.kind) == (
+            "step3.rowwise", round_index, "shared", "write"
+        )
+        warps_per_row = plan.m // self.W
+        assert c.block == block
+        assert c.warp == block * warps_per_row + lane // self.W
+        assert c.lanes == (other % self.W, lane % self.W)
+        assert c.bank == int(bad[block, other]) % self.W

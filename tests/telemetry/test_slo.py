@@ -124,3 +124,41 @@ def test_slo_validation():
         telemetry.SLO(availability=0.0)
     with pytest.raises(ValueError, match="window_s"):
         telemetry.SLO(window_s=-1.0)
+
+
+def test_long_idle_gap_builds_one_slice(monkeypatch):
+    """A week idle costs one new slice, not one per elapsed slice."""
+    from repro.telemetry import slo as slo_module
+
+    built = []
+
+    class CountingSlice(slo_module._Slice):
+        def __init__(self, start):
+            super().__init__(start)
+            built.append(start)
+
+    monkeypatch.setattr(slo_module, "_Slice", CountingSlice)
+    mon, clock = _monitor(availability=0.9, window=60.0, min_samples=1)
+    mon.record(False, 0.001)
+    assert mon.breached
+    clock.t += 7 * 24 * 3600.0 + 3.0
+    built.clear()
+    assert mon.record(True, 0.001) is False
+    assert len(built) <= slo_module._SLICES + 1
+    # Now's slice, on the grid the window started on.
+    assert built[-1] == pytest.approx(7 * 24 * 3600.0)
+    status = mon.status()
+    assert status["samples"] == 1 and not status["breached"]
+
+
+def test_slice_ending_inside_the_window_survives_the_roll():
+    """A slice ending one window before ``now`` or later still counts;
+    one that ended earlier is dropped."""
+    mon, clock = _monitor(availability=0.9, window=6.0, min_samples=1)
+    mon.record(False, 0.001)                # slice [0, 1)
+    clock.t = 6.5                           # horizon 0.5 < 1
+    assert mon.status()["samples"] == 1
+    clock.t = 7.0                           # horizon 1.0: expired
+    assert mon.status()["samples"] == 0
+    assert mon.record(True, 0.001) is False
+    assert mon.status()["samples"] == 1
