@@ -775,7 +775,7 @@ def _zigzag_decode(codes: np.ndarray) -> np.ndarray:
     return half ^ -sign
 
 
-def save_sealed(path, sealed, *, denotation_sha: str | None = None) -> None:
+def save_sealed(path, sealed) -> None:
     """Serialise a :class:`~repro.ir.sealed.SealedProgram` to ``path``.
 
     The gather index is stored **delta-encoded**: zigzagged first
@@ -792,16 +792,17 @@ def save_sealed(path, sealed, *, denotation_sha: str | None = None) -> None:
     The artifact is *re-proved on load*; a sealed program that fails
     its own :meth:`verify` is refused unwritten.
 
-    ``denotation_sha`` is the scatter map's digest when the caller
-    already holds it (the planner passes the one its proof computed);
-    without it the map is hashed here.  A wrong one cannot slip
-    through: the loader recomputes it and refuses the file.
+    The scatter map's digest is the one :func:`~repro.passes.
+    seal_program` stamped in ``sealed.meta``; a sealed program without
+    one has its map hashed here.  A wrong one cannot slip through: the
+    loader recomputes it and refuses the file.
     """
     from repro.staticcheck.semantics import denotation_digest
 
     sealed.verify()
-    if denotation_sha is None:
-        denotation_sha = denotation_digest(sealed.scatter)
+    denotation_sha = sealed.meta.get(
+        "denotation_sha"
+    ) or denotation_digest(sealed.scatter)
     with telemetry.span(
         "plan_io.save_sealed", n=sealed.n, engine=sealed.engine
     ) as sp:

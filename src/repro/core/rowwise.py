@@ -45,7 +45,7 @@ from repro.ir.rounds import rowwise_shared_bytes
 from repro.machine.hmm import HMM
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
-from repro.util.arrays import smallest_index_dtype
+from repro.util.arrays import flat_cells, smallest_index_dtype
 
 
 def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
@@ -63,17 +63,10 @@ def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
     if (
         int(gamma.min()) < 0
         or int(gamma.max()) >= m
-        or int(np.bincount(_flat_cells(gamma).reshape(-1)).max()) > 1
+        or int(np.bincount(flat_cells(gamma).reshape(-1)).max()) > 1
     ):
         raise SchedulingError("every row of gamma must be a permutation of 0..m-1")
     return gamma
-
-
-def _flat_cells(cols: np.ndarray) -> np.ndarray:
-    """``r * m + cols[r, c]``: the flat index of each row's column
-    ``cols[r, c]`` in a ``(rows, m)`` matrix."""
-    rows, m = cols.shape
-    return np.arange(0, rows * m, m, dtype=np.int64)[:, None] + cols
 
 
 @dataclass
@@ -145,9 +138,9 @@ class RowwiseSchedule:
 
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]
-        if alpha.size and int(alpha.max()) >= m:
+        if alpha.size and (int(alpha.min()) < 0 or int(alpha.max()) >= m):
             raise SchedulingError(
-                f"bank colouring uses a colour of {m // width} or more"
+                f"bank colouring uses a colour outside 0..{m // width - 1}"
             )
         # t = gamma ∘ alpha⁻¹ row by row, i.e. t[r, alpha[r, c]] =
         # gamma[r, c]: one flat scatter.  A slot an improper colouring
@@ -156,7 +149,7 @@ class RowwiseSchedule:
         dtype = smallest_index_dtype(max(m - 1, 0))
         t = np.empty((rows, m), dtype=dtype)
         t[:] = gamma[:, :1]
-        t.reshape(-1)[_flat_cells(alpha).reshape(-1)] = gamma.reshape(-1)
+        t.reshape(-1)[flat_cells(alpha).reshape(-1)] = gamma.reshape(-1)
         return cls(
             gamma=gamma,
             s=alpha.astype(dtype),

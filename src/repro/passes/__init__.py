@@ -14,7 +14,9 @@ check --semantics`` and the ``report`` semantics claim do.
 (see the module docstring of :mod:`repro.passes.optimizations` for
 what it does and does not remove); ``aggressive_pipeline()``
 additionally drops standalone identity ops.  :func:`seal_program`, the
-terminal stage, collapses a proven program into its flat gather.
+terminal stage, collapses a proven program into its flat gather;
+:func:`seal_proved` is its unchecked form for a caller that holds the
+very array its certificate proved.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.passes.optimizations import (
     FuseRowwiseSteps,
     SimplifyPadSlice,
 )
-from repro.passes.seal import seal_program
+from repro.passes.seal import seal_program, seal_proved
 
 __all__ = [
     "PIPELINE_VERSION",
@@ -53,6 +55,7 @@ __all__ = [
     "identity_guard",
     "is_identity_guard",
     "seal_program",
+    "seal_proved",
 ]
 
 _DEFAULT: PassPipeline | None = None

@@ -350,11 +350,7 @@ class DiskPlanCache:
         return sealed
 
     def store_sealed(
-        self,
-        fingerprint: str,
-        sealed: "SealedProgram",
-        *,
-        denotation_sha: str | None = None,
+        self, fingerprint: str, sealed: "SealedProgram"
     ) -> Path:
         """Persist a sealed sidecar under its fingerprint.
 
@@ -362,13 +358,11 @@ class DiskPlanCache:
         concurrent reader (or a writer crash) can observe the old entry
         or the new one but never a truncated file that the corruption
         path would have to heal on every later load.
-        ``denotation_sha`` is passed on to it: the scatter map's
-        digest, when the caller already holds it.
         """
         from repro.core.io import save_sealed
 
         path = self.sealed_path_for(fingerprint)
-        save_sealed(path, sealed, denotation_sha=denotation_sha)
+        save_sealed(path, sealed)
         self._counts["sealed_stores"].inc()
         self._account(fingerprint)
         return path

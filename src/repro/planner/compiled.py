@@ -35,7 +35,7 @@ from repro.exec.sealed import SealedExecutor
 from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
 from repro.ir.sealed import SealedProgram
-from repro.passes import seal_program
+from repro.passes import seal_proved
 from repro.planner.cache import (
     DiskPlanCache,
     LRUPlanCache,
@@ -491,14 +491,12 @@ class Planner:
     ) -> SealedProgram:
         """Collapse a proven program to its sealed form.
 
-        Reuses the just-issued certificate and its digest of
-        ``plan.p``, the array it was proved against, so sealing costs
-        one inversion pass: no re-denotation and no re-hash.
+        ``cert`` was proved against ``plan.p`` itself
+        (:meth:`_ColdPath.plan`), so :func:`seal_proved` takes the
+        pair unchecked: sealing costs one inversion pass, with no
+        re-denotation and no re-hash.
         """
-        sealed = seal_program(
-            program, requested=np.asarray(plan.p), certificate=cert,
-            requested_sha=cert.requested_sha,
-        )
+        sealed = seal_proved(program, np.asarray(plan.p), cert)
         sealed.certificate = cert
         self._counts["sealed_plans"].inc()
         return sealed
@@ -506,14 +504,11 @@ class Planner:
     def _store_sealed(
         self, fp: str, sealed: SealedProgram
     ) -> None:
-        """Persist the sealed sidecar under its fingerprint, with the
-        digest its proof already computed."""
+        """Persist the sealed sidecar under its fingerprint."""
         assert self.disk is not None
         sealed.meta["fingerprint"] = fp
         try:
-            self.disk.store_sealed(
-                fp, sealed, denotation_sha=sealed.meta["denotation_sha"]
-            )
+            self.disk.store_sealed(fp, sealed)
         except OSError:
             # A failed persist must not fail the compile; the sealed
             # form still serves from memory.

@@ -591,15 +591,6 @@ def certify_rounds(
     )
 
 
-def _program_kernels(
-    program: "KernelProgram",
-) -> Iterator[tuple[StaticRound, ...]]:
-    """The rounds of ``program``, one kernel launch at a time, built
-    lazily (:func:`~repro.ir.rounds.op_kernels`), so the whole
-    program's address arrays never coexist."""
-    return (kernel.rounds for kernel in op_kernels(program.ops))
-
-
 def certify_program(program: "KernelProgram") -> Certificate:
     """Statically certify any regular lowered kernel program.
 
@@ -634,9 +625,11 @@ def certify_program(program: "KernelProgram") -> Certificate:
             f"program {program.engine!r} has no machine width; cannot "
             "partition address streams into warps"
         )
+    # One kernel launch at a time, built lazily, so the whole
+    # program's address arrays never coexist.
     return _certify_kernels(
-        _program_kernels(program), width=width, n=int(program.n),
-        m=int(m),
+        (kernel.rounds for kernel in op_kernels(program.ops)),
+        width=width, n=int(program.n), m=int(m),
     )
 
 
@@ -675,8 +668,8 @@ def certify_plan(plan: "ScheduledPermutation") -> Certificate:
     analysed once: 20 analyses for the 32 rounds.
     """
     cert = _certify_kernels(
-        _program_kernels(plan.lower()), width=int(plan.width),
-        n=int(plan.n), m=int(plan.m),
+        (kernel.rounds for kernel in op_kernels(plan.lower().ops)),
+        width=int(plan.width), n=int(plan.n), m=int(plan.m),
     )
     _expect_32_rounds(cert.num_rounds)
     return cert

@@ -57,6 +57,7 @@ from repro.ir.ops import (
     Slice,
     Transpose,
 )
+from repro.util.arrays import flat_cells
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.program import KernelProgram
@@ -197,11 +198,7 @@ def _first_out_of_range(
 
 
 def _schedule_failure(
-    op: RowwiseScatter,
-    gamma: np.ndarray,
-    row_base: np.ndarray,
-    dest: np.ndarray,
-    index: int,
+    op: RowwiseScatter, gamma: np.ndarray, dest: np.ndarray, index: int
 ) -> SemanticCounterexample | None:
     """Refute a scheduled row-wise op whose ``s``/``t`` kernel does not
     route its ``gamma``, or return ``None``.
@@ -211,8 +208,7 @@ def _schedule_failure(
     follows ``gamma``.  Proving ``t[r, s[r, c]] == gamma[r, c]`` makes
     the two one map, so a slot that ``s`` repeats (an improper colour
     at a source bank) cannot hide behind a bijective ``gamma``.
-    ``row_base[r]`` is ``r * m``: ``t[r, s[r, c]]`` is read as the
-    flat ``t[r * m + s[r, c]]``.
+    ``t[r, s[r, c]]`` is read as the flat ``t[r * m + s[r, c]]``.
     """
     s = np.asarray(op.s)
     t = np.asarray(op.t)
@@ -220,7 +216,7 @@ def _schedule_failure(
     if s.size and (int(s.min()) < 0 or int(s.max()) >= m):
         bad = np.flatnonzero((s < 0) | (s >= m))
     else:
-        bad = np.flatnonzero(t.reshape(-1)[row_base + s] != gamma)
+        bad = np.flatnonzero(t.reshape(-1)[flat_cells(s)] != gamma)
     if bad.size == 0:
         return None
     pos = int(bad[0])
@@ -261,12 +257,11 @@ def _denote_op(
                 got=rows * m,
                 detail=f"op[{index}] rowwise-scatter shape mismatch",
             )
-        row_base = np.arange(0, rows * m, m, dtype=np.int64)[:, None]
         if op.scheduled:
-            failure = _schedule_failure(op, gamma, row_base, dest, index)
+            failure = _schedule_failure(op, gamma, dest, index)
             if failure is not None:
                 return dest, size, failure
-        return (row_base + gamma).reshape(-1)[dest], size, None
+        return flat_cells(gamma).reshape(-1)[dest], size, None
     if isinstance(op, Transpose):
         # out = mat.reshape(m, m).T: position r*m + c moves to c*m + r.
         m = int(op.m)

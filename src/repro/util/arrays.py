@@ -42,6 +42,17 @@ def reshape_square(a: np.ndarray, what: str = "array") -> np.ndarray:
     return arr.reshape(m, m)
 
 
+def flat_cells(cols: np.ndarray) -> np.ndarray:
+    """``r * m + cols[r, c]``: the flat index of each row's column
+    ``cols[r, c]`` in a row-major ``(rows, m)`` matrix.
+
+    ``cols`` is a ``(rows, m)`` array of columns; the result has its
+    shape and dtype ``int64``.
+    """
+    rows, m = cols.shape
+    return np.arange(0, rows * m, m, dtype=np.int64)[:, None] + cols
+
+
 def smallest_index_dtype(max_value: int) -> np.dtype:
     """Return the smallest unsigned dtype able to hold ``max_value``.
 

@@ -77,17 +77,23 @@ class TestPlanning:
         with pytest.raises(SchedulingError, match="permutation"):
             RowwiseSchedule.plan(gamma, width=2)
 
-    def test_rejects_a_bank_colour_past_the_degree(self, monkeypatch):
+    @pytest.mark.parametrize("slot, colour", [
+        (-1, "degree"),     # one colour too many
+        (0, "negative"),    # a colour below 0
+    ])
+    def test_rejects_a_bank_colour_out_of_range(
+        self, monkeypatch, slot, colour
+    ):
         import repro.core.rowwise as rowwise
 
         real = rowwise.edge_coloring
 
-        def too_large(graph):
+        def out_of_range(graph):
             colors = real(graph).copy()
-            colors[-1] = graph.degree       # one colour too many
+            colors[slot] = graph.degree if colour == "degree" else -1
             return colors
 
-        monkeypatch.setattr(rowwise, "edge_coloring", too_large)
+        monkeypatch.setattr(rowwise, "edge_coloring", out_of_range)
         with pytest.raises(SchedulingError, match="bank colouring"):
             RowwiseSchedule.plan(_random_gamma(3, 16, 6), width=4)
 

@@ -17,7 +17,7 @@ from repro.ir.sealed import (
     SealedProgram,
     invert_permutation,
 )
-from repro.passes import default_pipeline, seal_program
+from repro.passes import default_pipeline, seal_program, seal_proved
 from repro.permutations.named import bit_reversal, random_permutation
 
 _N, _WIDTH = 1024, 32
@@ -154,6 +154,29 @@ class TestSealProgram:
         assert "pipeline" not in sealed.meta
         assert len(sealed.meta["denotation_sha"]) == 64
         assert sealed.meta["predicted_rounds"] == program.num_rounds
+
+    def test_a_certificate_seals_without_re_denotation(self):
+        from repro.staticcheck.semantics import validate_translation
+
+        p = random_permutation(_N, seed=3)
+        program = get_engine("scheduled").plan(p, width=_WIDTH).lower()
+        cert = validate_translation(program, program, requested=p)
+        checked = seal_program(program, requested=p, certificate=cert)
+        proved = seal_proved(program, p, cert)
+        for sealed in (checked, proved):
+            assert np.array_equal(sealed.scatter, p)
+            assert sealed.meta["denotation_sha"] == cert.denotation_sha
+
+    def test_seal_proved_refuses_a_negative_certificate(self):
+        from repro.staticcheck.semantics import validate_translation
+
+        p = random_permutation(_N, seed=3)
+        program = get_engine("scheduled").plan(p, width=_WIDTH).lower()
+        other = random_permutation(_N, seed=4)
+        cert = validate_translation(program, program, requested=other)
+        assert not cert.ok
+        with pytest.raises(SemanticValidationError):
+            seal_proved(program, other, cert)
 
 
 class TestSealedExecutor:

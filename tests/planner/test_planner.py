@@ -204,7 +204,7 @@ class TestPlanner:
     ):
         import repro.core.io
 
-        def refuse(path, sealed, **kwargs):
+        def refuse(path, sealed):
             raise OSError("disk full")
 
         monkeypatch.setattr(repro.core.io, "save_sealed", refuse)
