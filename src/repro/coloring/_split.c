@@ -1,19 +1,28 @@
-/* Level-synchronous Euler split of a regular bipartite multigraph.
+/* Depth-first Euler split of a regular bipartite multigraph.
  *
  * The compiled body of repro.coloring.euler._split_levels.  The NumPy
  * split there is the reference, and this kernel returns the same
  * colour prefixes bit for bit.
  *
- * Per level, edge e has the key (sub*N + node)*d + rank on each side,
- * and the keys of a side are a permutation of [0, E).  The kernel
- * names every edge by its left key k: the partner at its left copy,
- * sigma, is then k ^ 1, and the partner at its right copy, pi, is the
- * left key of the edge whose right key is its right key ^ 1.
- * tau(k) = pi(k) ^ 1 steps two edges along a cycle of the copy graph.
- * Scanning edges in ascending id order, the first unvisited edge e is
- * the least edge of its tau-orbit O and of pi(O), so one walk marks O
- * lower and pi(O) upper: exactly the halves the NumPy split picks by
- * comparing orbit minima.
+ * A subgraph of a level is a block of B contiguous slots, and slot k
+ * of a block holds the edge whose left key (node*d + rank within the
+ * subgraph) is k, as the pair {edge id, right key}.  The partner at an
+ * edge's left copy, sigma, is then the slot k ^ 1, and the partner at
+ * its right copy, pi, is the slot whose right key is its right key ^ 1.
+ * tau(k) = pi(k) ^ 1 steps two edges along a cycle of the copy graph,
+ * so a walk from slot f visits one alternate-edge class O, and the
+ * other class pi(O) is O ^ 1: every slot pair (2j, 2j+1) of the cycle
+ * has one slot on each side.  The side holding the least edge id of
+ * the cycle takes the lower half, which is the orbit-label rule of the
+ * NumPy split, so the result does not depend on where a walk starts.
+ *
+ * Per block: one checked scatter inverts the right keys, one gather
+ * builds pi, one walk per cycle marks each pair's lower slot, and one
+ * sequential pass moves the lower slots to the first half of the block
+ * and the upper slots to the second.  Both keys of an edge halve there
+ * (each copy sent one edge to each half), so the two halves are again
+ * blocks of this form, and the kernel recurses on them depth first:
+ * deep levels run on blocks that fit in cache.
  *
  * Nothing the caller passes is trusted: the shape, node ids,
  * regularity, every key and the closing of every walk are checked, and
@@ -34,7 +43,14 @@ enum {
     SPLIT_NO_MEMORY = 5,
 };
 
-enum { UNSEEN = 0, LOWER = 1, UPPER = 2 };
+/* A pair's flag before its walk; afterwards the flag is the parity of
+ * the pair's lower slot. */
+enum { UNSEEN = 2 };
+
+typedef struct {
+    int32_t id;    /* the edge */
+    int32_t right; /* its right key within the block */
+} slot_t;
 
 /* key[e] = node[e]*degree + the number of edges f < e at node[e]: the
  * rank the stable sort gives. */
@@ -54,25 +70,72 @@ static int first_keys(const int64_t *node, int64_t num_edges,
     return SPLIT_OK;
 }
 
-/* pi[k] for every left key k.  Fails unless kl and kr are both
- * permutations of [0, E). */
-static int pair_right(const int32_t *kl, const int32_t *kr,
-                      int64_t num_edges, int32_t *pi, int32_t *to_left)
+/* Split the block of `size` slots at `cur`, whose edges all carry the
+ * colour prefix `prefix`, `levels` more times and write each edge's
+ * final prefix to `sub`.  `spare` is a block of the same size, and
+ * `flag` has one byte per slot pair. */
+static int split_block(int32_t *sub, slot_t *cur, slot_t *spare,
+                       uint8_t *flag, size_t size, int32_t levels,
+                       int32_t prefix)
 {
-    size_t words = (size_t)num_edges * sizeof(int32_t);
-    memset(pi, 0xff, words);
-    memset(to_left, 0xff, words);
-    for (int64_t e = 0; e < num_edges; e++) {
-        int32_t a = kl[e], b = kr[e];
-        if (a < 0 || a >= num_edges || b < 0 || b >= num_edges
-            || pi[a] >= 0 || to_left[b] >= 0)
-            return SPLIT_NOT_REGULAR;
-        pi[a] = b;
-        to_left[b] = a;
+    if (levels == 0) {
+        for (size_t k = 0; k < size; k++)
+            sub[cur[k].id] = prefix;
+        return SPLIT_OK;
     }
-    for (int64_t k = 0; k < num_edges; k++)
-        pi[k] = to_left[pi[k] ^ 1];
-    return SPLIT_OK;
+    size_t half = size / 2;
+    /* The spare block holds pi, then the inverse of the right keys,
+     * which the walks reuse for the slots of one cycle. */
+    int32_t *pi = (int32_t *)spare, *inv = pi + size, *cycle = inv;
+    memset(inv, 0xff, size * sizeof *inv);
+    for (size_t k = 0; k < size; k++) {
+        uint32_t r = (uint32_t)cur[k].right;
+        if (r >= size || inv[r] >= 0)
+            return SPLIT_NOT_REGULAR;
+        inv[r] = (int32_t)k;
+    }
+    for (size_t k = 0; k < size; k++)
+        pi[k] = inv[cur[k].right ^ 1];
+    memset(flag, UNSEEN, half);
+    for (size_t j = 0; j < half; j++) {
+        if (flag[j] != UNSEEN)
+            continue;
+        /* Walk tau from slot 2j: side A is the visited slots f, side B
+         * their partners f ^ 1.  Each pair is marked with its A
+         * parity, and flipped afterwards if B holds the least id. */
+        int32_t first = (int32_t)(2 * j), f = first;
+        int32_t least_a = INT32_MAX, least_b = INT32_MAX;
+        size_t length = 0;
+        do {
+            if (flag[f >> 1] != UNSEEN)
+                return SPLIT_OPEN_WALK;
+            flag[f >> 1] = (uint8_t)(f & 1);
+            cycle[length++] = f;
+            if (cur[f].id < least_a)
+                least_a = cur[f].id;
+            if (cur[f ^ 1].id < least_b)
+                least_b = cur[f ^ 1].id;
+            f = pi[f] ^ 1;
+        } while (f != first);
+        if (least_b < least_a)
+            for (size_t i = 0; i < length; i++)
+                flag[cycle[i] >> 1] ^= 1;
+    }
+    /* De-interleave into the spare block; pi and the cycle are spent.
+     * Each copy sent one edge to each half, so key >> 1 is the edge's
+     * key in its half. */
+    for (size_t j = 0; j < half; j++) {
+        const slot_t *lower = cur + 2 * j + flag[j];
+        const slot_t *upper = cur + ((2 * j + flag[j]) ^ 1);
+        spare[j] = (slot_t){lower->id, lower->right >> 1};
+        spare[half + j] = (slot_t){upper->id, upper->right >> 1};
+    }
+    int status = split_block(sub, spare, cur, flag, half, levels - 1,
+                             prefix << 1);
+    if (status == SPLIT_OK)
+        status = split_block(sub, spare + half, cur + half, flag + half / 2,
+                             half, levels - 1, prefix << 1 | 1);
+    return status;
 }
 
 int split_levels(const int64_t *left, const int64_t *right,
@@ -84,58 +147,29 @@ int split_levels(const int64_t *left, const int64_t *right,
         || num_edges % degree != 0 || levels < 0 || levels > 30
         || degree % ((int64_t)1 << levels) != 0)
         return SPLIT_BAD_SHAPE;
-    size_t words = (size_t)num_edges * sizeof(int32_t);
-    int32_t *kl = malloc(words), *kr = malloc(words);
-    int32_t *pi = malloc(words), *to_left = malloc(words);
+    size_t slots = (size_t)num_edges * sizeof(slot_t);
+    slot_t *cur = malloc(slots), *spare = malloc(slots);
     int32_t *count = malloc((size_t)num_nodes * sizeof(int32_t));
-    uint8_t *mark = malloc((size_t)num_edges);
+    uint8_t *flag = malloc((size_t)num_edges / 2 + 1);
     int status = SPLIT_NO_MEMORY;
-    if (!kl || !kr || !pi || !to_left || !count || !mark)
+    if (!cur || !spare || !count || !flag)
         goto done;
+    /* The first keys go to the spare block; both are permutations of
+     * [0, E) once first_keys accepts them. */
+    int32_t *kl = (int32_t *)spare, *kr = kl + num_edges;
     if ((status = first_keys(left, num_edges, num_nodes, degree, kl,
                              count))
         || (status = first_keys(right, num_edges, num_nodes, degree, kr,
                                 count)))
         goto done;
-    memset(sub, 0, words);
-    /* half = the edge count of one subgraph after this level's split. */
-    for (int64_t half = num_edges / 2; levels-- > 0; half /= 2) {
-        if ((status = pair_right(kl, kr, num_edges, pi, to_left)))
-            goto done;
-        memset(mark, UNSEEN, (size_t)num_edges);
-        int64_t steps = 0;
-        for (int64_t e = 0; e < num_edges; e++) {
-            int32_t k = kl[e];
-            if (mark[k] == UNSEEN) {
-                int32_t f = k;
-                do {
-                    int32_t g = pi[f];
-                    if (mark[f] != UNSEEN || mark[g] != UNSEEN
-                        || ++steps > num_edges) {
-                        status = SPLIT_OPEN_WALK;
-                        goto done;
-                    }
-                    mark[f] = LOWER;
-                    mark[g] = UPPER;
-                    f = g ^ 1;
-                } while (f != k);
-            }
-            /* The next level's key: each copy sent one edge to each
-             * half, so (sub*N + node)*(d/2) + (rank >> 1) in the new
-             * subgraph, which is this sum. */
-            int32_t upper = mark[k] == UPPER;
-            int32_t offset = (int32_t)((sub[e] + upper) * half);
-            kl[e] = (k >> 1) + offset;
-            kr[e] = (kr[e] >> 1) + offset;
-            sub[e] = (sub[e] << 1) | upper;
-        }
-    }
+    for (int64_t e = 0; e < num_edges; e++)
+        cur[kl[e]] = (slot_t){(int32_t)e, kr[e]};
+    status = split_block(sub, cur, spare, flag, (size_t)num_edges, levels,
+                         0);
 done:
-    free(kl);
-    free(kr);
-    free(pi);
-    free(to_left);
+    free(cur);
+    free(spare);
     free(count);
-    free(mark);
+    free(flag);
     return status;
 }

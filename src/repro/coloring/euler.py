@@ -1,4 +1,4 @@
-"""König edge colouring by level-synchronous Euler splitting.
+"""König edge colouring by Euler splitting.
 
 A regular bipartite multigraph in which every node has even degree
 splits into two regular sub-multigraphs of half the degree: pair the
@@ -18,10 +18,10 @@ matching off it with :func:`scipy.sparse.csgraph.maximum_bipartite_matching`
 even-degree remainder the same way.  scipy is imported only when the
 odd step runs.
 
-All subgraphs of one recursion level are split together.  Each edge
-carries its colour prefix ``sub`` and its ranks ``rl``/``rr`` among the
-edges of its subgraph at its left and right node; the copies of a node
-are the rank pairs ``(2j, 2j+1)``.  Ranks are taken once, in edge
+The split is defined level by level.  Each edge carries its colour
+prefix ``sub`` and its ranks ``rl``/``rr`` among the edges of its
+subgraph at its left and right node; the copies of a node are the rank
+pairs ``(2j, 2j+1)``.  Ranks are taken once, in edge
 order (the rank of ``e`` at node ``u`` is the number of smaller edges
 at ``u``); after a split each copy has sent one edge to each half, so
 ``rank >> 1`` is again a rank in the half.  Per level the keys
@@ -36,18 +36,21 @@ class ``O`` onto the other.  The class holding the least edge of
 Two kernels compute that split, with identical results.  The compiled
 one (``_split.c``, built on import with the system C compiler into the
 package's ``__pycache__`` and loaded with :mod:`ctypes`) counts the
-ranks in edge order and finds the classes with one sequential walk
-per cycle pair: scanning ``e`` upward, an unvisited ``e`` is the least
-edge of its orbit ``O`` and of ``pi(O)``, because every smaller edge
-has been visited, so the walk marks ``O`` lower and ``pi(O)`` upper.
-It names edges by their left keys, where ``sigma`` is ``k ^ 1``, so a
-walk step is one lookup.  Cost: ``O(E)`` per level, ``O(E log D)`` in
-all.  The NumPy kernel runs when no library can be built or loaded and
-for ``E >= 2**31`` edges: one stable sort per side for the ranks, then
-per level ``O(E)`` scatters and gathers plus min-label pointer
-doubling along the cycles, ``O(log L)`` gathers for the longest cycle
-length ``L`` (at most ``O(E log D log E)`` in all).  Either way, add
-one matching per odd factor.
+ranks in edge order and stores each subgraph as a block of slots in
+left-key order, so ``sigma`` is ``k ^ 1``.  Per block it builds ``pi``
+with one scatter and one gather and walks each cycle once: the walk's
+slots are one class ``O`` and their partners ``k ^ 1`` are ``pi(O)``,
+and the side holding the cycle's least edge id takes the lower half,
+which is the rule above whatever slot the walk starts from.  One
+sequential pass then moves the lower slots to the first half of the
+block, both keys halved, and the kernel recurses on the halves depth
+first, so deep levels run in cache.  Cost: ``O(E)`` per level,
+``O(E log D)`` in all.  The NumPy kernel runs when no library can be
+built or loaded and for ``E >= 2**31`` edges: one stable sort per side
+for the ranks, then per level ``O(E)`` scatters and gathers plus
+min-label pointer doubling along the cycles, ``O(log L)`` gathers for
+the longest cycle length ``L`` (at most ``O(E log D log E)`` in all).
+Either way, add one matching per odd factor.
 """
 
 from __future__ import annotations

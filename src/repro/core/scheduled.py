@@ -39,7 +39,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.colwise import ColumnwiseSchedule
 from repro.core.rowwise import RowwiseSchedule
-from repro.core.scheduler import ThreeStepDecomposition, decompose
+from repro.core.scheduler import ThreeStepDecomposition, decompose_checked
 from repro.core.transpose import TiledTranspose
 from repro.errors import SizeError, ValidationError
 from repro.ir.engine import EngineBase
@@ -89,7 +89,7 @@ class ScheduledPermutation(EngineBase):
         n = int(p.shape[0])
         check_square(n, width, "len(p)")
         with telemetry.span("scheduled.plan", n=n, width=width):
-            decomposition = decompose(p)
+            decomposition = decompose_checked(p)
             with telemetry.span("scheduled.plan.step1"):
                 step1 = RowwiseSchedule.plan(decomposition.gamma1, width)
             with telemetry.span("scheduled.plan.step2"):

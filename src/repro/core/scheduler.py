@@ -139,7 +139,13 @@ class ThreeStepDecomposition:
 def decompose(p: np.ndarray) -> ThreeStepDecomposition:
     """Factor permutation ``p`` (length a perfect square) into the three
     steps of the scheduled algorithm."""
-    p = check_permutation(p)
+    return decompose_checked(check_permutation(p))
+
+
+def decompose_checked(p: np.ndarray) -> ThreeStepDecomposition:
+    """:func:`decompose` for a caller that holds the ``int64`` array
+    :func:`~repro.util.validation.check_permutation` returned, so ``p``
+    is not checked again."""
     n = p.shape[0]
     m = isqrt_exact(n, "len(p)")
     if m == 0:

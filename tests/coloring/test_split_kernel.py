@@ -2,12 +2,13 @@
 
 ``_split_levels`` runs the C kernel (``_split.c``) when it loaded and
 ``_split_levels_numpy`` otherwise.  Both must return the same array,
-dtype and all, on every input the colouring makes; the compiled kernel
-must refuse malformed input with a ``ColoringError`` instead of
-crashing; and a broken cached library or a failed build must leave the
-NumPy split in charge, never a dead process.  The loader tests run for
-both compiled kernels (this one and the sealed gather's), which share
-one loader.
+dtype and all, on every input the colouring makes, the planner's own
+graphs included; a patched copy of the kernel that breaks a partition
+must fail that parity check; the compiled kernel must refuse malformed
+input with a ``ColoringError`` instead of crashing; and a broken cached
+library or a failed build must leave the NumPy split in charge, never a
+dead process.  The loader tests run for both compiled kernels (this one
+and the sealed gather's), which share one loader.
 """
 
 import ctypes
@@ -31,10 +32,16 @@ from repro.coloring.euler import (
 )
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import verify_edge_coloring
+from repro.core.scheduled import ScheduledPermutation
 from repro.errors import ColoringError
 from repro.exec import sealed as sealed_exec
 from repro.exec.sealed import SealedExecutor
 from repro.ir.sealed import SealedProgram
+from repro.permutations.named import (
+    bit_reversal,
+    random_permutation,
+    transpose_permutation,
+)
 from repro.util import native as loader
 
 native = pytest.mark.skipif(
@@ -62,6 +69,27 @@ def _assert_same(left, right, nodes, degree, levels):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     return got
+
+
+_PLANNER_FAMILIES = {
+    "bit-reversal": bit_reversal,
+    "random": lambda n: random_permutation(n, seed=11),
+    "transpose": transpose_permutation,
+}
+
+
+def _planner_splits(family, log_n):
+    """The arguments of every split a ``width = 32`` plan runs."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _split_levels(*args)
+
+    p = _PLANNER_FAMILIES[family](1 << log_n)
+    with mock.patch.object(euler, "_split_levels", side_effect=record):
+        ScheduledPermutation.plan(p, width=32)
+    return calls
 
 
 @native
@@ -118,6 +146,35 @@ class TestBitIdentical:
         assert len(calls) > 1
         # With an even factor, the odd step's graphs are stacked ones.
         assert any(call[2] > 29 for call in calls) == (degree % 2 == 0)
+        for args in calls:
+            _assert_same(*args)
+
+    def test_node_count_not_a_power_of_two(self):
+        """37 nodes: no block of any level has a power-of-two size."""
+        left, right = _regular(37, 64, seed=37)
+        _assert_same(left, right, 37, 64, 6)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_copy_graph_one_long_cycle(self, shuffle):
+        """Left node u holds edges 2u and 2u+1 and right node u edges
+        2u+1 and 2u+2 (mod E), so the copy graph is one cycle through
+        every edge; relabelling the edges keeps it one cycle."""
+        nodes = 5000
+        edges = np.arange(2 * nodes, dtype=np.int64)
+        left, right = edges // 2, ((edges - 1) % (2 * nodes)) // 2
+        if shuffle:
+            order = np.random.default_rng(5).permutation(2 * nodes)
+            left, right = left[order], right[order]
+        got = _assert_same(left, right, nodes, 2, 1)
+        assert np.count_nonzero(got) == nodes
+
+    @pytest.mark.parametrize("log_n", [12, 14])
+    @pytest.mark.parametrize("family", sorted(_PLANNER_FAMILIES))
+    def test_planner_graphs(self, family, log_n):
+        """The global row multigraph and the three stacked bank graphs
+        a plan colours."""
+        calls = _planner_splits(family, log_n)
+        assert len(calls) == 4
         for args in calls:
             _assert_same(*args)
 
@@ -180,6 +237,65 @@ class TestRefusesMalformedInput:
         assert np.array_equal(
             got, _split_levels_numpy(left, right, nodes, degree, levels)
         )
+
+
+#: A kernel that breaks a partition, and the edit that makes it.
+_MUTANTS = {
+    # The side without the cycle's least edge takes the lower half.
+    "lower-upper-inverted": [
+        ("if (least_b < least_a)", "if (least_b > least_a)"),
+    ],
+    # The halves keep the parent block's right keys.
+    "keys-not-halved": [
+        ("lower->right >> 1", "lower->right"),
+        ("upper->right >> 1", "upper->right"),
+    ],
+}
+
+
+def _agrees_with_numpy(kernel):
+    """Whether ``kernel`` returns the NumPy split's prefixes on the
+    planner's graphs and on a multigraph with parallel edges: the
+    parity check ``TestBitIdentical`` makes of the loaded kernel."""
+    graphs = [*_planner_splits("random", 12),
+              (*_regular(37, 64, seed=37), 37, 64, 6)]
+    for left, right, nodes, degree, levels in graphs:
+        sub = np.zeros(left.shape[0], dtype=np.int32)
+        status = kernel(np.ascontiguousarray(left, dtype=np.int64),
+                        np.ascontiguousarray(right, dtype=np.int64),
+                        left.shape[0], nodes, degree, levels, sub)
+        want = _split_levels_numpy(left, right, nodes, degree, levels)
+        if status != 0 or not np.array_equal(sub, want):
+            return False
+    return True
+
+
+@native
+class TestMutantKernels:
+    """A kernel that breaks a partition cannot pass this file."""
+
+    def _build(self, tmp_path, edits):
+        source = euler._SOURCE.read_text()
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        patched = tmp_path / "_split.c"
+        patched.write_text(source)
+        target = tmp_path / "mutant.so"
+        assert loader.build(patched, target)
+        kernel = loader.open_kernel(target, "split_levels")
+        assert kernel is not None
+        kernel.argtypes = list(euler._ARGTYPES)
+        kernel.restype = ctypes.c_int
+        return kernel
+
+    def test_unpatched_copy_agrees(self, tmp_path):
+        assert _agrees_with_numpy(self._build(tmp_path, []))
+
+    @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+    def test_mutant_is_refused(self, tmp_path, mutant):
+        assert not _agrees_with_numpy(self._build(tmp_path,
+                                                  _MUTANTS[mutant]))
 
 
 def _split_works(kernel):

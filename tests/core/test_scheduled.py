@@ -1,5 +1,7 @@
 """Tests for the complete scheduled permutation (Section VII + Table I)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.permutations.named import (
     shuffle,
     transpose_permutation,
 )
+from repro.util import validation
 from tests.conftest import square_permutations_st
 
 
@@ -70,6 +73,23 @@ class TestCorrectness:
             ScheduledPermutation.plan(identical(60), width=4)  # not square
         with pytest.raises(SizeError):
             ScheduledPermutation.plan(identical(36), width=4)  # 6 % 4 != 0
+
+    def test_checks_p_once_per_plan(self, monkeypatch):
+        """Planning validates ``p`` once: the decomposition it runs
+        does not re-check the array ``plan`` already checked."""
+        real = validation.check_permutation
+        checked = []
+
+        def check(p, *args, **kwargs):
+            checked.append(p)
+            return real(p, *args, **kwargs)
+
+        # Every module binds the function by name on import.
+        for module in list(sys.modules.values()):
+            if getattr(module, "check_permutation", None) is real:
+                monkeypatch.setattr(module, "check_permutation", check)
+        ScheduledPermutation.plan(random_permutation(256, seed=4), width=4)
+        assert len(checked) == 1
 
     def test_internal_verify(self):
         plan = ScheduledPermutation.plan(

@@ -66,7 +66,7 @@ def _mutate_colouring(monkeypatch, module, side):
 
 
 def _mutate_gamma3(monkeypatch, mutate):
-    real = repro.core.scheduled.decompose
+    real = repro.core.scheduled.decompose_checked
 
     def mutant(p):
         d = real(p)
@@ -74,7 +74,7 @@ def _mutate_gamma3(monkeypatch, mutate):
         mutate(gamma3)
         return dataclasses.replace(d, gamma3=gamma3)
 
-    monkeypatch.setattr(repro.core.scheduled, "decompose", mutant)
+    monkeypatch.setattr(repro.core.scheduled, "decompose_checked", mutant)
 
 
 def _wrong_entry(gamma3):
