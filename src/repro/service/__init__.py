@@ -88,8 +88,9 @@ def _engine_rounds(engine: str) -> int | None:
 
 
 class _Registration:
-    """One registered permutation: array, digest, engine choice and
-    the engine's round count."""
+    """One registered permutation: array, digest, engine choice, the
+    engine's round count and, once it has been applied, its
+    ``exec_apply_seconds`` / ``exec_seconds_per_round`` handles."""
 
     def __init__(
         self, name: str, p: np.ndarray, engine: str, digest: str
@@ -99,6 +100,8 @@ class _Registration:
         self.engine = engine
         self.digest = digest
         self.rounds = _engine_rounds(engine)
+        self.apply_seconds: telemetry.Histogram | None = None
+        self.seconds_per_round: telemetry.Gauge | None = None
 
 
 class PermutationService:
@@ -218,13 +221,13 @@ class PermutationService:
     def _registration(self, name: str) -> _Registration:
         with self._lock:
             reg = self._registry.get(name)
+            if reg is not None:
+                return reg
             known = ", ".join(sorted(self._registry)) or "<none>"
-        if reg is None:
-            raise ValidationError(
-                f"no permutation registered as {name!r}; "
-                f"registered: {known}"
-            )
-        return reg
+        raise ValidationError(
+            f"no permutation registered as {name!r}; "
+            f"registered: {known}"
+        )
 
     # ------------------------------------------------------------------
     # Compilation / serving
@@ -262,13 +265,22 @@ class PermutationService:
         (per engine) flags an executor regression the cost model did
         not predict.
         """
-        self.metrics.histogram(
-            "exec_apply_seconds", engine=reg.engine, mode="sealed"
-        ).observe(elapsed)
+        # Both handles are resolved on the registration's first apply,
+        # so one that is never served adds no empty series.
+        apply_seconds = reg.apply_seconds
+        if apply_seconds is None:
+            apply_seconds = reg.apply_seconds = self.metrics.histogram(
+                "exec_apply_seconds", engine=reg.engine, mode="sealed"
+            )
+        apply_seconds.observe(elapsed)
         if reg.rounds is not None:
-            self.metrics.gauge(
-                "exec_seconds_per_round", engine=reg.engine, mode="sealed"
-            ).set(elapsed / reg.rounds)
+            per_round = reg.seconds_per_round
+            if per_round is None:
+                per_round = reg.seconds_per_round = self.metrics.gauge(
+                    "exec_seconds_per_round", engine=reg.engine,
+                    mode="sealed",
+                )
+            per_round.set(elapsed / reg.rounds)
 
     def apply(self, name: str, a: np.ndarray) -> np.ndarray:
         """Serve one payload through the named permutation."""

@@ -304,7 +304,18 @@ class PermutationServer:
         self._recent_sheds: deque[float] = deque(maxlen=8)
         # In-flight requests by rid (admitted, not yet resolved) —
         # snapshotted into post-mortem bundles.
-        self._inflight_reqs: dict[int, dict] = {}
+        self._inflight_reqs: dict[int, _Request] = {}
+        # Per-request histogram handles, each resolved on first use
+        # (so the exposition lists only label sets that occurred):
+        # queue wait by priority, end-to-end latency by (key, engine,
+        # outcome).
+        self._queue_wait: dict[int, telemetry.Histogram] = {}
+        self._e2e: dict[tuple[str, str | None, str],
+                        telemetry.Histogram] = {}
+        # The two event counters every served request moves, held
+        # once first counted.
+        self._accepted: telemetry.Counter | None = None
+        self._served: telemetry.Counter | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -458,31 +469,36 @@ class PermutationServer:
             self._event(name).inc(n)
 
     def _active_requests(self) -> list[dict]:
-        """Flight-recorder snapshot of every in-flight request."""
+        """Flight-recorder snapshot of every in-flight request: one
+        row each, built only here, when a post-mortem asks."""
         now = self._clock()
         with self._stats_lock:
-            rows = [dict(info) for info in self._inflight_reqs.values()]
-        for row in rows:
-            row["age_s"] = now - row.pop("enqueued")
-        return sorted(rows, key=lambda r: r["rid"])
+            requests = sorted(self._inflight_reqs.values(),
+                              key=lambda r: r.rid)
+        rows = []
+        for req in requests:
+            row: dict[str, Any] = {
+                "rid": req.rid,
+                "key": req.key,
+                "tenant": req.tenant,
+                "priority": req.priority,
+            }
+            span_id = getattr(req.ctx.span, "span_id", None) \
+                if req.ctx is not None else None
+            if span_id is not None:
+                row["span_id"] = span_id
+            row["age_s"] = now - req.enqueued
+            rows.append(row)
+        return rows
 
     def _track(self, request: _Request) -> None:
         """Count ``request`` accepted and enter it in the in-flight
         table, in one stats-lock section."""
-        info = {
-            "rid": request.rid,
-            "key": request.key,
-            "tenant": request.tenant,
-            "priority": request.priority,
-            "enqueued": request.enqueued,
-        }
-        span_id = getattr(request.ctx.span, "span_id", None) \
-            if request.ctx is not None else None
-        if span_id is not None:
-            info["span_id"] = span_id
         with self._stats_lock:
-            self._inflight_reqs[request.rid] = info
-            self._event("accepted").inc()
+            self._inflight_reqs[request.rid] = request
+            if self._accepted is None:
+                self._accepted = self._event("accepted")
+            self._accepted.inc()
 
     def _finish_request(
         self,
@@ -510,13 +526,17 @@ class PermutationServer:
         e2e = self._clock() - request.enqueued
         in_memory = request.stream is None
         if in_memory:
-            self.metrics.histogram(
-                "server_e2e_seconds",
-                family=request.key.rsplit("/", 1)[-1],
-                tenant=request.tenant,
-                engine=engine or "none",
-                outcome=outcome,
-            ).observe(e2e)
+            labels = (request.key, engine, outcome)
+            e2e_seconds = self._e2e.get(labels)
+            if e2e_seconds is None:
+                e2e_seconds = self._e2e[labels] = self.metrics.histogram(
+                    "server_e2e_seconds",
+                    family=request.key.rsplit("/", 1)[-1],
+                    tenant=request.tenant,
+                    engine=engine or "none",
+                    outcome=outcome,
+                )
+            e2e_seconds.observe(e2e)
         self.recorder.record(
             "finish", rid=request.rid, outcome=outcome,
             engine=engine, e2e_s=round(e2e, 6),
@@ -528,7 +548,12 @@ class PermutationServer:
             )
         with self._stats_lock:
             self._inflight_reqs.pop(request.rid, None)
-            self._event(event).inc()
+            if ok:
+                if self._served is None:
+                    self._served = self._event("served")
+                self._served.inc()
+            else:
+                self._event(event).inc()
         if in_memory and self.slo_monitor.record(ok, e2e):
             self.recorder.dump(
                 "slo_breach", rid=request.rid, outcome=outcome
@@ -673,7 +698,8 @@ class PermutationServer:
                 f"priority must be one of {_PRIORITIES}, got {priority}"
             )
         key = self._key(tenant, name)
-        self.start()
+        if not self._started:
+            self.start()
         now = self._clock()
         limit = deadline_s if deadline_s is not None \
             else self.default_deadline_s
@@ -837,9 +863,14 @@ class PermutationServer:
         wait = now - req.enqueued
         if req.qspan is not None:
             telemetry.end_span(req.qspan, wait_s=wait)
-        self.metrics.histogram(
-            "server_queue_wait_seconds", priority=str(req.priority),
-        ).observe(wait)
+        queue_wait = self._queue_wait.get(req.priority)
+        if queue_wait is None:
+            queue_wait = self._queue_wait[req.priority] = \
+                self.metrics.histogram(
+                    "server_queue_wait_seconds",
+                    priority=str(req.priority),
+                )
+        queue_wait.observe(wait)
         if req.deadline is not None and now >= req.deadline:
             req.result._fail(DeadlineExceededError(
                 f"deadline expired after {wait:.3f} s in the queue"

@@ -16,9 +16,11 @@ Design points:
   only ever sees millisecond latencies pays for millisecond buckets
   only;
 * **mergeable** — two histograms with the same bucketing merge by
-  adding bucket counts; rolling-window monitors
-  (:mod:`repro.telemetry.slo`) exploit this by keeping one small
-  histogram per time slice and merging on read;
+  adding bucket counts, and counts subtract exactly too: the
+  rolling-window SLO monitor (:mod:`repro.telemetry.slo`) keeps one
+  running window of bucket counts, adds each sample to it and
+  subtracts a time slice's counts as the slice rolls out, and
+  estimates its p99 with the same :func:`bucket_quantile`;
 * **labels** — ``registry.counter("server_requests_total",
   tenant="a", outcome="ok")`` returns a per-label-set child
   instrument, cached so the hot path is one lock-free dict lookup
@@ -50,6 +52,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
     "quantile_from_buckets",
 ]
 
@@ -134,23 +137,9 @@ class Histogram:
         to the observed ``[min, max]`` so outlier-free data never
         reports a quantile beyond what was seen.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            if self.count == 0:
-                return 0.0
-            target = q * self.count
-            cum = 0.0
-            for idx in sorted(self.buckets):
-                c = self.buckets[idx]
-                if cum + c >= target:
-                    lo = 0.0 if idx == 0 else self.bucket_upper(idx - 1)
-                    hi = self.bucket_upper(idx)
-                    frac = (target - cum) / c
-                    est = lo + frac * (hi - lo)
-                    return min(max(est, self.min), self.max)
-                cum += c
-            return self.max
+            return bucket_quantile(self.buckets, self.count, self.min,
+                                   self.max, q)
 
     @property
     def mean(self) -> float:
@@ -189,6 +178,35 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Histogram(count={self.count}, mean={self.mean:.6f})"
+
+
+def bucket_quantile(buckets: dict[int, int], count: int, lo: float,
+                    hi: float, q: float) -> float:
+    """The ``q``-quantile of :class:`Histogram` bucket counts.
+
+    ``buckets`` maps bucket index to a positive count summing to
+    ``count``; ``lo`` / ``hi`` are the observed minimum and maximum.
+    The estimate is linear within the hit bucket and clamped to
+    ``[lo, hi]``; ``0.0`` when ``count`` is zero.  A rolling window
+    that keeps its own bucket counts (:mod:`repro.telemetry.slo`)
+    shares this estimator with :meth:`Histogram.quantile`.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if count == 0:
+        return 0.0
+    target = q * count
+    cum = 0.0
+    for idx in sorted(buckets):
+        c = buckets[idx]
+        if cum + c >= target:
+            low = 0.0 if idx == 0 else Histogram.bucket_upper(idx - 1)
+            high = Histogram.bucket_upper(idx)
+            frac = (target - cum) / c
+            est = low + frac * (high - low)
+            return min(max(est, lo), hi)
+        cum += c
+    return hi
 
 
 class Counter:

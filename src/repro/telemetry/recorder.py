@@ -31,6 +31,10 @@ from repro.telemetry.sinks import _jsonable
 
 __all__ = ["FlightRecorder"]
 
+#: Field types an event keeps as given (``_jsonable`` would return
+#: them unchanged).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
 
 class FlightRecorder:
     """Bounded ring buffer of structured events + post-mortem dumps.
@@ -95,9 +99,10 @@ class FlightRecorder:
 
     def record(self, kind: str, **fields) -> None:
         """Append one structured event to the ring."""
-        event = {"t": self._clock(), "kind": kind}
+        event = {"t": self._clock(), "kind": kind, **fields}
         for key, value in fields.items():
-            event[key] = _jsonable(value)
+            if type(value) not in _PLAIN:
+                event[key] = _jsonable(value)
         with self._lock:
             self._events.append(event)
         self._recorded.inc()

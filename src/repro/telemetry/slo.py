@@ -6,10 +6,13 @@ ingests one ``(ok, latency)`` sample per finished request and answers,
 at any moment:
 
 * **availability** over the window (successes / total);
-* **p99 latency** over the window (from merged per-slice
-  :class:`~repro.telemetry.metrics.Histogram` objects — this is what
-  "mergeable" buys: the window rolls by dropping a slice, never by
-  rescanning samples);
+* **p99 latency** over the window, from one running window of
+  :class:`~repro.telemetry.metrics.Histogram` bucket counts.  A
+  sample adds to its time slice and to the window; a slice that rolls
+  out subtracts its bucket counts, which subtract exactly, so the
+  window never rescans samples and a record never merges slices.
+  Only the window's min/max (quantile clamps) are recomputed, from
+  the few live slices, when a slice drops;
 * **error-budget burn rate** — the rate unavailability is consuming
   the budget, normalised so ``1.0`` means "exactly on target": a
   99.9 % objective burning at ``10×`` exhausts a 30-day budget in
@@ -28,10 +31,11 @@ dumping again on every subsequent bad sample.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, bucket_quantile
 
 __all__ = ["SLO", "SLOMonitor"]
 
@@ -90,16 +94,56 @@ class SLO:
         }
 
 
-class _Slice:
-    """One sub-interval of the rolling window."""
+class _Counts:
+    """Outcome counts and latency bucket counts (the
+    :class:`~repro.telemetry.metrics.Histogram` bucketing) of some
+    samples; guarded by the monitor's lock."""
 
-    __slots__ = ("start", "ok", "total", "latency")
+    __slots__ = ("ok", "total", "buckets", "min", "max")
 
-    def __init__(self, start: float) -> None:
-        self.start = start
+    def __init__(self) -> None:
         self.ok = 0
         self.total = 0
-        self.latency = Histogram()
+        self.buckets: dict[int, int] = {}
+        self.min = math.inf
+        self.max = 0.0
+
+    def add(self, ok: bool, bucket: int, latency_s: float) -> None:
+        self.total += 1
+        if ok:
+            self.ok += 1
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+        if latency_s < self.min:
+            self.min = latency_s
+        if latency_s > self.max:
+            self.max = latency_s
+
+    def subtract(self, other: "_Counts") -> None:
+        """Remove ``other``'s samples (a subset of these), deleting
+        buckets that empty.  ``min`` / ``max`` are left to the caller,
+        since an extreme cannot be subtracted."""
+        self.ok -= other.ok
+        self.total -= other.total
+        for bucket, c in other.buckets.items():
+            left = self.buckets[bucket] - c
+            if left:
+                self.buckets[bucket] = left
+            else:
+                del self.buckets[bucket]
+
+    def quantile(self, q: float) -> float:
+        return bucket_quantile(self.buckets, self.total, self.min,
+                               self.max, q)
+
+
+class _Slice(_Counts):
+    """One sub-interval of the rolling window."""
+
+    __slots__ = ("start",)
+
+    def __init__(self, start: float) -> None:
+        super().__init__()
+        self.start = start
 
 
 class SLOMonitor:
@@ -116,6 +160,9 @@ class SLOMonitor:
         self._lock = threading.Lock()
         self._slice_s = self.slo.window_s / _SLICES
         self._slices: list[_Slice] = [_Slice(clock())]
+        #: The sum of the live slices, kept as samples arrive and
+        #: slices expire.
+        self._window = _Counts()
         self._breached = False
         #: Breach transitions observed (monotonic).
         self.breaches = 0
@@ -136,15 +183,42 @@ class SLOMonitor:
             self._slices = [
                 _Slice(current.start + elapsed * self._slice_s)
             ]
+            self._window = _Counts()
             return
         while now - current.start >= self._slice_s:
             current = _Slice(current.start + self._slice_s)
             self._slices.append(current)
         horizon = now - self.slo.window_s
+        window = self._window
+        dropped = False
         while len(self._slices) > 1 and (
             self._slices[0].start + self._slice_s <= horizon
         ):
-            self._slices.pop(0)
+            window.subtract(self._slices.pop(0))
+            dropped = True
+        if dropped:
+            window.min = min(s.min for s in self._slices)
+            window.max = max(s.max for s in self._slices)
+
+    def _breach_locked(self) -> tuple[bool, bool]:
+        """(availability, latency) objective violated over the window.
+
+        The p99 is estimated only when the latency objective can
+        decide: never below ``min_samples``, and never while the
+        window's max is within the bound (the estimate is clamped to
+        the max)."""
+        window, slo = self._window, self.slo
+        if window.total < slo.min_samples:
+            return False, False
+        availability = (
+            window.ok / window.total if window.total else 1.0
+        )
+        bound = slo.latency_p99_s
+        return (
+            availability < slo.availability,
+            bound is not None and window.max > bound
+            and window.quantile(0.99) > bound,
+        )
 
     def record(self, ok: bool, latency_s: float) -> bool:
         """Ingest one finished request.
@@ -152,53 +226,44 @@ class SLOMonitor:
         Returns ``True`` exactly when this sample *transitions* the
         monitor into breach (the edge the flight recorder dumps on).
         """
+        latency = float(latency_s)
+        if latency < 0.0:
+            latency = 0.0
+        bucket = Histogram.bucket_index(latency)
         now = self._clock()
         with self._lock:
             self._roll(now)
-            sl = self._slices[-1]
-            sl.total += 1
-            if ok:
-                sl.ok += 1
-            sl.latency.observe(latency_s)
-            status = self._status_locked(now)
-            newly = status["breached"] and not self._breached
-            self._breached = status["breached"]
+            self._slices[-1].add(ok, bucket, latency)
+            self._window.add(ok, bucket, latency)
+            breached = any(self._breach_locked())
+            newly = breached and not self._breached
+            self._breached = breached
             if newly:
                 self.breaches += 1
             return newly
 
-    def _status_locked(self, now: float) -> dict:
-        ok = sum(s.ok for s in self._slices)
-        total = sum(s.total for s in self._slices)
-        merged = Histogram()
-        for s in self._slices:
-            merged.merge(s.latency)
-        availability = ok / total if total else 1.0
-        p99 = merged.quantile(0.99)
+    def _status_locked(self) -> dict:
+        window = self._window
+        total = window.total
+        availability = window.ok / total if total else 1.0
         target = self.slo.availability
         budget = 1.0 - target
         error_rate = 1.0 - availability
         burn = error_rate / budget if budget > 0 else (
             0.0 if error_rate == 0 else float("inf")
         )
-        enough = total >= self.slo.min_samples
-        breach_avail = enough and availability < target
-        breach_latency = (
-            enough
-            and self.slo.latency_p99_s is not None
-            and p99 > self.slo.latency_p99_s
-        )
+        breach_avail, breach_latency = self._breach_locked()
         return {
             "availability": availability,
-            "p99_s": p99,
+            "p99_s": window.quantile(0.99),
             "samples": total,
             "burn_rate": burn,
             "budget_remaining": (
                 1.0 - burn if budget > 0 else 1.0
             ),
-            "breached": bool(breach_avail or breach_latency),
-            "breach_availability": bool(breach_avail),
-            "breach_latency": bool(breach_latency),
+            "breached": breach_avail or breach_latency,
+            "breach_availability": breach_avail,
+            "breach_latency": breach_latency,
         }
 
     def status(self) -> dict:
@@ -206,7 +271,7 @@ class SLOMonitor:
         now = self._clock()
         with self._lock:
             self._roll(now)
-            out = self._status_locked(now)
+            out = self._status_locked()
         out["objective"] = self.slo.describe()
         out["breaches"] = self.breaches
         return out

@@ -3,12 +3,14 @@ across three permutation families while faults are injected — zero
 wrong answers, no request ever plans, and queue-full rejections
 observable through ``stats()`` / ``health()``."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import ReproError, ServiceOverloadError
 from repro.permutations.named import (
     bit_reversal,
@@ -164,6 +166,59 @@ class TestHammer:
         assert all(h is handles[0] for h in handles)
         assert server.service.planner.stats()["cold_plans"] == 1   # single-flight
         server.close()
+
+
+class TestBookkeepingUnderContention:
+    def test_every_request_counted_once(self):
+        """Four workers and six clients on two cores, switching threads
+        every microsecond: the SLO window, the held counters and
+        histogram handles and the in-flight table lose no update and
+        keep no request."""
+        server = PermutationServer(
+            width=_WIDTH, workers=4, queue_capacity=256,
+            slo=telemetry.SLO(window_s=3600.0),
+        )
+        for name, p in FAMILIES.items():
+            server.register(name, p)
+        names = sorted(FAMILIES)
+        clients, per_client = 6, 50
+        wrong = []
+
+        def client(seed):
+            a = np.arange(_N, dtype=np.float64) + seed
+            for i in range(per_client):
+                name = names[(seed + i) % len(names)]
+                out = server.submit(name, a).result(timeout=60.0)
+                if not np.array_equal(out, _expected(FAMILIES[name], a)):
+                    wrong.append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        server.close()
+
+        total = clients * per_client
+        assert wrong == []
+        stats = server.stats()
+        assert stats["server.accepted"] == stats["server.served"] == total
+        assert server._inflight_reqs == {}
+        assert server._active_requests() == []
+        slo = server.slo_monitor.status()
+        assert (slo["samples"], slo["availability"]) == (total, 1.0)
+        snapshot = server.metrics.snapshot()
+        for metric in ("server_e2e_seconds", "server_queue_wait_seconds",
+                       "exec_apply_seconds"):
+            assert sum(row["count"] for row in snapshot[metric]) == total
+        assert server.recorder.recorded == 2 * total   # admit + finish
 
 
 class TestObservableFailures:

@@ -6,8 +6,9 @@ clock step, one worker step (``_step``, the method ``_worker`` loops
 on) or ``close(drain=False)``.  A sequential reference model replays
 the same operations on plain lists — priority buckets, shedding,
 deadlines at dequeue — and after every rule the server must agree with
-it on every future, every counter and every tenant's in-flight
-ledger.
+it on every future, every counter, every tenant's in-flight ledger,
+the post-mortem's in-flight rows and the SLO window; and once every
+future has resolved, the server holds no request.
 """
 
 import shutil
@@ -19,6 +20,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import telemetry
 from repro.errors import (
     DeadlineExceededError,
     QuotaExceededError,
@@ -61,9 +63,12 @@ def _scatter(p, a):
 class _Entry:
     """The model's view of one admitted request."""
 
-    def __init__(self, future, key, tenant, priority, deadline, kind,
-                 payload, expected, path_out=None, fails=None):
+    def __init__(self, future, rid, admitted, key, tenant, priority,
+                 deadline, kind, payload, expected, path_out=None,
+                 fails=None):
         self.future = future
+        self.rid = rid
+        self.admitted = admitted
         self.key = key
         self.tenant = tenant
         self.priority = priority
@@ -81,10 +86,13 @@ class ServerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.clock = FakeClock()
+        # A window no run outlasts: every finished in-memory request
+        # stays one SLO sample.
         self.server = PermutationServer(
             width=WIDTH, workers=1, queue_capacity=CAPACITY,
             clock=self.clock,
             quotas={"b": TenantQuota(max_inflight=B_MAX_INFLIGHT)},
+            slo=telemetry.SLO(window_s=3600.0),
         )
         self.server._worker = lambda: None
         for (tenant, name), p in PERMS.items():
@@ -94,6 +102,8 @@ class ServerMachine(RuleBasedStateMachine):
         self.entries = []
         self.events = {}
         self.closed = False
+        self.started = False
+        self.last_rid = 0
 
     def teardown(self):
         self.server.close(drain=False)
@@ -127,6 +137,11 @@ class ServerMachine(RuleBasedStateMachine):
                expected, submit, path_out=None, fails=None):
         """Submit through the server and replay admission on the
         model; both must accept, shed or refuse alike."""
+        # Every submission past the first start draws a request id,
+        # refused or not.
+        self.started = self.started or not self.closed
+        if self.started:
+            self.last_rid += 1
         pending = [e for e in self.entries
                    if e.tenant == tenant and e.outcome is None]
         if self.closed:
@@ -160,9 +175,9 @@ class ServerMachine(RuleBasedStateMachine):
         future = submit()
         now = self.clock()
         entry = _Entry(
-            future, f"{tenant}/{name}", tenant, priority,
-            None if deadline_s is None else now + deadline_s, kind,
-            payload, expected, path_out, fails,
+            future, self.last_rid, now, f"{tenant}/{name}", tenant,
+            priority, None if deadline_s is None else now + deadline_s,
+            kind, payload, expected, path_out, fails,
         )
         self._watch(future, entry)
         self.entries.append(entry)
@@ -274,6 +289,29 @@ class ServerMachine(RuleBasedStateMachine):
         for tenant in {t for t, _ in PERMS}:
             queued = sum(1 for e in self._queued() if e.tenant == tenant)
             assert self.server._tenant(tenant).inflight == queued
+
+    @invariant()
+    def inflight_rows_match_the_model(self):
+        now = self.clock()
+        rows = self.server._active_requests()
+        assert rows == [
+            {"rid": e.rid, "key": e.key, "tenant": e.tenant,
+             "priority": e.priority, "age_s": now - e.admitted}
+            for e in self.entries if e.outcome is None
+        ]
+        if all(e.outcome is not None for e in self.entries):
+            assert self.server._inflight_reqs == {}
+
+    @invariant()
+    def slo_window_counts_finished_in_memory_requests(self):
+        finished = [e for e in self.entries
+                    if e.outcome is not None and e.kind != "stream"]
+        ok = sum(1 for e in finished if e.outcome == "ok")
+        status = self.server.slo_monitor.status()
+        assert status["samples"] == len(finished)
+        assert status["availability"] == (
+            ok / len(finished) if finished else 1.0
+        )
 
     @invariant()
     def futures_match_the_model(self):

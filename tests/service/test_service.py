@@ -73,10 +73,27 @@ class TestRegistration:
             PermutationService().register("", bit_reversal(64))
 
     def test_unknown_name_lists_registered(self):
+        """A hit returns before the registered names are listed; a
+        miss, before or after hits, still lists them all, sorted, or
+        ``<none>``."""
         svc = PermutationService()
-        svc.register("a", bit_reversal(64), engine="padded")
-        with pytest.raises(ValidationError, match="registered: a"):
-            svc.apply("nope", np.arange(64.0))
+        a = np.arange(64.0)
+        with pytest.raises(ValidationError, match="registered: <none>$"):
+            svc.apply("nope", a)
+        for name in ("b", "a", "c"):
+            svc.register(name, bit_reversal(64), engine="padded")
+        assert np.array_equal(svc.apply("a", a),
+                              _expected(bit_reversal(64), a))
+        with pytest.raises(ValidationError,
+                           match=r"'nope'; registered: a, b, c$"):
+            svc.apply("nope", a)
+        svc.unregister("b")
+        with pytest.raises(ValidationError, match="registered: a, c$"):
+            svc.compiled("b")
+        svc.unregister("a")
+        svc.unregister("c")
+        with pytest.raises(ValidationError, match="registered: <none>$"):
+            svc.apply("a", a)
 
     def test_engine_auto_choice(self, tmp_path):
         svc = PermutationService(width=_WIDTH, cache_dir=tmp_path)

@@ -7,7 +7,9 @@ measures the per-call cost of an inactive instrumentation site, counts
 the sites a small run passes through (a generous upper bound), and
 checks the product against 5% of the measured run time.  The run is
 the five kernels interpreted round by round, a fixed reference that
-does not move when the apply path gets faster.
+does not move when the apply path gets faster.  The serving bound's
+site count is itself counted, by wrapping the instruments a served
+request updates.
 """
 
 import time
@@ -15,20 +17,22 @@ import time
 import numpy as np
 
 from repro import telemetry
+from repro.permutations.named import bit_reversal
+from repro.service import PermutationServer
 from repro.core.scheduled import ScheduledPermutation
 from repro.exec import RoundInterpreter
-from repro.permutations.named import bit_reversal
 
 #: Generous upper bound on inactive telemetry calls per run of the five
 #: kernels: an apply span, three step spans, per-kernel spans and
 #: counters.
 _SITES_PER_APPLY = 32
 
-#: Generous upper bound on always-on metric updates per served request:
-#: e2e + queue-wait + first-attempt + compile histograms, the apply
-#: histogram and per-round gauge, plus the event counters and recorder
-#: ring appends along the way.
-_METRIC_SITES_PER_REQUEST = 24
+#: Always-on metric updates per served in-memory request, as counted by
+#: ``test_metric_sites_per_request_are_counted``: the tenant-admitted,
+#: accepted, memory-hit, request, element and served counters, the
+#: queue-wait, apply and end-to-end histograms, the per-round gauge,
+#: and two flight-recorder appends with their event counter.
+_METRIC_SITES_PER_REQUEST = 14
 
 
 def test_noop_overhead_below_5_percent():
@@ -89,6 +93,56 @@ def test_serving_metrics_overhead_below_5_percent():
         f"serving metrics would cost {overhead * 1e6:.1f} us per "
         f"request around an apply of {best_apply * 1e6:.1f} us (> 5%)"
     )
+
+
+def test_metric_sites_per_request_are_counted(monkeypatch):
+    """The site count above is a count, not a guess: wrap every update
+    of the server registry's instruments and every recorder append,
+    serve requests through a stalled worker, and count per request."""
+    assert telemetry.get_tracer() is None
+    n = 1024
+    server = PermutationServer(width=8, workers=1)
+    server._worker = lambda: None
+    server.register("bitrev", bit_reversal(n))
+    a = np.arange(n, dtype=np.float64)
+
+    def serve():
+        future = server.submit("bitrev", a)
+        assert server._step()
+        future.result(timeout=0)
+
+    serve()                         # every label set now exists
+    instruments = {
+        id(child)
+        for family in server.metrics._families.values()
+        for child in family.children.values()
+    }
+    updates = []
+
+    def counting(cls, method):
+        real = getattr(cls, method)
+
+        def wrapper(self, *args, **kwargs):
+            if cls is telemetry.FlightRecorder or id(self) in instruments:
+                updates.append(method)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    for cls, method in ((telemetry.Counter, "inc"),
+                        (telemetry.Gauge, "set"),
+                        (telemetry.Gauge, "inc"),
+                        (telemetry.Histogram, "observe"),
+                        (telemetry.FlightRecorder, "record")):
+        counting(cls, method)
+    requests = 10
+    for _ in range(requests):
+        serve()
+    server.close()
+    per_request, rest = divmod(len(updates), requests)
+    assert rest == 0, updates
+    assert per_request <= _METRIC_SITES_PER_REQUEST, (
+        per_request, updates[:per_request])
 
 
 def test_no_tracer_means_no_request_contexts():

@@ -5,6 +5,8 @@ nothing sleeps.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 
@@ -162,3 +164,176 @@ def test_slice_ending_inside_the_window_survives_the_roll():
     assert mon.status()["samples"] == 0
     assert mon.record(True, 0.001) is False
     assert mon.status()["samples"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The running window against merge-on-read
+# ---------------------------------------------------------------------------
+
+
+class _MergeOnReadMonitor:
+    """The oracle: the monitor that keeps one histogram per slice and
+    merges every live slice on each record and status read."""
+
+    class _Slice:
+        def __init__(self, start):
+            self.start = start
+            self.ok = 0
+            self.total = 0
+            self.latency = telemetry.Histogram()
+
+    def __init__(self, slo, clock):
+        self.slo = slo
+        self._clock = clock
+        self._slice_s = slo.window_s / 6
+        self._slices = [self._Slice(clock())]
+        self._breached = False
+        self.breaches = 0
+
+    def _roll(self, now):
+        current = self._slices[-1]
+        elapsed = (now - current.start) // self._slice_s
+        if elapsed > 6:
+            self._slices = [
+                self._Slice(current.start + elapsed * self._slice_s)
+            ]
+            return
+        while now - current.start >= self._slice_s:
+            current = self._Slice(current.start + self._slice_s)
+            self._slices.append(current)
+        horizon = now - self.slo.window_s
+        while len(self._slices) > 1 and (
+            self._slices[0].start + self._slice_s <= horizon
+        ):
+            self._slices.pop(0)
+
+    def record(self, ok, latency_s):
+        self._roll(self._clock())
+        sl = self._slices[-1]
+        sl.total += 1
+        if ok:
+            sl.ok += 1
+        sl.latency.observe(latency_s)
+        status = self._status()
+        newly = status["breached"] and not self._breached
+        self._breached = status["breached"]
+        if newly:
+            self.breaches += 1
+        return newly
+
+    def _status(self):
+        ok = sum(s.ok for s in self._slices)
+        total = sum(s.total for s in self._slices)
+        merged = telemetry.Histogram()
+        for s in self._slices:
+            merged.merge(s.latency)
+        availability = ok / total if total else 1.0
+        p99 = merged.quantile(0.99)
+        target = self.slo.availability
+        budget = 1.0 - target
+        error_rate = 1.0 - availability
+        burn = error_rate / budget if budget > 0 else (
+            0.0 if error_rate == 0 else float("inf")
+        )
+        enough = total >= self.slo.min_samples
+        breach_avail = enough and availability < target
+        breach_latency = (
+            enough
+            and self.slo.latency_p99_s is not None
+            and p99 > self.slo.latency_p99_s
+        )
+        return {
+            "availability": availability,
+            "p99_s": p99,
+            "samples": total,
+            "burn_rate": burn,
+            "budget_remaining": 1.0 - burn if budget > 0 else 1.0,
+            "breached": bool(breach_avail or breach_latency),
+            "breach_availability": bool(breach_avail),
+            "breach_latency": bool(breach_latency),
+        }
+
+    def status(self):
+        self._roll(self._clock())
+        out = self._status()
+        out["objective"] = self.slo.describe()
+        out["breaches"] = self.breaches
+        return out
+
+
+_WINDOWS = (6.0, 0.9, 60.0)
+
+
+@st.composite
+def _slo_scripts(draw):
+    """An SLO plus a script of (clock step, op) pairs.  Steps are whole
+    or fractional slices, exactly one window, and gaps past it (the
+    long-idle restart), so samples land on slice boundaries."""
+    window = draw(st.sampled_from(_WINDOWS))
+    slice_s = window / 6
+    slo = telemetry.SLO(
+        availability=draw(st.sampled_from((0.5, 0.9, 0.99, 1.0))),
+        latency_p99_s=draw(st.sampled_from((None, 0.0, 0.002, 0.25))),
+        window_s=window,
+        min_samples=draw(st.sampled_from((0, 1, 5, 20))),
+    )
+    step = st.one_of(
+        st.just(0.0),
+        st.integers(1, 8).map(lambda k: k * slice_s),
+        st.sampled_from((slice_s / 3, slice_s / 2, window,
+                         window + slice_s, 7 * slice_s, 10 * window)),
+        st.floats(0.0, 2 * window, allow_nan=False),
+    )
+    latency = st.one_of(
+        st.floats(-0.01, 2.0, allow_nan=False),
+        st.sampled_from((0.0, 1e-6, 0.002, 0.25)),
+    )
+    op = st.one_of(
+        st.tuples(st.just("record"), st.booleans(), latency),
+        st.just(("status",)),
+    )
+    script = draw(st.lists(st.tuples(step, op), max_size=120))
+    return slo, draw(st.sampled_from((0.0, 1.25))), script
+
+
+@given(_slo_scripts())
+@settings(deadline=None)
+def test_running_window_equals_merge_on_read(case):
+    """Every record() return and every status() dict equals the
+    merge-on-read monitor's, through rolls, drops and restarts."""
+    slo, start, script = case
+    clock = _Clock()
+    clock.t = start
+    mon = telemetry.SLOMonitor(slo, clock=clock)
+    oracle = _MergeOnReadMonitor(slo, clock)
+    for dt, op in script:
+        clock.t += dt
+        if op[0] == "record":
+            _, ok, latency = op
+            assert mon.record(ok, latency) == oracle.record(ok, latency)
+        else:
+            assert mon.status() == oracle.status()
+        assert mon.breached == oracle._breached
+    assert mon.status() == oracle.status()
+    assert mon.breaches == oracle.breaches
+
+
+def test_record_merges_no_histogram(monkeypatch):
+    """A record updates the running window; it merges no histogram,
+    however many slices are live."""
+    merges = []
+    real_merge = telemetry.Histogram.merge
+
+    def counting_merge(self, other):
+        merges.append(other)
+        return real_merge(self, other)
+
+    monkeypatch.setattr(telemetry.Histogram, "merge", counting_merge)
+    mon, clock = _monitor(availability=0.9, latency=0.010, window=6.0,
+                          min_samples=1)
+    for i in range(60):
+        clock.t += 0.25               # six live slices after 6 s
+        mon.record(i % 7 != 0, 0.001 * (1 + i % 5))
+        assert merges == []
+    assert mon.status()["samples"] == 25   # seven slices, 9 s to 15 s
+    assert merges == []
