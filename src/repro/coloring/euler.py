@@ -62,7 +62,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.coloring.multigraph import RegularBipartiteMultigraph
-from repro.errors import ColoringError
+from repro.errors import ColoringError, NotRegularError
 from repro.util.native import load_kernel
 
 #: Fault-injection hook (see :mod:`repro.resilience.faults`).  ``None``
@@ -125,10 +125,28 @@ def edge_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
     edge, with no two edges at a node sharing a colour.  For a
     power-of-two degree, edges in the ``True`` half of the first split
     get the lower colour range.
+
+    A :meth:`~RegularBipartiteMultigraph.deferred` graph is checked
+    here: by the compiled split, which refuses a bad node id or an
+    irregular graph with a :class:`~repro.errors.ColoringError` before
+    it colours, or else by the graph's own ``check()``.
     """
-    kernel = "native" if _native(graph.num_edges) else "numpy"
+    native = _native(graph.num_edges)
+    # The compiled split checks the whole graph whenever it splits at
+    # least once: edges present and a positive even degree.
+    if graph.checks_deferred and not (
+        native and graph.num_edges and graph.degree > 0
+        and graph.degree % 2 == 0
+    ):
+        degree = graph.check()
+        if degree != graph.degree:
+            raise NotRegularError(
+                f"the multigraph is {degree}-regular, not "
+                f"{graph.degree}-regular"
+            )
     with telemetry.span("coloring.euler", edges=graph.num_edges,
-                        degree=graph.degree, kernel=kernel):
+                        degree=graph.degree,
+                        kernel="native" if native else "numpy"):
         if _fault_hook is not None:
             _fault_hook(graph)
         return _color(graph.left, graph.right, graph.num_left, graph.degree)

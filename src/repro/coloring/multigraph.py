@@ -34,8 +34,17 @@ class RegularBipartiteMultigraph:
     num_left: int
     num_right: int
     degree: int = field(init=False, default=0)
+    #: Whether the range and regularity checks are still to run; see
+    #: :meth:`deferred`.
+    checks_deferred: bool = field(
+        init=False, default=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        self._set_endpoints()
+        object.__setattr__(self, "degree", self.check())
+
+    def _set_endpoints(self) -> None:
         left = np.ascontiguousarray(np.asarray(self.left, dtype=np.int64))
         right = np.ascontiguousarray(np.asarray(self.right, dtype=np.int64))
         object.__setattr__(self, "left", left)
@@ -44,20 +53,21 @@ class RegularBipartiteMultigraph:
             raise SizeError("left and right must be equal-length 1-D arrays")
         if self.num_left < 0 or self.num_right < 0:
             raise SizeError("node counts must be non-negative")
+
+    def check(self) -> int:
+        """Verify the endpoint ranges and regularity; return the common
+        degree.  Raises :class:`~repro.errors.SizeError` or
+        :class:`~repro.errors.NotRegularError`."""
+        left, right = self.left, self.right
         if left.size:
             if left.min() < 0 or left.max() >= self.num_left:
                 raise SizeError("left endpoints out of range")
             if right.min() < 0 or right.max() >= self.num_right:
                 raise SizeError("right endpoints out of range")
-        degree = self._check_regular()
-        object.__setattr__(self, "degree", degree)
-
-    def _check_regular(self) -> int:
-        """Verify regularity and return the common degree."""
         if self.num_edges == 0:
             return 0
-        left_deg = np.bincount(self.left, minlength=self.num_left)
-        right_deg = np.bincount(self.right, minlength=self.num_right)
+        left_deg = np.bincount(left, minlength=self.num_left)
+        right_deg = np.bincount(right, minlength=self.num_right)
         low = min(int(left_deg.min()), int(right_deg.min()))
         high = max(int(left_deg.max()), int(right_deg.max()))
         if low != high:
@@ -83,6 +93,26 @@ class RegularBipartiteMultigraph:
         if num_right is None:
             num_right = int(right.max()) + 1 if right.size else 0
         return cls(left, right, num_left, num_right)
+
+    @classmethod
+    def deferred(
+        cls, left, right, num_nodes: int, degree: int
+    ) -> "RegularBipartiteMultigraph":
+        """A graph claimed ``degree``-regular on ``num_nodes`` nodes a
+        side, whose :meth:`check` is left to
+        :func:`~repro.coloring.edge_coloring`: the compiled Euler split
+        proves range and regularity as it ranks the edges (and raises
+        :class:`~repro.errors.ColoringError`), and any other colouring
+        path runs :meth:`check` first, so the graph is checked once."""
+        graph = cls.__new__(cls)
+        for name, value in (
+            ("left", left), ("right", right), ("num_left", num_nodes),
+            ("num_right", num_nodes), ("degree", int(degree)),
+            ("checks_deferred", True),
+        ):
+            object.__setattr__(graph, name, value)
+        graph._set_endpoints()
+        return graph
 
     # ------------------------------------------------------------------
     # Views

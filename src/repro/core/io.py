@@ -789,8 +789,11 @@ def save_sealed(path, sealed) -> None:
     keys, the denotation digest of the scatter map as a payload key
     (so a decoded artifact is re-provable), and the semantic
     certificate carried by the sealed program embedded as metadata.
-    The artifact is *re-proved on load*; a sealed program that fails
-    its own :meth:`verify` is refused unwritten.
+    Nothing is proved here: the planner seals a map the denotation has
+    just proved a bijection, and :func:`load_sealed` re-proves every
+    file it reads (digest, certificate, mutual inverse), so a sealed
+    program whose gather is not its scatter's inverse is written but
+    refused on load.
 
     The scatter map's digest is the one :func:`~repro.passes.
     seal_program` stamped in ``sealed.meta``; a sealed program without
@@ -799,7 +802,6 @@ def save_sealed(path, sealed) -> None:
     """
     from repro.staticcheck.semantics import denotation_digest
 
-    sealed.verify()
     denotation_sha = sealed.meta.get(
         "denotation_sha"
     ) or denotation_digest(sealed.scatter)

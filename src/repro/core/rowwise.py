@@ -29,6 +29,11 @@ The four-step kernel then performs (per row ``j``, thread ``i``):
 Total: 3 coalesced global reads (``a``, ``s``, ``t``), 1 coalesced
 global write (``b``), 2 conflict-free shared reads and 2 conflict-free
 shared writes — exactly Table I's row.
+
+When ``r·m + c ↦ r·m + gamma[r, c]`` is affine over GF(2) (every step
+of an affine permutation's plan) and ``w`` is a power of two, the bank
+colouring is the closed form of :mod:`repro.coloring.affine`, not an
+Euler split (``docs/theory.md`` §10).
 """
 
 from __future__ import annotations
@@ -39,13 +44,16 @@ import numpy as np
 
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
+from repro.coloring.affine import affine_coloring
 from repro.errors import SchedulingError, SizeError
 from repro.ir.ops import RowwiseScatter
 from repro.ir.rounds import rowwise_shared_bytes
 from repro.machine.hmm import HMM
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
+from repro.permutations.affine import AffineMap, detect_affine
 from repro.util.arrays import flat_cells, smallest_index_dtype
+from repro.util.validation import is_power_of_two
 
 
 def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
@@ -67,6 +75,30 @@ def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
     ):
         raise SchedulingError("every row of gamma must be a permutation of 0..m-1")
     return gamma
+
+
+def _affine_rows(gamma: np.ndarray, width: int) -> AffineMap | None:
+    """The flat map ``q(r·m + c) = r·m + gamma[r, c]`` as an
+    :class:`~repro.permutations.affine.AffineMap`, or ``None`` when it
+    is not affine or ``width`` is not a power of two.
+
+    ``gamma`` is read block by block (a non-affine one after a few
+    entries).  The row bits of ``q`` are those of its index, so ``q``
+    is ``gamma``'s map plus the unit columns of the row bits.
+    """
+    if not is_power_of_two(width):
+        return None
+    values = detect_affine(gamma.reshape(-1))
+    if values is None:
+        return None
+    m = gamma.shape[1]
+    return AffineMap(
+        tuple(
+            column | (1 << k if 1 << k >= m else 0)
+            for k, column in enumerate(values.columns)
+        ),
+        values.offset,
+    )
 
 
 @dataclass
@@ -127,14 +159,25 @@ class RowwiseSchedule:
                 f"row length m = {m} must be a multiple of the width {width}"
             )
         cols = np.arange(m, dtype=np.int64)
-        row_offset = (np.arange(rows, dtype=np.int64) * width)[:, None]
-        left = (row_offset + (cols % width)[None, :]).reshape(-1)
-        right = (row_offset + gamma % width).reshape(-1)
-        graph = RegularBipartiteMultigraph.from_edges(
-            left, right, rows * width, rows * width
-        )
-        with telemetry.span("rowwise.plan.coloring", rows=rows, m=m):
-            colors = edge_coloring(graph)
+        affine = _affine_rows(gamma, width)
+        if affine is not None:
+            # The bank node of element i is its row bits plus its low
+            # log2(w) bits, and that of its destination the same bits
+            # of q(i).
+            banks = ((rows * m - 1) ^ (m - 1)) | (width - 1)
+            with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
+                                kernel="affine"):
+                colors = affine_coloring(affine, banks, banks)
+        else:
+            row_offset = (np.arange(rows, dtype=np.int64) * width)[:, None]
+            left = (row_offset + (cols % width)[None, :]).reshape(-1)
+            right = (row_offset + gamma % width).reshape(-1)
+            graph = RegularBipartiteMultigraph.deferred(
+                left, right, rows * width, m // width
+            )
+            with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
+                                kernel="euler"):
+                colors = edge_coloring(graph)
 
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]

@@ -25,6 +25,10 @@ destination row).  The multigraph is ``m``-regular, hence
 
 Figure 6 of the paper walks a 4 x 4 example; the test suite replays it
 against this implementation.
+
+A GF(2)-affine ``p`` (bit reversal, transpose, ...) is coloured in
+closed form, ``colour(i) = C·i`` (:mod:`repro.coloring.affine`,
+``docs/theory.md`` §10); every other ``p`` takes the Euler split.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
+from repro.coloring.affine import affine_coloring
 from repro.coloring.verify import verify_edge_coloring
 from repro.errors import ColoringError, SchedulingError
+from repro.permutations.affine import detect_affine
 from repro.util.validation import check_permutation, isqrt_exact
 
 
@@ -158,14 +164,19 @@ def decompose_checked(p: np.ndarray) -> ThreeStepDecomposition:
 
 
 def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
-    i = np.arange(n, dtype=np.int64)
-    src_row = i // m
-    dst = p
-    dst_row, dst_col = dst // m, dst % m
-
-    graph = RegularBipartiteMultigraph.from_edges(src_row, dst_row, m, m)
-    with telemetry.span("plan.decompose.coloring"):
-        colors = edge_coloring(graph)
+    dst_row, dst_col = np.divmod(p, m)
+    affine = detect_affine(p)
+    if affine is not None:
+        # n = m² is a power of two, so the source row is the high half
+        # of the index bits and the destination row that of p(i).
+        rows = (n - 1) ^ (m - 1)
+        with telemetry.span("plan.decompose.coloring", kernel="affine"):
+            colors = affine_coloring(affine, rows, rows)
+    else:
+        src_row = np.repeat(np.arange(m, dtype=np.int64), m)
+        graph = RegularBipartiteMultigraph.deferred(src_row, dst_row, m, m)
+        with telemetry.span("plan.decompose.coloring", kernel="euler"):
+            colors = edge_coloring(graph)
 
     # gamma1[r, c] = colour of element (r, c): elements are enumerated
     # row-major, so this is just a reshape.
@@ -177,14 +188,18 @@ def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
     # here: an improper one leaves a row of gamma1 or delta that is no
     # permutation, which RowwiseSchedule.plan refuses (docs/theory.md
     # §8).
+    key = gamma1 * m
+    key += np.arange(m, dtype=np.int64)[:, None]
     delta = np.empty((m, m), dtype=np.int64)
-    delta[colors, src_row] = dst_row
+    delta.reshape(-1)[key.reshape(-1)] = dst_row
 
     # gamma3[r_d, k] = destination column of the element with colour k
     # arriving in destination row r_d.  Each (colour, dest row) pair
     # occurs exactly once (colour classes are perfect matchings).
+    key = p - dst_col
+    key += colors
     gamma3 = np.empty((m, m), dtype=np.int64)
-    gamma3[dst_row, colors] = dst_col
+    gamma3.reshape(-1)[key] = dst_col
 
     return ThreeStepDecomposition(
         gamma1=gamma1, delta=delta, gamma3=gamma3, colors=colors

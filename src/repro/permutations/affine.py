@@ -6,7 +6,9 @@ map plus a constant: ``p(i) = A·i ⊕ c``, where ``A`` is an invertible
 transpose, shuffle, butterfly, gray code, reversal, block swap, tiled
 transpose and hypercube steps are all of this form (the BMMC
 permutations of Bouverot-Dupuis & Sheeran).  The sealed tier reads
-``A`` to choose a cache-blocked gather order.
+``A`` to choose a cache-blocked gather order, and the planner colours
+the graphs of an affine permutation in closed form
+(:mod:`repro.coloring.affine`).
 
 ``c = p(0)``, and column ``k`` of ``A`` is ``p(2ᵏ) ⊕ c``.  Doubling
 then rebuilds the whole map: the indices ``2ᵏ .. 2ᵏ⁺¹-1`` are the
@@ -16,13 +18,14 @@ earlier images XOR column ``k``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.util.validation import is_power_of_two
 
-__all__ = ["AffineMap", "detect_affine"]
+__all__ = ["AffineMap", "detect_affine", "detect_affine_blocks"]
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,37 @@ class AffineMap:
 def detect_affine(p: np.ndarray) -> AffineMap | None:
     """``p`` as an :class:`AffineMap`, or ``None`` when it is not one.
 
-    Each doubling block is compared as soon as it is implied, so a
-    non-affine map is usually rejected after a few elements.  Lengths
-    that are not a power of two are never affine.
+    Reads ``p`` through :func:`detect_affine_blocks`, so a map that is
+    not affine is usually rejected after a few elements.  Lengths that
+    are not a power of two are never affine.
     """
-    arr = np.asarray(p, dtype=np.int64)
-    if arr.ndim != 1 or not is_power_of_two(int(arr.shape[0])):
+    arr = np.asarray(p)
+    if arr.ndim != 1:
         return None
-    n = int(arr.shape[0])
-    offset = int(arr[0])
+    return detect_affine_blocks(
+        lambda lo, hi: arr[lo:hi].astype(np.int64, copy=False),
+        int(arr.shape[0]),
+    )
+
+
+def detect_affine_blocks(
+    read: Callable[[int, int], np.ndarray], n: int
+) -> AffineMap | None:
+    """Detect an affine map of length ``n`` read block by block:
+    ``read(lo, hi)`` returns its entries ``lo .. hi-1`` as integers.
+
+    Each doubling block is compared as soon as it is implied, and only
+    the blocks compared are read, so rejecting a map reads ``O(1)``
+    elements unless its first ``2ᵏ`` entries are affine.
+    """
+    if not is_power_of_two(n):
+        return None
+    offset = int(read(0, 1)[0])
     columns = []
     for k in range(n.bit_length() - 1):
-        column = int(arr[1 << k]) ^ offset
-        if not np.array_equal(arr[1 << k : 2 << k], arr[: 1 << k] ^ column):
+        block = read(1 << k, 2 << k)
+        column = int(block[0]) ^ offset
+        if not np.array_equal(block, read(0, 1 << k) ^ column):
             return None
         columns.append(column)
     return AffineMap(tuple(columns), offset)

@@ -32,6 +32,7 @@ from repro.coloring.euler import (
 )
 from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import verify_edge_coloring
+from repro.core import rowwise, scheduler
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import ColoringError
 from repro.exec import sealed as sealed_exec
@@ -79,7 +80,11 @@ _PLANNER_FAMILIES = {
 
 
 def _planner_splits(family, log_n):
-    """The arguments of every split a ``width = 32`` plan runs."""
+    """The arguments of every split a ``width = 32`` plan runs on the
+    planner's graphs.  The planner colours an affine permutation (bit
+    reversal, transpose) in closed form, so its graphs are built and
+    split here with the affine detection switched off, as the planner
+    builds them for every other permutation."""
     calls = []
 
     def record(*args):
@@ -87,7 +92,9 @@ def _planner_splits(family, log_n):
         return _split_levels(*args)
 
     p = _PLANNER_FAMILIES[family](1 << log_n)
-    with mock.patch.object(euler, "_split_levels", side_effect=record):
+    with mock.patch.object(euler, "_split_levels", side_effect=record), \
+            mock.patch.object(scheduler, "detect_affine", return_value=None), \
+            mock.patch.object(rowwise, "detect_affine", return_value=None):
         ScheduledPermutation.plan(p, width=32)
     return calls
 

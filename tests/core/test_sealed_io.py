@@ -140,6 +140,28 @@ class TestRejection:
             load_sealed(path)
 
 
+    @pytest.mark.parametrize("gather", ["not-inverse", "repeats"])
+    def test_non_inverse_pair_is_written_then_refused(self, tmp_path,
+                                                      gather):
+        """save_sealed does not re-prove what it writes; load_sealed
+        refuses a hand-built pair whose gather is not its scatter's
+        inverse."""
+        from repro.ir.sealed import SealedProgram, invert_permutation
+
+        p = random_permutation(_N, seed=4)
+        bad = invert_permutation(p)
+        if gather == "not-inverse":
+            bad[[0, 1]] = bad[[1, 0]]
+        else:
+            bad[0] = bad[1]
+        sealed = SealedProgram("scheduled", _WIDTH, p, gather=bad)
+        path = tmp_path / "bad.sealed.npz"
+        save_sealed(path, sealed)
+        assert path.exists()
+        with pytest.raises(PlanCorruptionError):
+            load_sealed(path)
+
+
 class TestDeltaNarrowing:
     def test_identityish_gather_stores_narrow_deltas(self, tmp_path):
         # A near-identity permutation has deltas of ~1: the stored

@@ -8,6 +8,7 @@ the memory path and the disk path alike, before anything is cached or
 written."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.errors import (
     SchedulingError,
     SemanticValidationError,
 )
-from repro.permutations.named import random_permutation
+from repro.permutations.named import bit_reversal, random_permutation
 from repro.planner import Planner
 
 _N, _WIDTH = 1024, 8          # m = 32: per-row bank graphs of degree 4
@@ -125,6 +126,52 @@ MUTANTS = {
 }
 
 
+def _mutate_affine_colouring(monkeypatch, module, side):
+    """Corrupt the first closed-form colouring ``module`` computes that
+    has a ``side`` node whose edges reach two different far nodes;
+    returns a list that records the firing."""
+    real = module.affine_coloring
+    fired = []
+
+    def mutant(q, left_mask, right_mask):
+        colors = real(q, left_mask, right_mask)
+        if fired:
+            return colors
+        i = np.arange(q.n, dtype=np.int64)
+        graph = SimpleNamespace(
+            left=np.unique(i & left_mask, return_inverse=True)[1],
+            right=np.unique(q.index_map() & right_mask,
+                            return_inverse=True)[1],
+        )
+        try:
+            swapped = _swap_two_colours(graph, colors, side)
+        except AssertionError:
+            return colors
+        fired.append(module)
+        return swapped
+
+    monkeypatch.setattr(module, "affine_coloring", mutant)
+    return fired
+
+
+#: The closed-form colourings of a bit-reversal plan, corrupted as the
+#: Euler colourings are above, with the same refusals.
+AFFINE_MUTANTS = {
+    "affine-global-source-row-swap": (
+        repro.core.scheduler, "source", SchedulingError,
+    ),
+    "affine-global-destination-row-swap": (
+        repro.core.scheduler, "destination", SchedulingError,
+    ),
+    "affine-bank-source-side-swap": (
+        repro.core.rowwise, "source", CertificateError,
+    ),
+    "affine-bank-destination-side-swap": (
+        repro.core.rowwise, "destination", SemanticValidationError,
+    ),
+}
+
+
 @pytest.fixture
 def p():
     return random_permutation(_N, seed=3)
@@ -139,6 +186,20 @@ def test_mutant_refused_at_compile(mutant, disk, p, tmp_path,
     planner = Planner(cache_dir=tmp_path if disk else None)
     with pytest.raises(error):
         planner.compile(p, width=_WIDTH)
+    assert planner.stats()["memory_entries"] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+@pytest.mark.parametrize("mutant", sorted(AFFINE_MUTANTS))
+def test_affine_mutant_refused_at_compile(mutant, disk, tmp_path,
+                                          monkeypatch):
+    module, side, error = AFFINE_MUTANTS[mutant]
+    fired = _mutate_affine_colouring(monkeypatch, module, side)
+    planner = Planner(cache_dir=tmp_path if disk else None)
+    with pytest.raises(error):
+        planner.compile(bit_reversal(_N), width=_WIDTH)
+    assert fired == [module]
     assert planner.stats()["memory_entries"] == 0
     assert list(tmp_path.iterdir()) == []
 

@@ -64,6 +64,8 @@ class TestHammer:
         corrupted = set()
         lock = threading.Lock()
         stop = threading.Event()
+        # Set once every mode has been applied: cycle c uses mode c mod 4.
+        all_modes = threading.Event()
 
         def chaos():
             faults = FaultPlan(seed=3)
@@ -92,6 +94,8 @@ class TestHammer:
                 except Exception:
                     pass
                 cycle += 1
+                if cycle >= len(FILE_FAULT_MODES):
+                    all_modes.set()
 
         def client(seed):
             rng = np.random.default_rng(seed)
@@ -124,6 +128,9 @@ class TestHammer:
         driver.start()
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(client, range(8)))
+        # The clients can finish before the chaos thread's first
+        # round of modes; let it finish that round before stopping.
+        assert all_modes.wait(timeout=5.0)
         stop.set()
         driver.join(timeout=5.0)
         assert not driver.is_alive()

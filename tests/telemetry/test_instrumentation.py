@@ -7,7 +7,7 @@ from repro import telemetry
 from repro.core.io import load_plan, save_plan
 from repro.core.scheduled import ScheduledPermutation
 from repro.machine.params import MachineParams
-from repro.permutations.named import bit_reversal
+from repro.permutations.named import bit_reversal, random_permutation
 
 
 def _run_pipeline(tmp_path):
@@ -29,7 +29,7 @@ def test_phase_spans_cover_the_pipeline(tmp_path):
     names = {s.name for s in tracer.spans}
     for expected in (
         "scheduled.plan", "plan.decompose", "plan.decompose.coloring",
-        "coloring.euler", "scheduled.plan.step1", "scheduled.plan.step2",
+        "coloring.affine", "scheduled.plan.step1", "scheduled.plan.step2",
         "scheduled.plan.step3", "plan_io.save", "plan_io.load",
         "plan_io.verify", "engine.apply", "engine.seal",
         "scheduled.simulate", "hmm.kernel",
@@ -58,9 +58,29 @@ def test_counters_cover_planning_and_io(tmp_path):
     assert counts["scheduled.plan"] == 1
     assert counts["plan_io.save"] == 1
     assert counts["plan_io.load"] == 1
-    assert counts["coloring.euler"] >= 1
-    edges = sum(s.attributes["edges"] for s in tracer.find("coloring.euler"))
+    assert counts["coloring.affine"] >= 1
+    edges = sum(s.attributes["edges"] for s in tracer.find("coloring.affine"))
     assert edges >= 256
+
+
+def test_coloring_spans_name_their_kernel():
+    """Bit-reversal is coloured in closed form and a random permutation
+    by the Euler split; both report under the same planner spans."""
+    for p, kernel, leaf in (
+        (bit_reversal(256), "affine", "coloring.affine"),
+        (random_permutation(256, seed=0), "euler", "coloring.euler"),
+    ):
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            ScheduledPermutation.plan(p, width=8)
+        spans = [*tracer.find("plan.decompose.coloring"),
+                 *tracer.find("rowwise.plan.coloring")]
+        assert len(spans) == 4
+        assert {s.attributes["kernel"] for s in spans} == {kernel}
+        leaves = tracer.find(leaf)
+        assert len(leaves) == 4
+        assert {s.parent_id for s in leaves} == {s.span_id for s in spans}
+        assert sum(s.attributes["edges"] for s in leaves) == 4 * 256
 
 
 def test_rejected_load_is_counted(tmp_path):

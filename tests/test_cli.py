@@ -93,7 +93,7 @@ class TestProfile:
         for phase in ("scheduled.plan", "plan_io.save", "plan_io.load",
                       "engine.apply", "scheduled.simulate"):
             assert phase in out
-        assert "coloring.euler" in out        # colouring visible in tree
+        assert "coloring.affine" in out       # colouring visible in tree
         assert "span counts:" in out
         assert "scheduled.plan = 1" in out
         assert "model: time" in out           # TraceMetrics footer
