@@ -69,6 +69,7 @@ import hashlib
 import os
 import threading
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -132,6 +133,15 @@ SEALED_METADATA_KEYS = (
     "fingerprint",
     "pipeline",
 )
+
+
+#: A sidecar member is deflated only when a level-1 deflate of its
+#: first :data:`DEFLATE_PROBE_BYTES` bytes shrinks them to at most
+#: this fraction; otherwise it is stored as is (``ZIP_STORED``).
+DEFLATE_MAX_RATIO = 0.5
+
+#: How much of a sidecar member the deflate probe compresses.
+DEFLATE_PROBE_BYTES = 16 * 1024
 
 
 def plan_checksum(arrays: dict) -> str:
@@ -198,8 +208,20 @@ _SEALED = _Format(
 )
 
 
+def _deflates(value: np.ndarray) -> bool:
+    """Whether a level-1 deflate of the first
+    :data:`DEFLATE_PROBE_BYTES` of ``value``'s data shrinks them to at
+    most :data:`DEFLATE_MAX_RATIO` of their size.  The probe's ratio
+    tracks the whole member's: 0.763 against 0.748 for a random 2¹⁸
+    map's deltas, 0.014 against 0.008 for bit-reversal's."""
+    count = DEFLATE_PROBE_BYTES // max(value.itemsize, 1)
+    head = value.reshape(-1)[:count].tobytes()
+    return len(zlib.compress(head, 1)) <= DEFLATE_MAX_RATIO * len(head)
+
+
 def _write_archive(path, payload: dict, checksum: str,
-                   metadata: dict) -> int:
+                   metadata: dict, *,
+                   store_incompressible: bool = False) -> int:
     """Write one archive — checksum, library version, the ``metadata``
     strings, then the payload arrays — and return its size in bytes.
 
@@ -208,7 +230,11 @@ def _write_archive(path, payload: dict, checksum: str,
     suffix gains it.  Members are deflated at level 1: on a 2¹⁸
     scatter map that is about four times faster than zlib's default
     level 6, and the archive stays within a few percent of the size
-    (larger for a random map, smaller for bit-reversal).
+    (larger for a random map, smaller for bit-reversal).  With
+    ``store_incompressible`` (sidecars), a member whose probe
+    (:func:`_deflates`) shows deflate would not pay is stored instead:
+    deflating a random 2¹⁸ map's 1 MiB of deltas takes about 35 ms to
+    save a quarter of its bytes.
 
     The write is atomic: the archive goes to a hidden temporary
     sibling that :func:`os.replace` moves into place, so a reader (or
@@ -237,10 +263,14 @@ def _write_archive(path, payload: dict, checksum: str,
             compresslevel=1, allowZip64=True,
         ) as archive:
             for key, value in members.items():
-                with archive.open(key + ".npy", "w",
-                                  force_zip64=True) as f:
+                value = np.asanyarray(value)
+                member: str | zipfile.ZipInfo = key + ".npy"
+                if store_incompressible and not _deflates(value):
+                    # A ZipInfo's compress_type defaults to ZIP_STORED.
+                    member = zipfile.ZipInfo(key + ".npy")
+                with archive.open(member, "w", force_zip64=True) as f:
                     np.lib.format.write_array(
-                        f, np.asanyarray(value), allow_pickle=False
+                        f, value, allow_pickle=False
                     )
         os.replace(tmp, path)
     finally:
@@ -827,7 +857,8 @@ def save_sealed(path, sealed) -> None:
         if sealed.certificate is not None:
             metadata["semantic_certificate"] = sealed.certificate.to_json()
         sp.set(file_bytes=_write_archive(
-            path, arrays, plan_checksum(arrays), metadata
+            path, arrays, plan_checksum(arrays), metadata,
+            store_incompressible=True,
         ))
 
 
@@ -904,5 +935,10 @@ def _decode_sealed(path, arrays: dict, meta: dict):
         meta=sealed_meta,
         certificate=certificate,
     )
-    sealed.verify()
+    try:
+        sealed.verify()
+    except ValidationError as exc:
+        # Reachable when the gather repeats an index: its inverse then
+        # holds an unwritten slot, which can match the digest.
+        raise PlanCorruptionError(f"{path}: {exc}") from exc
     return sealed

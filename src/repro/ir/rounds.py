@@ -41,12 +41,22 @@ transpose, row-wise = 8 + 4 + 8 + 4 + 8 = 32 rounds.
 Element widths: payload arrays (:data:`PAYLOAD_ARRAYS`) take the
 payload dtype's cell count; index arrays keep their own dtype's, so a
 narrowed schedule is charged at its stored width.
+
+Shape streams: of the 32 rounds, only the six shared writes through
+``s`` and ``t`` have addresses that depend on the permutation.  The
+scheduled row-wise ``arange`` and ``tile`` streams and all four
+streams of a tiled transpose are :class:`ShapeStream` s, pure
+functions of the op parameters in their ``key``, built on first use:
+pricing, race detection and the interpreter read their full arrays
+through :attr:`StaticRound.addresses` as before, while the certifier
+can answer a stream by its key without building it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -83,14 +93,41 @@ PAYLOAD_ARRAYS = frozenset({"a", "b", "x", "y", "tile"})
 _scatter_fault_hook: Callable[[str, np.ndarray], np.ndarray] | None = None
 
 
+class ShapeStream:
+    """An address stream that is a pure function of op parameters.
+
+    ``key`` names the stream and every parameter its addresses depend
+    on, so two streams with equal keys hold equal addresses.  The
+    array is built by ``build`` on first use of :attr:`array` and kept
+    as long as the stream: the rounds of one kernel that share a
+    stream share one array.
+    """
+
+    __slots__ = ("key", "_build", "_array")
+
+    def __init__(
+        self, key: tuple[Any, ...], build: Callable[[], np.ndarray]
+    ) -> None:
+        self.key = key
+        self._build = build
+        self._array: np.ndarray | None = None
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            self._array = self._build()
+        return self._array
+
+
 @dataclass(frozen=True)
 class StaticRound:
     """One access round of the stream.
 
-    ``addresses`` holds one address per thread (block-local for shared
-    rounds, the convention of
-    :class:`repro.machine.requests.AccessRound`); ``kernel`` is the op
-    label and ``index`` the round's position in the whole program.
+    ``source`` is the round's address stream: an array, or a
+    :class:`ShapeStream` built on demand.  :attr:`addresses` holds one
+    address per thread (block-local for shared rounds, the convention
+    of :class:`repro.machine.requests.AccessRound`); ``kernel`` is the
+    op label and ``index`` the round's position in the whole program.
     """
 
     kernel: str
@@ -98,9 +135,21 @@ class StaticRound:
     space: str
     kind: str
     array: str
-    addresses: np.ndarray
+    source: np.ndarray | ShapeStream
     block_size: int | None = None
     element_cells: int = 1
+
+    @property
+    def addresses(self) -> np.ndarray:
+        source = self.source
+        return source.array if isinstance(source, ShapeStream) else source
+
+    @property
+    def shape_key(self) -> tuple[Any, ...] | None:
+        """The key of a :class:`ShapeStream` source; ``None`` for a
+        stream that depends on the permutation."""
+        source = self.source
+        return source.key if isinstance(source, ShapeStream) else None
 
     @property
     def num_threads(self) -> int:
@@ -152,7 +201,9 @@ def transpose_shared_bytes(width: int, dtype: Any) -> int:
 
 
 #: (space, kind, array, addresses, block_size, element_cells)
-_Access = tuple[str, str, str, np.ndarray, "int | None", int]
+_Access = tuple[
+    str, str, str, "np.ndarray | ShapeStream", "int | None", int
+]
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -178,10 +229,16 @@ def _op_accesses(
     k = element_cells_of(dtype)
     if isinstance(op, RowwiseScatter):
         rows, m = op.rows, op.m
-        idx = np.arange(rows * m, dtype=np.int64)
         if op.regular:
             assert op.s is not None and op.t is not None
-            tile = np.tile(np.arange(m, dtype=np.int64), rows)
+            idx = ShapeStream(
+                ("rowwise.idx", rows, m),
+                lambda: np.arange(rows * m, dtype=np.int64),
+            )
+            tile = ShapeStream(
+                ("rowwise.tile", rows, m),
+                lambda: np.tile(np.arange(m, dtype=np.int64), rows),
+            )
             return "rowwise", rowwise_shared_bytes(m, dtype), [
                 ("global", "read", "a", idx, None, k),
                 ("global", "read", "s", idx, None, _cells(op.s)),
@@ -192,6 +249,7 @@ def _op_accesses(
                 ("shared", "read", "y", tile, m, k),
                 ("global", "write", "b", idx, None, k),
             ]
+        idx = np.arange(rows * m, dtype=np.int64)
         dest = (idx // m) * m + _flat(op.gamma)
         return op.label, 0, [
             ("global", "read", "a", idx, None, k),
@@ -202,8 +260,15 @@ def _op_accesses(
         if op.tiled:
             from repro.core.transpose import tile_addresses
 
-            read, slot_write, slot_read, write = tile_addresses(
-                op.m, op.width, op.diagonal
+            geometry = (op.m, op.width, op.diagonal)
+            # One build yields all four streams, on the first demand.
+            streams = cache(lambda: tile_addresses(*geometry))
+            read, slot_write, slot_read, write = (
+                ShapeStream(
+                    ("transpose", *geometry, slot),
+                    lambda slot=slot: streams()[slot],
+                )
+                for slot in range(4)
             )
             tile_threads = op.width * op.width
             return "transpose", transpose_shared_bytes(op.width, dtype), [
@@ -265,20 +330,23 @@ def op_kernel(
     if isinstance(op, (Pad, Slice)):
         return None
     name, shared_bytes, accesses = _op_accesses(op, dtype)
+    hook = _scatter_fault_hook
     rounds: list[StaticRound] = []
-    for offset, (space, kind, array, addresses, block, cells) in enumerate(
+    for offset, (space, kind, array, source, block, cells) in enumerate(
         accesses
     ):
-        if (
-            _scatter_fault_hook is not None
-            and space == "shared" and kind == "write" and block
-        ):
-            addresses = np.asarray(
-                _scatter_fault_hook(array, addresses.reshape(-1, block))
-            ).reshape(-1)
+        if hook is not None:
+            # An armed hook may alter any shared write, so no stream
+            # of this kernel keeps a key that could vouch for it.
+            if isinstance(source, ShapeStream):
+                source = source.array
+            if space == "shared" and kind == "write" and block:
+                source = np.asarray(
+                    hook(array, source.reshape(-1, block))
+                ).reshape(-1)
         rounds.append(StaticRound(
             kernel=op.label, index=start + offset, space=space,
-            kind=kind, array=array, addresses=addresses,
+            kind=kind, array=array, source=source,
             block_size=block, element_cells=cells,
         ))
     return KernelRounds(name, shared_bytes, tuple(rounds))

@@ -17,6 +17,16 @@ result is a :class:`Certificate` — per-round verdicts plus, on
 failure, a :class:`Counterexample` naming the kernel, round, block,
 warp, bank and colliding lanes.
 
+Only six of the 32 streams depend on the permutation.  The other 26
+are :class:`~repro.ir.rounds.ShapeStream` s, pure functions of the
+op parameters in their key, so one analysis answers every stream with
+that key: within a certification each such stream is analysed once,
+and a bounded per-process memo (:data:`SHAPE_MEMO_SIZE` entries)
+keeps the verdict of every regular one, so a later certification at
+the same shape builds and analyses only its six ``s``/``t`` streams
+(``docs/theory.md`` §8).  An irregular shape stream is never kept, so
+its counterexample is always derived from its addresses.
+
 The counting screens every warp in O(lanes) and counts exactly only
 the warps the screen flags.  A shared warp of ``w <= 64`` lanes is
 conflict-free iff the OR of ``1 << bank`` over its lanes has all ``w``
@@ -39,7 +49,9 @@ never vouch for a file it was not issued for.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+import threading
+from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
@@ -56,6 +68,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Schema version of serialised certificates.
 CERTIFICATE_VERSION = 1
+
+#: Most shape-stream analyses the per-process memo keeps.  One plan
+#: shape fills 6 entries (2 row-wise, 4 transpose), so this holds the
+#: streams of about 40 shapes, each entry a key and three integers.
+SHAPE_MEMO_SIZE = 256
 
 
 def _warp_matrix(addresses: np.ndarray, width: int) -> np.ndarray:
@@ -316,21 +333,29 @@ def _per_warp(rnd: StaticRound, width: int) -> np.ndarray:
     return global_group_counts(rnd.addresses, width)
 
 
+def _verdict_of(
+    rnd: StaticRound, counts: tuple[int, int, int]
+) -> RoundVerdict:
+    """The verdict of ``rnd`` from ``(num_warps, stages,
+    max_per_warp)``."""
+    num_warps, stages, max_per_warp = counts
+    return RoundVerdict(
+        kernel=rnd.kernel, index=rnd.index, space=rnd.space,
+        kind=rnd.kind, array=rnd.array, num_warps=num_warps,
+        stages=stages, max_per_warp=max_per_warp,
+    )
+
+
 def _judge(
     rnd: StaticRound, width: int, per_warp: np.ndarray
 ) -> tuple[RoundVerdict, Counterexample | None]:
     """The verdict of ``rnd`` from its per-warp counts and, when the
     round is irregular, its first offending warp."""
-    verdict = RoundVerdict(
-        kernel=rnd.kernel,
-        index=rnd.index,
-        space=rnd.space,
-        kind=rnd.kind,
-        array=rnd.array,
-        num_warps=int(per_warp.shape[0]),
-        stages=int(per_warp.sum()),
-        max_per_warp=int(per_warp.max()) if per_warp.size else 0,
-    )
+    verdict = _verdict_of(rnd, (
+        int(per_warp.shape[0]),
+        int(per_warp.sum()),
+        int(per_warp.max()) if per_warp.size else 0,
+    ))
     if verdict.ok:
         return verdict, None
     if rnd.space == "shared":
@@ -346,34 +371,117 @@ def analyze_round(
     return _judge(rnd, width, _per_warp(rnd, width))
 
 
-def _analyze_kernel(
-    rounds: Iterable[StaticRound], width: int
-) -> Iterator[tuple[RoundVerdict, Counterexample | None]]:
-    """:func:`analyze_round` over one kernel's rounds, analysing each
-    distinct address stream once.
+class _ShapeMemo:
+    """A bounded, thread-safe LRU map from a shape stream's analysis
+    key to its regular verdict's ``(num_warps, stages,
+    max_per_warp)``."""
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple[Any, ...], tuple[int, int, int]] = (
+            OrderedDict()
+        )
+
+    def get(self, key: tuple[Any, ...]) -> tuple[int, int, int] | None:
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self._entries.move_to_end(key)
+            return found
+
+    def put(self, key: tuple[Any, ...], counts: tuple[int, int, int]) -> None:
+        with self._lock:
+            self._entries[key] = counts
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._size:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+_SHAPE_MEMO = _ShapeMemo(SHAPE_MEMO_SIZE)
+
+
+def _memo_key(rnd: StaticRound, width: int) -> tuple[Any, ...] | None:
+    """Everything a shape round's per-warp counts depend on: its
+    stream's key (the op parameters that fix its addresses), memory
+    space, block size and the analysis width; ``None`` for a stream
+    that depends on the permutation."""
+    key = rnd.shape_key
+    if key is None:
+        return None
+    return (key, rnd.space, rnd.block_size, width)
+
+
+def _certify_kernels(
+    kernels: Iterable[Iterable[StaticRound]],
+    width: int,
+    n: int,
+    m: int,
+) -> Certificate:
+    """Certify a program kernel by kernel, analysing each distinct
+    address stream once, and keep the *first* counterexample — in
+    round order, the executor would hit it first.
 
     A row-wise kernel reads ``a``, ``s`` and ``t`` and writes ``b``
     through one index array, and both its shared reads use one
-    ``tile`` array.  A round whose stream is an earlier round's — the
-    same ``addresses`` object, ``space`` and ``block_size`` — takes
+    ``tile`` array.  A round whose stream is an earlier round's takes
     that round's per-warp counts, which depend on nothing else; it
     still gets its own verdict and, if irregular, its own
-    counterexample.  The counts live as long as this generator: one
-    kernel.
+    counterexample.  A permutation-dependent stream is matched by
+    identity (same ``addresses`` object, ``space`` and
+    ``block_size``) within its kernel.  A shape stream is matched by
+    :func:`_memo_key` across the whole program, then in
+    :data:`_SHAPE_MEMO`, which answers only regular streams: a shape
+    stream it does not hold is built and analysed, and kept there
+    when regular.
     """
-    seen: list[tuple[StaticRound, np.ndarray]] = []
-    for rnd in rounds:
-        per_warp = next(
-            (counts for prior, counts in seen
-             if prior.addresses is rnd.addresses
-             and prior.space == rnd.space
-             and prior.block_size == rnd.block_size),
-            None,
-        )
-        if per_warp is None:
-            per_warp = _per_warp(rnd, width)
-            seen.append((rnd, per_warp))
-        yield _judge(rnd, width, per_warp)
+    verdicts: list[RoundVerdict] = []
+    counter: Counterexample | None = None
+    shapes: dict[tuple[Any, ...], np.ndarray] = {}
+    for rounds in kernels:
+        seen: list[tuple[StaticRound, np.ndarray]] = []
+        for rnd in rounds:
+            key = _memo_key(rnd, width)
+            per_warp: np.ndarray | None
+            if key is None:
+                per_warp = next(
+                    (counts for prior, counts in seen
+                     if prior.addresses is rnd.addresses
+                     and prior.space == rnd.space
+                     and prior.block_size == rnd.block_size),
+                    None,
+                )
+                if per_warp is None:
+                    per_warp = _per_warp(rnd, width)
+                    seen.append((rnd, per_warp))
+            else:
+                per_warp = shapes.get(key)
+                if per_warp is None:
+                    known = _SHAPE_MEMO.get(key)
+                    if known is not None:
+                        verdicts.append(_verdict_of(rnd, known))
+                        continue
+                    per_warp = shapes[key] = _per_warp(rnd, width)
+            verdict, bad = _judge(rnd, width, per_warp)
+            if key is not None and verdict.ok:
+                _SHAPE_MEMO.put(key, (
+                    verdict.num_warps, verdict.stages, verdict.max_per_warp,
+                ))
+            verdicts.append(verdict)
+            if counter is None and bad is not None:
+                counter = bad
+    return Certificate(
+        n=n, m=m, width=width, rounds=tuple(verdicts),
+        counterexample=counter,
+    )
 
 
 @dataclass(frozen=True)
@@ -553,28 +661,6 @@ class Certificate:
         return cls.from_dict(payload)
 
 
-def _certify_kernels(
-    kernels: Iterable[Iterable[StaticRound]],
-    width: int,
-    n: int,
-    m: int,
-) -> Certificate:
-    """Certify a program kernel by kernel (:func:`_analyze_kernel`),
-    keeping the *first* counterexample — in round order, the executor
-    would hit it first."""
-    verdicts: list[RoundVerdict] = []
-    counter: Counterexample | None = None
-    for rounds in kernels:
-        for verdict, bad in _analyze_kernel(rounds, width):
-            verdicts.append(verdict)
-            if counter is None and bad is not None:
-                counter = bad
-    return Certificate(
-        n=n, m=m, width=width, rounds=tuple(verdicts),
-        counterexample=counter,
-    )
-
-
 def certify_rounds(
     rounds: Iterable[StaticRound],
     width: int,
@@ -583,8 +669,8 @@ def certify_rounds(
 ) -> Certificate:
     """Certify a static round sequence (used by tests).  Consecutive
     rounds of one ``kernel`` label form a kernel whose shared streams
-    are analysed once (:func:`_analyze_kernel`); ``rounds`` is consumed
-    once, one kernel at a time."""
+    are analysed once (:func:`_certify_kernels`); ``rounds`` is
+    consumed once, one kernel at a time."""
     return _certify_kernels(
         (group for _, group in groupby(rounds, key=attrgetter("kernel"))),
         width, n, m,
@@ -664,8 +750,12 @@ def certify_plan(plan: "ScheduledPermutation") -> Certificate:
     reports).  The rounds of :func:`plan_rounds` are analysed one
     kernel at a time, so every round's address arrays never coexist
     (at n = 2²⁰ that lowers the peak RSS of three memory-path compiles
-    by ~100 MiB), and each kernel's distinct address streams are
-    analysed once: 20 analyses for the 32 rounds.
+    by ~100 MiB), and each distinct address stream is analysed once.
+    The three row-wise kernels share their two shape streams and the
+    two transposes their four, so a first certification at a shape
+    makes 12 analyses for the 32 rounds; once the shape memo holds
+    those six, a certification at that shape builds and analyses only
+    the six ``s``/``t`` streams.
     """
     cert = _certify_kernels(
         (kernel.rounds for kernel in op_kernels(plan.lower().ops)),

@@ -1,5 +1,9 @@
 """Sealed sidecar persistence: save/load round trip, checksum
-enforcement, version gating, and narrow delta encoding."""
+enforcement, version gating, narrow delta encoding, and stored vs
+deflated members."""
+
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -162,6 +166,26 @@ class TestRejection:
             load_sealed(path)
 
 
+    def test_failed_inverse_proof_is_a_corruption(self, tmp_path,
+                                                  monkeypatch):
+        """A gather that repeats an index inverts to a scatter with an
+        unwritten slot, whose content can match the stored digest;
+        the mutual-inverse proof then refuses the file, and that
+        refusal is a corruption like every other."""
+        from repro.errors import ValidationError
+        from repro.ir.sealed import SealedProgram
+
+        path = tmp_path / "x.sealed.npz"
+        save_sealed(path, _sealed())
+
+        def refute(self):
+            raise ValidationError("sealed gather is not the inverse")
+
+        monkeypatch.setattr(SealedProgram, "verify", refute)
+        with pytest.raises(PlanCorruptionError, match="not the inverse"):
+            load_sealed(path)
+
+
 class TestDeltaNarrowing:
     def test_identityish_gather_stores_narrow_deltas(self, tmp_path):
         # A near-identity permutation has deltas of ~1: the stored
@@ -188,3 +212,59 @@ class TestDeltaNarrowing:
             if k not in SEALED_METADATA_KEYS
         }
         assert plan_checksum(payload) == str(arrays["checksum"])
+
+
+class TestMemberCompression:
+    """A sidecar member is deflated only when a probe of its head shows
+    deflate pays: a random map's deltas are stored, an affine map's
+    deflated, and both kinds load and re-prove."""
+
+    @staticmethod
+    def _delta_member(path):
+        with zipfile.ZipFile(path) as archive:
+            return archive.getinfo("gather_delta.npy")
+
+    @pytest.mark.parametrize("family, compress_type", [
+        ("random", zipfile.ZIP_STORED),
+        ("bit-reversal", zipfile.ZIP_DEFLATED),
+    ])
+    def test_delta_member_kind_and_reload(self, tmp_path, family,
+                                          compress_type):
+        p = (random_permutation(_N, seed=11) if family == "random"
+             else bit_reversal(_N))
+        sealed = _sealed(p)
+        path = tmp_path / f"{family}.sealed.npz"
+        save_sealed(path, sealed)
+        info = self._delta_member(path)
+        assert info.compress_type == compress_type
+        if compress_type == zipfile.ZIP_DEFLATED:
+            assert info.compress_size < info.file_size / 10
+        back = load_sealed(path)
+        assert np.array_equal(back.scatter, p)
+        assert np.array_equal(back.gather, sealed.gather)
+
+    def test_flipped_byte_in_a_stored_member_is_refused(self, tmp_path):
+        path = tmp_path / "r.sealed.npz"
+        save_sealed(path, _sealed(random_permutation(_N, seed=11)))
+        info = self._delta_member(path)
+        assert info.compress_type == zipfile.ZIP_STORED
+        raw = bytearray(path.read_bytes())
+        # The member's bytes follow its local header: 30 fixed bytes,
+        # then the name and the extra field.
+        header = info.header_offset
+        name_len, extra_len = struct.unpack(
+            "<HH", raw[header + 26:header + 30]
+        )
+        start = header + 30 + name_len + extra_len
+        raw[start + info.compress_size // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PlanCorruptionError):
+            load_sealed(path)
+
+    def test_plan_files_stay_deflated(self, tmp_path):
+        p = random_permutation(_N, seed=11)
+        path = tmp_path / "plan.npz"
+        save_plan(path, get_engine("scheduled").plan(p, width=_WIDTH))
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}

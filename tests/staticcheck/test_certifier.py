@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import CertificateError, StaticCheckError
+from repro.ir.rounds import program_rounds
 from repro.permutations.named import bit_reversal, random_permutation
 from repro.staticcheck import (
     CERTIFICATE_VERSION,
@@ -70,7 +71,7 @@ class TestAnalyzeRound:
     def _round(self, addrs, space="shared", block=8):
         return StaticRound(
             kernel="k", index=0, space=space, kind="write", array="x",
-            addresses=np.asarray(addrs, dtype=np.int64),
+            source=np.asarray(addrs, dtype=np.int64),
             block_size=block if space == "shared" else None,
         )
 
@@ -203,7 +204,7 @@ class TestCertifyRounds:
         rounds = [
             StaticRound(
                 kernel="k", index=0, space="global", kind="read",
-                array="a", addresses=np.arange(16),
+                array="a", source=np.arange(16),
             ),
         ]
         cert = certify_rounds(rounds, width=4, n=16, m=4)
@@ -272,10 +273,13 @@ class TestCertifyProgram:
 
 
 class TestOneAnalysisPerStream:
-    """A kernel's rounds that share an address stream share one
-    analysis: a row-wise kernel's 8 rounds read 4 streams (the index
-    array behind ``a``, ``s``, ``t`` and ``b``, then ``s``, ``tile``
-    and ``t``), a tiled transpose's 4 rounds read 4."""
+    """Rounds that share an address stream share one analysis.  A
+    row-wise kernel's 8 rounds read 4 streams (the index array behind
+    ``a``, ``s``, ``t`` and ``b``, then ``s``, ``tile`` and ``t``), a
+    tiled transpose's 4 rounds read 4.  Only ``s`` and ``t`` depend on
+    the permutation: the index array and ``tile`` are shared by the
+    three row-wise kernels and the transpose streams by both
+    transposes, and the shape memo keeps their regular verdicts."""
 
     N, W = 4096, 8                  # m = 64: 8 warps per row
 
@@ -285,9 +289,12 @@ class TestOneAnalysisPerStream:
             random_permutation(self.N, seed=5), width=self.W
         )
 
-    def test_32_rounds_take_20_analyses(self, plan, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Analyser calls by memory space, from an empty shape memo."""
         from repro.staticcheck import certifier
 
+        certifier._SHAPE_MEMO.clear()
         calls = {"shared": 0, "global": 0}
 
         def counting(space, analyse):
@@ -304,16 +311,62 @@ class TestOneAnalysisPerStream:
             certifier, "global_group_counts",
             counting("global", certifier.global_group_counts),
         )
+        return calls
+
+    def test_32_rounds_take_12_analyses_then_6(self, plan, calls):
         cert = certify_plan(plan)
-        # 3 row-wise kernels: 3 shared + 1 global streams each;
-        # 2 transposes: 2 shared + 2 global each.
-        assert calls == {"shared": 13, "global": 7}
+        # 6 s/t streams, the rows' index array and tile, and the 4
+        # streams of a transpose.
+        assert calls == {"shared": 9, "global": 3}
         assert cert.ok and cert.num_rounds == 32
-        monkeypatch.undo()
+        calls.update({"shared": 0, "global": 0})
+        # The same shape again: only the 6 s/t streams.
+        assert certify_plan(plan).to_json() == cert.to_json()
+        assert calls == {"shared": 6, "global": 0}
         # Every round still gets the verdict of its own analysis.
         assert cert.rounds == tuple(
             analyze_round(rnd, self.W)[0] for rnd in plan_rounds(plan)
         )
+
+    @pytest.mark.parametrize("n, w", [(1024, 8), (4096, 4)])
+    def test_another_n_or_w_takes_its_own_analyses(self, plan, calls, n, w):
+        certify_plan(plan)
+        calls.update({"shared": 0, "global": 0})
+        other = ScheduledPermutation.plan(random_permutation(n, seed=5),
+                                          width=w)
+        cert = certify_plan(other)
+        assert calls == {"shared": 9, "global": 3}
+        assert cert.rounds == tuple(
+            analyze_round(rnd, w)[0] for rnd in plan_rounds(other)
+        )
+
+    def test_another_diagonal_takes_its_own_analyses(self, plan, calls):
+        from repro.ir.ops import Transpose
+        from repro.ir.program import KernelProgram
+        from repro.staticcheck import certify_program
+
+        certify_plan(plan)
+        m = plan.m
+
+        def transpose(diagonal):
+            return KernelProgram("t", m * m, self.W, (Transpose(
+                label="tr", m=m, width=self.W, diagonal=diagonal,
+            ),))
+
+        for diagonal, conflicts in ((False, [2]), (True, [])):
+            calls.update({"shared": 0, "global": 0})
+            program = transpose(diagonal)
+            cert = certify_program(program)
+            # The diagonal transpose's streams are the plan's.
+            assert calls == (
+                {"shared": 0, "global": 0} if diagonal
+                else {"shared": 2, "global": 2}
+            )
+            assert [r.index for r in cert.rounds if not r.ok] == conflicts
+            assert cert.rounds == tuple(
+                analyze_round(rnd, self.W)[0]
+                for rnd in program_rounds(program)
+            )
 
     @pytest.mark.parametrize("array, round_index", [("s", 26), ("t", 29)])
     def test_planted_step3_conflict_is_refused_where_it_is(
