@@ -18,7 +18,7 @@ the odd part of the degree (all of it for the paper's power-of-two
 sizes) and peels perfect matchings off what remains.  It returns one
 colour per *edge instance*; :func:`verify_edge_coloring` checks it.
 The one exception is a graph built from a GF(2)-affine permutation,
-which :func:`repro.coloring.affine.affine_coloring` colours in closed
+which :func:`repro.coloring.affine.affine_colour_map` colours in closed
 form.
 """
 

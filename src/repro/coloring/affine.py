@@ -21,51 +21,23 @@ and ``W'`` into ``u'ⱼ ⊕ w'ⱼ`` and add a complement ``E`` of ``U + W``
 ``U`` part of ``x``: exactly ``2**dim U`` colours, the degree.
 
 Vectors are Python ``int`` bit masks and the linear algebra is
-``O(N³)`` bit operations on ``N <= 63`` bits; the colours are built by
-XOR doubling in ``O(n)``.
+``O(N³)`` bit operations on ``N <= 63`` bits.  The planner keeps ``C``
+as a map and derives every plan array from it; ``C.index_map()``
+builds the colours by XOR doubling in ``O(n)``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import telemetry
 from repro.errors import ColoringError
-from repro.permutations.affine import AffineMap
+from repro.permutations.affine import AffineMap, Echelon
 
-__all__ = ["affine_coloring"]
-
-
-class _Echelon:
-    """A row-echelon basis that tracks, for every vector it holds, the
-    combination of inserted vectors it is (one bit per insertion)."""
-
-    def __init__(self) -> None:
-        self._pivots: dict[int, tuple[int, int]] = {}
-
-    def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
-        """``vector`` less every pivot it reaches, and ``combo`` XOR
-        the combinations taken."""
-        while vector:
-            pivot = self._pivots.get(vector.bit_length() - 1)
-            if pivot is None:
-                break
-            vector ^= pivot[0]
-            combo ^= pivot[1]
-        return vector, combo
-
-    def insert(self, vector: int, combo: int = 0) -> bool:
-        """Add ``vector``; ``False`` (nothing added) when the basis
-        already spans it."""
-        vector, combo = self.reduce(vector, combo)
-        if vector:
-            self._pivots[vector.bit_length() - 1] = (vector, combo)
-        return bool(vector)
+__all__ = ["affine_colour_map"]
 
 
 def _kernel(images: list[int]) -> list[int]:
     """A basis of ``{x : XOR of images[k] over the bits k of x = 0}``."""
-    echelon = _Echelon()
+    echelon = Echelon()
     kernel = []
     for k, image in enumerate(images):
         rest, combo = echelon.reduce(image, 1 << k)
@@ -88,7 +60,7 @@ def _combine(basis: list[int], combo: int) -> int:
 def _extend(base: list[int], vectors: list[int]) -> list[int]:
     """The members of ``vectors`` that extend the span of ``base`` to
     that of both, each independent of ``base`` and those before it."""
-    echelon = _Echelon()
+    echelon = Echelon()
     for vector in base:
         echelon.insert(vector)
     return [vector for vector in vectors if echelon.insert(vector)]
@@ -118,7 +90,7 @@ def _colour_columns(
     kernel += _extend([*unit, *other], [1 << k for k in range(bits)])
     # K ⊕ U is the whole space: express each unit vector in the basis
     # K then U, and keep its coordinates on U.
-    basis = _Echelon()
+    basis = Echelon()
     for j, vector in enumerate((*kernel, *unit)):
         basis.insert(vector, 1 << j)
     return tuple(
@@ -126,19 +98,19 @@ def _colour_columns(
     )
 
 
-def affine_coloring(
+def affine_colour_map(
     q: AffineMap, left_mask: int, right_mask: int
-) -> np.ndarray:
-    """Colour the multigraph with one edge ``i & left_mask -> q(i) &
-    right_mask`` per index ``i``.
+) -> AffineMap:
+    """The colouring ``colour(i) = C·i`` of the multigraph with one edge
+    ``i & left_mask -> q(i) & right_mask`` per index ``i``, as a linear
+    map.
 
-    Returns ``colour(i) = C·i`` as an ``int64`` array of length
-    ``q.n``, with ``2**k`` colours for the ``k`` index bits outside
+    ``C`` has ``2**k`` colours for the ``k`` index bits outside
     ``left_mask`` (the degree); no two edges at a node share one.
     Raises :class:`~repro.errors.ColoringError` when the graph is not
     regular (``q`` is then no bijection).
     """
     degree = 1 << (len(q.columns) - (left_mask & (q.n - 1)).bit_count())
     with telemetry.span("coloring.affine", edges=q.n, degree=degree):
-        columns = _colour_columns(q, left_mask, right_mask)
-        return AffineMap(columns, 0).index_map()
+        return AffineMap(_colour_columns(q, left_mask, right_mask), 0)
+

@@ -26,6 +26,7 @@ from repro.errors import SizeError
 from repro.machine.hmm import HMM
 from repro.machine.params import MachineParams
 from repro.machine.trace import ProgramTrace
+from repro.permutations.affine import AffineMap
 
 
 @dataclass
@@ -41,14 +42,20 @@ class ColumnwiseSchedule:
     transpose: TiledTranspose
 
     @classmethod
-    def plan(cls, delta: np.ndarray, width: int) -> "ColumnwiseSchedule":
+    def plan(
+        cls,
+        delta: np.ndarray,
+        width: int,
+        values: AffineMap | None = None,
+    ) -> "ColumnwiseSchedule":
+        """``values`` as in :meth:`RowwiseSchedule.plan`."""
         delta = np.asarray(delta)
         if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
             raise SizeError(
                 f"delta must be square (column count == row count), got "
                 f"shape {delta.shape}"
             )
-        rowwise = RowwiseSchedule.plan(delta, width)
+        rowwise = RowwiseSchedule.plan(delta, width, values)
         transpose = TiledTranspose(delta.shape[0], width)
         return cls(rowwise=rowwise, transpose=transpose)
 

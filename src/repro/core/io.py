@@ -906,7 +906,12 @@ def _decode_sealed(path, arrays: dict, meta: dict):
             f"{path}: decoded sealed gather leaves the range "
             f"0..{n - 1} — the index data is corrupted"
         )
-    scatter = invert_permutation(gather)
+    try:
+        scatter = invert_permutation(gather, checked=True)
+    except ValidationError as exc:
+        raise PlanCorruptionError(
+            f"{path}: decoded sealed gather: {exc}"
+        ) from exc
     digest = str(arrays["denotation_sha"])
     if digest != denotation_digest(scatter):
         raise PlanCorruptionError(
@@ -938,7 +943,5 @@ def _decode_sealed(path, arrays: dict, meta: dict):
     try:
         sealed.verify()
     except ValidationError as exc:
-        # Reachable when the gather repeats an index: its inverse then
-        # holds an unwritten slot, which can match the digest.
         raise PlanCorruptionError(f"{path}: {exc}") from exc
     return sealed

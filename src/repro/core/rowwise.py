@@ -33,7 +33,8 @@ shared writes — exactly Table I's row.
 When ``r·m + c ↦ r·m + gamma[r, c]`` is affine over GF(2) (every step
 of an affine permutation's plan) and ``w`` is a power of two, the bank
 colouring is the closed form of :mod:`repro.coloring.affine`, not an
-Euler split (``docs/theory.md`` §10).
+Euler split, and ``s``/``t`` are affine maps built without a scatter
+(``docs/theory.md`` §10).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
-from repro.coloring.affine import affine_coloring
+from repro.coloring.affine import affine_colour_map
 from repro.errors import SchedulingError, SizeError
 from repro.ir.ops import RowwiseScatter
 from repro.ir.rounds import rowwise_shared_bytes
@@ -78,27 +79,16 @@ def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
 
 
 def _affine_rows(gamma: np.ndarray, width: int) -> AffineMap | None:
-    """The flat map ``q(r·m + c) = r·m + gamma[r, c]`` as an
+    """The flat map ``r·m + c ↦ gamma[r, c]`` as an
     :class:`~repro.permutations.affine.AffineMap`, or ``None`` when it
     is not affine or ``width`` is not a power of two.
 
     ``gamma`` is read block by block (a non-affine one after a few
-    entries).  The row bits of ``q`` are those of its index, so ``q``
-    is ``gamma``'s map plus the unit columns of the row bits.
+    entries).
     """
     if not is_power_of_two(width):
         return None
-    values = detect_affine(gamma.reshape(-1))
-    if values is None:
-        return None
-    m = gamma.shape[1]
-    return AffineMap(
-        tuple(
-            column | (1 << k if 1 << k >= m else 0)
-            for k, column in enumerate(values.columns)
-        ),
-        values.offset,
-    )
+    return detect_affine(gamma.reshape(-1))
 
 
 @dataclass
@@ -135,13 +125,24 @@ class RowwiseSchedule:
     # ------------------------------------------------------------------
 
     @classmethod
-    def plan(cls, gamma: np.ndarray, width: int) -> "RowwiseSchedule":
+    def plan(
+        cls,
+        gamma: np.ndarray,
+        width: int,
+        values: AffineMap | None = None,
+    ) -> "RowwiseSchedule":
         """Build the ``s``/``t`` schedule from the row permutations.
 
         All rows are coloured in a single call: the per-row bank
         multigraphs are disjoint, so stacking them (row ``j``'s banks at
         node offset ``j*w``) yields one regular multigraph that one
         colouring call covers.
+
+        ``values`` is ``gamma``'s flat map ``r·m + c ↦ gamma[r, c]``
+        when the caller built ``gamma`` from it (an affine plan,
+        ``docs/theory.md`` §10.1); ``gamma`` is then neither re-checked
+        nor re-read.  Otherwise its rows are checked to be permutations
+        and an affine ``gamma`` is detected here.
 
         The colouring is not re-verified here.  An improper colour at a
         source bank makes ``s`` repeat a slot, so ``t[s] != gamma``
@@ -150,7 +151,9 @@ class RowwiseSchedule:
         certifier refuses it (``docs/theory.md`` §8;
         :meth:`verify` is the direct check).
         """
-        gamma = _check_row_permutations(gamma)
+        if values is None:
+            gamma = _check_row_permutations(gamma)
+            values = _affine_rows(gamma, width)
         rows, m = gamma.shape
         if width < 1:
             raise SizeError(f"width must be >= 1, got {width}")
@@ -158,27 +161,28 @@ class RowwiseSchedule:
             raise SizeError(
                 f"row length m = {m} must be a multiple of the width {width}"
             )
+        if values is not None:
+            return cls._plan_affine(gamma, values, width)
         cols = np.arange(m, dtype=np.int64)
-        affine = _affine_rows(gamma, width)
-        if affine is not None:
-            # The bank node of element i is its row bits plus its low
-            # log2(w) bits, and that of its destination the same bits
-            # of q(i).
-            banks = ((rows * m - 1) ^ (m - 1)) | (width - 1)
-            with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
-                                kernel="affine"):
-                colors = affine_coloring(affine, banks, banks)
-        else:
-            row_offset = (np.arange(rows, dtype=np.int64) * width)[:, None]
-            left = (row_offset + (cols % width)[None, :]).reshape(-1)
-            right = (row_offset + gamma % width).reshape(-1)
-            graph = RegularBipartiteMultigraph.deferred(
-                left, right, rows * width, m // width
-            )
-            with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
-                                kernel="euler"):
-                colors = edge_coloring(graph)
+        row_offset = (np.arange(rows, dtype=np.int64) * width)[:, None]
+        left = (row_offset + (cols % width)[None, :]).reshape(-1)
+        right = (row_offset + gamma % width).reshape(-1)
+        graph = RegularBipartiteMultigraph.deferred(
+            left, right, rows * width, m // width
+        )
+        with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
+                            kernel="euler"):
+            colors = edge_coloring(graph)
+        return cls._from_colours(gamma, colors, width)
 
+    @classmethod
+    def _from_colours(
+        cls, gamma: np.ndarray, colors: np.ndarray, width: int
+    ) -> "RowwiseSchedule":
+        """The schedule a bank colouring gives: ``s = alpha`` and ``t``
+        by one scatter."""
+        rows, m = gamma.shape
+        cols = np.arange(m, dtype=np.int64)
         c = colors.reshape(rows, m)
         alpha = c * width + (cols % width)[None, :]
         if alpha.size and (int(alpha.min()) < 0 or int(alpha.max()) >= m):
@@ -197,6 +201,42 @@ class RowwiseSchedule:
             gamma=gamma,
             s=alpha.astype(dtype),
             t=t,
+            width=width,
+        )
+
+    @classmethod
+    def _plan_affine(
+        cls, gamma: np.ndarray, values: AffineMap, width: int
+    ) -> "RowwiseSchedule":
+        """The schedule of an affine ``gamma`` in closed form
+        (``docs/theory.md`` §10.1): ``s`` and ``t`` are affine maps of
+        the flat index, each built by one doubling."""
+        rows, m = gamma.shape
+        lanes = width.bit_length() - 1
+        row_bits = (rows * m - 1) ^ (m - 1)
+        index = AffineMap.identity(len(values.columns))
+        keep_rows = index.bits(row_bits)
+        # The bank node of element i is its row bits plus its low
+        # log2(w) bits, and that of its destination the same bits of
+        # r·m + gamma[r, c].
+        banks = row_bits | (width - 1)
+        with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
+                            kernel="affine"):
+            colour = affine_colour_map(keep_rows ^ values, banks, banks)
+        # s = colour·w + (c mod w), and t = gamma ∘ (r·m + s)⁻¹: the
+        # slot map is a bijection exactly when the colouring is proper
+        # at every source bank.
+        s = colour.bits(m // width - 1, -lanes) ^ index.bits(width - 1)
+        slots = (keep_rows ^ s).inverse()
+        if slots is None:
+            raise SchedulingError(
+                "the closed-form bank colouring is not proper"
+            )
+        dtype = smallest_index_dtype(max(m - 1, 0))
+        return cls(
+            gamma=gamma,
+            s=s.index_map(dtype).reshape(rows, m),
+            t=values.compose(slots).index_map(dtype).reshape(rows, m),
             width=width,
         )
 

@@ -90,12 +90,19 @@ class ScheduledPermutation(EngineBase):
         check_square(n, width, "len(p)")
         with telemetry.span("scheduled.plan", n=n, width=width):
             decomposition = decompose_checked(p)
+            maps = decomposition.maps or (None, None, None)
             with telemetry.span("scheduled.plan.step1"):
-                step1 = RowwiseSchedule.plan(decomposition.gamma1, width)
+                step1 = RowwiseSchedule.plan(
+                    decomposition.gamma1, width, maps[0]
+                )
             with telemetry.span("scheduled.plan.step2"):
-                step2 = ColumnwiseSchedule.plan(decomposition.delta, width)
+                step2 = ColumnwiseSchedule.plan(
+                    decomposition.delta, width, maps[1]
+                )
             with telemetry.span("scheduled.plan.step3"):
-                step3 = RowwiseSchedule.plan(decomposition.gamma3, width)
+                step3 = RowwiseSchedule.plan(
+                    decomposition.gamma3, width, maps[2]
+                )
         return cls(
             p=p,
             width=width,

@@ -28,21 +28,22 @@ against this implementation.
 
 A GF(2)-affine ``p`` (bit reversal, transpose, ...) is coloured in
 closed form, ``colour(i) = C·i`` (:mod:`repro.coloring.affine`,
-``docs/theory.md`` §10); every other ``p`` takes the Euler split.
+``docs/theory.md`` §10), and its three families are affine maps built
+without a scatter (§10.1); every other ``p`` takes the Euler split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
-from repro.coloring.affine import affine_coloring
+from repro.coloring.affine import affine_colour_map
 from repro.coloring.verify import verify_edge_coloring
 from repro.errors import ColoringError, SchedulingError
-from repro.permutations.affine import detect_affine
+from repro.permutations.affine import AffineMap, detect_affine
 from repro.util.validation import check_permutation, isqrt_exact
 
 
@@ -63,12 +64,20 @@ class ThreeStepDecomposition:
         sitting at ``(r, k)`` after step 2.
     colors:
         Length-``n`` colour (= intermediate column) per source element.
+    maps:
+        For an affine ``p``, the flat maps ``r·m + c -> gamma[r, c]``
+        of ``gamma1``, ``delta`` and ``gamma3`` that built the arrays;
+        :class:`~repro.core.rowwise.RowwiseSchedule` plans each step
+        from them.  ``None`` otherwise.
     """
 
     gamma1: np.ndarray
     delta: np.ndarray
     gamma3: np.ndarray
     colors: np.ndarray
+    maps: tuple[AffineMap, AffineMap, AffineMap] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def m(self) -> int:
@@ -164,20 +173,26 @@ def decompose_checked(p: np.ndarray) -> ThreeStepDecomposition:
 
 
 def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
-    dst_row, dst_col = np.divmod(p, m)
     affine = detect_affine(p)
     if affine is not None:
-        # n = m² is a power of two, so the source row is the high half
-        # of the index bits and the destination row that of p(i).
-        rows = (n - 1) ^ (m - 1)
-        with telemetry.span("plan.decompose.coloring", kernel="affine"):
-            colors = affine_coloring(affine, rows, rows)
-    else:
-        src_row = np.repeat(np.arange(m, dtype=np.int64), m)
-        graph = RegularBipartiteMultigraph.deferred(src_row, dst_row, m, m)
-        with telemetry.span("plan.decompose.coloring", kernel="euler"):
-            colors = edge_coloring(graph)
+        return _decompose_affine(affine, m)
+    dst_row, dst_col = np.divmod(p, m)
+    src_row = np.repeat(np.arange(m, dtype=np.int64), m)
+    graph = RegularBipartiteMultigraph.deferred(src_row, dst_row, m, m)
+    with telemetry.span("plan.decompose.coloring", kernel="euler"):
+        colors = edge_coloring(graph)
+    return _from_colours(p, colors, m, dst_row, dst_col)
 
+
+def _from_colours(
+    p: np.ndarray,
+    colors: np.ndarray,
+    m: int,
+    dst_row: np.ndarray,
+    dst_col: np.ndarray,
+) -> ThreeStepDecomposition:
+    """The decomposition a global colouring gives, built by two
+    scatters; ``dst_row, dst_col = divmod(p, m)``."""
     # gamma1[r, c] = colour of element (r, c): elements are enumerated
     # row-major, so this is just a reshape.
     gamma1 = colors.reshape(m, m)
@@ -203,4 +218,40 @@ def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
 
     return ThreeStepDecomposition(
         gamma1=gamma1, delta=delta, gamma3=gamma3, colors=colors
+    )
+
+
+def _decompose_affine(p: AffineMap, m: int) -> ThreeStepDecomposition:
+    """The decomposition of an affine ``p`` in closed form
+    (``docs/theory.md`` §10.1): each of ``gamma1``, ``delta`` and
+    ``gamma3`` is an affine map of its flat index ``r·m + c``, built by
+    one doubling, with no scatter."""
+    h = m.bit_length() - 1
+    rows = (p.n - 1) ^ (m - 1)
+    with telemetry.span("plan.decompose.coloring", kernel="affine"):
+        colour = affine_colour_map(p, rows, rows)
+    index = AffineMap.identity(2 * h)
+    # i -> k(i)·m + row(i) and i -> row(p(i))·m + k(i), with k the
+    # colour: bijections exactly when the colouring is proper at the
+    # source and at the destination rows.
+    by_colour = (colour.bits(m - 1, -h) ^ index.bits(rows, h)).inverse()
+    by_destination = (p.bits(rows) ^ colour).inverse()
+    if by_colour is None or by_destination is None:
+        raise SchedulingError(
+            "the closed-form global colouring is not proper"
+        )
+    # delta[k, r] = row(p(i)) and gamma3[row(p(i)), k] = col(p(i)) for
+    # the element i of colour k in source row r.
+    maps = (
+        colour,
+        p.compose(by_colour).bits(rows, h),
+        p.compose(by_destination).bits(m - 1),
+    )
+    colors = colour.index_map()
+    return ThreeStepDecomposition(
+        gamma1=colors.reshape(m, m),
+        delta=maps[1].index_map().reshape(m, m),
+        gamma3=maps[2].index_map().reshape(m, m),
+        colors=colors,
+        maps=maps,
     )

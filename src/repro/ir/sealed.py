@@ -98,15 +98,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def invert_permutation(p: np.ndarray) -> np.ndarray:
+def invert_permutation(p: np.ndarray, checked: bool = False) -> np.ndarray:
     """The inverse index map: ``inv[p[i]] = i``.
 
-    Assumes ``p`` is a permutation of ``0..n-1`` (the caller proves it
-    — sealing sits downstream of a bijectivity proof).
+    ``p`` must index inside ``0..n-1``.  Unless ``checked``, it must
+    also be a permutation (the caller proves it — sealing sits
+    downstream of a bijectivity proof).  A ``checked`` inversion fills
+    the slots no entry names with ``-1`` and raises
+    :class:`~repro.errors.ValidationError` naming the first entry ``p``
+    repeats, at the cost of one more pass over ``n``.
     """
     arr = _as_index("permutation", p)
-    inv = np.empty_like(arr)
+    inv = np.full_like(arr, -1) if checked else np.empty_like(arr)
     inv[arr] = np.arange(arr.shape[0], dtype=np.int64)
+    if checked and inv.size and int(inv.min()) < 0:
+        counts = np.bincount(arr, minlength=arr.shape[0])
+        entry = int(np.flatnonzero(counts > 1)[0])
+        first, second = np.flatnonzero(arr == entry)[:2]
+        raise ValidationError(
+            f"index map repeats {entry} (at {first} and {second}); "
+            "it is no permutation"
+        )
     return inv
 
 

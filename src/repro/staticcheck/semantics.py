@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import (
     CertificateError,
     SemanticValidationError,
@@ -57,7 +58,9 @@ from repro.ir.ops import (
     Slice,
     Transpose,
 )
+from repro.permutations.affine import AffineMap, detect_affine
 from repro.util.arrays import flat_cells
+from repro.util.validation import is_power_of_two
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.program import KernelProgram
@@ -349,12 +352,30 @@ def _denote_op(
 def denote_program(program: "KernelProgram") -> ProgramDenotation:
     """Abstractly interpret a program into its denoted index map.
 
-    Walks the ops once, tracking the position of every input element;
+    A program of scheduled row-wise ops and transposes whose arrays are
+    all affine over GF(2) is denoted in closed form
+    (:func:`_denote_affine`); any other, or one whose algebra does not
+    prove out, is walked op by op (:func:`_denote_walk`).  Both give
+    the same :class:`ProgramDenotation` for a program the closed form
+    accepts (``docs/theory.md`` §8).  The ``staticcheck.denote`` span
+    records which ``route`` answered.
+    """
+    program.validate()
+    with telemetry.span("staticcheck.denote", n=int(program.n)) as sp:
+        denotation = _denote_affine(program)
+        sp.set(route="walk" if denotation is None else "affine")
+        return (
+            denotation if denotation is not None
+            else _denote_walk(program)
+        )
+
+
+def _denote_walk(program: "KernelProgram") -> ProgramDenotation:
+    """Walk the ops once, tracking the position of every input element;
     no executor is constructed and no payload is moved.  The walk stops
     at the first op that drops or duplicates a tracked element; the
     final map is additionally checked to be a bijection on ``0..n-1``.
     """
-    program.validate()
     n = int(program.n)
     dest = np.arange(n, dtype=np.int64)
     size = n
@@ -401,6 +422,85 @@ def denote_program(program: "KernelProgram") -> ProgramDenotation:
     return ProgramDenotation(
         engine=program.engine, n=n, index_map=dest,
         ops=tuple(summaries), failure=failure,
+    )
+
+
+def _within(values: AffineMap, m: int) -> bool:
+    """Every image of ``values`` lies in ``0..m-1`` (``m`` a power of
+    two): its offset and columns do, so every XOR of them does, and
+    they are images or XORs of two."""
+    return all(0 <= v < m for v in (values.offset, *values.columns))
+
+
+def _affine_step(op: KernelOp, n: int) -> AffineMap | None:
+    """The position map of one op as a proven affine bijection of
+    ``0..n-1`` (``n`` a power of two), or ``None``.
+
+    A transpose of ``m × m`` swaps the two halves of the index bits.  A
+    scheduled row-wise op moves ``r·m + c`` to ``r·m + gamma[r, c]``;
+    it is accepted when ``gamma``, ``s`` and ``t`` are affine maps of
+    the flat index (detection compares every entry), ``gamma`` and
+    ``s`` stay in ``0..m-1``, the position map is invertible, and
+    ``t[r, s[r, c]] == gamma[r, c]`` holds as an identity of maps.
+    """
+    index = AffineMap.identity(n.bit_length() - 1)
+    if isinstance(op, Transpose):
+        m = int(op.m)
+        if m * m != n:
+            return None
+        h = m.bit_length() - 1
+        return index.bits(m - 1, -h) ^ index.bits(n - m, h)
+    if not (isinstance(op, RowwiseScatter) and op.scheduled):
+        return None
+    rows, m = np.shape(op.gamma)
+    if rows * m != n:
+        return None
+    maps: list[AffineMap] = []
+    for arr in (op.gamma, op.s, op.t):
+        found = detect_affine(np.asarray(arr).reshape(-1))
+        if found is None:
+            return None
+        maps.append(found)
+    values, slots, targets = maps
+    if not (_within(values, m) and _within(slots, m)):
+        return None
+    keep_rows = index.bits(n - m)
+    step = keep_rows ^ values
+    if step.inverse() is None or (
+        targets.compose(keep_rows ^ slots) != values
+    ):
+        return None
+    return step
+
+
+def _denote_affine(program: "KernelProgram") -> ProgramDenotation | None:
+    """The denotation of a program of affine ops, in closed form, or
+    ``None`` when an op is not provably an affine bijection
+    (:func:`_affine_step`).
+
+    The denoted map is the composition of the ops' maps, built once by
+    doubling; it is a bijection because each of them is.  An op moves
+    the tracked elements that sit outside its fixed points, and since
+    the elements occupy every position, that is ``n`` less the fixed
+    points of its map.
+    """
+    n = int(program.n)
+    if not is_power_of_two(n):
+        return None
+    total = AffineMap.identity(n.bit_length() - 1)
+    summaries: list[OpDenotation] = []
+    for index, op in enumerate(program.ops):
+        step = _affine_step(op, n)
+        if step is None:
+            return None
+        summaries.append(OpDenotation(
+            index=index, kind=op.kind, label=op.label, in_size=n,
+            out_size=n, moved=n - step.fixed_points(),
+        ))
+        total = step.compose(total)
+    return ProgramDenotation(
+        engine=program.engine, n=n, index_map=total.index_map(),
+        ops=tuple(summaries),
     )
 
 

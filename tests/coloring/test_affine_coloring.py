@@ -3,7 +3,7 @@
 An affine ``p`` (bit reversal, transpose, any ``A·i ⊕ c``) is planned
 without the Euler split: the global row multigraph and every stacked
 bank multigraph get ``colour(i) = C·i`` from
-:func:`repro.coloring.affine.affine_coloring`.  These tests check that
+:func:`repro.coloring.affine.affine_colour_map`.  These tests check that
 those colourings are proper, that the plans still certify 32 rounds and
 denote ``p``, that only non-affine permutations reach the split, and
 that refusing a non-affine map reads a few entries, never all of them.
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import RegularBipartiteMultigraph
-from repro.coloring.affine import affine_coloring
+from repro.coloring.affine import affine_colour_map
 from repro.coloring.verify import verify_edge_coloring
 from repro.core import rowwise, scheduler
 from repro.core.rowwise import _affine_rows
@@ -141,6 +141,10 @@ class TestClosedFormPlans:
         inverse = plan.inverse()
         assert calls == []
         assert certify_plan(inverse).ok
+
+
+def affine_coloring(q, left_mask, right_mask):
+    return affine_colour_map(q, left_mask, right_mask).index_map()
 
 
 class TestAffineColoring:

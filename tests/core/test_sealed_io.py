@@ -2,6 +2,7 @@
 enforcement, version gating, narrow delta encoding, and stored vs
 deflated members."""
 
+import re
 import struct
 import zipfile
 
@@ -162,7 +163,12 @@ class TestRejection:
         path = tmp_path / "bad.sealed.npz"
         save_sealed(path, sealed)
         assert path.exists()
-        with pytest.raises(PlanCorruptionError):
+        message = (
+            "decoded sealed map digests" if gather == "not-inverse"
+            else f"decoded sealed gather: index map repeats {bad[1]} "
+                 "(at 0 and 1); it is no permutation"
+        )
+        with pytest.raises(PlanCorruptionError, match=re.escape(message)):
             load_sealed(path)
 
 

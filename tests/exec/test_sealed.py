@@ -36,6 +36,17 @@ class TestSealedProgram:
         assert np.array_equal(sealed.gather, invert_permutation(p))
         sealed.verify()
 
+    def test_checked_inverse_names_the_repeated_entry(self):
+        p = random_permutation(64, seed=1)
+        assert np.array_equal(invert_permutation(p, checked=True),
+                              invert_permutation(p))
+        bad = p.copy()
+        bad[5] = bad[9]
+        with pytest.raises(ValidationError, match=(
+            rf"repeats {bad[9]} \(at 5 and 9\); it is no permutation"
+        )):
+            invert_permutation(bad, checked=True)
+
     def test_verify_refutes_non_inverse_pair(self):
         p = random_permutation(64, seed=1)
         bad = invert_permutation(p).copy()

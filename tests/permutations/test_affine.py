@@ -116,3 +116,67 @@ def test_detects_random_invertible_maps(affine):
     p = affine.index_map()
     assert is_permutation(p)
     assert detect_affine(p) == affine
+
+
+class TestAlgebra:
+    """The map helpers agree with the same operation on index arrays."""
+
+    @given(affine_maps(), st.data())
+    def test_compose(self, outer, data):
+        bits = len(outer.columns)
+        inner = data.draw(affine_maps().filter(
+            lambda q: len(q.columns) == bits))
+        assert np.array_equal(outer.compose(inner).index_map(),
+                              outer.index_map()[inner.index_map()])
+
+    @given(affine_maps())
+    def test_inverse(self, affine):
+        inverse = affine.inverse()
+        assert inverse is not None
+        p = affine.index_map()
+        assert np.array_equal(inverse.index_map()[p], np.arange(affine.n))
+
+    def test_singular_or_out_of_domain_map_has_no_inverse(self):
+        assert AffineMap((1, 1), 0).inverse() is None
+        assert AffineMap((1, 4), 0).inverse() is None
+        assert AffineMap((1, 2), 4).inverse() is None
+        assert AffineMap((1, 2), -1).inverse() is None
+
+    @given(affine_maps(), affine_maps(), st.integers(0, 1023),
+           st.integers(-3, 3))
+    def test_xor_and_bits(self, a, b, mask, shift):
+        if len(a.columns) != len(b.columns):
+            with pytest.raises(ValueError):
+                a ^ b
+            return
+        p, q = a.index_map(), b.index_map()
+        assert np.array_equal((a ^ b).index_map(), p ^ q)
+        moved = p & mask
+        moved = moved >> shift if shift >= 0 else moved << -shift
+        assert np.array_equal(a.bits(mask, shift).index_map(), moved)
+
+    @given(affine_maps())
+    def test_fixed_points(self, affine):
+        p = affine.index_map()
+        assert affine.fixed_points() == int(
+            np.count_nonzero(p == np.arange(affine.n)))
+
+    def test_index_map_in_a_narrow_dtype(self):
+        affine = detect_affine(bit_reversal(256))
+        narrow = affine.index_map(np.uint8)
+        assert narrow.dtype == np.uint8
+        assert np.array_equal(narrow, bit_reversal(256))
+
+    def test_call_and_identity(self):
+        affine = detect_affine(transpose_permutation(16))
+        assert [affine(i) for i in range(16)] == list(
+            transpose_permutation(16))
+        assert AffineMap.identity(3).index_map().tolist() == list(range(8))
+        with pytest.raises(ValueError):
+            affine(16)
+
+
+def test_narrow_arrays_are_detected_in_their_own_dtype():
+    p = bit_reversal(256)
+    assert detect_affine(p.astype(np.uint8)) == detect_affine(p)
+    assert detect_affine(p.astype(np.float64)) is None

@@ -22,6 +22,7 @@ import repro.core.scheduler
 import repro.passes.seal
 import repro.staticcheck.certifier as certifier
 import repro.staticcheck.semantics as semantics
+from repro.core.rowwise import RowwiseSchedule
 from repro.core.scheduled import ScheduledPermutation
 from repro.core.scheduler import ThreeStepDecomposition
 from repro.errors import (
@@ -29,6 +30,7 @@ from repro.errors import (
     SchedulingError,
     SemanticValidationError,
 )
+from repro.permutations.affine import AffineMap
 from repro.permutations.named import bit_reversal, random_permutation
 from repro.planner import Planner
 
@@ -126,48 +128,123 @@ MUTANTS = {
 }
 
 
-def _mutate_affine_colouring(monkeypatch, module, side):
-    """Corrupt the first closed-form colouring ``module`` computes that
-    has a ``side`` node whose edges reach two different far nodes;
-    returns a list that records the firing."""
-    real = module.affine_coloring
+def _swap_in_table(colors, left, right, side):
+    """``_swap_two_colours`` on the graph with edges ``left -> right``,
+    or ``None`` when no ``side`` node has two different far nodes."""
+    graph = SimpleNamespace(
+        left=np.unique(left, return_inverse=True)[1],
+        right=np.unique(right, return_inverse=True)[1],
+    )
+    try:
+        return _swap_two_colours(graph, colors, side)
+    except AssertionError:
+        return None
+
+
+def _mutate_affine_global(monkeypatch, side):
+    """Swap two colours in the colour table (``gamma1``) of the first
+    closed-form decomposition; returns a list that records the firing.
+
+    An affine plan's colours reach it only as arrays built from the
+    colour map, so this is where a corrupted colouring can enter."""
+    real = repro.core.scheduler._decompose_affine
     fired = []
 
-    def mutant(q, left_mask, right_mask):
-        colors = real(q, left_mask, right_mask)
-        if fired:
-            return colors
+    def mutant(q, m):
+        d = real(q, m)
+        h = m.bit_length() - 1
         i = np.arange(q.n, dtype=np.int64)
-        graph = SimpleNamespace(
-            left=np.unique(i & left_mask, return_inverse=True)[1],
-            right=np.unique(q.index_map() & right_mask,
-                            return_inverse=True)[1],
-        )
-        try:
-            swapped = _swap_two_colours(graph, colors, side)
-        except AssertionError:
-            return colors
-        fired.append(module)
-        return swapped
+        swapped = (None if fired else _swap_in_table(
+            d.colors, i >> h, q.index_map() >> h, side))
+        if swapped is None:
+            return d
+        fired.append(repro.core.scheduler)
+        return dataclasses.replace(d, gamma1=swapped.reshape(m, m),
+                                   colors=swapped)
 
-    monkeypatch.setattr(module, "affine_coloring", mutant)
+    monkeypatch.setattr(repro.core.scheduler, "_decompose_affine", mutant)
+    return fired
+
+
+def _mutate_affine_banks(monkeypatch, side):
+    """Swap two colours (``s = colour·w + lane``) in the ``s`` array of
+    the first closed-form row-wise schedule that admits a swap."""
+    real = RowwiseSchedule._plan_affine
+    fired = []
+
+    def mutant(cls, gamma, values, width):
+        schedule = real(gamma, values, width)
+        if fired:
+            return schedule
+        rows, m = gamma.shape
+        s = schedule.s.astype(np.int64).reshape(-1)
+        row = np.repeat(np.arange(rows, dtype=np.int64) * width, m)
+        lane = np.arange(rows * m, dtype=np.int64) % width
+        swapped = _swap_in_table(s // width, row + lane,
+                                 row + gamma.reshape(-1) % width, side)
+        if swapped is None:
+            return schedule
+        fired.append(repro.core.rowwise)
+        bad = (swapped * width + lane).astype(schedule.s.dtype)
+        return dataclasses.replace(schedule, s=bad.reshape(rows, m))
+
+    monkeypatch.setattr(RowwiseSchedule, "_plan_affine",
+                        classmethod(mutant))
+    return fired
+
+
+def _naive_colour_map(monkeypatch, module):
+    """Replace ``module``'s closed-form colouring by an affine one that
+    is proper at every source node only: the colour of edge ``i`` is
+    its index bits outside the left mask, so a left node sees each
+    colour once, a right node need not."""
+    fired = []
+
+    def naive(q, left_mask, right_mask):
+        fired.append(module)
+        free = [k for k in range(len(q.columns)) if not left_mask >> k & 1]
+        columns = [0] * len(q.columns)
+        for j, k in enumerate(free):
+            columns[k] = 1 << j
+        return AffineMap(tuple(columns), 0)
+
+    monkeypatch.setattr(module, "affine_colour_map", naive)
     return fired
 
 
 #: The closed-form colourings of a bit-reversal plan, corrupted as the
-#: Euler colourings are above, with the same refusals.
+#: Euler colourings are above.  A swap lands in one array only, which
+#: then disagrees with the arrays built from the true colour map, so
+#: the denotation refuses every swap: the closed-form route finds the
+#: array not affine and the walk finds ``t[s] != gamma``.  An affine
+#: colouring that is improper at the destinations leaves a singular
+#: ``row(p(i))·m + colour(i)`` map for the global graph (the plan
+#: refuses it) and a bank conflict for a bank graph (the certifier
+#: refuses it).
 AFFINE_MUTANTS = {
     "affine-global-source-row-swap": (
-        repro.core.scheduler, "source", SchedulingError,
+        lambda mp: _mutate_affine_global(mp, "source"),
+        SemanticValidationError,
     ),
     "affine-global-destination-row-swap": (
-        repro.core.scheduler, "destination", SchedulingError,
+        lambda mp: _mutate_affine_global(mp, "destination"),
+        SemanticValidationError,
     ),
     "affine-bank-source-side-swap": (
-        repro.core.rowwise, "source", CertificateError,
+        lambda mp: _mutate_affine_banks(mp, "source"),
+        SemanticValidationError,
     ),
     "affine-bank-destination-side-swap": (
-        repro.core.rowwise, "destination", SemanticValidationError,
+        lambda mp: _mutate_affine_banks(mp, "destination"),
+        SemanticValidationError,
+    ),
+    "affine-global-improper-at-destinations": (
+        lambda mp: _naive_colour_map(mp, repro.core.scheduler),
+        SchedulingError,
+    ),
+    "affine-bank-improper-at-destinations": (
+        lambda mp: _naive_colour_map(mp, repro.core.rowwise),
+        CertificateError,
     ),
 }
 
@@ -194,12 +271,15 @@ def test_mutant_refused_at_compile(mutant, disk, p, tmp_path,
 @pytest.mark.parametrize("mutant", sorted(AFFINE_MUTANTS))
 def test_affine_mutant_refused_at_compile(mutant, disk, tmp_path,
                                           monkeypatch):
-    module, side, error = AFFINE_MUTANTS[mutant]
-    fired = _mutate_affine_colouring(monkeypatch, module, side)
+    install, error = AFFINE_MUTANTS[mutant]
+    fired = install(monkeypatch)
     planner = Planner(cache_dir=tmp_path if disk else None)
-    with pytest.raises(error):
+    with pytest.raises(error) as refused:
         planner.compile(bit_reversal(_N), width=_WIDTH)
-    assert fired == [module]
+    assert fired
+    if error is SemanticValidationError:
+        detail = refused.value.certificate.counterexample.detail
+        assert "does not route gamma" in detail
     assert planner.stats()["memory_entries"] == 0
     assert list(tmp_path.iterdir()) == []
 
@@ -287,3 +367,39 @@ def test_cold_compile_runs_exactly_two_proofs(disk, p, tmp_path,
     expected = np.empty_like(a)
     expected[p] = a
     assert np.array_equal(compiled.apply(a), expected)
+
+
+def _affine_but_wrong(program, gamma_bit, t_bit):
+    """Step 3 of ``program`` with ``gamma ^ gamma_bit`` and ``t ^
+    t_bit``: every array stays affine."""
+    ops = list(program.ops)
+    op = ops[4]
+    ops[4] = dataclasses.replace(op, gamma=op.gamma ^ gamma_bit,
+                                 t=op.t ^ t_bit)
+    return dataclasses.replace(program, ops=tuple(ops))
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+@pytest.mark.parametrize("gamma_bit, t_bit, stage", [
+    (0, 1, "denotation"),     # t∘s != gamma
+    (1, 1, "requested"),      # t∘s == gamma, the composition != p
+], ids=["t-after-s-not-gamma", "composition-not-p"])
+def test_affine_but_wrong_lowering_refused_with_the_walks_counterexample(
+    gamma_bit, t_bit, stage, disk, tmp_path, monkeypatch
+):
+    p = bit_reversal(_N)
+    real = ScheduledPermutation.lower
+    monkeypatch.setattr(
+        ScheduledPermutation, "lower",
+        lambda self: _affine_but_wrong(real(self), gamma_bit, t_bit),
+    )
+    planner = Planner(cache_dir=tmp_path if disk else None)
+    with pytest.raises(SemanticValidationError) as refused:
+        planner.compile(p, width=_WIDTH)
+    assert list(tmp_path.iterdir()) == []
+    got = refused.value.certificate
+    assert got.counterexample.stage == stage
+    program = ScheduledPermutation.plan(p, width=_WIDTH).lower()
+    monkeypatch.setattr(semantics, "_denote_affine", lambda program: None)
+    walked = semantics.validate_translation(program, program, requested=p)
+    assert got.to_dict() == walked.to_dict()
