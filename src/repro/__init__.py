@@ -81,7 +81,6 @@ from repro.core import theory
 from repro.errors import (
     CertificateError,
     ColoringError,
-    FallbackExhaustedError,
     MachineError,
     MemoryRaceError,
     NotAPermutationError,
@@ -110,7 +109,7 @@ from repro.planner import (
     permutation_digest,
     plan_fingerprint,
 )
-from repro.resilience import FailureReport, FaultPlan, ResilientPermutation
+from repro.resilience import FaultPlan
 from repro.service import PermutationService
 from repro.telemetry import Tracer
 from repro.machine.cache import L2Cache
@@ -128,8 +127,6 @@ __all__ = [
     "CompiledPermutation",
     "DDesignatedPermutation",
     "DiskPlanCache",
-    "FailureReport",
-    "FallbackExhaustedError",
     "FaultPlan",
     "HMM",
     "KernelProgram",
@@ -149,7 +146,6 @@ __all__ = [
     "ReferenceExecutor",
     "ReproError",
     "ResilienceError",
-    "ResilientPermutation",
     "RowwiseSchedule",
     "SDesignatedPermutation",
     "ScheduledPermutation",

@@ -29,18 +29,17 @@ Commands
 ``top``         terminal dashboard over a Prometheus ``/metrics``
                 exposition (``--url`` scrapes a live endpoint,
                 ``--demo`` runs an embedded serving workload)
-``resilience-demo`` inject faults; show detection and fallback
 ``fig3``        the paper's Figure 3 pipeline example, cycle-accurately
 ``fig4``        the diagonal arrangement of a w x w tile
 ``fig6``        the 4 x 4 routing example
 ``demo``        a one-screen end-to-end demonstration
 
 Every command returns its report as a string from a ``cmd_*`` function
-(unit-testable) and ``main`` prints it.  ``cost``, ``demo`` and
-``resilience-demo`` additionally accept ``--telemetry``, which runs the
-command under an active tracer and appends the span counts and span tree
-it emitted; ``cost``, ``plan`` and ``profile`` accept ``--cache-dir``,
-which resolves plans through the persistent disk cache of
+(unit-testable) and ``main`` prints it.  ``cost`` and ``demo``
+additionally accept ``--telemetry``, which runs the command under an
+active tracer and appends the span counts and span tree it emitted;
+``cost``, ``plan`` and ``profile`` accept ``--cache-dir``, which
+resolves plans through the persistent disk cache of
 :class:`repro.planner.Planner` instead of re-planning.
 """
 
@@ -761,7 +760,6 @@ def _serve_demo_concurrent(args, cache_dir: str) -> str:
     """The ``--concurrent`` serve demo: a PermutationServer under
     threaded clients, optionally with ``--chaos`` fault injection."""
     import itertools
-    import math
     import threading
     import time as _time
 
@@ -838,19 +836,8 @@ def _serve_demo_concurrent(args, cache_dir: str) -> str:
             except Exception:
                 pass   # a torn concurrent write is chaos too
             # Evicting the sealed entry sends the next request down the
-            # miss path while a planning fault is armed.
+            # miss path, past the corrupted sidecar.
             planner.memory.invalidate(digests[name])
-            try:
-                if cycle % 5 == 4:
-                    with FaultPlan(seed=args.seed + cycle,
-                                   capacity_threshold=math.isqrt(n)):
-                        _time.sleep(0.01)
-                else:
-                    with FaultPlan(seed=args.seed + cycle,
-                                   transient_coloring_failures=1):
-                        _time.sleep(0.01)
-            except Exception:
-                pass
 
     def client(seed: int) -> None:
         rng = np.random.default_rng(seed)
@@ -1111,58 +1098,6 @@ def cmd_top(args) -> str:
     )
 
 
-def cmd_resilience_demo(args) -> str:
-    import tempfile
-    from pathlib import Path
-
-    from repro.errors import PlanIntegrityError
-    from repro.resilience import FaultPlan, ResilientPermutation
-
-    n, width = args.n, args.width
-    p = named_permutation("random", n, seed=args.seed)
-    a = np.random.default_rng(args.seed).random(n).astype(np.float32)
-    expected = np.empty_like(a)
-    expected[p] = a
-    parts = [f"resilience demo — random permutation, n = {n}, "
-             f"w = {width}, fault seed = {args.seed}", ""]
-    faults = FaultPlan(seed=args.seed, transient_coloring_failures=1)
-
-    parts.append("1. checksummed plan files reject every injected fault:")
-    # Padded planning keeps the demo runnable for any n, square or not.
-    plan = PaddedScheduledPermutation.plan(p, width=width).inner
-    with tempfile.TemporaryDirectory() as tmp:
-        for mode in ("bit-flip", "truncate", "delete-key",
-                     "stale-version"):
-            path = Path(tmp) / f"{mode}.npz"
-            save_plan(path, plan)
-            injected = faults.corrupt_plan_file(path, mode)
-            try:
-                load_plan(path)
-                parts.append(f"   {mode:14} NOT DETECTED (bug!)")
-            except PlanIntegrityError as exc:
-                parts.append(
-                    f"   {mode:14} ({injected.detail}) -> "
-                    f"{type(exc).__name__}"
-                )
-
-    parts.append("")
-    parts.append("2. a transient colouring fault is retried, not fatal:")
-    with FaultPlan(seed=args.seed, transient_coloring_failures=1):
-        resilient = ResilientPermutation(p, width=width, sleep=lambda _s: None)
-    ok = bool(np.array_equal(resilient.apply(a), expected))
-    parts.append(_indent(resilient.report.summary()))
-    parts.append(f"   output correct = {ok}")
-
-    parts.append("")
-    parts.append("3. a persistent capacity wall degrades to conventional:")
-    with FaultPlan(seed=args.seed, capacity_threshold=2):
-        resilient = ResilientPermutation(p, width=width, sleep=lambda _s: None)
-    ok = bool(np.array_equal(resilient.apply(a), expected))
-    parts.append(_indent(resilient.report.summary()))
-    parts.append(f"   output correct = {ok}")
-    return "\n".join(parts)
-
-
 def _indent(text: str, prefix: str = "   ") -> str:
     return "\n".join(prefix + line for line in text.splitlines())
 
@@ -1406,16 +1341,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--seed", type=int, default=0)
     _add_machine_args(rec)
     rec.set_defaults(func=cmd_recommend)
-
-    res = sub.add_parser(
-        "resilience-demo",
-        help="inject faults, watch them get detected or absorbed",
-    )
-    res.add_argument("--n", type=int, default=32 * 32)
-    res.add_argument("--width", type=int, default=8)
-    res.add_argument("--seed", type=int, default=0)
-    _add_telemetry_flag(res)
-    res.set_defaults(func=cmd_resilience_demo)
 
     return parser
 

@@ -65,12 +65,6 @@ from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.errors import ColoringError, NotRegularError
 from repro.util.native import load_kernel
 
-#: Fault-injection hook (see :mod:`repro.resilience.faults`).  ``None``
-#: in production — the only cost on the happy path is this None check.
-#: When set (by an active ``FaultPlan``), it is called as
-#: ``_fault_hook(graph)`` before colouring and may raise.
-_fault_hook = None
-
 _SOURCE = Path(__file__).with_name("_split.c")
 #: The compiled kernel numbers edges in 32 bits; larger graphs take the
 #: NumPy split.
@@ -147,8 +141,6 @@ def edge_coloring(graph: RegularBipartiteMultigraph) -> np.ndarray:
     with telemetry.span("coloring.euler", edges=graph.num_edges,
                         degree=graph.degree,
                         kernel="native" if native else "numpy"):
-        if _fault_hook is not None:
-            _fault_hook(graph)
         return _color(graph.left, graph.right, graph.num_left, graph.degree)
 
 

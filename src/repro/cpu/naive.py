@@ -58,8 +58,8 @@ class NaivePermutation(EngineBase):
     """The one-pass baseline as a planned engine: ``b[p[i]] = a[i]``.
 
     Wraps :func:`scatter_permute` in the registry's planning interface
-    so the naive CPU path participates in the selector, resilience
-    chain, and executor layer like every other engine.
+    so the naive CPU path participates in the selector, planner and
+    executor layer like every other engine.
     """
 
     def __init__(self, p: np.ndarray) -> None:

@@ -204,7 +204,7 @@ class TelemetryError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Resilience / graceful degradation
+# Resilience / fault injection
 # ---------------------------------------------------------------------------
 
 
@@ -215,19 +215,6 @@ class ResilienceError(ReproError):
 class FaultInjectionError(ResilienceError):
     """The fault-injection API was misused (nested activation, unknown
     fault mode, ...) — never raised by an *injected* fault itself."""
-
-
-class FallbackExhaustedError(ResilienceError):
-    """Every engine in a resilient fallback chain failed.
-
-    Carries the structured :class:`repro.resilience.FailureReport` as
-    ``report`` so callers (and the CLI) can show exactly which engine
-    failed at which stage on which attempt.
-    """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Engines self-register with the :func:`register_engine` decorator; the
 registry lazily imports the engine modules on first lookup so that
 ``repro.ir`` itself stays import-light and cycle-free.  Everything that
-needs "all engines" (the selector's ``build_engine``, the resilience
-chain, the CLI ``--engine`` flags, the report's registry check, the
-batch-parity tests) goes through :func:`get_engine` /
+needs "all engines" (the selector's ``build_engine``, the planner, the
+CLI ``--engine`` flags, the report's registry check, the batch-parity
+tests) goes through :func:`get_engine` /
 :func:`engine_names` instead of hardcoding classes.
 """
 

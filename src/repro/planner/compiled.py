@@ -427,7 +427,7 @@ class Planner:
 
         Tier order: memory LRU, sealed disk sidecar, cold
         ``Engine.plan``.  A caller that already holds the permutation's
-        digest (e.g. the resilience chain hopping engines) passes it
+        digest (e.g. the service, from the registration) passes it
         via ``digest`` so the array is never re-hashed.
         """
         fp = self.fingerprint(p, engine=engine, width=width,

@@ -9,8 +9,8 @@ Two SHA-256 digests provide it:
 ``permutation_digest(p)``
     Identity of the permutation itself: length plus the canonical
     little-endian ``int64`` bytes of the array.  Computed once per
-    registration and reused for every engine hop (the resilience
-    chain's fallback does not re-hash).
+    registration and reused for every compile of it (the service does
+    not re-hash).
 
 ``plan_fingerprint(digest, engine, width)``
     Identity of a *compiled* plan: the permutation digest scoped by

@@ -1,47 +1,30 @@
-"""Resilience layer: fault injection, verified plans, degradation.
+"""Resilience layer: deterministic fault injection for verified plans.
 
 The paper's offline algorithm plans *once* and is then trusted
-forever — so this reproduction carries the machinery that trust
-requires in production:
+forever.  Here each plan is proved when it is compiled and its file is
+checked when it is loaded; this package manufactures the faults those
+checks exist to catch:
 
 * :class:`FaultPlan` (:mod:`repro.resilience.faults`) — seedable,
-  deterministic fault injection: corrupt saved plan files, force
-  transient colouring failures, simulate shared-memory capacity walls;
+  deterministic fault injection: corrupt saved plan files and sealed
+  sidecars, and inject write-write collisions into shared-memory
+  scatters;
 * checksummed plan files (:mod:`repro.core.io`) — every ``.npz`` plan
-  carries a SHA-256 checksum and version stamps, verified on load;
-* :class:`ResilientPermutation` (:mod:`repro.resilience.engine`) — a
-  fallback chain ``scheduled -> padded -> conventional`` with bounded
-  deterministic retry, guaranteed to never return a wrong answer;
-* :class:`FailureReport` (:mod:`repro.resilience.reporting`) — a
-  structured account of every failure the chain absorbed.
+  carries a SHA-256 checksum and version stamps, verified on load.
 
-See ``docs/robustness.md`` for the full story, and
-``python -m repro resilience-demo`` for a live tour.
+See ``docs/robustness.md`` for the full story.
 """
 
-from repro.resilience.engine import (
-    DEFAULT_CHAIN,
-    TRANSIENT_ERRORS,
-    ResilientPermutation,
-    backoff_delay,
-)
 from repro.resilience.faults import (
     FILE_FAULT_MODES,
     FaultPlan,
     InjectedFileFault,
     active_fault_plan,
 )
-from repro.resilience.reporting import FailureRecord, FailureReport
 
 __all__ = [
-    "DEFAULT_CHAIN",
     "FILE_FAULT_MODES",
-    "FailureRecord",
-    "FailureReport",
     "FaultPlan",
     "InjectedFileFault",
-    "ResilientPermutation",
-    "TRANSIENT_ERRORS",
     "active_fault_plan",
-    "backoff_delay",
 ]

@@ -1,24 +1,15 @@
 """Deterministic fault injection.
 
-Real deployments of an offline-planned permutation service see three
-families of failure, and this module can manufacture all of them, on
-demand and reproducibly:
+This module manufactures two families of failure, on demand and
+reproducibly:
 
 * **plan-file corruption** — :meth:`FaultPlan.corrupt_plan_file`
-  damages a saved ``.npz`` plan in one of four ways (single bit flip,
-  truncation, payload-key deletion, stale format version), seeded so
-  the same :class:`FaultPlan` always produces the same damage;
-* **transient planning faults** — while a :class:`FaultPlan` is
-  *active* (used as a context manager), the first ``N`` colouring
-  calls raise :class:`~repro.errors.ColoringError`, modelling flaky
-  solvers / OOM-killed workers during offline planning;
-* **capacity walls** — any colouring of a multigraph whose degree
-  reaches ``capacity_threshold`` raises
-  :class:`~repro.errors.SharedMemoryCapacityError`.  The global
-  three-step decomposition colours a degree-``sqrt(n)`` multigraph, so
-  this reproduces the paper's 48 KB shared-memory wall (Table II(b):
-  ``sqrt(n) = 4096`` doubles are infeasible) at any chosen ``sqrt(n)``;
-* **scatter collisions** — while active, the first
+  damages a saved ``.npz`` plan or sealed sidecar in one of four ways
+  (single bit flip, truncation, payload-key deletion, stale format
+  version), seeded so the same :class:`FaultPlan` always produces the
+  same damage;
+* **scatter collisions** — while a :class:`FaultPlan` is *active*
+  (used as a context manager), the first
   ``scatter_collisions`` shared-memory scatters have one lane's
   address overwritten with lane 0's, manufacturing a genuine
   write-write race (the payload is corrupted, the round gains a bank
@@ -27,14 +18,15 @@ demand and reproducibly:
   detect_races=True)``) and the certifier's differential tests exist
   to catch.
 
-Production paths pay nothing for this machinery: the colouring
-consults a module-level hook that is ``None`` unless a plan is active,
-and activation is strictly scoped by the context manager.
+Production paths pay nothing for this machinery: the round
+enumerator consults a module-level hook that is ``None`` unless a plan
+with a collision budget is active, and activation is strictly scoped by
+the context manager.
 
 >>> from repro.resilience import FaultPlan
->>> plan = FaultPlan(seed=7, transient_coloring_failures=1)
+>>> plan = FaultPlan(seed=7, scatter_collisions=1)
 >>> with plan:
-...     pass  # first colouring in here would raise ColoringError
+...     pass  # first shared scatter in here would collide
 """
 
 from __future__ import annotations
@@ -44,13 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.coloring import euler as _euler
 from repro.core.io import METADATA_KEYS, SEALED_METADATA_KEYS
-from repro.errors import (
-    ColoringError,
-    FaultInjectionError,
-    SharedMemoryCapacityError,
-)
+from repro.errors import FaultInjectionError
 from repro.ir import rounds as _rounds
 
 #: The four supported plan-file fault modes.
@@ -105,17 +92,6 @@ class FaultPlan:
     seed:
         Drives every random choice (which key, which bit, how much to
         truncate).  Same seed, same faults.
-    transient_coloring_failures:
-        How many colouring calls fail with
-        :class:`~repro.errors.ColoringError` while the plan is active.
-        Counters reset on every activation, so one plan can be reused
-        across runs.
-    capacity_threshold:
-        When set, any colouring of a multigraph with ``degree >=
-        capacity_threshold`` raises
-        :class:`~repro.errors.SharedMemoryCapacityError` — a
-        *persistent* fault (no retry can help), unlike the transient
-        counter.  Degree equals ``sqrt(n)`` for the global colouring.
     scatter_collisions:
         How many shared-memory scatters get a write-write collision
         injected while the plan is active (one duplicated address per
@@ -126,31 +102,21 @@ class FaultPlan:
     def __init__(
         self,
         seed: int = 0,
-        transient_coloring_failures: int = 0,
-        capacity_threshold: int | None = None,
         scatter_collisions: int = 0,
     ) -> None:
-        if transient_coloring_failures < 0:
-            raise FaultInjectionError(
-                "transient_coloring_failures must be >= 0, got "
-                f"{transient_coloring_failures}"
-            )
         if scatter_collisions < 0:
             raise FaultInjectionError(
                 f"scatter_collisions must be >= 0, got "
                 f"{scatter_collisions}"
             )
         self.seed = int(seed)
-        self.transient_coloring_failures = int(transient_coloring_failures)
-        self.capacity_threshold = capacity_threshold
         self.scatter_collisions = int(scatter_collisions)
-        self._remaining = 0
         self._scatter_remaining = 0
         self._scatter_count = 0   # per-activation, drives determinism
         self._corruptions = 0   # per-plan counter -> distinct determinism
 
     # ------------------------------------------------------------------
-    # Activation (transient + capacity faults)
+    # Activation (scatter collisions)
     # ------------------------------------------------------------------
 
     def __enter__(self) -> "FaultPlan":
@@ -161,38 +127,16 @@ class FaultPlan:
                 "not nest"
             )
         _active = self
-        self._remaining = self.transient_coloring_failures
         self._scatter_remaining = self.scatter_collisions
         self._scatter_count = 0
-        _euler._fault_hook = self._hook
         if self.scatter_collisions:
             _rounds._scatter_fault_hook = self._scatter_hook
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _active
-        _euler._fault_hook = None
         _rounds._scatter_fault_hook = None
         _active = None
-
-    def _hook(self, graph) -> None:
-        """Called by :func:`repro.coloring.edge_coloring` before any
-        real work."""
-        if (
-            self.capacity_threshold is not None
-            and graph.degree >= self.capacity_threshold
-        ):
-            raise SharedMemoryCapacityError(
-                f"[injected] colouring degree {graph.degree} >= "
-                f"capacity threshold {self.capacity_threshold} "
-                "(simulated shared-memory wall)"
-            )
-        if self._remaining > 0:
-            self._remaining -= 1
-            raise ColoringError(
-                f"[injected] transient colouring fault "
-                f"({self._remaining} more to come)"
-            )
 
     def _scatter_hook(
         self, array: str, addresses: np.ndarray

@@ -18,8 +18,8 @@ checks encode them:
     no tracer is active) and counts through the package-level
     :class:`repro.telemetry.MetricsRegistry`, never by instantiating
     :class:`repro.telemetry.Tracer` itself or importing the telemetry
-    internals.  Entry points that legitimately *own* a tracer (the CLI,
-    the report runner, the resilience engine) are allowlisted.  Also
+    internals.  Entry points that legitimately *own* a tracer (the CLI
+    and the report runner) are allowlisted.  Also
     flags a ``span(...)`` call used as a bare statement: the span is
     created but never entered, so it records nothing — always a bug.
 
@@ -119,7 +119,6 @@ _TRACER_ALLOWED = (
     "repro.telemetry",
     "repro.cli",
     "repro.report",
-    "repro.resilience.engine",
 )
 
 #: Width-like identifiers whose `% x` / `// x` is bank/group math.

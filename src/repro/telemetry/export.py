@@ -16,8 +16,8 @@
   the count view of a run that ``repro profile``, ``--telemetry`` and
   the ``repro report`` footer print;
 * :func:`render_span_tree` — indented human-readable tree with
-  durations and attributes, used by ``repro profile`` and the
-  resilience :class:`~repro.resilience.reporting.FailureReport`.
+  durations and attributes, used by ``repro profile`` and
+  ``--telemetry``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selector import AutoPermutation, predict_times, recommend
-from repro.errors import SizeError
+from repro.core.selector import (
+    ENGINES,
+    AutoPermutation,
+    build_engine,
+    predict_times,
+    recommend,
+)
+from repro.errors import SizeError, ValidationError
 from repro.machine.params import MachineParams
 from repro.permutations.named import (
     bit_reversal,
@@ -18,6 +24,34 @@ from repro.permutations.named import (
 
 BIG = MachineParams(width=32, latency=100, num_dmms=8, shared_capacity=None)
 N = 128 * 128
+
+
+class TestBuildEngine:
+    def test_registry_names(self):
+        p = random_permutation(256, seed=5)
+        for name in ENGINES:
+            engine = build_engine(name, p, width=4)
+            a = np.arange(256, dtype=np.float64)
+            expected = np.empty_like(a)
+            expected[p] = a
+            assert np.array_equal(engine.apply(a), expected)
+
+    def test_classes(self):
+        from repro.core.conventional import DDesignatedPermutation
+        from repro.core.padded import PaddedScheduledPermutation
+        from repro.core.scheduled import ScheduledPermutation
+
+        p = random_permutation(256, seed=5)
+        assert isinstance(build_engine("scheduled", p, width=4),
+                          ScheduledPermutation)
+        assert isinstance(build_engine("padded", p, width=4),
+                          PaddedScheduledPermutation)
+        assert isinstance(build_engine("d-designated", p),
+                          DDesignatedPermutation)
+
+    def test_unknown_engine(self):
+        with pytest.raises(ValidationError):
+            build_engine("quantum", random_permutation(256, seed=5))
 
 
 class TestPredictions:

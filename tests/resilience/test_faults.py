@@ -1,33 +1,25 @@
-"""The fault-injection matrix: every injected fault is either
-*detected* (a ReproError subclass is raised before any output exists)
-or *recovered* (the fallback output still equals the true permutation)
-— never silent corruption."""
+"""The fault-injection matrix: every injected plan-file fault is
+*detected* (a ReproError subclass is raised before any output exists),
+and every injected scatter collision is scoped to its activation —
+never silent corruption."""
 
 import numpy as np
 import pytest
 
-from repro.coloring import euler
 from repro.core.io import load_plan, load_sealed, save_plan, save_sealed
-from repro.core.padded import PaddedScheduledPermutation
 from repro.core.scheduled import ScheduledPermutation
 from repro.errors import (
-    ColoringError,
     FaultInjectionError,
     PlanCorruptionError,
     PlanIntegrityError,
     PlanVersionError,
     ReproError,
-    SharedMemoryCapacityError,
 )
 from repro.exec import RoundInterpreter
+from repro.ir import rounds
 from repro.ir.sealed import SealedProgram
 from repro.permutations.named import random_permutation
-from repro.resilience import (
-    FILE_FAULT_MODES,
-    FaultPlan,
-    ResilientPermutation,
-    active_fault_plan,
-)
+from repro.resilience import FILE_FAULT_MODES, FaultPlan, active_fault_plan
 
 N, WIDTH = 256, 4
 
@@ -93,21 +85,6 @@ class TestFileFaultMatrix:
         with pytest.raises(ReproError):
             load_plan(path)
 
-    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
-    def test_recovered_via_replan(self, p, plan, tmp_path, mode):
-        """With the original permutation at hand, a bad file degrades
-        to re-planning and the output is still exact."""
-        path = tmp_path / "plan.npz"
-        save_plan(path, plan)
-        FaultPlan(seed=7).corrupt_plan_file(path, mode)
-        resilient = ResilientPermutation.from_plan_file(
-            path, p=p, width=WIDTH
-        )
-        a = np.random.default_rng(0).random(N)
-        assert np.array_equal(resilient.apply(a), expected_output(p, a))
-        assert resilient.report.records[0].stage == "load"
-        assert resilient.degraded
-
     def test_deterministic_damage(self, plan, tmp_path):
         details = []
         for run in range(2):
@@ -120,56 +97,6 @@ class TestFileFaultMatrix:
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(FaultInjectionError):
             FaultPlan().corrupt_plan_file(tmp_path / "x.npz", "gamma-ray")
-
-
-class TestTransientColoringFaults:
-    def test_injected_fault_raises_coloring_error(self, p):
-        with FaultPlan(transient_coloring_failures=1):
-            with pytest.raises(ColoringError, match="injected"):
-                ScheduledPermutation.plan(p, width=WIDTH)
-
-    def test_counter_is_transient(self, p):
-        """After N failures the same call path succeeds again."""
-        with FaultPlan(transient_coloring_failures=1):
-            with pytest.raises(ColoringError):
-                ScheduledPermutation.plan(p, width=WIDTH)
-            plan = ScheduledPermutation.plan(p, width=WIDTH)
-        a = np.arange(N, dtype=np.float64)
-        assert np.array_equal(plan.apply(a), expected_output(p, a))
-
-    def test_counter_resets_on_reactivation(self, p):
-        fault = FaultPlan(transient_coloring_failures=1)
-        for _ in range(2):
-            with fault:
-                with pytest.raises(ColoringError):
-                    ScheduledPermutation.plan(p, width=WIDTH)
-
-    def test_reaches_odd_degree_colouring(self):
-        # n = 5000 pads to 96**2: degree 96 = 32 * 3 globally and 3 per
-        # row, so every colouring takes the odd step.
-        p = random_permutation(5000, seed=1)
-        with FaultPlan(transient_coloring_failures=1):
-            with pytest.raises(ColoringError, match="injected"):
-                PaddedScheduledPermutation.plan(p, width=32)
-
-
-class TestCapacityFaults:
-    def test_threshold_trips_on_global_coloring(self, p):
-        # The global colouring has degree sqrt(n) = 16.
-        with FaultPlan(capacity_threshold=16):
-            with pytest.raises(SharedMemoryCapacityError):
-                ScheduledPermutation.plan(p, width=WIDTH)
-
-    def test_threshold_trips_on_odd_degree(self):
-        # Global degree 96 = 32 * 3 is not a power of two.
-        p = random_permutation(96 * 96, seed=2)
-        with FaultPlan(capacity_threshold=64):
-            with pytest.raises(SharedMemoryCapacityError):
-                ScheduledPermutation.plan(p, width=32)
-
-    def test_below_threshold_unaffected(self, p):
-        with FaultPlan(capacity_threshold=17):
-            ScheduledPermutation.plan(p, width=WIDTH)
 
 
 class TestScatterCollisionFaults:
@@ -241,18 +168,18 @@ class TestScatterCollisionFaults:
 
 class TestActivation:
     def test_hooks_cleared_after_exit(self):
-        with FaultPlan(transient_coloring_failures=1):
-            assert euler._fault_hook is not None
+        with FaultPlan(scatter_collisions=1):
+            assert rounds._scatter_fault_hook is not None
             assert active_fault_plan() is not None
-        assert euler._fault_hook is None
+        assert rounds._scatter_fault_hook is None
         assert active_fault_plan() is None
 
-    def test_hooks_cleared_on_error(self, p):
-        with pytest.raises(ColoringError):
-            with FaultPlan(transient_coloring_failures=1):
-                ScheduledPermutation.plan(p, width=WIDTH)
-                raise AssertionError("unreachable")
-        assert euler._fault_hook is None
+    def test_hooks_cleared_on_error(self):
+        with pytest.raises(RuntimeError):
+            with FaultPlan(scatter_collisions=1):
+                raise RuntimeError("boom")
+        assert rounds._scatter_fault_hook is None
+        assert active_fault_plan() is None
 
     def test_nested_activation_rejected(self):
         with FaultPlan():
@@ -262,9 +189,14 @@ class TestActivation:
 
     def test_negative_count_rejected(self):
         with pytest.raises(FaultInjectionError):
-            FaultPlan(transient_coloring_failures=-1)
+            FaultPlan(scatter_collisions=-1)
+        assert rounds._scatter_fault_hook is None
 
-    def test_inactive_plan_costs_nothing(self, p):
-        """Production path: no hook installed, planning untouched."""
-        assert euler._fault_hook is None
-        ScheduledPermutation.plan(p, width=WIDTH)
+    def test_inactive_plan_costs_nothing(self, p, plan):
+        """Production path: no hook installed, execution untouched."""
+        FaultPlan(scatter_collisions=1)
+        assert rounds._scatter_fault_hook is None
+        a = np.arange(N, dtype=np.float64)
+        assert np.array_equal(
+            RoundInterpreter().run(plan.lower(), a), expected_output(p, a)
+        )

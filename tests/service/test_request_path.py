@@ -2,14 +2,18 @@
 
 Every engine computes ``b[p[i]] = a[i]``, so the service answers every
 request from the registration's own ``p``.  This pins that down: with
-colouring faults armed (any colouring would raise) and every file of
-the cache directory bit-flipped (any read would be refused and
-counted), registration, warming and every kind of request still
-answer exactly, nothing is planned, and the directory is untouched.
+the Euler colouring and every registered engine's ``plan`` patched to
+raise (any planning, closed-form affine colouring included, would
+fail) and every file of the cache directory bit-flipped (any read would
+be refused and counted), registration, warming and every kind of
+request still answer exactly, nothing is planned, and the directory is
+untouched.
 """
 
 import numpy as np
 
+from repro.coloring import euler
+from repro.ir.registry import engine_names, get_engine
 from repro.permutations.named import (
     bit_reversal,
     random_permutation,
@@ -56,15 +60,21 @@ def _poisoned_cache(directory):
     return {path.name: path.read_bytes() for path in files}
 
 
-def test_request_paths_never_plan_or_touch_disk(tmp_path):
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a request path planned")
+
+
+def test_request_paths_never_plan_or_touch_disk(tmp_path, monkeypatch):
     cache = tmp_path / "plans"
     before = _poisoned_cache(cache)
     rng = np.random.default_rng(0)
     server = PermutationServer(width=_WIDTH, cache_dir=cache, workers=2)
     service = server.service
     try:
-        with FaultPlan(seed=1, transient_coloring_failures=10_000,
-                       capacity_threshold=2):
+        with monkeypatch.context() as patched:
+            patched.setattr(euler, "_color", _refuse)
+            for engine in engine_names():
+                patched.setattr(get_engine(engine), "plan", _refuse)
             for name, p in FAMILIES.items():
                 server.register(name, p)
             assert server.warm() == len(FAMILIES)

@@ -61,7 +61,6 @@ class TestRep102:
         src = "from repro import telemetry\nt = telemetry.Tracer()\n"
         assert findings_of(src, "repro.cli") == []
         assert findings_of(src, "repro.report") == []
-        assert findings_of(src, "repro.resilience.engine") == []
         assert findings_of(src, "repro.telemetry.tracer") == []
 
     def test_internal_import_flagged(self):
@@ -232,7 +231,7 @@ class TestRep104:
         assert findings_of(src, "repro.core.helpers") == []
 
     def test_outside_engine_layers_exempt(self):
-        assert findings_of(self.ENGINE, "repro.resilience.engine") == []
+        assert findings_of(self.ENGINE, "repro.resilience.faults") == []
         assert findings_of(self.ENGINE, "repro.ir.program") == []
 
     def test_inline_suppression(self):

@@ -5,7 +5,9 @@ a small scheduled run stays under 5%.  Comparing two noisy end-to-end
 wall times flakes, so the test bounds the overhead analytically: it
 measures the per-call cost of an inactive instrumentation site, counts
 the sites a small run passes through (a generous upper bound), and
-checks the product against 5% of the measured run time.  The run is
+checks the product against 5% of the measured run time.  Both sides
+are best-of-N, so one burst of host contention during a single loop
+cannot decide the verdict.  The run is
 the five kernels interpreted round by round, a fixed reference that
 does not move when the apply path gets faster.  The serving bound's
 site count is itself counted, by wrapping the instruments a served
@@ -34,6 +36,9 @@ _SITES_PER_APPLY = 32
 #: and two flight-recorder appends with their event counter.
 _METRIC_SITES_PER_REQUEST = 14
 
+#: Repetitions of each probe loop; its per-site cost is the fastest.
+_PROBE_REPS = 5
+
 
 def test_noop_overhead_below_5_percent():
     assert telemetry.get_tracer() is None
@@ -47,11 +52,13 @@ def test_noop_overhead_below_5_percent():
     )
 
     calls = 10_000
-    start = time.perf_counter()
-    for _ in range(calls):
-        with telemetry.span("overhead.probe", n=1) as sp:
-            sp.set(done=1)
-    per_site = (time.perf_counter() - start) / calls
+
+    def probe():
+        for _ in range(calls):
+            with telemetry.span("overhead.probe", n=1) as sp:
+                sp.set(done=1)
+
+    per_site = min(_timed(probe) for _ in range(_PROBE_REPS)) / calls
 
     overhead = per_site * _SITES_PER_APPLY
     assert overhead < 0.05 * best_apply, (
@@ -80,13 +87,15 @@ def test_serving_metrics_overhead_below_5_percent():
     hist = reg.histogram("probe_seconds", outcome="ok", tenant="t")
     counter = reg.counter("probe_total", event="x")
     calls = 5_000
-    start = time.perf_counter()
-    for i in range(calls):
-        hist.observe(0.0001 * (1 + i % 13))
-        counter.inc()
+
+    def probe():
+        for i in range(calls):
+            hist.observe(0.0001 * (1 + i % 13))
+            counter.inc()
+
     # Each loop iteration is one histogram observe plus one counter
     # inc; halve to get a single-site cost.
-    per_site = (time.perf_counter() - start) / calls / 2
+    per_site = min(_timed(probe) for _ in range(_PROBE_REPS)) / calls / 2
 
     overhead = per_site * _METRIC_SITES_PER_REQUEST
     assert overhead < 0.05 * best_apply, (

@@ -150,15 +150,6 @@ class TestTelemetryFlag:
         out = _run(capsys, "demo")
         assert "telemetry:" not in out
 
-    def test_resilience_demo_shows_fallback_spans(self, capsys):
-        out = _run(capsys, "resilience-demo", "--n", "256",
-                   "--width", "4", "--telemetry")
-        assert "span resilience.backoff = 1" in out
-        assert "resilience.plan.scheduled" in out
-        assert "resilience.backoff" in out
-        assert "outcome=persistent-fault" in out
-        assert "outcome=ok" in out
-
 
 class TestVerifyPlanRejection:
     """A corrupt/unreadable plan exits 1 with a one-line diagnostic."""
@@ -276,18 +267,6 @@ class TestCheckSemantics:
                    "--n", "1024", "--width", "8")
         assert "check --semantics OK" in out
         assert len({id(program) for program in calls}) == 1
-
-
-class TestResilienceDemo:
-    def test_all_faults_detected_and_absorbed(self, capsys):
-        out = _run(capsys, "resilience-demo", "--n", "256",
-                   "--width", "4")
-        assert out.count("PlanCorruptionError") == 3
-        assert "PlanVersionError" in out
-        assert "NOT DETECTED" not in out
-        assert out.count("output correct = True") == 2
-        assert "engine used:    scheduled" in out
-        assert "engine used:    d-designated" in out
 
 
 class TestFigures:

@@ -25,7 +25,6 @@ def test_report_footer_has_slowest_check_and_counters():
     assert "ms total)" in text
     assert "telemetry:" in text
     assert "scheduled.plan=" in text
-    assert "resilience.plan.scheduled[outcome=transient-fault]=" in text
 
 
 def test_report_covers_every_artefact_class():
