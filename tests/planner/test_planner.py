@@ -63,6 +63,21 @@ class TestPlanner:
         assert stats["memory_hits"] == 1
         assert stats["sealed_stores"] == 1
 
+    def test_caller_mutating_p_does_not_change_answers(self):
+        # The handle answers through the gather proved at compile time,
+        # so editing the caller's array afterwards cannot re-point it.
+        p = random_permutation(_N, seed=3)
+        original = p.copy()
+        compiled = Planner().compile(p, width=_WIDTH)
+        p[0], p[1] = p[1], p[0]
+        a = np.arange(_N, dtype=np.float32)
+        assert np.array_equal(compiled.apply(a), _expected(original, a))
+        batch = np.stack([a, a[::-1]])
+        assert np.array_equal(compiled.apply_batch(batch),
+                              np.stack([_expected(original, a),
+                                        _expected(original, a[::-1])]))
+        assert not compiled.p.flags.writeable
+
     def test_sealed_hit_across_planners(self, tmp_path):
         p = bit_reversal(_N)
         Planner(cache_dir=tmp_path).compile(p, width=_WIDTH)

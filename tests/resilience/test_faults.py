@@ -1,6 +1,7 @@
 """The fault-injection matrix: every injected plan-file fault is
-*detected* (a ReproError subclass is raised before any output exists),
-and every injected scatter collision is scoped to its activation —
+*detected* (a ReproError subclass is raised before any output exists)
+and a planner heals it by re-planning, and every injected scatter
+collision is caught by the race detector and scoped to its activation —
 never silent corruption."""
 
 import numpy as np
@@ -18,10 +19,23 @@ from repro.errors import (
 from repro.exec import RoundInterpreter
 from repro.ir import rounds
 from repro.ir.sealed import SealedProgram
-from repro.permutations.named import random_permutation
+from repro.permutations.named import (
+    bit_reversal,
+    random_permutation,
+    transpose_permutation,
+)
+from repro.planner import Planner
 from repro.resilience import FILE_FAULT_MODES, FaultPlan, active_fault_plan
 
 N, WIDTH = 256, 4
+
+#: One non-affine family (Euler-split colourings) and two GF(2)-affine
+#: ones (closed-form colourings): the two ways a cold plan is built.
+FAMILIES = {
+    "random": random_permutation(N, seed=5),
+    "bit-reversal": bit_reversal(N),
+    "transpose": transpose_permutation(N),
+}
 
 
 @pytest.fixture
@@ -38,6 +52,28 @@ def expected_output(p, a):
     out = np.empty_like(a)
     out[p] = a
     return out
+
+
+def _assert_sidecar_fault_healed(p, cache_dir, mode, engine="scheduled"):
+    first = Planner(cache_dir=cache_dir)
+    fingerprint = first.compile(p, engine=engine, width=WIDTH).fingerprint
+    FaultPlan(seed=7).corrupt_plan_file(
+        first.disk.sealed_path_for(fingerprint), mode
+    )
+    tampered = Planner(cache_dir=cache_dir)
+    compiled = tampered.compile(p, engine=engine, width=WIDTH)
+    stats = tampered.stats()
+    assert stats["sealed_corrupt"] == 1
+    assert stats["sealed_hits"] == 0
+    assert stats["cold_plans"] == 1
+    a = np.random.default_rng(0).random(len(p))
+    assert np.array_equal(compiled.apply(a), expected_output(p, a))
+    healed = Planner(cache_dir=cache_dir)
+    assert np.array_equal(
+        healed.compile(p, engine=engine, width=WIDTH).p, p
+    )
+    assert healed.stats()["sealed_hits"] == 1
+    assert healed.stats()["cold_plans"] == 0
 
 
 class TestFileFaultMatrix:
@@ -85,6 +121,50 @@ class TestFileFaultMatrix:
         with pytest.raises(ReproError):
             load_plan(path)
 
+    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sealed_sidecar_detected_across_seeds(self, p, tmp_path,
+                                                  mode, seed):
+        path = tmp_path / "x.sealed.npz"
+        save_sealed(path, SealedProgram("scheduled", WIDTH, p))
+        FaultPlan(seed=seed).corrupt_plan_file(path, mode)
+        with pytest.raises(PlanIntegrityError):
+            load_sealed(path)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_good_file_loads_as_scheduled(self, tmp_path, family):
+        p = FAMILIES[family]
+        path = tmp_path / "plan.npz"
+        save_plan(path, ScheduledPermutation.plan(p, width=WIDTH))
+        loaded = load_plan(path)
+        assert isinstance(loaded, ScheduledPermutation)
+        a = np.random.default_rng(4).random(N)
+        assert np.array_equal(loaded.apply(a), expected_output(p, a))
+
+    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
+    def test_recovered_via_replan(self, p, tmp_path, mode):
+        """A planner whose sealed sidecar was damaged counts it
+        corrupt, re-plans from the permutation at hand, answers exactly
+        and rewrites the entry."""
+        _assert_sidecar_fault_healed(p, tmp_path, mode)
+
+    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
+    @pytest.mark.parametrize("family", ["bit-reversal", "transpose"])
+    def test_affine_sidecar_recovered_via_replan(self, tmp_path, family,
+                                                 mode):
+        # An affine re-plan takes the closed-form colouring, not the
+        # Euler split; it heals the entry all the same.
+        _assert_sidecar_fault_healed(FAMILIES[family], tmp_path, mode)
+
+    @pytest.mark.parametrize("mode", FILE_FAULT_MODES)
+    def test_padded_sidecar_recovered_via_replan(self, tmp_path, mode):
+        # A non-square n is served by the padded engine; its sidecar
+        # heals the same way.
+        _assert_sidecar_fault_healed(
+            random_permutation(200, seed=0), tmp_path, mode,
+            engine="padded",
+        )
+
     def test_deterministic_damage(self, plan, tmp_path):
         details = []
         for run in range(2):
@@ -128,6 +208,38 @@ class TestScatterCollisionFaults:
                  for f in err.value.findings]
             )
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_detected_by_race_detector(self, family, seed):
+        from repro.errors import MemoryRaceError
+        from repro.machine.hmm import HMM
+        from repro.machine.params import MachineParams
+
+        plan = ScheduledPermutation.plan(FAMILIES[family], width=WIDTH)
+        machine = HMM(
+            MachineParams(width=WIDTH, latency=4, num_dmms=2),
+            detect_races=True,
+        )
+        with FaultPlan(seed=seed, scatter_collisions=1):
+            with pytest.raises(MemoryRaceError) as err:
+                plan.simulate(machine, dtype=np.float64)
+        assert len(err.value.findings) == 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_collision_stays_in_the_charged_rounds(self, family):
+        # The injected race damages what the round interpreter moves;
+        # a compiled handle answers through its proven sealed gather,
+        # which no scatter round feeds.
+        p = FAMILIES[family]
+        plan = ScheduledPermutation.plan(p, width=WIDTH)
+        compiled = Planner().compile(p, width=WIDTH)
+        a = np.arange(N, dtype=np.float64)
+        with FaultPlan(seed=3, scatter_collisions=1):
+            damaged = RoundInterpreter().run(plan.lower(), a)
+            served = compiled.apply(a)
+        assert not np.array_equal(damaged, expected_output(p, a))
+        assert np.array_equal(served, expected_output(p, a))
 
     # The collision lives in the charged rounds, so the payload tests
     # move data through them with the round interpreter.

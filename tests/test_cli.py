@@ -182,6 +182,28 @@ class TestVerifyPlanRejection:
         assert "\n" not in message
         assert str(path) in message
 
+    @pytest.mark.parametrize(
+        "mode", ["bit-flip", "truncate", "delete-key", "stale-version"]
+    )
+    def test_corrupt_sidecar_exits_1(self, tmp_path, mode):
+        from repro.core.io import save_sealed
+        from repro.ir.sealed import SealedProgram
+        from repro.permutations.named import random_permutation
+        from repro.resilience import FaultPlan
+
+        path = tmp_path / "x.sealed.npz"
+        save_sealed(path, SealedProgram(
+            "scheduled", 4, random_permutation(256, seed=5)
+        ))
+        FaultPlan(seed=9).corrupt_plan_file(path, mode)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-plan", str(path)])
+        message = excinfo.value.code
+        assert isinstance(message, str)
+        assert message.startswith("verify-plan: REJECTED:")
+        assert "\n" not in message
+        assert str(path) in message
+
     def test_missing_file_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-plan", str(tmp_path / "nope.npz")])
