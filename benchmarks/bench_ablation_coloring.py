@@ -16,6 +16,7 @@ from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.verify import verify_edge_coloring
 from repro.core.scheduled import ScheduledPermutation
 from repro.permutations.named import random_permutation
+from repro.staticcheck import certify_plan, denote_program
 
 
 def _global_graph(m: int, seed: int) -> RegularBipartiteMultigraph:
@@ -43,7 +44,9 @@ def test_bench_backend_in_full_plan(benchmark):
     """End-to-end planning cost, colouring included."""
     p = random_permutation(64 * 64, seed=3)
     plan = benchmark(ScheduledPermutation.plan, p, 8)
-    plan.verify()
+    plan.decomposition.route(p)
+    assert np.array_equal(denote_program(plan.lower()).index_map, p)
+    assert certify_plan(plan).ok
 
 
 def test_coloring_report(report, benchmark):

@@ -11,8 +11,7 @@ every ``CHAOS_EVERY`` served requests a family's disk-cache entry (its
 sealed sidecar) is replaced by a damaged copy and its sealed gather
 evicted from the memory tier, so the next request takes the miss path.
 The damaged copies are built once per ``(family, mode)`` before serving
-starts (:meth:`~repro.resilience.FaultPlan.corrupt_plan_file` on a
-scratch copy of the pristine sidecar, all four modes), so every cycle
+starts (:class:`~repro.resilience.SidecarChaos`), so every cycle
 injects a fresh fault rather than damaging an already-damaged file.
 
 A request is answered from its registration's own permutation, so no
@@ -39,7 +38,6 @@ for CI: ``REPRO_SERVING_REQUESTS``, ``REPRO_SERVING_CLIENTS``,
 ``REPRO_SERVING_WORKERS``.
 """
 
-import itertools
 import json
 import os
 import tempfile
@@ -57,8 +55,7 @@ from repro.permutations.named import (
     random_permutation,
     transpose_permutation,
 )
-from repro.resilience import FaultPlan
-from repro.resilience.faults import FILE_FAULT_MODES
+from repro.resilience import SidecarChaos
 from repro.service import PermutationServer
 
 WIDTH = 32
@@ -84,31 +81,15 @@ class _Chaos(threading.Thread):
     def __init__(self, server, fingerprints, digests):
         super().__init__(name="chaos-driver", daemon=True)
         self.server = server
-        self.fingerprints = fingerprints
         self.digests = digests
         self.stop = threading.Event()
-        self.corruptions = 0
-        self.skipped = 0
-        # Each (family, mode)'s damaged sidecar, built once from the
-        # pristine bytes.
         disk = server.service.planner.disk
-        fault = FaultPlan(seed=11)
-        self.paths = {}
-        self.damaged = {}
-        with tempfile.TemporaryDirectory() as tmp:
-            scratch = Path(tmp) / "sidecar.sealed.npz"
-            for name, fp in fingerprints:
-                path = disk.sealed_path_for(fp)
-                self.paths[name] = path
-                pristine = path.read_bytes()
-                for mode in FILE_FAULT_MODES:
-                    scratch.write_bytes(pristine)
-                    fault.corrupt_plan_file(scratch, mode)
-                    self.damaged[name, mode] = scratch.read_bytes()
+        self.chaos = SidecarChaos(
+            {name: disk.sealed_path_for(fp) for name, fp in fingerprints},
+            seed=11,
+        )
 
     def run(self):
-        modes = itertools.cycle(FILE_FAULT_MODES)
-        names = itertools.cycle(name for name, _ in self.fingerprints)
         cycle = 0
         while not self.stop.is_set():
             served = self.server.stats().get("server.served", 0)
@@ -116,20 +97,15 @@ class _Chaos(threading.Thread):
                 time.sleep(0.001)
                 continue
             cycle += 1
-            name, mode = next(names), next(modes)
-            try:
-                self.paths[name].write_bytes(self.damaged[name, mode])
-                self.corruptions += 1
-            except OSError:
-                self.skipped += 1
+            name, _ = self.chaos.step()
             self.server.service.planner.memory.invalidate(
                 self.digests[name]
             )
 
     def snapshot(self) -> dict:
         return {
-            "corruptions": self.corruptions,
-            "skipped": self.skipped,
+            "corruptions": self.chaos.corruptions,
+            "skipped": self.chaos.skipped,
         }
 
 

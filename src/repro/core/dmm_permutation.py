@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.verify import verify_edge_coloring
-from repro.errors import SchedulingError, SizeError, ValidationError
+from repro.errors import SizeError, ValidationError
 from repro.ir.engine import EngineBase
 from repro.ir.ops import CasualWrite, GatherScatter
 from repro.ir.program import KernelProgram
@@ -184,15 +184,6 @@ class DMMScheduledPermutation(_SingleDMMEngine):
         t = p[s]
         dtype = smallest_index_dtype(n - 1)
         return cls(s.astype(dtype), t.astype(dtype), width)
-
-    def verify_conflict_free(self) -> None:
-        """Both access patterns must be bank-conflict-free per warp."""
-        for name, arr in (("s", self.s), ("t", self.t)):
-            stages = shared_warp_stages(arr.astype(np.int64), self.width)
-            if stages.size and stages.max() > 1:
-                raise SchedulingError(
-                    f"DMM schedule {name} has a bank conflict"
-                )
 
     def lower(self) -> KernelProgram:
         return KernelProgram(

@@ -49,15 +49,15 @@ On top of integrity, files embed machine-checked *proofs*:
   the stored program's symbolically-computed denotation is a bijection
   equal to the stored permutation ``p``.
 
-:func:`load_plan` re-validates both — not just the SHA binding: the
-semantic certificate's denotation is *recomputed* from the unpacked
-program and compared against the certificate digest and the stored
-``p``, so a file whose program no longer denotes its permutation is
-refused as corrupt even if internally self-consistent.  A loaded plan
-is then proven authentic, bank-conflict-free/coalesced (when
-applicable) **and** semantically correct without running an executor.
-Both certificates are metadata keys, so their presence does not change
-the payload checksum or the format version.
+:func:`load_plan` does not trust them: it rebuilds the engine, runs
+the same two proofs again (:func:`prove_plan`, as a compile does),
+checks that the engine lowers to exactly the stored program, and
+refuses the file unless each embedded certificate equals the one just
+recomputed.  A loaded plan is then proven authentic,
+bank-conflict-free/coalesced (when applicable) **and** semantically
+correct without running an executor.  Both certificates are metadata
+keys, so their presence does not change the payload checksum or the
+format version.
 
 See ``docs/robustness.md`` for the exact file layout and checksum
 definition, and ``docs/static-analysis.md`` for both certificates.
@@ -70,6 +70,8 @@ import os
 import threading
 import zipfile
 import zlib
+from collections.abc import Callable
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -507,35 +509,50 @@ def _certifiable_plan(plan: Any) -> ScheduledPermutation | None:
     return None
 
 
-def certify_schedule(plan: Any, subject: str,
-                     checksum: str | None = None) -> Any | None:
-    """Certify the scheduled core of ``plan`` conflict-free/coalesced.
+def prove_plan(
+    plan: Any,
+    checksum: str | None = None,
+    phase: Callable[[str], AbstractContextManager[Any]] = (
+        lambda name: nullcontext()
+    ),
+) -> tuple[KernelProgram, Any | None, Any]:
+    """Run the two proofs of a scheduled plan (``docs/theory.md`` §8).
 
-    Runs :func:`~repro.staticcheck.certifier.certify_plan` on the
-    certifiable plan inside ``plan`` (bound to the payload
-    ``checksum`` when one is given) and attaches the positive
-    certificate to it; returns ``None`` for engines without a
-    certifiable schedule.  A refuted schedule raises
-    :class:`~repro.errors.CertificateError` ("refusing to
-    ``subject``"): a conflicted plan must never be persisted as
-    trusted.
+    1. The 32-round certificate
+       (:func:`~repro.staticcheck.certifier.certify_plan`) of the
+       certifiable plan inside ``plan``: every shared round
+       conflict-free, every global round coalesced.  ``None`` for
+       engines without a certifiable schedule.
+    2. ``validate_translation(program, program, requested=plan.p)`` on
+       the lowered ``program``: it denotes a bijection equal to ``p``.
+
+    Returns ``(program, certificate, semantic certificate)``, both
+    certificates bound to ``checksum`` when one is given, and attaches
+    a positive conflict certificate to the certifiable plan.  Never
+    raises on a refutation: the planner, :func:`save_plan` and
+    :func:`load_plan` each refuse a negative certificate in their own
+    terms.  ``phase(name)`` wraps each proof (``"certify"``, then
+    ``"denote"``), so the planner can time them apart.
     """
-    certifiable = _certifiable_plan(plan)
-    if certifiable is None:
-        return None
-    from repro.staticcheck.certifier import certify_plan
+    from repro.staticcheck import certifier
+    from repro.staticcheck.semantics import validate_translation
 
-    cert = certify_plan(certifiable)
-    if checksum is not None:
-        cert = cert.bound_to(checksum)
-    if not cert.ok:
-        assert cert.counterexample is not None
-        raise CertificateError(
-            f"refusing to {subject}: plan is not conflict-free — "
-            f"{cert.counterexample.describe()}"
+    certifiable = _certifiable_plan(plan)
+    cert = None
+    with phase("certify"):
+        if certifiable is not None:
+            cert = certifier.certify_plan(certifiable)
+    with phase("denote"):
+        program = plan.lower()
+        sem = validate_translation(
+            program, program, requested=np.asarray(plan.p)
         )
-    certifiable.certificate = cert
-    return cert
+    if checksum is not None:
+        sem = sem.bound_to(checksum)
+        cert = None if cert is None else cert.bound_to(checksum)
+    if cert is not None and cert.ok:
+        certifiable.certificate = cert
+    return program, cert, sem
 
 
 def save_plan(path, plan, certify: bool = True,
@@ -597,14 +614,16 @@ def save_plan(path, plan, certify: bool = True,
             if provenance is not None and key in provenance
         }
         if certify:
-            cert = certify_schedule(plan, f"save {path}", checksum)
+            _, cert, sem = prove_plan(plan, checksum)
             if cert is not None:
+                if not cert.ok:
+                    assert cert.counterexample is not None
+                    raise CertificateError(
+                        f"refusing to save {path}: plan is not "
+                        "conflict-free — "
+                        f"{cert.counterexample.describe()}"
+                    )
                 metadata["certificate"] = cert.to_json()
-            from repro.staticcheck.semantics import validate_translation
-
-            sem = validate_translation(
-                program, program, requested=plan.p
-            ).bound_to(checksum)
             if not sem.ok:
                 raise CertificateError(
                     f"refusing to save {path}: program does not denote "
@@ -640,15 +659,19 @@ def load_plan(path):
     """Rebuild a planned engine saved by :func:`save_plan`.
 
     Verification happens cheapest-first: format version, required
-    keys, then the SHA-256 content checksum, then the embedded
+    keys, then the SHA-256 content checksum, then each embedded
     certificate (well-formed, bound to this exact payload checksum,
-    positive, and matching the plan's ``n``/``width``), then the full
-    structural verification — ``plan.verify()`` when the engine
-    provides it, a reference-executor differential against the stored
-    permutation otherwise — so a corrupted file fails loudly rather
-    than permuting silently wrong, and fails *early* rather than after
-    an expensive rebuild.  A validated certificate is attached to the
-    returned plan's scheduled core as ``certificate``.
+    positive).  The engine is then rebuilt and proved with
+    :func:`prove_plan` — the proofs a compile runs — whether or not
+    the file embeds certificates: its lowering must be exactly the
+    stored program (same payload checksum), conflict-free/coalesced
+    when it has a scheduled core, and denote the stored permutation,
+    and each embedded certificate must equal the recomputed one.  Any
+    failure raises :class:`~repro.errors.PlanCorruptionError`, so a
+    corrupted file fails loudly rather than permuting silently wrong.
+    The returned plan carries the certificates its file embeds
+    (``certificate`` on its scheduled core, ``semantic_certificate``
+    on the engine).
 
     The returned object is whichever engine class the file names.
     """
@@ -663,14 +686,22 @@ def load_plan(path):
 
 def _load_plan_inner(path, sp):
     from repro.staticcheck.certifier import Certificate
+    from repro.staticcheck.semantics import SemanticCertificate
 
+    # The certificates a file may embed: metadata key, class, the name
+    # error messages use, and the proof of prove_plan it records.
+    proofs = (
+        ("certificate", Certificate, "certificate",
+         "32-round certificate"),
+        ("semantic_certificate", SemanticCertificate,
+         "semantic certificate", "denotation proof"),
+    )
     arrays, meta, checksum = _read_verified(path, _PLAN)
-    certificate = None
-    if "certificate" in meta:
-        certificate = _parse_certificate(
-            path, Certificate, "certificate", meta["certificate"],
-            "plan_sha", checksum,
-        )
+    embedded = {
+        key: _parse_certificate(path, cert_cls, label, meta[key],
+                                "plan_sha", checksum)
+        for key, cert_cls, label, _ in proofs if key in meta
+    }
     program = _unpack_program(path, arrays)
     try:
         engine_cls = get_engine(program.engine)
@@ -679,111 +710,43 @@ def _load_plan_inner(path, sp):
             f"{path}: plan file names engine {program.engine!r}, which "
             f"is not in this build's registry: {exc}"
         ) from exc
-    p = _restore_narrowed(arrays, "p")
-    semantic = None
-    if "semantic_certificate" in meta:
-        semantic = _validate_semantic_certificate(
-            path, meta["semantic_certificate"], checksum, program, p
-        )
-    plan = engine_cls.from_program(program, p)
-    if semantic is not None:
-        plan.semantic_certificate = semantic
-    if certificate is not None:
-        certifiable = _certifiable_plan(plan)
-        if certifiable is None:
-            raise PlanCorruptionError(
-                f"{path}: embedded certificate on engine "
-                f"{program.engine!r}, which has no certifiable schedule"
-            )
-        if (certificate.n != certifiable.n
-                or certificate.width != certifiable.width):
-            raise PlanCorruptionError(
-                f"{path}: embedded certificate was issued for n = "
-                f"{certificate.n}, w = {certificate.width}, but the "
-                f"plan has n = {certifiable.n}, "
-                f"w = {certifiable.width}"
-            )
-        certifiable.certificate = certificate
+    plan = engine_cls.from_program(program, _restore_narrowed(arrays, "p"))
     with telemetry.span("plan_io.verify", n=program.n):
-        verifier = getattr(plan, "verify", None)
-        if verifier is not None:
-            verifier()
-        else:
-            _reference_check(path, plan, program)
+        lowered, cert, sem = prove_plan(plan, checksum)
+    if plan_checksum(_pack_program(lowered, plan.p)) != checksum:
+        raise PlanCorruptionError(
+            f"{path}: the {program.engine} engine rebuilt from this file "
+            "lowers to a different program than the file stores"
+        )
+    if cert is not None and not cert.ok:
+        assert cert.counterexample is not None
+        raise PlanCorruptionError(
+            f"{path}: stored schedule is not conflict-free — "
+            f"{cert.counterexample.describe()}"
+        )
+    if not sem.ok:
+        raise PlanCorruptionError(
+            f"{path}: stored program does not denote the stored p — "
+            f"{sem.summary()}"
+        )
+    for (key, _, label, proof), recomputed in zip(proofs, (cert, sem)):
+        if key in embedded and embedded[key] != recomputed:
+            raise PlanCorruptionError(
+                f"{path}: embedded {label} is not the {proof} "
+                "recomputed from the stored program — the file was "
+                "altered after certification"
+            )
+    # The loaded plan carries the proofs its file embeds, each equal
+    # to the one just recomputed.
+    certifiable = _certifiable_plan(plan)
+    if certifiable is not None:
+        certifiable.certificate = embedded.get("certificate")
+    if "semantic_certificate" in embedded:
+        plan.semantic_certificate = sem
     sp.set(n=program.n, width=program.width, engine=program.engine,
-           certified=certificate is not None,
-           semantically_certified=semantic is not None)
+           certified="certificate" in embedded,
+           semantically_certified="semantic_certificate" in embedded)
     return plan
-
-
-def _reference_check(path, plan, program: KernelProgram) -> None:
-    """Structural check for engines without ``verify()``: the loaded
-    program must realise the stored permutation exactly."""
-    from repro.exec.reference import ReferenceExecutor
-
-    a = np.arange(program.n, dtype=np.int64)
-    out = ReferenceExecutor().run(program, a)
-    expected = np.empty_like(a)
-    expected[np.asarray(plan.p, dtype=np.int64)] = a
-    if not np.array_equal(out, expected):
-        raise PlanCorruptionError(
-            f"{path}: loaded program does not realise its stored "
-            "permutation — the schedule arrays are inconsistent"
-        )
-
-
-def _validate_semantic_certificate(
-    path, sem_json: str, checksum: str, program: KernelProgram,
-    p: np.ndarray,
-):
-    """Parse and *re-prove* an embedded semantic certificate.
-
-    Beyond the checks of :func:`_parse_certificate` (well-formed,
-    bound to this payload checksum, positive verdict), the program's
-    denotation is recomputed from the unpacked ops and compared
-    against both the certificate's digest and the stored permutation —
-    so the certificate cannot vouch for a program that no longer
-    denotes its permutation, even if the rest of the file is
-    self-consistent.
-    """
-    from repro.staticcheck.semantics import (
-        SemanticCertificate,
-        denotation_digest,
-        denote_program,
-    )
-
-    cert = _parse_certificate(
-        path, SemanticCertificate, "semantic certificate", sem_json,
-        "plan_sha", checksum,
-    )
-    denotation = denote_program(program)
-    if not denotation.ok:
-        assert denotation.failure is not None
-        raise PlanCorruptionError(
-            f"{path}: stored program does not denote a permutation "
-            f"({denotation.failure.describe()}), but the file carries "
-            "a positive semantic certificate"
-        )
-    if denotation.digest() != cert.denotation_sha:
-        raise PlanCorruptionError(
-            f"{path}: recomputed program denotation "
-            f"{denotation.digest()[:12]}... does not match the "
-            f"certified {cert.denotation_sha[:12]}... — the program "
-            "was altered after certification"
-        )
-    stored_p = np.asarray(p, dtype=np.int64)
-    if not np.array_equal(denotation.index_map, stored_p):
-        raise PlanCorruptionError(
-            f"{path}: stored program denotes a different permutation "
-            "than the stored p — the schedule arrays are inconsistent"
-        )
-    if (cert.requested_sha is not None
-            and cert.requested_sha != denotation_digest(stored_p)):
-        raise PlanCorruptionError(
-            f"{path}: embedded semantic certificate was issued for a "
-            "different requested permutation than the stored p"
-        )
-    return cert
 
 
 # ----------------------------------------------------------------------

@@ -148,8 +148,7 @@ class RowwiseSchedule:
         source bank makes ``s`` repeat a slot, so ``t[s] != gamma``
         and the program's denotation refuses it; one at a destination
         bank puts two lanes of a warp in one bank, and the static
-        certifier refuses it (``docs/theory.md`` §8;
-        :meth:`verify` is the direct check).
+        certifier refuses it (``docs/theory.md`` §8).
         """
         if values is None:
             gamma = _check_row_permutations(gamma)
@@ -239,56 +238,6 @@ class RowwiseSchedule:
             t=values.compose(slots).index_map(dtype).reshape(rows, m),
             width=width,
         )
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-
-    def verify_conflict_free(self) -> None:
-        """Assert the schedule's shared accesses are conflict-free.
-
-        Checks, for every warp of ``w`` consecutive threads in every
-        row: the write banks of step 1 (``s mod w``) and of step 3
-        (``t mod w``) are all distinct.  Raises
-        :class:`~repro.errors.SchedulingError` on violation.
-        """
-        for name, arr in (("s", self.s), ("t", self.t)):
-            banks = (arr.astype(np.int64) % self.width).reshape(
-                self.rows, self.m // self.width, self.width
-            )
-            ordered = np.sort(banks, axis=2)
-            if np.any(ordered[:, :, 1:] == ordered[:, :, :-1]):
-                raise SchedulingError(
-                    f"schedule array {name} has a bank conflict"
-                )
-
-    def verify(self) -> None:
-        """Full schedule validation: conflict-freedom *and* semantics.
-
-        Beyond the bank checks, the ``s``/``t`` pair must actually
-        encode ``gamma``: both must be row-wise permutations and satisfy
-        ``t[s[u]] == gamma[u]`` (since ``t = gamma ∘ s⁻¹``).  Catches
-        corrupted or hand-edited schedules that happen to stay
-        conflict-free.
-        """
-        self.verify_conflict_free()
-        m = self.m
-        for name, arr in (("s", self.s), ("t", self.t)):
-            ordered = np.sort(arr.astype(np.int64), axis=1)
-            if not np.array_equal(
-                ordered,
-                np.broadcast_to(np.arange(m), (self.rows, m)),
-            ):
-                raise SchedulingError(
-                    f"schedule array {name} is not a row-wise permutation"
-                )
-        recovered = np.take_along_axis(
-            self.t.astype(np.int64), self.s.astype(np.int64), axis=1
-        )
-        if not np.array_equal(recovered, self.gamma):
-            raise SchedulingError(
-                "schedule arrays s/t do not encode gamma (t[s[u]] != gamma[u])"
-            )
 
     def shared_bytes(self, dtype) -> int:
         """Shared memory per block: the two row buffers ``x`` and ``y``.

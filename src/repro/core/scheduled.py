@@ -68,7 +68,8 @@ class ScheduledPermutation(EngineBase):
     step1: RowwiseSchedule
     step2: ColumnwiseSchedule
     step3: RowwiseSchedule
-    #: Static conflict-freedom proof, attached by :meth:`certify` or by
+    #: Static conflict-freedom proof, attached by
+    #: :func:`repro.core.io.prove_plan` (a compile, ``save_plan``) or by
     #: :func:`repro.core.io.load_plan` when the file embeds one.
     certificate: "Certificate | None" = field(
         default=None, compare=False, repr=False
@@ -173,17 +174,20 @@ class ScheduledPermutation(EngineBase):
         and executes bitwise identically to the engine.
         """
         w = self.width
+        diagonal = self.step2.transpose.diagonal
         ops = (
             RowwiseScatter(
                 label="step1.rowwise", gamma=self.step1.gamma,
                 width=w, s=self.step1.s, t=self.step1.t,
             ),
-            Transpose(label="step2.transpose-in", m=self.m, width=w),
+            Transpose(label="step2.transpose-in", m=self.m, width=w,
+                      diagonal=diagonal),
             RowwiseScatter(
                 label="step2.rowwise", gamma=self.step2.rowwise.gamma,
                 width=w, s=self.step2.rowwise.s, t=self.step2.rowwise.t,
             ),
-            Transpose(label="step2.transpose-out", m=self.m, width=w),
+            Transpose(label="step2.transpose-out", m=self.m, width=w,
+                      diagonal=diagonal),
             RowwiseScatter(
                 label="step3.rowwise", gamma=self.step3.gamma,
                 width=w, s=self.step3.s, t=self.step3.t,
@@ -199,7 +203,9 @@ class ScheduledPermutation(EngineBase):
 
         The decomposition's colour array is recovered from ``gamma1``
         (an element's colour *is* its intermediate column), so the
-        five-kernel program is a complete serialisation.
+        five-kernel program is a complete serialisation; the transposes'
+        shared arrangement (``diagonal``) is kept, so the rebuilt plan
+        lowers to ``program`` itself and proves what it stores.
         """
         ops = program.ops
         if len(ops) != 5 or not (
@@ -228,7 +234,7 @@ class ScheduledPermutation(EngineBase):
             rowwise=RowwiseSchedule(
                 gamma=delta, s=ops[2].s, t=ops[2].t, width=width
             ),
-            transpose=TiledTranspose(m, width),
+            transpose=TiledTranspose(m, width, diagonal=ops[1].diagonal),
         )
         decomposition = ThreeStepDecomposition(
             gamma1=gamma1,
@@ -322,34 +328,6 @@ class ScheduledPermutation(EngineBase):
             step2=ColumnwiseSchedule.plan(delta_inv, width),
             step3=RowwiseSchedule.plan(gamma3_inv, width),
         )
-
-    def certify(self) -> "Certificate":
-        """Statically prove every access round conflict-free/coalesced.
-
-        Runs :func:`repro.staticcheck.certify_plan` over the plan
-        arrays (no simulation), caches the result on
-        :attr:`certificate` and returns it.  The certificate may be
-        negative — check ``certificate.ok`` — so this never raises on a
-        conflicted plan; :func:`repro.core.io.save_plan` enforces
-        positivity when persisting.
-        """
-        from repro.staticcheck.certifier import certify_plan
-
-        self.certificate = certify_plan(self)
-        return self.certificate
-
-    def verify(self) -> None:
-        """Run every internal consistency check (tests and
-        :func:`repro.core.io.load_plan` call this): the decomposition
-        must route ``p`` exactly, its colouring must be a proper König
-        colouring (each colour class a perfect matching), and every
-        row-wise schedule must be conflict-free *and* encode its
-        ``gamma``."""
-        self.decomposition.route(self.p)
-        self.decomposition.verify_coloring(self.p)
-        self.step1.verify()
-        self.step2.rowwise.verify()
-        self.step3.verify()
 
 
 def scheduled_permute(

@@ -41,8 +41,7 @@ import numpy as np
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.affine import affine_colour_map
-from repro.coloring.verify import verify_edge_coloring
-from repro.errors import ColoringError, SchedulingError
+from repro.errors import SchedulingError
 from repro.permutations.affine import AffineMap, detect_affine
 from repro.util.validation import check_permutation, isqrt_exact
 
@@ -88,9 +87,9 @@ class ThreeStepDecomposition:
 
         Symbolically replays the three steps on indices and raises
         :class:`~repro.errors.SchedulingError` on any mismatch — a test
-        oracle and part of :meth:`ScheduledPermutation.verify`; a cold
-        compile proves the same fact once, by denoting the lowered
-        program (``docs/theory.md`` §8).
+        oracle, also run by :meth:`ScheduledPermutation.inverse`; a
+        compile and :func:`~repro.core.io.load_plan` prove the same fact
+        by denoting the lowered program (``docs/theory.md`` §8).
         """
         m = self.m
         n = m * m
@@ -106,48 +105,6 @@ class ThreeStepDecomposition:
         if not np.array_equal(final, np.asarray(p, dtype=np.int64)):
             raise SchedulingError(
                 "three-step decomposition does not realise the permutation"
-            )
-
-    def verify_coloring(self, p: np.ndarray) -> None:
-        """Check the stored colours are a proper König colouring of the
-        row multigraph of ``p``.
-
-        :meth:`route` proves the decomposition *moves elements
-        correctly*; this proves the stronger structural property the
-        paper's Section VII argument rests on — every colour class is a
-        perfect matching between source and destination rows — by
-        rebuilding the row multigraph and re-verifying the colouring
-        against it.  Also checks ``gamma1`` is exactly the colour table
-        (the planner derives it by reshape; a corrupted plan file can
-        break that).  Raises :class:`~repro.errors.SchedulingError`.
-        """
-        m = self.m
-        n = m * m
-        p = np.asarray(p, dtype=np.int64)
-        if p.shape != (n,):
-            raise SchedulingError(
-                f"permutation has length {p.shape}, decomposition "
-                f"expects {n}"
-            )
-        if n == 0:
-            return
-        i = np.arange(n, dtype=np.int64)
-        graph = RegularBipartiteMultigraph.from_edges(
-            i // m, p // m, m, m
-        )
-        try:
-            verify_edge_coloring(graph, self.colors, expect_colors=m)
-        except ColoringError as exc:
-            raise SchedulingError(
-                "decomposition colours are not a proper edge colouring "
-                f"of the row multigraph: {exc}"
-            ) from exc
-        if not np.array_equal(
-            np.asarray(self.colors, dtype=np.int64).reshape(m, m),
-            np.asarray(self.gamma1, dtype=np.int64),
-        ):
-            raise SchedulingError(
-                "gamma1 does not match the colour table it must encode"
             )
 
 

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.errors import SemanticValidationError
+from repro.errors import CertificateError, SemanticValidationError
 from repro.exec.sealed import SealedExecutor
 from repro.ir.program import KernelProgram
 from repro.ir.registry import get_engine
@@ -47,10 +47,7 @@ from repro.planner.fingerprint import (
     shard_fingerprint,
 )
 from repro.shard import ShardedProgram, shard_permutation
-from repro.staticcheck.semantics import (
-    SemanticCertificate,
-    validate_translation,
-)
+from repro.staticcheck.semantics import SemanticCertificate
 from repro.telemetry import MetricsRegistry
 
 #: What a lazy handle's loader returns: the planned engine, its
@@ -249,34 +246,34 @@ class _ColdPath:
         engine: str,
         width: int,
     ) -> tuple[Any, KernelProgram, SemanticCertificate]:
-        """Plan ``p`` from scratch and prove the plan with two proofs,
-        on every planner (``docs/theory.md`` §8).
+        """Plan ``p`` from scratch and prove the plan with the two
+        proofs of :func:`~repro.core.io.prove_plan`, on every planner
+        (``docs/theory.md`` §8).
 
         1. The 32-round certificate: the plan's schedule is
-           conflict-free/coalesced
-           (:func:`~repro.core.io.certify_schedule`), or
+           conflict-free/coalesced, or
            :class:`~repro.errors.CertificateError` is raised.
         2. One denotation of the lowered program, a bijection equal to
-           ``p``: ``validate_translation(raw, raw, requested=p)``, the
-           proof ``save_plan`` embeds.  A program that does not denote
-           ``p`` raises :class:`~repro.errors.SemanticValidationError`.
+           ``p``, the proof ``save_plan`` embeds.  A program that does
+           not denote ``p`` raises
+           :class:`~repro.errors.SemanticValidationError`.
 
         Planning itself re-checks neither the colourings nor the
         routing; a plan either proof refuses raises before the planner
         caches or writes anything.
         """
-        from repro.core.io import certify_schedule
+        from repro.core.io import prove_plan
 
         with self.phase("plan"), telemetry.span("planner.plan",
                                                 engine=engine):
             plan = get_engine(engine).plan(p, width=width)
         self.counts["cold_plans"].inc()
-        with self.phase("certify"):
-            certify_schedule(plan, f"compile {engine!r} plan")
-        with self.phase("denote"):
-            program = plan.lower()
-            cert = validate_translation(
-                program, program, requested=np.asarray(plan.p)
+        program, conflicts, cert = prove_plan(plan, phase=self.phase)
+        if conflicts is not None and not conflicts.ok:
+            assert conflicts.counterexample is not None
+            raise CertificateError(
+                f"refusing to compile {engine!r} plan: plan is not "
+                f"conflict-free — {conflicts.counterexample.describe()}"
             )
         if not cert.ok:
             raise SemanticValidationError(

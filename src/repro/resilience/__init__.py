@@ -8,7 +8,7 @@ checks exist to catch:
 * :class:`FaultPlan` (:mod:`repro.resilience.faults`) — seedable,
   deterministic fault injection: corrupt saved plan files and sealed
   sidecars, and inject write-write collisions into shared-memory
-  scatters;
+  scatters; :class:`SidecarChaos` damages live sidecars on a rotation;
 * checksummed plan files (:mod:`repro.core.io`) — every ``.npz`` plan
   carries a SHA-256 checksum and version stamps, verified on load.
 
@@ -19,6 +19,7 @@ from repro.resilience.faults import (
     FILE_FAULT_MODES,
     FaultPlan,
     InjectedFileFault,
+    SidecarChaos,
     active_fault_plan,
 )
 
@@ -26,5 +27,6 @@ __all__ = [
     "FILE_FAULT_MODES",
     "FaultPlan",
     "InjectedFileFault",
+    "SidecarChaos",
     "active_fault_plan",
 ]

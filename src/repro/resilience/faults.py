@@ -7,7 +7,8 @@ reproducibly:
   damages a saved ``.npz`` plan or sealed sidecar in one of four ways
   (single bit flip, truncation, payload-key deletion, stale format
   version), seeded so the same :class:`FaultPlan` always produces the
-  same damage;
+  same damage; :class:`SidecarChaos` replays those faults on a
+  rotation of live sidecars;
 * **scatter collisions** — while a :class:`FaultPlan` is *active*
   (used as a context manager), the first
   ``scatter_collisions`` shared-memory scatters have one lane's
@@ -31,6 +32,8 @@ the context manager.
 
 from __future__ import annotations
 
+import itertools
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,6 +223,49 @@ class FaultPlan:
         np.savez_compressed(path, **arrays)
         return InjectedFileFault(mode=mode, path=str(path), key=key,
                                  detail=detail)
+
+
+class SidecarChaos:
+    """Damage sealed sidecars on a fixed rotation, from copies built
+    once.
+
+    ``paths`` maps a name to its sidecar.  Each ``(name, mode)`` pair's
+    damaged bytes are built up front by :meth:`FaultPlan.
+    corrupt_plan_file` on a copy of the pristine file, so every
+    :meth:`step` writes one complete fault whatever earlier steps left
+    on disk (damaging an already truncated sidecar in place fails: it
+    is no longer a zip archive).  :meth:`step` cycles the names and
+    the :data:`FILE_FAULT_MODES` side by side; a write that fails is
+    counted in ``skipped``, one that lands in ``corruptions``.
+    """
+
+    def __init__(self, paths: dict[str, Path], seed: int = 0) -> None:
+        self.paths = {name: Path(path) for name, path in paths.items()}
+        fault = FaultPlan(seed=seed)
+        self.damaged: dict[tuple[str, str], bytes] = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            scratch = Path(tmp) / "sidecar.sealed.npz"
+            for name, path in self.paths.items():
+                pristine = path.read_bytes()
+                for mode in FILE_FAULT_MODES:
+                    scratch.write_bytes(pristine)
+                    fault.corrupt_plan_file(scratch, mode)
+                    self.damaged[name, mode] = scratch.read_bytes()
+        self._names = itertools.cycle(self.paths)
+        self._modes = itertools.cycle(FILE_FAULT_MODES)
+        self.corruptions = 0
+        self.skipped = 0
+
+    def step(self) -> tuple[str, str]:
+        """Write the next ``(name, mode)`` fault; returns the pair."""
+        name, mode = next(self._names), next(self._modes)
+        try:
+            self.paths[name].write_bytes(self.damaged[name, mode])
+        except OSError:
+            self.skipped += 1
+        else:
+            self.corruptions += 1
+        return name, mode
 
 
 def active_fault_plan() -> FaultPlan | None:

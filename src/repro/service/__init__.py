@@ -218,7 +218,12 @@ class PermutationService:
         with self._lock:
             return sorted(self._registry)
 
-    def _registration(self, name: str) -> _Registration:
+    def _registration(self, name: str | _Registration) -> _Registration:
+        """The registration of ``name``; a registration passes through
+        unchanged (a server request carries the one it was admitted
+        under, so serving it takes no second lookup)."""
+        if isinstance(name, _Registration):
+            return name
         with self._lock:
             reg = self._registry.get(name)
             if reg is not None:
@@ -252,7 +257,9 @@ class PermutationService:
                 self._sealed(name)
         return len(targets)
 
-    def _sealed(self, name: str) -> tuple[_Registration, SealedProgram]:
+    def _sealed(
+        self, name: str | _Registration
+    ) -> tuple[_Registration, SealedProgram]:
         reg = self._registration(name)
         return reg, self.planner.sealed(reg.p, reg.digest)
 
@@ -282,8 +289,9 @@ class PermutationService:
                 )
             per_round.set(elapsed / reg.rounds)
 
-    def apply(self, name: str, a: np.ndarray) -> np.ndarray:
-        """Serve one payload through the named permutation."""
+    def apply(self, name: str | _Registration, a: np.ndarray) -> np.ndarray:
+        """Serve one payload through the named permutation (or the
+        given registration)."""
         reg, sealed = self._sealed(name)
         t0 = time.perf_counter()
         out = SealedExecutor().run(sealed, a)
@@ -292,7 +300,9 @@ class PermutationService:
         self._elements.inc(sealed.n)
         return out
 
-    def apply_batch(self, name: str, batch: np.ndarray) -> np.ndarray:
+    def apply_batch(
+        self, name: str | _Registration, batch: np.ndarray
+    ) -> np.ndarray:
         """Serve ``k`` stacked payloads through the named permutation."""
         reg, sealed = self._sealed(name)
         t0 = time.perf_counter()
@@ -305,7 +315,7 @@ class PermutationService:
 
     def apply_stream(
         self,
-        name: str,
+        name: str | _Registration,
         path_in: str | Path,
         path_out: str | Path,
         d: int = 8,
@@ -331,7 +341,7 @@ class PermutationService:
 
         reg = self._registration(name)
         with telemetry.span(
-            "service.apply_stream", plan=name, d=d
+            "service.apply_stream", plan=reg.name, d=d
         ) as sp:
             t0 = time.perf_counter()
             executor = StreamingExecutor(

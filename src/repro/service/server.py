@@ -66,7 +66,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.exec.streaming import StreamingStats
-from repro.service import PermutationService
+from repro.service import PermutationService, _Registration
 from repro.service.quotas import (
     UNLIMITED_QUOTA,
     TenantQuota,
@@ -158,14 +158,17 @@ class _Request:
     span, and stay ``None`` when no tracer is active — the disabled
     fast path allocates neither.  An out-of-core stream carries the
     keyword arguments of :meth:`PermutationService.apply_stream` in
-    ``stream`` and an empty payload.
+    ``stream`` and an empty payload.  ``reg`` is the registration the
+    request was admitted under; it is served from that registration
+    even if ``key`` is overwritten or unregistered meanwhile.
     """
 
-    __slots__ = ("key", "payload", "batch", "priority", "deadline",
-                 "enqueued", "tenant", "result", "rid", "ctx", "qspan",
-                 "stream")
+    __slots__ = ("key", "reg", "payload", "batch", "priority",
+                 "deadline", "enqueued", "tenant", "result", "rid", "ctx",
+                 "qspan", "stream")
 
-    def __init__(self, key: str, payload: np.ndarray, batch: bool,
+    def __init__(self, key: str, reg: _Registration,
+                 payload: np.ndarray, batch: bool,
                  priority: int, deadline: float | None,
                  enqueued: float, tenant: str,
                  result: "ServeResult[Any]",
@@ -173,6 +176,7 @@ class _Request:
                  qspan: Any = None,
                  stream: dict[str, Any] | None = None) -> None:
         self.key = key
+        self.reg = reg
         self.payload = payload
         self.batch = batch
         self.priority = priority
@@ -622,7 +626,7 @@ class PermutationServer:
             raise ValidationError(
                 f"payload must have shape ({n},), got {payload.shape}"
             )
-        return self._enqueue(name, tenant, priority, deadline_s,
+        return self._enqueue(reg, name, tenant, priority, deadline_s,
                              payload, batch)
 
     def submit_stream(
@@ -677,11 +681,12 @@ class PermutationServer:
             "path_in": src, "path_out": Path(path_out), "d": int(d),
             "max_resident_bytes": max_resident_bytes, "tmp_dir": tmp_dir,
         }
-        return self._enqueue(name, tenant, priority, deadline_s,
+        return self._enqueue(reg, name, tenant, priority, deadline_s,
                              np.empty(0), False, stream)
 
     def _enqueue(
         self,
+        reg: _Registration,
         name: str,
         tenant: str,
         priority: int,
@@ -692,7 +697,8 @@ class PermutationServer:
     ) -> ServeResult[Any]:
         """Admit one validated request: rate and bulkhead quotas, then
         a queue slot (shedding strictly lower-priority work when the
-        queue is full)."""
+        queue is full).  ``reg`` is the registration the request is
+        served from."""
         if priority not in _PRIORITIES:
             raise ValidationError(
                 f"priority must be one of {_PRIORITIES}, got {priority}"
@@ -724,7 +730,8 @@ class PermutationServer:
                 "serve.queue_wait", parent=ctx.span, request_id=rid
             )
         request = _Request(
-            key=key, payload=payload, batch=batch, priority=priority,
+            key=key, reg=reg, payload=payload, batch=batch,
+            priority=priority,
             deadline=deadline, enqueued=now, tenant=tenant,
             result=result, rid=rid, ctx=ctx, qspan=qspan, stream=stream,
         )
@@ -925,17 +932,19 @@ class PermutationServer:
         """One apply for ``req`` (a stream answers its
         :class:`~repro.exec.StreamingStats`), checked against the
         definitional scatter when ``self_check`` is on; returns the
-        registered engine and the output."""
-        reg = self.service._registration(req.key)
+        registered engine and the output.  Served from the
+        registration the request was admitted under (``req.reg``),
+        with no second lookup."""
+        reg = req.reg
         with telemetry.span("serve.attempt", engine=reg.engine):
             if req.stream is not None:
                 return reg.engine, self.service.apply_stream(
-                    req.key, **req.stream
+                    reg, **req.stream
                 )
             if req.batch:
-                out = self.service.apply_batch(req.key, req.payload)
+                out = self.service.apply_batch(reg, req.payload)
             else:
-                out = self.service.apply(req.key, req.payload)
+                out = self.service.apply(reg, req.payload)
         if self.self_check:
             expected = np.empty_like(req.payload)
             expected[..., reg.p] = req.payload

@@ -133,18 +133,23 @@ def test_all_parallel_edges():
     assert not is_proper_edge_coloring(g, np.array([0, 1, 1]))
 
 
-def test_decomposition_verify_coloring_edge_cases():
-    # The new ThreeStepDecomposition.verify_coloring must accept every
-    # legal decomposition, including the degenerate n = 1 matrix.
+def test_decomposition_colouring_edge_cases():
+    # Every legal decomposition, the degenerate n = 1 matrix included,
+    # routes its permutation with a proper colouring of the row
+    # multigraph.
     from repro.core.scheduler import decompose
 
     for n in (1, 16):
         p = np.arange(n)[::-1].copy()
         d = decompose(p)
-        d.verify_coloring(p)
+        d.route(p)
+        m = d.m
+        i = np.arange(n)
+        graph = RegularBipartiteMultigraph.from_edges(i // m, p // m, m, m)
+        verify_edge_coloring(graph, d.colors, expect_colors=m)
 
     from repro.errors import SchedulingError
 
     d = decompose(np.arange(16))
     with pytest.raises(SchedulingError):
-        d.verify_coloring(np.arange(4))  # wrong length
+        d.route(np.arange(4))  # wrong length

@@ -114,3 +114,24 @@ def row_permutation_matrices_st(draw, widths=(2, 4), max_mult: int = 4):
     rng = np.random.default_rng(seed)
     gamma = np.stack([rng.permutation(m) for _ in range(rows)]).astype(np.int64)
     return gamma, width
+
+
+def prove_scheduled(plan, p) -> None:
+    """Check a scheduled plan of ``p`` with the two oracles and the two
+    proofs: its decomposition routes ``p`` with a proper König
+    colouring of the row multigraph, all 32 rounds certify, and its
+    lowered program denotes ``p``."""
+    from repro.coloring import RegularBipartiteMultigraph
+    from repro.coloring.verify import verify_edge_coloring
+    from repro.staticcheck import certify_plan, denote_program
+
+    p = np.asarray(p, dtype=np.int64)
+    plan.decomposition.route(p)
+    m = plan.m
+    i = np.arange(m * m, dtype=np.int64)
+    graph = RegularBipartiteMultigraph.from_edges(i // m, p // m, m, m)
+    verify_edge_coloring(graph, plan.decomposition.colors,
+                         expect_colors=m)
+    assert certify_plan(plan).ok
+    den = denote_program(plan.lower())
+    assert den.ok and np.array_equal(den.index_map, p)

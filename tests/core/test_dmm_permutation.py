@@ -11,10 +11,11 @@ from repro.core.dmm_permutation import (
     bank_distribution,
     worst_case_bank_permutation,
 )
-from repro.errors import SchedulingError, SizeError
+from repro.errors import SizeError
 from repro.ir.rounds import program_rounds
 from repro.machine.dmm import DMM
 from repro.permutations.named import identical, random_permutation
+from repro.staticcheck import certify_program
 
 
 class TestBankDistribution:
@@ -59,7 +60,7 @@ class TestCorrectness:
         expected = np.empty_like(a)
         expected[p] = a
         assert np.array_equal(plan.apply(a), expected)
-        plan.verify_conflict_free()
+        assert certify_program(plan.lower()).ok
 
     def test_empty(self):
         plan = DMMScheduledPermutation.plan(np.empty(0, dtype=np.int64), 4)
@@ -75,7 +76,7 @@ class TestCorrectness:
         n = width * warps
         p = np.random.default_rng(seed).permutation(n).astype(np.int64)
         plan = DMMScheduledPermutation.plan(p, width=width)
-        plan.verify_conflict_free()
+        assert certify_program(plan.lower()).ok
         a = np.random.default_rng(seed + 1).random(n)
         expected = np.empty_like(a)
         expected[p] = a
@@ -134,5 +135,4 @@ class TestCosts:
         bad_t = plan.t.astype(np.int64).copy()
         bad_t[0] = bad_t[1] = 0
         broken = DMMScheduledPermutation(plan.s, bad_t, 4)
-        with pytest.raises(SchedulingError):
-            broken.verify_conflict_free()
+        assert not certify_program(broken.lower()).conflict_free

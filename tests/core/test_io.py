@@ -1,5 +1,8 @@
 """Tests for schedule persistence (save_plan / load_plan)."""
 
+import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -7,9 +10,10 @@ import pytest
 
 from repro.core.io import FORMAT_VERSION, load_plan, save_plan
 from repro.core.scheduled import ScheduledPermutation
-from repro.errors import ValidationError
+from repro.errors import PlanCorruptionError, ValidationError
 from repro.machine.params import MachineParams
 from repro.permutations.named import random_permutation
+from repro.staticcheck import certify_plan, denote_program
 
 
 @pytest.fixture
@@ -65,7 +69,11 @@ class TestRoundtrip:
     def test_loaded_plan_is_verified(self, plan, tmp_path):
         path = tmp_path / "plan.npz"
         save_plan(path, plan)
-        load_plan(path).verify()
+        loaded = load_plan(path)
+        loaded.decomposition.route(plan.p)
+        den = denote_program(loaded.lower())
+        assert den.ok and np.array_equal(den.index_map, plan.p)
+        assert certify_plan(loaded).ok
 
 
 class TestEngineRoundtrips:
@@ -175,6 +183,39 @@ class TestAtomicWrite:
         assert np.array_equal(load_plan(path).p, plan.p)
         assert [f.name for f in tmp_path.iterdir()] == ["plan.npz"]
 
+    def test_crash_before_replace_leaves_the_old_plan(self, plan, tmp_path):
+        """A writer killed between its temporary write and
+        ``os.replace`` leaves the old plan readable, and a later save
+        to the same path succeeds."""
+        path = tmp_path / "plan.npz"
+        save_plan(path, plan)
+        child = (
+            "import os, sys\n"
+            "from repro.core.io import save_plan\n"
+            "from repro.core.scheduled import ScheduledPermutation\n"
+            "from repro.permutations.named import random_permutation\n"
+            "def killed(src, dst):\n"
+            "    assert os.path.getsize(src) > 0\n"
+            "    os._exit(17)\n"
+            "os.replace = killed\n"
+            "save_plan(sys.argv[1], ScheduledPermutation.plan(\n"
+            "    random_permutation(256, seed=6), width=4))\n"
+            "os._exit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", child, str(path)],
+                              env=env, timeout=120)
+        assert done.returncode == 17
+        leftovers = [f.name for f in tmp_path.iterdir()
+                     if f.name != "plan.npz"]
+        assert len(leftovers) == 1 and leftovers[0].endswith(".tmp")
+        assert np.array_equal(load_plan(path).p, plan.p)
+        other = ScheduledPermutation.plan(
+            random_permutation(256, seed=6), width=4
+        )
+        save_plan(path, other)
+        assert np.array_equal(load_plan(path).p, other.p)
+
 
 def _rewrite(path, mutate):
     with np.load(path) as data:
@@ -214,7 +255,6 @@ class TestCertificate:
         with np.load(a) as data:
             stolen = data["certificate"]
         _rewrite(b, lambda c: c.update(certificate=stolen))
-        from repro.errors import PlanCorruptionError
         with pytest.raises(PlanCorruptionError, match="belong together"):
             load_plan(b)
 
@@ -224,7 +264,6 @@ class TestCertificate:
         _rewrite(
             path, lambda c: c.update(certificate=np.str_("{not json"))
         )
-        from repro.errors import PlanCorruptionError
         with pytest.raises(PlanCorruptionError):
             load_plan(path)
 
@@ -242,6 +281,74 @@ class TestCertificate:
         # certify=False is the explicit escape hatch for such plans —
         # but load still notices the schedule is broken.
         save_plan(tmp_path / "bad2.npz", bad, certify=False)
+        with pytest.raises(PlanCorruptionError):
+            load_plan(tmp_path / "bad2.npz")
+
+
+class TestLoadedPlanIsTheStoredProgram:
+    """``load_plan`` proves the engine it returns, and that engine
+    lowers to exactly the program its file stores."""
+
+    def test_forged_transpose_arrangement_refused(self, plan, tmp_path):
+        """A file whose transposes claim the naive shared arrangement,
+        re-checksummed with both certificates re-bound, must not load
+        as a plan with diagonal transposes: the rebuilt plan is
+        re-certified and its conflicts refuse the file."""
+        import json
+
+        from repro.core.io import plan_checksum
+
+        path = tmp_path / "plan.npz"
+        save_plan(path, plan)
+
+        def forge(contents):
+            contents["op1.diagonal"] = np.bool_(False)
+            contents["op3.diagonal"] = np.bool_(False)
+            checksum = plan_checksum(contents)
+            contents["checksum"] = np.str_(checksum)
+            for key in ("certificate", "semantic_certificate"):
+                cert = json.loads(str(contents[key]))
+                cert["plan_sha"] = checksum
+                contents[key] = np.str_(json.dumps(cert))
+
+        _rewrite(path, forge)
+        with pytest.raises(PlanCorruptionError, match="conflict-free"):
+            load_plan(path)
+
+    def test_certificate_on_an_uncertifiable_engine_refused(
+        self, plan, tmp_path
+    ):
+        import json
+
+        from repro.ir.registry import get_engine
+
+        source, target = tmp_path / "sched.npz", tmp_path / "d.npz"
+        save_plan(source, plan)
+        save_plan(target, get_engine("d-designated").plan(plan.p, width=4))
+        with np.load(source) as data:
+            cert = json.loads(str(data["certificate"]))
+        with np.load(target) as data:
+            cert["plan_sha"] = str(data["checksum"])
+        _rewrite(target, lambda c: c.update(
+            certificate=np.str_(json.dumps(cert))
+        ))
+        with pytest.raises(PlanCorruptionError,
+                           match="32-round certificate"):
+            load_plan(target)
+
+    def test_relabelled_op_refused(self, plan, tmp_path):
+        from repro.core.io import plan_checksum
+
+        path = tmp_path / "plan.npz"
+        save_plan(path, plan, certify=False)
+
+        def relabel(contents):
+            contents["op1.label"] = np.str_("renamed")
+            contents["checksum"] = np.str_(plan_checksum(contents))
+
+        _rewrite(path, relabel)
+        with pytest.raises(PlanCorruptionError, match="different program"):
+            load_plan(path)
 
 
 class TestProvenance:
@@ -282,7 +389,6 @@ class TestProvenance:
 
     def test_unreadable_file_raises_corruption(self, tmp_path):
         from repro.core.io import read_plan_provenance
-        from repro.errors import PlanCorruptionError
 
         bad = tmp_path / "junk.npz"
         bad.write_bytes(b"not a zip")

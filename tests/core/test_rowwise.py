@@ -7,13 +7,23 @@ from hypothesis import given, settings
 from repro.core.rowwise import RowwiseSchedule
 from repro.core.theory import rowwise_time
 from repro.errors import SchedulingError, SizeError
+from repro.ir.program import KernelProgram
 from repro.machine.params import MachineParams
+from repro.staticcheck import certify_program
 from tests.conftest import row_permutation_matrices_st
 
 
 def _random_gamma(rows, m, seed):
     rng = np.random.default_rng(seed)
     return np.stack([rng.permutation(m) for _ in range(rows)]).astype(np.int64)
+
+
+def _certificate(sched):
+    """The static certificate of the schedule's kernel alone."""
+    return certify_program(KernelProgram(
+        engine="rowwise", n=sched.rows * sched.m, width=sched.width,
+        ops=(sched.op,),
+    ))
 
 
 class TestPlanning:
@@ -49,7 +59,7 @@ class TestPlanning:
     def test_verify_conflict_free_passes(self):
         gamma = _random_gamma(8, 32, 3)
         sched = RowwiseSchedule.plan(gamma, width=8)
-        sched.verify_conflict_free()
+        assert _certificate(sched).ok
 
     def test_verify_detects_conflict(self):
         gamma = _random_gamma(1, 8, 4)
@@ -60,8 +70,9 @@ class TestPlanning:
         sched_bad = RowwiseSchedule(
             gamma=gamma, s=bad_s, t=sched.t, width=4
         )
-        with pytest.raises(SchedulingError):
-            sched_bad.verify_conflict_free()
+        cert = _certificate(sched_bad)
+        assert not cert.conflict_free
+        assert cert.counterexample.lanes == (0, 1)
 
     def test_rejects_non_permutation_rows(self):
         gamma = np.zeros((2, 8), dtype=np.int64)
@@ -106,14 +117,14 @@ class TestPlanning:
         # Row degree 12 / 4 = 3: the colouring's odd (matching) step.
         gamma = _random_gamma(3, 12, 5)
         sched = RowwiseSchedule.plan(gamma, width=4)
-        sched.verify_conflict_free()
+        assert _certificate(sched).ok
 
     @settings(deadline=None, max_examples=30)
     @given(row_permutation_matrices_st())
     def test_property_schedule_always_conflict_free(self, gamma_width):
         gamma, width = gamma_width
         sched = RowwiseSchedule.plan(gamma, width)
-        sched.verify_conflict_free()
+        assert _certificate(sched).ok
 
 
 class TestExecution:

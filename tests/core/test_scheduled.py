@@ -19,7 +19,7 @@ from repro.permutations.named import (
     transpose_permutation,
 )
 from repro.util import validation
-from tests.conftest import square_permutations_st
+from tests.conftest import prove_scheduled, square_permutations_st
 
 
 def _reference(a, p):
@@ -92,10 +92,8 @@ class TestCorrectness:
         assert len(checked) == 1
 
     def test_internal_verify(self):
-        plan = ScheduledPermutation.plan(
-            random_permutation(256, seed=3), width=4
-        )
-        plan.verify()
+        p = random_permutation(256, seed=3)
+        prove_scheduled(ScheduledPermutation.plan(p, width=4), p)
 
     @settings(deadline=None, max_examples=30)
     @given(square_permutations_st())
@@ -104,7 +102,7 @@ class TestCorrectness:
         plan = ScheduledPermutation.plan(p, width=width)
         a = np.random.default_rng(0).random(p.size)
         assert np.array_equal(plan.apply(a), _reference(a, p))
-        plan.verify()
+        prove_scheduled(plan, p)
 
 
 class Test32Rounds:

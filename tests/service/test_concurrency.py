@@ -17,7 +17,7 @@ from repro.permutations.named import (
     random_permutation,
     transpose_permutation,
 )
-from repro.resilience import FILE_FAULT_MODES, FaultPlan
+from repro.resilience import FILE_FAULT_MODES, SidecarChaos
 from repro.service import PermutationServer
 
 _N, _WIDTH = 1024, 32
@@ -64,25 +64,19 @@ class TestHammer:
         corrupted = set()
         lock = threading.Lock()
         stop = threading.Event()
-        # Set once every mode has been applied: cycle c uses mode c mod 4.
+        # Set once every mode has been applied: step c uses mode c mod 4.
         all_modes = threading.Event()
+        sidecars = SidecarChaos(
+            {name: planner.disk.sealed_path_for(fingerprints[name])
+             for name in names},
+            seed=3,
+        )
 
         def chaos():
-            faults = FaultPlan(seed=3)
             cycle = 0
             while not stop.is_set():
-                name = names[cycle % len(names)]
-                mode = FILE_FAULT_MODES[cycle % len(FILE_FAULT_MODES)]
-                try:
-                    sidecar = planner.disk.sealed_path_for(
-                        fingerprints[name]
-                    )
-                    if sidecar.exists():
-                        faults.corrupt_plan_file(sidecar, mode)
-                        with lock:
-                            corrupted.add(mode)
-                except Exception:
-                    pass
+                name, mode = sidecars.step()
+                corrupted.add(mode)
                 # Evicting the sealed entry sends the next request down
                 # the miss path, past the corrupted sidecar.
                 planner.memory.invalidate(digests[name])
@@ -138,6 +132,8 @@ class TestHammer:
         # faults), yet no request planned or read the poisoned cache.
         assert stats["memory_invalidations"] >= 1
         assert corrupted == set(FILE_FAULT_MODES)
+        assert sidecars.skipped == 0
+        assert sidecars.corruptions >= len(FILE_FAULT_MODES)
         assert stats["cold_plans"] == before["cold_plans"]
         assert stats["sealed_hits"] == before["sealed_hits"]
         assert stats["sealed_corrupt"] == before["sealed_corrupt"]

@@ -8,7 +8,9 @@ the same operations on plain lists — priority buckets, shedding,
 deadlines at dequeue — and after every rule the server must agree with
 it on every future, every counter, every tenant's in-flight ledger,
 the post-mortem's in-flight rows and the SLO window; and once every
-future has resolved, the server holds no request.
+future has resolved, the server holds no request.  A registration may
+be overwritten or unregistered while requests admitted under it are
+queued: each is answered by the registration it was admitted under.
 """
 
 import shutil
@@ -27,6 +29,7 @@ from repro.errors import (
     ResidentBudgetError,
     ServiceOverloadError,
     ServingError,
+    ValidationError,
 )
 from repro.exec.streaming import StreamingStats
 from repro.permutations.named import bit_reversal, random_permutation
@@ -97,6 +100,8 @@ class ServerMachine(RuleBasedStateMachine):
         self.server._worker = lambda: None
         for (tenant, name), p in PERMS.items():
             self.server.register(name, p, tenant=tenant)
+        #: What each target is registered as now (absent: unregistered).
+        self.perms = dict(PERMS)
         self.tmp = Path(tempfile.mkdtemp(prefix="server-machine-"))
         self.buckets = {HIGH: [], NORMAL: [], LOW: []}
         self.entries = []
@@ -137,6 +142,13 @@ class ServerMachine(RuleBasedStateMachine):
                expected, submit, path_out=None, fails=None):
         """Submit through the server and replay admission on the
         model; both must accept, shed or refuse alike."""
+        if (tenant, name) not in self.perms:
+            # An unknown name is refused before a request id is drawn.
+            try:
+                submit()
+            except ValidationError:
+                return
+            raise AssertionError("expected ValidationError")
         # Every submission past the first start draws a request id,
         # refused or not.
         self.started = self.started or not self.closed
@@ -186,6 +198,11 @@ class ServerMachine(RuleBasedStateMachine):
         if victim is not None:
             self._settle(victim, "shed")
 
+    def _expect(self, reg, a):
+        """The answer of the current registration, ``None`` for none."""
+        p = self.perms.get(reg)
+        return None if p is None else _scatter(p, a)
+
     def _pop(self):
         """The model of the pop in ``PermutationServer._step``."""
         return next(self.buckets[p].pop(0)
@@ -201,7 +218,7 @@ class ServerMachine(RuleBasedStateMachine):
         a = np.random.default_rng(seed).random(N).astype(dtype)
         self._admit(
             tenant, name, priority, deadline_s, "single", a,
-            _scatter(PERMS[reg], a),
+            self._expect(reg, a),
             lambda: self.server.submit(
                 name, a, tenant=tenant, priority=priority,
                 deadline_s=deadline_s,
@@ -215,7 +232,7 @@ class ServerMachine(RuleBasedStateMachine):
         batch = np.random.default_rng(seed).random((k, N))
         self._admit(
             tenant, name, priority, deadline_s, "batch", batch,
-            _scatter(PERMS[reg], batch),
+            self._expect(reg, batch),
             lambda: self.server.submit(
                 name, batch, tenant=tenant, priority=priority,
                 deadline_s=deadline_s, batch=True,
@@ -233,7 +250,7 @@ class ServerMachine(RuleBasedStateMachine):
         np.save(src, a)
         self._admit(
             tenant, name, priority, deadline_s, "stream", a,
-            _scatter(PERMS[reg], a),
+            self._expect(reg, a),
             lambda: self.server.submit_stream(
                 name, src, dst, d=D, tenant=tenant, priority=priority,
                 deadline_s=deadline_s, tmp_dir=self.tmp,
@@ -242,6 +259,22 @@ class ServerMachine(RuleBasedStateMachine):
             path_out=dst,
             fails=ResidentBudgetError if tiny_budget else None,
         )
+
+    @rule(reg=_targets, seed=st.integers(0, 2**16), drop=st.booleans())
+    def reregister(self, reg, seed, drop):
+        """Overwrite or unregister a target, possibly while requests
+        admitted under it are queued: those keep the answer of the
+        registration they were admitted under."""
+        tenant, name = reg
+        if drop:
+            assert self.server.unregister(name, tenant=tenant) == (
+                reg in self.perms
+            )
+            self.perms.pop(reg, None)
+        else:
+            p = random_permutation(N, seed=seed)
+            self.server.register(name, p, tenant=tenant, overwrite=True)
+            self.perms[reg] = p
 
     @rule(dt=st.sampled_from((0.25, 1.0)))
     def advance_clock(self, dt):

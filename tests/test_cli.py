@@ -63,13 +63,15 @@ class TestPlanVerify:
         assert "loaded and verified in" in out
         assert " ms" in out
 
-    def test_verify_reports_colouring_and_certificate(self, capsys,
-                                                      tmp_path):
+    def test_verify_reports_proofs_and_certificate(self, capsys,
+                                                   tmp_path):
         path = str(tmp_path / "plan.npz")
         _run(capsys, "plan", "--perm", "random", "--n", "256",
              "--width", "4", "--out", path)
         out = _run(capsys, "verify-plan", path)
-        assert "colouring: 16 colour classes verified" in out
+        assert ("proved on load: the rebuilt plan lowers to the stored "
+                "program, which denotes the stored p, and all 32 rounds "
+                "are conflict-free or coalesced") in out
         assert "certificate: 32 rounds certified" in out
         assert "bound to payload" in out
 
