@@ -494,7 +494,6 @@ def _cmd_check_semantics(args) -> str:
                 f"check --semantics: REJECTED: {type(exc).__name__}: "
                 f"{message}"
             ) from exc
-        plan = getattr(plan, "inner", plan)
         parts.append(f"loaded plan {target} (certificates re-verified)")
         embedded = getattr(plan, "semantic_certificate", None)
         if embedded is not None:

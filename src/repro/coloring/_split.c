@@ -1,8 +1,9 @@
 /* Depth-first Euler split of a regular bipartite multigraph.
  *
- * The compiled body of repro.coloring.euler._split_levels.  The NumPy
- * split there is the reference, and this kernel returns the same
- * colour prefixes bit for bit.
+ * The compiled body of repro.coloring.euler._split_levels, and of the
+ * two planner entry points beside it.  The NumPy split there is the
+ * reference, and this kernel returns the same colour prefixes bit for
+ * bit.
  *
  * A subgraph of a level is a block of B contiguous slots, and slot k
  * of a block holds the edge whose left key (node*d + rank within the
@@ -24,6 +25,20 @@
  * blocks of this form, and the kernel recurses on them depth first:
  * deep levels run on blocks that fit in cache.
  *
+ * The planner's two colourings (paper Sections VI and VII) have a
+ * power-of-two degree and keys in closed form, and each has an entry
+ * point that builds the plan arrays in the call that splits:
+ *
+ *   split_rows    the bank colouring of a row-wise step.  Row r's bank
+ *                 graph is its own component, so each row is split as
+ *                 one block of m slots, in cache, with the colours the
+ *                 stacked graph gets; then s = colour*w + c mod w and
+ *                 t[r*m + s] = gamma[r, c].
+ *   split_global  the row multigraph of the three-step decomposition.
+ *                 Element i is the edge with left key i; after the
+ *                 split, delta and gamma3 are scattered from the
+ *                 colours as repro.core.scheduler._from_colours does.
+ *
  * Nothing the caller passes is trusted: the shape, node ids,
  * regularity, every key and the closing of every walk are checked, and
  * a violation returns a nonzero code before any memory is touched out
@@ -41,6 +56,7 @@ enum {
     SPLIT_NOT_REGULAR = 3, /* a node with more than D edges, or a key twice */
     SPLIT_OPEN_WALK = 4,   /* a walk that revisits an edge or never closes */
     SPLIT_NO_MEMORY = 5,
+    SPLIT_NOT_PERMUTATION = 6, /* a row of gamma is no permutation */
 };
 
 /* A pair's flag before its walk; afterwards the flag is the parity of
@@ -169,6 +185,143 @@ int split_levels(const int64_t *left, const int64_t *right,
 done:
     free(cur);
     free(spare);
+    free(count);
+    free(flag);
+    return status;
+}
+
+/* Store the row-wise schedule's entries in the caller's index width. */
+#define WRITE_SCHEDULE(T)                                                 \
+    do {                                                                  \
+        T *srow = (T *)s + r * m, *trow = (T *)t + r * m;                 \
+        for (int64_t c = 0; c < m; c++)                                   \
+            trow[c] = (T)g[0];                                            \
+        for (int64_t c = 0, lane = 0; c < m; c++) {                       \
+            int64_t slot = (int64_t)sub[c] * width + lane;                \
+            srow[c] = (T)slot;                                            \
+            trow[slot] = (T)g[c];                                         \
+            if (++lane == width)                                          \
+                lane = 0;                                                 \
+        }                                                                 \
+    } while (0)
+
+/* The row-wise schedule of `rows` row permutations gamma (rows x m)
+ * at width w = `width`: each row's bank multigraph (edge c from bank
+ * c mod w to bank gamma[r, c] mod w, degree d = m/w = 2**levels) is
+ * coloured by the split, and s and t, of `itemsize` bytes per entry,
+ * are written row by row.  Edge c of a row has left key
+ * (c mod w)*d + c div w and right key bank*d + the number of earlier
+ * edges into its bank, the keys of the stacked graph less r*m.  An
+ * improper colouring (a broken split) leaves a slot of t unhit, which
+ * keeps gamma[r, 0]. */
+int split_rows(const int64_t *gamma, int64_t rows, int64_t m,
+               int64_t width, int32_t levels, int32_t itemsize, void *s,
+               void *t)
+{
+    if (rows <= 0 || m <= 0 || width <= 0 || levels < 0 || levels > 30
+        || m % width != 0 || m / width != (int64_t)1 << levels
+        || (itemsize != 1 && itemsize != 2 && itemsize != 4)
+        || (itemsize < 4 && m > (int64_t)1 << (8 * itemsize)))
+        return SPLIT_BAD_SHAPE;
+    int64_t degree = m / width;
+    slot_t *cur = malloc((size_t)m * sizeof(slot_t));
+    slot_t *spare = malloc((size_t)m * sizeof(slot_t));
+    int32_t *sub = malloc((size_t)m * sizeof(int32_t));
+    int32_t *count = malloc((size_t)width * sizeof(int32_t));
+    uint8_t *seen = malloc((size_t)m);
+    uint8_t *flag = malloc((size_t)m / 2 + 1);
+    int status = SPLIT_NO_MEMORY;
+    if (!cur || !spare || !sub || !count || !seen || !flag)
+        goto done;
+    status = SPLIT_OK;
+    for (int64_t r = 0; r < rows && status == SPLIT_OK; r++) {
+        const int64_t *g = gamma + r * m;
+        memset(seen, 0, (size_t)m);
+        memset(count, 0, (size_t)width * sizeof *count);
+        for (int64_t c = 0, lane = 0, rank = 0; c < m; c++) {
+            uint64_t v = (uint64_t)g[c];
+            if (v >= (uint64_t)m || seen[v]) {
+                status = SPLIT_NOT_PERMUTATION;
+                goto done;
+            }
+            seen[v] = 1;
+            /* A permutation sends d edges into each bank, so every
+             * right key is below m. */
+            int64_t bank = (int64_t)(v % (uint64_t)width);
+            cur[lane * degree + rank] = (slot_t){
+                (int32_t)c, (int32_t)(bank * degree + count[bank]++)};
+            if (++lane == width) {
+                lane = 0;
+                rank++;
+            }
+        }
+        status = split_block(sub, cur, spare, flag, (size_t)m, levels, 0);
+        if (status != SPLIT_OK)
+            break;
+        if (itemsize == 1)
+            WRITE_SCHEDULE(uint8_t);
+        else if (itemsize == 2)
+            WRITE_SCHEDULE(uint16_t);
+        else
+            WRITE_SCHEDULE(uint32_t);
+    }
+done:
+    free(cur);
+    free(spare);
+    free(sub);
+    free(count);
+    free(seen);
+    free(flag);
+    return status;
+}
+
+/* The global colouring of the three-step decomposition of p, a
+ * permutation of n = m*m elements with m = 2**levels: element i is the
+ * edge from source row i div m to destination row p[i] div m, with
+ * left key i and right key p[i] div m * m + the number of earlier
+ * elements bound for that row.  Writes colours[i], then
+ * delta[colour*m + i div m] = p[i] div m and
+ * gamma3[p[i] div m * m + colour] = p[i] mod m. */
+int split_global(const int64_t *p, int64_t m, int32_t levels,
+                 int64_t *colours, int64_t *delta, int64_t *gamma3)
+{
+    if (levels < 0 || levels > 15 || m != (int64_t)1 << levels)
+        return SPLIT_BAD_SHAPE;
+    int64_t n = m * m, low = m - 1;
+    slot_t *cur = malloc((size_t)n * sizeof(slot_t));
+    slot_t *spare = malloc((size_t)n * sizeof(slot_t));
+    int32_t *sub = malloc((size_t)n * sizeof(int32_t));
+    int32_t *count = calloc((size_t)m, sizeof(int32_t));
+    uint8_t *flag = malloc((size_t)n / 2 + 1);
+    int status = SPLIT_NO_MEMORY;
+    if (!cur || !spare || !sub || !count || !flag)
+        goto done;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t v = (uint64_t)p[i];
+        if (v >= (uint64_t)n) {
+            status = SPLIT_NODE_RANGE;
+            goto done;
+        }
+        int64_t row = (int64_t)(v >> levels);
+        if (count[row] == m) {
+            status = SPLIT_NOT_REGULAR;
+            goto done;
+        }
+        cur[i] = (slot_t){(int32_t)i, (int32_t)(row * m + count[row]++)};
+    }
+    status = split_block(sub, cur, spare, flag, (size_t)n, levels, 0);
+    if (status != SPLIT_OK)
+        goto done;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k = sub[i], v = p[i];
+        colours[i] = k;
+        delta[k * m + (i >> levels)] = v >> levels;
+        gamma3[(v & ~low) + k] = v & low;
+    }
+done:
+    free(cur);
+    free(spare);
+    free(sub);
     free(count);
     free(flag);
     return status;

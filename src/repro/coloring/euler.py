@@ -51,6 +51,18 @@ for the ranks, then per level ``O(E)`` scatters and gathers plus
 min-label pointer doubling along the cycles, ``O(log L)`` gathers for
 the longest cycle length ``L`` (at most ``O(E log D log E)`` in all).
 Either way, add one matching per odd factor.
+
+The planner's two colourings have their own compiled entry points,
+:func:`split_rows` (the bank colourings of a row-wise step, paper
+Section VI) and :func:`split_global` (the row multigraph, Section VII).
+They take the plan's arrays rather than a graph, compute the keys in
+closed form, and build the schedule arrays in the call that splits:
+``s`` and ``t``, or the colours, ``delta`` and ``gamma3``.  Their
+colours are the ones :func:`edge_coloring` gives the same graph.  They
+run when the library loaded, the edge ids fit 32 bits and the degree
+is a power of two (:func:`fused_split`); otherwise the planner builds
+the graph, colours it with :func:`edge_coloring` and scatters the
+arrays in NumPy, the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -62,8 +74,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.coloring.multigraph import RegularBipartiteMultigraph
-from repro.errors import ColoringError, NotRegularError
-from repro.util.native import load_kernel
+from repro.errors import ColoringError, NotRegularError, SchedulingError
+from repro.util.arrays import smallest_index_dtype
+from repro.util.native import load_library
+from repro.util.validation import is_power_of_two
 
 _SOURCE = Path(__file__).with_name("_split.c")
 #: The compiled kernel numbers edges in 32 bits; larger graphs take the
@@ -78,16 +92,33 @@ _KERNEL_ERRORS = {
     4: "an Euler walk did not close",
 }
 _KERNEL_NO_MEMORY = 5
+#: The code of a row of ``gamma`` that is no permutation (``split_rows``).
+_KERNEL_NOT_PERMUTATION = 6
 _EDGES = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-#: ``split_levels(left, right, num_edges, num_nodes, degree, levels,
-#: sub)``, returning 0 or one of the codes above.
-_ARGTYPES = (
-    _EDGES, _EDGES, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-    ctypes.c_int32,
-    np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
-)
+_INDEX = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_OUT = np.ctypeslib.ndpointer(flags="C_CONTIGUOUS,WRITEABLE")
+#: Each symbol's ``(argtypes, restype)``; every one returns 0 or one of
+#: the codes above.
+_SIGNATURES = {
+    # (left, right, num_edges, num_nodes, degree, levels, sub)
+    "split_levels": ((
+        _EDGES, _EDGES, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int32,
+        np.ctypeslib.ndpointer(np.int32, ndim=1,
+                               flags="C_CONTIGUOUS,WRITEABLE"),
+    ), ctypes.c_int),
+    # (gamma, rows, m, width, levels, itemsize, s, t)
+    "split_rows": ((
+        _INDEX, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int32, ctypes.c_int32, _OUT, _OUT,
+    ), ctypes.c_int),
+    # (p, m, levels, colours, delta, gamma3)
+    "split_global": ((
+        _INDEX, ctypes.c_int64, ctypes.c_int32, _OUT, _OUT, _OUT,
+    ), ctypes.c_int),
+}
 
-_KERNEL = load_kernel(_SOURCE, "split_levels", _ARGTYPES, ctypes.c_int)
+_KERNEL = load_library(_SOURCE, _SIGNATURES)
 #: Whether this process colours with the compiled kernel; decided once,
 #: on import, by whether the library could be built and loaded.
 NATIVE = _KERNEL is not None
@@ -95,6 +126,78 @@ NATIVE = _KERNEL is not None
 
 def _native(num_edges: int) -> bool:
     return _KERNEL is not None and num_edges < _NATIVE_MAX_EDGES
+
+
+def fused_split(num_edges: int, degree: int) -> bool:
+    """Whether :func:`split_rows` and :func:`split_global` run on a
+    plan colouring of ``num_edges`` edges and ``degree``: the library
+    loaded, the edge ids fit 32 bits, and ``degree`` is a power of two
+    (no odd step)."""
+    return num_edges > 0 and _native(num_edges) and is_power_of_two(degree)
+
+
+def _check_status(status: int, num_edges: int) -> None:
+    if status == _KERNEL_NO_MEMORY:
+        raise MemoryError(f"Euler split of {num_edges} edges")
+    if status:
+        raise ColoringError(
+            "Euler split refused its input: "
+            + _KERNEL_ERRORS.get(status, f"kernel error {status}")
+        )
+
+
+def split_rows(gamma: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-wise schedule ``(s, t)`` of the row permutations
+    ``gamma`` (``(rows, m)``, integral) at ``width``, by one compiled
+    call; the arrays :meth:`~repro.core.rowwise.RowwiseSchedule.plan`
+    builds from :func:`edge_coloring` of the stacked bank multigraph.
+
+    Each row is checked to be a permutation of ``0..m-1``
+    (:class:`~repro.errors.SchedulingError` otherwise).  Only for a
+    plan that :func:`fused_split` accepts, with ``m / width`` as the
+    degree.
+    """
+    rows, m = gamma.shape
+    degree = m // width
+    dtype = smallest_index_dtype(m - 1)
+    s = np.empty((rows, m), dtype=dtype)
+    t = np.empty((rows, m), dtype=dtype)
+    with telemetry.span("coloring.euler", edges=rows * m, degree=degree,
+                        kernel="split_rows"):
+        status = _KERNEL.split_rows(
+            np.ascontiguousarray(gamma, dtype=np.int64), rows, m, width,
+            degree.bit_length() - 1, dtype.itemsize, s, t,
+        )
+    if status == _KERNEL_NOT_PERMUTATION:
+        raise SchedulingError(
+            "every row of gamma must be a permutation of 0..m-1"
+        )
+    _check_status(status, rows * m)
+    return s, t
+
+
+def split_global(
+    p: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The global colouring of ``p``'s row multigraph (``n = m²``
+    elements, ``int64``) and the ``delta`` and ``gamma3`` it gives, by
+    one compiled call: what :func:`edge_coloring` and
+    :func:`repro.core.scheduler._from_colours` return.  Only for an
+    ``n`` that :func:`fused_split` accepts with degree ``m``."""
+    n = m * m
+    if p.shape != (n,):
+        raise ColoringError(f"p must have m² = {n} entries, got {p.shape}")
+    colours = np.empty(n, dtype=np.int64)
+    delta = np.empty((m, m), dtype=np.int64)
+    gamma3 = np.empty((m, m), dtype=np.int64)
+    with telemetry.span("coloring.euler", edges=n, degree=m,
+                        kernel="split_global"):
+        status = _KERNEL.split_global(
+            np.ascontiguousarray(p, dtype=np.int64), m,
+            m.bit_length() - 1, colours, delta, gamma3,
+        )
+    _check_status(status, n)
+    return colours, delta, gamma3
 
 
 def euler_split(graph: RegularBipartiteMultigraph) -> np.ndarray:
@@ -227,18 +330,12 @@ def _split_levels(
     sub = np.zeros(num_edges, dtype=np.int32)  # staticcheck: ignore[REP103]
     if num_edges == 0 or levels == 0:
         return sub
-    status = _KERNEL(
+    status = _KERNEL.split_levels(
         np.ascontiguousarray(left, dtype=np.int64),
         np.ascontiguousarray(right, dtype=np.int64),
         num_edges, num_nodes, degree, levels, sub,
     )
-    if status == _KERNEL_NO_MEMORY:
-        raise MemoryError(f"Euler split of {num_edges} edges")
-    if status:
-        raise ColoringError(
-            "Euler split refused its input: "
-            + _KERNEL_ERRORS.get(status, f"kernel error {status}")
-        )
+    _check_status(status, num_edges)
     return sub
 
 

@@ -137,12 +137,13 @@ SEALED_METADATA_KEYS = (
 )
 
 
-#: A sidecar member is deflated only when a level-1 deflate of its
-#: first :data:`DEFLATE_PROBE_BYTES` bytes shrinks them to at most
-#: this fraction; otherwise it is stored as is (``ZIP_STORED``).
+#: A plan-file or sidecar member is deflated only when a level-1
+#: deflate of its first :data:`DEFLATE_PROBE_BYTES` bytes shrinks them
+#: to at most this fraction; otherwise it is stored as is
+#: (``ZIP_STORED``).
 DEFLATE_MAX_RATIO = 0.5
 
-#: How much of a sidecar member the deflate probe compresses.
+#: How much of a member the deflate probe compresses.
 DEFLATE_PROBE_BYTES = 16 * 1024
 
 
@@ -216,14 +217,13 @@ def _deflates(value: np.ndarray) -> bool:
     most :data:`DEFLATE_MAX_RATIO` of their size.  The probe's ratio
     tracks the whole member's: 0.763 against 0.748 for a random 2¹⁸
     map's deltas, 0.014 against 0.008 for bit-reversal's."""
-    count = DEFLATE_PROBE_BYTES // max(value.itemsize, 1)
+    count = max(DEFLATE_PROBE_BYTES // max(value.itemsize, 1), 1)
     head = value.reshape(-1)[:count].tobytes()
     return len(zlib.compress(head, 1)) <= DEFLATE_MAX_RATIO * len(head)
 
 
 def _write_archive(path, payload: dict, checksum: str,
-                   metadata: dict, *,
-                   store_incompressible: bool = False) -> int:
+                   metadata: dict) -> int:
     """Write one archive — checksum, library version, the ``metadata``
     strings, then the payload arrays — and return its size in bytes.
 
@@ -232,11 +232,12 @@ def _write_archive(path, payload: dict, checksum: str,
     suffix gains it.  Members are deflated at level 1: on a 2¹⁸
     scatter map that is about four times faster than zlib's default
     level 6, and the archive stays within a few percent of the size
-    (larger for a random map, smaller for bit-reversal).  With
-    ``store_incompressible`` (sidecars), a member whose probe
-    (:func:`_deflates`) shows deflate would not pay is stored instead:
-    deflating a random 2¹⁸ map's 1 MiB of deltas takes about 35 ms to
-    save a quarter of its bytes.
+    (larger for a random map, smaller for bit-reversal).  A member
+    whose probe (:func:`_deflates`) shows deflate would not pay is
+    stored instead: deflating a random 2¹⁸ map's 1 MiB of deltas takes
+    about 35 ms to save a quarter of its bytes, and a random plan's
+    schedule arrays barely shrink either, while inflating them was
+    about half of ``load_plan``.
 
     The write is atomic: the archive goes to a hidden temporary
     sibling that :func:`os.replace` moves into place, so a reader (or
@@ -267,7 +268,7 @@ def _write_archive(path, payload: dict, checksum: str,
             for key, value in members.items():
                 value = np.asanyarray(value)
                 member: str | zipfile.ZipInfo = key + ".npy"
-                if store_incompressible and not _deflates(value):
+                if not _deflates(value):
                     # A ZipInfo's compress_type defaults to ZIP_STORED.
                     member = zipfile.ZipInfo(key + ".npy")
                 with archive.open(member, "w", force_zip64=True) as f:
@@ -821,7 +822,6 @@ def save_sealed(path, sealed) -> None:
             metadata["semantic_certificate"] = sealed.certificate.to_json()
         sp.set(file_bytes=_write_archive(
             path, arrays, plan_checksum(arrays), metadata,
-            store_incompressible=True,
         ))
 
 

@@ -46,6 +46,7 @@ import numpy as np
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.affine import affine_colour_map
+from repro.coloring.euler import fused_split, split_rows
 from repro.errors import SchedulingError, SizeError
 from repro.ir.ops import RowwiseScatter
 from repro.ir.rounds import rowwise_shared_bytes
@@ -57,17 +58,22 @@ from repro.util.arrays import flat_cells, smallest_index_dtype
 from repro.util.validation import is_power_of_two
 
 
-def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
-    """Validate that every row of ``gamma`` is a permutation of its columns."""
+def _index_rows(gamma: np.ndarray) -> np.ndarray:
+    """``gamma`` as a 2-D ``int64`` array; its rows are not checked."""
     gamma = np.asarray(gamma)
     if gamma.ndim != 2:
         raise SizeError(f"gamma must be 2-D, got shape {gamma.shape}")
     if not np.issubdtype(gamma.dtype, np.integer):
         raise SizeError(f"gamma must be integral, got dtype {gamma.dtype}")
-    rows, m = gamma.shape
-    gamma = gamma.astype(np.int64, copy=False)
+    return gamma.astype(np.int64, copy=False)
+
+
+def _check_row_permutations(gamma: np.ndarray) -> None:
+    """Validate that every row of the ``int64`` ``gamma`` is a
+    permutation of its columns."""
+    m = gamma.shape[1]
     if m == 0:
-        return gamma
+        return
     # In range, and no (row, column) pair twice: m distinct columns per row.
     if (
         int(gamma.min()) < 0
@@ -75,7 +81,6 @@ def _check_row_permutations(gamma: np.ndarray) -> np.ndarray:
         or int(np.bincount(flat_cells(gamma).reshape(-1)).max()) > 1
     ):
         raise SchedulingError("every row of gamma must be a permutation of 0..m-1")
-    return gamma
 
 
 def _affine_rows(gamma: np.ndarray, width: int) -> AffineMap | None:
@@ -142,7 +147,10 @@ class RowwiseSchedule:
         when the caller built ``gamma`` from it (an affine plan,
         ``docs/theory.md`` §10.1); ``gamma`` is then neither re-checked
         nor re-read.  Otherwise its rows are checked to be permutations
-        and an affine ``gamma`` is detected here.
+        and an affine ``gamma`` is detected here.  Any other ``gamma``
+        whose degree ``m / width`` is a power of two is checked,
+        coloured and scheduled by one compiled call
+        (:meth:`_plan_split`) when the split kernel loaded.
 
         The colouring is not re-verified here.  An improper colour at a
         source bank makes ``s`` repeat a slot, so ``t[s] != gamma``
@@ -151,8 +159,7 @@ class RowwiseSchedule:
         certifier refuses it (``docs/theory.md`` §8).
         """
         if values is None:
-            gamma = _check_row_permutations(gamma)
-            values = _affine_rows(gamma, width)
+            gamma = _index_rows(gamma)
         rows, m = gamma.shape
         if width < 1:
             raise SizeError(f"width must be >= 1, got {width}")
@@ -160,6 +167,11 @@ class RowwiseSchedule:
             raise SizeError(
                 f"row length m = {m} must be a multiple of the width {width}"
             )
+        if values is None:
+            values = _affine_rows(gamma, width)
+            if values is None and fused_split(rows * m, m // width):
+                return cls._plan_split(gamma, width)
+            _check_row_permutations(gamma)
         if values is not None:
             return cls._plan_affine(gamma, values, width)
         cols = np.arange(m, dtype=np.int64)
@@ -202,6 +214,20 @@ class RowwiseSchedule:
             t=t,
             width=width,
         )
+
+    @classmethod
+    def _plan_split(
+        cls, gamma: np.ndarray, width: int
+    ) -> "RowwiseSchedule":
+        """The schedule :func:`~repro.coloring.euler.edge_coloring` and
+        :meth:`_from_colours` give, by one compiled call that checks
+        each row, splits it as its own bank multigraph and writes
+        ``s`` and ``t``."""
+        rows, m = gamma.shape
+        with telemetry.span("rowwise.plan.coloring", rows=rows, m=m,
+                            kernel="euler"):
+            s, t = split_rows(gamma, width)
+        return cls(gamma=gamma, s=s, t=t, width=width)
 
     @classmethod
     def _plan_affine(

@@ -84,9 +84,15 @@ class ScheduledPermutation(EngineBase):
         """Plan the scheduled permutation for ``p``.
 
         ``len(p)`` must be a perfect square whose root is a multiple of
-        ``width``.
+        ``width``.  The plan keeps a read-only copy of ``p``: a caller
+        that edits its array afterwards changes neither the plan nor
+        what it computes.
         """
-        p = check_permutation(p)
+        owned = check_permutation(p)
+        if np.may_share_memory(owned, p):
+            owned = owned.copy()
+        owned.flags.writeable = False
+        p = owned
         n = int(p.shape[0])
         check_square(n, width, "len(p)")
         with telemetry.span("scheduled.plan", n=n, width=width):

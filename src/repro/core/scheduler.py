@@ -30,6 +30,10 @@ A GF(2)-affine ``p`` (bit reversal, transpose, ...) is coloured in
 closed form, ``colour(i) = C·i`` (:mod:`repro.coloring.affine`,
 ``docs/theory.md`` §10), and its three families are affine maps built
 without a scatter (§10.1); every other ``p`` takes the Euler split.
+For a power-of-two ``m`` one compiled call splits and scatters
+(:func:`~repro.coloring.euler.split_global`); otherwise the row
+multigraph is coloured by :func:`~repro.coloring.edge_coloring` and
+the families are scattered here.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 from repro import telemetry
 from repro.coloring import RegularBipartiteMultigraph, edge_coloring
 from repro.coloring.affine import affine_colour_map
+from repro.coloring.euler import fused_split, split_global
 from repro.errors import SchedulingError
 from repro.permutations.affine import AffineMap, detect_affine
 from repro.util.validation import check_permutation, isqrt_exact
@@ -133,12 +138,26 @@ def _decompose_inner(p: np.ndarray, n: int, m: int) -> ThreeStepDecomposition:
     affine = detect_affine(p)
     if affine is not None:
         return _decompose_affine(affine, m)
+    if fused_split(n, m):
+        return _decompose_split(p, m)
     dst_row, dst_col = np.divmod(p, m)
     src_row = np.repeat(np.arange(m, dtype=np.int64), m)
     graph = RegularBipartiteMultigraph.deferred(src_row, dst_row, m, m)
     with telemetry.span("plan.decompose.coloring", kernel="euler"):
         colors = edge_coloring(graph)
     return _from_colours(p, colors, m, dst_row, dst_col)
+
+
+def _decompose_split(p: np.ndarray, m: int) -> ThreeStepDecomposition:
+    """The decomposition :func:`edge_coloring` and :func:`_from_colours`
+    give, by one compiled call that colours the row multigraph and
+    scatters ``delta`` and ``gamma3``."""
+    with telemetry.span("plan.decompose.coloring", kernel="euler"):
+        colors, delta, gamma3 = split_global(p, m)
+    return ThreeStepDecomposition(
+        gamma1=colors.reshape(m, m), delta=delta, gamma3=gamma3,
+        colors=colors,
+    )
 
 
 def _from_colours(

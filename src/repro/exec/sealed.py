@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import SizeError, ValidationError
 from repro.ir.sealed import SealedProgram, TiledLayout
-from repro.util.native import load_kernel
+from repro.util.native import load_library
 
 __all__ = ["NATIVE", "NATIVE_MIN_N", "SealedExecutor"]
 
@@ -58,7 +58,9 @@ _ITEM_SIZES = frozenset({1, 2, 4, 8, 16})
 #:     NumPy take 4     11    32    56    110   359   902   5341 us
 NATIVE_MIN_N = 1 << 15
 
-_KERNEL = load_kernel(_SOURCE, "gather_rows", _ARGTYPES, ctypes.c_int64)
+_SIGNATURES = {"gather_rows": (_ARGTYPES, ctypes.c_int64)}
+
+_KERNEL = load_library(_SOURCE, _SIGNATURES)
 #: Whether this process gathers with the compiled kernel; decided once,
 #: on import, by whether the library could be built and loaded.
 NATIVE = _KERNEL is not None
@@ -148,7 +150,7 @@ def _gather_native(
             f"{index.dtype} of shape {index.shape}"
         )
     walk = np.array(shape + strides, dtype=np.int64)
-    status = _KERNEL(
+    status = _KERNEL.gather_rows(
         mat.ctypes.data, mat.strides[0], out.ctypes.data, mat.shape[0], n,
         index.ctypes.data, len(shape), walk.ctypes.data, mat.itemsize,
     )

@@ -2,7 +2,7 @@
 
 Each kernel is one C file beside the module that calls it
 (``coloring/_split.c``, ``exec/_gather.c``).  On import that module
-asks :func:`load_kernel` for one exported function: the first import
+asks :func:`load_library` for its exported functions: the first import
 compiles the file with the system C compiler into the package's
 ``__pycache__`` (about 0.1 s) and later imports reuse the library.
 Without a compiler or a writable ``__pycache__`` there is no kernel,
@@ -16,11 +16,12 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
-__all__ = ["CFLAGS", "build", "library_path", "load_kernel", "open_kernel"]
+__all__ = ["CFLAGS", "build", "library_path", "load_library", "open_library"]
 
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -62,8 +63,9 @@ def build(source: Path, target: Path) -> bool:
     return True
 
 
-def open_kernel(path: Path, symbol: str) -> Any:
-    """The library's ``symbol``, or ``None`` if it does not load.
+def open_library(path: Path, symbols: Iterable[str]) -> Any:
+    """The library's ``symbols`` as attributes of one namespace, or
+    ``None`` if it does not load or lacks one of them.
 
     Only a file that ends in the SHA-256 of the bytes before it is
     handed to the dynamic loader: mapping a truncated library can kill
@@ -73,25 +75,28 @@ def open_kernel(path: Path, symbol: str) -> Any:
         data = path.read_bytes()
         if hashlib.sha256(data[:-32]).digest() != data[-32:]:
             return None
-        return getattr(ctypes.CDLL(str(path)), symbol)
+        library = ctypes.CDLL(str(path))
+        return SimpleNamespace(
+            **{symbol: getattr(library, symbol) for symbol in symbols}
+        )
     except (OSError, AttributeError):
         return None
 
 
-def load_kernel(
+def load_library(
     source: Path,
-    symbol: str,
-    argtypes: Sequence[Any],
-    restype: Any,
+    signatures: Mapping[str, tuple[Sequence[Any], Any]],
     cache_dir: Path | None = None,
 ) -> Any:
-    """``symbol`` of the library built from ``source``, or ``None``.
+    """The functions of the library built from ``source``, or ``None``.
 
-    The library is cached in ``cache_dir`` (the ``__pycache__`` beside
+    ``signatures`` maps each exported symbol to its ``(argtypes,
+    restype)``; the result has one attribute per symbol, each with
+    them declared, and is ``None`` unless every symbol loads.  The
+    library is cached in ``cache_dir`` (the ``__pycache__`` beside
     ``source`` by default).  A missing, truncated or foreign library is
     rebuilt once; without a compiler or a writable ``cache_dir`` there
-    is no kernel.  The returned function has ``argtypes`` and
-    ``restype`` declared.
+    is no library.
     """
     if cache_dir is None:
         cache_dir = source.with_name("__pycache__")
@@ -100,10 +105,12 @@ def load_kernel(
         cache_dir.mkdir(exist_ok=True)
     except OSError:
         return None
-    kernel = open_kernel(path, symbol)
-    if kernel is None and build(source, path):
-        kernel = open_kernel(path, symbol)
-    if kernel is not None:
-        kernel.argtypes = list(argtypes)
-        kernel.restype = restype
-    return kernel
+    library = open_library(path, signatures)
+    if library is None and build(source, path):
+        library = open_library(path, signatures)
+    if library is not None:
+        for symbol, (argtypes, restype) in signatures.items():
+            function = getattr(library, symbol)
+            function.argtypes = list(argtypes)
+            function.restype = restype
+    return library

@@ -73,15 +73,21 @@ def _bank_graph(gamma, width):
 
 
 def _count_colourings(monkeypatch):
+    """Record every Euler colouring the planner runs: a graph coloured
+    by ``edge_coloring`` (the NumPy route) or a fused call of the split
+    kernel (``split_rows``, ``split_global``)."""
     calls = []
-    for module in (scheduler, rowwise):
-        real = module.edge_coloring
+    for module, name in ((scheduler, "edge_coloring"),
+                         (rowwise, "edge_coloring"),
+                         (scheduler, "split_global"),
+                         (rowwise, "split_rows")):
+        real = getattr(module, name)
 
-        def counting(graph, real=real):
-            calls.append(graph)
-            return real(graph)
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
 
-        monkeypatch.setattr(module, "edge_coloring", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -94,7 +100,9 @@ class TestClosedFormPlans:
         m = 1 << (len(q.columns) // 2)
         i = np.arange(n, dtype=np.int64)
         with mock.patch.object(scheduler, "edge_coloring") as euler_global, \
-                mock.patch.object(rowwise, "edge_coloring") as euler_banks:
+                mock.patch.object(rowwise, "edge_coloring") as euler_banks, \
+                mock.patch.object(scheduler, "split_global") as fused_global, \
+                mock.patch.object(rowwise, "split_rows") as fused_banks:
             for width in (1 << k for k in range(m.bit_length())):
                 plan = ScheduledPermutation.plan(p, width=width)
                 colors = plan.decomposition.colors
@@ -113,6 +121,7 @@ class TestClosedFormPlans:
                 den = denote_program(plan.lower())
                 assert den.ok and np.array_equal(den.index_map, p)
         assert euler_global.call_count == euler_banks.call_count == 0
+        assert fused_global.call_count == fused_banks.call_count == 0
 
     @pytest.mark.parametrize("n", [1 << 12, 1 << 14])
     @pytest.mark.parametrize("family, expected", [
@@ -121,18 +130,23 @@ class TestClosedFormPlans:
         (lambda n: random_permutation(n, seed=7), 4),
     ], ids=["bit-reversal", "transpose", "random"])
     def test_euler_split_runs_only_for_non_affine(self, family, expected,
-                                                  n, monkeypatch):
+                                                  n, monkeypatch,
+                                                  colouring_route):
         calls = _count_colourings(monkeypatch)
         ScheduledPermutation.plan(family(n), width=8)
         assert len(calls) == expected
+        assert set(calls) <= ({"split_global", "split_rows"}
+                              if colouring_route == "native"
+                              else {"edge_coloring"})
 
     def test_side_not_a_power_of_two_takes_the_split(self, monkeypatch):
         """m = 96: no index has a bit structure, so all four graphs are
-        Euler-coloured."""
+        Euler-coloured, and no degree is a power of two, so by
+        ``edge_coloring``."""
         calls = _count_colourings(monkeypatch)
         p = np.arange(96 * 96, dtype=np.int64)[::-1].copy()
         plan = ScheduledPermutation.plan(p, width=8)
-        assert len(calls) == 4
+        assert calls == ["edge_coloring"] * 4
         assert certify_plan(plan).ok
 
     def test_inverse_plan_is_closed_form_too(self, monkeypatch):

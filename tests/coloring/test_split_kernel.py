@@ -2,16 +2,18 @@
 
 ``_split_levels`` runs the C kernel (``_split.c``) when it loaded and
 ``_split_levels_numpy`` otherwise.  Both must return the same array,
-dtype and all, on every input the colouring makes, the planner's own
-graphs included; a patched copy of the kernel that breaks a partition
-must fail that parity check; the compiled kernel must refuse malformed
+dtype and all, on every input the colouring makes, the graphs the
+planner colours on its NumPy route included; a patched copy of the
+kernel that breaks a partition must fail that parity check, and the
+one on the plan its fused entry points build
+(``tests/coloring/test_fused_split.py`` makes it of the loaded
+kernel); the compiled kernel must refuse malformed
 input with a ``ColoringError`` instead of crashing; and a broken cached
 library or a failed build must leave the NumPy split in charge, never a
-dead process.  The loader tests run for both compiled kernels (this one
-and the sealed gather's), which share one loader.
+dead process.  The loader tests run for both compiled libraries (this
+one and the sealed gather's), which share one loader.
 """
 
-import ctypes
 import hashlib
 from collections.abc import Callable
 from types import ModuleType
@@ -34,7 +36,7 @@ from repro.coloring.multigraph import RegularBipartiteMultigraph
 from repro.coloring.verify import verify_edge_coloring
 from repro.core import rowwise, scheduler
 from repro.core.scheduled import ScheduledPermutation
-from repro.errors import ColoringError
+from repro.errors import ColoringError, ReproError
 from repro.exec import sealed as sealed_exec
 from repro.exec.sealed import SealedExecutor
 from repro.ir.sealed import SealedProgram
@@ -44,6 +46,7 @@ from repro.permutations.named import (
     transpose_permutation,
 )
 from repro.util import native as loader
+from tests.conftest import plan_arrays, same_arrays
 
 native = pytest.mark.skipif(
     not euler.NATIVE, reason="no compiled kernel: NumPy is the only split"
@@ -81,10 +84,12 @@ _PLANNER_FAMILIES = {
 
 def _planner_splits(family, log_n):
     """The arguments of every split a ``width = 32`` plan runs on the
-    planner's graphs.  The planner colours an affine permutation (bit
-    reversal, transpose) in closed form, so its graphs are built and
-    split here with the affine detection switched off, as the planner
-    builds them for every other permutation."""
+    planner's graphs, planned on the NumPy route (the kernel unloaded,
+    so the planner builds each graph and runs ``edge_coloring``).  The
+    planner colours an affine permutation (bit reversal, transpose) in
+    closed form, so its graphs are built and split here with the affine
+    detection switched off, as the planner builds them for every other
+    permutation."""
     calls = []
 
     def record(*args):
@@ -93,6 +98,7 @@ def _planner_splits(family, log_n):
 
     p = _PLANNER_FAMILIES[family](1 << log_n)
     with mock.patch.object(euler, "_split_levels", side_effect=record), \
+            mock.patch.object(euler, "_KERNEL", None), \
             mock.patch.object(scheduler, "detect_affine", return_value=None), \
             mock.patch.object(rowwise, "detect_affine", return_value=None):
         ScheduledPermutation.plan(p, width=32)
@@ -179,7 +185,7 @@ class TestBitIdentical:
     @pytest.mark.parametrize("family", sorted(_PLANNER_FAMILIES))
     def test_planner_graphs(self, family, log_n):
         """The global row multigraph and the three stacked bank graphs
-        a plan colours."""
+        a plan colours on its NumPy route."""
         calls = _planner_splits(family, log_n)
         assert len(calls) == 4
         for args in calls:
@@ -260,21 +266,37 @@ _MUTANTS = {
 }
 
 
-def _agrees_with_numpy(kernel):
-    """Whether ``kernel`` returns the NumPy split's prefixes on the
-    planner's graphs and on a multigraph with parallel edges: the
-    parity check ``TestBitIdentical`` makes of the loaded kernel."""
+def _splits_agree(kernel):
+    """Whether the library ``kernel`` returns the NumPy split's prefixes
+    on the planner's graphs and on a multigraph with parallel edges:
+    the parity check ``TestBitIdentical`` makes of the loaded kernel."""
     graphs = [*_planner_splits("random", 12),
               (*_regular(37, 64, seed=37), 37, 64, 6)]
     for left, right, nodes, degree, levels in graphs:
         sub = np.zeros(left.shape[0], dtype=np.int32)
-        status = kernel(np.ascontiguousarray(left, dtype=np.int64),
-                        np.ascontiguousarray(right, dtype=np.int64),
-                        left.shape[0], nodes, degree, levels, sub)
+        status = kernel.split_levels(
+            np.ascontiguousarray(left, dtype=np.int64),
+            np.ascontiguousarray(right, dtype=np.int64),
+            left.shape[0], nodes, degree, levels, sub)
         want = _split_levels_numpy(left, right, nodes, degree, levels)
         if status != 0 or not np.array_equal(sub, want):
             return False
     return True
+
+
+def _fused_plan_agrees(kernel):
+    """Whether the library ``kernel`` plans a random permutation through
+    ``split_rows`` and ``split_global`` as the NumPy route does: the
+    parity check ``test_fused_split.py`` makes of the loaded kernel."""
+    p = random_permutation(1 << 12, seed=11)
+    with mock.patch.object(euler, "_KERNEL", None):
+        want = plan_arrays(ScheduledPermutation.plan(p, width=8))
+    with mock.patch.object(euler, "_KERNEL", kernel):
+        try:
+            got = plan_arrays(ScheduledPermutation.plan(p, width=8))
+        except ReproError:
+            return False
+    return same_arrays(got, want)
 
 
 @native
@@ -288,27 +310,29 @@ class TestMutantKernels:
             source = source.replace(old, new)
         patched = tmp_path / "_split.c"
         patched.write_text(source)
-        target = tmp_path / "mutant.so"
-        assert loader.build(patched, target)
-        kernel = loader.open_kernel(target, "split_levels")
+        kernel = loader.load_library(patched, euler._SIGNATURES,
+                                     tmp_path / "cache")
         assert kernel is not None
-        kernel.argtypes = list(euler._ARGTYPES)
-        kernel.restype = ctypes.c_int
         return kernel
 
     def test_unpatched_copy_agrees(self, tmp_path):
-        assert _agrees_with_numpy(self._build(tmp_path, []))
+        kernel = self._build(tmp_path, [])
+        assert _splits_agree(kernel)
+        assert _fused_plan_agrees(kernel)
 
     @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
     def test_mutant_is_refused(self, tmp_path, mutant):
-        assert not _agrees_with_numpy(self._build(tmp_path,
-                                                  _MUTANTS[mutant]))
+        """By each parity check: every entry point shares the split."""
+        kernel = self._build(tmp_path, _MUTANTS[mutant])
+        assert not _splits_agree(kernel)
+        assert not _fused_plan_agrees(kernel)
 
 
 def _split_works(kernel):
     left, right = _regular(12, 8, seed=4)
     sub = np.zeros(left.shape[0], dtype=np.int32)
-    assert kernel(left, right, left.shape[0], 12, 8, 3, sub) == 0
+    assert kernel.split_levels(left, right, left.shape[0], 12, 8, 3,
+                               sub) == 0
     return np.array_equal(sub, _split_levels_numpy(left, right, 12, 8, 3))
 
 
@@ -317,8 +341,9 @@ def _gather_works(kernel):
     src = np.arange(64.0)[None]
     out = np.empty_like(src)
     walk = np.array([64, 1], dtype=np.int64)
-    status = kernel(src.ctypes.data, src.strides[0], out.ctypes.data, 1,
-                    64, index.ctypes.data, 1, walk.ctypes.data, 8)
+    status = kernel.gather_rows(src.ctypes.data, src.strides[0],
+                                out.ctypes.data, 1, 64, index.ctypes.data,
+                                1, walk.ctypes.data, 8)
     return status == -1 and np.array_equal(out[0], src[0, index])
 
 
@@ -349,24 +374,22 @@ def _gather_falls_back(monkeypatch):
 class _Kernel(NamedTuple):
     module: ModuleType
     symbol: str
-    restype: type
     works: Callable
     falls_back: Callable
 
     def load(self, cache_dir):
-        return loader.load_kernel(self.module._SOURCE, self.symbol,
-                                  self.module._ARGTYPES, self.restype,
-                                  cache_dir)
+        return loader.load_library(self.module._SOURCE,
+                                   self.module._SIGNATURES, cache_dir)
 
     def path(self, cache_dir):
         return loader.library_path(self.module._SOURCE, cache_dir)
 
 
 _KERNELS = {
-    "split": _Kernel(euler, "split_levels", ctypes.c_int, _split_works,
+    "split": _Kernel(euler, "split_levels", _split_works,
                      _split_falls_back),
-    "gather": _Kernel(sealed_exec, "gather_rows", ctypes.c_int64,
-                      _gather_works, _gather_falls_back),
+    "gather": _Kernel(sealed_exec, "gather_rows", _gather_works,
+                      _gather_falls_back),
 }
 
 
@@ -430,7 +453,7 @@ class TestLoader:
         fresh.mkdir()
         target = compiled.path(fresh)
         target.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))
-        assert loader.open_kernel(target, compiled.symbol) is None
+        assert loader.open_library(target, [compiled.symbol]) is None
         loaded = compiled.load(fresh)
         assert loaded is not None and compiled.works(loaded)
         rebuilt = target.read_bytes()

@@ -31,6 +31,22 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(params=["numpy", "native"])
+def colouring_route(request, monkeypatch) -> str:
+    """Plan on one colouring route.  ``numpy`` unloads the split kernel,
+    so every plan colouring builds its graph, runs ``edge_coloring`` and
+    scatters the plan arrays in NumPy; ``native`` keeps it, so a
+    power-of-two degree takes the kernel's ``split_rows`` and
+    ``split_global`` (skipped where the kernel could not be built)."""
+    from repro.coloring import euler
+
+    if request.param == "numpy":
+        monkeypatch.setattr(euler, "_KERNEL", None)
+    elif not euler.NATIVE:
+        pytest.skip("no compiled kernel: NumPy is the only route")
+    return request.param
+
+
 @pytest.fixture
 def tiny_machine() -> MachineParams:
     """A width-4 machine, small enough for hand-checked numbers."""
@@ -135,3 +151,25 @@ def prove_scheduled(plan, p) -> None:
     assert certify_plan(plan).ok
     den = denote_program(plan.lower())
     assert den.ok and np.array_equal(den.index_map, p)
+
+
+def plan_arrays(plan) -> dict[str, np.ndarray]:
+    """Every array a scheduled plan's colourings built, by name: the
+    decomposition's colours and families and each step's ``s``/``t``."""
+    d = plan.decomposition
+    arrays = {"colors": d.colors, "gamma1": d.gamma1, "delta": d.delta,
+              "gamma3": d.gamma3}
+    for name, step in (("step1", plan.step1),
+                       ("step2", plan.step2.rowwise),
+                       ("step3", plan.step3)):
+        arrays[f"{name}.s"] = step.s
+        arrays[f"{name}.t"] = step.t
+    return arrays
+
+
+def same_arrays(got: dict, want: dict) -> bool:
+    """Whether two :func:`plan_arrays` agree bit for bit, dtypes too."""
+    return got.keys() == want.keys() and all(
+        got[k].dtype == want[k].dtype and np.array_equal(got[k], want[k])
+        for k in want
+    )

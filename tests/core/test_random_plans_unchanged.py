@@ -1,8 +1,10 @@
 """Non-affine permutations are planned exactly as before the closed-form
 colourings: the colours and every ``s``/``t`` schedule array of a
 random plan hash to the values the Euler-split planner produced for
-them (``width = 8``, ``p = random_permutation(n, seed=n)``).  The
-digests cover the array dtypes too."""
+them (``width = 8``, ``p = random_permutation(n, seed=n)``), and the
+width-32 plans hash to the values that planner gave them before the
+split kernel built the plan arrays itself.  The digests cover the
+array dtypes too."""
 
 import hashlib
 
@@ -24,6 +26,12 @@ EXPECTED = {
     96 * 96: "f765bc7793a7bc89d445fe27b0d2e88aa4c6980b13c55c8d3f394e6056c9b22c",
     "padded-5000":
         "40c70851ddac25ea46962672b6f018f84f6df4050e3e6bcc0a9b943d54794378",
+}
+
+#: n -> SHA-256 of the ``width = 32`` plan's arrays.
+EXPECTED_WIDTH_32 = {
+    1 << 14: "9d663d154c2af17da94f6d18345a0a49336392cfb0bef101f8c09ab046212c29",
+    1 << 18: "a5cbd0c5ebafd83cbb09d662c19a9e8e42cf7eeb94c2800b13f005c250c8783b",
 }
 
 
@@ -51,3 +59,9 @@ def test_random_plan_is_bit_identical(case):
             random_permutation(case, seed=case), width=8
         )
     assert _digest(plan) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("n", list(EXPECTED_WIDTH_32))
+def test_width_32_plan_is_bit_identical(n):
+    plan = ScheduledPermutation.plan(random_permutation(n, seed=n), width=32)
+    assert _digest(plan) == EXPECTED_WIDTH_32[n]

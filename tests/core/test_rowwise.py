@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.coloring import euler
+from repro.core import rowwise
 from repro.core.rowwise import RowwiseSchedule
 from repro.core.theory import rowwise_time
 from repro.errors import SchedulingError, SizeError
 from repro.ir.program import KernelProgram
 from repro.machine.params import MachineParams
-from repro.staticcheck import certify_program
+from repro.staticcheck import certify_program, denote_program
 from tests.conftest import row_permutation_matrices_st
 
 
@@ -95,8 +97,9 @@ class TestPlanning:
     def test_rejects_a_bank_colour_out_of_range(
         self, monkeypatch, slot, colour
     ):
-        import repro.core.rowwise as rowwise
-
+        """On the NumPy route the schedule builder checks the colours
+        ``edge_coloring`` returns."""
+        monkeypatch.setattr(euler, "_KERNEL", None)
         real = rowwise.edge_coloring
 
         def out_of_range(graph):
@@ -107,6 +110,40 @@ class TestPlanning:
         monkeypatch.setattr(rowwise, "edge_coloring", out_of_range)
         with pytest.raises(SchedulingError, match="bank colouring"):
             RowwiseSchedule.plan(_random_gamma(3, 16, 6), width=4)
+
+    @pytest.mark.parametrize("slot, colour", [
+        (-1, "degree"),
+        (0, "negative"),
+    ])
+    def test_a_bank_colour_out_of_range_fails_the_denotation(
+        self, monkeypatch, slot, colour
+    ):
+        """The native twin: the split kernel writes ``s`` itself, and
+        its colours are below ``m / w`` by construction, so nothing
+        checks their range at planning.  An out-of-range colour
+        injected at its seam reaches the plan, and the denotation
+        refuses it."""
+        if not euler.NATIVE:
+            pytest.skip("no compiled kernel: NumPy is the only route")
+        real = rowwise.split_rows
+        width = 4
+
+        def out_of_range(gamma, w):
+            s, t = real(gamma, w)
+            flat = s.astype(np.int64).reshape(-1)
+            lane = np.arange(flat.size)[slot] % w
+            bad = gamma.shape[1] // w if colour == "degree" else -1
+            flat[slot] = bad * w + lane
+            return flat.astype(s.dtype).reshape(s.shape), t
+
+        monkeypatch.setattr(rowwise, "split_rows", out_of_range)
+        sched = RowwiseSchedule.plan(_random_gamma(3, 16, 6), width=width)
+        den = denote_program(KernelProgram(
+            engine="rowwise", n=sched.rows * sched.m, width=width,
+            ops=(sched.op,),
+        ))
+        assert not den.ok
+        assert "does not route gamma" in den.failure.detail
 
     def test_rejects_bad_width(self):
         gamma = _random_gamma(2, 6, 0)

@@ -205,3 +205,44 @@ class TestSharedCapacity:
         from repro.util.arrays import smallest_index_dtype
         for m in (512, 1024, 2048, 4096):
             assert smallest_index_dtype(m - 1) == np.uint16
+
+
+class TestPlanOwnsItsPermutation:
+    """A plan keeps a read-only copy of ``p``: the caller's array is
+    the caller's to edit once planning returns."""
+
+    def _edited_after(self, make):
+        p = random_permutation(1024, seed=9)
+        original = p.copy()
+        handle = make(p)
+        p[[0, 1]] = p[[1, 0]]
+        return handle, original
+
+    def test_compiled_p_survives_an_edit(self):
+        from repro.planner import Planner
+
+        compiled, original = self._edited_after(
+            lambda p: Planner().compile(p, width=8))
+        assert np.array_equal(compiled.p, original)
+        a = np.arange(1024.0)
+        assert np.array_equal(compiled.apply(a), _reference(a, original))
+
+    def test_built_engine_applies_after_an_edit(self):
+        from repro.core.selector import build_engine
+
+        engine, original = self._edited_after(
+            lambda p: build_engine("scheduled", p, width=8))
+        a = np.arange(1024.0)
+        assert np.array_equal(engine.apply(a), _reference(a, original))
+        assert np.array_equal(engine.p, original)
+
+    def test_the_copy_is_read_only(self):
+        plan = ScheduledPermutation.plan(random_permutation(1024, seed=9),
+                                         width=8)
+        with pytest.raises(ValueError):
+            plan.p[0] = 1
+
+    def test_an_array_the_check_already_copied_is_not_copied_again(self):
+        p = random_permutation(1024, seed=9).astype(np.int32)
+        plan = ScheduledPermutation.plan(p, width=8)
+        assert plan.p.dtype == np.int64 and not np.shares_memory(plan.p, p)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.io import (
+    load_plan,
     load_sealed,
     plan_checksum,
     save_plan,
@@ -267,10 +268,23 @@ class TestMemberCompression:
         with pytest.raises(PlanCorruptionError):
             load_sealed(path)
 
-    def test_plan_files_stay_deflated(self, tmp_path):
-        p = random_permutation(_N, seed=11)
+    @pytest.mark.parametrize("family, compress_type", [
+        ("random", zipfile.ZIP_STORED),
+        ("bit-reversal", zipfile.ZIP_DEFLATED),
+    ])
+    def test_plan_file_members_follow_the_same_rule(self, tmp_path, family,
+                                                    compress_type):
+        """A plan file's schedule arrays are stored or deflated by the
+        same probe: a random plan's ``t`` barely deflates, an affine
+        plan's repeats itself, and both files load."""
+        p = (random_permutation(_N, seed=11) if family == "random"
+             else bit_reversal(_N))
         path = tmp_path / "plan.npz"
         save_plan(path, get_engine("scheduled").plan(p, width=_WIDTH))
         with zipfile.ZipFile(path) as archive:
-            assert {info.compress_type for info in archive.infolist()} \
-                == {zipfile.ZIP_DEFLATED}
+            assert archive.getinfo("op0.t.npy").compress_type \
+                == compress_type
+            # The certificates are text and always deflate.
+            assert archive.getinfo("certificate.npy").compress_type \
+                == zipfile.ZIP_DEFLATED
+        assert np.array_equal(load_plan(path).p, p)

@@ -254,7 +254,7 @@ class TestRefuses:
         out = np.full(n * 4 + 64, 7, dtype=np.uint8)
         index = np.arange(n, dtype=np.int64)
         walk = np.array(walk, dtype=np.int64)
-        status = sealed_exec._KERNEL(
+        status = sealed_exec._KERNEL.gather_rows(
             src.ctypes.data, 0, out.ctypes.data, 1, n, index.ctypes.data,
             len(walk) // 2, walk.ctypes.data, item_size,
         )

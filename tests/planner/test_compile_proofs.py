@@ -5,7 +5,8 @@ re-verifies colourings or re-routes ``p``; these tests seed each kind
 of improper colouring ``docs/theory.md`` §8 argues about and check that
 a proof (or the cheap row-permutation check) refuses it at compile, on
 the memory path and the disk path alike, before anything is cached or
-written."""
+written.  A random plan's colourings run on either colouring route
+(``colouring_route``), and each colouring mutant has a twin on each."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ import repro.core.scheduler
 import repro.passes.seal
 import repro.staticcheck.certifier as certifier
 import repro.staticcheck.semantics as semantics
+from repro.coloring import euler
 from repro.core.rowwise import RowwiseSchedule
 from repro.core.scheduled import ScheduledPermutation
 from repro.core.scheduler import ThreeStepDecomposition
@@ -33,6 +35,7 @@ from repro.errors import (
 from repro.permutations.affine import AffineMap
 from repro.permutations.named import bit_reversal, random_permutation
 from repro.planner import Planner
+from tests.conftest import plan_arrays, same_arrays
 
 _N, _WIDTH = 1024, 8          # m = 32: per-row bank graphs of degree 4
 
@@ -54,30 +57,86 @@ def _swap_two_colours(graph, colors, side):
     raise AssertionError("no node with two distinct far endpoints")
 
 
-def _mutate_colouring(monkeypatch, module, side):
-    """Corrupt the first colouring ``module`` computes."""
-    real = module.edge_coloring
-    calls = []
+def _bank_graph(gamma, width):
+    """The stacked bank multigraph ``RowwiseSchedule.plan`` colours."""
+    rows, m = gamma.shape
+    row = np.repeat(np.arange(rows, dtype=np.int64) * width, m)
+    lane = np.arange(rows * m, dtype=np.int64) % width
+    return SimpleNamespace(left=row + lane,
+                           right=row + gamma.reshape(-1) % width)
 
-    def mutant(graph):
-        colors = real(graph)
-        calls.append(graph)
-        return (_swap_two_colours(graph, colors, side)
-                if len(calls) == 1 else colors)
 
-    monkeypatch.setattr(module, "edge_coloring", mutant)
+def _row_graph(p, m):
+    """The row multigraph ``decompose`` colours."""
+    return SimpleNamespace(left=np.arange(m * m, dtype=np.int64) // m,
+                           right=p // m)
+
+
+def _mutate_colouring(monkeypatch, module, side, route):
+    """Corrupt the first colouring ``module`` computes on ``route``;
+    returns a list that records the firing.
+
+    On the NumPy route the swap is made in the colours
+    ``edge_coloring`` returns.  On the native route, where one kernel
+    call returns the arrays built from the colours, its twin makes the
+    same swap in the colours of those arrays and rebuilds them with
+    the NumPy route's builder, so both routes plan the same mutant."""
+    fired = []
+    if route == "numpy":
+        monkeypatch.setattr(euler, "_KERNEL", None)
+        real = module.edge_coloring
+
+        def mutant(graph):
+            colors = real(graph)
+            fired.append(graph)
+            return (_swap_two_colours(graph, colors, side)
+                    if len(fired) == 1 else colors)
+
+        monkeypatch.setattr(module, "edge_coloring", mutant)
+    elif module is repro.core.scheduler:
+        real = module.split_global
+
+        def mutant(p, m):
+            colors, delta, gamma3 = real(p, m)
+            fired.append(p)
+            if len(fired) > 1:
+                return colors, delta, gamma3
+            swapped = _swap_two_colours(_row_graph(p, m), colors, side)
+            d = module._from_colours(p, swapped, m, *np.divmod(p, m))
+            return d.colors, d.delta, d.gamma3
+
+        monkeypatch.setattr(module, "split_global", mutant)
+    else:
+        real = module.split_rows
+
+        def mutant(gamma, width):
+            s, t = real(gamma, width)
+            fired.append(gamma)
+            if len(fired) > 1:
+                return s, t
+            colors = s.astype(np.int64).reshape(-1) // width
+            swapped = _swap_two_colours(_bank_graph(gamma, width), colors,
+                                        side)
+            bad = RowwiseSchedule._from_colours(gamma, swapped, width)
+            return bad.s, bad.t
+
+        monkeypatch.setattr(module, "split_rows", mutant)
+    return fired
 
 
 def _mutate_gamma3(monkeypatch, mutate):
     real = repro.core.scheduled.decompose_checked
+    fired = []
 
     def mutant(p):
+        fired.append(p)
         d = real(p)
         gamma3 = d.gamma3.copy()
         mutate(gamma3)
         return dataclasses.replace(d, gamma3=gamma3)
 
     monkeypatch.setattr(repro.core.scheduled, "decompose_checked", mutant)
+    return fired
 
 
 def _wrong_entry(gamma3):
@@ -88,41 +147,44 @@ def _swapped_entries(gamma3):
     gamma3[0, [0, 1]] = gamma3[0, [1, 0]]
 
 
-#: name -> (install, the error a compile raises).  The error names the
-#: check that refuses the mutant first.
+#: name -> (install, the error a compile raises).  ``install(mp,
+#: route)`` returns a list that records the firing.  The error names
+#: the check that refuses the mutant first, on either colouring route.
 MUTANTS = {
     # Destination rows see a colour twice: a colour class (a row of
     # delta) repeats a destination row.
     "global-source-row-swap": (
-        lambda mp: _mutate_colouring(mp, repro.core.scheduler, "source"),
+        lambda mp, route: _mutate_colouring(mp, repro.core.scheduler,
+                                            "source", route),
         SchedulingError,
     ),
     # Source rows see a colour twice: a row of gamma1 repeats a column.
     "global-destination-row-swap": (
-        lambda mp: _mutate_colouring(mp, repro.core.scheduler,
-                                     "destination"),
+        lambda mp, route: _mutate_colouring(mp, repro.core.scheduler,
+                                            "destination", route),
         SchedulingError,
     ),
     # Destination banks see a colour twice: two lanes of one warp
     # write one bank in step 3.
     "bank-source-side-swap": (
-        lambda mp: _mutate_colouring(mp, repro.core.rowwise, "source"),
+        lambda mp, route: _mutate_colouring(mp, repro.core.rowwise,
+                                            "source", route),
         CertificateError,
     ),
     # Source banks see a colour twice: s repeats a slot, so the kernel
     # does not route gamma.
     "bank-destination-side-swap": (
-        lambda mp: _mutate_colouring(mp, repro.core.rowwise,
-                                     "destination"),
+        lambda mp, route: _mutate_colouring(mp, repro.core.rowwise,
+                                            "destination", route),
         SemanticValidationError,
     ),
     "gamma3-wrong-entry": (
-        lambda mp: _mutate_gamma3(mp, _wrong_entry),
+        lambda mp, route: _mutate_gamma3(mp, _wrong_entry),
         SchedulingError,
     ),
     # Still a row permutation, so only the denotation sees it.
     "gamma3-swapped-entries": (
-        lambda mp: _mutate_gamma3(mp, _swapped_entries),
+        lambda mp, route: _mutate_gamma3(mp, _swapped_entries),
         SemanticValidationError,
     ),
 }
@@ -257,14 +319,42 @@ def p():
 @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_mutant_refused_at_compile(mutant, disk, p, tmp_path,
-                                   monkeypatch):
+                                   monkeypatch, colouring_route):
     install, error = MUTANTS[mutant]
-    install(monkeypatch)
+    fired = install(monkeypatch, colouring_route)
     planner = Planner(cache_dir=tmp_path if disk else None)
     with pytest.raises(error):
         planner.compile(p, width=_WIDTH)
+    assert fired
     assert planner.stats()["memory_entries"] == 0
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("module, side", [
+    (repro.core.scheduler, "source"),
+    (repro.core.scheduler, "destination"),
+    (repro.core.rowwise, "source"),
+    (repro.core.rowwise, "destination"),
+], ids=["global-source", "global-destination", "bank-source",
+        "bank-destination"])
+def test_native_twin_plans_the_numpy_mutant(module, side, p):
+    """A colouring mutant and its native twin plan the same arrays,
+    up to the first array that refuses it."""
+    if not euler.NATIVE:
+        pytest.skip("no compiled kernel: NumPy is the only route")
+    plans = {}
+    for route in ("numpy", "native"):
+        with pytest.MonkeyPatch.context() as mp:
+            _mutate_colouring(mp, module, side, route)
+            try:
+                plans[route] = plan_arrays(
+                    ScheduledPermutation.plan(p, width=_WIDTH))
+            except SchedulingError as exc:
+                plans[route] = str(exc)
+    if isinstance(plans["numpy"], str):
+        assert plans["native"] == plans["numpy"]
+    else:
+        assert same_arrays(plans["native"], plans["numpy"])
 
 
 @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
@@ -289,9 +379,10 @@ class TestEachCaseHasItsProof:
     the mutant plans, and the named proof alone refuses it."""
 
     def test_improper_source_bank_refused_by_denotation(
-        self, p, monkeypatch
+        self, p, monkeypatch, colouring_route
     ):
-        _mutate_colouring(monkeypatch, repro.core.rowwise, "destination")
+        _mutate_colouring(monkeypatch, repro.core.rowwise, "destination",
+                          colouring_route)
         plan = ScheduledPermutation.plan(p, width=_WIDTH)
         den = semantics.denote_program(plan.lower())
         assert not den.ok
@@ -300,9 +391,10 @@ class TestEachCaseHasItsProof:
         assert any(np.unique(row).size < row.size for row in s)
 
     def test_improper_destination_bank_refused_by_certifier_only(
-        self, p, monkeypatch
+        self, p, monkeypatch, colouring_route
     ):
-        _mutate_colouring(monkeypatch, repro.core.rowwise, "source")
+        _mutate_colouring(monkeypatch, repro.core.rowwise, "source",
+                          colouring_route)
         plan = ScheduledPermutation.plan(p, width=_WIDTH)
         den = semantics.denote_program(plan.lower())
         assert den.ok and np.array_equal(den.index_map, p)
@@ -312,9 +404,10 @@ class TestEachCaseHasItsProof:
 
     @pytest.mark.parametrize("side", ["source", "destination"])
     def test_improper_global_colouring_refused_by_row_check(
-        self, side, p, monkeypatch
+        self, side, p, monkeypatch, colouring_route
     ):
-        _mutate_colouring(monkeypatch, repro.core.scheduler, side)
+        _mutate_colouring(monkeypatch, repro.core.scheduler, side,
+                          colouring_route)
         with pytest.raises(SchedulingError, match="permutation"):
             ScheduledPermutation.plan(p, width=_WIDTH)
 

@@ -17,6 +17,7 @@ disk-backed ``Planner.compile`` of the same permutation writes (sealed
 version 1); it pins the sidecar format the same way.
 """
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,12 @@ GOLDEN_SIDECAR = DATA / "golden_sidecar.sealed.npz"
 
 
 def test_golden_plan_loads_with_certificate():
+    # Written before plan files stored incompressible members: every
+    # member is deflated, and it still loads.
+    with zipfile.ZipFile(GOLDEN) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_DEFLATED
+        }
     plan = load_plan(GOLDEN)
     assert plan.n == 256 and plan.width == 4
     cert = plan.certificate

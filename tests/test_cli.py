@@ -285,6 +285,20 @@ class TestCheckSemantics:
         # the reloaded plan's lowering.
         assert len({id(program) for program in calls}) == 2
 
+    def test_padded_plan_file(self, capsys, tmp_path):
+        """A padded plan is checked as stored: its embedded certificate
+        is printed and the padded n = 1000 program is validated, not
+        the inner n = 1024 one."""
+        path = str(tmp_path / "padded.npz")
+        _run(capsys, "plan", "--perm", "random", "--n", "1000",
+             "--width", "8", "--engine", "padded", "--out", path)
+        out = _run(capsys, "check", "--semantics", path)
+        assert "embedded semantics certified" in out
+        assert "denotation of 'padded' (n = 1000, 7 ops)" in out
+        assert "bijective on 0..999" in out
+        assert "bijective on 0..1023" not in out
+        assert "check --semantics OK" in out
+
     def test_named_permutation(self, capsys, monkeypatch):
         calls = _count_denotations(monkeypatch)
         out = _run(capsys, "check", "--semantics", "bit-reversal",
